@@ -8,6 +8,10 @@
 //! per-layer metrics of [`PER_LAYER`]. `README.md` next to this crate
 //! describes the workloads and how the two tables relate.
 
+// A benchmark reads the wall clock by design; the workspace's
+// determinism lint is for product code.
+#![allow(clippy::disallowed_methods)]
+
 pub mod json;
 pub mod report;
 pub mod stats;

@@ -37,7 +37,9 @@ pub fn percentile(values: &[f64], pct: u32) -> f64 {
 }
 
 /// A tail latency: the highest integer percentile that leaves at least
-/// [`MIN_BEYOND`] samples above it, with the sample count behind it.
+/// [`MIN_BEYOND`] samples above it, with the sample count behind it. A
+/// tail never lies below the median: with fewer than `2 × MIN_BEYOND`
+/// samples no tail can be resolved, and the median itself is reported.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tail {
     /// The percentile reported.
@@ -47,7 +49,7 @@ pub struct Tail {
     /// Samples it was taken from.
     pub samples: usize,
     /// Samples above it. Below [`MIN_BEYOND`] only when no percentile
-    /// qualifies; the median is reported then.
+    /// from the median up qualifies; the median is reported then.
     pub beyond: usize,
 }
 
@@ -63,13 +65,17 @@ pub fn tail(values: &[f64]) -> Tail {
             beyond: 0,
         };
     }
-    let pct = (1..=99)
+    let pct = (50..=99)
         .rev()
         .find(|&p| n - rank(n, p) >= MIN_BEYOND)
         .unwrap_or(50);
     Tail {
         pct,
-        value: percentile(values, pct),
+        value: if pct == 50 {
+            median(values)
+        } else {
+            percentile(values, pct)
+        },
         samples: n,
         beyond: n - rank(n, pct),
     }
@@ -107,5 +113,10 @@ mod tests {
         assert_eq!(t.value, 40.0);
         let few = tail(&[1.0, 2.0, 3.0]);
         assert_eq!((few.pct, few.beyond), (50, 1));
+        // 15 samples could leave 10 above p33, but a tail stays at or
+        // above the median.
+        let short: Vec<f64> = (1..=15).map(f64::from).collect();
+        let t = tail(&short);
+        assert_eq!((t.pct, t.beyond, t.value), (50, 7, 8.0));
     }
 }

@@ -7,16 +7,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tepics_core::prelude::*;
-use tepics_core::stream::StreamParser;
-use tepics_core::CoreError;
-use tepics_recovery::SolverWorkspace;
 use tepics_util::parallel::thread_spawn_count;
 use tepics_util::SplitMix64;
 
 use super::{
-    assemble, bit_identical, capture_all, count_for, decode_stream, finish_traced, parse,
-    time_setup, trace_capture, trace_cs, video_scenes, EndToEnd, LayerCounts, RunArgs, Stream,
-    Timings,
+    assemble, capture_all, count_for, decode_stream, encoder, finish_traced, on_clients,
+    primed_cache, trace_capture, trace_cs, video_scenes, CompactReplay, EndToEnd, LayerCounts,
+    RunArgs, Stream, Timings, CLIENTS,
 };
 use crate::report::Outcome;
 use crate::trace::Tracer;
@@ -28,10 +25,13 @@ struct Size {
     streams: usize,
     /// Frames per stream: one keyframe, then three delta frames.
     frames_per_stream: usize,
-    setup_reps: usize,
-    /// Streams per second of `--seconds` (one takes about 1.7 s on the
+    /// Streams a client decodes per timed cold start.
+    setup_every: usize,
+    /// Streams per client per second of `--seconds` (one, with its
+    /// share of the set-up and capture samples, takes about 1.35 s on the
     /// reference host).
     streams_per_second: f64,
+    /// Streams per client of the traced run.
     traced_streams: usize,
     psnr_floor: f64,
 }
@@ -40,9 +40,9 @@ const FULL: Size = Size {
     side: 64,
     streams: 4,
     frames_per_stream: 4,
-    setup_reps: 3,
-    streams_per_second: 0.6,
-    traced_streams: 4,
+    setup_every: 2,
+    streams_per_second: 0.75,
+    traced_streams: 2,
     psnr_floor: 18.0,
 };
 
@@ -50,7 +50,7 @@ const SMOKE: Size = Size {
     side: 16,
     streams: 2,
     frames_per_stream: 4,
-    setup_reps: 1,
+    setup_every: 1,
     streams_per_second: 1.0,
     traced_streams: 1,
     psnr_floor: 8.0,
@@ -66,28 +66,6 @@ fn session(cache: &Arc<OperatorCache>) -> DecodeSession {
     dec.params(RecoveryParams::natural())
         .delta_mode(DELTA_SPARSITY, KEYFRAME_INTERVAL);
     dec
-}
-
-/// Decodes one stream on a new session; with `replay`, every push is
-/// traced and decomposed.
-fn decode(
-    stream: &Stream,
-    cache: &Arc<OperatorCache>,
-    timings: &mut Timings,
-    mut replay: Option<&mut Replay>,
-) -> Result<(Vec<DecodedFrame>, DecodeReport), CoreError> {
-    let opened = Instant::now();
-    decode_stream(
-        session(cache),
-        opened,
-        stream,
-        timings,
-        |chunk, call, end, got| {
-            if let Some(replay) = replay.as_deref_mut() {
-                replay.replay(chunk, call, end, got);
-            }
-        },
-    )
 }
 
 pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
@@ -120,30 +98,45 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
         ));
     }
 
-    let mut e2e = EndToEnd {
-        capture_ms: captured.capture_ms,
-        ..EndToEnd::default()
-    };
-    let cache = time_setup(out, &mut e2e.setup_s, size.setup_reps, &first, session);
-    for pass in 0..count_for(args.seconds, size.streams_per_second) {
-        let stream = &streams[pass % size.streams];
-        let result = decode(stream, &cache, &mut e2e.timings, None);
-        e2e.book(
-            out,
-            &format!("stream {pass}"),
-            result.map(|(frames, _)| frames),
-            stream,
-            &truth,
-            size.psnr_floor,
-        );
+    // Two receivers, one per core, share a warm cache. Each pass of a
+    // client captures one scene again and decodes one stream; every
+    // `setup_every`-th pass also times a cold start.
+    let cache = primed_cache(out, &first, session);
+    let passes = count_for(args.seconds, size.streams_per_second);
+    let clients = on_clients(|c| {
+        let mut e2e = EndToEnd::default();
+        let mut enc = encoder(&imager, WireProfile::Compact);
+        for pass in 0..passes {
+            if pass % size.setup_every == size.setup_every - 1 {
+                e2e.cold_start(&first, session);
+            }
+            let job = pass * CLIENTS + c;
+            let scene = job % scenes.len();
+            e2e.recapture(&mut enc, &scenes[scene], &captured.records[scene]);
+            let stream = &streams[job % size.streams];
+            let result = decode_stream(|| session(&cache), stream, &mut e2e.timings, None);
+            e2e.book(
+                &format!("client {c} stream {pass}"),
+                result.map(|(frames, _)| frames),
+                stream,
+                &truth,
+                size.psnr_floor,
+            );
+        }
+        e2e
+    });
+    let mut e2e = EndToEnd::default();
+    for client in clients {
+        e2e.absorb(client);
     }
-    e2e.decode_s = e2e.timings.busy_s;
+    // Frames over the mean client's time inside its sessions.
+    e2e.decode_s = e2e.timings.busy_s / CLIENTS as f64;
     e2e.report(out);
     None
 }
 
 /// The traced run: the capture and operator layers first, then the
-/// same streams decoded untraced (the reference for the tracing
+/// clients decode their streams untraced (the reference for the tracing
 /// overhead, and the cache counters) and traced, every keyframe replayed
 /// through `Decoder::reconstruct_with`.
 fn traced(
@@ -155,7 +148,8 @@ fn traced(
     first: &CompressedFrame,
     out: &mut Outcome,
 ) -> Tracer {
-    let mut tracer = Tracer::new(Instant::now(), 0);
+    let origin = Instant::now();
+    let mut tracer = Tracer::new(origin, 0);
     let mut counts = LayerCounts {
         executors: 1,
         ..LayerCounts::default()
@@ -168,97 +162,62 @@ fn traced(
         scenes,
     );
     trace_cs(&mut tracer, first);
+    let stream_of = |pass: usize, c: usize| &streams[(pass * CLIENTS + c) % size.streams];
 
-    let cache = time_setup(out, &mut Vec::new(), 1, first, session);
-    let mut plain = Timings::default();
-    for pass in 0..size.traced_streams {
-        if let Err(e) = decode(&streams[pass % size.streams], &cache, &mut plain, None) {
-            out.fail(format!("untraced stream {pass}: {e}"));
+    let cache = primed_cache(out, first, session);
+    let start = Instant::now();
+    let plain = on_clients(|c| {
+        let mut timings = Timings::default();
+        let mut failures = Vec::new();
+        for pass in 0..size.traced_streams {
+            let open = || session(&cache);
+            if let Err(e) = decode_stream(open, stream_of(pass, c), &mut timings, None) {
+                failures.push(format!("untraced client {c} stream {pass}: {e}"));
+            }
         }
+        (timings.frames, failures)
+    });
+    counts.untraced_wall_s = start.elapsed().as_secs_f64();
+    for (frames, failures) in plain {
+        counts.untraced_frames += frames;
+        failures.into_iter().for_each(|f| out.fail(f));
     }
     counts.add_cache(&cache, 1);
 
-    let cache = time_setup(out, &mut Vec::new(), 1, first, session);
-    let mut decoder = Decoder::for_frame(first).expect("captured headers are valid");
-    decoder
-        .params(RecoveryParams::natural())
-        .use_cache(Arc::clone(&cache));
-    let mut replay = Replay {
-        tracer,
-        counts,
-        parser: StreamParser::new(),
-        decoder,
-        workspace: SolverWorkspace::new(),
-        push: 0,
-    };
-    let mut timings = Timings::default();
-    let mut e2e = EndToEnd::default();
+    let cache = primed_cache(out, first, session);
     let spawns = thread_spawn_count();
-    for pass in 0..size.traced_streams {
-        let stream = &streams[pass % size.streams];
-        replay.parser = StreamParser::new();
-        let result = decode(stream, &cache, &mut timings, Some(&mut replay));
-        if let Ok((_, report)) = &result {
-            replay.counts.add_report(report);
+    let start = Instant::now();
+    let clients = on_clients(|c| {
+        let tracer = Tracer::new(origin, c + 1);
+        let mut replay = CompactReplay::new(tracer, RecoveryParams::natural(), false);
+        let mut e2e = EndToEnd::default();
+        for pass in 0..size.traced_streams {
+            let stream = stream_of(pass, c);
+            replay.restart(&cache);
+            let open = || session(&cache);
+            let result = decode_stream(open, stream, &mut e2e.timings, Some(&mut replay));
+            if let Ok((_, report)) = &result {
+                replay.counts.add_report(report);
+            }
+            e2e.book(
+                &format!("traced client {c} stream {pass}"),
+                result.map(|(frames, _)| frames),
+                stream,
+                truth,
+                size.psnr_floor,
+            );
         }
-        e2e.book(
-            out,
-            &format!("traced stream {pass}"),
-            result.map(|(frames, _)| frames),
-            stream,
-            truth,
-            size.psnr_floor,
-        );
-    }
-    let Replay {
-        tracer, mut counts, ..
-    } = replay;
+        (replay, e2e)
+    });
+    counts.traced_wall_s = start.elapsed().as_secs_f64();
     counts.spawns = thread_spawn_count() - spawns;
-    counts.frames = timings.frames;
-    counts.untraced_push_s = plain.busy_s;
-    counts.traced_push_s = timings.busy_s;
-    finish_traced(out, &tracer, &counts, &e2e);
-    tracer
-}
-
-/// Decomposes each traced push through the public calls the session
-/// makes for it.
-struct Replay {
-    tracer: Tracer,
-    counts: LayerCounts,
-    parser: StreamParser,
-    decoder: Decoder,
-    workspace: SolverWorkspace,
-    push: u64,
-}
-
-impl Replay {
-    fn replay(&mut self, chunk: &[u8], start: Instant, end: Instant, got: &[DecodedFrame]) {
-        let id = self.push;
-        self.push += 1;
-        let push = self.tracer.record("session.push", id, None, start, end);
-        let (parsed, _) = self.tracer.time("stream.parse", id, Some(push), || {
-            parse(&mut self.parser, chunk)
-        });
-        self.counts.add_parsed(chunk, &parsed);
-        // Delta frames have no public replay path: their solve stays in
-        // the push's self time.
-        for (frame, (_, record)) in got.iter().zip(&parsed.records) {
-            if !frame.is_key {
-                continue;
-            }
-            let (solved, _) = self.tracer.time("recovery.solve", id, Some(push), || {
-                self.decoder.reconstruct_with(record, &mut self.workspace)
-            });
-            match solved {
-                Ok(recon) => {
-                    self.counts.add_solve(recon.stats());
-                    if !bit_identical(recon.code_image(), frame.reconstruction.code_image()) {
-                        self.counts.mismatches += 1;
-                    }
-                }
-                Err(_) => self.counts.mismatches += 1,
-            }
-        }
+    let mut e2e = EndToEnd::default();
+    for (replay, client) in clients {
+        counts.absorb(&replay.counts);
+        tracer.absorb(replay.tracer);
+        e2e.absorb(client);
     }
+    counts.frames = e2e.timings.frames;
+    finish_traced(out, &tracer, &counts, e2e);
+    tracer
 }

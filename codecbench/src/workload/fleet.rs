@@ -6,22 +6,17 @@
 //! CA to build Φ, then materializes the column view OMP reads; the solve
 //! itself takes a few milliseconds.
 
-use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use tepics_core::prelude::*;
-use tepics_core::stream::StreamParser;
-use tepics_core::CoreError;
-use tepics_cs::dictionary::ZeroMeanDictionary;
-use tepics_cs::{ColumnMatrix, ComposedOperator, Dct2dDictionary};
-use tepics_recovery::SolverWorkspace;
 use tepics_util::parallel::thread_spawn_count;
 use tepics_util::SplitMix64;
 
 use super::{
-    bit_identical, capture_all, count_for, decode_stream, finish_traced, parse, time_setup,
-    trace_capture, trace_cs, EndToEnd, LayerCounts, RunArgs, Stream, Timings,
+    capture_all, count_for, decode_stream, encoder, finish_traced, on_clients, trace_capture,
+    trace_cs, CompactReplay, Decoded, EndToEnd, LayerCounts, Replay, RunArgs, Stream, Timings,
+    CLIENTS,
 };
 use crate::report::Outcome;
 use crate::trace::Tracer;
@@ -33,9 +28,8 @@ struct Size {
     pairs: usize,
     /// OMP atom budget.
     atoms: usize,
-    setup_reps: usize,
-    /// Rounds per second of `--seconds` (one takes about 1.25 s on the
-    /// reference host).
+    /// Rounds per second of `--seconds` (one, with its cold start and
+    /// captures, takes about 1.35 s on the reference host).
     rounds_per_second: f64,
     traced_rounds: usize,
     psnr_floor: f64,
@@ -45,8 +39,7 @@ const FULL: Size = Size {
     side: 32,
     pairs: 12,
     atoms: 100,
-    setup_reps: 9,
-    rounds_per_second: 0.8,
+    rounds_per_second: 0.75,
     traced_rounds: 2,
     psnr_floor: 15.0,
 };
@@ -55,15 +48,10 @@ const SMOKE: Size = Size {
     side: 16,
     pairs: 2,
     atoms: 20,
-    setup_reps: 1,
     rounds_per_second: 1.0,
     traced_rounds: 1,
     psnr_floor: 5.0,
 };
-
-/// Client threads: streams `2i` and `2i + 1` share seed `i` and go to
-/// different clients.
-const CLIENTS: usize = 2;
 
 /// Frames of stream `j`: the two streams of a seed carry 2 and 3
 /// frames, so every seed mixes cold and warm decodes alike.
@@ -73,23 +61,27 @@ fn frames_of(j: usize) -> usize {
 
 fn session(cache: &Arc<OperatorCache>, atoms: usize) -> DecodeSession {
     let mut dec = DecodeSession::with_cache(Arc::clone(cache));
-    dec.params(RecoveryParams::exact_sparse(atoms));
+    dec.params(params(atoms));
     dec
 }
 
-/// One camera: its imager, scenes and their ideal codes, its stream.
+fn params(atoms: usize) -> RecoveryParams {
+    RecoveryParams::exact_sparse(atoms)
+}
+
+/// One camera: its imager, scenes and their ideal codes, the records
+/// and stream it captured.
 struct Camera {
     imager: CompressiveImager,
     scenes: Vec<ImageF64>,
     truth: Vec<ImageF64>,
+    records: Vec<Vec<CompressedFrame>>,
     stream: Stream,
-    first: CompressedFrame,
 }
 
 pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
     let size = if args.smoke { &SMOKE } else { &FULL };
     let mut rng = SplitMix64::new(args.seed);
-    let mut capture_ms = Vec::new();
     // One seed per pair, plus a spare seed only set-up touches.
     let mut cameras = Vec::with_capacity((size.pairs + 1) * CLIENTS);
     for pair in 0..=size.pairs {
@@ -107,12 +99,11 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
                 .map(|s| imager.ideal_codes(s).to_code_f64())
                 .collect();
             let captured = capture_all(&imager, WireProfile::Compact, &scenes);
-            capture_ms.extend_from_slice(&captured.capture_ms);
             cameras.push(Camera {
                 imager: imager.clone(),
                 scenes,
                 truth,
-                first: captured.records[0][0].clone(),
+                records: captured.records,
                 stream: captured.stream,
             });
         }
@@ -125,27 +116,31 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
         return Some(traced(size, &cameras, out));
     }
 
-    let mut e2e = EndToEnd {
-        capture_ms,
-        ..EndToEnd::default()
-    };
-    time_setup(
-        out,
-        &mut e2e.setup_s,
-        size.setup_reps,
-        &spare[0].first,
-        |c| session(c, size.atoms),
-    );
+    // Before each round, each client times a cold start on the spare
+    // seed, and captures again the scenes of its camera of one seed.
+    let mut e2e = EndToEnd::default();
     let rounds = count_for(args.seconds, size.rounds_per_second);
     out.fact("rounds", rounds.to_string());
     for r in 0..rounds {
+        let pair = r % size.pairs;
+        for client in on_clients(|c| {
+            let mut side = EndToEnd::default();
+            side.cold_start(&spare[c].records[0][0], |cache| session(cache, size.atoms));
+            let camera = &cameras[pair * CLIENTS + c];
+            let mut enc = encoder(&camera.imager, WireProfile::Compact);
+            for (scene, records) in camera.scenes.iter().zip(&camera.records) {
+                side.recapture(&mut enc, scene, records);
+            }
+            side
+        }) {
+            e2e.absorb(client);
+        }
         let round = run_round(size, &cameras, (0..CLIENTS).map(|_| None).collect());
         e2e.decode_s += round.wall_s;
         for client in round.clients {
             e2e.timings.absorb(client.timings);
             for (j, result) in client.results {
                 e2e.book(
-                    out,
                     &format!("round {r} stream {j}"),
                     result.map(|(frames, _)| frames),
                     &cameras[j].stream,
@@ -162,8 +157,8 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
 /// What one client did in a round.
 struct Client {
     timings: Timings,
-    results: Vec<(usize, Result<(Vec<DecodedFrame>, DecodeReport), CoreError>)>,
-    replay: Option<Replay>,
+    results: Vec<(usize, Decoded)>,
+    replay: Option<CompactReplay>,
 }
 
 /// One decode of the whole fleet.
@@ -176,7 +171,7 @@ struct Round {
 /// Decodes the fleet once on a fresh cache. Each client takes its
 /// stream of every seed, a new session per stream; the clients meet at
 /// a barrier before each seed, so both reach its first use together.
-fn run_round(size: &Size, cameras: &[Camera], replays: Vec<Option<Replay>>) -> Round {
+fn run_round(size: &Size, cameras: &[Camera], replays: Vec<Option<CompactReplay>>) -> Round {
     let cache = OperatorCache::shared();
     let barrier = Barrier::new(CLIENTS);
     let start = Instant::now();
@@ -195,17 +190,11 @@ fn run_round(size: &Size, cameras: &[Camera], replays: Vec<Option<Replay>>) -> R
                         if let Some(replay) = replay.as_mut() {
                             replay.restart(cache);
                         }
-                        let opened = Instant::now();
                         let result = decode_stream(
-                            session(cache, size.atoms),
-                            opened,
+                            || session(cache, size.atoms),
                             &cameras[j].stream,
                             &mut timings,
-                            |chunk, call, end, got| {
-                                if let Some(replay) = replay.as_mut() {
-                                    replay.replay(chunk, call, end, got);
-                                }
-                            },
+                            replay.as_mut().map(|r| r as &mut dyn Replay),
                         );
                         results.push((j, result));
                     }
@@ -249,29 +238,36 @@ fn traced(size: &Size, cameras: &[Camera], out: &mut Outcome) -> Tracer {
             &camera.scenes,
         );
     }
-    trace_cs(&mut tracer, &cameras[0].first);
+    trace_cs(&mut tracer, &cameras[0].records[0][0]);
     for _ in 0..size.traced_rounds {
         let round = run_round(size, cameras, (0..CLIENTS).map(|_| None).collect());
         counts.add_cache(&round.cache, size.pairs);
-        counts.untraced_push_s += round.clients.iter().map(|c| c.timings.busy_s).sum::<f64>();
+        counts.untraced_wall_s += round.wall_s;
+        counts.untraced_frames += round
+            .clients
+            .iter()
+            .map(|c| c.timings.frames)
+            .sum::<usize>();
     }
 
     let mut e2e = EndToEnd::default();
     let spawns = thread_spawn_count();
     for r in 0..size.traced_rounds {
         let replays = (1..=CLIENTS)
-            .map(|client| Some(Replay::new(Tracer::new(origin, client), size.atoms)))
+            .map(|client| {
+                let tracer = Tracer::new(origin, client);
+                Some(CompactReplay::new(tracer, params(size.atoms), true))
+            })
             .collect();
         let round = run_round(size, cameras, replays);
+        counts.traced_wall_s += round.wall_s;
         for client in round.clients {
-            counts.traced_push_s += client.timings.busy_s;
             counts.frames += client.timings.frames;
             for (j, result) in client.results {
                 if let Ok((_, report)) = &result {
                     counts.add_report(report);
                 }
                 e2e.book(
-                    out,
                     &format!("traced round {r} stream {j}"),
                     result.map(|(frames, _)| frames),
                     &cameras[j].stream,
@@ -286,103 +282,6 @@ fn traced(size: &Size, cameras: &[Camera], out: &mut Outcome) -> Tracer {
         }
     }
     counts.spawns = thread_spawn_count() - spawns;
-    finish_traced(out, &tracer, &counts, &e2e);
+    finish_traced(out, &tracer, &counts, e2e);
     tracer
-}
-
-/// Decomposes each traced push of one client through the public calls
-/// the session makes for it.
-struct Replay {
-    tracer: Tracer,
-    counts: LayerCounts,
-    parser: StreamParser,
-    cache: Option<Arc<OperatorCache>>,
-    decoder: Option<Decoder>,
-    workspace: SolverWorkspace,
-    atoms: usize,
-    push: u64,
-}
-
-impl Replay {
-    fn new(tracer: Tracer, atoms: usize) -> Replay {
-        Replay {
-            tracer,
-            counts: LayerCounts::default(),
-            parser: StreamParser::new(),
-            cache: None,
-            decoder: None,
-            workspace: SolverWorkspace::new(),
-            atoms,
-            push: 0,
-        }
-    }
-
-    /// Starts a new stream, decoded through `cache`.
-    fn restart(&mut self, cache: &Arc<OperatorCache>) {
-        self.parser = StreamParser::new();
-        self.cache = Some(Arc::clone(cache));
-        self.decoder = None;
-    }
-
-    fn replay(&mut self, chunk: &[u8], start: Instant, end: Instant, got: &[DecodedFrame]) {
-        let id = self.push;
-        self.push += 1;
-        let push = self.tracer.record("session.push", id, None, start, end);
-        let (parsed, _) = self.tracer.time("stream.parse", id, Some(push), || {
-            parse(&mut self.parser, chunk)
-        });
-        self.counts.add_parsed(chunk, &parsed);
-        for (frame, (_, record)) in got.iter().zip(&parsed.records) {
-            if self.decoder.is_none() {
-                self.prime(id, push, record);
-            }
-            let Some(decoder) = &self.decoder else {
-                continue;
-            };
-            let (solved, _) = self.tracer.time("recovery.solve", id, Some(push), || {
-                decoder.reconstruct_with(record, &mut self.workspace)
-            });
-            match solved {
-                Ok(recon) => {
-                    self.counts.add_solve(recon.stats());
-                    if !bit_identical(recon.code_image(), frame.reconstruction.code_image()) {
-                        self.counts.mismatches += 1;
-                    }
-                }
-                Err(_) => self.counts.mismatches += 1,
-            }
-        }
-    }
-
-    /// Replays the cold prime the first push of a seed pays inside the
-    /// session: Φ rebuilt from the seed, then the column view OMP reads.
-    fn prime(&mut self, id: u64, push: usize, record: &CompressedFrame) {
-        let Ok(mut decoder) = Decoder::for_frame(record) else {
-            self.counts.mismatches += 1;
-            return;
-        };
-        decoder.params(RecoveryParams::exact_sparse(self.atoms));
-        if let Some(cache) = &self.cache {
-            decoder.use_cache(Arc::clone(cache));
-        }
-        let k = record.samples.len();
-        let (phi, _) = self.tracer.time("cs.phi_build", id, Some(push), || {
-            decoder.rebuild_measurement(k)
-        });
-        let Ok(phi) = phi else {
-            self.counts.mismatches += 1;
-            return;
-        };
-        let (rows, cols) = (
-            usize::from(record.header.rows),
-            usize::from(record.header.cols),
-        );
-        self.tracer.time("cs.column_view", id, Some(push), || {
-            let dict = ZeroMeanDictionary::new(Dct2dDictionary::new(cols, rows), 0);
-            black_box(ColumnMatrix::from_operator(&ComposedOperator::new(
-                &phi, &dict,
-            )))
-        });
-        self.decoder = Some(decoder);
-    }
 }

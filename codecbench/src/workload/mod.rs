@@ -16,7 +16,7 @@ use tepics_core::stream::StreamParser;
 use tepics_core::{CoreError, StreamEvent};
 use tepics_cs::dictionary::ZeroMeanDictionary;
 use tepics_cs::{op, ColumnMatrix, ComposedOperator, Dct2dDictionary, LinearOperator};
-use tepics_recovery::SolveStats;
+use tepics_recovery::{SolveStats, SolverWorkspace};
 use tepics_util::SplitMix64;
 
 use crate::report::{self, Outcome};
@@ -49,12 +49,18 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// Every workload, in `BENCHMARK.json` order.
+    /// Every workload.
     pub const ALL: [Workload; 3] = [
         Workload::Chip64Video,
         Workload::Tiled256Lossy,
         Workload::Fleet32Cold,
     ];
+
+    /// The workloads `BENCHMARK.json` names, in its order.
+    /// `chip64_video` runs on request but is left out: its timings drift
+    /// from run to run by more than the regression bounds on the
+    /// reference host (see `README.md`).
+    pub const BENCHMARKED: [Workload; 2] = [Workload::Tiled256Lossy, Workload::Fleet32Cold];
 
     /// The workload's name on the command line and in `BENCHMARK.json`.
     #[must_use]
@@ -192,43 +198,38 @@ impl Stream {
 pub(crate) struct Captured {
     /// Frame records of each scene (one per tile when tiled).
     pub records: Vec<Vec<CompressedFrame>>,
-    /// Capture time of each scene.
-    pub capture_ms: Vec<f64>,
     /// The stream the captures wrote, scenes in order.
     pub stream: Stream,
 }
 
-/// Captures `scenes` into one stream, timing each
-/// `EncodeSession::capture` (sensor simulation, CA, wire write).
+/// A new encoder for `imager` on the `profile` wire.
+pub(crate) fn encoder(imager: &CompressiveImager, profile: WireProfile) -> EncodeSession {
+    EncodeSession::with_profile(imager.clone(), profile)
+        .expect("benchmark imagers fit the stream header")
+}
+
+/// Captures `scenes` into one stream, before any timing starts.
 pub(crate) fn capture_all(
     imager: &CompressiveImager,
     profile: WireProfile,
     scenes: &[ImageF64],
 ) -> Captured {
-    let mut enc = EncodeSession::with_profile(imager.clone(), profile)
-        .expect("benchmark imagers fit the stream header");
+    let mut enc = encoder(imager, profile);
     let mut records = Vec::with_capacity(scenes.len());
-    let mut capture_ms = Vec::with_capacity(scenes.len());
     let mut cuts = Vec::with_capacity(scenes.len());
     for scene in scenes {
-        let start = Instant::now();
-        let frames = enc
-            .capture(scene)
-            .expect("a session's own captures fit its stream");
-        capture_ms.push(ms(start.elapsed()));
+        records.push(
+            enc.capture(scene)
+                .expect("a session's own captures fit its stream"),
+        );
         cuts.push(enc.wire_bits() / 8);
-        records.push(frames);
     }
     let stream = Stream {
         bytes: enc.into_bytes(),
         cuts,
         scenes: (0..scenes.len()).collect(),
     };
-    Captured {
-        records,
-        capture_ms,
-        stream,
-    }
+    Captured { records, stream }
 }
 
 /// A stream re-appending captured records in scene `order` with
@@ -240,8 +241,7 @@ pub(crate) fn assemble(
     records: &[Vec<CompressedFrame>],
     order: &[usize],
 ) -> Stream {
-    let mut enc = EncodeSession::with_profile(imager.clone(), profile)
-        .expect("benchmark imagers fit the stream header");
+    let mut enc = encoder(imager, profile);
     let mut cuts = Vec::with_capacity(order.len());
     for &scene in order {
         for record in &records[scene] {
@@ -280,20 +280,31 @@ impl Timings {
     }
 }
 
-/// Decodes `stream` on `dec` as a frame-synchronous receiver sees it:
-/// each frame's bytes in one `push_bytes`, then `finish` to flush that
-/// frame's tile group if records were lost (a no-op on compact
-/// streams). The two calls are timed together as the frame's receive,
-/// booked in `timings` (time to first frame counts from `opened`, taken
-/// before the session was created), and handed to `observe`, the traced
-/// run's replay hook.
+/// The traced run's hook into a decode loop: it sees every receive after
+/// the session returned, and decomposes it through public layer calls.
+pub(crate) trait Replay {
+    /// The receive of `chunk` ran from `start` to `end` and emitted `got`.
+    fn replay(&mut self, chunk: &[u8], start: Instant, end: Instant, got: &[DecodedFrame]);
+}
+
+/// A decoded stream's frames and report, or the error that ended it.
+pub(crate) type Decoded = Result<(Vec<DecodedFrame>, DecodeReport), CoreError>;
+
+/// Decodes `stream` on the session `open` creates, as a
+/// frame-synchronous receiver sees it: each frame's bytes in one
+/// `push_bytes`, then `finish` to flush that frame's tile group if
+/// records were lost (a no-op on compact streams). The two calls are
+/// timed together as the frame's receive and booked in `timings`; time
+/// to first frame counts from before the session was created. With
+/// `replay`, every receive is handed to it afterwards.
 pub(crate) fn decode_stream(
-    mut dec: DecodeSession,
-    opened: Instant,
+    open: impl FnOnce() -> DecodeSession,
     stream: &Stream,
     timings: &mut Timings,
-    mut observe: impl FnMut(&[u8], Instant, Instant, &[DecodedFrame]),
-) -> Result<(Vec<DecodedFrame>, DecodeReport), CoreError> {
+    mut replay: Option<&mut dyn Replay>,
+) -> Decoded {
+    let opened = Instant::now();
+    let mut dec = open();
     timings.busy_s += opened.elapsed().as_secs_f64();
     let mut frames: Vec<DecodedFrame> = Vec::new();
     for chunk in stream.chunks() {
@@ -309,7 +320,9 @@ pub(crate) fn decode_stream(
             }
             timings.frames += got.len();
         }
-        observe(chunk, call, end, &got);
+        if let Some(replay) = replay.as_deref_mut() {
+            replay.replay(chunk, call, end, &got);
+        }
         frames.extend(got);
     }
     Ok((frames, dec.report()))
@@ -364,9 +377,9 @@ pub(crate) fn same_frames(a: &[DecodedFrame], b: &[DecodedFrame]) -> bool {
 /// The correctness gate for one decoded stream: as many frames as
 /// scenes, every pixel finite, every frame at or above the PSNR floor
 /// against `truth` (the ideal codes of each captured scene). Returns the
-/// frames that pass; each violation is recorded in `out`.
+/// frames that pass; each violation is added to `failures`.
 pub(crate) fn gate(
-    out: &mut Outcome,
+    failures: &mut Vec<String>,
     label: &str,
     frames: &[DecodedFrame],
     stream: &Stream,
@@ -375,7 +388,7 @@ pub(crate) fn gate(
     psnr_db: &mut Vec<f64>,
 ) -> usize {
     if frames.len() != stream.scenes.len() {
-        out.fail(format!(
+        failures.push(format!(
             "{label}: {} frames emitted for {} scenes",
             frames.len(),
             stream.scenes.len()
@@ -384,7 +397,7 @@ pub(crate) fn gate(
     let mut passed = 0;
     for frame in frames {
         let Some(reference) = stream.scenes.get(frame.index).map(|&s| &truth[s]) else {
-            out.fail(format!(
+            failures.push(format!(
                 "{label}: frame index {} is outside the stream",
                 frame.index
             ));
@@ -392,7 +405,7 @@ pub(crate) fn gate(
         };
         let image = frame.reconstruction.code_image();
         if !image.as_slice().iter().all(|v| v.is_finite()) {
-            out.fail(format!(
+            failures.push(format!(
                 "{label}: frame {} has non-finite pixels",
                 frame.index
             ));
@@ -401,7 +414,7 @@ pub(crate) fn gate(
         let db = psnr(reference, image, 255.0);
         psnr_db.push(db);
         if db < floor {
-            out.fail(format!(
+            failures.push(format!(
                 "{label}: frame {} reaches {db:.2} dB, below the {floor} dB floor",
                 frame.index
             ));
@@ -412,7 +425,31 @@ pub(crate) fn gate(
     passed
 }
 
-/// What an untraced run measures.
+/// Client threads of a workload: the parallelism of the 2-core
+/// reference host.
+pub(crate) const CLIENTS: usize = 2;
+
+/// Runs `client(c)` for every client `c` on threads of its own, all at
+/// once, and returns the results in client order.
+///
+/// The reference host runs a lone busy thread at an unsteady speed that
+/// changes from one run to the next, and both of its cores at a steady
+/// one, so the workloads take every timed sample while both cores work.
+pub(crate) fn on_clients<R: Send>(client: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let client = &client;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| scope.spawn(move || client(c)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a client thread panicked"))
+            .collect()
+    })
+}
+
+/// What an untraced run measures, per client until the clients'
+/// results are merged.
 #[derive(Debug, Default)]
 pub(crate) struct EndToEnd {
     pub setup_s: Vec<f64>,
@@ -425,14 +462,57 @@ pub(crate) struct EndToEnd {
     pub pixels: usize,
     pub attempted: usize,
     pub delivered: usize,
+    /// Correctness violations, one line each.
+    pub failures: Vec<String>,
 }
 
 impl EndToEnd {
+    /// Times one cold start — a fresh `OperatorCache`, a configured
+    /// session, `prewarm(first)` — into `setup_s`, and returns the
+    /// cache, now primed. The timed loops call this between decodes, so
+    /// the set-up timings sample the whole run.
+    pub fn cold_start(
+        &mut self,
+        first: &CompressedFrame,
+        session: impl FnOnce(&Arc<OperatorCache>) -> DecodeSession,
+    ) -> Arc<OperatorCache> {
+        let start = Instant::now();
+        let cache = OperatorCache::shared();
+        let mut dec = session(&cache);
+        if let Err(e) = dec.prewarm(first) {
+            self.failures.push(format!("set-up: {e}"));
+        }
+        self.setup_s.push(start.elapsed().as_secs_f64());
+        cache
+    }
+
+    /// Captures `scene` once more on `enc`, timing the
+    /// `EncodeSession::capture` call (sensor simulation, CA, wire write)
+    /// into `capture_ms`. Capture is deterministic, so the records must
+    /// equal `expected`, the scene's first capture. The timed loops call
+    /// this between decodes, so the capture timings sample the whole run.
+    pub fn recapture(
+        &mut self,
+        enc: &mut EncodeSession,
+        scene: &ImageF64,
+        expected: &[CompressedFrame],
+    ) {
+        let start = Instant::now();
+        let records = enc.capture(scene);
+        self.capture_ms.push(ms(start.elapsed()));
+        match records {
+            Ok(records) if records == expected => {}
+            Ok(_) => self
+                .failures
+                .push("a scene captured again gave other records".into()),
+            Err(e) => self.failures.push(format!("capture: {e}")),
+        }
+    }
+
     /// Books one decoded stream: its scenes count as attempted, the
     /// frames that pass the gate as delivered.
     pub fn book(
         &mut self,
-        out: &mut Outcome,
         label: &str,
         result: Result<Vec<DecodedFrame>, CoreError>,
         stream: &Stream,
@@ -444,19 +524,48 @@ impl EndToEnd {
         self.pixels += stream.scenes.iter().map(|&s| truth[s].len()).sum::<usize>();
         match result {
             Ok(frames) => {
-                self.delivered +=
-                    gate(out, label, &frames, stream, truth, floor, &mut self.psnr_db);
+                self.delivered += gate(
+                    &mut self.failures,
+                    label,
+                    &frames,
+                    stream,
+                    truth,
+                    floor,
+                    &mut self.psnr_db,
+                );
             }
-            Err(e) => out.fail(format!("{label}: {e}")),
+            Err(e) => self.failures.push(format!("{label}: {e}")),
+        }
+    }
+
+    /// Adds another client's samples and counts.
+    pub fn absorb(&mut self, other: EndToEnd) {
+        self.setup_s.extend(other.setup_s);
+        self.capture_ms.extend(other.capture_ms);
+        self.timings.absorb(other.timings);
+        self.decode_s += other.decode_s;
+        self.psnr_db.extend(other.psnr_db);
+        self.wire_bytes += other.wire_bytes;
+        self.pixels += other.pixels;
+        self.attempted += other.attempted;
+        self.delivered += other.delivered;
+        self.failures.extend(other.failures);
+    }
+
+    /// Moves the counts and violations into `out`.
+    fn settle(&mut self, out: &mut Outcome) {
+        out.attempted = self.attempted;
+        out.failed = self.attempted.saturating_sub(self.delivered);
+        for failure in self.failures.drain(..) {
+            out.fail(failure);
         }
     }
 
     /// Writes the end-to-end metrics and the facts behind them.
-    pub fn report(&self, out: &mut Outcome) {
+    pub fn report(mut self, out: &mut Outcome) {
+        self.settle(out);
         let frame_tail = stats::tail(&self.timings.frame_ms);
         let ttff_tail = stats::tail(&self.timings.ttff_ms);
-        out.attempted = self.attempted;
-        out.failed = self.attempted.saturating_sub(self.delivered);
         out.metric("setup_s", stats::median(&self.setup_s));
         out.metric("encode_fps", 1e3 / stats::median(&self.capture_ms));
         out.metric("decode_fps", self.timings.frames as f64 / self.decode_s);
@@ -475,7 +584,7 @@ impl EndToEnd {
         );
         out.metric("peak_rss_mb", report::peak_rss_mib().unwrap_or(f64::NAN));
         out.fact("setup_reps", self.setup_s.len().to_string());
-        out.fact("scenes_captured", self.capture_ms.len().to_string());
+        out.fact("captures_timed", self.capture_ms.len().to_string());
         out.fact("frames", self.timings.frames.to_string());
         out.fact("frame_tail", tail_fact(&frame_tail));
         out.fact("ttff_tail", tail_fact(&ttff_tail));
@@ -489,29 +598,17 @@ fn tail_fact(tail: &stats::Tail) -> String {
     )
 }
 
-/// Times `reps` cold starts — a fresh `OperatorCache`, a configured
-/// session, `prewarm(first)` — into `setup_s`, and returns the last
-/// cache, now primed.
-pub(crate) fn time_setup(
+/// A fresh `OperatorCache` primed, untimed, by a configured session's
+/// `prewarm(first)`.
+pub(crate) fn primed_cache(
     out: &mut Outcome,
-    setup_s: &mut Vec<f64>,
-    reps: usize,
     first: &CompressedFrame,
-    session: impl Fn(&Arc<OperatorCache>) -> DecodeSession,
+    session: impl FnOnce(&Arc<OperatorCache>) -> DecodeSession,
 ) -> Arc<OperatorCache> {
-    let mut cold_start = || {
-        let start = Instant::now();
-        let cache = OperatorCache::shared();
-        let mut dec = session(&cache);
-        if let Err(e) = dec.prewarm(first) {
-            out.fail(format!("set-up: {e}"));
-        }
-        setup_s.push(start.elapsed().as_secs_f64());
-        cache
-    };
-    let mut cache = cold_start();
-    for _ in 1..reps {
-        cache = cold_start();
+    let mut e2e = EndToEnd::default();
+    let cache = e2e.cold_start(first, session);
+    for failure in e2e.failures {
+        out.fail(failure);
     }
     cache
 }
@@ -540,9 +637,11 @@ pub(crate) struct LayerCounts {
     pub spawns: u64,
     /// Executors of a pool map.
     pub executors: usize,
-    /// Time inside session calls, untraced and traced loop.
-    pub untraced_push_s: f64,
-    pub traced_push_s: f64,
+    /// Frames and wall time of the untraced reference loop.
+    pub untraced_frames: usize,
+    pub untraced_wall_s: f64,
+    /// Wall time of the traced loop, its replays included.
+    pub traced_wall_s: f64,
     /// Replayed decodes that differ from the session's output.
     pub mismatches: usize,
 }
@@ -577,7 +676,7 @@ impl LayerCounts {
         self.cache_resident_bytes = self.cache_resident_bytes.max(stats.resident_bytes);
     }
 
-    /// Adds the replay counts of another client.
+    /// Adds the replay and report counts of another client.
     pub fn absorb(&mut self, other: &LayerCounts) {
         self.stream_bytes += other.stream_bytes;
         self.stream_records += other.stream_records;
@@ -586,7 +685,122 @@ impl LayerCounts {
         self.solves += other.solves;
         self.iterations += other.iterations;
         self.converged += other.converged;
+        self.tiles_erased += other.tiles_erased;
+        self.frames_degraded += other.frames_degraded;
+        self.frames_lost += other.frames_lost;
         self.mismatches += other.mismatches;
+    }
+}
+
+/// Decomposes the pushes of a compact (untiled) stream through the
+/// public calls the session makes for them: parse, then
+/// `Decoder::reconstruct_with` for every keyframe, checked bit for bit
+/// against the session's frame. Delta frames have no public replay
+/// path, so their solve stays in the push's self time. With
+/// `cold_prime`, the first record of each stream also replays the cold
+/// prime the session pays on a new seed: Φ rebuilt from the seed, then
+/// the column view the solver reads.
+pub(crate) struct CompactReplay {
+    pub tracer: Tracer,
+    pub counts: LayerCounts,
+    params: RecoveryParams,
+    cold_prime: bool,
+    parser: StreamParser,
+    cache: Option<Arc<OperatorCache>>,
+    decoder: Option<Decoder>,
+    workspace: SolverWorkspace,
+    push: u64,
+}
+
+impl CompactReplay {
+    pub fn new(tracer: Tracer, params: RecoveryParams, cold_prime: bool) -> CompactReplay {
+        CompactReplay {
+            tracer,
+            counts: LayerCounts::default(),
+            params,
+            cold_prime,
+            parser: StreamParser::new(),
+            cache: None,
+            decoder: None,
+            workspace: SolverWorkspace::new(),
+            push: 0,
+        }
+    }
+
+    /// Starts a new stream, decoded through `cache`.
+    pub fn restart(&mut self, cache: &Arc<OperatorCache>) {
+        self.parser = StreamParser::new();
+        self.cache = Some(Arc::clone(cache));
+        self.decoder = None;
+    }
+
+    /// The stream's decoder, configured as the session's; with
+    /// `cold_prime`, spans the Φ rebuild and the column view under `push`.
+    fn prime(&mut self, id: u64, push: usize, record: &CompressedFrame) {
+        let Ok(mut decoder) = Decoder::for_frame(record) else {
+            self.counts.mismatches += 1;
+            return;
+        };
+        decoder.params(self.params);
+        if let Some(cache) = &self.cache {
+            decoder.use_cache(Arc::clone(cache));
+        }
+        if self.cold_prime {
+            let k = record.samples.len();
+            let (phi, _) = self.tracer.time("cs.phi_build", id, Some(push), || {
+                decoder.rebuild_measurement(k)
+            });
+            let Ok(phi) = phi else {
+                self.counts.mismatches += 1;
+                return;
+            };
+            let (rows, cols) = (
+                usize::from(record.header.rows),
+                usize::from(record.header.cols),
+            );
+            self.tracer.time("cs.column_view", id, Some(push), || {
+                let dict = ZeroMeanDictionary::new(Dct2dDictionary::new(cols, rows), 0);
+                black_box(ColumnMatrix::from_operator(&ComposedOperator::new(
+                    &phi, &dict,
+                )))
+            });
+        }
+        self.decoder = Some(decoder);
+    }
+}
+
+impl Replay for CompactReplay {
+    fn replay(&mut self, chunk: &[u8], start: Instant, end: Instant, got: &[DecodedFrame]) {
+        let id = self.push;
+        self.push += 1;
+        let push = self.tracer.record("session.push", id, None, start, end);
+        let (parsed, _) = self.tracer.time("stream.parse", id, Some(push), || {
+            parse(&mut self.parser, chunk)
+        });
+        self.counts.add_parsed(chunk, &parsed);
+        for (frame, (_, record)) in got.iter().zip(&parsed.records) {
+            if !frame.is_key {
+                continue;
+            }
+            if self.decoder.is_none() {
+                self.prime(id, push, record);
+            }
+            let Some(decoder) = &self.decoder else {
+                continue;
+            };
+            let (solved, _) = self.tracer.time("recovery.solve", id, Some(push), || {
+                decoder.reconstruct_with(record, &mut self.workspace)
+            });
+            match solved {
+                Ok(recon) => {
+                    self.counts.add_solve(recon.stats());
+                    if !bit_identical(recon.code_image(), frame.reconstruction.code_image()) {
+                        self.counts.mismatches += 1;
+                    }
+                }
+                Err(_) => self.counts.mismatches += 1,
+            }
+        }
     }
 }
 
@@ -602,8 +816,7 @@ pub(crate) fn trace_capture(
     profile: WireProfile,
     scenes: &[ImageF64],
 ) {
-    let mut enc = EncodeSession::with_profile(imager.clone(), profile)
-        .expect("benchmark imagers fit the stream header");
+    let mut enc = encoder(imager, profile);
     let header = imager.frame_header();
     let pattern_len = usize::from(header.rows) + usize::from(header.cols);
     for (id, scene) in (0u64..).zip(scenes) {
@@ -683,7 +896,7 @@ pub(crate) fn finish_traced(
     out: &mut Outcome,
     tracer: &Tracer,
     counts: &LayerCounts,
-    e2e: &EndToEnd,
+    mut e2e: EndToEnd,
 ) {
     if counts.mismatches > 0 {
         out.fail(format!(
@@ -691,8 +904,7 @@ pub(crate) fn finish_traced(
             counts.mismatches
         ));
     }
-    out.attempted = e2e.attempted;
-    out.failed = e2e.attempted.saturating_sub(e2e.delivered);
+    e2e.settle(out);
     out.fact("traced_frames", counts.frames.to_string());
     out.fact("replayed_solves", counts.solves.to_string());
     report_layers(out, tracer, counts);
@@ -767,8 +979,11 @@ fn report_layers(out: &mut Outcome, tracer: &Tracer, c: &LayerCounts) {
         0.0
     };
     out.metric("trace.attributed_frac", attributed);
-    let overhead = if c.traced_push_s > 0.0 {
-        1.0 - c.untraced_push_s / c.traced_push_s
+    // 1 − traced ÷ untraced frame rate, each over its loop's wall time.
+    let traced_fps = c.frames as f64 / c.traced_wall_s;
+    let untraced_fps = c.untraced_frames as f64 / c.untraced_wall_s;
+    let overhead = if traced_fps.is_finite() && untraced_fps.is_finite() && untraced_fps > 0.0 {
+        1.0 - traced_fps / untraced_fps
     } else {
         0.0
     };

@@ -1,5 +1,5 @@
 //! `tiled256_lossy`: a 256×256 frame in 81 overlapping 32×32 tiles on
-//! the resilient (v3) wire with seeded bit flips, decoded by AMP on two
+//! the resilient (v3) wire with seeded bit flips, decoded by OMP on two
 //! pool executors and stitched around the erased tiles.
 
 use std::collections::BTreeMap;
@@ -8,7 +8,6 @@ use std::time::Instant;
 
 use tepics_core::prelude::*;
 use tepics_core::stream::{StreamParser, RESILIENT_TILED_HEADER_BYTES};
-use tepics_core::CoreError;
 use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse};
 use tepics_recovery::SolverWorkspace;
 use tepics_util::parallel::thread_spawn_count;
@@ -16,9 +15,9 @@ use tepics_util::pool::WorkerPool;
 use tepics_util::SplitMix64;
 
 use super::{
-    assemble, bit_identical, capture_all, count_for, decode_stream, finish_traced, parse,
-    same_frames, time_setup, trace_capture, trace_cs, EndToEnd, LayerCounts, RunArgs, Stream,
-    Timings,
+    assemble, bit_identical, capture_all, count_for, decode_stream, encoder, finish_traced,
+    on_clients, parse, primed_cache, same_frames, trace_capture, trace_cs, Decoded, EndToEnd,
+    LayerCounts, Replay, RunArgs, Stream, Timings, CLIENTS,
 };
 use crate::report::Outcome;
 use crate::trace::Tracer;
@@ -35,8 +34,11 @@ struct Size {
     streams: usize,
     /// Probability of flipping each bit past the stream header.
     flip_rate: f64,
-    setup_reps: usize,
-    /// Streams per second of `--seconds` (one takes about 1.2 s on the
+    /// Streams decoded per timed capture round, in which each client
+    /// captures one scene.
+    capture_every: usize,
+    /// Streams per second of `--seconds` (one, with its cold start and
+    /// its share of the capture samples, takes about 1 s on the
     /// reference host).
     streams_per_second: f64,
     traced_streams: usize,
@@ -48,12 +50,12 @@ const FULL: Size = Size {
     tile: 32,
     overlap: 4,
     scenes: 4,
-    frames_per_stream: 4,
+    frames_per_stream: 2,
     streams: 4,
     flip_rate: 2e-6,
-    setup_reps: 9,
-    streams_per_second: 0.85,
-    traced_streams: 2,
+    capture_every: 3,
+    streams_per_second: 1.25,
+    traced_streams: 4,
     psnr_floor: 18.0,
 };
 
@@ -65,7 +67,7 @@ const SMOKE: Size = Size {
     frames_per_stream: 2,
     streams: 2,
     flip_rate: 2e-6,
-    setup_reps: 1,
+    capture_every: 1,
     streams_per_second: 1.0,
     traced_streams: 1,
     psnr_floor: 8.0,
@@ -77,45 +79,24 @@ const THREADS: usize = 2;
 /// session's own.
 const REPLAY_SLOT: u64 = 1 << 63;
 
+/// OMP with a 100-atom budget. It reads the column view rather than
+/// the fused Φ kernels, whose speed drifts by up to 1.7× from one run to
+/// the next on the reference host (see `README.md`).
+fn params() -> RecoveryParams {
+    RecoveryParams::exact_sparse(100)
+}
+
 fn session(cache: &Arc<OperatorCache>, threads: usize) -> DecodeSession {
     let mut dec = DecodeSession::with_cache(Arc::clone(cache));
-    dec.params(RecoveryParams::low_latency())
+    dec.params(params())
         .threads(threads)
         .erasure_policy(ErasurePolicy::NeighborBlend);
     dec
 }
 
-/// Decodes one stream on a new session with `threads` executors; with
-/// `replay`, every push is traced and decomposed.
-fn decode(
-    stream: &Stream,
-    cache: &Arc<OperatorCache>,
-    threads: usize,
-    timings: &mut Timings,
-    mut replay: Option<&mut Replay>,
-) -> Result<(Vec<DecodedFrame>, DecodeReport), CoreError> {
-    let opened = Instant::now();
-    decode_stream(
-        session(cache, threads),
-        opened,
-        stream,
-        timings,
-        |chunk, call, end, got| {
-            if let Some(replay) = replay.as_deref_mut() {
-                replay.replay(chunk, call, end, got);
-            }
-        },
-    )
-}
-
 /// Fails the run when a pooled decode differs from the serial decode of
 /// the same bytes.
-fn check_serial(
-    out: &mut Outcome,
-    label: &str,
-    result: &Result<(Vec<DecodedFrame>, DecodeReport), CoreError>,
-    serial: &[DecodedFrame],
-) {
+fn check_serial(out: &mut Outcome, label: &str, result: &Decoded, serial: &[DecodedFrame]) {
     if let Ok((frames, _)) = result {
         if !same_frames(frames, serial) {
             out.fail(format!(
@@ -168,15 +149,16 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
     let serial: Vec<Vec<DecodedFrame>> = streams
         .iter()
         .enumerate()
-        .map(
-            |(s, stream)| match decode(stream, &serial_cache, 1, &mut Timings::default(), None) {
+        .map(|(s, stream)| {
+            let serial = || session(&serial_cache, 1);
+            match decode_stream(serial, stream, &mut Timings::default(), None) {
                 Ok((frames, _)) => frames,
                 Err(e) => {
                     out.fail(format!("serial decode of stream {s}: {e}"));
                     Vec::new()
                 }
-            },
-        )
+            }
+        })
         .collect();
     out.fact("streams", size.streams.to_string());
     out.fact("frames_per_stream", size.frames_per_stream.to_string());
@@ -196,20 +178,31 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
         return Some(traced(size, &inputs, out));
     }
 
-    let mut e2e = EndToEnd {
-        capture_ms: captured.capture_ms,
-        ..EndToEnd::default()
-    };
-    let cache = time_setup(out, &mut e2e.setup_s, size.setup_reps, &first, |c| {
-        session(c, THREADS)
-    });
+    // Each pass times a cold start and decodes one stream on both
+    // executors; every `capture_every`-th pass the two clients also
+    // capture a scene each, at once.
+    let mut e2e = EndToEnd::default();
+    let cache = primed_cache(out, &first, |c| session(c, THREADS));
     for pass in 0..count_for(args.seconds, size.streams_per_second) {
+        e2e.cold_start(&first, |c| session(c, THREADS));
+        if pass % size.capture_every == 0 {
+            let round = pass / size.capture_every;
+            for client in on_clients(|c| {
+                let mut side = EndToEnd::default();
+                let scene = (round * CLIENTS + c) % scenes.len();
+                let mut enc = encoder(&imager, WireProfile::Resilient);
+                side.recapture(&mut enc, &scenes[scene], &captured.records[scene]);
+                side
+            }) {
+                e2e.absorb(client);
+            }
+        }
         let s = pass % size.streams;
         let label = format!("stream {pass}");
-        let result = decode(&streams[s], &cache, THREADS, &mut e2e.timings, None);
+        let open = || session(&cache, THREADS);
+        let result = decode_stream(open, &streams[s], &mut e2e.timings, None);
         check_serial(out, &label, &result, &serial[s]);
         e2e.book(
-            out,
             &label,
             result.map(|(frames, _)| frames),
             &streams[s],
@@ -253,21 +246,23 @@ fn traced(size: &Size, inputs: &Inputs<'_>, out: &mut Outcome) -> Tracer {
     trace_cs(&mut tracer, inputs.first);
     let configure = |c: &Arc<OperatorCache>| session(c, THREADS);
 
-    let cache = time_setup(out, &mut Vec::new(), 1, inputs.first, configure);
+    let cache = primed_cache(out, inputs.first, configure);
     let mut plain = Timings::default();
     for pass in 0..size.traced_streams {
         let stream = &inputs.streams[pass % size.streams];
-        if let Err(e) = decode(stream, &cache, THREADS, &mut plain, None) {
+        let start = Instant::now();
+        let result = decode_stream(|| configure(&cache), stream, &mut plain, None);
+        counts.untraced_wall_s += start.elapsed().as_secs_f64();
+        if let Err(e) = result {
             out.fail(format!("untraced stream {pass}: {e}"));
         }
     }
+    counts.untraced_frames = plain.frames;
     counts.add_cache(&cache, 1);
 
-    let cache = time_setup(out, &mut Vec::new(), 1, inputs.first, configure);
+    let cache = primed_cache(out, inputs.first, configure);
     let mut decoder = Decoder::for_frame(inputs.first).expect("captured headers are valid");
-    decoder
-        .params(RecoveryParams::low_latency())
-        .use_cache(Arc::clone(&cache));
+    decoder.params(params()).use_cache(Arc::clone(&cache));
     let decoder = Arc::new(decoder);
     // Warm the replay's own workspace on every executor, as prewarm does
     // for the session's.
@@ -276,7 +271,7 @@ fn traced(size: &Size, inputs: &Inputs<'_>, out: &mut Outcome) -> Tracer {
         let workspace = scratch.slot::<SolverWorkspace, _>(REPLAY_SLOT, SolverWorkspace::default);
         let _ = warm.reconstruct_with(&record, workspace);
     });
-    let mut replay = Replay {
+    let mut replay = TiledReplay {
         tracer,
         counts,
         parser: StreamParser::new(),
@@ -293,19 +288,15 @@ fn traced(size: &Size, inputs: &Inputs<'_>, out: &mut Outcome) -> Tracer {
         let s = pass % size.streams;
         let label = format!("traced stream {pass}");
         replay.restart();
-        let result = decode(
-            &inputs.streams[s],
-            &cache,
-            THREADS,
-            &mut timings,
-            Some(&mut replay),
-        );
+        let start = Instant::now();
+        let open = || configure(&cache);
+        let result = decode_stream(open, &inputs.streams[s], &mut timings, Some(&mut replay));
+        replay.counts.traced_wall_s += start.elapsed().as_secs_f64();
         check_serial(out, &label, &result, &inputs.serial[s]);
         if let Ok((_, report)) = &result {
             replay.counts.add_report(report);
         }
         e2e.book(
-            out,
             &label,
             result.map(|(frames, _)| frames),
             &inputs.streams[s],
@@ -313,21 +304,19 @@ fn traced(size: &Size, inputs: &Inputs<'_>, out: &mut Outcome) -> Tracer {
             size.psnr_floor,
         );
     }
-    let Replay {
+    let TiledReplay {
         tracer, mut counts, ..
     } = replay;
     counts.spawns = thread_spawn_count() - spawns;
     counts.frames = timings.frames;
-    counts.untraced_push_s = plain.busy_s;
-    counts.traced_push_s = timings.busy_s;
-    finish_traced(out, &tracer, &counts, &e2e);
+    finish_traced(out, &tracer, &counts, e2e);
     tracer
 }
 
 /// Decomposes each traced push through the public calls the session
 /// makes for it: parse, one `Decoder::reconstruct_with` per tile on the
 /// pool, stitch, fill.
-struct Replay {
+struct TiledReplay {
     tracer: Tracer,
     counts: LayerCounts,
     parser: StreamParser,
@@ -340,32 +329,11 @@ struct Replay {
     push: u64,
 }
 
-impl Replay {
+impl TiledReplay {
     fn restart(&mut self) {
         self.parser = StreamParser::new();
         self.slots.clear();
         self.floor = 0;
-    }
-
-    fn replay(&mut self, chunk: &[u8], start: Instant, end: Instant, got: &[DecodedFrame]) {
-        let id = self.push;
-        self.push += 1;
-        let push = self.tracer.record("session.push", id, None, start, end);
-        let (parsed, _) = self.tracer.time("stream.parse", id, Some(push), || {
-            parse(&mut self.parser, chunk)
-        });
-        self.counts.add_parsed(chunk, &parsed);
-        let tiles = self.layout.tiles();
-        for (seq, record) in parsed.records {
-            let (index, tile) = (seq as usize / tiles, seq as usize % tiles);
-            if index >= self.floor {
-                let group = self.slots.entry(index).or_insert_with(|| vec![None; tiles]);
-                group[tile].get_or_insert(record);
-            }
-        }
-        for frame in got {
-            self.replay_group(id, push, frame);
-        }
     }
 
     /// Re-solves the tiles behind one emitted frame on the pool, then
@@ -423,6 +391,29 @@ impl Replay {
         }
         if !bit_identical(&image, frame.reconstruction.code_image()) {
             self.counts.mismatches += 1;
+        }
+    }
+}
+
+impl Replay for TiledReplay {
+    fn replay(&mut self, chunk: &[u8], start: Instant, end: Instant, got: &[DecodedFrame]) {
+        let id = self.push;
+        self.push += 1;
+        let push = self.tracer.record("session.push", id, None, start, end);
+        let (parsed, _) = self.tracer.time("stream.parse", id, Some(push), || {
+            parse(&mut self.parser, chunk)
+        });
+        self.counts.add_parsed(chunk, &parsed);
+        let tiles = self.layout.tiles();
+        for (seq, record) in parsed.records {
+            let (index, tile) = (seq as usize / tiles, seq as usize % tiles);
+            if index >= self.floor {
+                let group = self.slots.entry(index).or_insert_with(|| vec![None; tiles]);
+                group[tile].get_or_insert(record);
+            }
+        }
+        for frame in got {
+            self.replay_group(id, push, frame);
         }
     }
 }
