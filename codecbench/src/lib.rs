@@ -12,6 +12,8 @@
 // determinism lint is for product code.
 #![allow(clippy::disallowed_methods)]
 
+pub mod calib;
+pub mod heap;
 pub mod json;
 pub mod report;
 pub mod stats;

@@ -17,7 +17,7 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("psnr_db", "dB"),
     ("wire_bpp", "bit/pixel"),
     ("delivered_frac", "ratio"),
-    ("peak_rss_mb", "MiB"),
+    ("peak_heap_mb", "MiB"),
 ];
 
 /// Per-layer metrics `(name, unit)`, reported by the traced run.
@@ -156,21 +156,6 @@ pub fn quote(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Peak resident memory of this process in MiB (`VmHWM` of
-/// `/proc/self/status`).
-#[must_use]
-pub fn peak_rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kib: f64 = status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmHWM:"))?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()?;
-    Some(kib / 1024.0)
 }
 
 /// Records the host and build facts every result carries, so results

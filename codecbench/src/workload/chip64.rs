@@ -11,10 +11,11 @@ use tepics_util::parallel::thread_spawn_count;
 use tepics_util::SplitMix64;
 
 use super::{
-    assemble, capture_all, count_for, decode_stream, encoder, finish_traced, on_clients,
+    assemble, capture_all, decode_stream, encoder, finish_traced, on_clients, passes_for,
     primed_cache, trace_capture, trace_cs, video_scenes, CompactReplay, EndToEnd, LayerCounts,
     RunArgs, Stream, Timings, CLIENTS,
 };
+use crate::heap;
 use crate::report::Outcome;
 use crate::trace::Tracer;
 
@@ -27,10 +28,6 @@ struct Size {
     frames_per_stream: usize,
     /// Streams a client decodes per timed cold start.
     setup_every: usize,
-    /// Streams per client per second of `--seconds` (one, with its
-    /// share of the set-up and capture samples, takes about 1.35 s on the
-    /// reference host).
-    streams_per_second: f64,
     /// Streams per client of the traced run.
     traced_streams: usize,
     psnr_floor: f64,
@@ -41,7 +38,6 @@ const FULL: Size = Size {
     streams: 4,
     frames_per_stream: 4,
     setup_every: 2,
-    streams_per_second: 0.75,
     traced_streams: 2,
     psnr_floor: 18.0,
 };
@@ -51,7 +47,6 @@ const SMOKE: Size = Size {
     streams: 2,
     frames_per_stream: 4,
     setup_every: 1,
-    streams_per_second: 1.0,
     traced_streams: 1,
     psnr_floor: 8.0,
 };
@@ -102,19 +97,20 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
     // client captures one scene again and decodes one stream; every
     // `setup_every`-th pass also times a cold start.
     let cache = primed_cache(out, &first, session);
-    let passes = count_for(args.seconds, size.streams_per_second);
+    heap::reset_peak();
     let clients = on_clients(|c| {
         let mut e2e = EndToEnd::default();
         let mut enc = encoder(&imager, WireProfile::Compact);
-        for pass in 0..passes {
+        for pass in passes_for(args.seconds) {
             if pass % size.setup_every == size.setup_every - 1 {
-                e2e.cold_start(&first, session);
+                e2e.cold_start(&first, 1, session);
             }
             let job = pass * CLIENTS + c;
             let scene = job % scenes.len();
             e2e.recapture(&mut enc, &scenes[scene], &captured.records[scene]);
             let stream = &streams[job % size.streams];
-            let result = decode_stream(|| session(&cache), stream, &mut e2e.timings, None);
+            let result = decode_stream(|| session(&cache), stream, 1, &mut e2e.timings, None);
+            e2e.sample_heap();
             e2e.book(
                 &format!("client {c} stream {pass}"),
                 result.map(|(frames, _)| frames),
@@ -129,9 +125,7 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
     for client in clients {
         e2e.absorb(client);
     }
-    // Frames over the mean client's time inside its sessions.
-    e2e.decode_s = e2e.timings.busy_s / CLIENTS as f64;
-    e2e.report(out);
+    e2e.report(out, CLIENTS);
     None
 }
 
@@ -171,7 +165,7 @@ fn traced(
         let mut failures = Vec::new();
         for pass in 0..size.traced_streams {
             let open = || session(&cache);
-            if let Err(e) = decode_stream(open, stream_of(pass, c), &mut timings, None) {
+            if let Err(e) = decode_stream(open, stream_of(pass, c), 1, &mut timings, None) {
                 failures.push(format!("untraced client {c} stream {pass}: {e}"));
             }
         }
@@ -195,7 +189,7 @@ fn traced(
             let stream = stream_of(pass, c);
             replay.restart(&cache);
             let open = || session(&cache);
-            let result = decode_stream(open, stream, &mut e2e.timings, Some(&mut replay));
+            let result = decode_stream(open, stream, 1, &mut e2e.timings, Some(&mut replay));
             if let Ok((_, report)) = &result {
                 replay.counts.add_report(report);
             }

@@ -14,10 +14,11 @@ use tepics_util::parallel::thread_spawn_count;
 use tepics_util::SplitMix64;
 
 use super::{
-    capture_all, count_for, decode_stream, encoder, finish_traced, on_clients, trace_capture,
+    capture_all, decode_stream, encoder, finish_traced, on_clients, passes_for, trace_capture,
     trace_cs, CompactReplay, Decoded, EndToEnd, LayerCounts, Replay, RunArgs, Stream, Timings,
     CLIENTS,
 };
+use crate::heap;
 use crate::report::Outcome;
 use crate::trace::Tracer;
 
@@ -28,9 +29,6 @@ struct Size {
     pairs: usize,
     /// OMP atom budget.
     atoms: usize,
-    /// Rounds per second of `--seconds` (one, with its cold start and
-    /// captures, takes about 1.35 s on the reference host).
-    rounds_per_second: f64,
     traced_rounds: usize,
     psnr_floor: f64,
 }
@@ -39,7 +37,6 @@ const FULL: Size = Size {
     side: 32,
     pairs: 12,
     atoms: 100,
-    rounds_per_second: 0.75,
     traced_rounds: 2,
     psnr_floor: 15.0,
 };
@@ -48,7 +45,6 @@ const SMOKE: Size = Size {
     side: 16,
     pairs: 2,
     atoms: 20,
-    rounds_per_second: 1.0,
     traced_rounds: 1,
     psnr_floor: 5.0,
 };
@@ -119,13 +115,16 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
     // Before each round, each client times a cold start on the spare
     // seed, and captures again the scenes of its camera of one seed.
     let mut e2e = EndToEnd::default();
-    let rounds = count_for(args.seconds, size.rounds_per_second);
-    out.fact("rounds", rounds.to_string());
-    for r in 0..rounds {
+    let mut rounds = 0;
+    heap::reset_peak();
+    for r in passes_for(args.seconds) {
+        rounds += 1;
         let pair = r % size.pairs;
         for client in on_clients(|c| {
             let mut side = EndToEnd::default();
-            side.cold_start(&spare[c].records[0][0], |cache| session(cache, size.atoms));
+            side.cold_start(&spare[c].records[0][0], 1, |cache| {
+                session(cache, size.atoms)
+            });
             let camera = &cameras[pair * CLIENTS + c];
             let mut enc = encoder(&camera.imager, WireProfile::Compact);
             for (scene, records) in camera.scenes.iter().zip(&camera.records) {
@@ -136,7 +135,7 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
             e2e.absorb(client);
         }
         let round = run_round(size, &cameras, (0..CLIENTS).map(|_| None).collect());
-        e2e.decode_s += round.wall_s;
+        e2e.sample_heap();
         for client in round.clients {
             e2e.timings.absorb(client.timings);
             for (j, result) in client.results {
@@ -150,7 +149,8 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
             }
         }
     }
-    e2e.report(out);
+    out.fact("rounds", rounds.to_string());
+    e2e.report(out, CLIENTS);
     None
 }
 
@@ -193,6 +193,7 @@ fn run_round(size: &Size, cameras: &[Camera], replays: Vec<Option<CompactReplay>
                         let result = decode_stream(
                             || session(cache, size.atoms),
                             &cameras[j].stream,
+                            1,
                             &mut timings,
                             replay.as_mut().map(|r| r as &mut dyn Replay),
                         );

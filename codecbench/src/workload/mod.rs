@@ -19,6 +19,8 @@ use tepics_cs::{op, ColumnMatrix, ComposedOperator, Dct2dDictionary, LinearOpera
 use tepics_recovery::{SolveStats, SolverWorkspace};
 use tepics_util::SplitMix64;
 
+use crate::calib;
+use crate::heap;
 use crate::report::{self, Outcome};
 use crate::stats;
 use crate::trace::Tracer;
@@ -26,7 +28,7 @@ use crate::trace::Tracer;
 /// Default workload seed (`--seed`).
 pub const DEFAULT_SEED: u64 = 1;
 /// Default measured length of a run in seconds (`--seconds`).
-pub const DEFAULT_SECONDS: f64 = 20.0;
+pub const DEFAULT_SECONDS: f64 = 40.0;
 
 /// Timed calls per operator-layer measurement of the traced run.
 const CS_REPS: usize = 5;
@@ -57,9 +59,9 @@ impl Workload {
     ];
 
     /// The workloads `BENCHMARK.json` names, in its order.
-    /// `chip64_video` runs on request but is left out: its timings drift
-    /// from run to run by more than the regression bounds on the
-    /// reference host (see `README.md`).
+    /// `chip64_video` runs on request but is left out: even scaled to
+    /// the host's speed, its timings spread over seeds by more than the
+    /// regression bounds allow (see `README.md`).
     pub const BENCHMARKED: [Workload; 2] = [Workload::Tiled256Lossy, Workload::Fleet32Cold];
 
     /// The workload's name on the command line and in `BENCHMARK.json`.
@@ -136,12 +138,11 @@ pub(crate) fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Streams (or rounds) a run of `seconds` decodes at `per_second` per
-/// second of the reference host; at least one. The count follows the
-/// run length, not the elapsed time, so a faster or slower build
-/// decodes the same frames and reports the same percentiles.
-pub(crate) fn count_for(seconds: f64, per_second: f64) -> usize {
-    ((seconds * per_second).round() as usize).max(1)
+/// Pass numbers of a timed loop: passes start until `seconds` have gone
+/// by, and at least one does.
+pub(crate) fn passes_for(seconds: f64) -> impl Iterator<Item = usize> {
+    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+    (0..).take_while(move |&pass| pass == 0 || Instant::now() < deadline)
 }
 
 /// `count` frames of one fixed natural background with a small bright
@@ -257,7 +258,8 @@ pub(crate) fn assemble(
     }
 }
 
-/// Timings a decode loop collects.
+/// Timings a decode loop collects, scaled to the nominal host speed
+/// (see [`calib`]) unless named wall.
 #[derive(Debug, Default)]
 pub(crate) struct Timings {
     /// Duration of each frame's receive calls that emitted a frame.
@@ -266,6 +268,12 @@ pub(crate) struct Timings {
     pub ttff_ms: Vec<f64>,
     /// Time spent creating sessions and inside their calls.
     pub busy_s: f64,
+    /// The same in wall time.
+    pub wall_s: f64,
+    /// Unscaled `frame_ms`, for the provenance line.
+    pub frame_wall_ms: Vec<f64>,
+    /// Gauge readings taken around the calls.
+    pub gauge_ms: Vec<f64>,
     /// Frames emitted.
     pub frames: usize,
 }
@@ -276,6 +284,9 @@ impl Timings {
         self.frame_ms.extend(other.frame_ms);
         self.ttff_ms.extend(other.ttff_ms);
         self.busy_s += other.busy_s;
+        self.wall_s += other.wall_s;
+        self.frame_wall_ms.extend(other.frame_wall_ms);
+        self.gauge_ms.extend(other.gauge_ms);
         self.frames += other.frames;
     }
 }
@@ -295,28 +306,39 @@ pub(crate) type Decoded = Result<(Vec<DecodedFrame>, DecodeReport), CoreError>;
 /// `push_bytes`, then `finish` to flush that frame's tile group if
 /// records were lost (a no-op on compact streams). The two calls are
 /// timed together as the frame's receive and booked in `timings`; time
-/// to first frame counts from before the session was created. With
-/// `replay`, every receive is handed to it afterwards.
+/// to first frame counts from before the session was created. The host
+/// is gauged on `cores` cores before the session is created and after
+/// every receive, and each time is scaled by the readings around it.
+/// With `replay`, every receive is handed to it afterwards.
 pub(crate) fn decode_stream(
     open: impl FnOnce() -> DecodeSession,
     stream: &Stream,
+    cores: usize,
     timings: &mut Timings,
     mut replay: Option<&mut dyn Replay>,
 ) -> Decoded {
+    let mut gauged = calib::gauge(cores);
+    timings.gauge_ms.push(gauged);
     let opened = Instant::now();
     let mut dec = open();
-    timings.busy_s += opened.elapsed().as_secs_f64();
+    let mut open_s = opened.elapsed().as_secs_f64();
     let mut frames: Vec<DecodedFrame> = Vec::new();
     for chunk in stream.chunks() {
         let call = Instant::now();
         let mut got = dec.push_bytes(chunk)?;
         got.extend(dec.finish()?);
         let end = Instant::now();
-        timings.busy_s += (end - call).as_secs_f64();
+        let before = std::mem::replace(&mut gauged, calib::gauge(cores));
+        timings.gauge_ms.push(gauged);
+        let scaled = |wall: f64| calib::scale(wall, before, gauged);
+        let wall_s = (end - call).as_secs_f64() + std::mem::take(&mut open_s);
+        timings.wall_s += wall_s;
+        timings.busy_s += scaled(wall_s);
         if !got.is_empty() {
-            timings.frame_ms.push(ms(end - call));
+            timings.frame_ms.push(scaled(ms(end - call)));
+            timings.frame_wall_ms.push(ms(end - call));
             if frames.is_empty() {
-                timings.ttff_ms.push(ms(end - opened));
+                timings.ttff_ms.push(scaled(ms(end - opened)));
             }
             timings.frames += got.len();
         }
@@ -449,14 +471,17 @@ pub(crate) fn on_clients<R: Send>(client: impl Fn(usize) -> R + Sync) -> Vec<R> 
 }
 
 /// What an untraced run measures, per client until the clients'
-/// results are merged.
+/// results are merged. Times are scaled to the nominal host speed.
 #[derive(Debug, Default)]
 pub(crate) struct EndToEnd {
     pub setup_s: Vec<f64>,
     pub capture_ms: Vec<f64>,
+    /// Peak live heap of each pass (or round), in MiB.
+    pub peak_heap_mib: Vec<f64>,
+    /// Unscaled `setup_s` and `capture_ms`, for the provenance line.
+    pub setup_wall_s: Vec<f64>,
+    pub capture_wall_ms: Vec<f64>,
     pub timings: Timings,
-    /// The time the frame rate divides by.
-    pub decode_s: f64,
     pub psnr_db: Vec<f64>,
     pub wire_bytes: usize,
     pub pixels: usize,
@@ -468,38 +493,48 @@ pub(crate) struct EndToEnd {
 
 impl EndToEnd {
     /// Times one cold start — a fresh `OperatorCache`, a configured
-    /// session, `prewarm(first)` — into `setup_s`, and returns the
-    /// cache, now primed. The timed loops call this between decodes, so
-    /// the set-up timings sample the whole run.
+    /// session, `prewarm(first)` — into `setup_s`, gauged on `cores`
+    /// cores, and returns the cache, now primed. The timed loops call
+    /// this between decodes, so the set-up timings sample the whole run.
     pub fn cold_start(
         &mut self,
         first: &CompressedFrame,
+        cores: usize,
         session: impl FnOnce(&Arc<OperatorCache>) -> DecodeSession,
     ) -> Arc<OperatorCache> {
+        let before = calib::gauge(cores);
         let start = Instant::now();
         let cache = OperatorCache::shared();
         let mut dec = session(&cache);
         if let Err(e) = dec.prewarm(first) {
             self.failures.push(format!("set-up: {e}"));
         }
-        self.setup_s.push(start.elapsed().as_secs_f64());
+        let wall = start.elapsed().as_secs_f64();
+        self.setup_s
+            .push(calib::scale(wall, before, calib::gauge(cores)));
+        self.setup_wall_s.push(wall);
         cache
     }
 
     /// Captures `scene` once more on `enc`, timing the
     /// `EncodeSession::capture` call (sensor simulation, CA, wire write)
-    /// into `capture_ms`. Capture is deterministic, so the records must
-    /// equal `expected`, the scene's first capture. The timed loops call
-    /// this between decodes, so the capture timings sample the whole run.
+    /// into `capture_ms`, gauged on the calling thread's core. Capture
+    /// is deterministic, so the records must equal `expected`, the
+    /// scene's first capture. The timed loops call this between decodes,
+    /// so the capture timings sample the whole run.
     pub fn recapture(
         &mut self,
         enc: &mut EncodeSession,
         scene: &ImageF64,
         expected: &[CompressedFrame],
     ) {
+        let before = calib::gauge(1);
         let start = Instant::now();
         let records = enc.capture(scene);
-        self.capture_ms.push(ms(start.elapsed()));
+        let wall = ms(start.elapsed());
+        self.capture_ms
+            .push(calib::scale(wall, before, calib::gauge(1)));
+        self.capture_wall_ms.push(wall);
         match records {
             Ok(records) if records == expected => {}
             Ok(_) => self
@@ -507,6 +542,12 @@ impl EndToEnd {
                 .push("a scene captured again gave other records".into()),
             Err(e) => self.failures.push(format!("capture: {e}")),
         }
+    }
+
+    /// Samples the most heap the process held at once since the
+    /// previous sample (or [`heap::reset_peak`]), at the end of a pass.
+    pub fn sample_heap(&mut self) {
+        self.peak_heap_mib.push(heap::take_peak() as f64 / MIB);
     }
 
     /// Books one decoded stream: its scenes count as attempted, the
@@ -542,8 +583,10 @@ impl EndToEnd {
     pub fn absorb(&mut self, other: EndToEnd) {
         self.setup_s.extend(other.setup_s);
         self.capture_ms.extend(other.capture_ms);
+        self.peak_heap_mib.extend(other.peak_heap_mib);
+        self.setup_wall_s.extend(other.setup_wall_s);
+        self.capture_wall_ms.extend(other.capture_wall_ms);
         self.timings.absorb(other.timings);
-        self.decode_s += other.decode_s;
         self.psnr_db.extend(other.psnr_db);
         self.wire_bytes += other.wire_bytes;
         self.pixels += other.pixels;
@@ -561,14 +604,18 @@ impl EndToEnd {
         }
     }
 
-    /// Writes the end-to-end metrics and the facts behind them.
-    pub fn report(mut self, out: &mut Outcome) {
+    /// Writes the end-to-end metrics and the facts behind them. The
+    /// frame rate counts every frame over the time `receivers` clients
+    /// decoding side by side spent in their sessions.
+    pub fn report(mut self, out: &mut Outcome, receivers: usize) {
+        let decode_s = self.timings.busy_s / receivers as f64;
+        let decode_wall_s = self.timings.wall_s / receivers as f64;
         self.settle(out);
         let frame_tail = stats::tail(&self.timings.frame_ms);
         let ttff_tail = stats::tail(&self.timings.ttff_ms);
         out.metric("setup_s", stats::median(&self.setup_s));
         out.metric("encode_fps", 1e3 / stats::median(&self.capture_ms));
-        out.metric("decode_fps", self.timings.frames as f64 / self.decode_s);
+        out.metric("decode_fps", self.timings.frames as f64 / decode_s);
         out.metric("frame_p50_ms", stats::median(&self.timings.frame_ms));
         out.metric("frame_tail_ms", frame_tail.value);
         out.metric("ttff_p50_ms", stats::median(&self.timings.ttff_ms));
@@ -582,12 +629,26 @@ impl EndToEnd {
             "delivered_frac",
             self.delivered as f64 / self.attempted as f64,
         );
-        out.metric("peak_rss_mb", report::peak_rss_mib().unwrap_or(f64::NAN));
+        out.metric("peak_heap_mb", stats::median(&self.peak_heap_mib));
         out.fact("setup_reps", self.setup_s.len().to_string());
         out.fact("captures_timed", self.capture_ms.len().to_string());
         out.fact("frames", self.timings.frames.to_string());
         out.fact("frame_tail", tail_fact(&frame_tail));
         out.fact("ttff_tail", tail_fact(&ttff_tail));
+        out.fact(
+            "gauge_ms_p50",
+            stats::median(&self.timings.gauge_ms).to_string(),
+        );
+        out.fact(
+            "wall",
+            format!(
+                "{{\"setup_s\": {}, \"encode_fps\": {}, \"decode_fps\": {}, \"frame_p50_ms\": {}}}",
+                stats::median(&self.setup_wall_s),
+                1e3 / stats::median(&self.capture_wall_ms),
+                self.timings.frames as f64 / decode_wall_s,
+                stats::median(&self.timings.frame_wall_ms)
+            ),
+        );
     }
 }
 
@@ -606,7 +667,7 @@ pub(crate) fn primed_cache(
     session: impl FnOnce(&Arc<OperatorCache>) -> DecodeSession,
 ) -> Arc<OperatorCache> {
     let mut e2e = EndToEnd::default();
-    let cache = e2e.cold_start(first, session);
+    let cache = e2e.cold_start(first, 1, session);
     for failure in e2e.failures {
         out.fail(failure);
     }

@@ -15,10 +15,11 @@ use tepics_util::pool::WorkerPool;
 use tepics_util::SplitMix64;
 
 use super::{
-    assemble, bit_identical, capture_all, count_for, decode_stream, encoder, finish_traced,
-    on_clients, parse, primed_cache, same_frames, trace_capture, trace_cs, Decoded, EndToEnd,
-    LayerCounts, Replay, RunArgs, Stream, Timings, CLIENTS,
+    assemble, bit_identical, capture_all, decode_stream, encoder, finish_traced, on_clients, parse,
+    passes_for, primed_cache, same_frames, trace_capture, trace_cs, Decoded, EndToEnd, LayerCounts,
+    Replay, RunArgs, Stream, Timings, CLIENTS,
 };
+use crate::heap;
 use crate::report::Outcome;
 use crate::trace::Tracer;
 
@@ -37,10 +38,6 @@ struct Size {
     /// Streams decoded per timed capture round, in which each client
     /// captures one scene.
     capture_every: usize,
-    /// Streams per second of `--seconds` (one, with its cold start and
-    /// its share of the capture samples, takes about 1 s on the
-    /// reference host).
-    streams_per_second: f64,
     traced_streams: usize,
     psnr_floor: f64,
 }
@@ -49,12 +46,11 @@ const FULL: Size = Size {
     side: 256,
     tile: 32,
     overlap: 4,
-    scenes: 4,
+    scenes: 8,
     frames_per_stream: 2,
-    streams: 4,
+    streams: 8,
     flip_rate: 2e-6,
-    capture_every: 3,
-    streams_per_second: 1.25,
+    capture_every: 2,
     traced_streams: 4,
     psnr_floor: 18.0,
 };
@@ -68,7 +64,6 @@ const SMOKE: Size = Size {
     streams: 2,
     flip_rate: 2e-6,
     capture_every: 1,
-    streams_per_second: 1.0,
     traced_streams: 1,
     psnr_floor: 8.0,
 };
@@ -151,7 +146,7 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
         .enumerate()
         .map(|(s, stream)| {
             let serial = || session(&serial_cache, 1);
-            match decode_stream(serial, stream, &mut Timings::default(), None) {
+            match decode_stream(serial, stream, 1, &mut Timings::default(), None) {
                 Ok((frames, _)) => frames,
                 Err(e) => {
                     out.fail(format!("serial decode of stream {s}: {e}"));
@@ -183,8 +178,9 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
     // capture a scene each, at once.
     let mut e2e = EndToEnd::default();
     let cache = primed_cache(out, &first, |c| session(c, THREADS));
-    for pass in 0..count_for(args.seconds, size.streams_per_second) {
-        e2e.cold_start(&first, |c| session(c, THREADS));
+    heap::reset_peak();
+    for pass in passes_for(args.seconds) {
+        e2e.cold_start(&first, THREADS, |c| session(c, THREADS));
         if pass % size.capture_every == 0 {
             let round = pass / size.capture_every;
             for client in on_clients(|c| {
@@ -200,7 +196,8 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
         let s = pass % size.streams;
         let label = format!("stream {pass}");
         let open = || session(&cache, THREADS);
-        let result = decode_stream(open, &streams[s], &mut e2e.timings, None);
+        let result = decode_stream(open, &streams[s], THREADS, &mut e2e.timings, None);
+        e2e.sample_heap();
         check_serial(out, &label, &result, &serial[s]);
         e2e.book(
             &label,
@@ -210,8 +207,7 @@ pub(super) fn run(args: &RunArgs, out: &mut Outcome) -> Option<Tracer> {
             size.psnr_floor,
         );
     }
-    e2e.decode_s = e2e.timings.busy_s;
-    e2e.report(out);
+    e2e.report(out, 1);
     None
 }
 
@@ -251,7 +247,7 @@ fn traced(size: &Size, inputs: &Inputs<'_>, out: &mut Outcome) -> Tracer {
     for pass in 0..size.traced_streams {
         let stream = &inputs.streams[pass % size.streams];
         let start = Instant::now();
-        let result = decode_stream(|| configure(&cache), stream, &mut plain, None);
+        let result = decode_stream(|| configure(&cache), stream, THREADS, &mut plain, None);
         counts.untraced_wall_s += start.elapsed().as_secs_f64();
         if let Err(e) = result {
             out.fail(format!("untraced stream {pass}: {e}"));
@@ -290,7 +286,13 @@ fn traced(size: &Size, inputs: &Inputs<'_>, out: &mut Outcome) -> Tracer {
         replay.restart();
         let start = Instant::now();
         let open = || configure(&cache);
-        let result = decode_stream(open, &inputs.streams[s], &mut timings, Some(&mut replay));
+        let result = decode_stream(
+            open,
+            &inputs.streams[s],
+            THREADS,
+            &mut timings,
+            Some(&mut replay),
+        );
         replay.counts.traced_wall_s += start.elapsed().as_secs_f64();
         check_serial(out, &label, &result, &inputs.serial[s]);
         if let Ok((_, report)) = &result {
