@@ -162,9 +162,11 @@ pub struct OperatorKey {
 /// Counters of an [`OperatorCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Operator lookups served from the cache.
+    /// Operator lookups that did not build Φ: warm lookups, and
+    /// first-touch racers that waited for another caller's build.
     pub hits: u64,
-    /// Operator lookups that had to build Φ.
+    /// Operator builds: lookups that ran the CA replay themselves. A
+    /// key is built once however many callers race on its first touch.
     pub misses: u64,
     /// Entries discarded to respect the byte budget (all families).
     pub evictions: u64,
@@ -488,23 +490,28 @@ impl OperatorCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((cached.phi.clone(), cached.counts.clone()));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside every lock so distinct keys proceed in
-        // parallel. Same-key racers may build twice; the builds are
-        // deterministic and the OnceLock keeps one, so the returned
-        // value is unaffected. An invalid strategy caches nothing and
-        // errors on every call.
+        // The strategy is validated first, so an invalid one caches
+        // nothing and errors on every call. The CA replay then runs
+        // inside the OnceLock, outside every lock: distinct keys build in
+        // parallel, and same-key racers wait for the one builder.
         let (rows, cols) = (key.rows as usize, key.cols as usize);
         let mut source = key.strategy.build_source(rows + cols, key.seed)?;
-        let phi = Arc::new(XorMeasurement::from_source(
-            rows,
-            cols,
-            source.as_mut(),
-            key.k,
-        ));
-        let counts = Arc::new(phi.selection_counts());
-        let cached = cell.get_or_init(|| CachedOperator { phi, counts });
+        let mut built = false;
+        let cached = cell.get_or_init(|| {
+            built = true;
+            let phi = XorMeasurement::from_source(rows, cols, source.as_mut(), key.k);
+            let counts = Arc::new(phi.selection_counts());
+            CachedOperator {
+                phi: Arc::new(phi),
+                counts,
+            }
+        });
         let result = (cached.phi.clone(), cached.counts.clone());
+        if !built {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(result);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let bytes = ENTRY_OVERHEAD + result.0.bytes() + result.1.len() * std::mem::size_of::<f64>();
         let committed = {
             let mut guard = self.locked();
@@ -689,10 +696,40 @@ mod tests {
             seed: 1,
             k: 4,
         };
-        assert!(matches!(
-            cache.operator(&bad),
-            Err(CoreError::InvalidConfig(_))
-        ));
+        for _ in 0..2 {
+            assert!(matches!(
+                cache.operator(&bad),
+                Err(CoreError::InvalidConfig(_))
+            ));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.resident_bytes), (0, 0, 0));
+    }
+
+    /// First-touch racers on one key share a single build, on any core
+    /// count: a barrier releases every thread at once, and only the
+    /// thread whose closure runs inside the `OnceLock` counts a miss.
+    #[test]
+    fn first_touch_racers_build_once() {
+        use std::sync::Barrier;
+        const RACERS: usize = 8;
+        let cache = OperatorCache::new();
+        let barrier = Barrier::new(RACERS);
+        let phis: Vec<Arc<XorMeasurement>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.operator(&key(0x5EED, 60)).unwrap().0
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(phis.iter().all(|phi| Arc::ptr_eq(phi, &phis[0])));
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "one build for {RACERS} racers");
+        assert_eq!(stats.hits, RACERS as u64 - 1);
     }
 
     #[test]
