@@ -4,10 +4,10 @@
 //! The sentence does not pin down which probability is meant, so the
 //! Monte Carlo reports every natural reading, measured on the *actual
 //! arbiter* (not an idealized model), alongside the analytic
-//! approximations. See EXPERIMENTS.md for the conclusion: the number
-//! matches "probability that a delayed pulse crosses a TDC clock edge"
-//! at a 12.8 MHz conversion clock (5 ns / 78.1 ns = 6.4%), not the
-//! pairwise-overlap probability (which is far higher at n = 64).
+//! approximations. The conclusion: the number matches "probability
+//! that a delayed pulse crosses a TDC clock edge" at a 12.8 MHz
+//! conversion clock (5 ns / 78.1 ns = 6.4%), not the pairwise-overlap
+//! probability (which is far higher at n = 64).
 
 use crate::report::{section, Table};
 use tepics_sensor::ColumnArbiter;
@@ -112,7 +112,7 @@ pub fn run() -> String {
          quantity is the chance that a *serialization delay crosses one TDC\n\
          clock period*: 5 ns events against an 80 ns-class clock give\n\
          5/80 = 6.25% exactly; our measured edge-crossing ratio at 12.8 MHz\n\
-         is {:.1}% of delayed pulses. EXPERIMENTS.md discusses.\n",
+         is {:.1}% of delayed pulses.\n",
         r.p_any_overlap * 100.0,
         r.p_event_queued * 100.0,
         if r.p_event_queued > 0.0 {

@@ -1,4 +1,4 @@
-//! Ablation of TEPICS's two added knobs (documented in DESIGN.md §4):
+//! Ablation of TEPICS's two added knobs:
 //! the CA warm-up before the first pattern and the steps taken between
 //! patterns. The paper starts sampling immediately and steps once per
 //! sample; this experiment shows what those choices cost.

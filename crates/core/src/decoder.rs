@@ -3,7 +3,7 @@
 //! The decoder never sees Φ — it *regenerates* it by replaying the
 //! strategy generator from the seed in the frame header (the paper's
 //! "error-free reconstructed from the initial seed" property). Recovery
-//! then runs in two exact stages (DESIGN.md §4):
+//! then runs in two exact stages:
 //!
 //! 1. **Mean split.** Rows of Φ are 0/1 masks with known selection
 //!    counts `c_k`, so the scene's mean code is estimated by least

@@ -7,9 +7,9 @@
 //! * [`Image`] — a minimal row-major raster container
 //!   (with [`ImageF64`]/[`ImageU8`] aliases).
 //! * [`Scene`] — deterministic synthetic scene generators standing in
-//!   for natural test images (see DESIGN.md §2 for why: no copyrighted
-//!   corpora ship with the repo; the generators are compressible in
-//!   DCT/Haar, which is the property the experiments exercise).
+//!   for natural test images (no copyrighted corpora ship with the
+//!   repo; the generators are compressible in DCT/Haar, which is the
+//!   property the experiments exercise).
 //! * [`metrics`] — MSE / MAE / PSNR / SSIM.
 //! * [`transforms`] — orthonormal 2-D DCT and Haar wavelet transforms,
 //!   the sparsifying dictionaries Ψ of the decoder.

@@ -4,8 +4,8 @@
 //! pixels, 24 MHz clock, 8-bit time codes, 20 µs per compressed sample
 //! (50 kHz at R = 0.4 and 30 fps), 5 ns events. Electrical values are
 //! chosen so the full intensity range maps inside the conversion window
-//! (see `DESIGN.md` §4 — the paper's `V_rst`/`V_ref` tuning knobs exist
-//! here as plain fields, exercised by the adaptive-exposure example).
+//! (the paper's `V_rst`/`V_ref` tuning knobs exist here as plain fields,
+//! exercised by the adaptive-exposure example).
 
 use std::fmt;
 

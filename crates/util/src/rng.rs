@@ -2,7 +2,7 @@
 //!
 //! TEPICS must be bit-reproducible across runs, platforms and dependency
 //! upgrades: the decoder regenerates the measurement strategy from a seed,
-//! and every experiment in EXPERIMENTS.md quotes seeded numbers. The
+//! and every experiment report quotes seeded numbers. The
 //! [`SplitMix64`] generator below is the fixed algorithm used for seed
 //! expansion and synthetic data; the `rand` crate is used only where a
 //! richer distribution API is convenient *and* the stream is re-seeded
