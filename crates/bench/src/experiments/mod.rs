@@ -1,4 +1,4 @@
-//! One module per reproduced artifact — see DESIGN.md §5 for the index.
+//! One module per reproduced artifact; [`crate::registry`] is the index.
 
 pub mod batch;
 pub mod breakeven;
@@ -19,6 +19,5 @@ pub mod resilience;
 pub mod solvers;
 pub mod table1;
 pub mod table2;
-pub mod throughput;
 pub mod tiled;
 pub mod warmup;

@@ -12,8 +12,7 @@
 //! cargo run --release -p tepics-bench --bin experiments -- table2 overlap
 //! ```
 //!
-//! DESIGN.md §5 is the index mapping experiment ids to paper artifacts;
-//! EXPERIMENTS.md records the outcomes.
+//! [`registry`] is the index mapping experiment ids to paper artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +44,8 @@ pub struct Experiment {
     pub run: fn() -> String,
 }
 
-/// The registry of all experiments, in the order DESIGN.md lists them.
+/// The registry of all experiments, with the paper artifact each one
+/// reproduces.
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {
@@ -167,12 +167,6 @@ pub fn registry() -> Vec<Experiment> {
             tier: Tier::Full,
             artifact: "(infrastructure) tiled decode — stitched PSNR + block-parallel scaling",
             run: experiments::tiled::run,
-        },
-        Experiment {
-            id: "throughput",
-            tier: Tier::Full,
-            artifact: "(infrastructure) streaming decode throughput — pool vs spawn-per-call",
-            run: experiments::throughput::run,
         },
         Experiment {
             id: "resilience",

@@ -18,30 +18,29 @@
 //! |--------------------------------------------|---------------------------------------|
 //! | `imager.capture(&scene)` + `to_bytes()`    | `enc.capture(&scene)` + `to_bytes()`  |
 //! | `CompressedFrame::from_bytes` + `Decoder`  | `dec.push_bytes(&bytes)`              |
-//! | `SequenceDecoder::push` (removed)          | `dec.delta_mode(..)` + `push_bytes`   |
 //!
-//! # Tiled streams
+//! # One decode path
 //!
-//! When the imager is tiled (built with
+//! Every frame is a *tile group*. When the imager is tiled (built with
 //! [`CompressiveImagerBuilder::tiling`](crate::imager::CompressiveImagerBuilder::tiling)),
-//! the session writes a version-2 stream whose header carries the tile
-//! layout; each captured scene contributes one record per tile. The
-//! decode side detects the layout from the wire, buffers each complete
-//! tile group, recovers the tiles independently — in parallel across
-//! [`DecodeSession::threads`] workers — and stitches them with overlap
-//! blending into one full-frame [`Reconstruction`]. Stitching order is
-//! deterministic, so decoded frames are bit-identical at every thread
-//! count.
+//! the session writes a stream whose header carries the tile layout and
+//! each captured scene contributes one record per tile; an untiled
+//! stream is simply a one-tile layout. The decode side files record
+//! `seq` into frame `seq / tiles`, slot `seq % tiles` — compact records
+//! are numbered implicitly in parse order, resilient ones carry the
+//! number on the wire — so one assembler accounts for stale, lost and
+//! re-anchored frames on every container.
 //!
-//! Parallel tiled decodes run on the process-wide persistent
-//! [`WorkerPool`] by default ([`DecodeExecutor::Pooled`]): workers are
-//! spawned once, keep a warm per-geometry solver workspace each, and
-//! when a single [`DecodeSession::push_bytes`] call completes the tile
-//! groups of several frames, all their tiles fan out across the pool
-//! together — frames of one stream *pipeline* instead of decoding
-//! strictly one after another. [`DecodeSession::prewarm`] primes every
-//! executor up front so the steady state spawns no threads and
-//! allocates nothing.
+//! Closed groups decode through one executor: inline on the session's
+//! workspace at [`DecodeSession::threads`] ≤ 1 (or when the session
+//! itself runs on a pool worker), otherwise every tile of every group a
+//! push completed fans out across the process-wide persistent
+//! [`WorkerPool`] in one map, so frames of one stream *pipeline*
+//! instead of decoding strictly one after another. Tiled groups are
+//! stitched with overlap blending in a deterministic order, so decoded
+//! frames are bit-identical at every thread count.
+//! [`DecodeSession::prewarm`] primes every executor up front so the
+//! steady state spawns no threads and allocates nothing.
 //!
 //! # Examples
 //!
@@ -85,7 +84,6 @@ use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse, TileLayout};
 use tepics_imaging::ImageF64;
 use tepics_recovery::{Iht, SolveStats, SolverWorkspace};
 use tepics_sensor::EventStats;
-use tepics_util::parallel::par_map;
 use tepics_util::pool::{self, WorkerPool};
 
 /// Capture-side session: scenes in, one contiguous wire stream out.
@@ -122,7 +120,7 @@ impl EncodeSession {
         profile: WireProfile,
     ) -> Result<EncodeSession, CoreError> {
         let header = imager.frame_header();
-        let writer = StreamWriter::for_profile(header, imager.tile_layout(), profile)?;
+        let writer = StreamWriter::new(header, imager.tile_layout(), profile)?;
         Ok(EncodeSession { imager, writer })
     }
 
@@ -200,10 +198,7 @@ impl EncodeSession {
     /// Number of scenes captured into the stream so far (each scene is
     /// one record untiled, `layout.tiles()` records tiled).
     pub fn frames(&self) -> usize {
-        let per_frame = self
-            .writer
-            .tile_layout()
-            .map_or(1, tepics_imaging::tile::TileLayout::tiles);
+        let per_frame = self.writer.tile_layout().map_or(1, TileLayout::tiles);
         self.writer.frames() / per_frame
     }
 
@@ -260,34 +255,11 @@ pub enum ErasurePolicy {
     NeighborBlend,
 }
 
-/// Which execution engine a [`DecodeSession`] uses for parallel tiled
-/// decodes (when [`DecodeSession::threads`] is above 1).
-///
-/// Both engines produce **bit-identical** output — tiles are solved
-/// from independent records and stitched in deterministic row-major
-/// order — so this knob only trades scheduling overhead, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecodeExecutor {
-    /// The process-wide persistent [`WorkerPool`]: workers are spawned
-    /// once and parked between calls, and each keeps a warm
-    /// per-geometry [`SolverWorkspace`] in its sticky scratch, so the
-    /// warm steady state spawns no threads and allocates nothing.
-    /// When one [`DecodeSession::push_bytes`] call completes tile
-    /// groups of *several* frames, their tiles fan out across the pool
-    /// together (frame pipelining).
-    #[default]
-    Pooled,
-    /// Fresh scoped threads and fresh per-tile workspaces on every
-    /// tile group — the pre-pool behavior, kept as the A/B baseline
-    /// for the throughput benchmark.
-    SpawnPerCall,
-}
-
 /// Degradation accounting of one [`DecodeSession`].
 ///
 /// All counters are cumulative over the session's lifetime. On a clean
-/// stream everything but `frames_recovered` (and `tiles_recovered`, if
-/// tiled+resilient) stays zero.
+/// stream everything but `frames_recovered` and `tiles_recovered` stays
+/// zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodeReport {
     /// Frames decoded from fully intact records.
@@ -300,7 +272,8 @@ pub struct DecodeReport {
     /// never emitted: every record lost, or dropped by
     /// [`ErasurePolicy::Strict`].
     pub frames_lost: usize,
-    /// Tiles decoded into emitted frames (resilient tiled streams).
+    /// Tiles decoded into emitted frames, on every stream: an untiled
+    /// frame is one tile, so an untiled stream counts one per frame.
     pub tiles_recovered: usize,
     /// Tiles erased from emitted (degraded) frames.
     pub tiles_erased: usize,
@@ -360,28 +333,16 @@ pub struct DecodedFrame {
     pub reconstruction: Reconstruction,
 }
 
-/// One complete (or partially erased) tile group buffered during an
-/// event loop, awaiting decode. `slots` is in row-major tile order;
-/// `None` marks an erased tile. Compact groups are always all-`Some`.
-#[derive(Debug)]
-struct GroupJob {
-    /// Stream position of the frame this group stitches into.
+/// The records of one frame, by tile slot (row-major; an untiled frame
+/// is a one-slot group). `None` marks a tile not (yet) received.
+#[derive(Debug, Clone)]
+struct Group {
+    /// Stream position of the frame.
     index: usize,
-    /// Tiles erased from the group (0 for a compact/complete group).
-    erased: usize,
-    /// The tile records, row-major.
+    /// Frames were lost right before this one: delta mode must
+    /// re-anchor here instead of chaining across the gap.
+    reanchor: bool,
     slots: Vec<Option<CompressedFrame>>,
-}
-
-/// How a session executes the tiles of buffered groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TileRoute {
-    /// Sequentially on the caller, reusing the session workspace.
-    Serial,
-    /// Scoped spawn-per-call threads ([`DecodeExecutor::SpawnPerCall`]).
-    Spawn,
-    /// The persistent global [`WorkerPool`].
-    Pool,
 }
 
 /// Sticky-scratch slot key for a tile geometry: pool workers keep one
@@ -455,32 +416,20 @@ pub struct DecodeSession {
     last_mean: f64,
     frames_since_key: usize,
     decoded: usize,
-    /// Worker threads for tiled decodes (0 and 1 both mean inline).
+    /// Executors for decoding (0 and 1 both mean inline).
     threads: usize,
-    /// Execution engine for parallel tiled decodes.
-    executor: DecodeExecutor,
-    /// Tile records of the frame currently being assembled (tiled
-    /// streams buffer `layout.tiles()` records before decoding).
-    pending: Vec<CompressedFrame>,
-    /// Reused solver buffers: one allocation for the whole stream.
+    /// Reused solver buffers of the inline executor: one allocation for
+    /// the whole stream.
     workspace: SolverWorkspace,
     /// Erased-tile handling for resilient tiled streams.
     policy: ErasurePolicy,
     /// Cumulative degradation accounting.
     report: DecodeReport,
-    /// Next expected sequence number (resilient untiled streams).
-    next_seq: u64,
-    /// Set when a gap was detected in delta mode: the next frame must
-    /// re-anchor with full recovery instead of chaining a delta.
-    reanchor: bool,
-    /// Slot-addressed tile group of a resilient tiled stream
-    /// (`seq % tiles` indexes the slot; erased tiles stay `None`).
-    slots: Vec<Option<CompressedFrame>>,
-    /// Frame index of the group in `slots`, if one is in progress.
-    group_idx: Option<usize>,
+    /// The tile group being assembled, if any.
+    group: Option<Group>,
     /// Lowest frame index still acceptable (everything below was
-    /// already flushed or counted lost).
-    group_floor: usize,
+    /// already closed or counted lost).
+    floor: usize,
     /// An error hit after frames had already been decoded in the same
     /// [`DecodeSession::push_bytes`] call; surfaced (sticky) on the
     /// next call so those frames are not discarded.
@@ -534,23 +483,15 @@ impl DecodeSession {
         self.algorithm(params.solver).dictionary(params.dictionary)
     }
 
-    /// Sets the worker-thread count for tiled decodes (default inline).
-    /// Tiles are recovered concurrently — on the calling thread plus up
-    /// to `threads − 1` persistent pool workers under the default
-    /// [`DecodeExecutor::Pooled`] engine — and stitched in a
-    /// deterministic order, so the result is **bit-identical for every
-    /// thread count**; untiled decodes are unaffected.
+    /// Sets the executor count (default inline). Above 1, the tiles of
+    /// every frame a push completes are recovered concurrently on the
+    /// calling thread plus up to `threads − 1` persistent
+    /// [`WorkerPool`] workers and stitched in a deterministic order, so
+    /// the result is **bit-identical for every thread count**. A session
+    /// running on a pool worker, and delta mode (each frame chains from
+    /// the previous one), decode inline regardless.
     pub fn threads(&mut self, threads: usize) -> &mut Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the execution engine for parallel tiled decodes (default
-    /// [`DecodeExecutor::Pooled`]). Results are bit-identical either
-    /// way; [`DecodeExecutor::SpawnPerCall`] exists as the throughput
-    /// benchmark's A/B baseline.
-    pub fn executor(&mut self, executor: DecodeExecutor) -> &mut Self {
-        self.executor = executor;
         self
     }
 
@@ -573,11 +514,11 @@ impl DecodeSession {
         self.report
     }
 
-    /// Flushes the trailing partial tile group of a resilient tiled
-    /// stream (the stream ended mid-frame, or its last records were
-    /// lost), stitching the surviving tiles per the erasure policy.
-    /// No-op — and always empty — for compact streams, whose partial
-    /// groups stay buffered awaiting more bytes.
+    /// Flushes the trailing partial tile group of a resilient stream
+    /// (the stream ended mid-frame, or its last records were lost),
+    /// stitching the surviving tiles per the erasure policy. No-op —
+    /// and always empty — for compact streams, whose partial groups
+    /// stay buffered awaiting more bytes.
     ///
     /// # Errors
     ///
@@ -585,11 +526,9 @@ impl DecodeSession {
     pub fn finish(&mut self) -> Result<Vec<DecodedFrame>, CoreError> {
         let mut out = Vec::new();
         if self.parser.wire_version() == Some(STREAM_VERSION_RESILIENT) {
-            if let Some(layout) = self.parser.tile_layout().cloned() {
-                if let Some(job) = self.flush_group(&layout) {
-                    self.decode_jobs(vec![job], &layout, &mut out)?;
-                }
-            }
+            let groups: Vec<Group> = self.close_group().into_iter().collect();
+            let layout = self.parser.tile_layout().cloned();
+            self.decode_groups(groups, layout.as_ref(), &mut out)?;
         }
         Ok(out)
     }
@@ -599,7 +538,8 @@ impl DecodeSession {
     /// runs full recovery, intermediate frames recover only the
     /// pixel-sparse delta `Φ⁻¹(y_t − y_{t−1})` with an IHT budget of
     /// `sparsity` pixels. Frames must then share header *and* sample
-    /// count.
+    /// count. Untiled streams only: a tiled stream errors with
+    /// [`CoreError::InvalidConfig`].
     pub fn delta_mode(&mut self, sparsity: usize, keyframe_interval: usize) -> &mut Self {
         self.delta = Some(DeltaMode {
             sparsity: sparsity.max(1),
@@ -639,23 +579,25 @@ impl DecodeSession {
             .ok_or_else(|| CoreError::InvalidConfig("decode session failed to prime".into()))
     }
 
-    /// Builds the decoder for `header` if none exists yet. The decode
-    /// paths use this instead of [`DecodeSession::prime`]: they only
-    /// read the decoder (through its `Arc`), and `Arc::make_mut` would
-    /// clone it whenever a drained pool ticket still holds a transient
-    /// reference — a timing-dependent allocation the warm steady state
-    /// must not have.
-    fn ensure_primed(&mut self, header: &FrameHeader) -> Result<(), CoreError> {
-        if self.decoder.is_none() {
-            let mut decoder = Decoder::for_header(header)?;
-            decoder
-                .dictionary(self.dictionary)
-                .algorithm(self.algorithm)
-                .use_cache(self.cache.clone());
-            self.decoder = Some(Arc::new(decoder));
-            self.header = Some(*header);
+    /// Builds the decoder for `header` if none exists yet and returns a
+    /// handle to it. The decode paths use this instead of
+    /// [`DecodeSession::prime`]: they only read the decoder, and
+    /// `Arc::make_mut` would clone it whenever a drained pool ticket
+    /// still holds a transient reference — a timing-dependent
+    /// allocation the warm steady state must not have.
+    fn ensure_primed(&mut self, header: &FrameHeader) -> Result<Arc<Decoder>, CoreError> {
+        if let Some(decoder) = &self.decoder {
+            return Ok(Arc::clone(decoder));
         }
-        Ok(())
+        let mut decoder = Decoder::for_header(header)?;
+        decoder
+            .dictionary(self.dictionary)
+            .algorithm(self.algorithm)
+            .use_cache(self.cache.clone());
+        let decoder = Arc::new(decoder);
+        self.decoder = Some(Arc::clone(&decoder));
+        self.header = Some(*header);
+        Ok(decoder)
     }
 
     /// Direct access to the per-frame decoder, once primed.
@@ -693,30 +635,30 @@ impl DecodeSession {
             return Err(e.clone());
         }
         self.parser.push_bytes(bytes);
-        let mut out = Vec::new();
-        let mut jobs = Vec::new();
+        let mut groups = Vec::new();
         let parse_err = loop {
             match self.parser.next_event() {
                 Ok(None) => break None,
                 Err(e) => break Some(e),
-                Ok(Some(event)) => {
-                    if let Err(e) = self.handle_event(event, &mut out, &mut jobs) {
+                // Corruption totals are copied from the parser below;
+                // record loss shows up as sequence gaps.
+                Ok(Some(StreamEvent::Corrupt { .. })) => {}
+                Ok(Some(StreamEvent::Frame { seq, frame })) => {
+                    if let Err(e) = self.assemble(seq, frame, &mut groups) {
                         break Some(e);
                     }
                 }
             }
         };
-        // Tile groups completed by this chunk were buffered during the
-        // event loop and decode together here, so complete groups of
+        self.report.corrupt_events = self.parser.corrupt_events();
+        self.report.bytes_skipped = self.parser.bytes_skipped();
+        // Groups completed by this chunk decode together, so groups of
         // *different frames* pipeline across the pool. A decode error
         // outranks a parse error: its group sits earlier in the stream
         // than wherever parsing stopped.
-        let decode_err = match self.parser.tile_layout().cloned() {
-            Some(layout) if !jobs.is_empty() => self.decode_jobs(jobs, &layout, &mut out).err(),
-            _ => None,
-        };
-        self.report.corrupt_events = self.parser.corrupt_events();
-        self.report.bytes_skipped = self.parser.bytes_skipped();
+        let mut out = Vec::new();
+        let layout = self.parser.tile_layout().cloned();
+        let decode_err = self.decode_groups(groups, layout.as_ref(), &mut out).err();
         match decode_err.or(parse_err) {
             Some(e) if out.is_empty() => Err(e),
             Some(e) => {
@@ -727,129 +669,76 @@ impl DecodeSession {
         }
     }
 
-    /// Processes one parser event inside [`DecodeSession::push_bytes`]:
-    /// untiled frames decode (and land in `out`) immediately, while
-    /// completed tile groups are appended to `jobs` for the batched
-    /// decode after the event loop.
-    fn handle_event(
+    /// The assembler: files record `seq` into frame `seq / tiles`, slot
+    /// `seq % tiles`, and appends groups to `done` as they complete or
+    /// as the stream moves past them. Every stale, lost and re-anchor
+    /// count is made here.
+    fn assemble(
         &mut self,
-        event: StreamEvent,
-        out: &mut Vec<DecodedFrame>,
-        jobs: &mut Vec<GroupJob>,
+        seq: u64,
+        frame: CompressedFrame,
+        done: &mut Vec<Group>,
     ) -> Result<(), CoreError> {
-        let StreamEvent::Frame { seq, frame } = event else {
-            // Corruption totals are copied from the parser after the
-            // event loop; record loss is detected through sequence
-            // gaps.
-            return Ok(());
+        let tiles = match self.parser.tile_layout() {
+            Some(_) if self.delta.is_some() => {
+                return Err(CoreError::InvalidConfig(
+                    "delta mode is not supported for tiled streams (tiles are \
+                     recovered independently)"
+                        .into(),
+                ));
+            }
+            Some(layout) => layout.tiles(),
+            None => 1,
         };
-        let resilient = self.parser.wire_version() == Some(STREAM_VERSION_RESILIENT);
-        match self.parser.tile_layout().cloned() {
-            Some(layout) => {
-                if self.delta.is_some() {
-                    return Err(CoreError::InvalidConfig(
-                        "delta mode is not supported for tiled streams (tiles are \
-                         recovered independently)"
-                            .into(),
-                    ));
-                }
-                if resilient {
-                    self.push_resilient_tile(seq, frame, &layout, jobs);
-                } else {
-                    self.pending.push(frame);
-                    if self.pending.len() == layout.tiles() {
-                        let tiles = std::mem::take(&mut self.pending);
-                        // Earlier jobs of this same push haven't bumped
-                        // `decoded` yet; account for them in the index.
-                        let index = self.decoded + jobs.len();
-                        jobs.push(GroupJob {
-                            index,
-                            erased: 0,
-                            slots: tiles.into_iter().map(Some).collect(),
-                        });
-                    }
+        let (index, slot) = (seq as usize / tiles, seq as usize % tiles);
+        if index < self.floor || self.group.as_ref().is_some_and(|g| index < g.index) {
+            self.report.stale_records += 1;
+            return Ok(());
+        }
+        if self.group.as_ref().is_some_and(|g| index > g.index) {
+            // The stream moved on: stitch what we have.
+            done.extend(self.close_group());
+        }
+        let mut group = match self.group.take() {
+            Some(group) => group,
+            None => {
+                // Frames between the floor and this record lost every
+                // tile.
+                self.report.frames_lost += index - self.floor;
+                let reanchor = index > self.floor;
+                self.floor = index;
+                Group {
+                    index,
+                    reanchor,
+                    slots: vec![None; tiles],
                 }
             }
-            None if resilient => {
-                if seq < self.next_seq {
-                    self.report.stale_records += 1;
-                    return Ok(());
-                }
-                if seq > self.next_seq {
-                    self.report.frames_lost += (seq - self.next_seq) as usize;
-                    if self.delta.is_some() {
-                        self.reanchor = true;
-                    }
-                }
-                self.next_seq = seq + 1;
-                out.push(self.decode_indexed(&frame, seq as usize)?);
-            }
-            None => out.push(self.decode(&frame)?),
+        };
+        if group.slots[slot].is_some() {
+            self.report.stale_records += 1;
+        } else {
+            group.slots[slot] = Some(frame);
+        }
+        if group.slots.iter().all(Option::is_some) {
+            self.floor = index + 1;
+            done.push(group);
+        } else {
+            self.group = Some(group);
         }
         Ok(())
     }
 
-    /// Routes one resilient tiled record into its group slot, flushing
-    /// groups (into `jobs`) as they complete or as the stream moves
-    /// past them.
-    fn push_resilient_tile(
-        &mut self,
-        seq: u64,
-        frame: CompressedFrame,
-        layout: &TileLayout,
-        jobs: &mut Vec<GroupJob>,
-    ) {
-        let tiles = layout.tiles();
-        let frame_idx = seq as usize / tiles;
-        let tile_idx = seq as usize % tiles;
-        if frame_idx < self.group_floor || self.group_idx.is_some_and(|g| frame_idx < g) {
-            self.report.stale_records += 1;
-            return;
-        }
-        if let Some(current) = self.group_idx {
-            if frame_idx > current {
-                // The stream moved on: stitch what we have.
-                jobs.extend(self.flush_group(layout));
-            }
-        }
-        if self.group_idx.is_none() {
-            // Frames between the floor and this record lost every tile.
-            self.report.frames_lost += frame_idx - self.group_floor;
-            self.group_floor = frame_idx;
-            self.group_idx = Some(frame_idx);
-            self.slots.clear();
-            self.slots.resize(tiles, None);
-        }
-        if self.slots[tile_idx].is_some() {
-            self.report.stale_records += 1;
-        } else {
-            self.slots[tile_idx] = Some(frame);
-            if self.slots.iter().all(Option::is_some) {
-                jobs.extend(self.flush_group(layout));
-            }
-        }
-    }
-
-    /// Closes the in-progress tile group into a decode job, or drops it
-    /// (strict policy / nothing survived), keeping the tile-level
-    /// report accounting here so counters reflect stream order even
-    /// though the solve happens later in [`DecodeSession::decode_jobs`].
-    fn flush_group(&mut self, layout: &TileLayout) -> Option<GroupJob> {
-        let frame_idx = self.group_idx.take()?;
-        self.group_floor = frame_idx + 1;
-        let total = layout.tiles();
-        let present = self.slots.iter().flatten().count();
-        if present == 0 || (self.policy == ErasurePolicy::Strict && present < total) {
+    /// Closes the group in progress, moving the floor past it. A partial
+    /// group the strict policy refuses is dropped and its frame counted
+    /// lost.
+    fn close_group(&mut self) -> Option<Group> {
+        let group = self.group.take()?;
+        self.floor = group.index + 1;
+        if self.policy == ErasurePolicy::Strict && group.slots.iter().any(Option::is_none) {
             self.report.frames_lost += 1;
             return None;
         }
-        self.report.tiles_recovered += present;
-        self.report.tiles_erased += total - present;
-        Some(GroupJob {
-            index: frame_idx,
-            erased: total - present,
-            slots: std::mem::take(&mut self.slots),
-        })
+        Some(group)
     }
 
     /// Decodes one frame directly, bypassing the stream container (for
@@ -863,165 +752,107 @@ impl DecodeSession {
     /// Returns [`CoreError::FrameMismatch`] if the frame does not match
     /// the session, plus any recovery error.
     pub fn push_frame(&mut self, frame: &CompressedFrame) -> Result<DecodedFrame, CoreError> {
-        self.decode(frame)
+        let group = Group {
+            index: self.decoded,
+            reanchor: false,
+            slots: vec![Some(frame.clone())],
+        };
+        let mut out = Vec::with_capacity(1);
+        self.decode_groups(vec![group], None, &mut out)?;
+        out.pop()
+            .ok_or_else(|| CoreError::InvalidConfig("frame produced no decode".into()))
     }
 
-    /// Picks the execution route for this session's tiled decodes.
-    /// Nested use — a session decoding *on* a pool worker, e.g. a
-    /// batch stream job — runs serially on the worker's own warm
-    /// workspace instead of re-entering the pool.
-    fn tile_route(&self) -> TileRoute {
-        if self.threads <= 1 {
-            TileRoute::Serial
-        } else if self.executor == DecodeExecutor::SpawnPerCall {
-            TileRoute::Spawn
-        } else if pool::is_worker_thread() {
-            TileRoute::Serial
-        } else {
-            TileRoute::Pool
-        }
+    /// Whether closed groups decode on the pool: more than one executor
+    /// asked for, outside delta mode, and not already on a pool worker
+    /// (a nested map would run inline anyway, on a colder workspace).
+    fn pooled(&self) -> bool {
+        self.threads > 1 && self.delta.is_none() && !pool::is_worker_thread()
     }
 
-    /// Decodes buffered tile groups in stream order, appending the
-    /// stitched frames to `out`. On the pooled route the tiles of
-    /// *every* group fan out across the pool in one map — so a push
-    /// that completed several frames pipelines them — while stitching
-    /// and report accounting stay sequential in stream order, keeping
-    /// output and counters bit-identical to group-at-a-time decoding.
+    /// The group decoder: solves every tile of `groups` — inline, or in
+    /// one pool map — then emits the frames in stream order, stitched
+    /// on `layout` when the stream is tiled. A one-tile untiled group
+    /// emits its tile's reconstruction untouched.
     ///
-    /// On a tile decode error the frames stitched before it stay in
+    /// On a tile decode error the frames emitted before it stay in
     /// `out` (the caller defers the error per the push contract) and
     /// later groups are dropped with the session's sticky error.
-    fn decode_jobs(
+    fn decode_groups(
         &mut self,
-        jobs: Vec<GroupJob>,
-        layout: &TileLayout,
+        groups: Vec<Group>,
+        layout: Option<&TileLayout>,
         out: &mut Vec<DecodedFrame>,
     ) -> Result<(), CoreError> {
-        let route = self.tile_route();
-        if route == TileRoute::Pool {
-            return self.decode_jobs_pooled(jobs, layout, out);
-        }
-        for job in jobs {
-            let decoded = self.decode_group(job, layout, route)?;
-            out.push(decoded);
-        }
-        Ok(())
-    }
-
-    /// Decodes one tile group on the serial or spawn-per-call route.
-    fn decode_group(
-        &mut self,
-        job: GroupJob,
-        layout: &TileLayout,
-        route: TileRoute,
-    ) -> Result<DecodedFrame, CoreError> {
-        let GroupJob {
-            index,
-            erased,
-            slots,
-        } = job;
-        let Some(first) = slots.iter().flatten().next() else {
-            return Err(CoreError::InvalidConfig(
-                "tile group has no surviving tile".into(),
-            ));
+        let Some(header) = groups
+            .iter()
+            .flat_map(|g| g.slots.iter().flatten())
+            .map(|frame| frame.header)
+            .next()
+        else {
+            return Ok(());
         };
-        self.ensure_primed(&first.header)?;
-        let Some(decoder) = self.decoder.clone() else {
-            return Err(CoreError::InvalidConfig(
-                "decode session has no primed decoder".into(),
-            ));
-        };
-        let recons: Vec<Option<Result<Reconstruction, CoreError>>> = if route == TileRoute::Spawn {
-            par_map(self.threads, &slots, |_, slot| {
-                slot.as_ref().map(|frame| {
-                    let mut workspace = SolverWorkspace::default();
-                    decoder.reconstruct_with(frame, &mut workspace)
-                })
+        let decoder = self.ensure_primed(&header)?;
+        if let Some(delta) = self.delta {
+            for group in groups {
+                out.push(self.decode_delta_group(group, &decoder, delta)?);
+            }
+            return Ok(());
+        }
+        let tiles = layout.map_or(1, TileLayout::tiles);
+        let heads: Vec<(usize, usize)> = groups
+            .iter()
+            .map(|g| (g.index, g.slots.iter().filter(|s| s.is_none()).count()))
+            .collect();
+        // Every slot of every group, erased ones included, in stream
+        // order: the map hands results back in input order.
+        let slots: Vec<Option<CompressedFrame>> =
+            groups.into_iter().flat_map(|g| g.slots).collect();
+        let solved: Vec<Option<Result<Reconstruction, CoreError>>> = if self.pooled() {
+            let key = scratch_key(&header);
+            WorkerPool::global().map(self.threads, slots, move |_, slot, s| {
+                let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
+                slot.map(|frame| decoder.reconstruct_with(&frame, workspace))
             })
         } else {
-            // Inline: reuse the session workspace across tiles (the
+            // Inline: the session workspace serves every tile (the
             // workspace never changes results, only allocations).
             let workspace = &mut self.workspace;
             slots
-                .iter()
-                .map(|slot| {
-                    slot.as_ref()
-                        .map(|frame| decoder.reconstruct_with(frame, workspace))
-                })
+                .into_iter()
+                .map(|slot| slot.map(|frame| decoder.reconstruct_with(&frame, workspace)))
                 .collect()
         };
-        let mut solved = Vec::with_capacity(recons.len());
-        for recon in recons {
-            solved.push(recon.transpose()?);
-        }
-        Ok(self.emit_group(index, erased, &solved, layout))
-    }
-
-    /// Decodes tile groups on the persistent pool: all present tiles of
-    /// all groups flatten into one task list, so one map exploits both
-    /// tile- and frame-level parallelism; each executor solves on its
-    /// sticky per-geometry workspace (zero allocation once warm).
-    fn decode_jobs_pooled(
-        &mut self,
-        mut jobs: Vec<GroupJob>,
-        layout: &TileLayout,
-        out: &mut Vec<DecodedFrame>,
-    ) -> Result<(), CoreError> {
-        let Some(first) = jobs.iter().flat_map(|j| j.slots.iter().flatten()).next() else {
-            return Err(CoreError::InvalidConfig(
-                "tile group has no surviving tile".into(),
-            ));
-        };
-        let key = scratch_key(&first.header);
-        self.ensure_primed(&first.header)?;
-        let Some(decoder) = self.decoder.clone() else {
-            return Err(CoreError::InvalidConfig(
-                "decode session has no primed decoder".into(),
-            ));
-        };
-        let tiles_per = layout.tiles();
-        let mut items: Vec<(usize, CompressedFrame)> = Vec::new();
-        for (j, job) in jobs.iter_mut().enumerate() {
-            for (t, slot) in job.slots.iter_mut().enumerate() {
-                if let Some(frame) = slot.take() {
-                    items.push((j * tiles_per + t, frame));
-                }
-            }
-        }
-        let solved = WorkerPool::global().map(self.threads, items, move |_, (slot, frame), s| {
-            let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
-            (slot, decoder.reconstruct_with(&frame, workspace))
-        });
-        let mut recons: Vec<Option<Result<Reconstruction, CoreError>>> = Vec::new();
-        recons.resize_with(jobs.len() * tiles_per, || None);
-        for (slot, result) in solved {
-            recons[slot] = Some(result);
-        }
-        for (j, job) in jobs.into_iter().enumerate() {
-            let mut group = Vec::with_capacity(tiles_per);
-            for recon in recons[j * tiles_per..(j + 1) * tiles_per]
-                .iter_mut()
-                .map(Option::take)
-            {
-                group.push(recon.transpose()?);
-            }
-            out.push(self.emit_group(job.index, job.erased, &group, layout));
+        let mut solved = solved.into_iter();
+        for (index, erased) in heads {
+            let group = solved
+                .by_ref()
+                .take(tiles)
+                .map(Option::transpose)
+                .collect::<Result<Vec<_>, _>>()?;
+            let reconstruction = match layout {
+                Some(layout) => stitch_group(&group, layout, self.policy),
+                None => group.into_iter().flatten().next().ok_or_else(|| {
+                    CoreError::InvalidConfig("tile group has no surviving tile".into())
+                })?,
+            };
+            out.push(self.emit(index, true, erased, tiles, reconstruction));
         }
         Ok(())
     }
 
-    /// Stitches one solved group and applies the frame-level
-    /// accounting, in stream order.
-    fn emit_group(
+    /// Books one decoded frame in the report.
+    fn emit(
         &mut self,
         index: usize,
+        is_key: bool,
         erased: usize,
-        recons: &[Option<Reconstruction>],
-        layout: &TileLayout,
+        tiles: usize,
+        reconstruction: Reconstruction,
     ) -> DecodedFrame {
-        let reconstruction = stitch_group(recons, layout, self.policy);
         self.decoded += 1;
+        self.report.tiles_recovered += tiles - erased;
+        self.report.tiles_erased += erased;
         if erased == 0 {
             self.report.frames_recovered += 1;
         } else {
@@ -1029,7 +860,7 @@ impl DecodeSession {
         }
         DecodedFrame {
             index,
-            is_key: true,
+            is_key,
             erased_tiles: erased,
             reconstruction,
         }
@@ -1037,27 +868,22 @@ impl DecodeSession {
 
     /// Warms the decode executors for `frame`'s geometry: primes the
     /// decoder (operator-cache build) and runs one solve of `frame` on
-    /// every executor a pooled tiled decode would use — the calling
-    /// thread plus `threads − 1` distinct pool workers — so each
-    /// acquires its sticky per-geometry [`SolverWorkspace`]. After a
-    /// prewarm, steady-state pooled decodes of same-geometry streams
-    /// spawn no threads and allocate nothing.
+    /// every executor a pooled decode would use — the calling thread
+    /// plus `threads − 1` distinct pool workers — so each acquires its
+    /// sticky per-geometry [`SolverWorkspace`]. After a prewarm,
+    /// steady-state pooled decodes of same-geometry streams spawn no
+    /// threads and allocate nothing.
     ///
-    /// Serial (and nested / spawn-per-call) configurations warm the
-    /// session's own workspace instead. Solve failures while warming
-    /// are ignored — warming is best-effort and never changes results.
+    /// Inline configurations warm the session's own workspace instead.
+    /// Solve failures while warming are ignored — warming is
+    /// best-effort and never changes results.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::MalformedFrame`] for a degenerate header.
     pub fn prewarm(&mut self, frame: &CompressedFrame) -> Result<(), CoreError> {
-        self.ensure_primed(&frame.header)?;
-        let Some(decoder) = self.decoder.clone() else {
-            return Err(CoreError::InvalidConfig(
-                "decode session has no primed decoder".into(),
-            ));
-        };
-        if self.tile_route() == TileRoute::Pool {
+        let decoder = self.ensure_primed(&frame.header)?;
+        if self.pooled() {
             let key = scratch_key(&frame.header);
             let frame = frame.clone();
             WorkerPool::global().broadcast(self.threads, move |s| {
@@ -1070,18 +896,21 @@ impl DecodeSession {
         Ok(())
     }
 
-    fn decode(&mut self, frame: &CompressedFrame) -> Result<DecodedFrame, CoreError> {
-        let index = self.decoded;
-        self.decode_indexed(frame, index)
-    }
-
-    fn decode_indexed(
+    /// Decodes a one-tile group in delta mode, on the caller: a key
+    /// frame runs full recovery, any other frame recovers the change
+    /// from the previous one.
+    fn decode_delta_group(
         &mut self,
-        frame: &CompressedFrame,
-        index: usize,
+        group: Group,
+        decoder: &Decoder,
+        delta: DeltaMode,
     ) -> Result<DecodedFrame, CoreError> {
-        self.ensure_primed(&frame.header)?;
-        if std::mem::take(&mut self.reanchor) {
+        let Some(frame) = group.slots.into_iter().flatten().next() else {
+            return Err(CoreError::InvalidConfig(
+                "tile group has no surviving tile".into(),
+            ));
+        };
+        if group.reanchor {
             // A gap swallowed the frame the next delta would chain
             // from: drop the chain and re-anchor with full recovery.
             self.prev_samples = None;
@@ -1089,8 +918,8 @@ impl DecodeSession {
             self.frames_since_key = 0;
             self.report.reanchors += 1;
         }
-        let is_key = match (&self.delta, &self.prev_samples) {
-            (Some(delta), Some(prev)) => {
+        let is_key = match &self.prev_samples {
+            Some(prev) => {
                 if self.header.as_ref() != Some(&frame.header) || prev.len() != frame.samples.len()
                 {
                     return Err(CoreError::FrameMismatch(
@@ -1099,51 +928,38 @@ impl DecodeSession {
                 }
                 delta.keyframe_interval > 0 && self.frames_since_key >= delta.keyframe_interval
             }
-            _ => true,
+            None => true,
         };
         let reconstruction = if is_key {
-            let Some(decoder) = self.decoder.as_ref() else {
-                return Err(CoreError::InvalidConfig(
-                    "decode session has no primed decoder".into(),
-                ));
-            };
-            let recon = decoder.reconstruct_with(frame, &mut self.workspace)?;
+            let recon = decoder.reconstruct_with(&frame, &mut self.workspace)?;
             self.frames_since_key = 0;
             self.last_mean = recon.mean_code();
             recon
         } else {
-            self.decode_delta(frame)?
+            let recon = self.decode_delta(&frame, decoder, delta)?;
+            self.frames_since_key += 1;
+            recon
         };
-        if self.delta.is_some() {
-            if !is_key {
-                self.frames_since_key += 1;
-            }
-            self.prev_samples = Some(frame.samples.clone());
-            self.prev_codes = Some(reconstruction.code_image().clone());
-        }
-        self.decoded += 1;
-        self.report.frames_recovered += 1;
-        Ok(DecodedFrame {
-            index,
-            is_key,
-            erased_tiles: 0,
-            reconstruction,
-        })
+        self.prev_codes = Some(reconstruction.code_image().clone());
+        self.prev_samples = Some(frame.samples);
+        Ok(self.emit(group.index, is_key, 0, 1, reconstruction))
     }
 
     /// Delta recovery: `y_t − y_{t−1} = Φ(x_t − x_{t−1})`, solved
     /// pixel-sparse (IHT, identity dictionary) against the previous
     /// reconstruction. Same seed ⇒ same Φ, so the operator comes warm
     /// from the cache.
-    fn decode_delta(&mut self, frame: &CompressedFrame) -> Result<Reconstruction, CoreError> {
-        let (Some(prev_samples), Some(prev_codes), Some(delta), Some(decoder)) = (
-            self.prev_samples.as_ref(),
-            self.prev_codes.as_ref(),
-            self.delta,
-            self.decoder.as_ref(),
-        ) else {
+    fn decode_delta(
+        &mut self,
+        frame: &CompressedFrame,
+        decoder: &Decoder,
+        delta: DeltaMode,
+    ) -> Result<Reconstruction, CoreError> {
+        let (Some(prev_samples), Some(prev_codes)) =
+            (self.prev_samples.as_ref(), self.prev_codes.as_ref())
+        else {
             return Err(CoreError::InvalidConfig(
-                "delta decode needs a primed decoder, delta mode, and a previous frame".into(),
+                "delta decode needs a previous frame".into(),
             ));
         };
         let dy: Vec<f64> = frame

@@ -188,11 +188,11 @@ fn blend_from_wire(byte: u8) -> Result<BlendMode, CoreError> {
     }
 }
 
-/// Serializes a stream header.
-fn header_bytes(h: &FrameHeader) -> [u8; STREAM_HEADER_BYTES] {
+/// Serializes the base stream header for container `version`.
+fn header_bytes(h: &FrameHeader, version: u8) -> [u8; STREAM_HEADER_BYTES] {
     let mut out = [0u8; STREAM_HEADER_BYTES];
     out[0..4].copy_from_slice(&STREAM_MAGIC);
-    out[4] = STREAM_VERSION;
+    out[4] = version;
     out[5..7].copy_from_slice(&h.rows.to_le_bytes());
     out[7..9].copy_from_slice(&h.cols.to_le_bytes());
     out[9] = h.code_bits;
@@ -202,13 +202,49 @@ fn header_bytes(h: &FrameHeader) -> [u8; STREAM_HEADER_BYTES] {
     out
 }
 
+/// Serializes the 7-byte tile extension of a tiled header, checking
+/// that `header` describes one of `layout`'s tiles and that the frame
+/// fits the wire format's `u16` axes.
+fn tile_extension(header: &FrameHeader, layout: &TileLayout) -> Result<[u8; 7], CoreError> {
+    if header.rows as usize != layout.tile_height() || header.cols as usize != layout.tile_width() {
+        return Err(CoreError::InvalidConfig(format!(
+            "stream header {}×{} does not match tile {}×{}",
+            header.rows,
+            header.cols,
+            layout.tile_height(),
+            layout.tile_width()
+        )));
+    }
+    let frame = layout.frame();
+    let axis = |n: usize| {
+        u16::try_from(n).map_err(|_| {
+            CoreError::InvalidConfig(format!(
+                "frame {}×{} exceeds the wire format's 65535-pixel axis limit",
+                frame.width(),
+                frame.height()
+            ))
+        })
+    };
+    let (w, h, overlap) = (
+        axis(frame.width())?,
+        axis(frame.height())?,
+        layout.overlap() as u16,
+    );
+    let mut ext = [0u8; 7];
+    ext[0..2].copy_from_slice(&w.to_le_bytes());
+    ext[2..4].copy_from_slice(&h.to_le_bytes());
+    ext[4..6].copy_from_slice(&overlap.to_le_bytes());
+    ext[6] = blend_to_wire(layout.blend());
+    Ok(ext)
+}
+
 /// Incremental writer producing one contiguous wire stream.
 ///
 /// # Examples
 ///
 /// ```
 /// use tepics_core::frame::{CompressedFrame, FrameHeader};
-/// use tepics_core::stream::{StreamParser, StreamWriter};
+/// use tepics_core::stream::{StreamParser, StreamWriter, WireProfile};
 /// use tepics_core::StrategyKind;
 ///
 /// let header = FrameHeader {
@@ -219,7 +255,7 @@ fn header_bytes(h: &FrameHeader) -> [u8; STREAM_HEADER_BYTES] {
 ///     strategy: StrategyKind::rule30(32),
 ///     seed: 99,
 /// };
-/// let mut writer = StreamWriter::new(header).unwrap();
+/// let mut writer = StreamWriter::new(header, None, WireProfile::Compact).unwrap();
 /// writer.push_samples(&[1, 2, 3]).unwrap();
 /// writer.push_samples(&[4, 5]).unwrap();
 ///
@@ -239,141 +275,63 @@ pub struct StreamWriter {
 }
 
 impl StreamWriter {
-    /// Opens a version-1 stream for frames matching `header`, writing
-    /// the stream header immediately.
+    /// Opens a stream for frames matching `header`, writing the stream
+    /// header immediately. The container follows from `layout` and
+    /// `profile`:
+    ///
+    /// | profile                   | untiled   | tiled     |
+    /// |---------------------------|-----------|-----------|
+    /// | [`WireProfile::Compact`]  | version 1 | version 2 |
+    /// | [`WireProfile::Resilient`]| version 3 | version 3 |
+    ///
+    /// A tiled stream's `header` describes one tile and must match the
+    /// layout's tile dimensions; each captured frame then contributes
+    /// `layout.tiles()` records in row-major tile order. On a resilient
+    /// stream every record is CRC-8-guarded and sequence-numbered
+    /// (`seq = frame × layout.tiles() + tile` when tiled), and a
+    /// [`SYNC_WORD`] precedes every [`SYNC_INTERVAL`]-th record so a
+    /// parser can recover from corruption mid-stream.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::MalformedFrame`] for degenerate headers
-    /// (zero dimensions, bit widths outside their ranges).
-    pub fn new(header: FrameHeader) -> Result<StreamWriter, CoreError> {
-        validate_header(&header)?;
-        Ok(StreamWriter {
-            header,
-            buf: header_bytes(&header).to_vec(),
-            frames: 0,
-            layout: None,
-            version: STREAM_VERSION,
-        })
-    }
-
-    /// Opens a resilient (version-3) untiled stream: every record is
-    /// CRC-8-guarded and sequence-numbered, and a [`SYNC_WORD`]
-    /// precedes every [`SYNC_INTERVAL`]-th record so a parser can
-    /// recover from corruption mid-stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the header errors of [`StreamWriter::new`].
-    pub fn new_resilient(header: FrameHeader) -> Result<StreamWriter, CoreError> {
-        validate_header(&header)?;
-        let mut buf = header_bytes(&header).to_vec();
-        buf[4] = STREAM_VERSION_RESILIENT;
-        buf.push(0); // flags: untiled
-        buf.push(crc8(&buf));
-        Ok(StreamWriter {
-            header,
-            buf,
-            frames: 0,
-            layout: None,
-            version: STREAM_VERSION_RESILIENT,
-        })
-    }
-
-    /// Opens a resilient (version-3) **tiled** stream: the record
-    /// protection of [`StreamWriter::new_resilient`] plus the tile
-    /// extension of [`StreamWriter::new_tiled`]. Record sequence
-    /// numbers map to tiles as `seq = frame × layout.tiles() + tile`,
-    /// so a receiver can attribute every gap to specific tiles.
-    ///
-    /// # Errors
-    ///
-    /// Returns the errors of [`StreamWriter::new_tiled`].
-    pub fn new_resilient_tiled(
-        header: FrameHeader,
-        layout: &TileLayout,
-    ) -> Result<StreamWriter, CoreError> {
-        let mut writer = StreamWriter::new_tiled(header, layout)?;
-        writer.buf[4] = STREAM_VERSION_RESILIENT;
-        // Rebuild the tail as flags + ext + CRC: new_tiled laid out
-        // [base 23 | ext 7]; the resilient layout is
-        // [base 23 | flags 1 | ext 7 | crc 1].
-        let ext: [u8; 7] = writer.buf[STREAM_HEADER_BYTES..STREAM_HEADER_BYTES + 7]
-            .try_into()
-            .map_err(|_| CoreError::InvalidConfig("tile extension layout".into()))?;
-        writer.buf.truncate(STREAM_HEADER_BYTES);
-        writer.buf.push(RESILIENT_FLAG_TILED);
-        writer.buf.extend_from_slice(&ext);
-        writer.buf.push(crc8(&writer.buf));
-        writer.version = STREAM_VERSION_RESILIENT;
-        Ok(writer)
-    }
-
-    /// Opens a stream for `profile`: [`WireProfile::Compact`] maps to
-    /// [`StreamWriter::new`]/[`new_tiled`](StreamWriter::new_tiled)
-    /// (version 1 or 2 by tiling), [`WireProfile::Resilient`] to the
-    /// version-3 constructors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the errors of the underlying constructor.
-    pub fn for_profile(
+    /// (zero dimensions, bit widths outside their ranges), or
+    /// [`CoreError::InvalidConfig`] if a tiled `header` is not the
+    /// layout's tile geometry or the frame dimensions exceed the wire
+    /// format's `u16` fields.
+    pub fn new(
         header: FrameHeader,
         layout: Option<&TileLayout>,
         profile: WireProfile,
     ) -> Result<StreamWriter, CoreError> {
-        match (profile, layout) {
-            (WireProfile::Compact, None) => StreamWriter::new(header),
-            (WireProfile::Compact, Some(l)) => StreamWriter::new_tiled(header, l),
-            (WireProfile::Resilient, None) => StreamWriter::new_resilient(header),
-            (WireProfile::Resilient, Some(l)) => StreamWriter::new_resilient_tiled(header, l),
-        }
-    }
-
-    /// Opens a version-2 (tiled) stream: `header` describes one tile
-    /// and must match `layout`'s tile dimensions; the tile extension is
-    /// written immediately after the base header. Each captured frame
-    /// contributes `layout.tiles()` records, in row-major tile order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the header errors of [`StreamWriter::new`], or
-    /// [`CoreError::InvalidConfig`] if `header`'s geometry is not the
-    /// layout's tile geometry or the frame dimensions exceed the wire
-    /// format's `u16` fields.
-    pub fn new_tiled(header: FrameHeader, layout: &TileLayout) -> Result<StreamWriter, CoreError> {
         validate_header(&header)?;
-        if header.rows as usize != layout.tile_height()
-            || header.cols as usize != layout.tile_width()
-        {
-            return Err(CoreError::InvalidConfig(format!(
-                "stream header {}×{} does not match tile {}×{}",
-                header.rows,
-                header.cols,
-                layout.tile_height(),
-                layout.tile_width()
-            )));
+        let resilient = profile == WireProfile::Resilient;
+        let version = match (resilient, layout) {
+            (true, _) => STREAM_VERSION_RESILIENT,
+            (false, Some(_)) => STREAM_VERSION_TILED,
+            (false, None) => STREAM_VERSION,
+        };
+        // [base 23 | flags 1 (v3) | tile extension 7 (tiled) | CRC-8 (v3)]
+        let mut buf = header_bytes(&header, version).to_vec();
+        if resilient {
+            buf.push(if layout.is_some() {
+                RESILIENT_FLAG_TILED
+            } else {
+                0
+            });
         }
-        let frame = layout.frame();
-        if frame.width() > u16::MAX as usize || frame.height() > u16::MAX as usize {
-            return Err(CoreError::InvalidConfig(format!(
-                "frame {}×{} exceeds the wire format's 65535-pixel axis limit",
-                frame.width(),
-                frame.height()
-            )));
+        if let Some(layout) = layout {
+            buf.extend_from_slice(&tile_extension(&header, layout)?);
         }
-        let mut buf = header_bytes(&header).to_vec();
-        buf[4] = STREAM_VERSION_TILED;
-        buf.extend_from_slice(&(frame.width() as u16).to_le_bytes());
-        buf.extend_from_slice(&(frame.height() as u16).to_le_bytes());
-        buf.extend_from_slice(&(layout.overlap() as u16).to_le_bytes());
-        buf.push(blend_to_wire(layout.blend()));
+        if resilient {
+            buf.push(crc8(&buf));
+        }
         Ok(StreamWriter {
             header,
             buf,
             frames: 0,
-            layout: Some(layout.clone()),
-            version: STREAM_VERSION_TILED,
+            layout: layout.cloned(),
+            version,
         })
     }
 
@@ -1023,7 +981,7 @@ mod tests {
     #[test]
     fn stream_roundtrips_all_frames() {
         let frames = frames(5, 90);
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         for f in &frames {
             writer.push_frame(f).unwrap();
         }
@@ -1044,7 +1002,7 @@ mod tests {
     #[test]
     fn parser_handles_arbitrary_chunking() {
         let frames = frames(3, 40);
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         for f in &frames {
             writer.push_frame(f).unwrap();
         }
@@ -1065,7 +1023,7 @@ mod tests {
     #[test]
     fn stream_overhead_beats_repeated_frame_headers() {
         let frames = frames(4, 64);
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         let mut frame_codec_bits = 0usize;
         for f in &frames {
             writer.push_frame(f).unwrap();
@@ -1087,7 +1045,7 @@ mod tests {
 
     #[test]
     fn frames_may_vary_in_sample_count() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[1, 2, 3, 4, 5]).unwrap();
         writer.push_samples(&[6]).unwrap();
         let mut parser = StreamParser::new();
@@ -1098,7 +1056,7 @@ mod tests {
 
     #[test]
     fn writer_rejects_foreign_and_degenerate_frames() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         let mut foreign = frames(1, 10).remove(0);
         foreign.header.seed ^= 1;
         assert!(matches!(
@@ -1113,7 +1071,7 @@ mod tests {
 
     #[test]
     fn corrupt_streams_fail_sticky_and_clean() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[7, 8, 9]).unwrap();
         let good = writer.into_bytes();
 
@@ -1161,7 +1119,8 @@ mod tests {
     #[test]
     fn tiled_stream_roundtrips_layout_and_records() {
         let layout = tiled_layout();
-        let mut writer = StreamWriter::new_tiled(tiled_header(), &layout).unwrap();
+        let mut writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Compact).unwrap();
         assert_eq!(writer.tile_layout(), Some(&layout));
         for t in 0..layout.tiles() {
             writer.push_samples(&[t as u32 + 1, 2, 3]).unwrap();
@@ -1184,7 +1143,7 @@ mod tests {
 
     #[test]
     fn version_one_streams_still_parse_without_a_layout() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[1, 2, 3]).unwrap();
         let bytes = writer.into_bytes();
         assert_eq!(bytes[4], STREAM_VERSION); // explicit wire check
@@ -1199,7 +1158,7 @@ mod tests {
         let mut h = tiled_header();
         h.rows = 8; // layout tiles are 16×16
         assert!(matches!(
-            StreamWriter::new_tiled(h, &tiled_layout()),
+            StreamWriter::new(h, Some(&tiled_layout()), WireProfile::Compact),
             Err(CoreError::InvalidConfig(_))
         ));
     }
@@ -1207,7 +1166,8 @@ mod tests {
     #[test]
     fn hostile_tile_extensions_are_malformed_not_panics() {
         let layout = tiled_layout();
-        let writer = StreamWriter::new_tiled(tiled_header(), &layout).unwrap();
+        let writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Compact).unwrap();
         let good = writer.into_bytes();
         let corrupt = |mutate: &dyn Fn(&mut Vec<u8>)| {
             let mut bad = good.clone();
@@ -1240,7 +1200,8 @@ mod tests {
     #[test]
     fn truncated_tiled_header_waits_for_the_extension() {
         let layout = tiled_layout();
-        let mut writer = StreamWriter::new_tiled(tiled_header(), &layout).unwrap();
+        let mut writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Compact).unwrap();
         writer.push_samples(&[1]).unwrap();
         let bytes = writer.into_bytes();
         let mut parser = StreamParser::new();
@@ -1255,7 +1216,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_waits_instead_of_failing() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[1, 2, 3]).unwrap();
         let bytes = writer.into_bytes();
         let mut parser = StreamParser::new();
@@ -1269,7 +1230,7 @@ mod tests {
 
     fn resilient_bytes(n: usize, k: usize) -> (Vec<CompressedFrame>, Vec<u8>) {
         let frames = frames(n, k);
-        let mut writer = StreamWriter::new_resilient(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Resilient).unwrap();
         for f in &frames {
             writer.push_frame(f).unwrap();
         }
@@ -1306,8 +1267,8 @@ mod tests {
     #[test]
     fn resilient_clean_stream_decodes_identical_to_compact() {
         let frames = frames(10, 44);
-        let mut compact = StreamWriter::new(header()).unwrap();
-        let mut resilient = StreamWriter::new_resilient(header()).unwrap();
+        let mut compact = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
+        let mut resilient = StreamWriter::new(header(), None, WireProfile::Resilient).unwrap();
         for f in &frames {
             compact.push_frame(f).unwrap();
             resilient.push_frame(f).unwrap();
@@ -1327,7 +1288,8 @@ mod tests {
     #[test]
     fn resilient_tiled_roundtrips_layout() {
         let layout = tiled_layout();
-        let mut writer = StreamWriter::new_resilient_tiled(tiled_header(), &layout).unwrap();
+        let mut writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Resilient).unwrap();
         for t in 0..layout.tiles() {
             writer.push_samples(&[t as u32 + 1, 9]).unwrap();
         }

@@ -196,7 +196,7 @@ fn frame_parser_survives_hostile_bytes() {
 #[test]
 fn stream_parser_survives_hostile_bytes() {
     use tepics::core::stream::{StreamParser, StreamWriter};
-    use tepics::core::CoreError;
+    use tepics::core::{CoreError, WireProfile};
     let mut rng = SplitMix64::new(0x57EA);
     let header = FrameHeader {
         rows: 16,
@@ -206,7 +206,7 @@ fn stream_parser_survives_hostile_bytes() {
         strategy: StrategyKind::rule30(64),
         seed: 0xFEED,
     };
-    let mut writer = StreamWriter::new(header).unwrap();
+    let mut writer = StreamWriter::new(header, None, WireProfile::Compact).unwrap();
     for _ in 0..3 {
         let k = 1 + rng.next_below(64) as usize;
         let samples: Vec<u32> = (0..k).map(|_| rng.next_below(1 << 16) as u32).collect();

@@ -2,7 +2,7 @@
 //! allocator proves that the warm **pooled** tiled-decode path — tiles
 //! fanned across the persistent worker pool — reaches an allocation
 //! steady state, extending the serial zero-alloc guarantee to the
-//! threaded path.
+//! threaded path. The same warm pushes must spawn no thread.
 //!
 //! Differences from `zero_alloc.rs` are deliberate:
 //!
@@ -25,6 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tepics::prelude::*;
+use tepics::util::parallel::thread_spawn_count;
 
 struct CountingAllocator;
 
@@ -67,7 +68,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// state: with the operator cache, the parser buffer, and every
 /// executor's sticky per-geometry workspace warm, consecutive
 /// frame-aligned pushes of the same frame cost the identical number of
-/// allocations — and stay bit-identical.
+/// allocations, spawn no thread, and stay bit-identical.
 #[test]
 fn warm_pooled_tiled_decode_reaches_allocation_steady_state() {
     let imager = CompressiveImager::builder_for(FrameGeometry::new(40, 28))
@@ -108,8 +109,14 @@ fn warm_pooled_tiled_decode_reaches_allocation_steady_state() {
     for i in 0..6 {
         assert_eq!(session.push_bytes(chunk(i)).unwrap().len(), 1);
     }
+    let spawns = thread_spawn_count();
     let (seventh, out_a) = count_allocs(|| session.push_bytes(chunk(6)).unwrap());
     let (eighth, out_b) = count_allocs(|| session.push_bytes(chunk(7)).unwrap());
+    assert_eq!(
+        thread_spawn_count() - spawns,
+        0,
+        "warm pooled decodes must not spawn threads"
+    );
     assert_eq!(
         out_a[0].reconstruction, out_b[0].reconstruction,
         "warm pooled decodes of the same frame must stay bit-identical"
