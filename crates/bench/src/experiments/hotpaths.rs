@@ -26,7 +26,9 @@ use std::time::Instant;
 use crate::report::{section, Table};
 use tepics_core::prelude::*;
 use tepics_cs::dictionary::ZeroMeanDictionary;
-use tepics_cs::{ComposedOperator, Dct2dDictionary, Dictionary, LinearOperator, XorMeasurement};
+use tepics_cs::{
+    ColumnMatrix, ComposedOperator, Dct2dDictionary, Dictionary, LinearOperator, XorMeasurement,
+};
 use tepics_imaging::Dct2d;
 use tepics_util::{simd, SplitMix64};
 
@@ -166,6 +168,59 @@ fn max_rel_dev(got: &[f64], want: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// The benchmark imager at `side`×`side`, ratio `ratio`, and its XOR
+/// measurement rebuilt from the imager's strategy and seed.
+fn imager_and_phi(side: usize, ratio: f64) -> (CompressiveImager, XorMeasurement) {
+    let imager = CompressiveImager::builder(side, side)
+        .ratio(ratio)
+        .seed(0x407B)
+        .fidelity(Fidelity::Functional)
+        .build()
+        .expect("hotpaths imager");
+    let mut source = imager
+        .strategy()
+        .build_source(2 * side, imager.seed())
+        .expect("hotpaths strategy");
+    let phi = XorMeasurement::from_source(side, side, source.as_mut(), imager.sample_count());
+    (imager, phi)
+}
+
+/// Worst per-column relative deviation of the decoder's column view
+/// (`ColumnMatrix::from_operator`, closed form for XOR × DC-pinned DCT)
+/// from the generic per-column build: synthesize each atom, apply Φ.
+/// The pinned DC column must be exactly zero on both sides.
+fn column_view_dev(side: usize, ratio: f64) -> f64 {
+    let (_, phi) = imager_and_phi(side, ratio);
+    let dict = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
+    let view = ColumnMatrix::from_operator(&ComposedOperator::new(&phi, &dict));
+    let mut unit = vec![0.0; dict.atoms()];
+    let mut worst = 0.0f64;
+    for j in 0..dict.atoms() {
+        unit[j] = 1.0;
+        let want = phi.apply_vec(&dict.synthesize_vec(&unit));
+        unit[j] = 0.0;
+        let got = view.column(j);
+        let diff = got
+            .iter()
+            .zip(&want)
+            .map(|(g, w)| (g - w).powi(2))
+            .sum::<f64>();
+        let norm = simd::dot4(&want, &want);
+        let dev = if norm == 0.0 {
+            // A zero reference column must come out exactly zero.
+            if got.iter().all(|&g| g == 0.0) {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            (diff / norm).sqrt()
+        };
+        worst = worst.max(dev);
+    }
+    worst
+}
+
 /// Measures the hot paths at `side`×`side`, ratio `ratio`. Also checks
 /// the fused composed kernels against the explicit two-pass reference
 /// and returns the worst relative deviation seen.
@@ -176,18 +231,8 @@ fn measure(side: usize, ratio: f64, reps: usize, sink: &mut f64) -> (Metrics, us
     let coeffs = dct.forward(scene.as_slice());
     let inv = time_median(reps, sink, || dct.inverse(&coeffs)[1]);
 
-    let imager = CompressiveImager::builder(side, side)
-        .ratio(ratio)
-        .seed(0x407B)
-        .fidelity(Fidelity::Functional)
-        .build()
-        .expect("hotpaths imager");
-    let k = imager.sample_count();
-    let mut source = imager
-        .strategy()
-        .build_source(2 * side, imager.seed())
-        .expect("hotpaths strategy");
-    let phi = XorMeasurement::from_source(side, side, source.as_mut(), k);
+    let (imager, phi) = imager_and_phi(side, ratio);
+    let k = phi.rows();
     let mut rng = SplitMix64::new(7);
     let x: Vec<f64> = (0..phi.cols()).map(|_| rng.next_f64() * 255.0).collect();
     let y: Vec<f64> = (0..phi.rows()).map(|_| rng.next_gaussian()).collect();
@@ -432,14 +477,17 @@ pub fn run() -> String {
 /// human-readable failures instead of timings-as-acceptance (CI boxes
 /// are too noisy for absolute thresholds). `measure` itself asserts
 /// that every warm decode is bit-identical to the cold one and checks
-/// the fused composed kernels against the explicit two-pass reference,
-/// so the fast paths are verified end to end on every PR.
+/// the fused composed kernels against the explicit two-pass reference;
+/// the smoke adds the closed-form column view against the generic
+/// per-column build (1e-12 relative per column), so the fast paths are
+/// verified end to end on every PR.
 /// (Thread-count determinism is already covered by the batch half of
 /// `--smoke`.)
 pub fn smoke() -> Result<String, Vec<String>> {
     let side = 16;
     let mut sink = 0.0;
     let (metrics, k, fused_dev) = measure(side, 0.35, 4, &mut sink);
+    let view_dev = column_view_dev(side, 0.35);
     let mut failures = Vec::new();
     for (key, v) in Metrics::KEYS.iter().zip(metrics.values()) {
         if !v.is_finite() || v <= 0.0 {
@@ -452,9 +500,14 @@ pub fn smoke() -> Result<String, Vec<String>> {
             "fused kernels deviate from two-pass reference: {fused_dev:e} > 1e-10"
         ));
     }
+    if view_dev.is_nan() || view_dev > 1e-12 {
+        failures.push(format!(
+            "closed-form column view deviates from per-column build: {view_dev:e} > 1e-12"
+        ));
+    }
     if failures.is_empty() {
         Ok(format!(
-            "hotpaths smoke: {side}×{side} K={k}: dct fwd {:.1}µs inv {:.1}µs, Φ apply {:.1}µs adj {:.1}µs, fused apply {:.1}µs adj {:.1}µs (dev {fused_dev:.1e}), warm decode {:.2}ms",
+            "hotpaths smoke: {side}×{side} K={k}: dct fwd {:.1}µs inv {:.1}µs, Φ apply {:.1}µs adj {:.1}µs, fused apply {:.1}µs adj {:.1}µs (dev {fused_dev:.1e}), column view dev {view_dev:.1e}, warm decode {:.2}ms",
             metrics.dct2d_forward_us,
             metrics.dct2d_inverse_us,
             metrics.phi_apply_us,

@@ -603,8 +603,10 @@ impl OperatorCache {
         if let Some(view) = cell.get() {
             return view.clone();
         }
-        // Materialization (cols forward applies) runs outside the map
-        // lock; the OnceLock keeps one view per key.
+        // Materialization runs outside the map lock (closed form for
+        // the XOR × DCT/identity compositions, one synthesis plus one
+        // forward apply per column for Haar); the OnceLock keeps one
+        // view per key.
         let view = cell.get_or_init(|| Arc::new(build())).clone();
         let bytes = ENTRY_OVERHEAD + view.bytes();
         let committed = {
@@ -622,12 +624,15 @@ impl OperatorCache {
 /// matrix per axis for non-power-of-two lengths, Haar keeps O(pixels)
 /// of level scratch, identity stores nothing.
 fn dict_bytes_estimate(kind: DictionaryKind, rows: usize, cols: usize) -> usize {
+    // The transform itself plus the dictionary's separable atom table
+    // (n² atom entries and n sums).
     let dct1d = |n: usize| {
-        if n.is_power_of_two() {
+        let transform = if n.is_power_of_two() {
             32 * n
         } else {
             8 * n * n
-        }
+        };
+        transform + 8 * (n * n + n)
     };
     match kind {
         DictionaryKind::Dct2d => dct1d(rows) + dct1d(cols),

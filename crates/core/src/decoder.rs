@@ -27,7 +27,8 @@ use crate::solver::{RecoveryParams, SolverKind};
 use crate::strategy::StrategyKind;
 use tepics_cs::colview::ColumnMatrix;
 use tepics_cs::dictionary::{
-    Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, ZeroMeanDictionary,
+    Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, SeparableFactors,
+    ZeroMeanDictionary,
 };
 use tepics_cs::measurement::SelectionMeasurement;
 use tepics_cs::op;
@@ -124,6 +125,14 @@ impl Dictionary for DictImpl {
             DictImpl::Dct(d) => d.row_staged(),
             DictImpl::Haar(d) => d.row_staged(),
             DictImpl::Id(d) => d.row_staged(),
+        }
+    }
+
+    fn separable(&self, width: usize, height: usize) -> Option<SeparableFactors<'_>> {
+        match self {
+            DictImpl::Dct(d) => d.separable(width, height),
+            DictImpl::Haar(d) => d.separable(width, height),
+            DictImpl::Id(d) => d.separable(width, height),
         }
     }
 }
@@ -369,13 +378,15 @@ impl Decoder {
         let a = ComposedOperator::new(phi.as_ref(), dict.as_ref())
             .with_scratch(workspace.take_composed());
         // Column-hungry solvers (OMP, CoSaMP) get the materialized Φ·Ψ
-        // view. With a cache it is built once per key and served warm;
-        // without one, the build (cols forward applies) would dominate a
-        // one-shot decode, so it is skipped where that cannot change the
-        // result: OMP only *reads* columns (view ≡ no-view bit for bit,
-        // property-tested), while CoSaMP's restricted least squares
-        // takes a different summation path through the view, so it must
-        // build cold too to keep warm decodes bit-identical to cold.
+        // view. With a cache it is built once per key and served warm.
+        // Without one, a one-shot decode skips the build where that
+        // cannot change the result: OMP only *reads* columns, and the
+        // composed operator's column_into computes each one exactly as
+        // the view build does (closed form for DCT/identity, synthesis
+        // plus apply for Haar), so view ≡ no-view bit for bit. CoSaMP's
+        // restricted least squares takes a different summation path
+        // through the view, so it must build cold too to keep warm
+        // decodes bit-identical to cold.
         let a = if self.algorithm.column_hungry() {
             match &self.cache {
                 Some(cache) => {

@@ -14,16 +14,39 @@
 //! attached view answers `column_view()` with it, and downstream
 //! consumers (the greedy solvers' column extraction, the restricted
 //! operator in `tepics-recovery`) switch to the materialized path when
-//! one is present. Materialized columns are built by the *same*
-//! [`column_into`](LinearOperator::column_into) computation the
-//! column-free path runs, so column *extraction* through a view is
-//! bit-identical to extraction without one; restricted `apply`/
-//! `apply_adjoint` through a view reassociate floating-point sums and
-//! may differ from the scatter path in the last bits (≤1e-10 relative —
-//! the same contract as the factorized XOR paths).
+//! one is present.
+//!
+//! # Closed-form XOR columns
+//!
+//! The build goes through [`LinearOperator::columns_into`]. For the
+//! paper's XOR measurement composed with a separable dictionary
+//! (2-D DCT, identity, either DC-pinned) no synthesis or `apply` runs
+//! at all. Pixel `(i, j)` enters sample `k` iff `r_ki ⊕ c_kj`, and
+//! `r ⊕ c = r + c − 2rc`, so for the atom `h_a ⊗ w_b`:
+//!
+//! ```text
+//! A[k, (a,b)] = P_ka·W_b + H_a·Q_kb − 2·P_ka·Q_kb
+//! P_ka = Σ_{i∈R_k} h_a[i],   Q_kb = Σ_{j∈C_k} w_b[j]
+//! ```
+//!
+//! with `H_a`, `W_b` the factor sums (see [`SeparableFactors`]). The
+//! bulk build tabulates `P` and `Q` once, O(K·(rows² + cols²)), then
+//! fills every entry with the formula, O(K·N), instead of N syntheses
+//! plus N forward applications. Without a view, [`ComposedOperator`]'s
+//! `column_into` computes one column through the *same* helpers in the
+//! same summation order, so column extraction with a view is
+//! bit-identical to extraction without one. Every other
+//! composition (Haar, dense or block measurements) keeps the generic
+//! path: one synthesis plus one `apply` per column, and extraction
+//! without a view runs that same computation. Either way restricted
+//! `apply`/`apply_adjoint` through a view reassociate floating-point
+//! sums and may differ from the scatter path in the last bits (≤1e-10
+//! relative — the same contract as the factorized XOR paths).
 //!
 //! [`ComposedOperator`]: crate::ComposedOperator
 
+use crate::dictionary::{AtomFactors, SeparableFactors};
+use crate::measurement::XorMeasurement;
 use crate::op::LinearOperator;
 
 /// A dense, column-major materialization of a linear operator.
@@ -55,10 +78,16 @@ pub struct ColumnMatrix {
 
 impl ColumnMatrix {
     /// Materializes every column of `a` through
-    /// [`LinearOperator::column_into`].
+    /// [`LinearOperator::columns_into`].
     ///
-    /// Cost is `cols` forward applications — a one-time build meant to
-    /// be memoized and amortized over many solves.
+    /// For an XOR measurement composed with a separable dictionary the
+    /// build is the closed form of the [module docs](self), a few
+    /// flops per entry; any other operator pays one
+    /// [`column_into`](LinearOperator::column_into) per column (a
+    /// synthesis plus a forward application for a composed operator).
+    /// Either way it is a one-time build meant to be memoized and
+    /// amortized over many solves, and its columns equal `a`'s own
+    /// `column_into` bit for bit.
     ///
     /// # Panics
     ///
@@ -67,9 +96,7 @@ impl ColumnMatrix {
         let (rows, cols) = (a.rows(), a.cols());
         assert!(rows > 0 && cols > 0, "degenerate operator");
         let mut data = vec![0.0; rows * cols];
-        for (j, col) in data.chunks_exact_mut(rows).enumerate() {
-            a.column_into(j, col);
-        }
+        a.columns_into(&mut data);
         ColumnMatrix { rows, cols, data }
     }
 
@@ -128,6 +155,113 @@ impl LinearOperator for ColumnMatrix {
     fn column_view(&self) -> Option<&ColumnMatrix> {
         Some(self)
     }
+}
+
+/// The closed-form columns of `Φ·Ψ` for an XOR measurement and a
+/// separable dictionary on the measurement's pixel grid (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct XorColumns<'a> {
+    phi: &'a XorMeasurement,
+    factors: SeparableFactors<'a>,
+}
+
+impl<'a> XorColumns<'a> {
+    /// Pairs a measurement with factors whose grid is the measurement's
+    /// `array_rows()`×`array_cols()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the factor lengths do not match that grid.
+    pub(crate) fn new(phi: &'a XorMeasurement, factors: SeparableFactors<'a>) -> Self {
+        assert_eq!(
+            factors.vertical.len(),
+            phi.array_rows(),
+            "vertical factor length"
+        );
+        assert_eq!(
+            factors.horizontal.len(),
+            phi.array_cols(),
+            "horizontal factor length"
+        );
+        XorColumns { phi, factors }
+    }
+
+    /// Vertical and horizontal factor indices of atom `j`.
+    fn split(&self, j: usize) -> (usize, usize) {
+        let width = self.factors.horizontal.len();
+        (j / width, j % width)
+    }
+
+    /// Column `j` of `Φ·Ψ`, one sample at a time.
+    // tidy:alloc-free
+    pub(crate) fn column_into(&self, j: usize, out: &mut [f64]) {
+        if self.factors.pinned == Some(j) {
+            out.fill(0.0);
+            return;
+        }
+        let (a, b) = self.split(j);
+        let SeparableFactors {
+            vertical,
+            horizontal,
+            ..
+        } = self.factors;
+        let (h, w) = (vertical.sum(a), horizontal.sum(b));
+        for (k, o) in out.iter_mut().enumerate() {
+            let p = vertical.selected_sum(a, self.phi.selected_rows(k));
+            let q = horizontal.selected_sum(b, self.phi.selected_cols(k));
+            *o = xor_entry(p, q, h, w);
+        }
+    }
+
+    /// Every column into the column-major `out`: the `P`/`Q` tables
+    /// first (transposed, so each atom's run over samples is
+    /// contiguous), then one [`xor_entry`] per element.
+    pub(crate) fn columns_into(&self, out: &mut [f64]) {
+        let k_count = self.phi.rows();
+        let SeparableFactors {
+            vertical,
+            horizontal,
+            pinned,
+        } = self.factors;
+        assert_eq!(
+            out.len(),
+            k_count * vertical.len() * horizontal.len(),
+            "output length mismatch"
+        );
+        let table = |f: AtomFactors<'_>, selection: fn(&XorMeasurement, usize) -> &[u32]| {
+            let mut t = vec![0.0; f.len() * k_count];
+            for (a, run) in t.chunks_exact_mut(k_count).enumerate() {
+                for (k, v) in run.iter_mut().enumerate() {
+                    *v = f.selected_sum(a, selection(self.phi, k));
+                }
+            }
+            t
+        };
+        let p = table(vertical, XorMeasurement::selected_rows);
+        let q = table(horizontal, XorMeasurement::selected_cols);
+        for (j, col) in out.chunks_exact_mut(k_count).enumerate() {
+            if pinned == Some(j) {
+                col.fill(0.0);
+                continue;
+            }
+            let (a, b) = self.split(j);
+            let (h, w) = (vertical.sum(a), horizontal.sum(b));
+            let p = &p[a * k_count..(a + 1) * k_count];
+            let q = &q[b * k_count..(b + 1) * k_count];
+            for ((o, &p), &q) in col.iter_mut().zip(p).zip(q) {
+                *o = xor_entry(p, q, h, w);
+            }
+        }
+    }
+}
+
+/// One entry of an XOR column: `P·W + H·Q − 2·P·Q`, the `r ⊕ c =
+/// r + c − 2rc` identity summed over the atom. Shared by the bulk and
+/// the per-column paths so both round identically.
+#[inline(always)]
+fn xor_entry(p: f64, q: f64, h: f64, w: f64) -> f64 {
+    p * w + h * q - 2.0 * p * q
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! only the zero-mean component through Ψ — see `tepics-core`'s decoder.
 
 use crate::fused::{RowStagedDictionary, StagedDictionary};
-use tepics_imaging::{Dct2d, Haar2d};
+use tepics_imaging::{Dct1d, Dct2d, Haar2d};
 
 /// An orthonormal synthesis/analysis pair.
 pub trait Dictionary {
@@ -74,6 +74,114 @@ pub trait Dictionary {
     fn row_staged(&self) -> Option<StagedDictionary<'_>> {
         None
     }
+
+    /// The 1-D atom factors of this dictionary on a `width`×`height`
+    /// pixel grid, when its atoms are separable: atom `a·width + b` is
+    /// the image `h_a ⊗ w_b`, with `h_a` the vertical factor and `w_b`
+    /// the horizontal one (see [`SeparableFactors`]). The composed
+    /// operator uses it with an XOR measurement to build `Φ·Ψ` columns
+    /// in closed form. The default is `None`; [`ZeroMeanDictionary`]
+    /// forwards its inner factors with the pinned atom attached.
+    fn separable(&self, width: usize, height: usize) -> Option<SeparableFactors<'_>> {
+        let _ = (width, height);
+        None
+    }
+}
+
+/// The atoms of one axis of a separable dictionary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum AtomFactors<'a> {
+    /// The `n` unit vectors `e_a` (the identity dictionary).
+    Unit(usize),
+    /// Dense atoms: atom `a` is `basis[a·n..(a+1)·n]` and `sums[a]` the
+    /// sum of its entries.
+    Dense {
+        /// Row-major `n×n` table, one atom per row.
+        basis: &'a [f64],
+        /// Per-atom entry sums.
+        sums: &'a [f64],
+    },
+}
+
+impl AtomFactors<'_> {
+    /// Atom length (and count) `n`.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            AtomFactors::Unit(n) => *n,
+            AtomFactors::Dense { sums, .. } => sums.len(),
+        }
+    }
+
+    /// `Σ_i f_a[i]`, the entry sum of atom `a`.
+    pub(crate) fn sum(&self, a: usize) -> f64 {
+        match self {
+            AtomFactors::Unit(_) => 1.0,
+            AtomFactors::Dense { sums, .. } => sums[a],
+        }
+    }
+
+    /// `Σ_{i∈sel} f_a[i]` over an ascending index set, in one fixed
+    /// summation order, so every caller gets the same bits.
+    // tidy:alloc-free
+    #[inline]
+    pub(crate) fn selected_sum(&self, a: usize, sel: &[u32]) -> f64 {
+        match self {
+            AtomFactors::Unit(_) => {
+                if sel.binary_search(&(a as u32)).is_ok() {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            AtomFactors::Dense { basis, sums } => {
+                let n = sums.len();
+                crate::op::gather_sum(&basis[a * n..(a + 1) * n], sel)
+            }
+        }
+    }
+}
+
+/// The 1-D factors of a separable dictionary on a pixel grid, returned
+/// by [`Dictionary::separable`].
+///
+/// Atom `a·width + b` is the image with pixel `(i, j)` equal to
+/// `vertical[a][i] · horizontal[b][j]` (the 2-D DCT's coefficient
+/// layout), except that the `pinned` atom, when set, synthesizes the
+/// zero image.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeparableFactors<'a> {
+    /// Factors along the image's height (indexed by pixel row).
+    pub(crate) vertical: AtomFactors<'a>,
+    /// Factors along the image's width (indexed by pixel column).
+    pub(crate) horizontal: AtomFactors<'a>,
+    /// An atom pinned to the zero image ([`ZeroMeanDictionary`]).
+    pub(crate) pinned: Option<usize>,
+}
+
+/// One axis of a DCT dictionary's separable atoms, precomputed from its
+/// own 1-D transform.
+#[derive(Debug, Clone)]
+struct AtomTable {
+    basis: Vec<f64>,
+    sums: Vec<f64>,
+}
+
+impl AtomTable {
+    fn new(dct: &Dct1d) -> Self {
+        let basis = dct.basis();
+        let sums = basis
+            .chunks_exact(dct.len())
+            .map(|atom| atom.iter().sum())
+            .collect();
+        AtomTable { basis, sums }
+    }
+
+    fn factors(&self) -> AtomFactors<'_> {
+        AtomFactors::Dense {
+            basis: &self.basis,
+            sums: &self.sums,
+        }
+    }
 }
 
 /// 2-D DCT dictionary: atoms are the separable cosine basis images.
@@ -91,13 +199,22 @@ pub trait Dictionary {
 #[derive(Debug, Clone)]
 pub struct Dct2dDictionary {
     dct: Dct2d,
+    /// Atoms of the row transform (length `width`).
+    horizontal: AtomTable,
+    /// Atoms of the column transform (length `height`).
+    vertical: AtomTable,
 }
 
 impl Dct2dDictionary {
     /// Creates a DCT dictionary for `width`×`height` images.
     pub fn new(width: usize, height: usize) -> Self {
+        let dct = Dct2d::new(width, height);
+        let horizontal = AtomTable::new(dct.row_transform());
+        let vertical = AtomTable::new(dct.col_transform());
         Dct2dDictionary {
-            dct: Dct2d::new(width, height),
+            dct,
+            horizontal,
+            vertical,
         }
     }
 
@@ -134,6 +251,14 @@ impl Dictionary for Dct2dDictionary {
 
     fn row_staged(&self) -> Option<StagedDictionary<'_>> {
         Some(StagedDictionary::new(self))
+    }
+
+    fn separable(&self, width: usize, height: usize) -> Option<SeparableFactors<'_>> {
+        (self.dct.width() == width && self.dct.height() == height).then(|| SeparableFactors {
+            vertical: self.vertical.factors(),
+            horizontal: self.horizontal.factors(),
+            pinned: None,
+        })
     }
 }
 
@@ -297,6 +422,14 @@ impl Dictionary for IdentityDictionary {
     fn row_staged(&self) -> Option<StagedDictionary<'_>> {
         Some(StagedDictionary::new(self))
     }
+
+    fn separable(&self, width: usize, height: usize) -> Option<SeparableFactors<'_>> {
+        (width * height == self.n).then_some(SeparableFactors {
+            vertical: AtomFactors::Unit(height),
+            horizontal: AtomFactors::Unit(width),
+            pinned: None,
+        })
+    }
 }
 
 /// The identity transform stages trivially: every pass is a no-op, so
@@ -398,6 +531,15 @@ impl<D: Dictionary> Dictionary for ZeroMeanDictionary<D> {
         self.inner
             .row_staged()
             .and_then(|staged| staged.with_pin(self.pinned))
+    }
+
+    fn separable(&self, width: usize, height: usize) -> Option<SeparableFactors<'_>> {
+        // Like `row_staged`: nested pins fall back to the generic path.
+        let factors = self.inner.separable(width, height)?;
+        factors.pinned.is_none().then_some(SeparableFactors {
+            pinned: Some(self.pinned),
+            ..factors
+        })
     }
 }
 

@@ -37,7 +37,7 @@ use std::cell::RefCell;
 
 use super::SelectionMeasurement;
 use crate::fused::{FusedScratch, RowStreamedOperator};
-use crate::op::LinearOperator;
+use crate::op::{gather_sum, LinearOperator};
 use tepics_ca::BitPatternSource;
 use tepics_util::{simd, BitVec};
 
@@ -86,25 +86,6 @@ fn subset_sums(vals: &[f64], table: &mut [f64]) {
 #[doc(hidden)]
 pub fn subset_sum_kernel(vals: &[f64], table: &mut [f64]) {
     subset_sums(vals, table);
-}
-
-/// Four-accumulator gather-sum `Σ vals[idx[t]]` in index order.
-// tidy:alloc-free
-#[inline]
-fn gather4(vals: &[f64], idx: &[u32]) -> f64 {
-    let mut s = [0.0f64; 4];
-    let mut chunks = idx.chunks_exact(4);
-    for c in &mut chunks {
-        s[0] += vals[c[0] as usize];
-        s[1] += vals[c[1] as usize];
-        s[2] += vals[c[2] as usize];
-        s[3] += vals[c[3] as usize];
-    }
-    let mut acc = (s[0] + s[1]) + (s[2] + s[3]);
-    for &j in chunks.remainder() {
-        acc += vals[j as usize];
-    }
-    acc
 }
 
 /// Four-accumulator gather over per-group 256-entry subset tables:
@@ -579,7 +560,7 @@ impl RowStreamedOperator for XorMeasurement {
             } else {
                 // Direct gather over the precompiled index lists.
                 for &k in meas {
-                    let t = gather4(row, self.selected_cols(k as usize));
+                    let t = gather_sum(row, self.selected_cols(k as usize));
                     y[k as usize] += ri - 2.0 * t;
                 }
             }
@@ -591,7 +572,7 @@ impl RowStreamedOperator for XorMeasurement {
         assert_eq!(y.len(), self.rows(), "output length mismatch");
         // Column-sum part: y_k += Σ_{j∈C_k} C_j.
         for (k, yk) in y.iter_mut().enumerate() {
-            *yk += gather4(&fs.colsums, self.selected_cols(k));
+            *yk += gather_sum(&fs.colsums, self.selected_cols(k));
         }
     }
 }
@@ -627,6 +608,10 @@ impl LinearOperator for XorMeasurement {
     }
 
     fn row_streamed(&self) -> Option<&dyn RowStreamedOperator> {
+        Some(self)
+    }
+
+    fn xor_structure(&self) -> Option<&XorMeasurement> {
         Some(self)
     }
 

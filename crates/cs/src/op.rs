@@ -73,6 +73,21 @@ pub trait LinearOperator {
         self.apply(&e, out);
     }
 
+    /// Writes every column into the column-major `out`: column `j`
+    /// (`A e_j`) lands at `out[j·rows..(j+1)·rows]`. The default extracts
+    /// the columns one by one through
+    /// [`column_into`](LinearOperator::column_into);
+    /// [`ComposedOperator`](crate::ComposedOperator) overrides it with
+    /// the closed-form XOR kernel where that applies. This is the build
+    /// behind [`ColumnMatrix::from_operator`](crate::colview::ColumnMatrix::from_operator).
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `out.len() != rows()·cols()`.
+    fn columns_into(&self, out: &mut [f64]) {
+        columns_by_extraction(self, out);
+    }
+
     /// The column-materialized view of this operator, when one is
     /// attached or intrinsic. Consumers that work column-wise (greedy
     /// pursuit, restricted least squares) switch to the materialized
@@ -89,6 +104,33 @@ pub trait LinearOperator {
     /// [`XorMeasurement`](crate::XorMeasurement) overrides it.
     fn row_streamed(&self) -> Option<&dyn crate::fused::RowStreamedOperator> {
         None
+    }
+
+    /// The paper's XOR measurement behind this operator, when it is one:
+    /// its per-sample row and column selections are what
+    /// [`ComposedOperator`](crate::ComposedOperator) combines with a
+    /// separable dictionary to build `Φ·Ψ` columns in closed form. The
+    /// default is `None`; [`XorMeasurement`](crate::XorMeasurement)
+    /// returns itself.
+    fn xor_structure(&self) -> Option<&crate::XorMeasurement> {
+        None
+    }
+}
+
+/// The default [`LinearOperator::columns_into`]: one
+/// [`column_into`](LinearOperator::column_into) per column.
+///
+/// # Panics
+///
+/// Panics if `out.len() != a.rows()·a.cols()`.
+pub(crate) fn columns_by_extraction<A: LinearOperator + ?Sized>(a: &A, out: &mut [f64]) {
+    let rows = a.rows();
+    assert_eq!(out.len(), rows * a.cols(), "output length mismatch");
+    if rows == 0 {
+        return;
+    }
+    for (j, col) in out.chunks_exact_mut(rows).enumerate() {
+        a.column_into(j, col);
     }
 }
 
@@ -126,6 +168,26 @@ pub fn operator_norm_est<A: LinearOperator + ?Sized>(a: &A, iters: usize, seed: 
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     tepics_util::simd::dot4(a, b)
+}
+
+/// Four-accumulator gather-sum `Σ vals[idx[t]]` in index order (the
+/// XOR measurement's selected row, column and atom-entry sums).
+// tidy:alloc-free
+#[inline]
+pub(crate) fn gather_sum(vals: &[f64], idx: &[u32]) -> f64 {
+    let mut s = [0.0f64; 4];
+    let mut chunks = idx.chunks_exact(4);
+    for c in &mut chunks {
+        s[0] += vals[c[0] as usize];
+        s[1] += vals[c[1] as usize];
+        s[2] += vals[c[2] as usize];
+        s[3] += vals[c[3] as usize];
+    }
+    let mut acc = (s[0] + s[1]) + (s[2] + s[3]);
+    for &j in chunks.remainder() {
+        acc += vals[j as usize];
+    }
+    acc
 }
 
 /// Euclidean norm.

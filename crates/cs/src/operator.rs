@@ -9,10 +9,10 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::colview::ColumnMatrix;
+use crate::colview::{ColumnMatrix, XorColumns};
 use crate::dictionary::Dictionary;
 use crate::fused::{self, FusedScratch};
-use crate::op::LinearOperator;
+use crate::op::{self, LinearOperator};
 
 /// Reusable intermediate buffers of a [`ComposedOperator`]: the pixel
 /// vector between Ψ and Φ, the dictionary's own transform scratch, a
@@ -105,7 +105,7 @@ where
     /// [`ColumnMatrix::from_operator`] and memoized by a cache).
     /// Afterwards [`LinearOperator::column_view`] returns it and
     /// [`LinearOperator::column_into`] serves columns by copy instead of
-    /// by synthesis — consumers on the column path (greedy solvers,
+    /// computing them — consumers on the column path (greedy solvers,
     /// restricted least squares) pick it up automatically.
     ///
     /// `apply`/`apply_adjoint` are unaffected: they keep the matrix-free
@@ -150,6 +150,15 @@ where
             return None;
         }
         Some((stream, staged))
+    }
+
+    /// The closed-form column kernel for this composition, when the
+    /// measurement is the XOR measurement and the dictionary is
+    /// separable on its pixel grid (see [`crate::colview`]).
+    fn closed_form(&self) -> Option<XorColumns<'_>> {
+        let phi = self.phi.xor_structure()?;
+        let factors = self.psi.separable(phi.array_cols(), phi.array_rows())?;
+        Some(XorColumns::new(phi, factors))
     }
 }
 
@@ -202,11 +211,16 @@ where
         self.psi.analyze_with(pixels, alpha, dict);
     }
 
+    // tidy:alloc-free
     fn column_into(&self, j: usize, out: &mut [f64]) {
         assert!(j < self.cols(), "column {j} out of range");
         assert_eq!(out.len(), self.rows(), "output length mismatch");
         if let Some(view) = &self.columns {
             out.copy_from_slice(view.column(j));
+            return;
+        }
+        if let Some(xor) = self.closed_form() {
+            xor.column_into(j, out);
             return;
         }
         let mut scratch = self.scratch.borrow_mut();
@@ -219,6 +233,13 @@ where
         pixels.resize(self.psi.dim(), 0.0);
         self.psi.synthesize_with(unit, pixels, dict);
         self.phi.apply(pixels, out);
+    }
+
+    fn columns_into(&self, out: &mut [f64]) {
+        match (&self.columns, self.closed_form()) {
+            (None, Some(xor)) => xor.columns_into(out),
+            _ => op::columns_by_extraction(self, out),
+        }
     }
 
     fn column_view(&self) -> Option<&ColumnMatrix> {

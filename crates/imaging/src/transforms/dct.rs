@@ -293,6 +293,20 @@ impl Dct1d {
         out
     }
 
+    /// The `n` synthesis atoms, row-major: row `k` is `inverse(e_k)`,
+    /// computed through this transform's own inverse path, so each atom
+    /// carries the rounding of the evaluation path the transform uses.
+    pub fn basis(&self) -> Vec<f64> {
+        let n = self.n;
+        let mut basis = vec![0.0; n * n];
+        let mut scratch = vec![0.0; n];
+        for (k, atom) in basis.chunks_exact_mut(n).enumerate() {
+            atom[k] = 1.0;
+            self.inverse_in_place(atom, &mut scratch);
+        }
+        basis
+    }
+
     /// In-place forward transform using caller-provided scratch, so hot
     /// loops can run allocation-free.
     ///
@@ -408,6 +422,16 @@ impl Dct2d {
     /// Total coefficient count (`width × height`).
     pub fn len(&self) -> usize {
         self.width * self.height
+    }
+
+    /// The 1-D transform applied along each row (length `width`).
+    pub fn row_transform(&self) -> &Dct1d {
+        &self.row
+    }
+
+    /// The 1-D transform applied along each column (length `height`).
+    pub fn col_transform(&self) -> &Dct1d {
+        &self.col
     }
 
     /// Always `false`; kept for API symmetry.
@@ -708,6 +732,27 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
             let coeffs = dct.forward(&x);
             assert!((energy(&x) - energy(&coeffs)).abs() < 1e-10, "n={n}");
+        }
+    }
+
+    #[test]
+    fn basis_rows_are_the_synthesis_atoms() {
+        for n in [16usize, 12] {
+            let dct = Dct1d::new(n);
+            let (reference, _, _) = matrix_reference(n);
+            let basis = dct.basis();
+            for k in 0..n {
+                let mut unit = vec![0.0; n];
+                unit[k] = 1.0;
+                assert_eq!(
+                    &basis[k * n..(k + 1) * n],
+                    dct.inverse(&unit),
+                    "n={n} k={k}"
+                );
+                for (b, r) in basis[k * n..(k + 1) * n].iter().zip(&reference[k * n..]) {
+                    assert!((b - r).abs() < 1e-12, "n={n} k={k}");
+                }
+            }
         }
     }
 

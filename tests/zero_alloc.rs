@@ -17,10 +17,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tepics::cs::{DenseMatrix, LinearOperator};
+use tepics::cs::dictionary::ZeroMeanDictionary;
+use tepics::cs::{ComposedOperator, Dct2dDictionary, DenseMatrix, LinearOperator, XorMeasurement};
 use tepics::prelude::*;
 use tepics::recovery::{Fista, Omp, SolverWorkspace};
-use tepics::util::SplitMix64;
+use tepics::util::{BitVec, SplitMix64};
 
 struct CountingAllocator;
 
@@ -136,6 +137,45 @@ fn warm_omp_iterations_allocate_nothing() {
     assert_eq!(
         small, 1,
         "warm OMP solve should allocate exactly the returned coefficient vector"
+    );
+}
+
+/// Warm OMP on the decoder's composed operator — XOR measurement ×
+/// DC-pinned DCT — with no column view attached allocates only the
+/// returned coefficient vector: every selected atom's column comes from
+/// the closed-form kernel, which touches no heap.
+#[test]
+fn warm_composed_omp_without_view_allocates_nothing() {
+    let (m, n) = (16, 16);
+    let mut rng = SplitMix64::new(0xC0_0C);
+    let patterns: Vec<BitVec> = (0..96)
+        .map(|_| BitVec::from_bools((0..m + n).map(|_| rng.next_bool())))
+        .collect();
+    let phi = XorMeasurement::from_patterns(m, n, patterns);
+    let psi = ZeroMeanDictionary::new(Dct2dDictionary::new(n, m), 0);
+    let a = ComposedOperator::new(&phi, &psi);
+    assert!(a.column_view().is_none());
+    let x: Vec<f64> = (0..m * n).map(|_| rng.next_f64() * 255.0).collect();
+    let y = phi.apply_vec(&x);
+    let mut ws = SolverWorkspace::new();
+    Omp::new(12).solve_with(&a, &y, &mut ws).unwrap();
+    let (small, rec_small) = count_allocs(|| Omp::new(6).solve_with(&a, &y, &mut ws).unwrap());
+    let (large, rec_large) = count_allocs(|| Omp::new(12).solve_with(&a, &y, &mut ws).unwrap());
+    assert_eq!(
+        rec_small.stats.iterations, 6,
+        "small budget must be exhausted"
+    );
+    assert_eq!(
+        rec_large.stats.iterations, 12,
+        "large budget must be exhausted"
+    );
+    assert_eq!(
+        small, large,
+        "composed OMP loop allocates: 6 atoms cost {small} allocations, 12 atoms cost {large}"
+    );
+    assert_eq!(
+        small, 1,
+        "warm composed OMP solve should allocate exactly the returned coefficient vector"
     );
 }
 
