@@ -36,10 +36,10 @@ fn smoke() {
         .collect();
 
     let serial = BatchRunner::with_threads(1)
-        .run(&imager, &scenes)
+        .run(&imager, &scenes, RecoveryParams::default())
         .expect("smoke batch (1 thread)");
     let parallel = BatchRunner::new()
-        .run(&imager, &scenes)
+        .run(&imager, &scenes, RecoveryParams::default())
         .expect("smoke batch (N threads)");
     let summary = parallel.summary();
     eprintln!(

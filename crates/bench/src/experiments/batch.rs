@@ -52,7 +52,7 @@ pub fn run() -> String {
     let mut identical = true;
     for &threads in &sweep {
         let outcome = BatchRunner::with_threads(threads)
-            .run(&imager, &scenes)
+            .run(&imager, &scenes, RecoveryParams::default())
             .expect("batch pipeline");
         let summary = outcome.summary();
         let secs = outcome.elapsed.as_secs_f64();

@@ -9,7 +9,7 @@
 
 use crate::report::{section, Table};
 use tepics_core::batch::BatchRunner;
-use tepics_core::pipeline::evaluate_with_cache;
+use tepics_core::pipeline::evaluate;
 use tepics_core::prelude::*;
 use tepics_imaging::psnr;
 use tepics_util::parallel::default_threads;
@@ -50,7 +50,7 @@ pub fn run() -> String {
                     .seed(0xFFB)
                     .fidelity(Fidelity::Functional)
                     .build()?;
-                evaluate_with_cache(runner.cache(), &imager, |_| {}, &scene)
+                evaluate(runner.cache(), &imager, RecoveryParams::default(), &scene)
             })
             .expect("full-frame sweep pipeline");
         // Block baseline on the same code images, fanned across the

@@ -64,6 +64,8 @@ pub fn run() -> String {
     ));
     let scene = Scene::piecewise_smooth(5).render(32, 32, 21);
     let mut t = Table::new(&["strategy", "PSNR (dB)", "SSIM"]);
+    // Each strategy is its own cache key: one cold build per row.
+    let cache = OperatorCache::shared();
     for (name, strategy) in [
         ("CA Rule 30", StrategyKind::default_for(32, 32)),
         (
@@ -85,7 +87,7 @@ pub fn run() -> String {
             .fidelity(Fidelity::Functional)
             .build()
             .unwrap();
-        let report = evaluate(&imager, |_| {}, &scene).unwrap();
+        let report = evaluate(&cache, &imager, RecoveryParams::default(), &scene).unwrap();
         t.row_owned(vec![
             name.into(),
             format!("{:.1}", report.psnr_code_db),

@@ -61,11 +61,14 @@ fn measure_quality() -> QualityNumbers {
         .fidelity(Fidelity::Functional)
         .build()
         .expect("monolithic imager config");
-    let mono_report = evaluate(&mono, |_| {}, &scene).expect("monolithic evaluate");
+    // The two geometries are distinct cache keys: both decode cold.
+    let cache = OperatorCache::shared();
+    let params = RecoveryParams::default();
+    let mono_report = evaluate(&cache, &mono, params, &scene).expect("monolithic evaluate");
 
     // Tiled: 3×3 grid of 32-px tiles at overlap 8, stitched.
     let imager = tiled_imager(side, side, 32, 8);
-    let stitched_report = evaluate(&imager, |_| {}, &scene).expect("tiled evaluate");
+    let stitched_report = evaluate(&cache, &imager, params, &scene).expect("tiled evaluate");
 
     // Per-tile reference: each record decoded standalone and scored
     // against the ideal codes of its own tile. The per-tile squared

@@ -5,7 +5,7 @@
 
 use crate::report::{section, Table};
 use tepics_core::batch::BatchRunner;
-use tepics_core::pipeline::evaluate_with_cache;
+use tepics_core::pipeline::evaluate;
 use tepics_core::prelude::*;
 
 /// Runs the experiment.
@@ -68,7 +68,7 @@ pub fn run() -> String {
                 .build()?;
             // Each grid point is its own cache key (the strategy is the
             // knob under test); the shared cache still dedups dictionaries.
-            evaluate_with_cache(runner.cache(), &imager, |_| {}, &scene)
+            evaluate(runner.cache(), &imager, RecoveryParams::default(), &scene)
         })
         .expect("warmup sweep pipeline");
     let mut t = Table::new(&["warmup", "steps/sample", "PSNR (dB)", "SSIM"]);

@@ -30,7 +30,9 @@
 //! let scenes: Vec<ImageF64> = (0..4)
 //!     .map(|i| Scene::gaussian_blobs(3).render(16, 16, i))
 //!     .collect();
-//! let outcome = BatchRunner::new().run(&imager, &scenes).unwrap();
+//! let outcome = BatchRunner::new()
+//!     .run(&imager, &scenes, RecoveryParams::default())
+//!     .unwrap();
 //! let summary = outcome.summary();
 //! assert_eq!(summary.frames, 4);
 //! assert!(summary.mean_psnr_db > 10.0);
@@ -42,8 +44,9 @@ use std::time::{Duration, Instant};
 use crate::cache::OperatorCache;
 use crate::error::CoreError;
 use crate::imager::CompressiveImager;
-use crate::pipeline::{evaluate_with_cache, PipelineReport};
-use crate::session::{DecodeReport, DecodeSession, DecodedFrame, ErasurePolicy};
+use crate::pipeline::{evaluate, PipelineReport};
+use crate::session::{DecodeReport, DecodeSession, DecodedFrame};
+use crate::solver::RecoveryParams;
 use tepics_imaging::ImageF64;
 use tepics_util::parallel::{default_threads, par_map};
 use tepics_util::pool::WorkerPool;
@@ -99,9 +102,11 @@ impl BatchRunner {
         &self.cache
     }
 
-    /// Runs the standard pipeline ([`evaluate_with_cache`] with a
-    /// default-configured decoder and the runner's shared cache) over
-    /// `scenes` with a shared imager.
+    /// Runs the standard pipeline ([`evaluate`] through the runner's
+    /// shared cache) over `scenes` with a shared imager, decoding every
+    /// item with `params`. The per-solver cache entries (operator norms,
+    /// column views) are shared across items exactly like the operator
+    /// itself, and results stay bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -111,31 +116,9 @@ impl BatchRunner {
         &self,
         imager: &CompressiveImager,
         scenes: &[ImageF64],
+        params: RecoveryParams,
     ) -> Result<BatchOutcome, CoreError> {
-        self.run_with(imager, scenes, |_| {})
-    }
-
-    /// Like [`BatchRunner::run`], applying `configure` to every item's
-    /// decoder first — the batch-scale entry point for solver and
-    /// dictionary selection (e.g.
-    /// `runner.run_with(&im, &scenes, |d| { d.algorithm(kind); })`).
-    /// The per-solver cache entries (operator norms, column views) are
-    /// shared across items exactly like the operator itself, and results
-    /// stay bit-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-item error in input order; all items are
-    /// still executed.
-    pub fn run_with(
-        &self,
-        imager: &CompressiveImager,
-        scenes: &[ImageF64],
-        configure: impl Fn(&mut crate::decoder::Decoder) + Sync,
-    ) -> Result<BatchOutcome, CoreError> {
-        self.run_jobs(scenes, |scene| {
-            evaluate_with_cache(&self.cache, imager, &configure, scene)
-        })
+        self.run_jobs(scenes, |scene| evaluate(&self.cache, imager, params, scene))
     }
 
     /// Decodes many wire streams in parallel, one [`DecodeSession`] per
@@ -156,18 +139,9 @@ impl BatchRunner {
     /// [`StreamOutcome`] instead of aborting the batch, and the
     /// returned [`StreamBatchOutcome`] counts failed and degraded
     /// streams. Resilient (version-3) streams degrade through the
-    /// given erasure policy rather than failing.
+    /// default [`ErasurePolicy`](crate::session::ErasurePolicy) rather
+    /// than failing.
     pub fn decode_streams(&self, streams: &[impl AsRef<[u8]> + Sync]) -> StreamBatchOutcome {
-        self.decode_streams_with(streams, ErasurePolicy::default())
-    }
-
-    /// Like [`BatchRunner::decode_streams`] with an explicit
-    /// [`ErasurePolicy`] for resilient tiled streams.
-    pub fn decode_streams_with(
-        &self,
-        streams: &[impl AsRef<[u8]> + Sync],
-        policy: ErasurePolicy,
-    ) -> StreamBatchOutcome {
         // The pool's owned-item API wants 'static jobs, so each stream's
         // bytes are copied once up front — noise next to the decode.
         let owned: Vec<Vec<u8>> = streams.iter().map(|s| s.as_ref().to_vec()).collect();
@@ -175,7 +149,7 @@ impl BatchRunner {
         let threads = self.threads;
         let outcomes = WorkerPool::global().map(threads, owned, move |_, bytes, _| {
             let mut session = DecodeSession::with_cache(cache.clone());
-            session.erasure_policy(policy).threads(threads);
+            session.threads(threads);
             let mut frames = Vec::new();
             let mut error = None;
             match session.push_bytes(bytes.as_ref()) {
@@ -409,7 +383,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::evaluate;
     use tepics_imaging::Scene;
     use tepics_sensor::{EventStats, Fidelity};
 
@@ -434,9 +407,13 @@ mod tests {
     fn reports_identical_across_thread_counts() {
         let im = imager(16);
         let batch = scenes(16, 6);
-        let serial = BatchRunner::with_threads(1).run(&im, &batch).unwrap();
+        let serial = BatchRunner::with_threads(1)
+            .run(&im, &batch, RecoveryParams::default())
+            .unwrap();
         for threads in [2, 4, 19] {
-            let parallel = BatchRunner::with_threads(threads).run(&im, &batch).unwrap();
+            let parallel = BatchRunner::with_threads(threads)
+                .run(&im, &batch, RecoveryParams::default())
+                .unwrap();
             assert_eq!(
                 serial.reports, parallel.reports,
                 "thread count {threads} changed batch results"
@@ -461,9 +438,13 @@ mod tests {
         let batch: Vec<ImageF64> = (0..4)
             .map(|i| Scene::gaussian_blobs(3).render(40, 28, i))
             .collect();
-        let serial = BatchRunner::with_threads(1).run(&im, &batch).unwrap();
+        let serial = BatchRunner::with_threads(1)
+            .run(&im, &batch, RecoveryParams::default())
+            .unwrap();
         for threads in [2, 4] {
-            let parallel = BatchRunner::with_threads(threads).run(&im, &batch).unwrap();
+            let parallel = BatchRunner::with_threads(threads)
+                .run(&im, &batch, RecoveryParams::default())
+                .unwrap();
             assert_eq!(
                 serial.reports, parallel.reports,
                 "thread count {threads} changed tiled batch results"
@@ -633,7 +614,12 @@ mod tests {
                     .fidelity(Fidelity::Functional)
                     .build()
                     .unwrap();
-                evaluate(&im, |_| {}, &scene)
+                evaluate(
+                    &OperatorCache::shared(),
+                    &im,
+                    RecoveryParams::default(),
+                    &scene,
+                )
             })
             .unwrap();
         assert_eq!(outcome.reports.len(), seeds.len());
@@ -655,7 +641,12 @@ mod tests {
                     .fidelity(Fidelity::Functional)
                     .build()
                     .unwrap();
-                evaluate(&im, |_| {}, &scene)
+                evaluate(
+                    &OperatorCache::shared(),
+                    &im,
+                    RecoveryParams::default(),
+                    &scene,
+                )
             })
             .unwrap();
         assert_eq!(outcome.reports, again.reports);

@@ -11,8 +11,8 @@
 //!    gain that would otherwise dominate the operator spectrum.
 //! 2. **Sparse recovery** of the zero-mean residual through a DC-pinned
 //!    dictionary: `ỹ = y − μ̂·c ≈ Φ Ψ₀ β`, solved by any
-//!    [`SolverKind`] — debiased FISTA by default — dispatched
-//!    dynamically through the [`Solver`] trait.
+//!    [`SolverKind`](crate::solver::SolverKind) — debiased FISTA by
+//!    default — dispatched dynamically through the [`Solver`] trait.
 //!
 //! The reconstruction is the code image `x̂ = clamp(μ̂ + Ψ₀ β̂)`;
 //! [`Reconstruction::to_intensity`] inverts the pulse-modulation
@@ -23,14 +23,12 @@ use std::sync::Arc;
 use crate::cache::{OperatorCache, OperatorKey};
 use crate::error::CoreError;
 use crate::frame::{CompressedFrame, FrameHeader};
-use crate::solver::{RecoveryParams, SolverKind};
-use crate::strategy::StrategyKind;
+use crate::solver::RecoveryParams;
 use tepics_cs::colview::ColumnMatrix;
 use tepics_cs::dictionary::{
     Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, SeparableFactors,
     ZeroMeanDictionary,
 };
-use tepics_cs::measurement::SelectionMeasurement;
 use tepics_cs::op;
 use tepics_cs::{ComposedOperator, StagedDictionary, XorMeasurement};
 use tepics_imaging::ImageF64;
@@ -193,23 +191,21 @@ fn intensity_from_crossing(config: &SensorConfig, t: f64) -> f64 {
     tepics_sensor::photodiode::intensity_from_crossing(config, t)
 }
 
-/// Receiver-side decoder bound to a frame's geometry and strategy.
+/// Receiver-side decoder bound to a frame's header.
 ///
-/// This is the per-frame recovery engine. For streams, batches, or any
-/// sequence of same-seed frames, prefer
-/// [`DecodeSession`](crate::session::DecodeSession), which drives this
-/// decoder through a shared [`OperatorCache`] so Φ, the dictionary, and
-/// the FISTA step size are built once instead of per frame.
+/// This is the per-frame recovery engine that every decode runs
+/// through: [`DecodeSession`](crate::session::DecodeSession) drives it
+/// per tile, and a one-shot `Decoder::for_frame(&f)?.reconstruct(&f)`
+/// uses it directly. Φ, the selection counts, the dictionary, the
+/// solver's step size and the greedy column view always come from an
+/// [`OperatorCache`] — a private one by default, or a shared one
+/// attached with [`Decoder::use_cache`] so they are built once across
+/// frames and streams.
 #[derive(Debug, Clone)]
 pub struct Decoder {
-    rows: usize,
-    cols: usize,
-    strategy: StrategyKind,
-    seed: u64,
-    code_max: f64,
-    dictionary: DictionaryKind,
-    algorithm: SolverKind,
-    cache: Option<Arc<OperatorCache>>,
+    header: FrameHeader,
+    params: RecoveryParams,
+    cache: Arc<OperatorCache>,
 }
 
 impl Decoder {
@@ -232,52 +228,41 @@ impl Decoder {
     pub fn for_header(h: &FrameHeader) -> Result<Decoder, CoreError> {
         h.validate()?;
         Ok(Decoder {
-            rows: h.rows as usize,
-            cols: h.cols as usize,
-            strategy: h.strategy,
-            seed: h.seed,
-            code_max: ((1u32 << h.code_bits) - 1) as f64,
-            dictionary: DictionaryKind::Dct2d,
-            algorithm: SolverKind::default(),
-            cache: None,
+            header: *h,
+            params: RecoveryParams::default(),
+            cache: OperatorCache::shared(),
         })
     }
 
-    /// Selects the sparsifying dictionary.
-    pub fn dictionary(&mut self, kind: DictionaryKind) -> &mut Self {
-        self.dictionary = kind;
-        self
-    }
-
-    /// Selects the recovery algorithm (any [`SolverKind`]; the solver is
-    /// dispatched dynamically through the
-    /// [`Solver`] trait).
-    pub fn algorithm(&mut self, algorithm: SolverKind) -> &mut Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Applies a bundled [`RecoveryParams`] (solver + dictionary).
+    /// Selects the recovery algorithm and sparsifying dictionary (any
+    /// [`SolverKind`](crate::solver::SolverKind); the solver is
+    /// dispatched dynamically through the [`Solver`] trait).
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
-        self.algorithm(params.solver).dictionary(params.dictionary)
+        self.params = params;
+        self
     }
 
-    /// Attaches a shared operator cache: Φ, the selection counts, the
-    /// dictionary and the FISTA step size are then looked up (and
-    /// memoized) instead of rebuilt per frame. Warm results are
-    /// bit-identical to cold ones.
+    /// Decodes through a shared operator cache instead of the private
+    /// one: Φ, the selection counts, the dictionary and the solver's
+    /// step size are then built once per key across every decoder that
+    /// shares it. Results are the same either way.
     pub fn use_cache(&mut self, cache: Arc<OperatorCache>) -> &mut Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
+    }
+
+    /// The header this decoder was built from.
+    pub(crate) fn header(&self) -> &FrameHeader {
+        &self.header
     }
 
     /// The cache key for a `k`-measurement frame on this decoder.
     pub(crate) fn operator_key(&self, k: usize) -> OperatorKey {
         OperatorKey {
-            rows: self.rows as u16,
-            cols: self.cols as u16,
-            strategy: self.strategy,
-            seed: self.seed,
+            rows: self.header.rows,
+            cols: self.header.cols,
+            strategy: self.header.strategy,
+            seed: self.header.seed,
             k,
         }
     }
@@ -290,24 +275,21 @@ impl Decoder {
     /// Returns [`CoreError::InvalidConfig`] if the strategy parameters
     /// are invalid.
     pub fn rebuild_measurement(&self, k: usize) -> Result<XorMeasurement, CoreError> {
+        let (rows, cols) = (usize::from(self.header.rows), usize::from(self.header.cols));
         let mut source = self
+            .header
             .strategy
-            .build_source(self.rows + self.cols, self.seed)?;
-        Ok(XorMeasurement::from_source(
-            self.rows,
-            self.cols,
-            source.as_mut(),
-            k,
-        ))
+            .build_source(rows + cols, self.header.seed)?;
+        Ok(XorMeasurement::from_source(rows, cols, source.as_mut(), k))
     }
 
     /// Reconstructs the code image from a frame.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::FrameMismatch`] if the frame geometry or
-    /// strategy differs from this decoder, or [`CoreError::Recovery`]
-    /// if the solver rejects the problem.
+    /// Returns [`CoreError::FrameMismatch`] if the frame header differs
+    /// from this decoder's, or [`CoreError::Recovery`] if the solver
+    /// rejects the problem.
     pub fn reconstruct(&self, frame: &CompressedFrame) -> Result<Reconstruction, CoreError> {
         self.reconstruct_with(frame, &mut SolverWorkspace::new())
     }
@@ -316,9 +298,9 @@ impl Decoder {
     /// solver buffers. Repeated decodes through one workspace — what
     /// [`DecodeSession`](crate::session::DecodeSession) does per stream
     /// — allocate nothing inside the solver loop for *every*
-    /// [`SolverKind`], including the greedy pursuits and the CGLS
-    /// debias pass, and the results are bit-identical to
-    /// [`Decoder::reconstruct`].
+    /// [`SolverKind`](crate::solver::SolverKind), including the greedy
+    /// pursuits and the CGLS debias pass, and the results are
+    /// bit-identical to [`Decoder::reconstruct`].
     ///
     /// # Errors
     ///
@@ -328,12 +310,9 @@ impl Decoder {
         frame: &CompressedFrame,
         workspace: &mut SolverWorkspace,
     ) -> Result<Reconstruction, CoreError> {
-        let h = &frame.header;
-        if h.rows as usize != self.rows
-            || h.cols as usize != self.cols
-            || h.strategy != self.strategy
-            || h.seed != self.seed
-        {
+        // The whole header must match: a differing code or sample width
+        // would decode against the wrong clamp range.
+        if frame.header != self.header {
             return Err(CoreError::FrameMismatch(
                 "frame header does not match decoder configuration".into(),
             ));
@@ -342,28 +321,21 @@ impl Decoder {
             return Err(CoreError::MalformedFrame("frame has no samples".into()));
         }
         let k = frame.samples.len();
-        // Operator + dictionary: from the shared cache when attached
-        // (built once per key), cold otherwise. Warm values are
-        // bit-identical to a cold rebuild, so the two paths produce the
-        // same reconstruction.
-        let (phi, counts, dict) = match &self.cache {
-            Some(cache) => {
-                let (phi, counts) = cache.operator(&self.operator_key(k))?;
-                let dict = cache.dictionary(self.dictionary, self.rows as u16, self.cols as u16);
-                (phi, counts, dict)
-            }
-            None => {
-                let phi = Arc::new(self.rebuild_measurement(k)?);
-                let counts = Arc::new(phi.selection_counts());
-                let dict = Arc::new(build_dictionary(self.dictionary, self.rows, self.cols));
-                (phi, counts, dict)
-            }
-        };
+        let key = self.operator_key(k);
+        let RecoveryParams {
+            solver: kind,
+            dictionary,
+        } = self.params;
+        let (phi, counts) = self.cache.operator(&key)?;
+        let dict = self
+            .cache
+            .dictionary(dictionary, self.header.rows, self.header.cols);
+        let code_max = f64::from((1u32 << self.header.code_bits) - 1);
         let y: Vec<f64> = frame.samples.iter().map(|&s| s as f64).collect();
         // Stage 1: mean split from the known selection counts.
         let cc = op::dot(&counts, &counts);
         let mean_code = if cc > 0.0 {
-            (op::dot(&counts, &y) / cc).clamp(0.0, self.code_max)
+            (op::dot(&counts, &y) / cc).clamp(0.0, code_max)
         } else {
             0.0
         };
@@ -378,53 +350,28 @@ impl Decoder {
         let a = ComposedOperator::new(phi.as_ref(), dict.as_ref())
             .with_scratch(workspace.take_composed());
         // Column-hungry solvers (OMP, CoSaMP) get the materialized Φ·Ψ
-        // view. With a cache it is built once per key and served warm.
-        // Without one, a one-shot decode skips the build where that
-        // cannot change the result: OMP only *reads* columns, and the
-        // composed operator's column_into computes each one exactly as
-        // the view build does (closed form for DCT/identity, synthesis
-        // plus apply for Haar), so view ≡ no-view bit for bit. CoSaMP's
-        // restricted least squares takes a different summation path
-        // through the view, so it must build cold too to keep warm
-        // decodes bit-identical to cold.
-        let a = if self.algorithm.column_hungry() {
-            match &self.cache {
-                Some(cache) => {
-                    let view = cache.column_view(&self.operator_key(k), self.dictionary, || {
-                        ColumnMatrix::from_operator(&a)
-                    });
-                    a.with_column_view(view)
-                }
-                None if self.algorithm.view_changes_results() => {
-                    let view = Arc::new(ColumnMatrix::from_operator(&a));
-                    a.with_column_view(view)
-                }
-                None => a,
-            }
+        // view, built once per key.
+        let a = if kind.column_hungry() {
+            let view = self
+                .cache
+                .column_view(&key, dictionary, || ColumnMatrix::from_operator(&a));
+            a.with_column_view(view)
         } else {
             a
         };
         // Solvers that estimate ‖ΦΨ‖ internally get the estimate
-        // precomputed — memoized per (operator, dictionary, solver seed)
-        // when a cache is attached, computed identically otherwise. The
-        // value mirrors each solver's own seeded derivation exactly, so
-        // the override is bit-transparent.
-        let norm = self.algorithm.norm_seed().and_then(|seed| {
-            let compute = || op::operator_norm_est(&a, 30, seed);
-            match &self.cache {
-                Some(cache) => {
-                    cache.operator_norm(&self.operator_key(k), self.dictionary, seed, compute)
-                }
-                None => {
-                    let norm = compute();
-                    (norm > 0.0).then_some(norm)
-                }
-            }
+        // precomputed and memoized per (operator, dictionary, solver
+        // seed). The value mirrors each solver's own seeded derivation
+        // exactly, so the override is bit-transparent.
+        let norm = kind.norm_seed().and_then(|seed| {
+            self.cache.operator_norm(&key, dictionary, seed, || {
+                op::operator_norm_est(&a, 30, seed)
+            })
         });
-        let built = self.algorithm.instantiate(norm);
+        let built = kind.instantiate(norm);
         let base = built.as_solver();
         let debiased;
-        let solver: &dyn Solver = if self.algorithm.debias() {
+        let solver: &dyn Solver = if kind.debias() {
             debiased = Debias::new(base, k / 2);
             &debiased
         } else {
@@ -439,10 +386,9 @@ impl Decoder {
         let (pixels, dict_scratch) = donated.pixels_and_dict();
         pixels.resize(dict.dim(), 0.0);
         dict.synthesize_with(&recovery.coefficients, pixels, dict_scratch);
-        let code_max = self.code_max;
         let codes = ImageF64::from_vec(
-            self.cols,
-            self.rows,
+            usize::from(self.header.cols),
+            usize::from(self.header.rows),
             pixels
                 .iter()
                 .map(|&vi| (mean_code + vi).clamp(0.0, code_max))
@@ -461,6 +407,7 @@ impl Decoder {
 mod tests {
     use super::*;
     use crate::imager::CompressiveImager;
+    use crate::solver::SolverKind;
     use tepics_imaging::{psnr, Scene};
     use tepics_sensor::Fidelity;
 
@@ -537,6 +484,13 @@ mod tests {
             decoder.reconstruct(&frame),
             Err(CoreError::FrameMismatch(_))
         ));
+        // Same seed, wider codes: the clamp range would be wrong.
+        frame.header.seed = 1;
+        frame.header.code_bits += 2;
+        assert!(matches!(
+            decoder.reconstruct(&frame),
+            Err(CoreError::FrameMismatch(_))
+        ));
     }
 
     #[test]
@@ -573,7 +527,10 @@ mod tests {
         let frame = im.capture(&scene);
         for alg in SolverKind::shootout_set(frame.samples.len()) {
             let mut dec = Decoder::for_frame(&frame).unwrap();
-            dec.algorithm(alg);
+            dec.params(RecoveryParams {
+                solver: alg,
+                ..RecoveryParams::default()
+            });
             let recon = dec.reconstruct(&frame).unwrap();
             assert!(
                 recon.code_image().as_slice().iter().all(|v| v.is_finite()),
@@ -588,7 +545,7 @@ mod tests {
         let scene = Scene::star_field(5).render(16, 16, 8);
         let frame = im.capture(&scene);
         let mut dec = Decoder::for_frame(&frame).unwrap();
-        dec.params(crate::solver::RecoveryParams::star_field(8));
+        dec.params(RecoveryParams::star_field(8));
         let recon = dec.reconstruct(&frame).unwrap();
         assert!(recon.code_image().as_slice().iter().all(|v| v.is_finite()));
     }
@@ -600,9 +557,9 @@ mod tests {
         let frame = im.capture(&scene);
         let truth = im.ideal_codes(&scene).to_code_f64();
         let mut dct = Decoder::for_frame(&frame).unwrap();
-        dct.dictionary(DictionaryKind::Dct2d);
+        dct.params(RecoveryParams::natural());
         let mut haar = Decoder::for_frame(&frame).unwrap();
-        haar.dictionary(DictionaryKind::Haar2d);
+        haar.params(RecoveryParams::piecewise());
         let db_dct = psnr(&truth, dct.reconstruct(&frame).unwrap().code_image(), 255.0);
         let db_haar = psnr(
             &truth,

@@ -35,10 +35,15 @@
 //! * [`CompressedFrame`] — the single-frame artifact: a tiny header plus
 //!   bit-packed 20-bit samples; the measurement matrix itself is never
 //!   transmitted (only the seed is), which is the paper's key saving.
-//! * [`Decoder`] — the per-frame recovery engine: regenerates Φ from
-//!   the seed, estimates the scene mean from the known per-row
-//!   selection counts, and runs sparse recovery (FISTA/OMP/CoSaMP/IHT
-//!   over DCT/Haar/identity).
+//! * [`Decoder`] — the per-frame recovery engine every decode runs
+//!   through: regenerates Φ from the seed (via an [`OperatorCache`],
+//!   private unless shared), estimates the scene mean from the known
+//!   per-row selection counts, and runs sparse recovery
+//!   (FISTA/OMP/CoSaMP/IHT over DCT/Haar/identity). Sessions drive it
+//!   per tile.
+//! * [`RecoveryParams`] — the one typed recovery configuration (solver
+//!   and dictionary) that the decoder, sessions, [`pipeline::evaluate`]
+//!   and [`BatchRunner::run`] all take.
 //! * [`pipeline`] — capture → wire → reconstruct → quality report.
 //! * [`batch`] — fans many capture→recover loops (or stream decodes)
 //!   across worker threads and aggregates the reports (mean/percentile
@@ -114,7 +119,7 @@ pub mod prelude {
     pub use crate::faults::FaultInjector;
     pub use crate::frame::CompressedFrame;
     pub use crate::imager::CompressiveImager;
-    pub use crate::pipeline::{evaluate, evaluate_with_cache, PipelineReport};
+    pub use crate::pipeline::{evaluate, PipelineReport};
     pub use crate::session::{
         DecodeReport, DecodeSession, DecodedFrame, EncodeSession, ErasurePolicy,
     };

@@ -8,13 +8,13 @@
 use std::sync::Arc;
 
 use crate::cache::OperatorCache;
-use crate::decoder::Decoder;
 use crate::error::CoreError;
 use crate::frame::CompressedFrame;
 use crate::imager::CompressiveImager;
-use crate::params;
+use crate::params::raw_bits;
 use crate::session::{DecodeSession, EncodeSession};
-use tepics_imaging::{psnr, ssim, ImageF64, Scene};
+use crate::solver::RecoveryParams;
+use tepics_imaging::{psnr, ssim, ImageF64};
 use tepics_sensor::EventStats;
 
 /// Quality and cost summary of one capture/reconstruct cycle.
@@ -44,31 +44,11 @@ impl PipelineReport {
     }
 }
 
-/// Captures `scene`, round-trips the frame through the wire codec, and
-/// reconstructs with `decoder_config` applied to a fresh decoder.
-///
-/// Thin layer over [`evaluate_with_cache`] with a private, single-use
-/// cache.
-///
-/// # Errors
-///
-/// Propagates frame and recovery errors from the decoder.
-///
-/// # Panics
-///
-/// Panics if the scene size does not match the imager.
-pub fn evaluate(
-    imager: &CompressiveImager,
-    configure: impl FnOnce(&mut Decoder),
-    scene: &ImageF64,
-) -> Result<PipelineReport, CoreError> {
-    evaluate_with_cache(&OperatorCache::shared(), imager, configure, scene)
-}
-
-/// [`evaluate`] decoding through a shared [`OperatorCache`]: callers
-/// evaluating many scenes with one imager (suites, batches) reuse the
-/// measurement operator, dictionary, and FISTA step size across calls.
-/// Warm results are bit-identical to cold ones.
+/// Captures `scene`, round-trips it through the wire codec, and
+/// reconstructs it with `params`, decoding through `cache`: callers
+/// evaluating many scenes with one imager (suites, batches) share one
+/// cache, so the measurement operator, dictionary and FISTA step size
+/// are built once. Warm results are bit-identical to cold ones.
 ///
 /// The capture is transported through the session layer
 /// ([`EncodeSession`] → [`DecodeSession::push_bytes`]), so every
@@ -87,10 +67,10 @@ pub fn evaluate(
 /// # Panics
 ///
 /// Panics if the scene size does not match the imager.
-pub fn evaluate_with_cache(
+pub fn evaluate(
     cache: &Arc<OperatorCache>,
     imager: &CompressiveImager,
-    configure: impl FnOnce(&mut Decoder),
+    params: RecoveryParams,
     scene: &ImageF64,
 ) -> Result<PipelineReport, CoreError> {
     // Always exercise the wire codec: transmit and re-parse.
@@ -98,7 +78,7 @@ pub fn evaluate_with_cache(
     let (frames, event_stats) = enc.capture_with_stats(scene)?;
     let header = *enc.header();
     let mut session = DecodeSession::with_cache(cache.clone());
-    configure(session.prime(&header)?);
+    session.params(params);
     let decoded = session.push_bytes(&enc.to_bytes())?;
     let recon = &decoded
         .last()
@@ -113,7 +93,7 @@ pub fn evaluate_with_cache(
         psnr_code_db: psnr(&truth, recon.code_image(), code_max as f64),
         ssim_code: ssim(&truth, recon.code_image(), code_max as f64),
         wire_bits: frames.iter().map(CompressedFrame::wire_bits).sum(),
-        raw_bits: params::raw_bits(
+        raw_bits: raw_bits(
             geometry.height() as u32,
             geometry.width() as u32,
             header.code_bits as u32,
@@ -121,30 +101,6 @@ pub fn evaluate_with_cache(
         iterations: recon.stats().iterations,
         event_stats,
     })
-}
-
-/// Runs [`evaluate`] over the standard scene suite, returning
-/// `(scene_name, report)` pairs. Used by the `ffvb` experiment and the
-/// integration tests.
-///
-/// # Errors
-///
-/// Propagates the first pipeline error encountered.
-pub fn evaluate_suite(
-    imager: &CompressiveImager,
-    size: usize,
-    scene_seed: u64,
-) -> Result<Vec<(&'static str, PipelineReport)>, CoreError> {
-    // One cache for the whole suite: every scene shares the imager's
-    // seed and sample count, so Φ is built exactly once.
-    let cache = OperatorCache::shared();
-    let mut out = Vec::new();
-    for (name, scene) in Scene::evaluation_suite() {
-        let img = scene.render(size, size, scene_seed);
-        let report = evaluate_with_cache(&cache, imager, |_| {}, &img)?;
-        out.push((name, report));
-    }
-    Ok(out)
 }
 
 /// Progressive reconstruction: quality as the first `k` samples arrive.
@@ -203,6 +159,7 @@ pub fn progressive_psnr(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tepics_imaging::Scene;
     use tepics_sensor::Fidelity;
 
     fn imager() -> CompressiveImager {
@@ -218,7 +175,13 @@ mod tests {
     fn report_fields_are_consistent() {
         let im = imager();
         let scene = Scene::gaussian_blobs(2).render(16, 16, 9);
-        let report = evaluate(&im, |_| {}, &scene).unwrap();
+        let report = evaluate(
+            &OperatorCache::shared(),
+            &im,
+            RecoveryParams::default(),
+            &scene,
+        )
+        .unwrap();
         assert!((report.ratio - 90.0 / 256.0).abs() < 1e-9);
         assert!(report.psnr_code_db > 15.0);
         assert!(report.ssim_code > 0.3);
@@ -233,7 +196,13 @@ mod tests {
         // must save wire bits even with header overhead.
         let im = imager();
         let scene = Scene::natural_like().render(16, 16, 2);
-        let report = evaluate(&im, |_| {}, &scene).unwrap();
+        let report = evaluate(
+            &OperatorCache::shared(),
+            &im,
+            RecoveryParams::default(),
+            &scene,
+        )
+        .unwrap();
         assert!(
             report.wire_saving() > 0.0,
             "saving {} should be positive at R=0.35",
@@ -265,7 +234,13 @@ mod tests {
             .build()
             .unwrap();
         let scene = Scene::gaussian_blobs(3).render(40, 28, 6);
-        let report = evaluate(&im, |_| {}, &scene).unwrap();
+        let report = evaluate(
+            &OperatorCache::shared(),
+            &im,
+            RecoveryParams::default(),
+            &scene,
+        )
+        .unwrap();
         // Full-frame raw accounting (40·28 px at 8-bit codes).
         assert_eq!(report.raw_bits, 40 * 28 * 8);
         // Six tiles at ⌈0.35·256⌉ samples each.
@@ -278,18 +253,5 @@ mod tests {
             progressive_psnr(&im, &scene, &[10, 20]),
             Err(CoreError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn suite_covers_all_scenes() {
-        let im = imager();
-        let results = evaluate_suite(&im, 16, 3).unwrap();
-        assert_eq!(results.len(), Scene::evaluation_suite().len());
-        for (name, report) in &results {
-            assert!(
-                report.psnr_code_db.is_finite(),
-                "{name} produced non-finite PSNR"
-            );
-        }
     }
 }

@@ -12,12 +12,15 @@
 //! across every frame of the stream (and, when the cache is shared,
 //! across batch items with the same seed).
 //!
-//! Sessions subsume the older single-frame entry points:
+//! Sessions drive the single-frame entry points, so both give the same
+//! frames:
 //!
-//! | frame API (still works)                    | session API                           |
-//! |--------------------------------------------|---------------------------------------|
-//! | `imager.capture(&scene)` + `to_bytes()`    | `enc.capture(&scene)` + `to_bytes()`  |
-//! | `CompressedFrame::from_bytes` + `Decoder`  | `dec.push_bytes(&bytes)`              |
+//! | frame API                                   | session API                          |
+//! |---------------------------------------------|--------------------------------------|
+//! | `imager.capture(&scene)` + `to_bytes()`     | `enc.capture(&scene)` + `to_bytes()` |
+//! | `CompressedFrame::from_bytes` + `Decoder`   | `dec.push_bytes(&bytes)`             |
+//! | `Decoder::for_frame(&f)?.reconstruct(&f)`   | `dec.push_frame(&f)`                 |
+//! | `decoder.params(p)`                         | `dec.params(p)`                      |
 //!
 //! # One decode path
 //!
@@ -406,11 +409,11 @@ fn stitch_group(
 pub struct DecodeSession {
     parser: StreamParser,
     cache: Arc<OperatorCache>,
+    /// The decoder for the stream header, built on the first frame.
     decoder: Option<Arc<Decoder>>,
-    dictionary: DictionaryKind,
-    algorithm: SolverKind,
+    /// Solver and dictionary for key frames.
+    params: RecoveryParams,
     delta: Option<DeltaMode>,
-    header: Option<FrameHeader>,
     prev_samples: Option<Vec<u32>>,
     prev_codes: Option<ImageF64>,
     last_mean: f64,
@@ -459,28 +462,30 @@ impl DecodeSession {
     }
 
     /// Selects the sparsifying dictionary for key frames.
-    pub fn dictionary(&mut self, kind: DictionaryKind) -> &mut Self {
-        self.dictionary = kind;
-        if let Some(d) = &mut self.decoder {
-            Arc::make_mut(d).dictionary(kind);
-        }
-        self
+    pub fn dictionary(&mut self, dictionary: DictionaryKind) -> &mut Self {
+        self.params(RecoveryParams {
+            dictionary,
+            ..self.params
+        })
     }
 
     /// Selects the recovery algorithm for key frames (any
     /// [`SolverKind`]).
-    pub fn algorithm(&mut self, algorithm: SolverKind) -> &mut Self {
-        self.algorithm = algorithm;
-        if let Some(d) = &mut self.decoder {
-            Arc::make_mut(d).algorithm(algorithm);
-        }
-        self
+    pub fn algorithm(&mut self, solver: SolverKind) -> &mut Self {
+        self.params(RecoveryParams {
+            solver,
+            ..self.params
+        })
     }
 
     /// Applies a bundled [`RecoveryParams`] (solver + dictionary) for
-    /// key frames.
+    /// key frames, before or after the first frame.
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
-        self.algorithm(params.solver).dictionary(params.dictionary)
+        self.params = params;
+        if let Some(decoder) = &mut self.decoder {
+            Arc::make_mut(decoder).params(params);
+        }
+        self
     }
 
     /// Sets the executor count (default inline). Above 1, the tiles of
@@ -548,10 +553,9 @@ impl DecodeSession {
         self
     }
 
-    /// The stream header, once known (from priming or the first parsed
-    /// bytes).
+    /// The stream header, once a frame has been decoded or prewarmed.
     pub fn header(&self) -> Option<&FrameHeader> {
-        self.header.as_ref()
+        self.decoder.as_deref().map(Decoder::header)
     }
 
     /// Number of frames decoded so far.
@@ -564,45 +568,27 @@ impl DecodeSession {
         self.parser.buffered_bytes()
     }
 
-    /// Builds (or returns) the per-frame decoder for `header`, giving
-    /// access to its dictionary/algorithm knobs before any frame is
-    /// decoded.
+    /// The decoder for `header`, built on first use with the session's
+    /// params and cache. Later calls hand out the same decoder (a frame
+    /// with a different header then fails its decode with
+    /// [`CoreError::FrameMismatch`]). Decode paths only clone the `Arc`:
+    /// `Arc::make_mut`, which only the params setters use, would copy
+    /// the decoder whenever a drained pool ticket still holds a
+    /// reference — a timing-dependent allocation the warm steady state
+    /// must not have.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::MalformedFrame`] for degenerate headers.
-    pub fn prime(&mut self, header: &FrameHeader) -> Result<&mut Decoder, CoreError> {
-        self.ensure_primed(header)?;
-        self.decoder
-            .as_mut()
-            .map(Arc::make_mut)
-            .ok_or_else(|| CoreError::InvalidConfig("decode session failed to prime".into()))
-    }
-
-    /// Builds the decoder for `header` if none exists yet and returns a
-    /// handle to it. The decode paths use this instead of
-    /// [`DecodeSession::prime`]: they only read the decoder, and
-    /// `Arc::make_mut` would clone it whenever a drained pool ticket
-    /// still holds a transient reference — a timing-dependent
-    /// allocation the warm steady state must not have.
-    fn ensure_primed(&mut self, header: &FrameHeader) -> Result<Arc<Decoder>, CoreError> {
+    fn decoder_for(&mut self, header: &FrameHeader) -> Result<Arc<Decoder>, CoreError> {
         if let Some(decoder) = &self.decoder {
             return Ok(Arc::clone(decoder));
         }
         let mut decoder = Decoder::for_header(header)?;
-        decoder
-            .dictionary(self.dictionary)
-            .algorithm(self.algorithm)
-            .use_cache(self.cache.clone());
+        decoder.params(self.params).use_cache(self.cache.clone());
         let decoder = Arc::new(decoder);
         self.decoder = Some(Arc::clone(&decoder));
-        self.header = Some(*header);
         Ok(decoder)
-    }
-
-    /// Direct access to the per-frame decoder, once primed.
-    pub fn decoder_mut(&mut self) -> Option<&mut Decoder> {
-        self.decoder.as_mut().map(Arc::make_mut)
     }
 
     /// The session's sticky error, if one occurred: the parser's
@@ -792,7 +778,7 @@ impl DecodeSession {
         else {
             return Ok(());
         };
-        let decoder = self.ensure_primed(&header)?;
+        let decoder = self.decoder_for(&header)?;
         if let Some(delta) = self.delta {
             for group in groups {
                 out.push(self.decode_delta_group(group, &decoder, delta)?);
@@ -866,7 +852,7 @@ impl DecodeSession {
         }
     }
 
-    /// Warms the decode executors for `frame`'s geometry: primes the
+    /// Warms the decode executors for `frame`'s geometry: builds the
     /// decoder (operator-cache build) and runs one solve of `frame` on
     /// every executor a pooled decode would use — the calling thread
     /// plus `threads − 1` distinct pool workers — so each acquires its
@@ -882,7 +868,7 @@ impl DecodeSession {
     ///
     /// Returns [`CoreError::MalformedFrame`] for a degenerate header.
     pub fn prewarm(&mut self, frame: &CompressedFrame) -> Result<(), CoreError> {
-        let decoder = self.ensure_primed(&frame.header)?;
+        let decoder = self.decoder_for(&frame.header)?;
         if self.pooled() {
             let key = scratch_key(&frame.header);
             let frame = frame.clone();
@@ -920,8 +906,7 @@ impl DecodeSession {
         }
         let is_key = match &self.prev_samples {
             Some(prev) => {
-                if self.header.as_ref() != Some(&frame.header) || prev.len() != frame.samples.len()
-                {
+                if decoder.header() != &frame.header || prev.len() != frame.samples.len() {
                     return Err(CoreError::FrameMismatch(
                         "sequence frames must share header and sample count".into(),
                     ));
@@ -1089,6 +1074,33 @@ mod tests {
             key.reconstruction.code_image(),
             second.reconstruction.code_image()
         );
+    }
+
+    #[test]
+    fn frames_with_a_different_code_width_are_rejected() {
+        // The same capture re-expressed at 10-bit codes: geometry,
+        // strategy and seed match the session's 8-bit decoder, but its
+        // clamp range does not.
+        let im = imager(16, 0x10B);
+        let eight = im.capture(&Scene::gaussian_blobs(2).render(16, 16, 4));
+        let mut ten = eight.clone();
+        ten.header.code_bits += 2;
+        ten.header.sample_bits += 2;
+        ten.samples.iter_mut().for_each(|s| *s *= 4);
+        let fresh = DecodeSession::new().push_frame(&ten).unwrap();
+        let peak = fresh
+            .reconstruction
+            .code_image()
+            .as_slice()
+            .iter()
+            .fold(0.0_f64, |m, &v| m.max(v));
+        assert!(peak > 255.0, "a 10-bit decode reaches past 8 bits: {peak}");
+        let mut session = DecodeSession::new();
+        session.push_frame(&eight).unwrap();
+        assert!(matches!(
+            session.push_frame(&ten),
+            Err(CoreError::FrameMismatch(_))
+        ));
     }
 
     #[test]

@@ -132,15 +132,6 @@ impl SolverKind {
         matches!(self, SolverKind::Omp { .. } | SolverKind::CoSamp { .. })
     }
 
-    /// Whether decoding through a column view takes a different
-    /// floating-point path than decoding without one. OMP only reads
-    /// columns (values are identical either way); CoSaMP's restricted
-    /// least squares reassociates sums through the view, so cacheless
-    /// decodes must still build it to stay bit-identical to warm ones.
-    pub(crate) fn view_changes_results(&self) -> bool {
-        matches!(self, SolverKind::CoSamp { .. })
-    }
-
     /// One default configuration per algorithm, sized for a
     /// `k`-measurement frame — the set the solver shootout (bench
     /// `solvers` experiment) and the identity tests iterate. Order is

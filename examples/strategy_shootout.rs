@@ -11,7 +11,6 @@
 //! this example reconstructs the same scene under each and prints the
 //! league table.
 
-use tepics::core::pipeline::evaluate_with_cache;
 use tepics::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(0x57A7)
             .strategy(strategy)
             .build()?;
-        let report = evaluate_with_cache(&cache, &imager, |_| {}, &scene)?;
+        let report = evaluate(&cache, &imager, RecoveryParams::default(), &scene)?;
         println!(
             " {name:<24} |   {:6.1}  | {:.3} | {:4}",
             report.psnr_code_db, report.ssim_code, report.iterations

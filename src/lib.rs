@@ -78,9 +78,9 @@
 //! | `imager.capture(&scene)` then `frame.to_bytes()`     | `enc.capture(&scene)?` then `enc.to_bytes()` |
 //! | `CompressedFrame::from_bytes(&bytes)?`               | `dec.push_bytes(&bytes)?`                    |
 //! | `Decoder::for_frame(&frame)?.reconstruct(&frame)?`   | `dec.push_bytes(..)` / `dec.push_frame(..)`  |
-//! | `decoder.dictionary(..)` / `decoder.algorithm(..)`   | same calls on `DecodeSession`                |
+//! | `decoder.params(..)`                                 | `dec.params(..)` (or `dictionary`/`algorithm`), any time |
 //! | `SequenceDecoder::new(&first, s, n)?` + `push(..)` (removed) | `dec.delta_mode(s, n)` + `push_bytes(..)` |
-//! | `pipeline::evaluate(&imager, .., &scene)?` per scene | `pipeline::evaluate_with_cache(&cache, ..)?` |
+//! | `evaluate(&OperatorCache::shared(), ..)` per scene   | `evaluate(&cache, ..)`, one cache for all    |
 //! | N × `Decoder::for_frame` rebuilding Φ per frame      | one `OperatorCache`, Φ built once            |
 //! | `builder(rows, cols)` (one sensor-sized frame)       | `builder_for(FrameGeometry)` + `.tiling(TileConfig)` — stitched tiled decode |
 

@@ -36,10 +36,13 @@ fn paper_prototype_end_to_end() {
 
     // Reconstruct (iteration budget trimmed for CI runtimes).
     let mut decoder = Decoder::for_frame(&received).unwrap();
-    decoder.algorithm(SolverKind::Fista {
-        lambda_ratio: 0.02,
-        max_iter: 150,
-        debias: true,
+    decoder.params(RecoveryParams {
+        solver: SolverKind::Fista {
+            lambda_ratio: 0.02,
+            max_iter: 150,
+            debias: true,
+        },
+        dictionary: DictionaryKind::Dct2d,
     });
     let recon = decoder.reconstruct(&received).unwrap();
     let truth = imager.ideal_codes(&scene).to_code_f64();

@@ -113,7 +113,10 @@ fn warm_fused_decode_is_bit_identical_to_cold_for_all_solvers() {
     ] {
         for alg in SolverKind::shootout_set(frame.samples.len()) {
             let mut dec = Decoder::for_frame(&frame).unwrap();
-            dec.dictionary(dict).algorithm(alg);
+            dec.params(RecoveryParams {
+                solver: alg,
+                dictionary: dict,
+            });
             let cold = dec.reconstruct(&frame).unwrap();
             let mut ws = SolverWorkspace::new();
             dec.reconstruct_with(&frame, &mut ws).unwrap(); // warm the buffers

@@ -33,9 +33,11 @@ fn psnr_floors_per_scene_at_r_040() {
         ("bars", 46.0),
         ("edge", 43.0),
     ];
+    // One imager (one seed) across the suite: Φ is built once.
+    let cache = OperatorCache::shared();
     for (name, scene) in Scene::evaluation_suite() {
         let img = scene.render(32, 32, 314);
-        let report = evaluate(&im, |_| {}, &img).unwrap();
+        let report = evaluate(&cache, &im, RecoveryParams::default(), &img).unwrap();
         let floor = floors
             .iter()
             .find(|(n, _)| *n == name)
@@ -60,16 +62,16 @@ fn identity_dictionary_is_competitive_on_star_fields() {
     let scene = Scene::star_field(12).render(32, 32, 55);
     let frame = im.capture(&scene);
     let truth = im.ideal_codes(&scene).to_code_f64();
-    let db_for = |kind| {
+    let db_for = |params| {
         let mut d = Decoder::for_frame(&frame).unwrap();
-        d.dictionary(kind);
-        if kind == DictionaryKind::Identity {
-            d.algorithm(SolverKind::Iht { sparsity: 150 });
-        }
+        d.params(params);
         psnr(&truth, d.reconstruct(&frame).unwrap().code_image(), 255.0)
     };
-    let id = db_for(DictionaryKind::Identity);
-    let dct = db_for(DictionaryKind::Dct2d);
+    let id = db_for(RecoveryParams {
+        solver: SolverKind::Iht { sparsity: 150 },
+        dictionary: DictionaryKind::Identity,
+    });
+    let dct = db_for(RecoveryParams::natural());
     assert!(id > 16.0, "identity reconstruction too weak: {id:.1} dB");
     assert!(
         id > dct - 1.5,

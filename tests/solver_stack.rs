@@ -1,10 +1,11 @@
 //! Solver-pluggable recovery stack: end-to-end identity guarantees.
 //!
 //! Every [`SolverKind`] must behave identically however it is driven:
-//! cold per-frame decoders, warm cached sessions, and the parallel
+//! one-shot per-frame decoders, warm cached sessions, and the parallel
 //! batch engine all produce bit-identical reconstructions, because
-//! every cached value (operator, dictionary, per-solver norm estimate,
-//! column view) equals its cold rebuild and every workspace reset is
+//! every decode runs the same path through an operator cache, every
+//! cached value (operator, dictionary, per-solver norm estimate, column
+//! view) is built deterministically, and every workspace reset is
 //! value-transparent.
 
 use std::sync::Arc;
@@ -21,9 +22,10 @@ fn imager(side: usize, seed: u64) -> CompressiveImager {
         .unwrap()
 }
 
-/// Warm (cached session) decodes are bit-identical to cold (fresh
-/// cacheless decoder) decodes for every solver kind — the cache and
-/// workspace layers are value-transparent across the whole roster.
+/// Warm (cached session) decodes are bit-identical to cold (a fresh
+/// one-shot decoder on its own private cache) decodes for every solver
+/// kind over every dictionary — the cache and workspace layers are
+/// value-transparent across the whole roster.
 #[test]
 fn warm_session_equals_cold_decoder_for_every_solver_kind() {
     let im = imager(16, 0xBEEF);
@@ -32,30 +34,37 @@ fn warm_session_equals_cold_decoder_for_every_solver_kind() {
         .collect();
     let frames: Vec<CompressedFrame> = scenes.iter().map(|s| im.capture(s)).collect();
     let k = frames[0].samples.len();
-    for kind in SolverKind::shootout_set(k) {
-        // Cold: a fresh cacheless decoder per frame.
-        let cold: Vec<Reconstruction> = frames
-            .iter()
-            .map(|f| {
-                let mut d = Decoder::for_frame(f).unwrap();
-                d.algorithm(kind);
-                d.reconstruct(f).unwrap()
-            })
-            .collect();
-        // Warm: one session; frames 2..n hit every cache layer.
-        let mut session = DecodeSession::new();
-        session.algorithm(kind);
-        for (i, f) in frames.iter().enumerate() {
-            let warm = session.push_frame(f).unwrap();
-            assert_eq!(
-                warm.reconstruction, cold[i],
-                "{kind:?}: frame {i} warm != cold"
+    for dictionary in [
+        DictionaryKind::Dct2d,
+        DictionaryKind::Haar2d,
+        DictionaryKind::Identity,
+    ] {
+        for solver in SolverKind::shootout_set(k) {
+            let params = RecoveryParams { solver, dictionary };
+            // Cold: a fresh decoder per frame.
+            let cold: Vec<Reconstruction> = frames
+                .iter()
+                .map(|f| {
+                    let mut d = Decoder::for_frame(f).unwrap();
+                    d.params(params);
+                    d.reconstruct(f).unwrap()
+                })
+                .collect();
+            // Warm: one session; frames 2..n hit every cache layer.
+            let mut session = DecodeSession::new();
+            session.params(params);
+            for (i, f) in frames.iter().enumerate() {
+                let warm = session.push_frame(f).unwrap();
+                assert_eq!(
+                    warm.reconstruction, cold[i],
+                    "{params:?}: frame {i} warm != cold"
+                );
+            }
+            assert!(
+                session.cache().stats().hits >= frames.len() as u64 - 1,
+                "{params:?}: session never went warm"
             );
         }
-        assert!(
-            session.cache().stats().hits >= frames.len() as u64 - 1,
-            "{kind:?}: session never went warm"
-        );
     }
 }
 
@@ -95,7 +104,7 @@ fn shared_cache_does_not_mix_solver_state() {
 }
 
 /// The batch engine's thread-count determinism holds for every solver
-/// kind selected through `run_with`.
+/// kind selected through `run`'s params.
 #[test]
 fn batch_runs_identical_across_thread_counts_for_all_solvers() {
     let im = imager(16, 42);
@@ -104,15 +113,15 @@ fn batch_runs_identical_across_thread_counts_for_all_solvers() {
         .collect();
     let k = im.capture(&scenes[0]).samples.len();
     for kind in SolverKind::shootout_set(k) {
+        let params = RecoveryParams {
+            solver: kind,
+            ..RecoveryParams::default()
+        };
         let serial = BatchRunner::with_threads(1)
-            .run_with(&im, &scenes, |d| {
-                d.algorithm(kind);
-            })
+            .run(&im, &scenes, params)
             .unwrap();
         let parallel = BatchRunner::with_threads(4)
-            .run_with(&im, &scenes, |d| {
-                d.algorithm(kind);
-            })
+            .run(&im, &scenes, params)
             .unwrap();
         assert_eq!(
             serial.reports, parallel.reports,
@@ -140,4 +149,38 @@ fn recovery_params_equal_manual_configuration() {
         s.push_frame(&frame).unwrap().reconstruction
     };
     assert_eq!(via_params, manual);
+}
+
+/// A session reconfigured after its first frame decodes the next frame
+/// exactly as a fresh session configured up front would, and keeps its
+/// one Φ build: new params reach the existing decoder instead of
+/// rebuilding it.
+#[test]
+fn params_set_after_the_first_frame_apply_to_the_next() {
+    let im = imager(16, 0x5E7);
+    let frames: Vec<CompressedFrame> = (0..2)
+        .map(|i| im.capture(&Scene::star_field(5).render(16, 16, i)))
+        .collect();
+    let params = RecoveryParams::star_field(10);
+    let mut late = DecodeSession::new();
+    late.push_frame(&frames[0]).unwrap();
+    late.params(params);
+    let got = late.push_frame(&frames[1]).unwrap().reconstruction;
+
+    let mut upfront = DecodeSession::new();
+    upfront.params(params);
+    let want = upfront.push_frame(&frames[1]).unwrap().reconstruction;
+    assert_eq!(got, want, "late params must match up-front params");
+    let default = DecodeSession::new()
+        .push_frame(&frames[1])
+        .unwrap()
+        .reconstruction;
+    assert_ne!(got, default, "the new params must take effect");
+    assert_eq!(late.cache().stats().misses, 1, "Φ is built once");
+
+    // The per-field setters reach the live decoder too.
+    let mut split = DecodeSession::new();
+    split.push_frame(&frames[0]).unwrap();
+    split.algorithm(params.solver).dictionary(params.dictionary);
+    assert_eq!(split.push_frame(&frames[1]).unwrap().reconstruction, want);
 }

@@ -199,10 +199,13 @@ fn warm_fused_decode_iterations_allocate_nothing() {
     let mut ws = SolverWorkspace::new();
     let decode = |iters: usize, ws: &mut SolverWorkspace| {
         let mut dec = Decoder::for_frame(&frame).unwrap();
-        dec.algorithm(SolverKind::Fista {
-            lambda_ratio: 0.02,
-            max_iter: iters,
-            debias: false,
+        dec.params(RecoveryParams {
+            solver: SolverKind::Fista {
+                lambda_ratio: 0.02,
+                max_iter: iters,
+                debias: false,
+            },
+            dictionary: DictionaryKind::Dct2d,
         });
         dec.reconstruct_with(&frame, ws).unwrap()
     };
