@@ -21,12 +21,15 @@
 //! ([`DecodeSession`](crate::session::DecodeSession)) recovers them in
 //! parallel and stitches with overlap blending.
 
+use std::sync::Arc;
+
 use crate::error::CoreError;
 use crate::frame::{CompressedFrame, FrameHeader};
 use crate::strategy::StrategyKind;
 use tepics_imaging::tile::{FrameGeometry, TileConfig, TileLayout};
 use tepics_imaging::{ImageF64, ImageU8};
-use tepics_sensor::{CapturedFrame, EventStats, Fidelity, FrameReadout, SensorConfig};
+use tepics_sensor::{EventStats, Fidelity, FrameReadout, SensorConfig};
+use tepics_util::BitVec;
 
 /// Capture engine configured for one sensor + strategy + ratio.
 ///
@@ -51,8 +54,27 @@ pub struct CompressiveImager {
     strategy: StrategyKind,
     seed: u64,
     ratio: f64,
-    fidelity: Fidelity,
-    tiling: Option<TileEngine>,
+    engine: Engine,
+}
+
+/// How a [`CompressiveImager`] captures a scene.
+#[derive(Debug, Clone)]
+enum Engine {
+    /// One measurement of the whole frame.
+    Single(Arc<Capture>),
+    /// One measurement per tile.
+    Tiled(TileEngine),
+}
+
+/// What an untiled imager captures with, built once by
+/// [`CompressiveImagerBuilder::build`] and shared by every clone: the
+/// readout with its noise model, and the `K` selection patterns. The
+/// patterns are a pure function of (strategy, seed, `M+N`, `K`), so
+/// every scene — and every tile of a tiled imager — reuses them.
+#[derive(Debug)]
+struct Capture {
+    readout: FrameReadout,
+    patterns: Vec<BitVec>,
 }
 
 /// The tiled-capture machinery of a tiled [`CompressiveImager`]: the
@@ -128,32 +150,39 @@ impl CompressiveImager {
 
     /// Whether this imager captures tiled frames.
     pub fn is_tiled(&self) -> bool {
-        self.tiling.is_some()
+        self.tiles().is_some()
+    }
+
+    fn tiles(&self) -> Option<&TileEngine> {
+        match &self.engine {
+            Engine::Tiled(t) => Some(t),
+            Engine::Single(_) => None,
+        }
     }
 
     /// The resolved tile layout, for a tiled imager.
     pub fn tile_layout(&self) -> Option<&TileLayout> {
-        self.tiling.as_ref().map(|t| &t.layout)
+        self.tiles().map(|t| &t.layout)
     }
 
     /// The tile configuration this imager was built with, for a tiled
     /// imager.
     pub fn tile_config(&self) -> Option<&TileConfig> {
-        self.tiling.as_ref().map(|t| &t.config)
+        self.tiles().map(|t| &t.config)
     }
 
     /// The per-tile imager a tiled imager captures each tile with.
     pub fn tile_imager(&self) -> Option<&CompressiveImager> {
-        self.tiling.as_ref().map(|t| t.imager.as_ref())
+        self.tiles().map(|t| t.imager.as_ref())
     }
 
     /// Number of compressed samples per captured frame record — per
     /// **tile** for a tiled imager (`⌈R·tile_h·tile_w⌉`), per frame
     /// otherwise.
     pub fn sample_count(&self) -> usize {
-        match &self.tiling {
-            Some(t) => t.imager.sample_count(),
-            None => ((self.ratio * self.config.pixel_count() as f64).ceil() as usize).max(1),
+        match &self.engine {
+            Engine::Tiled(t) => t.imager.sample_count(),
+            Engine::Single(capture) => capture.patterns.len(),
         }
     }
 
@@ -164,7 +193,7 @@ impl CompressiveImager {
     /// carries the full-frame geometry in the stream's tile extension
     /// instead.
     pub fn frame_header(&self) -> FrameHeader {
-        match &self.tiling {
+        match self.tiles() {
             Some(t) => t.imager.frame_header(),
             None => FrameHeader {
                 rows: self.config.rows() as u16,
@@ -201,17 +230,11 @@ impl CompressiveImager {
     /// Panics if the scene dimensions do not match the sensor, or if
     /// the imager is tiled (see [`CompressiveImager::capture`]).
     pub fn capture_with_stats(&self, scene: &ImageF64) -> (CompressedFrame, EventStats) {
-        assert!(
-            !self.is_tiled(),
-            "tiled imagers capture one frame per tile; use capture_tiles"
-        );
-        let readout = FrameReadout::new(self.config.clone(), self.fidelity);
-        let mut source = self
-            .strategy
-            .build_source(self.config.rows() + self.config.cols(), self.seed)
-            // tidy:allow(panic: strategy parameters were validated by CompressiveImagerBuilder::build)
-            .expect("strategy validated at build time");
-        let captured: CapturedFrame = readout.capture(scene, source.as_mut(), self.sample_count());
+        let Engine::Single(capture) = &self.engine else {
+            // tidy:allow(panic: documented contract — a tiled imager captures through capture_tiles)
+            panic!("tiled imagers capture one frame per tile; use capture_tiles");
+        };
+        let captured = capture.readout.capture_patterns(scene, &capture.patterns);
         let header = self.frame_header();
         (
             CompressedFrame {
@@ -241,7 +264,7 @@ impl CompressiveImager {
     ///
     /// Panics if the scene dimensions do not match the frame geometry.
     pub fn capture_tiles_with_stats(&self, scene: &ImageF64) -> (Vec<CompressedFrame>, EventStats) {
-        let Some(engine) = &self.tiling else {
+        let Some(engine) = self.tiles() else {
             let (frame, stats) = self.capture_with_stats(scene);
             return (vec![frame], stats);
         };
@@ -398,8 +421,7 @@ impl CompressiveImagerBuilder {
                 strategy: tile_imager.strategy(),
                 seed: self.seed,
                 ratio: self.ratio,
-                fidelity: self.fidelity,
-                tiling: Some(TileEngine {
+                engine: Engine::Tiled(TileEngine {
                     config: tile_config,
                     layout,
                     imager: Box::new(tile_imager),
@@ -409,15 +431,18 @@ impl CompressiveImagerBuilder {
         let strategy = self
             .strategy
             .unwrap_or_else(|| StrategyKind::default_for(self.rows, self.cols));
-        // Validate the strategy parameters eagerly.
-        strategy.build_source(self.rows + self.cols, self.seed)?;
+        let k = ((self.ratio * config.pixel_count() as f64).ceil() as usize).max(1);
+        let mut source = strategy.build_source(self.rows + self.cols, self.seed)?;
+        let capture = Capture {
+            readout: FrameReadout::new(config.clone(), self.fidelity),
+            patterns: (0..k).map(|_| source.next_pattern()).collect(),
+        };
         Ok(CompressiveImager {
             config,
             strategy,
             seed: self.seed,
             ratio: self.ratio,
-            fidelity: self.fidelity,
-            tiling: None,
+            engine: Engine::Single(Arc::new(capture)),
         })
     }
 }

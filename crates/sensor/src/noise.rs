@@ -14,9 +14,11 @@ use tepics_util::SplitMix64;
 pub struct NoiseModel {
     rows: usize,
     cols: usize,
-    /// Residual comparator offset per pixel (V).
+    /// Residual comparator offset per pixel (V); empty when the offset
+    /// σ is zero (every offset is then 0).
     offsets: Vec<f64>,
-    /// Multiplicative photoresponse gain per pixel (≈1).
+    /// Multiplicative photoresponse gain per pixel (≈1); empty when the
+    /// gain σ is zero (every gain is then 1).
     gains: Vec<f64>,
     jitter_sigma: f64,
     jitter_seed: u64,
@@ -30,11 +32,15 @@ impl NoiseModel {
         let mut offset_rng = rng.split();
         let mut gain_rng = rng.split();
         let jitter_seed = rng.next_u64();
-        let offsets = (0..n)
-            .map(|_| offset_rng.next_gaussian() * config.offset_sigma_volts())
+        let offset_sigma = config.offset_sigma_volts();
+        let gain_sigma = config.fpn_gain_sigma();
+        // A zero σ freezes nothing: the accessors fall back to 0 and 1.
+        let frozen = |sigma: f64| if sigma == 0.0 { 0 } else { n };
+        let offsets = (0..frozen(offset_sigma))
+            .map(|_| offset_rng.next_gaussian() * offset_sigma)
             .collect();
-        let gains = (0..n)
-            .map(|_| (1.0 + gain_rng.next_gaussian() * config.fpn_gain_sigma()).max(0.05))
+        let gains = (0..frozen(gain_sigma))
+            .map(|_| (1.0 + gain_rng.next_gaussian() * gain_sigma).max(0.05))
             .collect();
         NoiseModel {
             rows: config.rows(),
@@ -48,12 +54,14 @@ impl NoiseModel {
 
     /// Comparator offset of pixel `(row, col)` (V).
     pub fn offset(&self, row: usize, col: usize) -> f64 {
-        self.offsets[self.index(row, col)]
+        let i = self.index(row, col);
+        self.offsets.get(i).copied().unwrap_or(0.0)
     }
 
     /// Photoresponse gain of pixel `(row, col)`.
     pub fn gain(&self, row: usize, col: usize) -> f64 {
-        self.gains[self.index(row, col)]
+        let i = self.index(row, col);
+        self.gains.get(i).copied().unwrap_or(1.0)
     }
 
     /// Temporal jitter (s) for pixel `(row, col)` during compressed

@@ -3,8 +3,10 @@
 //! One compressed sample = one 20 µs slot: the array is reset, the CA
 //! advances, selected pixels integrate and fire, column buses arbitrate,
 //! the TDC samples the global counter, Sample & Add accumulates, and a
-//! 20-bit word leaves the chip. [`FrameReadout::capture`] runs `K` such
-//! slots and returns the samples plus event-level statistics.
+//! 20-bit word leaves the chip. [`FrameReadout::capture_patterns`] runs
+//! one such slot per selection pattern and returns the samples plus
+//! event-level statistics; [`FrameReadout::capture`] first draws `K`
+//! patterns from a source.
 //!
 //! Two fidelities:
 //!
@@ -13,15 +15,43 @@
 //! * [`Fidelity::EventAccurate`] — pulses go through the column token
 //!   protocol; queued pulses are delayed (possibly crossing clock edges
 //!   → the paper's 1 LSB error), pulses past the window are lost.
+//!
+//! # Per-column sums
+//!
+//! A jitter-free functional capture computes what the hardware
+//! computes: each sample is one concurrent event, not a sequence of
+//! pulses. Every pixel's flip time is converted once per scene, by the
+//! same helper [`FrameReadout::code_image`] uses. A sample adds the code
+//! rows of its selected rows `R` into one accumulator per column,
+//! `S_c = Σ_{r∈R} code[r,c]`. A pixel fires when its row bit differs
+//! from its column bit, so column `c`'s Sample & Add word is `S_c` when
+//! the column bit is 0 and `colsum_c − S_c` when it is 1. Codes are
+//! non-negative, so one saturating add of that word clips and flags
+//! exactly as the pulse-by-pulse adds would. Missed pulses are counted
+//! the same way, in the high half of each packed per-pixel cell, and
+//! `total_pulses` follows from `|R|` and the column bits.
+//!
+//! The per-pulse loop still runs where it is needed: with temporal
+//! jitter (every sample redraws every flip time) and at
+//! [`Fidelity::EventAccurate`] (arbitration needs each column's pulse
+//! times).
 
 use crate::column::ColumnArbiter;
 use crate::comparator::Comparator;
 use crate::config::{CodeTransfer, SensorConfig};
 use crate::noise::NoiseModel;
-use crate::tdc::{Conversion, GlobalCounter, SampleAdd};
+use crate::tdc::{Conversion, GlobalCounter, SampleAdd, SampleWord};
 use tepics_ca::BitPatternSource;
 use tepics_imaging::{ImageF64, ImageU8};
 use tepics_util::BitVec;
+
+/// Bit offset of the miss count in a packed per-pixel cell of the
+/// column-sum path; the code sits below it.
+const MISS_SHIFT: u32 = 32;
+
+/// Most rows the column-sum path packs: a column then sums to less than
+/// `2^16 · 2^16` in either half of a cell (codes have at most 16 bits).
+const MAX_PACKED_ROWS: usize = 1 << 16;
 
 /// Simulation fidelity of the readout path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,9 +149,9 @@ impl EventStats {
 pub struct CapturedFrame {
     /// Compressed samples, one per selection pattern.
     pub samples: Vec<u32>,
-    /// The `(M+N)`-bit selection patterns used (rows ++ columns).
-    pub patterns: Vec<BitVec>,
-    /// Event statistics (all zero in functional mode except totals).
+    /// Event statistics. Functional captures count pulses, missed
+    /// pulses and both overflow kinds; queueing, code errors and delays
+    /// stay zero because only arbitration produces them.
     pub stats: EventStats,
 }
 
@@ -130,12 +160,19 @@ pub struct CapturedFrame {
 pub struct FrameReadout {
     config: SensorConfig,
     fidelity: Fidelity,
+    noise: NoiseModel,
 }
 
 impl FrameReadout {
-    /// Creates a readout engine.
+    /// Creates a readout engine (and the configuration's noise model,
+    /// which every capture then shares).
     pub fn new(config: SensorConfig, fidelity: Fidelity) -> Self {
-        FrameReadout { config, fidelity }
+        let noise = NoiseModel::new(&config);
+        FrameReadout {
+            config,
+            fidelity,
+            noise,
+        }
     }
 
     /// The configuration in use.
@@ -150,12 +187,12 @@ impl FrameReadout {
 
     /// Base flip time (s since reset) of pixel `(row, col)` for the
     /// scene, including fixed-pattern noise but not per-sample jitter.
-    fn base_flip_time(&self, noise: &NoiseModel, scene: &ImageF64, row: usize, col: usize) -> f64 {
+    fn base_flip_time(&self, scene: &ImageF64, row: usize, col: usize) -> f64 {
         let e = scene.get(col, row);
         match self.config.transfer() {
             CodeTransfer::Reciprocal => {
-                let comparator = Comparator::new(noise.offset(row, col));
-                comparator.flip_time(&self.config, e * noise.gain(row, col), 0.0)
+                let comparator = Comparator::new(self.noise.offset(row, col));
+                comparator.flip_time(&self.config, e * self.noise.gain(row, col), 0.0)
             }
             CodeTransfer::Linearized => {
                 // Place the flip mid-tick of the linear code.
@@ -163,6 +200,19 @@ impl FrameReadout {
                 self.config.initial_delay() + (code + 0.5) * self.config.t_clk()
             }
         }
+    }
+
+    /// The jitter-free conversion of pixel `(row, col)`: its base flip
+    /// time sampled by the counter. [`FrameReadout::code_image`] and the
+    /// column-sum capture both read pixels through this one helper.
+    fn ideal_conversion(
+        &self,
+        counter: &GlobalCounter,
+        scene: &ImageF64,
+        row: usize,
+        col: usize,
+    ) -> Conversion {
+        counter.convert(self.base_flip_time(scene, row, col))
     }
 
     /// The ideal (functional, jitter-free) code image for a scene — the
@@ -174,12 +224,11 @@ impl FrameReadout {
     /// Panics if the scene size does not match the configuration.
     pub fn code_image(&self, scene: &ImageF64) -> ImageU8 {
         self.check_scene(scene);
-        let noise = NoiseModel::new(&self.config);
         let counter = GlobalCounter::new(&self.config);
         ImageU8::from_fn(
             self.config.cols(),
             self.config.rows(),
-            |col, row| match counter.convert(self.base_flip_time(&noise, scene, row, col)) {
+            |col, row| match self.ideal_conversion(&counter, scene, row, col) {
                 Conversion::Code(c) => c as u8,
                 Conversion::Missed => 0,
             },
@@ -187,7 +236,8 @@ impl FrameReadout {
     }
 
     /// Captures `k` compressed samples of `scene` using selection
-    /// patterns from `source`.
+    /// patterns drawn from `source`
+    /// (see [`FrameReadout::capture_patterns`]).
     ///
     /// # Panics
     ///
@@ -199,31 +249,99 @@ impl FrameReadout {
         source: &mut dyn BitPatternSource,
         k: usize,
     ) -> CapturedFrame {
+        let patterns: Vec<BitVec> = (0..k).map(|_| source.next_pattern()).collect();
+        self.capture_patterns(scene, &patterns)
+    }
+
+    /// Captures one compressed sample of `scene` per selection pattern
+    /// (`M+N` bits each: rows, then columns).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scene size or a pattern length do not match the
+    /// configuration, or `patterns` is empty.
+    pub fn capture_patterns(&self, scene: &ImageF64, patterns: &[BitVec]) -> CapturedFrame {
         self.check_scene(scene);
-        assert!(k > 0, "need at least one compressed sample");
+        assert!(!patterns.is_empty(), "need at least one compressed sample");
         let (m, n) = (self.config.rows(), self.config.cols());
-        assert_eq!(
-            source.pattern_len(),
-            m + n,
-            "source pattern length {} != M+N = {}",
-            source.pattern_len(),
+        assert!(
+            patterns.iter().all(|p| p.len() == m + n),
+            "pattern length != M+N = {}",
             m + n
         );
-        let noise = NoiseModel::new(&self.config);
+        let column_sums = self.fidelity == Fidelity::Functional
+            && self.config.jitter_sigma() == 0.0
+            && m <= MAX_PACKED_ROWS;
+        if column_sums {
+            self.capture_column_sums(scene, patterns)
+        } else {
+            self.capture_pulses(scene, patterns)
+        }
+    }
+
+    /// The jitter-free functional capture through per-column sums (see
+    /// the module docs).
+    fn capture_column_sums(&self, scene: &ImageF64, patterns: &[BitVec]) -> CapturedFrame {
+        let (m, n) = (self.config.rows(), self.config.cols());
+        let counter = GlobalCounter::new(&self.config);
+        // One cell per pixel, row-major: its code, or one miss.
+        let cells: Vec<u64> = (0..m * n)
+            .map(
+                |px| match self.ideal_conversion(&counter, scene, px / n, px % n) {
+                    Conversion::Code(c) => u64::from(c),
+                    Conversion::Missed => 1 << MISS_SHIFT,
+                },
+            )
+            .collect();
+        let mut column_totals = vec![0u64; n];
+        for row in cells.chunks_exact(n) {
+            add_row(&mut column_totals, row);
+        }
+        let mut sums = vec![0u64; n];
+        let mut sample_add = SampleAdd::for_config(&self.config);
+        let mut stats = EventStats::new();
+        let mut samples = Vec::with_capacity(patterns.len());
+        // tidy:alloc-free
+        for pattern in patterns {
+            sums.fill(0);
+            let mut rows_set = 0;
+            for row in pattern.iter_ones().take_while(|&r| r < m) {
+                add_row(&mut sums, &cells[row * n..(row + 1) * n]);
+                rows_set += 1;
+            }
+            let mut cols_set = 0;
+            for (col, (&sum, &total)) in sums.iter().zip(&column_totals).enumerate() {
+                let word = if pattern.get(m + col) {
+                    cols_set += 1;
+                    total - sum
+                } else {
+                    sum
+                };
+                stats.missed_pulses += word >> MISS_SHIFT;
+                sample_add.add_word(col, word & ((1 << MISS_SHIFT) - 1));
+            }
+            stats.total_pulses += (rows_set * (n - cols_set) + (m - rows_set) * cols_set) as u64;
+            record_sample(sample_add.finish(), &mut stats, &mut samples);
+        }
+        CapturedFrame { samples, stats }
+    }
+
+    /// The pulse-by-pulse capture: jittered flip times and the
+    /// event-accurate column protocol.
+    fn capture_pulses(&self, scene: &ImageF64, patterns: &[BitVec]) -> CapturedFrame {
+        let (m, n) = (self.config.rows(), self.config.cols());
         let counter = GlobalCounter::new(&self.config);
         let arbiter = ColumnArbiter::new(&self.config);
         let mut sample_add = SampleAdd::for_config(&self.config);
         let mut stats = EventStats::new();
-        let mut samples = Vec::with_capacity(k);
-        let mut patterns = Vec::with_capacity(k);
+        let mut samples = Vec::with_capacity(patterns.len());
         // Base flip times are scene-dependent only; jitter is per sample.
         let base: Vec<f64> = (0..m * n)
-            .map(|px| self.base_flip_time(&noise, scene, px / n, px % n))
+            .map(|px| self.base_flip_time(scene, px / n, px % n))
             .collect();
         let jitter_free = self.config.jitter_sigma() == 0.0;
         let mut column_pulses: Vec<(usize, f64)> = Vec::with_capacity(m);
-        for sample_idx in 0..k {
-            let pattern = source.next_pattern();
+        for (sample_idx, pattern) in patterns.iter().enumerate() {
             for col in 0..n {
                 let col_selected = pattern.get(m + col);
                 column_pulses.clear();
@@ -231,7 +349,7 @@ impl FrameReadout {
                     if pattern.get(row) != col_selected {
                         let mut t = base[row * n + col];
                         if !jitter_free {
-                            t = (t + noise.jitter(row, col, sample_idx)).max(0.0);
+                            t = (t + self.noise.jitter(row, col, sample_idx)).max(0.0);
                         }
                         column_pulses.push((row, t));
                     }
@@ -275,21 +393,9 @@ impl FrameReadout {
                     }
                 }
             }
-            let word = sample_add.finish();
-            if word.column_overflow {
-                stats.column_overflows += 1;
-            }
-            if word.sample_overflow {
-                stats.sample_overflows += 1;
-            }
-            samples.push(word.value as u32);
-            patterns.push(pattern);
+            record_sample(sample_add.finish(), &mut stats, &mut samples);
         }
-        CapturedFrame {
-            samples,
-            patterns,
-            stats,
-        }
+        CapturedFrame { samples, stats }
     }
 
     fn check_scene(&self, scene: &ImageF64) {
@@ -303,6 +409,20 @@ impl FrameReadout {
             self.config.rows()
         );
     }
+}
+
+/// Adds one row of packed cells into per-column accumulators.
+fn add_row(acc: &mut [u64], row: &[u64]) {
+    for (a, &cell) in acc.iter_mut().zip(row) {
+        *a += cell;
+    }
+}
+
+/// Appends a finished sample word and counts its overflows.
+fn record_sample(word: SampleWord, stats: &mut EventStats, samples: &mut Vec<u32>) {
+    stats.column_overflows += u64::from(word.column_overflow);
+    stats.sample_overflows += u64::from(word.sample_overflow);
+    samples.push(word.value as u32);
 }
 
 #[cfg(test)]
@@ -332,9 +452,10 @@ mod tests {
         let readout = FrameReadout::new(config.clone(), Fidelity::Functional);
         let codes = readout.code_image(&scene);
         let mut src = source(&config, 11);
-        let frame = readout.capture(&scene, &mut src, 25);
+        let patterns: Vec<BitVec> = (0..25).map(|_| src.next_pattern()).collect();
+        let frame = readout.capture_patterns(&scene, &patterns);
         // Recompute each sample from the pattern and the code image.
-        for (k, pattern) in frame.patterns.iter().enumerate() {
+        for (k, pattern) in patterns.iter().enumerate() {
             let mut expected = 0u32;
             for row in 0..16 {
                 for col in 0..16 {

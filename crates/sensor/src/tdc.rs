@@ -121,10 +121,23 @@ impl SampleAdd {
     ///
     /// Panics if `col` is out of range.
     pub fn add(&mut self, col: usize, conversion: Conversion) {
+        let code = match conversion {
+            Conversion::Code(code) => u64::from(code),
+            Conversion::Missed => 0,
+        };
+        self.add_word(col, code);
+    }
+
+    /// Accumulates `word`, a sum of codes, into its column in one
+    /// saturating add. Codes are non-negative, so this clips and flags
+    /// exactly as adding them one at a time would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` is out of range.
+    pub fn add_word(&mut self, col: usize, word: u64) {
         assert!(col < self.columns.len(), "column {col} out of range");
-        if let Conversion::Code(code) = conversion {
-            self.columns[col].add(code as u64);
-        }
+        self.columns[col].add(word);
     }
 
     /// Sums the column words into the final sample and resets for the

@@ -1,11 +1,12 @@
 //! Dynamic complement to `tepics-tidy`'s static `// tidy:alloc-free`
 //! regions: a counting global allocator proves at runtime that the warm
-//! solver loops and the warm serial tiled-decode path do not touch the
-//! heap.
+//! solver loops, the warm serial tiled-decode path and the per-sample
+//! capture loop do not touch the heap.
 //!
 //! The method is differential: run the same warm solve at two different
-//! iteration budgets and assert the *allocation counts are equal*. Any
-//! per-iteration allocation would scale with the budget, so equality
+//! iteration budgets (or capture at two sample counts) and assert the
+//! *allocation counts are equal*. Any per-iteration allocation would
+//! scale with the budget, so equality
 //! pins the loop body to zero allocations without having to whitelist
 //! the (documented, one-time) allocations outside the loop. Where the
 //! one-time set is exactly known — the returned coefficient vector — we
@@ -276,5 +277,34 @@ fn warm_serial_tiled_decode_reaches_allocation_steady_state() {
     assert_eq!(
         seventh, eighth,
         "warm serial tiled decode drifts: {seventh} then {eighth} allocations"
+    );
+}
+
+/// A warm capture's allocations do not grow with the sample count: an
+/// imager measuring 4K samples costs exactly as many allocations per
+/// scene as one measuring K. The per-column-sum readout allocates its
+/// per-scene buffers and the sample vector once; the per-sample loop,
+/// over patterns the imager replayed at build time, touches no heap.
+#[test]
+fn warm_capture_allocations_do_not_grow_with_sample_count() {
+    let scene = Scene::natural_like().render(32, 32, 5);
+    let capture_allocs = |ratio: f64| {
+        let imager = CompressiveImager::builder(32, 32)
+            .ratio(ratio)
+            .seed(0xCA97)
+            .fidelity(Fidelity::Functional)
+            .build()
+            .unwrap();
+        let warm = imager.capture_with_stats(&scene);
+        let (allocs, again) = count_allocs(|| imager.capture_with_stats(&scene));
+        assert_eq!(again, warm, "a warm capture must repeat the first");
+        (allocs, imager.sample_count())
+    };
+    let (short, k) = capture_allocs(0.125);
+    let (long, four_k) = capture_allocs(0.5);
+    assert_eq!((k, four_k), (128, 512));
+    assert_eq!(
+        short, long,
+        "capture allocates per sample: K = {k} costs {short}, 4K = {four_k} costs {long}"
     );
 }
