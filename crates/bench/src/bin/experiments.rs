@@ -10,8 +10,6 @@
 //! experiments --smoke       # tiny end-to-end batch; exit 1 on regression
 //! ```
 
-// Timing is this crate's job: the clippy.toml wall-clock bans do not apply here.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 use std::io::Write as _;
 use tepics_bench::{registry, Tier};
 
@@ -43,12 +41,11 @@ fn smoke() {
         .expect("smoke batch (N threads)");
     let summary = parallel.summary();
     eprintln!(
-        "smoke: {} frames, mean PSNR {:.1} dB (min {:.1}), wire saving {:.1}%, {:.1} frames/s",
+        "smoke: {} frames, mean PSNR {:.1} dB (min {:.1}), wire saving {:.1}%",
         summary.frames,
         summary.mean_psnr_db,
         summary.min_psnr_db,
         summary.wire_saving() * 100.0,
-        summary.frames_per_sec,
     );
     let mut failures = Vec::new();
     // Fast tidy pass: the workspace invariant linter (alloc-free
@@ -133,27 +130,6 @@ fn smoke() {
         frame_codec_bits,
         stats.hit_rate() * 100.0
     );
-    // Hot-path kernels (DCT, Φ apply/adjoint, warm decode) in smoke
-    // mode: exercises the fast operator paths end to end on every PR.
-    match tepics_bench::experiments::hotpaths::smoke() {
-        Ok(summary) => eprintln!("{summary}"),
-        Err(hotpath_failures) => failures.extend(hotpath_failures),
-    }
-    // Solver roster in smoke mode: every SolverKind decodes one frame
-    // (warm ≡ cold asserted per solver), plus the greedy column-view
-    // consistency contracts — so a solver-stack regression fails CI
-    // even when no unit test covers it.
-    match tepics_bench::experiments::solvers::smoke() {
-        Ok(summary) => eprintln!("{summary}"),
-        Err(solver_failures) => failures.extend(solver_failures),
-    }
-    // Tiled path in smoke mode: a non-square frame in shifted uniform
-    // tiles — geometry-first capture, v2 wire records, stitched decode,
-    // one Φ build across all tiles, serial ≡ threaded.
-    match tepics_bench::experiments::tiled::smoke() {
-        Ok(summary) => eprintln!("{summary}"),
-        Err(tiled_failures) => failures.extend(tiled_failures),
-    }
     // Resilient wire v3 in smoke mode: clean v3 decodes bit-identical
     // to v2, and a 0.1%-corrupted v3 stream still recovers ≥90% of its
     // frames — the graceful-degradation contract on every PR.
@@ -245,9 +221,7 @@ fn main() {
     let mut combined = String::new();
     for e in selected {
         eprintln!(">>> running {} — {}", e.id, e.artifact);
-        let started = std::time::Instant::now();
         let report = (e.run)();
-        eprintln!("    done in {:.1}s", started.elapsed().as_secs_f64());
         println!("{report}");
         println!("{}", "=".repeat(78));
         combined.push_str(&report);

@@ -1,6 +1,5 @@
 //! One module per reproduced artifact; [`crate::registry`] is the index.
 
-pub mod batch;
 pub mod breakeven;
 pub mod ca_spectrum;
 pub mod eq1;
@@ -9,7 +8,6 @@ pub mod ffvb;
 pub mod fig1;
 pub mod fig2;
 pub mod fig45;
-pub mod hotpaths;
 pub mod lsb;
 pub mod matrices;
 pub mod noise;

@@ -198,12 +198,5 @@ pub fn run() -> String {
          behavioral model makes all three knobs orthogonal so silicon-\n\
          calibration studies can be rehearsed in simulation.\n",
     );
-    out.push_str(&format!(
-        "\n[batch: {} sweep points on {} threads in {:.2}s — {:.1} frames/s]\n",
-        outcome.reports.len(),
-        BatchRunner::new().threads(),
-        outcome.elapsed.as_secs_f64(),
-        outcome.summary().frames_per_sec,
-    ));
     out
 }

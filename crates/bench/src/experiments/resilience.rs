@@ -22,7 +22,7 @@
 //! corruption must decode to completion with ≥90% of frames recovered
 //! and no panics.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::report::{section, Table};
 use tepics_core::prelude::*;
@@ -99,7 +99,7 @@ fn measure(side: usize, n_frames: usize) -> (Vec<RatePoint>, usize, usize) {
         n_frames,
         "clean v3 stream must decode fully"
     );
-    let truth: HashMap<usize, &DecodedFrame> = truth_frames.iter().map(|f| (f.index, f)).collect();
+    let truth: BTreeMap<usize, &DecodedFrame> = truth_frames.iter().map(|f| (f.index, f)).collect();
 
     let mut points = Vec::new();
     for &rate in &BIT_RATES {

@@ -1,48 +1,16 @@
-//! (infrastructure) Solver shootout: PSNR + wall-time of every
-//! [`SolverKind`] at fixed R, plus the column-materialization ablation.
+//! (infrastructure) Solver shootout: reconstruction quality of every
+//! [`SolverKind`] at fixed R.
 //!
 //! The recovery stack is solver-pluggable: all eight algorithms run
 //! behind the `Solver` trait, selectable per session. This experiment
-//! answers the operational question that raises — *which solver for
-//! which budget* — by decoding one frame with every kind at a fixed
-//! compression ratio and reporting reconstruction quality against
-//! cold/warm decode wall-time. It also measures the column-materialized
-//! view in isolation: OMP and CoSaMP with and without an attached
-//! `ColumnMatrix`, the ablation behind the greedy fast path.
-//!
-//! Numbers land in `BENCH_solvers.json` at the workspace root (schema:
-//! a `solvers` object keyed by solver label, plus a `column_view`
-//! object with the ablation timings and speedups).
-//!
-//! Every warm decode is asserted bit-identical to its cold decode, so
-//! the shootout doubles as an end-to-end identity check across all
-//! solver kinds.
-
-use std::sync::Arc;
-use std::time::Instant;
+//! answers the quality half of *which solver for which budget*: it
+//! decodes one frame with every kind at a fixed compression ratio and
+//! reports PSNR against the ideal codes and the iterations each solver
+//! ran. Decode cost is measured end to end by `codecbench`
+//! (`BENCHMARK.json`).
 
 use crate::report::{section, Table};
 use tepics_core::prelude::*;
-use tepics_cs::colview::ColumnMatrix;
-use tepics_cs::dictionary::ZeroMeanDictionary;
-use tepics_cs::{ComposedOperator, Dct2dDictionary, XorMeasurement};
-use tepics_recovery::{CoSaMp, Omp, SolverWorkspace};
-
-/// Where the machine-readable numbers land (workspace root).
-const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solvers.json");
-
-/// Median wall time per call, in seconds, over `reps` calls; `sink`
-/// absorbs a checksum so the optimizer cannot discard the work.
-fn time_median(reps: usize, sink: &mut f64, mut f: impl FnMut() -> f64) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        *sink += f();
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
 
 /// Label a kind uniquely (the debiased and plain ℓ1 variants share a
 /// solver name).
@@ -54,152 +22,7 @@ fn label(kind: &SolverKind) -> String {
     }
 }
 
-/// One shootout row.
-struct Row {
-    label: String,
-    psnr_db: f64,
-    cold_ms: f64,
-    warm_ms: f64,
-    iterations: usize,
-}
-
-/// Decodes `frame` with `kind` through a fresh session: returns the
-/// row plus asserts warm ≡ cold.
-fn shoot(
-    imager: &CompressiveImager,
-    scene: &ImageF64,
-    frame: &CompressedFrame,
-    kind: SolverKind,
-    warm_reps: usize,
-    sink: &mut f64,
-) -> Row {
-    let truth = imager.ideal_codes(scene).to_code_f64();
-    let mut session = DecodeSession::new();
-    session.algorithm(kind);
-    let t0 = Instant::now();
-    let cold = session.push_frame(frame).expect("cold decode");
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let warm = time_median(warm_reps, sink, || {
-        let d = session.push_frame(frame).expect("warm decode");
-        assert_eq!(
-            d.reconstruction,
-            cold.reconstruction,
-            "{}: warm decode diverged from cold",
-            label(&kind)
-        );
-        d.reconstruction.mean_code()
-    });
-    Row {
-        label: label(&kind),
-        psnr_db: psnr(&truth, cold.reconstruction.code_image(), 255.0),
-        cold_ms,
-        warm_ms: warm * 1e3,
-        iterations: cold.reconstruction.stats().iterations,
-    }
-}
-
-/// One greedy solver's ablation timings, all in milliseconds.
-struct Ablation {
-    /// Pre-fast-path cost model: fresh buffers every solve, no column
-    /// view (per-atom extraction through the matrix-free operator) —
-    /// what each greedy decode cost before this refactor.
-    baseline_ms: f64,
-    /// Warm workspace, no view (isolates the materialization win).
-    warm_noview_ms: f64,
-    /// Warm workspace + materialized view — the production fast path.
-    fastpath_ms: f64,
-}
-
-impl Ablation {
-    fn speedup(&self) -> f64 {
-        self.baseline_ms / self.fastpath_ms
-    }
-
-    fn view_only_speedup(&self) -> f64 {
-        self.warm_noview_ms / self.fastpath_ms
-    }
-}
-
-/// The greedy fast-path ablation: wall time of OMP/CoSaMP on the
-/// composed operator across the three cost models. Returns
-/// `(omp, cosamp, view_build_ms)`.
-fn ablation(
-    imager: &CompressiveImager,
-    side: usize,
-    frame: &CompressedFrame,
-    reps: usize,
-    sink: &mut f64,
-) -> (Ablation, Ablation, f64) {
-    let k = frame.samples.len();
-    let mut source = imager
-        .strategy()
-        .build_source(2 * side, imager.seed())
-        .expect("strategy source");
-    let phi = XorMeasurement::from_source(side, side, source.as_mut(), k);
-    let psi = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
-    let y: Vec<f64> = frame.samples.iter().map(|&s| s as f64).collect();
-    let atoms = (k / 8).max(1);
-
-    let plain = ComposedOperator::new(&phi, &psi);
-    let t0 = Instant::now();
-    let view = Arc::new(ColumnMatrix::from_operator(&plain));
-    let view_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let viewed = ComposedOperator::new(&phi, &psi).with_column_view(view);
-
-    let mut ws = SolverWorkspace::new();
-    let omp = Omp::new(atoms);
-    let cosamp = CoSaMp::new(atoms);
-    let omp_baseline = time_median(reps, sink, || {
-        omp.solve(&plain, &y).expect("omp").stats.residual_norm
-    });
-    let omp_warm = time_median(reps, sink, || {
-        omp.solve_with(&plain, &y, &mut ws)
-            .expect("omp")
-            .stats
-            .residual_norm
-    });
-    let omp_fast = time_median(reps, sink, || {
-        omp.solve_with(&viewed, &y, &mut ws)
-            .expect("omp")
-            .stats
-            .residual_norm
-    });
-    let cosamp_baseline = time_median(reps, sink, || {
-        cosamp
-            .solve(&plain, &y)
-            .expect("cosamp")
-            .stats
-            .residual_norm
-    });
-    let cosamp_warm = time_median(reps, sink, || {
-        cosamp
-            .solve_with(&plain, &y, &mut ws)
-            .expect("cosamp")
-            .stats
-            .residual_norm
-    });
-    let cosamp_fast = time_median(reps, sink, || {
-        cosamp
-            .solve_with(&viewed, &y, &mut ws)
-            .expect("cosamp")
-            .stats
-            .residual_norm
-    });
-    let omp_res = Ablation {
-        baseline_ms: omp_baseline * 1e3,
-        warm_noview_ms: omp_warm * 1e3,
-        fastpath_ms: omp_fast * 1e3,
-    };
-    let cosamp_res = Ablation {
-        baseline_ms: cosamp_baseline * 1e3,
-        warm_noview_ms: cosamp_warm * 1e3,
-        fastpath_ms: cosamp_fast * 1e3,
-    };
-    (omp_res, cosamp_res, view_build_ms)
-}
-
-/// Runs the experiment: the shootout at 32×32, R = 0.35, plus the
-/// column-view ablation; writes `BENCH_solvers.json`.
+/// Runs the experiment: the shootout at 32×32, R = 0.35.
 pub fn run() -> String {
     let side = 32;
     let ratio = 0.35;
@@ -212,174 +35,26 @@ pub fn run() -> String {
     let scene = Scene::gaussian_blobs(3).render(side, side, 11);
     let frame = imager.capture(&scene);
     let k = frame.samples.len();
-    let mut sink = 0.0;
-
-    let rows: Vec<Row> = SolverKind::shootout_set(k)
-        .into_iter()
-        .map(|kind| shoot(&imager, &scene, &frame, kind, 5, &mut sink))
-        .collect();
-    let (omp_abl, cosamp_abl, view_build_ms) = ablation(&imager, side, &frame, 9, &mut sink);
-
-    // Machine-readable trail.
-    let mut json = String::from("{\n  \"schema\": 2,\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"side\": {side}, \"ratio\": {ratio}, \"k\": {k}}},\n  \"solvers\": {{\n"
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\": {{\"psnr_db\": {:.2}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"iterations\": {}}}{}\n",
-            r.label,
-            r.psnr_db,
-            r.cold_ms,
-            r.warm_ms,
-            r.iterations,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n  \"column_view\": {\n");
-    json.push_str(&format!("    \"build_ms\": {view_build_ms:.3},\n"));
-    for (name, a, comma) in [("omp", &omp_abl, ","), ("cosamp", &cosamp_abl, "")] {
-        json.push_str(&format!(
-            "    \"{name}\": {{\"baseline_ms\": {:.3}, \"warm_noview_ms\": {:.3}, \"fastpath_ms\": {:.3}, \"speedup\": {:.2}, \"view_only_speedup\": {:.2}}}{comma}\n",
-            a.baseline_ms,
-            a.warm_noview_ms,
-            a.fastpath_ms,
-            a.speedup(),
-            a.view_only_speedup(),
-        ));
-    }
-    json.push_str("  }\n}\n");
-    let json_written = std::fs::write(JSON_PATH, &json).is_ok();
+    let truth = imager.ideal_codes(&scene).to_code_f64();
 
     let mut out = String::from("# Solver shootout — every SolverKind at fixed R\n");
     out.push_str(&section(&format!(
         "{side}×{side}, R = {ratio} (K = {k} measurements), one gaussian-blobs frame"
     )));
-    let mut t = Table::new(&["solver", "PSNR (dB)", "cold (ms)", "warm (ms)", "iters"]);
-    for r in &rows {
-        t.row_owned(vec![
-            r.label.clone(),
-            format!("{:.1}", r.psnr_db),
-            format!("{:.1}", r.cold_ms),
-            format!("{:.1}", r.warm_ms),
-            r.iterations.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&section(
-        "greedy fast path (workspace + column view) ablation",
-    ));
-    let mut t = Table::new(&[
-        "solver",
-        "baseline (ms)",
-        "warm, no view (ms)",
-        "fast path (ms)",
-        "speedup",
-    ]);
-    for (name, a) in [("omp", &omp_abl), ("cosamp", &cosamp_abl)] {
-        t.row_owned(vec![
-            name.into(),
-            format!("{:.1}", a.baseline_ms),
-            format!("{:.1}", a.warm_noview_ms),
-            format!("{:.1}", a.fastpath_ms),
-            format!("{:.2}×", a.speedup()),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nview build (one-time, memoized per cache key): {view_build_ms:.1} ms\n{} {} (checksum {sink:.3e})\n",
-        if json_written {
-            "machine-readable numbers written to"
-        } else {
-            "WARNING: could not write"
-        },
-        JSON_PATH,
-    ));
-    out.push_str(
-        "\nEvery warm decode above was asserted bit-identical to its cold\n\
-         decode; the greedy rows decode through the materialized Φ·Ψ view\n\
-         (built once per cache key). Ablation cost models: `baseline` is\n\
-         the pre-fast-path decode (fresh buffers per solve, per-atom\n\
-         column extraction through the matrix-free operator); `warm, no\n\
-         view` isolates the workspace reuse; `fast path` is the\n\
-         production configuration. `speedup` compares baseline to fast\n\
-         path — the greedy decode improvement this stack landed.\n",
-    );
-    out
-}
-
-/// Smoke-mode solvers check for CI: tiny geometry, no JSON output.
-///
-/// Decodes one 16×16 frame with every `SolverKind` (cold + warm,
-/// asserting bit-identity and finite PSNR), and checks the column-view
-/// consistency contracts: OMP is bit-identical with and without a view
-/// (it only *reads* columns), CoSaMP agrees within the fast-path
-/// tolerance (its restricted least squares reassociates sums).
-pub fn smoke() -> Result<String, Vec<String>> {
-    let side = 16;
-    let imager = CompressiveImager::builder(side, side)
-        .ratio(0.35)
-        .seed(0x501E)
-        .fidelity(Fidelity::Functional)
-        .build()
-        .expect("solvers smoke imager");
-    let scene = Scene::gaussian_blobs(2).render(side, side, 5);
-    let frame = imager.capture(&scene);
-    let k = frame.samples.len();
-    let truth = imager.ideal_codes(&scene).to_code_f64();
-    let mut failures = Vec::new();
-    let mut summary = format!("solvers smoke: {side}×{side} K={k}:");
+    let mut t = Table::new(&["solver", "PSNR (dB)", "iters"]);
     for kind in SolverKind::shootout_set(k) {
         let mut session = DecodeSession::new();
         session.algorithm(kind);
-        let cold = session.push_frame(&frame).expect("cold decode");
-        let warm = session.push_frame(&frame).expect("warm decode");
-        let name = label(&kind);
-        if warm.reconstruction != cold.reconstruction {
-            failures.push(format!("solvers {name}: warm decode != cold decode"));
-        }
-        let db = psnr(&truth, cold.reconstruction.code_image(), 255.0);
-        if !db.is_finite() {
-            failures.push(format!("solvers {name}: non-finite PSNR"));
-        }
-        summary.push_str(&format!(" {name} {db:.1}dB"));
+        let decoded = session.push_frame(&frame).expect("solver decode");
+        t.row_owned(vec![
+            label(&kind),
+            format!(
+                "{:.1}",
+                psnr(&truth, decoded.reconstruction.code_image(), 255.0)
+            ),
+            decoded.reconstruction.stats().iterations.to_string(),
+        ]);
     }
-    // Column-view consistency at the solver level.
-    let mut source = imager
-        .strategy()
-        .build_source(2 * side, imager.seed())
-        .expect("strategy source");
-    let phi = XorMeasurement::from_source(side, side, source.as_mut(), k);
-    let psi = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
-    let y: Vec<f64> = frame.samples.iter().map(|&s| s as f64).collect();
-    let plain = ComposedOperator::new(&phi, &psi);
-    let view = Arc::new(ColumnMatrix::from_operator(&plain));
-    let viewed = ComposedOperator::new(&phi, &psi).with_column_view(view);
-    let atoms = (k / 8).max(1);
-    let omp = Omp::new(atoms);
-    let a = omp.solve(&plain, &y).expect("omp noview");
-    let b = omp.solve(&viewed, &y).expect("omp view");
-    if a != b {
-        failures.push("solvers: OMP with column view != without".into());
-    }
-    let cosamp = CoSaMp::new(atoms);
-    let c = cosamp.solve(&plain, &y).expect("cosamp noview");
-    let d = cosamp.solve(&viewed, &y).expect("cosamp view");
-    let scale = tepics_cs::op::norm2(&c.coefficients).max(1.0);
-    let worst = c
-        .coefficients
-        .iter()
-        .zip(&d.coefficients)
-        .map(|(p, q)| (p - q).abs())
-        .fold(0.0f64, f64::max);
-    if worst > 1e-6 * scale {
-        failures.push(format!(
-            "solvers: CoSaMP view path drifted {worst:.3e} from scatter path"
-        ));
-    }
-    if failures.is_empty() {
-        Ok(summary)
-    } else {
-        Err(failures)
-    }
+    out.push_str(&t.render());
+    out
 }

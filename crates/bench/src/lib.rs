@@ -13,11 +13,12 @@
 //! ```
 //!
 //! [`registry`] is the index mapping experiment ids to paper artifacts.
+//! The experiments report quality, not speed: performance is measured
+//! end to end by the separate `codecbench` package (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Timing is this crate's job: the clippy.toml wall-clock bans do not apply here.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 pub mod experiments;
 pub mod report;
 
@@ -145,27 +146,15 @@ pub fn registry() -> Vec<Experiment> {
             run: experiments::warmup::run,
         },
         Experiment {
-            id: "batch",
-            tier: Tier::Full,
-            artifact: "(infrastructure) parallel batch engine — scaling & determinism",
-            run: experiments::batch::run,
-        },
-        Experiment {
-            id: "hotpaths",
-            tier: Tier::Full,
-            artifact: "(infrastructure) hot-path timings — DCT, Φ apply/adjoint, warm decode",
-            run: experiments::hotpaths::run,
-        },
-        Experiment {
             id: "solvers",
             tier: Tier::Full,
-            artifact: "(infrastructure) solver shootout — every SolverKind, PSNR + wall-time",
+            artifact: "(infrastructure) solver shootout — every SolverKind, PSNR + iterations",
             run: experiments::solvers::run,
         },
         Experiment {
             id: "tiled",
             tier: Tier::Full,
-            artifact: "(infrastructure) tiled decode — stitched PSNR + block-parallel scaling",
+            artifact: "(infrastructure) tiled decode — stitched vs per-tile vs monolithic PSNR",
             run: experiments::tiled::run,
         },
         Experiment {

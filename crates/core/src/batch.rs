@@ -6,14 +6,12 @@
 //! embarrassingly parallel — each item owns its imager state and scene
 //! — so [`BatchRunner`] fans them across worker threads (via
 //! [`tepics_util::parallel::par_map`]) and aggregates the per-item
-//! [`PipelineReport`]s into batch statistics: mean/percentile PSNR,
-//! total bits on the wire, and end-to-end throughput in frames per
-//! second.
+//! [`PipelineReport`]s into batch statistics: mean/percentile PSNR and
+//! total bits on the wire.
 //!
 //! Determinism: results are collected in input order and every per-item
 //! computation is seeded, so a batch produces **bit-identical reports
-//! for a fixed seed whether it runs on 1 thread or N** — only the
-//! wall-clock (and therefore the throughput figure) changes.
+//! for a fixed seed whether it runs on 1 thread or N**.
 //!
 //! # Examples
 //!
@@ -39,7 +37,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::cache::OperatorCache;
 use crate::error::CoreError;
@@ -192,16 +189,10 @@ impl BatchRunner {
         T: Sync,
         F: Fn(&T) -> Result<PipelineReport, CoreError> + Sync,
     {
-        #[allow(clippy::disallowed_methods)] // see clippy.toml
-        // tidy:allow(wall-clock: batch wall-clock is reporting metadata; reconstructions never depend on it)
-        let started = Instant::now();
-        let results = par_map(self.threads, jobs, |_, job| f(job));
-        let elapsed = started.elapsed();
-        let mut reports = Vec::with_capacity(results.len());
-        for r in results {
-            reports.push(r?);
-        }
-        Ok(BatchOutcome { reports, elapsed })
+        let reports = par_map(self.threads, jobs, |_, job| f(job))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        Ok(BatchOutcome { reports })
     }
 }
 
@@ -283,15 +274,12 @@ impl StreamBatchOutcome {
     }
 }
 
-/// The result of one batch run: per-item reports in input order plus
-/// the batch wall-clock.
+/// The result of one batch run: per-item reports in input order.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Per-item pipeline reports, in input order (independent of thread
     /// count and scheduling).
     pub reports: Vec<PipelineReport>,
-    /// Wall-clock time for the whole batch.
-    pub elapsed: Duration,
 }
 
 impl BatchOutcome {
@@ -312,7 +300,6 @@ impl BatchOutcome {
         let total_wire_bits: u64 = self.reports.iter().map(|r| r.wire_bits as u64).sum();
         let total_raw_bits: u64 = self.reports.iter().map(|r| r.raw_bits).sum();
         let total_iterations: u64 = self.reports.iter().map(|r| r.iterations as u64).sum();
-        let secs = self.elapsed.as_secs_f64();
         BatchSummary {
             frames: n,
             mean_psnr_db,
@@ -324,12 +311,6 @@ impl BatchOutcome {
             total_wire_bits,
             total_raw_bits,
             total_iterations,
-            elapsed: self.elapsed,
-            frames_per_sec: if secs > 0.0 {
-                n as f64 / secs
-            } else {
-                f64::INFINITY
-            },
         }
     }
 }
@@ -357,10 +338,6 @@ pub struct BatchSummary {
     pub total_raw_bits: u64,
     /// Total solver iterations across the batch.
     pub total_iterations: u64,
-    /// Batch wall-clock.
-    pub elapsed: Duration,
-    /// End-to-end throughput (frames per second of wall-clock).
-    pub frames_per_sec: f64,
 }
 
 impl BatchSummary {
@@ -573,7 +550,6 @@ mod tests {
                 report(30.0, 200, 5),
                 report(20.0, 300, 7),
             ],
-            elapsed: Duration::from_secs(2),
         };
         let s = outcome.summary();
         assert_eq!(s.frames, 3);
@@ -586,7 +562,6 @@ mod tests {
         assert_eq!(s.total_wire_bits, 600);
         assert_eq!(s.total_raw_bits, 3 * 2048);
         assert_eq!(s.total_iterations, 15);
-        assert!((s.frames_per_sec - 1.5).abs() < 1e-12);
         assert!((s.wire_saving() - (1.0 - 600.0 / 6144.0)).abs() < 1e-12);
     }
 
@@ -680,10 +655,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty batch")]
     fn empty_summary_panics() {
-        let outcome = BatchOutcome {
-            reports: vec![],
-            elapsed: Duration::ZERO,
-        };
+        let outcome = BatchOutcome { reports: vec![] };
         let _ = outcome.summary();
     }
 }

@@ -47,8 +47,7 @@
 //! * [`pipeline`] — capture → wire → reconstruct → quality report.
 //! * [`batch`] — fans many capture→recover loops (or stream decodes)
 //!   across worker threads and aggregates the reports (mean/percentile
-//!   PSNR, wire totals, frames/sec) with bit-identical results at any
-//!   thread count.
+//!   PSNR, wire totals) with bit-identical results at any thread count.
 //! * [`BlockCs`] — the block-based CS baseline of refs. \[6–8\]/\[11\].
 //! * [`params`] — Eq. (1)/(2) and the compression break-even point.
 //!

@@ -27,8 +27,6 @@ mod xor;
 
 pub use block::BlockDiagonalMeasurement;
 pub use dense::DenseBinaryMeasurement;
-#[doc(hidden)]
-pub use xor::subset_sum_kernel;
 pub use xor::XorMeasurement;
 
 use crate::op::LinearOperator;

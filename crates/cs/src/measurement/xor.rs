@@ -80,14 +80,6 @@ fn subset_sums(vals: &[f64], table: &mut [f64]) {
     }
 }
 
-/// Benchmark hook for the subset-sum table build (the adjoint's
-/// method-of-four-Russians kernel). Not part of the public API surface;
-/// exists so `tepics-bench` can time the real kernel in isolation.
-#[doc(hidden)]
-pub fn subset_sum_kernel(vals: &[f64], table: &mut [f64]) {
-    subset_sums(vals, table);
-}
-
 /// Four-accumulator gather over per-group 256-entry subset tables:
 /// `Σ_g tables[g·256 + masks[g]]`.
 // tidy:alloc-free

@@ -51,9 +51,8 @@
 //! test suite, not the linter). `cfg(test)` modules, `#[test]` items,
 //! comments, string literals, and doctests never trigger code checks.
 //! Crates are classified as *product* (all checks) or *harness*
-//! (`tepics-bench`, the criterion shim: measurement/reporting code
-//! where panicking loudly and reading the clock are the point — only
-//! the meta checks apply).
+//! (`tepics-bench`: experiment/reporting code where panicking loudly
+//! and reading the clock are the point — only the meta checks apply).
 
 pub mod checks;
 pub mod mask;

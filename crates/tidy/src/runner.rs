@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 /// Crates whose job is measurement and reporting: reading the clock
 /// and failing loudly are the point there, so only the meta checks
 /// apply (see [`CrateClass::Harness`]).
-const HARNESS_CRATES: [&str; 2] = ["tepics-bench", "criterion"];
+const HARNESS_CRATES: [&str; 1] = ["tepics-bench"];
 
 /// A failure of the runner itself (not a lint finding).
 #[derive(Debug)]
@@ -272,7 +272,6 @@ mod tests {
     #[test]
     fn harness_classification_matches_the_bench_crates() {
         assert_eq!(classify("tepics-bench"), CrateClass::Harness);
-        assert_eq!(classify("criterion"), CrateClass::Harness);
         assert_eq!(classify("tepics-core"), CrateClass::Product);
         assert_eq!(classify("tepics-tidy"), CrateClass::Product);
     }

@@ -15,18 +15,20 @@
 //! * with the identity dictionary the columns are the 0/1 selection
 //!   masks, bit for bit;
 //! * the bulk view equals per-column extraction without a view bit for
-//!   bit, so OMP returns the same bits either way.
+//!   bit, so OMP returns the same bits either way, and CoSaMP (whose
+//!   restricted least squares reassociates sums) stays within 1e-6.
 
 use std::f64::consts::PI;
 use std::sync::Arc;
 
 use tepics::cs::colview::ColumnMatrix;
 use tepics::cs::dictionary::ZeroMeanDictionary;
+use tepics::cs::op::norm2;
 use tepics::cs::{
     ComposedOperator, Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary,
     LinearOperator, XorMeasurement,
 };
-use tepics::recovery::Omp;
+use tepics::recovery::{CoSaMp, Omp};
 use tepics::util::{BitVec, SplitMix64};
 
 /// A random XOR measurement on an `m×n` image (row-major, `m` rows).
@@ -152,7 +154,8 @@ fn identity_columns_are_the_selection_masks() {
 /// The bulk view and per-column extraction without a view give the same
 /// bits for every dictionary the decoder can select (closed form for
 /// DCT and identity, the generic path for Haar), so OMP through the
-/// view returns the same bits as OMP without it.
+/// view returns the same bits as OMP without it, and CoSaMP through the
+/// view stays within 1e-6·max(‖c‖₂, 1) of CoSaMP without it.
 #[test]
 fn view_equals_extraction_without_view() {
     let mut rng = SplitMix64::new(0x5EED);
@@ -185,6 +188,18 @@ fn view_equals_extraction_without_view() {
                 omp.solve(&plain, &y).unwrap(),
                 omp.solve(&viewed, &y).unwrap(),
                 "{m}x{n} {name}: OMP through the view diverged"
+            );
+            let cosamp = CoSaMp::new(k / 4);
+            let c = cosamp.solve(&plain, &y).unwrap().coefficients;
+            let d = cosamp.solve(&viewed, &y).unwrap().coefficients;
+            let worst = c
+                .iter()
+                .zip(&d)
+                .map(|(p, q)| (p - q).abs())
+                .fold(0.0f64, f64::max);
+            assert!(
+                worst <= 1e-6 * norm2(&c).max(1.0),
+                "{m}x{n} {name}: CoSaMP through the view drifted {worst:e}"
             );
         }
     }

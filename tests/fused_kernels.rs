@@ -9,10 +9,12 @@
 //! * fused apply/adjoint equal the explicit `Ψ then Φ` / `Φᵀ then Ψᵀ`
 //!   reference within 1e-10 relative, across power-of-two and ragged
 //!   geometries and every dictionary family (including the DC-pinned
-//!   zero-mean wrapper);
+//!   zero-mean wrapper), with geometries large enough to stream in
+//!   several row blocks;
 //! * warm decodes through a reused workspace — which route every solver
 //!   iteration through the fused kernels with donated scratch — stay
-//!   bit-identical to cold decodes, for the full solver shootout set;
+//!   bit-identical to cold decodes, for the full solver shootout set,
+//!   on a single-block and a multi-block frame;
 //! * the decode-session thread count remains bit-transparent.
 
 use std::sync::Arc;
@@ -51,8 +53,19 @@ fn assert_close(got: &[f64], want: &[f64], tol: f64, what: &str) {
 #[test]
 fn fused_composition_matches_two_pass_reference() {
     let mut rng = SplitMix64::new(0xF05E);
-    // (rows, cols): square pow2, ragged even, odd/prime, wide, tall.
-    for &(m, n) in &[(16, 16), (12, 10), (17, 13), (8, 32), (32, 8), (1, 7)] {
+    // (rows, cols): square pow2, ragged even, odd/prime, wide, tall,
+    // then 64×64 and 128×128, which stream in 2 and 8 row blocks.
+    let geometries = [
+        (16, 16),
+        (12, 10),
+        (17, 13),
+        (8, 32),
+        (32, 8),
+        (1, 7),
+        (64, 64),
+        (128, 128),
+    ];
+    for &(m, n) in &geometries {
         let k = (m * n / 4).max(2);
         let phi = xor_phi(m, n, k, &mut rng);
         let dicts: Vec<(&str, Box<dyn Dictionary>)> = vec![
@@ -92,40 +105,61 @@ fn fused_composition_matches_two_pass_reference() {
     }
 }
 
-/// Warm decodes through one reused workspace — the path that runs every
-/// solver iteration through the fused kernels with donated scratch —
-/// are bit-identical to cold decodes, for every solver in the shootout
-/// set and every dictionary family.
-#[test]
-fn warm_fused_decode_is_bit_identical_to_cold_for_all_solvers() {
-    let im = CompressiveImager::builder(16, 16)
+/// Asserts a warm decode through one reused workspace equals a cold
+/// decode of `frame` under `params`, bit for bit.
+fn assert_warm_equals_cold(frame: &CompressedFrame, params: RecoveryParams) {
+    let mut dec = Decoder::for_frame(frame).unwrap();
+    dec.params(params);
+    let cold = dec.reconstruct(frame).unwrap();
+    let mut ws = SolverWorkspace::new();
+    dec.reconstruct_with(frame, &mut ws).unwrap(); // warm the buffers
+    let warm = dec.reconstruct_with(frame, &mut ws).unwrap();
+    let (rows, cols) = (frame.header.rows, frame.header.cols);
+    assert_eq!(
+        cold, warm,
+        "{rows}×{cols} {params:?}: warm fused decode differs from cold"
+    );
+}
+
+fn capture(side: usize) -> CompressedFrame {
+    let im = CompressiveImager::builder(side, side)
         .ratio(0.4)
         .seed(0xF0)
         .fidelity(Fidelity::Functional)
         .build()
         .unwrap();
-    let scene = Scene::gaussian_blobs(2).render(16, 16, 5);
-    let frame = im.capture(&scene);
-    for dict in [
-        DictionaryKind::Dct2d,
-        DictionaryKind::Haar2d,
-        DictionaryKind::Identity,
-    ] {
-        for alg in SolverKind::shootout_set(frame.samples.len()) {
-            let mut dec = Decoder::for_frame(&frame).unwrap();
-            dec.params(RecoveryParams {
-                solver: alg,
-                dictionary: dict,
-            });
-            let cold = dec.reconstruct(&frame).unwrap();
-            let mut ws = SolverWorkspace::new();
-            dec.reconstruct_with(&frame, &mut ws).unwrap(); // warm the buffers
-            let warm = dec.reconstruct_with(&frame, &mut ws).unwrap();
-            assert_eq!(
-                cold, warm,
-                "{dict:?}/{alg:?}: warm fused decode differs from cold"
-            );
+    im.capture(&Scene::gaussian_blobs(2).render(side, side, 5))
+}
+
+const DICTIONARIES: [DictionaryKind; 3] = [
+    DictionaryKind::Dct2d,
+    DictionaryKind::Haar2d,
+    DictionaryKind::Identity,
+];
+
+/// Warm decodes through one reused workspace — the path that runs every
+/// solver iteration through the fused kernels with donated scratch —
+/// are bit-identical to cold decodes, for every solver in the shootout
+/// set and every dictionary family on a 16×16 frame (one row block),
+/// and for a short debiased FISTA on a 64×64 frame (two row blocks).
+#[test]
+fn warm_fused_decode_is_bit_identical_to_cold_for_all_solvers() {
+    let small = capture(16);
+    assert_eq!(tepics::cs::fused::fused_block_rows(16, 16), 16);
+    for dictionary in DICTIONARIES {
+        for solver in SolverKind::shootout_set(small.samples.len()) {
+            assert_warm_equals_cold(&small, RecoveryParams { solver, dictionary });
         }
+    }
+    let large = capture(64);
+    assert_eq!(tepics::cs::fused::fused_block_rows(64, 64), 32);
+    let solver = SolverKind::Fista {
+        lambda_ratio: 0.02,
+        max_iter: 40,
+        debias: true,
+    };
+    for dictionary in DICTIONARIES {
+        assert_warm_equals_cold(&large, RecoveryParams { solver, dictionary });
     }
 }
 

@@ -25,7 +25,8 @@ fn imager(side: usize, seed: u64) -> CompressiveImager {
 /// Warm (cached session) decodes are bit-identical to cold (a fresh
 /// one-shot decoder on its own private cache) decodes for every solver
 /// kind over every dictionary — the cache and workspace layers are
-/// value-transparent across the whole roster.
+/// value-transparent across the whole roster — and every cold decode
+/// scores a finite PSNR against the ideal codes.
 #[test]
 fn warm_session_equals_cold_decoder_for_every_solver_kind() {
     let im = imager(16, 0xBEEF);
@@ -33,6 +34,10 @@ fn warm_session_equals_cold_decoder_for_every_solver_kind() {
         .map(|i| Scene::gaussian_blobs(2).render(16, 16, i))
         .collect();
     let frames: Vec<CompressedFrame> = scenes.iter().map(|s| im.capture(s)).collect();
+    let truths: Vec<ImageF64> = scenes
+        .iter()
+        .map(|s| im.ideal_codes(s).to_code_f64())
+        .collect();
     let k = frames[0].samples.len();
     for dictionary in [
         DictionaryKind::Dct2d,
@@ -50,6 +55,10 @@ fn warm_session_equals_cold_decoder_for_every_solver_kind() {
                     d.reconstruct(f).unwrap()
                 })
                 .collect();
+            for (i, (recon, truth)) in cold.iter().zip(&truths).enumerate() {
+                let db = psnr(truth, recon.code_image(), 255.0);
+                assert!(db.is_finite(), "{params:?}: frame {i} PSNR {db}");
+            }
             // Warm: one session; frames 2..n hit every cache layer.
             let mut session = DecodeSession::new();
             session.params(params);

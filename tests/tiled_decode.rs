@@ -54,18 +54,39 @@ fn stitched_quality_holds_across_tile_sizes() {
 }
 
 /// Stitched decodes are bit-identical at every thread count — the
-/// acceptance property of the block-parallel engine.
+/// acceptance property of the block-parallel engine. Every tile shares
+/// one geometry, so the serial decode builds Φ once and serves every
+/// other tile from the cache, and the stitched frame clears 18 dB.
 #[test]
 fn stitched_decode_is_thread_count_invariant() {
-    let scene = Scene::natural_like().render(40, 28, 3);
-    let bytes = stream_bytes(tiled_imager(16, 4, 0xB17), &scene);
-    let mut serial = DecodeSession::new();
-    let reference = serial.push_bytes(&bytes).unwrap();
-    for threads in [2, 3, 8] {
-        let mut dec = DecodeSession::new();
-        dec.threads(threads);
-        let decoded = dec.push_bytes(&bytes).unwrap();
-        assert_eq!(decoded, reference, "threads = {threads} diverged");
+    for (scene, seed) in [
+        (Scene::natural_like().render(40, 28, 3), 0xB17),
+        (Scene::gaussian_blobs(3).render(40, 28, 5), 0x7EDD),
+    ] {
+        let im = tiled_imager(16, 4, seed);
+        let tiles = im.tile_layout().unwrap().tiles() as u64;
+        let truth = im.ideal_codes(&scene).to_code_f64();
+        let bytes = stream_bytes(im, &scene);
+        let mut serial = DecodeSession::new();
+        let reference = serial.push_bytes(&bytes).unwrap();
+        assert_eq!(reference.len(), 1, "seed {seed:#x}: one stitched frame");
+        let stats = serial.cache().stats();
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (1, tiles - 1),
+            "seed {seed:#x}: the shared tile geometry should build Φ exactly once"
+        );
+        let db = psnr(&truth, reference[0].reconstruction.code_image(), 255.0);
+        assert!(db >= 18.0, "seed {seed:#x}: stitched PSNR {db:.1} dB");
+        for threads in [2, 3, 4, 8] {
+            let mut dec = DecodeSession::new();
+            dec.threads(threads);
+            let decoded = dec.push_bytes(&bytes).unwrap();
+            assert_eq!(
+                decoded, reference,
+                "seed {seed:#x}: threads = {threads} diverged"
+            );
+        }
     }
 }
 
