@@ -4,25 +4,25 @@
 //! header: `(rows, cols, strategy, seed, k)` fully determines the CA
 //! replay, the selection patterns, and therefore Φ. The same goes for
 //! the sparsifying dictionary (`(kind, rows, cols)`), for the
-//! column-materialized `Φ·Ψ` view the greedy solvers consume, and for
-//! every solver's operator-norm estimate `‖ΦΨ‖` (a *seeded* power
-//! iteration, so it too is deterministic). A decoder that processes a
-//! stream of same-seed frames — the paper's video deployment — or a
-//! batch of same-seed items therefore rebuilds identical state over and
-//! over.
+//! column-materialized `Φ·Ψ` view CoSaMP consumes, for the Gram
+//! columns `(Φ·Ψ)ᵀ(Φ·Ψ)e_j` Batch-OMP consumes, and for every solver's
+//! operator-norm estimate `‖ΦΨ‖` (a *seeded* power iteration, so it
+//! too is deterministic). A decoder that processes a stream of
+//! same-seed frames — the paper's video deployment — or a batch of
+//! same-seed items therefore rebuilds identical state over and over.
 //!
-//! [`OperatorCache`] memoizes all four. It is `Sync`: one cache can be
-//! shared across the worker threads of a [`BatchRunner`] run, and
-//! because every cached value is bit-identical to what a cold build
-//! would produce, warm and cold decodes yield *exactly* the same
+//! [`OperatorCache`] memoizes all five families. It is `Sync`: one
+//! cache can be shared across the worker threads of a [`BatchRunner`]
+//! run, and because every cached value is bit-identical to what a cold
+//! build would produce, warm and cold decodes yield *exactly* the same
 //! reconstructions — the batch engine's determinism guarantee survives
 //! caching.
 //!
 //! # Size bounding
 //!
 //! Every entry family is byte-accounted (via [`XorMeasurement::bytes`],
-//! [`ColumnMatrix::bytes`], and a dictionary size estimate) against a
-//! configurable budget ([`CacheConfig`], default
+//! [`ColumnMatrix::bytes`], [`GramStore::bytes`], and a dictionary size
+//! estimate) against a configurable budget ([`CacheConfig`], default
 //! [`DEFAULT_CACHE_BYTES`]). When a newly built entry would push the
 //! resident total past the budget, least-recently-used entries are
 //! evicted until it fits; an entry larger than the whole budget is
@@ -45,12 +45,25 @@
 //! * dictionaries: `(DictionaryKind, rows, cols)`;
 //! * column views: `(OperatorKey, DictionaryKind)` — the view
 //!   materializes `Φ·Ψ`, so both factors key it;
+//! * Gram stores: `(OperatorKey, DictionaryKind)`, for the same reason;
 //! * norm estimates: `(OperatorKey, DictionaryKind, norm_seed)` — the
 //!   **per-solver** power-iteration seed is part of the key because
 //!   every solver runs its estimate with its own seed
 //!   ([`norm_seeds`](tepics_recovery::solver::norm_seeds)); collapsing
 //!   the seed out of the key would hand one solver another's step size
 //!   and silently change reconstructions (pinned by a test below).
+//!
+//! # Gram stores and their cap
+//!
+//! A Gram store is created empty and fills column by column as OMP
+//! solves select atoms (see [`tepics_cs::gram`]). It is capped at
+//! `min(K, N)` columns for a `K`-sample, `N`-atom key — the bytes of
+//! the `K × N` column view OMP no longer needs — and that capped size
+//! is booked against the budget when the store is created, so the
+//! resident total never moves as columns are admitted. Inside a store
+//! nothing is evicted; the cache evicts a store only as a whole, like
+//! any other entry, and a later lookup starts a fresh one. Results never
+//! depend on what a store holds.
 //!
 //! The cached Φ is stored in its precompiled fast-path form:
 //! [`XorMeasurement`] compiles its selected-row/column index lists and
@@ -70,6 +83,7 @@ use crate::decoder::{build_dictionary, DictImpl, DictionaryKind};
 use crate::error::CoreError;
 use crate::strategy::StrategyKind;
 use tepics_cs::colview::ColumnMatrix;
+use tepics_cs::gram::GramStore;
 use tepics_cs::measurement::SelectionMeasurement;
 use tepics_cs::XorMeasurement;
 
@@ -209,7 +223,7 @@ struct Slot<V> {
     tick: u64,
 }
 
-/// Identifies one entry across the four families (eviction
+/// Identifies one entry across the five families (eviction
 /// bookkeeping). The derived total order is the deterministic
 /// tie-break of [`Inner::lru_victim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -218,9 +232,10 @@ enum AnyKey {
     Dict(DictKey),
     Norm(NormKey),
     Column(ColumnKey),
+    Gram(ColumnKey),
 }
 
-/// Everything behind the cache lock: the four entry maps, the LRU
+/// Everything behind the cache lock: the five entry maps, the LRU
 /// clock, and the byte accounting.
 ///
 /// The maps are `HashMap`s for O(1) keyed lookup; the only place that
@@ -238,6 +253,8 @@ struct Inner {
     norms: HashMap<NormKey, Slot<f64>>,
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
     columns: HashMap<ColumnKey, Slot<Arc<ColumnMatrix>>>,
+    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
+    grams: HashMap<ColumnKey, Slot<Arc<GramStore>>>,
     tick: u64,
     resident: usize,
     evictions: u64,
@@ -250,7 +267,7 @@ struct Inner {
 /// pure belt-and-suspenders).
 #[allow(clippy::disallowed_types)] // see clippy.toml
 fn touch<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
+    // tidy:allow(hash-iter: generic over the five keyed slot maps; never iterated here)
     map: &mut HashMap<K, Slot<V>>,
     tick: &mut u64,
     key: K,
@@ -271,7 +288,7 @@ fn touch<K: Eq + Hash + Copy, V>(
 /// budget needs enforcing).
 #[allow(clippy::disallowed_types)] // see clippy.toml
 fn commit<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
+    // tidy:allow(hash-iter: generic over the five keyed slot maps; never iterated here)
     map: &mut HashMap<K, Slot<V>>,
     resident: &mut usize,
     key: K,
@@ -296,6 +313,7 @@ impl Inner {
             AnyKey::Dict(k) => self.dicts.get(&k)?.bytes,
             AnyKey::Norm(k) => self.norms.get(&k)?.bytes,
             AnyKey::Column(k) => self.columns.get(&k)?.bytes,
+            AnyKey::Gram(k) => self.grams.get(&k)?.bytes,
         };
         (b > 0).then_some(b)
     }
@@ -307,6 +325,7 @@ impl Inner {
             AnyKey::Dict(k) => self.dicts.remove(&k).map(|s| s.bytes),
             AnyKey::Norm(k) => self.norms.remove(&k).map(|s| s.bytes),
             AnyKey::Column(k) => self.columns.remove(&k).map(|s| s.bytes),
+            AnyKey::Gram(k) => self.grams.remove(&k).map(|s| s.bytes),
         };
         if let Some(bytes) = bytes {
             self.resident -= bytes;
@@ -343,6 +362,9 @@ impl Inner {
         for (k, s) in &self.columns {
             consider(s.tick, s.bytes, AnyKey::Column(*k));
         }
+        for (k, s) in &self.grams {
+            consider(s.tick, s.bytes, AnyKey::Gram(*k));
+        }
         best.map(|(_, k)| k)
     }
 
@@ -368,8 +390,8 @@ impl Inner {
 }
 
 /// Memoizes measurement operators, dictionaries, column-materialized
-/// views, and per-solver operator-norm estimates across frames,
-/// streams, and batch items — within a configurable byte budget
+/// views, Gram stores, and per-solver operator-norm estimates across
+/// frames, streams, and batch items — within a configurable byte budget
 /// ([`CacheConfig`], LRU eviction; see the module docs).
 ///
 /// Cheap to share: wrap in an [`Arc`] (or use [`OperatorCache::shared`])
@@ -617,6 +639,36 @@ impl OperatorCache {
         self.retain(committed, AnyKey::Column(ckey));
         view
     }
+
+    /// The shared Gram store for `(key, kind)`, created empty by
+    /// `create` on first use. OMP decodes attach it to their composed
+    /// operator and fill it as they select atoms. The store's capped
+    /// bytes are booked when it is created (see the module docs).
+    pub(crate) fn gram_store(
+        &self,
+        key: &OperatorKey,
+        kind: DictionaryKind,
+        create: impl FnOnce() -> GramStore,
+    ) -> Arc<GramStore> {
+        let gkey = (*key, kind);
+        let cell = {
+            let mut guard = self.locked();
+            let inner = &mut *guard;
+            touch(&mut inner.grams, &mut inner.tick, gkey)
+        };
+        if let Some(store) = cell.get() {
+            return store.clone();
+        }
+        let store = cell.get_or_init(|| Arc::new(create())).clone();
+        let bytes = ENTRY_OVERHEAD + store.bytes();
+        let committed = {
+            let mut guard = self.locked();
+            let inner = &mut *guard;
+            commit(&mut inner.grams, &mut inner.resident, gkey, &cell, bytes)
+        };
+        self.retain(committed, AnyKey::Gram(gkey));
+        store
+    }
 }
 
 /// Approximate heap footprint of a built dictionary (cache
@@ -794,6 +846,56 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         let d = cache.column_view(&key(2, 6), DictionaryKind::Dct2d, build);
         assert!(!Arc::ptr_eq(&a, &d));
+    }
+
+    #[test]
+    fn gram_stores_are_memoized_per_operator_and_dictionary() {
+        let cache = OperatorCache::with_config(CacheConfig::unbounded());
+        let k1 = key(1, 6);
+        let a = cache.gram_store(&k1, DictionaryKind::Dct2d, || GramStore::new(6, 256));
+        let b = cache.gram_store(&k1, DictionaryKind::Dct2d, || panic!("must be memoized"));
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must be warm");
+        let c = cache.gram_store(&k1, DictionaryKind::Identity, || GramStore::new(6, 256));
+        assert!(!Arc::ptr_eq(&a, &c));
+        // The capped bytes are booked at creation, before any admission.
+        assert_eq!(a.admitted(), 0);
+        assert_eq!(cache.resident_bytes(), 2 * (ENTRY_OVERHEAD + a.bytes()));
+        assert_eq!(a.bytes(), c.bytes());
+        assert!(
+            a.bytes() >= 6 * 256 * 8,
+            "a full store's columns are booked"
+        );
+    }
+
+    /// A Gram store counts against the byte budget like any entry: it
+    /// evicts older entries to fit, and is itself evicted whole.
+    #[test]
+    fn gram_stores_count_against_the_byte_budget() {
+        let store_bytes = ENTRY_OVERHEAD + GramStore::new(40, 256).bytes();
+        let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(store_bytes * 2));
+        let first = cache.gram_store(&key(1, 40), DictionaryKind::Dct2d, || {
+            GramStore::new(40, 256)
+        });
+        cache.gram_store(&key(2, 40), DictionaryKind::Dct2d, || {
+            GramStore::new(40, 256)
+        });
+        assert_eq!(cache.resident_bytes(), 2 * store_bytes);
+        cache.gram_store(&key(3, 40), DictionaryKind::Dct2d, || {
+            GramStore::new(40, 256)
+        });
+        assert_eq!(cache.resident_bytes(), 2 * store_bytes);
+        assert_eq!(cache.stats().evictions, 1);
+        // The oldest store went; a later lookup starts a fresh one.
+        let again = cache.gram_store(&key(1, 40), DictionaryKind::Dct2d, || {
+            GramStore::new(40, 256)
+        });
+        assert!(!Arc::ptr_eq(&first, &again));
+        // A budget too small for one store serves it but keeps nothing.
+        let tiny = OperatorCache::with_config(CacheConfig::new().byte_budget(store_bytes - 1));
+        tiny.gram_store(&key(1, 40), DictionaryKind::Dct2d, || {
+            GramStore::new(40, 256)
+        });
+        assert_eq!(tiny.resident_bytes(), 0);
     }
 
     #[test]

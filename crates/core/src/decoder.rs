@@ -29,8 +29,9 @@ use tepics_cs::dictionary::{
     Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, SeparableFactors,
     ZeroMeanDictionary,
 };
+use tepics_cs::gram::GramStore;
 use tepics_cs::op;
-use tepics_cs::{ComposedOperator, StagedDictionary, XorMeasurement};
+use tepics_cs::{ComposedOperator, LinearOperator, StagedDictionary, XorMeasurement};
 use tepics_imaging::ImageF64;
 use tepics_recovery::{Debias, SolveStats, Solver, SolverWorkspace};
 use tepics_sensor::{CodeTransfer, SensorConfig};
@@ -197,10 +198,10 @@ fn intensity_from_crossing(config: &SensorConfig, t: f64) -> f64 {
 /// through: [`DecodeSession`](crate::session::DecodeSession) drives it
 /// per tile, and a one-shot `Decoder::for_frame(&f)?.reconstruct(&f)`
 /// uses it directly. Φ, the selection counts, the dictionary, the
-/// solver's step size and the greedy column view always come from an
-/// [`OperatorCache`] — a private one by default, or a shared one
-/// attached with [`Decoder::use_cache`] so they are built once across
-/// frames and streams.
+/// solver's step size, CoSaMP's column view and OMP's Gram store always
+/// come from an [`OperatorCache`] — a private one by default, or a
+/// shared one attached with [`Decoder::use_cache`] so they are built
+/// once across frames and streams.
 #[derive(Debug, Clone)]
 pub struct Decoder {
     header: FrameHeader,
@@ -349,13 +350,18 @@ impl Decoder {
         // solver lives on this stack frame).
         let a = ComposedOperator::new(phi.as_ref(), dict.as_ref())
             .with_scratch(workspace.take_composed());
-        // Column-hungry solvers (OMP, CoSaMP) get the materialized Φ·Ψ
-        // view, built once per key.
+        // CoSaMP gets the materialized Φ·Ψ view, built once per key;
+        // OMP gets the key's shared Gram store, filled as it selects.
         let a = if kind.column_hungry() {
             let view = self
                 .cache
                 .column_view(&key, dictionary, || ColumnMatrix::from_operator(&a));
             a.with_column_view(view)
+        } else if kind.reads_gram() {
+            let store = self
+                .cache
+                .gram_store(&key, dictionary, || GramStore::new(a.rows(), a.cols()));
+            a.with_gram_store(store)
         } else {
             a
         };

@@ -395,16 +395,17 @@ fn stitch_group(
 /// Bytes may arrive in arbitrary chunks; each [`DecodeSession::push_bytes`]
 /// call returns the frames completed by that chunk. All decoding state —
 /// the rebuilt measurement operator, the dictionary, the per-solver
-/// operator-norm estimate, the column-materialized view (for greedy
-/// solvers), the solver workspace, and (in delta mode) the previous
-/// reconstruction — lives in the session, keyed by the stream header,
-/// so a long same-seed sequence pays the operator construction cost
+/// operator-norm estimate, the column-materialized view (CoSaMP) or
+/// the Gram store (OMP), the solver workspace, and (in delta mode) the
+/// previous reconstruction — lives in the session, keyed by the stream
+/// header, so a long same-seed sequence pays the operator construction cost
 /// exactly once and, once warm, decodes frames with zero heap
 /// allocation inside the solver loop (the cached Φ carries its
 /// precompiled gather structure; the workspace carries the iterate,
 /// greedy, and least-squares buffers). The allocation-free guarantee
 /// covers every [`SolverKind`] — including the greedy pursuits and the
-/// CGLS debias pass.
+/// CGLS debias pass — apart from OMP's admissions into its Gram store,
+/// which stop once the store is full.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeSession {
     parser: StreamParser,
@@ -858,7 +859,10 @@ impl DecodeSession {
     /// plus `threads − 1` distinct pool workers — so each acquires its
     /// sticky per-geometry [`SolverWorkspace`]. After a prewarm,
     /// steady-state pooled decodes of same-geometry streams spawn no
-    /// threads and allocate nothing.
+    /// threads and allocate nothing in the solver loops — except that an
+    /// OMP decode admits each new atom's Gram column into the key's
+    /// shared store, one allocation per column, until the store reaches
+    /// its cap of `min(K, N)` columns.
     ///
     /// Inline configurations warm the session's own workspace instead.
     /// Solve failures while warming are ignored — warming is

@@ -129,7 +129,13 @@ impl SolverKind {
     /// Whether the solver works column-wise and should be served a
     /// column-materialized operator view.
     pub(crate) fn column_hungry(&self) -> bool {
-        matches!(self, SolverKind::Omp { .. } | SolverKind::CoSamp { .. })
+        matches!(self, SolverKind::CoSamp { .. })
+    }
+
+    /// Whether the solver runs on Gram columns (Batch-OMP) and should be
+    /// served the operator's shared Gram store.
+    pub(crate) fn reads_gram(&self) -> bool {
+        matches!(self, SolverKind::Omp { .. })
     }
 
     /// One default configuration per algorithm, sized for a
@@ -352,11 +358,17 @@ mod tests {
     }
 
     #[test]
-    fn only_greedy_kinds_are_column_hungry() {
+    fn only_cosamp_is_column_hungry_and_only_omp_reads_gram() {
         for kind in all_kinds(64) {
             assert_eq!(
                 kind.column_hungry(),
-                matches!(kind, SolverKind::Omp { .. } | SolverKind::CoSamp { .. }),
+                matches!(kind, SolverKind::CoSamp { .. }),
+                "{}",
+                kind.name()
+            );
+            assert_eq!(
+                kind.reads_gram(),
+                matches!(kind, SolverKind::Omp { .. }),
                 "{}",
                 kind.name()
             );

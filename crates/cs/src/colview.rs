@@ -1,20 +1,21 @@
-//! Column-materialized operator views.
+//! Column-materialized operator views, and the closed-form XOR columns.
 //!
-//! Greedy solvers (OMP, CoSaMP) and the restricted least-squares passes
-//! behind them touch an operator *column-wise*: extract the column of a
-//! selected atom, take inner products against it, apply the operator
-//! restricted to a small support. For matrix-free operators every one of
-//! those touches costs a full `apply` — re-deriving the same columns
-//! over and over. [`ColumnMatrix`] materializes all columns once
-//! (column-major, so each column is a contiguous slice) and serves every
-//! later touch as a gather.
+//! CoSaMP and the restricted least-squares passes behind it touch an
+//! operator *column-wise*: they apply the operator restricted to a
+//! support, over and over as the support changes. For matrix-free
+//! operators every one of those touches costs a full `apply`.
+//! [`ColumnMatrix`] materializes all columns once (column-major, so
+//! each column is a contiguous slice) and serves every later touch as a
+//! gather. The decoder builds the view for CoSaMP only: OMP reads one
+//! column per selected atom, to build that atom's Gram column (see
+//! [`crate::gram`]), and takes it from the closed form below instead.
 //!
 //! The view plugs into the operator stack through
 //! [`LinearOperator::column_view`]: a [`ComposedOperator`] with an
 //! attached view answers `column_view()` with it, and downstream
-//! consumers (the greedy solvers' column extraction, the restricted
-//! operator in `tepics-recovery`) switch to the materialized path when
-//! one is present.
+//! consumers (column extraction, the restricted operator in
+//! `tepics-recovery`) switch to the materialized path when one is
+//! present.
 //!
 //! # Closed-form XOR columns
 //!
@@ -54,8 +55,8 @@ use crate::op::LinearOperator;
 /// `data[j·rows .. (j+1)·rows]` is column `j` (`A e_j`), so
 /// [`ColumnMatrix::column`] is a contiguous borrow. Built once per
 /// operator (typically memoized by the caller — the core crate's
-/// `OperatorCache` keys views by operator and dictionary), shared via
-/// `Arc` across sessions and batch workers.
+/// `OperatorCache` keys the views of CoSaMP decodes by operator and
+/// dictionary), shared via `Arc` across sessions and batch workers.
 ///
 /// # Examples
 ///
@@ -127,24 +128,40 @@ impl LinearOperator for ColumnMatrix {
         self.cols
     }
 
+    /// Sums each output row exactly as [`op::dot`](crate::op::dot) sums
+    /// a contiguous row — four interleaved lanes, then the tail — so a
+    /// view rounds like the row-major [`DenseMatrix`](crate::DenseMatrix)
+    /// it may materialize, and a solver gets the same bits from either.
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "input length mismatch");
         assert_eq!(y.len(), self.rows, "output length mismatch");
-        y.fill(0.0);
-        for (&xj, col) in x.iter().zip(self.data.chunks_exact(self.rows)) {
-            if xj != 0.0 {
-                for (yi, &c) in y.iter_mut().zip(col) {
-                    *yi += xj * c;
-                }
+        let rows = self.rows;
+        let lanes = self.cols - self.cols % 4;
+        for (r, yr) in y.iter_mut().enumerate() {
+            let term = |j: usize| self.data[j * rows + r] * x[j];
+            let mut s = [0.0f64; 4];
+            for j in (0..lanes).step_by(4) {
+                s[0] += term(j);
+                s[1] += term(j + 1);
+                s[2] += term(j + 2);
+                s[3] += term(j + 3);
             }
+            let mut acc = (s[0] + s[1]) + (s[2] + s[3]);
+            for j in lanes..self.cols {
+                acc += term(j);
+            }
+            *yr = acc;
         }
     }
 
+    /// Sums each column's products in row order, as
+    /// [`DenseMatrix`](crate::DenseMatrix) accumulates its adjoint row by
+    /// row, so the two round identically.
     fn apply_adjoint(&self, y: &[f64], x: &mut [f64]) {
         assert_eq!(y.len(), self.rows, "input length mismatch");
         assert_eq!(x.len(), self.cols, "output length mismatch");
         for (xj, col) in x.iter_mut().zip(self.data.chunks_exact(self.rows)) {
-            *xj = crate::op::dot(col, y);
+            *xj = col.iter().zip(y).fold(0.0, |acc, (&c, &yr)| acc + c * yr);
         }
     }
 
@@ -296,6 +313,24 @@ mod tests {
             assert!((got - want).abs() < 1e-12);
         }
         assert!(adjoint_mismatch(&view, 5, 3) < 1e-12);
+    }
+
+    #[test]
+    fn applications_round_like_the_dense_source() {
+        // Irrational-ish entries and widths that leave a lane tail, so
+        // any reassociation would show in the last bits.
+        for cols in [7, 8, 13] {
+            let a = DenseMatrix::from_fn(5, cols, |r, c| ((r * 7 + c * 3) as f64).sin() * 1e3);
+            let view = ColumnMatrix::from_operator(&a);
+            let x: Vec<f64> = (0..cols).map(|i| (i as f64 * 0.37).cos()).collect();
+            let y: Vec<f64> = (0..5).map(|i| (i as f64 * 1.3).tan()).collect();
+            assert_eq!(view.apply_vec(&x), a.apply_vec(&x), "{cols} columns");
+            assert_eq!(
+                view.apply_adjoint_vec(&y),
+                a.apply_adjoint_vec(&y),
+                "{cols} columns"
+            );
+        }
     }
 
     #[test]

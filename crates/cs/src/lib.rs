@@ -25,6 +25,8 @@
 //!   protocol, fused block-by-block so the intermediate pixel image
 //!   never round-trips through memory. [`ComposedOperator`] dispatches
 //!   to them automatically when both sides qualify.
+//! * [`gram`] — the capped, shared store of Gram columns `Aᵀ a_j`
+//!   that Batch-OMP reads instead of running an adjoint per iteration.
 //! * [`coherence`] — mutual coherence and empirical RIP-constant
 //!   estimation, used by the `matrices` experiment to compare the CA
 //!   strategy against Bernoulli/LFSR/Hadamard.
@@ -52,6 +54,7 @@ pub mod colview;
 pub mod dictionary;
 pub mod eig;
 pub mod fused;
+pub mod gram;
 pub mod mat;
 pub mod measurement;
 pub mod op;
@@ -60,6 +63,7 @@ pub mod operator;
 pub use colview::ColumnMatrix;
 pub use dictionary::{Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary};
 pub use fused::{FusedScratch, RowStagedDictionary, RowStreamedOperator, StagedDictionary};
+pub use gram::GramStore;
 pub use mat::DenseMatrix;
 pub use measurement::{BlockDiagonalMeasurement, DenseBinaryMeasurement, XorMeasurement};
 pub use op::LinearOperator;

@@ -96,6 +96,14 @@ pub trait LinearOperator {
         None
     }
 
+    /// The shared Gram-column store of this operator, when one is
+    /// attached (see [`crate::gram`]). Batch-OMP reads admitted columns
+    /// from it and offers it the ones it computes; without a store every
+    /// column is computed per solve. The default is `None`.
+    fn gram_store(&self) -> Option<&crate::gram::GramStore> {
+        None
+    }
+
     /// The row-streaming view of this operator, when it measures a 2-D
     /// pixel grid and can produce/consume the image block-of-rows at a
     /// time (see [`crate::fused`]).

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use crate::colview::{ColumnMatrix, XorColumns};
 use crate::dictionary::Dictionary;
 use crate::fused::{self, FusedScratch};
+use crate::gram::GramStore;
 use crate::op::{self, LinearOperator};
 
 /// Reusable intermediate buffers of a [`ComposedOperator`]: the pixel
@@ -73,6 +74,8 @@ pub struct ComposedOperator<'a, M: ?Sized, D: ?Sized> {
     scratch: RefCell<ComposedScratch>,
     /// Optional materialized `Φ·Ψ` columns (see [`ColumnMatrix`]).
     columns: Option<Arc<ColumnMatrix>>,
+    /// Optional shared Gram columns (see [`GramStore`]).
+    gram: Option<Arc<GramStore>>,
 }
 
 impl<'a, M, D> ComposedOperator<'a, M, D>
@@ -98,6 +101,7 @@ where
             psi,
             scratch: RefCell::new(ComposedScratch::default()),
             columns: None,
+            gram: None,
         }
     }
 
@@ -120,6 +124,24 @@ where
         assert_eq!(view.rows(), self.phi.rows(), "view row mismatch");
         assert_eq!(view.cols(), self.psi.atoms(), "view column mismatch");
         self.columns = Some(view);
+        self
+    }
+
+    /// Attaches a shared Gram-column store (typically memoized per
+    /// operator and dictionary by a cache). Afterwards
+    /// [`LinearOperator::gram_store`] returns it, and Batch-OMP reads
+    /// and admits its Gram columns there. Every other application is
+    /// unaffected, and so are OMP's results: a stored column equals the
+    /// one the solver would compute itself, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store's shape does not match this operator.
+    #[must_use]
+    pub fn with_gram_store(mut self, store: Arc<GramStore>) -> Self {
+        assert_eq!(store.rows(), self.phi.rows(), "store row mismatch");
+        assert_eq!(store.cols(), self.psi.atoms(), "store column mismatch");
+        self.gram = Some(store);
         self
     }
 
@@ -244,6 +266,10 @@ where
 
     fn column_view(&self) -> Option<&ColumnMatrix> {
         self.columns.as_deref()
+    }
+
+    fn gram_store(&self) -> Option<&GramStore> {
+        self.gram.as_deref()
     }
 }
 

@@ -33,7 +33,7 @@
 //!    [`SolverWorkspace`] and resets the buffers it uses to the exact
 //!    state a fresh allocation would have, so warm solves are
 //!    bit-identical to cold ones — and allocate nothing inside the
-//!    solver loop once warm. This covers the greedy pursuits (gathered
+//!    solver loop once warm. This covers the greedy pursuits (Gram
 //!    columns, growing Cholesky) and the nested CGLS of CoSaMP and the
 //!    debias pass, which run on a dedicated `lsq_*` buffer set so
 //!    nesting never clobbers the outer solver's state.

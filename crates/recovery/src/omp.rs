@@ -1,4 +1,4 @@
-//! Orthogonal matching pursuit.
+//! Orthogonal matching pursuit, run as Batch-OMP.
 //!
 //! The classic greedy decoder: pick the atom most correlated with the
 //! residual, re-fit all selected atoms by least squares (via incremental
@@ -6,17 +6,45 @@
 //! signals when the matrix is well-conditioned on the support, and the
 //! standard per-block solver of block-based CS.
 //!
-//! Selected columns are gathered through
-//! [`LinearOperator::column_into`], so an operator carrying a
-//! column-materialized view ([`LinearOperator::column_view`]) serves
-//! each atom as a copy instead of a full synthesis — the values are
-//! identical either way, so attaching a view never changes OMP's
-//! result.
+//! # Batch-OMP
+//!
+//! The pursuit never forms the residual inside its loop. It computes
+//! `α⁰ = Aᵀy` once; after each re-fit `γ_I` on the support `I`, the
+//! correlations with the new residual are `α = α⁰ − G[:, I]·γ_I`, and
+//! the Cholesky cross terms of a new atom `j` are read from its Gram
+//! column `G[:, j] = Aᵀ a_j` at the rows `I`. So an iteration costs one
+//! Gram column (none once it is stored) plus `O(|I|·N)` flops, instead
+//! of one adjoint and a residual recompute. A selected-flag mask keeps
+//! chosen atoms out of the argmax. Reference: R. Rubinstein, M.
+//! Zibulevsky and M. Elad, "Efficient Implementation of the K-SVD
+//! Algorithm using Batch Orthogonal Matching Pursuit", Technion
+//! CS-2008-08.
+//!
+//! Gram columns come from the operator's shared
+//! [`GramStore`](tepics_cs::gram::GramStore) when one is attached
+//! ([`LinearOperator::gram_store`]): a stored column is a hit, a new
+//! one is admitted while the store has room, and one a full store turns
+//! away is computed into the workspace for this solve only. Without a
+//! store every column is such a miss. A Gram column is a pure function
+//! of the operator and the atom, so results never depend on what the
+//! store holds, on warmth, or on the thread that filled it.
+//!
+//! The residual norm `‖y‖² − γᵀα⁰_I` comes for free but cancels to
+//! noise once `‖r‖²` falls below about `1e-8·‖y‖²`. A tracked value at
+//! or below the stop threshold (or that floor) is therefore confirmed
+//! with one explicit forward application, and the reported
+//! [`residual_norm`](crate::SolveStats::residual_norm) always comes
+//! from one.
 
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
 use crate::{check_dims, Recovery, RecoveryError, SolveStats};
+use tepics_cs::gram::gram_column_into;
 use tepics_cs::op::{self, LinearOperator};
+
+/// The relative `‖r‖²/‖y‖²` below which the tracked residual norm is
+/// cancellation noise and must be confirmed explicitly.
+const TRACKED_FLOOR: f64 = 1e-8;
 
 /// OMP solver configuration.
 ///
@@ -67,11 +95,12 @@ impl Omp {
         self.solve_with(a, y, &mut SolverWorkspace::new())
     }
 
-    /// Runs the pursuit reusing `workspace` buffers (residual,
-    /// correlations, gathered columns, the growing Cholesky, and the
-    /// small least-squares vectors); results are bit-identical to
-    /// [`Omp::solve`], with no allocations inside the pursuit loop once
-    /// the workspace is warm.
+    /// Runs the pursuit reusing `workspace` buffers (correlations,
+    /// the selected-flag mask, per-solve Gram columns, the growing
+    /// Cholesky, and the small least-squares vectors); results are
+    /// bit-identical to [`Omp::solve`], with no allocations inside the
+    /// pursuit loop once the workspace is warm, apart from admissions
+    /// into an attached Gram store.
     ///
     /// # Errors
     ///
@@ -86,13 +115,20 @@ impl Omp {
         check_dims(a.rows(), y)?;
         let n = a.cols();
         let m = a.rows();
-        let y_norm = op::norm2(y);
+        let y2 = op::dot(y, y);
+        let y_norm = y2.sqrt();
         let budget = self.max_atoms.min(n).min(m);
+        let tol = self.residual_tol;
+        let store = a.gram_store();
         let SolverWorkspace {
+            alpha: alpha0,
             grad: corr,
+            z: x,
             resid: residual,
+            rows_tmp: atom,
+            selected,
             support,
-            columns,
+            gram_misses: misses,
             gram_cross: cross,
             rhs,
             small: coeffs,
@@ -104,23 +140,30 @@ impl Omp {
             // tidy:allow(alloc: cold-path Cholesky factor; warm workspaces reuse it)
             .get_or_insert_with(|| tepics_cs::chol::GrowingCholesky::with_capacity(budget.max(1)));
         chol.reset(budget.max(1));
+        alpha0.clear();
+        alpha0.resize(n, 0.0);
+        a.apply_adjoint(y, alpha0);
         corr.clear();
-        corr.resize(n, 0.0);
+        corr.extend_from_slice(alpha0);
+        atom.clear();
+        atom.resize(m, 0.0);
+        selected.clear();
+        selected.resize(n, false);
         residual.clear();
         residual.extend_from_slice(y);
+        // Whether `residual` holds y − A·x for the current support.
+        let mut residual_fresh = true;
         support.clear();
-        columns.clear();
-        columns.resize(budget * m, 0.0);
+        misses.clear();
         rhs.clear();
         coeffs.clear();
         let mut converged = y_norm == 0.0;
         while support.len() < budget && !converged {
-            a.apply_adjoint(residual, corr);
             // Best atom not already selected.
             let mut best = None;
             let mut best_mag = 0.0;
-            for (j, &c) in corr.iter().enumerate() {
-                if c.abs() > best_mag && !support.contains(&j) {
+            for (j, (&c, &taken)) in corr.iter().zip(selected.iter()).enumerate() {
+                if c.abs() > best_mag && !taken {
                     best_mag = c.abs();
                     best = Some(j);
                 }
@@ -129,37 +172,74 @@ impl Omp {
             if best_mag < 1e-14 {
                 break; // residual orthogonal to every atom
             }
-            let picked = support.len();
-            a.column_into(j, &mut columns[picked * m..(picked + 1) * m]);
-            let (prior, rest) = columns.split_at(picked * m);
-            let col = &rest[..m];
+            // G[:, j]: a store hit, an admission, or a miss computed into
+            // the workspace for this solve only.
+            let stored =
+                store.and_then(|s| s.column_or_admit(j, |g| gram_column_into(a, j, atom, g)));
+            let g = match stored {
+                Some(g) => g,
+                None => {
+                    let start = misses.len();
+                    // Capacity tracks the most misses a solve on this
+                    // workspace has needed, not the atom budget.
+                    misses.reserve_exact(n);
+                    misses.resize(start + n, 0.0);
+                    gram_column_into(a, j, atom, &mut misses[start..]);
+                    &misses[start..]
+                }
+            };
             cross.clear();
-            cross.extend(prior.chunks_exact(m).map(|c| op::dot(c, col)));
-            let diag = op::dot(col, col);
-            if chol.push(cross, diag).is_err() {
+            cross.extend(support.iter().map(|&i| g[i]));
+            if chol.push(cross, g[j]).is_err() {
                 // Dependent atom: skip it by pretending correlation is
                 // exhausted (no further progress possible on this atom).
                 break;
             }
             support.push(j);
-            // Least squares on the support: G c = Bᵀ y with B the
-            // selected columns. rhs entries ⟨b_i, y⟩ never change, so
-            // each iteration appends only the new atom's entry.
-            rhs.push(op::dot(col, y));
+            selected[j] = true;
+            // Least squares on the support: G_II γ = α⁰_I. The rhs
+            // entries never change, so each iteration appends only the
+            // new atom's entry.
+            rhs.push(alpha0[j]);
             chol.solve_into(rhs, coeffs, chol_tmp);
-            // Residual r = y − B c.
-            residual.copy_from_slice(y);
-            for (c, col) in coeffs.iter().zip(columns.chunks_exact(m)) {
-                op::axpy(-c, col, residual);
+            // α = α⁰ − G[:, I]·γ_I. Selected atoms read their column from
+            // the store, or else the next miss in selection order.
+            corr.copy_from_slice(alpha0);
+            let mut local = misses.chunks_exact(n);
+            let mut quad: [(&[f64], f64); 4] = [(&[], 0.0); 4];
+            for (t, (&i, &c)) in support.iter().zip(coeffs.iter()).enumerate() {
+                let gi = store
+                    .and_then(|s| s.column(i))
+                    .or_else(|| local.next())
+                    .unwrap_or_default();
+                quad[t % 4] = (gi, c);
+                if t % 4 == 3 {
+                    subtract_quad(corr, &quad);
+                }
             }
-            if op::norm2(residual) <= self.residual_tol * y_norm.max(1e-300) {
-                converged = true;
+            for &(gi, c) in &quad[..support.len() % 4] {
+                op::axpy(-c, gi, corr);
+            }
+            residual_fresh = false;
+            let tracked = y2 - op::dot(coeffs, rhs);
+            if tracked <= (tol * tol).max(TRACKED_FLOOR) * y2 {
+                x.clear();
+                x.resize(n, 0.0);
+                for (&i, &c) in support.iter().zip(coeffs.iter()) {
+                    x[i] = c;
+                }
+                residual_into(a, x, y, residual);
+                residual_fresh = true;
+                converged = op::norm2(residual) <= tol * y_norm.max(1e-300);
             }
         }
         // tidy:allow(alloc: the returned coefficient vector, once per solve)
         let mut full = vec![0.0; n];
         for (&j, &c) in support.iter().zip(coeffs.iter()) {
             full[j] = c;
+        }
+        if !residual_fresh {
+            residual_into(a, &full, y, residual);
         }
         Ok(Recovery {
             coefficients: full,
@@ -172,12 +252,33 @@ impl Omp {
     }
 }
 
+/// `corr −= Σ c·g` over four Gram columns in one pass, so the
+/// correlations are loaded and stored once per four columns.
+// tidy:alloc-free
+#[inline]
+fn subtract_quad(corr: &mut [f64], quad: &[(&[f64], f64); 4]) {
+    let [(g0, c0), (g1, c1), (g2, c2), (g3, c3)] = *quad;
+    let columns = g0.iter().zip(g1).zip(g2).zip(g3);
+    for (o, (((&a, &b), &c), &d)) in corr.iter_mut().zip(columns) {
+        *o -= (c0 * a + c1 * b) + (c2 * c + c3 * d);
+    }
+}
+
+/// `residual = y − A x`, by one explicit forward application.
+// tidy:alloc-free
+fn residual_into<A: LinearOperator + ?Sized>(a: &A, x: &[f64], y: &[f64], residual: &mut [f64]) {
+    a.apply(x, residual);
+    for (r, &yk) in residual.iter_mut().zip(y) {
+        *r = yk - *r;
+    }
+}
+
 impl Solver for Omp {
     fn caps(&self) -> SolverCaps {
         SolverCaps {
             name: "omp",
             norm_seed: None,
-            column_hungry: true,
+            column_hungry: false,
         }
     }
 
@@ -194,6 +295,7 @@ impl Solver for Omp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tepics_cs::gram::GramStore;
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
 
@@ -242,15 +344,78 @@ mod tests {
 
     #[test]
     fn column_view_leaves_results_bit_identical() {
-        // OMP only *reads* columns; a materialized view changes where
-        // they come from, not their values, so results must be equal
-        // bit for bit.
+        // A view materialized from a dense matrix serves the same
+        // columns and rounds its applications exactly like it, so
+        // results must be equal bit for bit.
         use tepics_cs::colview::ColumnMatrix;
         let (a, _, y) = gaussian_problem(30, 80, 5, 99);
         let view = ColumnMatrix::from_operator(&a);
         let plain = Omp::new(8).solve(&a, &y).unwrap();
         let through_view = Omp::new(8).solve(&view, &y).unwrap();
         assert_eq!(plain, through_view);
+    }
+
+    /// A dense operator with an attached Gram store.
+    struct Stored<'a> {
+        a: &'a DenseMatrix,
+        store: GramStore,
+    }
+
+    impl LinearOperator for Stored<'_> {
+        fn rows(&self) -> usize {
+            self.a.rows()
+        }
+
+        fn cols(&self) -> usize {
+            self.a.cols()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.a.apply(x, y);
+        }
+
+        fn apply_adjoint(&self, y: &[f64], x: &mut [f64]) {
+            self.a.apply_adjoint(y, x);
+        }
+
+        fn column_into(&self, j: usize, out: &mut [f64]) {
+            self.a.column_into(j, out);
+        }
+
+        fn gram_store(&self) -> Option<&GramStore> {
+            Some(&self.store)
+        }
+    }
+
+    #[test]
+    fn gram_store_leaves_results_bit_identical() {
+        // A stored Gram column equals the one a miss computes, so cold,
+        // warm and full stores all reproduce the store-less solve.
+        let (a, _, y) = gaussian_problem(30, 80, 5, 99);
+        let plain = Omp::new(12).solve(&a, &y).unwrap();
+        let stored = Stored {
+            a: &a,
+            store: GramStore::new(30, 80),
+        };
+        let cold = Omp::new(12).solve(&stored, &y).unwrap();
+        let warm = Omp::new(12).solve(&stored, &y).unwrap();
+        assert_eq!(plain, cold);
+        assert_eq!(plain, warm);
+        assert_eq!(stored.store.admitted(), plain.stats.iterations);
+        // A store filled to its cap with the last 30 columns turns the
+        // solve's other atoms away; they become per-solve misses.
+        let full = Stored {
+            a: &a,
+            store: GramStore::new(30, 80),
+        };
+        let mut atom = vec![0.0; 30];
+        for j in 50..80 {
+            full.store
+                .column_or_admit(j, |g| gram_column_into(&a, j, &mut atom, g));
+        }
+        assert_eq!(full.store.admitted(), full.store.capacity());
+        assert_eq!(plain, Omp::new(12).solve(&full, &y).unwrap());
+        assert_eq!(full.store.admitted(), full.store.capacity());
     }
 
     #[test]

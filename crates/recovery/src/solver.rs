@@ -58,9 +58,10 @@ pub struct SolverCaps {
     /// estimate a norm (the greedy pursuits, CGLS).
     pub norm_seed: Option<u64>,
     /// `true` if the solver touches operator columns heavily enough —
-    /// per-iteration extraction or repeated restricted least squares
-    /// over growing supports — to justify materializing *all* columns
-    /// up front (the greedy pursuits). Solvers whose column work is one
+    /// repeated restricted least squares over growing supports — to
+    /// justify materializing *all* columns up front (CoSaMP). OMP is not
+    /// column-hungry: it reads one column per selected atom, to build
+    /// that atom's Gram column. Solvers whose column work is one
     /// support-restricted re-fit (the [`Debias`](crate::Debias)
     /// wrapper's CGLS pass) inherit their inner solver's appetite: a
     /// full materialization would cost more than the single re-fit it
@@ -181,7 +182,7 @@ mod tests {
         assert_eq!(Iht::new(1).caps().norm_seed, Some(norm_seeds::IHT));
         assert_eq!(Amp::new().caps().norm_seed, Some(norm_seeds::AMP));
         assert_eq!(Omp::new(1).caps().norm_seed, None);
-        assert!(Omp::new(1).caps().column_hungry);
+        assert!(!Omp::new(1).caps().column_hungry);
         assert!(CoSaMp::new(1).caps().column_hungry);
     }
 }

@@ -22,8 +22,9 @@
 //!
 //! * **iterate buffers** (`alpha`…`rows_tmp2`) — the proximal/
 //!   thresholding/message-passing loops;
-//! * **greedy buffers** (`support`…`chol`) — atom bookkeeping, gathered
-//!   columns, and the growing Cholesky of OMP/CoSaMP;
+//! * **greedy buffers** (`selected`…`chol`) — atom bookkeeping, the Gram
+//!   columns OMP computes for a single solve, and the growing Cholesky
+//!   of OMP/CoSaMP;
 //! * **least-squares buffers** (`lsq_*`, `restrict_*`) — the CGLS
 //!   vectors and the restricted operator's scatter/gather scratch, used
 //!   by [`Cgls`](crate::cg::Cgls), CoSaMP's re-fit, and
@@ -65,10 +66,11 @@ pub struct SolverWorkspace {
     pub(crate) rows_tmp: Vec<f64>,
     pub(crate) rows_tmp2: Vec<f64>,
     // Greedy buffers.
+    pub(crate) selected: Vec<bool>,
     pub(crate) support: Vec<usize>,
     pub(crate) candidate: Vec<usize>,
     pub(crate) keep: Vec<usize>,
-    pub(crate) columns: Vec<f64>,
+    pub(crate) gram_misses: Vec<f64>,
     pub(crate) gram_cross: Vec<f64>,
     pub(crate) rhs: Vec<f64>,
     pub(crate) small: Vec<f64>,

@@ -1,17 +1,28 @@
 //! Solver-pluggable recovery stack: end-to-end identity guarantees.
 //!
 //! Every [`SolverKind`] must behave identically however it is driven:
-//! one-shot per-frame decoders, warm cached sessions, and the parallel
-//! batch engine all produce bit-identical reconstructions, because
-//! every decode runs the same path through an operator cache, every
-//! cached value (operator, dictionary, per-solver norm estimate, column
-//! view) is built deterministically, and every workspace reset is
-//! value-transparent.
+//! one-shot per-frame decoders, warm cached sessions, sessions whose
+//! cache evicts, and the parallel batch engine all produce bit-identical
+//! reconstructions, because every decode runs the same path through an
+//! operator cache, every cached value (operator, dictionary, per-solver
+//! norm estimate, column view, Gram column) is built deterministically,
+//! and every workspace reset is value-transparent.
 
 use std::sync::Arc;
 
 use tepics::core::batch::BatchRunner;
+use tepics::cs::dictionary::ZeroMeanDictionary;
+use tepics::cs::gram::gram_column_into;
+use tepics::cs::measurement::SelectionMeasurement;
+use tepics::cs::op::dot;
+use tepics::cs::{ComposedOperator, Dct2dDictionary, GramStore};
 use tepics::prelude::*;
+use tepics::recovery::Omp;
+
+/// A cache budget below one 16×16 Gram store or column view: such
+/// entries are served but never retained, so every decode starts a
+/// fresh one.
+const EVICTING_BUDGET: usize = 64 << 10;
 
 fn imager(side: usize, seed: u64) -> CompressiveImager {
     CompressiveImager::builder(side, side)
@@ -25,8 +36,9 @@ fn imager(side: usize, seed: u64) -> CompressiveImager {
 /// Warm (cached session) decodes are bit-identical to cold (a fresh
 /// one-shot decoder on its own private cache) decodes for every solver
 /// kind over every dictionary — the cache and workspace layers are
-/// value-transparent across the whole roster — and every cold decode
-/// scores a finite PSNR against the ideal codes.
+/// value-transparent across the whole roster — and so are decodes
+/// through a cache that evicts its Gram stores and column views. Every
+/// cold decode scores a finite PSNR against the ideal codes.
 #[test]
 fn warm_session_equals_cold_decoder_for_every_solver_kind() {
     let im = imager(16, 0xBEEF);
@@ -73,6 +85,19 @@ fn warm_session_equals_cold_decoder_for_every_solver_kind() {
                 session.cache().stats().hits >= frames.len() as u64 - 1,
                 "{params:?}: session never went warm"
             );
+            // Evicting: the Gram store (OMP) or view (CoSaMP) is rebuilt
+            // for every frame.
+            let mut evicting = DecodeSession::with_cache(OperatorCache::shared_with(
+                CacheConfig::new().byte_budget(EVICTING_BUDGET),
+            ));
+            evicting.params(params);
+            for (i, f) in frames.iter().enumerate() {
+                let got = evicting.push_frame(f).unwrap();
+                assert_eq!(
+                    got.reconstruction, cold[i],
+                    "{params:?}: frame {i} through an evicting cache != cold"
+                );
+            }
         }
     }
 }
@@ -113,7 +138,7 @@ fn shared_cache_does_not_mix_solver_state() {
 }
 
 /// The batch engine's thread-count determinism holds for every solver
-/// kind selected through `run`'s params.
+/// kind selected through `run`'s params, at 1, 2 and 4 threads.
 #[test]
 fn batch_runs_identical_across_thread_counts_for_all_solvers() {
     let im = imager(16, 42);
@@ -129,13 +154,15 @@ fn batch_runs_identical_across_thread_counts_for_all_solvers() {
         let serial = BatchRunner::with_threads(1)
             .run(&im, &scenes, params)
             .unwrap();
-        let parallel = BatchRunner::with_threads(4)
-            .run(&im, &scenes, params)
-            .unwrap();
-        assert_eq!(
-            serial.reports, parallel.reports,
-            "{kind:?}: thread count changed batch results"
-        );
+        for threads in [2, 4] {
+            let parallel = BatchRunner::with_threads(threads)
+                .run(&im, &scenes, params)
+                .unwrap();
+            assert_eq!(
+                serial.reports, parallel.reports,
+                "{kind:?}: {threads} threads changed batch results"
+            );
+        }
     }
 }
 
@@ -192,4 +219,126 @@ fn params_set_after_the_first_frame_apply_to_the_next() {
     split.push_frame(&frames[0]).unwrap();
     split.algorithm(params.solver).dictionary(params.dictionary);
     assert_eq!(split.push_frame(&frames[1]).unwrap().reconstruction, want);
+}
+
+/// OMP's result does not depend on the state of the operator's shared
+/// Gram store or on who filled it: on real 32×32 measurements (mean
+/// split, DC pinned) a solve without a store, through a cold store,
+/// through the same store warm, through a store filled to its cap by
+/// other columns (so most atoms are turned away), and through one store
+/// filled by 1, 2 and 4 racing threads all give the same bits. The
+/// decoder's own OMP decodes are identical cold, warm and through an
+/// evicting cache, and their stores never exceed the cap.
+#[test]
+fn omp_ignores_gram_store_state_and_thread_count() {
+    let side = 32;
+    let im = imager(side, 0x0_6A4);
+    let frames: Vec<CompressedFrame> = (0..4)
+        .map(|i| im.capture(&Scene::natural_like().render(side, side, 60 + i)))
+        .collect();
+    let k = frames[0].samples.len();
+    let phi = Decoder::for_frame(&frames[0])
+        .unwrap()
+        .rebuild_measurement(k)
+        .unwrap();
+    let counts = phi.selection_counts();
+    let psi = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
+    let ys: Vec<Vec<f64>> = frames
+        .iter()
+        .map(|f| {
+            let y: Vec<f64> = f.samples.iter().map(|&s| f64::from(s)).collect();
+            let mean = (dot(&counts, &y) / dot(&counts, &counts)).clamp(0.0, 255.0);
+            y.iter().zip(&counts).map(|(v, c)| v - mean * c).collect()
+        })
+        .collect();
+    let omp = Omp::new(60);
+    let solve = |y: &[f64], store: Option<&Arc<GramStore>>| {
+        let a = ComposedOperator::new(&phi, &psi);
+        let a = match store {
+            Some(store) => a.with_gram_store(store.clone()),
+            None => a,
+        };
+        omp.solve(&a, y).unwrap()
+    };
+    let reference: Vec<_> = ys.iter().map(|y| solve(y, None)).collect();
+
+    let store = Arc::new(GramStore::new(k, side * side));
+    for round in ["cold", "warm"] {
+        for (f, y) in ys.iter().enumerate() {
+            assert_eq!(
+                solve(y, Some(&store)),
+                reference[f],
+                "{round} store, frame {f}"
+            );
+        }
+    }
+    assert!(store.admitted() <= store.capacity());
+
+    // Filled to the cap from the highest-frequency atoms down.
+    let full = Arc::new(GramStore::new(k, side * side));
+    let plain = ComposedOperator::new(&phi, &psi);
+    let mut atom = vec![0.0; k];
+    for j in (0..side * side).rev().take(full.capacity()) {
+        full.column_or_admit(j, |g| gram_column_into(&plain, j, &mut atom, g));
+    }
+    assert_eq!(full.admitted(), full.capacity());
+    for (f, y) in ys.iter().enumerate() {
+        assert_eq!(solve(y, Some(&full)), reference[f], "full store, frame {f}");
+    }
+    assert_eq!(
+        full.admitted(),
+        full.capacity(),
+        "a full store admits nothing"
+    );
+
+    for threads in [1, 2, 4] {
+        let shared = Arc::new(GramStore::new(k, side * side));
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (shared, solve, ys, reference) = (&shared, &solve, &ys, &reference);
+                scope.spawn(move || {
+                    // Each racer walks the frames from its own offset.
+                    for i in 0..ys.len() {
+                        let f = (i + t) % ys.len();
+                        assert_eq!(
+                            solve(&ys[f], Some(shared)),
+                            reference[f],
+                            "{threads} racing threads, frame {f}"
+                        );
+                    }
+                });
+            }
+        });
+        assert!(shared.admitted() <= shared.capacity());
+    }
+
+    // The same invariance through the decoder's own cache.
+    let params = RecoveryParams::exact_sparse(60);
+    let cold: Vec<Reconstruction> = frames
+        .iter()
+        .map(|f| {
+            let mut d = Decoder::for_frame(f).unwrap();
+            d.params(params);
+            d.reconstruct(f).unwrap()
+        })
+        .collect();
+    for (label, cache) in [
+        ("shared", OperatorCache::shared()),
+        (
+            "evicting",
+            OperatorCache::shared_with(CacheConfig::new().byte_budget(EVICTING_BUDGET)),
+        ),
+    ] {
+        for round in 0..2 {
+            for (f, frame) in frames.iter().enumerate() {
+                let mut d = Decoder::for_frame(frame).unwrap();
+                d.params(params).use_cache(cache.clone());
+                assert_eq!(
+                    d.reconstruct(frame).unwrap(),
+                    cold[f],
+                    "{label} cache, round {round}, frame {f}"
+                );
+            }
+        }
+    }
 }

@@ -1,7 +1,10 @@
 //! Dynamic complement to `tepics-tidy`'s static `// tidy:alloc-free`
 //! regions: a counting global allocator proves at runtime that the warm
 //! solver loops, the warm serial tiled-decode path and the per-sample
-//! capture loop do not touch the heap.
+//! capture loop do not touch the heap. OMP is measured without a Gram
+//! store, with one prefilled by an earlier solve, and with one full to
+//! its cap; only admissions into a store allocate, so the differential
+//! budgets run on a prefilled store.
 //!
 //! The method is differential: run the same warm solve at two different
 //! iteration budgets (or capture at two sample counts) and assert the
@@ -17,9 +20,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use tepics::cs::dictionary::ZeroMeanDictionary;
-use tepics::cs::{ComposedOperator, Dct2dDictionary, DenseMatrix, LinearOperator, XorMeasurement};
+use tepics::cs::gram::gram_column_into;
+use tepics::cs::{
+    ComposedOperator, Dct2dDictionary, DenseMatrix, Dictionary, GramStore, LinearOperator,
+    XorMeasurement,
+};
 use tepics::prelude::*;
 use tepics::recovery::{Fista, Omp, SolverWorkspace};
 use tepics::util::{BitVec, SplitMix64};
@@ -141,12 +149,13 @@ fn warm_omp_iterations_allocate_nothing() {
     );
 }
 
-/// Warm OMP on the decoder's composed operator — XOR measurement ×
-/// DC-pinned DCT — with no column view attached allocates only the
-/// returned coefficient vector: every selected atom's column comes from
-/// the closed-form kernel, which touches no heap.
-#[test]
-fn warm_composed_omp_without_view_allocates_nothing() {
+/// The decoder's composed operator — XOR measurement × DC-pinned DCT —
+/// on a 16×16 grid with 96 samples, and a measurement of a random scene.
+fn composed_problem() -> (
+    XorMeasurement,
+    ZeroMeanDictionary<Dct2dDictionary>,
+    Vec<f64>,
+) {
     let (m, n) = (16, 16);
     let mut rng = SplitMix64::new(0xC0_0C);
     let patterns: Vec<BitVec> = (0..96)
@@ -154,29 +163,85 @@ fn warm_composed_omp_without_view_allocates_nothing() {
         .collect();
     let phi = XorMeasurement::from_patterns(m, n, patterns);
     let psi = ZeroMeanDictionary::new(Dct2dDictionary::new(n, m), 0);
-    let a = ComposedOperator::new(&phi, &psi);
-    assert!(a.column_view().is_none());
     let x: Vec<f64> = (0..m * n).map(|_| rng.next_f64() * 255.0).collect();
     let y = phi.apply_vec(&x);
+    (phi, psi, y)
+}
+
+/// Warm OMP on the decoder's composed operator allocates only the
+/// returned coefficient vector, with no Gram store (every Gram column a
+/// per-solve miss into the warm workspace, every atom column from the
+/// closed-form kernel) and with a store prefilled by a first solve
+/// (every Gram column a hit).
+#[test]
+fn warm_composed_omp_without_view_allocates_nothing() {
+    let (phi, psi, y) = composed_problem();
+    let plain = ComposedOperator::new(&phi, &psi);
+    assert!(plain.column_view().is_none());
+    let store = Arc::new(GramStore::new(phi.rows(), psi.atoms()));
+    let stored = ComposedOperator::new(&phi, &psi).with_gram_store(store.clone());
+    for (label, a) in [("no store", &plain), ("prefilled store", &stored)] {
+        let mut ws = SolverWorkspace::new();
+        // Warm (and prefill) at the largest budget.
+        Omp::new(12).solve_with(a, &y, &mut ws).unwrap();
+        let (small, rec_small) = count_allocs(|| Omp::new(6).solve_with(a, &y, &mut ws).unwrap());
+        let (large, rec_large) = count_allocs(|| Omp::new(12).solve_with(a, &y, &mut ws).unwrap());
+        assert_eq!(
+            rec_small.stats.iterations, 6,
+            "{label}: small budget must be exhausted"
+        );
+        assert_eq!(
+            rec_large.stats.iterations, 12,
+            "{label}: large budget must be exhausted"
+        );
+        assert_eq!(
+            small, large,
+            "{label}: composed OMP loop allocates: 6 atoms cost {small}, 12 atoms cost {large}"
+        );
+        assert_eq!(
+            small, 1,
+            "{label}: warm composed OMP solve should allocate exactly the returned coefficient vector"
+        );
+    }
+    assert_eq!(store.admitted(), 12, "the first solve admitted its atoms");
+}
+
+/// A Gram store filled to its cap admits nothing more: a warm solve
+/// whose atoms it turns away computes them into the workspace and
+/// allocates only its returned coefficient vector.
+#[test]
+fn full_gram_store_admits_nothing_and_omp_allocates_only_its_result() {
+    let (phi, psi, y) = composed_problem();
+    let plain = ComposedOperator::new(&phi, &psi);
+    let store = Arc::new(GramStore::new(phi.rows(), psi.atoms()));
+    // Fill the store from the highest-frequency atoms down.
+    let mut atom = vec![0.0; phi.rows()];
+    for j in (0..psi.atoms()).rev().take(store.capacity()) {
+        store.column_or_admit(j, |g| gram_column_into(&plain, j, &mut atom, g));
+    }
+    assert_eq!(store.admitted(), store.capacity());
+    // A store-less solve warms the workspace for a solve of all misses,
+    // and the operator's scratch, which the stored operator then takes
+    // over (the decoder's per-solve donation).
     let mut ws = SolverWorkspace::new();
-    Omp::new(12).solve_with(&a, &y, &mut ws).unwrap();
-    let (small, rec_small) = count_allocs(|| Omp::new(6).solve_with(&a, &y, &mut ws).unwrap());
-    let (large, rec_large) = count_allocs(|| Omp::new(12).solve_with(&a, &y, &mut ws).unwrap());
-    assert_eq!(
-        rec_small.stats.iterations, 6,
-        "small budget must be exhausted"
+    let want = Omp::new(12).solve_with(&plain, &y, &mut ws).unwrap();
+    let stored = ComposedOperator::new(&phi, &psi)
+        .with_scratch(plain.into_scratch())
+        .with_gram_store(store.clone());
+    let (allocs, got) = count_allocs(|| Omp::new(12).solve_with(&stored, &y, &mut ws).unwrap());
+    assert_eq!(got, want, "a full store must not change the result");
+    assert!(
+        (0..psi.atoms()).any(|j| got.coefficients[j] != 0.0 && store.column(j).is_none()),
+        "the solve must select atoms the full store turned away"
     );
     assert_eq!(
-        rec_large.stats.iterations, 12,
-        "large budget must be exhausted"
+        store.admitted(),
+        store.capacity(),
+        "a full store admits nothing"
     );
     assert_eq!(
-        small, large,
-        "composed OMP loop allocates: 6 atoms cost {small} allocations, 12 atoms cost {large}"
-    );
-    assert_eq!(
-        small, 1,
-        "warm composed OMP solve should allocate exactly the returned coefficient vector"
+        allocs, 1,
+        "OMP on a full store should allocate exactly the returned coefficient vector"
     );
 }
 
