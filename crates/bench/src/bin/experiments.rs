@@ -15,12 +15,13 @@ use tepics_bench::{registry, Tier};
 
 /// CI smoke: a tiny 16×16 batch through the full capture→wire→recover
 /// pipeline on the parallel batch engine. Fails loudly (non-zero exit)
-/// if reconstruction quality, wire saving, or cross-thread determinism
-/// regress — so pipeline breakage fails CI even when no unit test
-/// covers it.
+/// if reconstruction quality, wire saving, stream-size accounting, or
+/// cross-thread determinism regress — so pipeline breakage fails CI
+/// even when no unit test covers it.
 fn smoke() {
     use tepics_core::batch::BatchRunner;
     use tepics_core::prelude::*;
+    use tepics_core::stream::{FRAME_RECORD_BYTES, STREAM_HEADER_BYTES};
 
     let side = 16;
     let imager = CompressiveImager::builder(side, side)
@@ -91,10 +92,15 @@ fn smoke() {
     // Session stream path: the same scenes as one contiguous wire
     // stream, decoded incrementally with a shared operator cache.
     let mut enc = EncodeSession::new(imager.clone()).expect("smoke encode session");
-    let mut frame_codec_bits = 0usize;
+    // Exact stream-size accounting: one header, then per record a
+    // 5-byte prefix and the samples packed at `sample_bits` each.
+    let mut expected_bytes = STREAM_HEADER_BYTES;
     for scene in &scenes {
         let records = enc.capture(scene).expect("smoke stream capture");
-        frame_codec_bits += records.iter().map(|f| f.wire_bits()).sum::<usize>();
+        expected_bytes += records
+            .iter()
+            .map(|f| FRAME_RECORD_BYTES + f.payload_bits().div_ceil(8))
+            .sum::<usize>();
     }
     let mut dec = DecodeSession::new();
     let decoded = dec
@@ -116,18 +122,17 @@ fn smoke() {
             stats.hits
         ));
     }
-    if enc.wire_bits() >= frame_codec_bits {
+    if enc.wire_bits() != expected_bytes * 8 {
         failures.push(format!(
-            "stream container {} bits not smaller than {} bits of per-frame headers",
+            "stream is {} bits, its layout accounts for {} bits",
             enc.wire_bits(),
-            frame_codec_bits
+            expected_bytes * 8
         ));
     }
     eprintln!(
-        "smoke: stream {} frames in {} bits (frame codec {} bits), cache hit rate {:.0}%",
+        "smoke: stream {} frames in {} bits (exactly as accounted), cache hit rate {:.0}%",
         decoded.len(),
         enc.wire_bits(),
-        frame_codec_bits,
         stats.hit_rate() * 100.0
     );
     // Resilient wire v3 in smoke mode: clean v3 decodes bit-identical

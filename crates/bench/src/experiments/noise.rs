@@ -54,18 +54,20 @@ fn run_job(
         .ratio(RATIO)
         .seed(SEED)
         .build()?;
-    let (frame, event_stats) = imager.capture_with_stats(scene);
+    let mut enc = EncodeSession::new(imager)?;
+    let (frames, event_stats) = enc.capture_with_stats(scene)?;
+    let frame = &frames[0];
     // Analog noise knobs do not touch Φ: every sweep point shares
     // (geometry, strategy, seed, k), so the whole batch decodes through
     // one cached operator.
     let mut session = DecodeSession::with_cache(cache.clone());
-    let recon = session.push_frame(&frame)?.reconstruction;
+    let recon = session.push_frame(frame)?.reconstruction;
     let code_max = ((1u32 << frame.header.code_bits) - 1) as f64;
     Ok(PipelineReport {
         ratio: frame.ratio(),
         psnr_code_db: psnr(truth, recon.code_image(), code_max),
         ssim_code: ssim(truth, recon.code_image(), code_max),
-        wire_bits: frame.wire_bits(),
+        wire_bits: enc.wire_bits(),
         raw_bits: params::raw_bits(
             frame.header.rows as u32,
             frame.header.cols as u32,

@@ -44,7 +44,10 @@ pub fn run() -> String {
     let mut t = Table::new(&["solver", "PSNR (dB)", "iters"]);
     for kind in SolverKind::shootout_set(k) {
         let mut session = DecodeSession::new();
-        session.algorithm(kind);
+        session.params(RecoveryParams {
+            solver: kind,
+            ..RecoveryParams::default()
+        });
         let decoded = session.push_frame(&frame).expect("solver decode");
         t.row_owned(vec![
             label(&kind),

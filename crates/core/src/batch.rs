@@ -1,8 +1,8 @@
 //! Parallel batch capture→recover engine.
 //!
 //! The experiment harness and any service built on TEPICS run the same
-//! loop hundreds of times: capture a scene, round-trip the frame
-//! through the wire codec, reconstruct, grade. The loops are
+//! loop hundreds of times: capture a scene, round-trip it through a
+//! wire stream, reconstruct, grade. The loops are
 //! embarrassingly parallel — each item owns its imager state and scene
 //! — so [`BatchRunner`] fans them across worker threads (via
 //! [`tepics_util::parallel::par_map`]) and aggregates the per-item

@@ -32,9 +32,7 @@
 //! shared cache would otherwise grow without bound. Eviction only
 //! discards memoized values — a later lookup rebuilds the same bytes —
 //! so warm, cold, and evicted-then-rebuilt decodes all stay
-//! bit-identical. The unbounded behavior of earlier releases remains
-//! available through the explicit [`CacheConfig::unbounded`] escape
-//! hatch.
+//! bit-identical.
 //!
 //! # Key disciplines
 //!
@@ -96,30 +94,28 @@ const ENTRY_OVERHEAD: usize = 64;
 
 /// Size policy of an [`OperatorCache`].
 ///
-/// The default is a budget of [`DEFAULT_CACHE_BYTES`] with LRU
-/// eviction; [`CacheConfig::byte_budget`] tightens or widens it, and
-/// [`CacheConfig::unbounded`] is the explicit escape hatch restoring
-/// the grow-forever behavior of earlier releases.
+/// Every cache is bounded: the default is a budget of
+/// [`DEFAULT_CACHE_BYTES`] with LRU eviction, and
+/// [`CacheConfig::byte_budget`] tightens or widens it.
 ///
 /// # Examples
 ///
 /// ```
-/// use tepics_core::cache::{CacheConfig, OperatorCache};
+/// use tepics_core::cache::{CacheConfig, OperatorCache, DEFAULT_CACHE_BYTES};
 ///
 /// let small = OperatorCache::with_config(CacheConfig::new().byte_budget(1 << 20));
-/// assert_eq!(small.byte_budget(), Some(1 << 20));
-/// let wild = OperatorCache::with_config(CacheConfig::unbounded());
-/// assert_eq!(wild.byte_budget(), None);
+/// assert_eq!(small.byte_budget(), 1 << 20);
+/// assert_eq!(OperatorCache::new().byte_budget(), DEFAULT_CACHE_BYTES);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    budget: Option<usize>,
+    budget: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            budget: Some(DEFAULT_CACHE_BYTES),
+            budget: DEFAULT_CACHE_BYTES,
         }
     }
 }
@@ -134,22 +130,13 @@ impl CacheConfig {
     /// Sets the byte budget.
     #[must_use]
     pub fn byte_budget(mut self, bytes: usize) -> CacheConfig {
-        self.budget = Some(bytes);
+        self.budget = bytes;
         self
     }
 
-    /// No byte budget: entries are never evicted. Opting out of the
-    /// bound is deliberate and explicit — long-lived caches fed many
-    /// geometries (tiled workloads, multi-stream services) should keep
-    /// the default instead.
+    /// The configured byte budget.
     #[must_use]
-    pub fn unbounded() -> CacheConfig {
-        CacheConfig { budget: None }
-    }
-
-    /// The configured budget (`None` = unbounded).
-    #[must_use]
-    pub fn budget(&self) -> Option<usize> {
+    pub fn budget(&self) -> usize {
         self.budget
     }
 }
@@ -405,7 +392,7 @@ impl Inner {
 #[derive(Debug)]
 pub struct OperatorCache {
     inner: Mutex<Inner>,
-    budget: Option<usize>,
+    budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -447,9 +434,9 @@ impl OperatorCache {
         Arc::new(Self::with_config(config))
     }
 
-    /// The byte budget this cache enforces (`None` = unbounded).
+    /// The byte budget this cache enforces.
     #[must_use]
-    pub fn byte_budget(&self) -> Option<usize> {
+    pub fn byte_budget(&self) -> usize {
         self.budget
     }
 
@@ -464,7 +451,7 @@ impl OperatorCache {
     }
 
     /// Bytes currently retained across all entry families (always at
-    /// most the budget, when one is set).
+    /// most the budget).
     pub fn resident_bytes(&self) -> usize {
         self.locked().resident
     }
@@ -486,10 +473,7 @@ impl OperatorCache {
         if !committed {
             return;
         }
-        if let Some(budget) = self.budget {
-            let mut guard = self.locked();
-            guard.enforce(budget, protect);
-        }
+        self.locked().enforce(self.budget, protect);
     }
 
     /// The measurement operator and selection counts for `key`,
@@ -850,7 +834,7 @@ mod tests {
 
     #[test]
     fn gram_stores_are_memoized_per_operator_and_dictionary() {
-        let cache = OperatorCache::with_config(CacheConfig::unbounded());
+        let cache = OperatorCache::new();
         let k1 = key(1, 6);
         let a = cache.gram_store(&k1, DictionaryKind::Dct2d, || GramStore::new(6, 256));
         let b = cache.gram_store(&k1, DictionaryKind::Dct2d, || panic!("must be memoized"));
@@ -913,7 +897,7 @@ mod tests {
     /// eviction actually fires.
     #[test]
     fn byte_budget_is_never_exceeded_under_many_geometries() {
-        let probe = OperatorCache::with_config(CacheConfig::unbounded());
+        let probe = OperatorCache::new();
         probe.operator(&key(0, 40)).unwrap();
         let one = probe.resident_bytes();
         assert!(one > 0);
@@ -941,7 +925,7 @@ mod tests {
     /// the oldest other entry is discarded.
     #[test]
     fn eviction_is_least_recently_used() {
-        let probe = OperatorCache::with_config(CacheConfig::unbounded());
+        let probe = OperatorCache::new();
         probe.operator(&key(0, 40)).unwrap();
         let one = probe.resident_bytes();
 
@@ -964,7 +948,7 @@ mod tests {
     /// `HashMap` iteration order even in principle.
     #[test]
     fn eviction_sequence_is_deterministic() {
-        let probe = OperatorCache::with_config(CacheConfig::unbounded());
+        let probe = OperatorCache::new();
         probe.operator(&key(0, 40)).unwrap();
         let one = probe.resident_bytes();
 
@@ -1036,11 +1020,12 @@ mod tests {
         assert!(stats.resident_bytes <= 64);
     }
 
-    /// The explicit escape hatch: an unbounded cache never evicts.
+    /// Every cache is bounded; the default budget holds a small
+    /// workload whole, so nothing is evicted.
     #[test]
-    fn unbounded_cache_never_evicts() {
-        let cache = OperatorCache::with_config(CacheConfig::unbounded());
-        assert_eq!(cache.byte_budget(), None);
+    fn default_cache_is_bounded_and_keeps_small_workloads() {
+        let cache = OperatorCache::new();
+        assert_eq!(cache.byte_budget(), DEFAULT_CACHE_BYTES);
         for seed in 0..10 {
             cache.operator(&key(seed, 40)).unwrap();
         }
@@ -1054,7 +1039,7 @@ mod tests {
     /// (eviction only discards memoization, never changes results).
     #[test]
     fn evicted_entries_rebuild_identically() {
-        let probe = OperatorCache::with_config(CacheConfig::unbounded());
+        let probe = OperatorCache::new();
         let k = key(9, 40);
         let (cold_phi, cold_counts) = probe.operator(&k).unwrap();
         let one = probe.resident_bytes();

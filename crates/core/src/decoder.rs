@@ -444,6 +444,33 @@ mod tests {
     }
 
     #[test]
+    fn for_header_rejects_sample_widths_outside_one_to_thirty_two() {
+        let header = imager(0.2, 3)
+            .capture(&Scene::Uniform(0.5).render(16, 16, 0))
+            .header;
+        for sample_bits in [0, 33] {
+            let bad = FrameHeader {
+                sample_bits,
+                ..header
+            };
+            assert!(
+                matches!(Decoder::for_header(&bad), Err(CoreError::MalformedFrame(_))),
+                "sample width {sample_bits} accepted"
+            );
+        }
+        for sample_bits in [1, 32] {
+            let edge = FrameHeader {
+                sample_bits,
+                ..header
+            };
+            assert!(
+                Decoder::for_header(&edge).is_ok(),
+                "sample width {sample_bits}"
+            );
+        }
+    }
+
+    #[test]
     fn blobs_scene_reconstructs_well_at_forty_percent() {
         let im = imager(0.4, 7);
         let scene = Scene::gaussian_blobs(2).render(16, 16, 11);

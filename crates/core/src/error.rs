@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors surfaced by the imager, frame codec and decoder.
+/// Errors surfaced by the imager, stream container and decoder.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
     /// A configuration value is outside its valid range.

@@ -1,21 +1,17 @@
-//! The transmitted frame: header + bit-packed compressed samples.
+//! The in-memory frame record: header + compressed samples.
 //!
 //! The whole point of the on-chip CA (Sect. I) is that Φ never crosses
-//! the channel — only a 64-bit seed does. The wire format reflects
-//! that: a 24-byte header followed by `K` samples packed at exactly
-//! `sample_bits` bits each (20 bits for the prototype), MSB-first. The
-//! bits-on-wire number this codec produces is what the `breakeven`
-//! experiment audits against Eq. (1)/(2).
+//! the channel — only a 64-bit seed does. A [`CompressedFrame`] is what
+//! one capture produces and one stream record carries: the
+//! [`FrameHeader`] the decoder needs to rebuild Φ, plus `K` samples of
+//! `sample_bits` bits each (20 bits for the prototype). Its only wire
+//! format is the `TEPS` stream container ([`crate::stream`]), which
+//! sends the header once per stream and packs the samples MSB-first
+//! with `BitWriter`; the `breakeven` experiment audits those stream
+//! bytes against Eq. (1)/(2).
 
 use crate::error::CoreError;
 use crate::strategy::StrategyKind;
-
-const MAGIC: [u8; 4] = *b"TEPX";
-const VERSION: u8 = 1;
-
-/// Serialized size of the per-frame header (magic + version + geometry
-/// + strategy + seed + sample count).
-pub(crate) const FRAME_HEADER_BYTES: usize = 27;
 
 /// Frame metadata: everything the decoder needs to rebuild Φ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,10 +31,11 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// Validates the fields the decoder depends on (shared by
-    /// [`Decoder::for_header`](crate::decoder::Decoder::for_header) and
-    /// the stream container, so the two can never diverge on what a
-    /// degenerate header is).
+    /// Validates the fields the decoder and the sample packer depend on
+    /// (shared by [`Decoder::for_header`](crate::decoder::Decoder::for_header),
+    /// [`StreamWriter::new`](crate::stream::StreamWriter::new) and the
+    /// stream parser, so none of them can diverge on what a degenerate
+    /// header is).
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(CoreError::MalformedFrame("zero array dimension".into()));
@@ -47,6 +44,12 @@ impl FrameHeader {
             return Err(CoreError::MalformedFrame(format!(
                 "code width {} outside 1..=16",
                 self.code_bits
+            )));
+        }
+        if self.sample_bits == 0 || self.sample_bits > 32 {
+            return Err(CoreError::MalformedFrame(format!(
+                "sample width {} outside 1..=32",
+                self.sample_bits
             )));
         }
         Ok(())
@@ -76,106 +79,6 @@ impl CompressedFrame {
     /// Payload size in bits (samples only).
     pub fn payload_bits(&self) -> usize {
         self.samples.len() * self.header.sample_bits as usize
-    }
-
-    /// Total wire size in bits (header + payload).
-    ///
-    /// Computed arithmetically — no serialization is performed. The
-    /// count must match [`CompressedFrame::to_bytes`] exactly; the unit
-    /// tests pin the two together.
-    pub fn wire_bits(&self) -> usize {
-        (FRAME_HEADER_BYTES + self.payload_bits().div_ceil(8)) * 8
-    }
-
-    /// Serializes to wire bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let h = &self.header;
-        let mut out = Vec::with_capacity(28 + self.payload_bits() / 8 + 1);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.extend_from_slice(&h.rows.to_le_bytes());
-        out.extend_from_slice(&h.cols.to_le_bytes());
-        out.push(h.code_bits);
-        out.push(h.sample_bits);
-        out.extend_from_slice(&h.strategy.to_wire());
-        out.extend_from_slice(&h.seed.to_le_bytes());
-        out.extend_from_slice(&(self.samples.len() as u32).to_le_bytes());
-        // Bit-pack samples MSB-first at sample_bits each.
-        let mut writer = BitWriter::new();
-        for &s in &self.samples {
-            writer.write(s, h.sample_bits as u32);
-        }
-        out.extend_from_slice(&writer.finish());
-        out
-    }
-
-    /// Parses wire bytes back into a frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MalformedFrame`] on bad magic, version,
-    /// strategy tag, truncated payload, or inconsistent sizes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<CompressedFrame, CoreError> {
-        let need = |n: usize| -> Result<(), CoreError> {
-            if bytes.len() < n {
-                Err(CoreError::MalformedFrame(format!(
-                    "truncated frame: {} bytes, need {n}",
-                    bytes.len()
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        need(28)?;
-        if bytes[0..4] != MAGIC {
-            return Err(CoreError::MalformedFrame("bad magic".into()));
-        }
-        if bytes[4] != VERSION {
-            return Err(CoreError::MalformedFrame(format!(
-                "unsupported version {}",
-                bytes[4]
-            )));
-        }
-        let rows = u16::from_le_bytes([bytes[5], bytes[6]]);
-        let cols = u16::from_le_bytes([bytes[7], bytes[8]]);
-        let code_bits = bytes[9];
-        let sample_bits = bytes[10];
-        if rows == 0 || cols == 0 {
-            return Err(CoreError::MalformedFrame("zero array dimension".into()));
-        }
-        if sample_bits == 0 || sample_bits > 32 {
-            return Err(CoreError::MalformedFrame(format!(
-                "sample width {sample_bits} outside 1..=32"
-            )));
-        }
-        let strategy = StrategyKind::from_wire([bytes[11], bytes[12], bytes[13], bytes[14]])?;
-        let seed = u64::from_le_bytes([
-            bytes[15], bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22],
-        ]);
-        let count = u32::from_le_bytes([bytes[23], bytes[24], bytes[25], bytes[26]]) as usize;
-        let payload = &bytes[27..];
-        let needed_bits = count * sample_bits as usize;
-        if payload.len() * 8 < needed_bits {
-            return Err(CoreError::MalformedFrame(format!(
-                "payload holds {} bits, need {needed_bits}",
-                payload.len() * 8
-            )));
-        }
-        let mut reader = BitReader::new(payload);
-        let samples = (0..count)
-            .map(|_| reader.read(sample_bits as u32))
-            .collect();
-        Ok(CompressedFrame {
-            header: FrameHeader {
-                rows,
-                cols,
-                code_bits,
-                sample_bits,
-                strategy,
-                seed,
-            },
-            samples,
-        })
     }
 }
 
@@ -218,7 +121,7 @@ pub fn crc8(bytes: &[u8]) -> u8 {
     crc
 }
 
-/// MSB-first bit packer (shared with the stream container codec).
+/// MSB-first bit packer of the stream container's record payloads.
 pub(crate) struct BitWriter {
     bytes: Vec<u8>,
     bit_pos: u32,
@@ -251,7 +154,7 @@ impl BitWriter {
     }
 }
 
-/// MSB-first bit unpacker (shared with the stream container codec).
+/// MSB-first bit unpacker of the stream container's record payloads.
 pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
     bit_pos: usize,
@@ -278,9 +181,9 @@ impl<'a> BitReader<'a> {
 mod tests {
     use super::*;
 
-    fn sample_frame(k: usize) -> CompressedFrame {
-        let mut rng = tepics_util::SplitMix64::new(9);
-        CompressedFrame {
+    #[test]
+    fn ratio_accounts_for_array_size() {
+        let frame = CompressedFrame {
             header: FrameHeader {
                 rows: 64,
                 cols: 64,
@@ -289,54 +192,10 @@ mod tests {
                 strategy: StrategyKind::rule30(256),
                 seed: 0xDEAD_BEEF_1234_5678,
             },
-            samples: (0..k).map(|_| rng.next_below(1 << 20) as u32).collect(),
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        for k in [1usize, 7, 100, 1638] {
-            let frame = sample_frame(k);
-            let back = CompressedFrame::from_bytes(&frame.to_bytes()).unwrap();
-            assert_eq!(back, frame, "k={k}");
-        }
-    }
-
-    #[test]
-    fn payload_is_bit_packed_not_byte_padded() {
-        let frame = sample_frame(100);
-        // 100 × 20 bits = 2000 bits = 250 bytes payload + 27 header.
-        assert_eq!(frame.to_bytes().len(), 27 + 250);
-        assert_eq!(frame.payload_bits(), 2000);
-    }
-
-    #[test]
-    fn ratio_accounts_for_array_size() {
-        let frame = sample_frame(1638);
+            samples: vec![0; 1638],
+        };
         assert!((frame.ratio() - 1638.0 / 4096.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn corrupted_magic_is_rejected() {
-        let mut bytes = sample_frame(3).to_bytes();
-        bytes[0] = b'X';
-        assert!(matches!(
-            CompressedFrame::from_bytes(&bytes),
-            Err(CoreError::MalformedFrame(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_payload_is_rejected() {
-        let bytes = sample_frame(50).to_bytes();
-        let cut = &bytes[..bytes.len() - 10];
-        assert!(CompressedFrame::from_bytes(cut).is_err());
-    }
-
-    #[test]
-    fn truncated_header_is_rejected() {
-        let bytes = sample_frame(3).to_bytes();
-        assert!(CompressedFrame::from_bytes(&bytes[..20]).is_err());
+        assert_eq!(frame.payload_bits(), 1638 * 20);
     }
 
     #[test]
@@ -368,12 +227,5 @@ mod tests {
                 assert_ne!(crc8(&v), base, "flip {byte}/{bit} undetected");
             }
         }
-    }
-
-    #[test]
-    fn wire_bits_include_header_overhead() {
-        let frame = sample_frame(10);
-        assert_eq!(frame.wire_bits(), frame.to_bytes().len() * 8);
-        assert!(frame.wire_bits() > frame.payload_bits());
     }
 }

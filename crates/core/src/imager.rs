@@ -15,7 +15,8 @@
 //! start from any [`FrameGeometry`] via
 //! [`CompressiveImager::builder_for`] — no square or power-of-two
 //! assumption). A tiled imager captures one [`CompressedFrame`] **per
-//! tile** ([`CompressiveImager::capture_tiles`], row-major tile order);
+//! tile** ([`CompressiveImager::capture_tiles_with_stats`], row-major
+//! tile order);
 //! the tiles share a single small measurement geometry, so one
 //! operator-cache entry serves the whole frame, and the decode side
 //! ([`DecodeSession`](crate::session::DecodeSession)) recovers them in
@@ -217,7 +218,7 @@ impl CompressiveImager {
     /// Panics if the scene dimensions do not match the sensor (the
     /// builder validated everything else), or if the imager is tiled —
     /// a tiled capture produces one frame per tile; use
-    /// [`CompressiveImager::capture_tiles`].
+    /// [`CompressiveImager::capture_tiles_with_stats`].
     pub fn capture(&self, scene: &ImageF64) -> CompressedFrame {
         self.capture_with_stats(scene).0
     }
@@ -231,8 +232,8 @@ impl CompressiveImager {
     /// the imager is tiled (see [`CompressiveImager::capture`]).
     pub fn capture_with_stats(&self, scene: &ImageF64) -> (CompressedFrame, EventStats) {
         let Engine::Single(capture) = &self.engine else {
-            // tidy:allow(panic: documented contract — a tiled imager captures through capture_tiles)
-            panic!("tiled imagers capture one frame per tile; use capture_tiles");
+            // tidy:allow(panic: documented contract — a tiled imager captures through capture_tiles_with_stats)
+            panic!("tiled imagers capture one frame per tile; use capture_tiles_with_stats");
         };
         let captured = capture.readout.capture_patterns(scene, &capture.patterns);
         let header = self.frame_header();
@@ -245,20 +246,10 @@ impl CompressiveImager {
         )
     }
 
-    /// Captures a scene as a sequence of frame records: one per tile
+    /// Captures a scene as a sequence of frame records — one per tile
     /// (row-major tile order) for a tiled imager, a single frame
-    /// otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scene dimensions do not match the frame geometry.
-    pub fn capture_tiles(&self, scene: &ImageF64) -> Vec<CompressedFrame> {
-        self.capture_tiles_with_stats(scene).0
-    }
-
-    /// Like [`CompressiveImager::capture_tiles`], also returning the
-    /// event statistics of all tile captures merged into one
-    /// ([`EventStats::merge`]).
+    /// otherwise — together with the event statistics of all tile
+    /// captures merged into one ([`EventStats::merge`]).
     ///
     /// # Panics
     ///
@@ -484,15 +475,19 @@ mod tests {
     }
 
     #[test]
-    fn capture_roundtrips_through_wire_format() {
+    fn capture_roundtrips_through_a_one_record_stream() {
+        use crate::stream::{StreamParser, StreamWriter, WireProfile};
         let imager = CompressiveImager::builder(16, 16)
             .ratio(0.2)
             .build()
             .unwrap();
         let scene = Scene::gaussian_blobs(2).render(16, 16, 5);
         let frame = imager.capture(&scene);
-        let back = CompressedFrame::from_bytes(&frame.to_bytes()).unwrap();
-        assert_eq!(back, frame);
+        let mut writer = StreamWriter::new(frame.header, None, WireProfile::Compact).unwrap();
+        writer.push_frame(&frame).unwrap();
+        let mut parser = StreamParser::new();
+        parser.push_bytes(writer.bytes());
+        assert_eq!(parser.next_frame().unwrap(), Some(frame));
     }
 
     #[test]
@@ -586,13 +581,16 @@ mod tests {
             .build()
             .unwrap();
         let scene = Scene::gaussian_blobs(2).render(16, 16, 5);
-        let frames = imager.capture_tiles(&scene);
+        let (frames, stats) = imager.capture_tiles_with_stats(&scene);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0], imager.capture(&scene));
+        assert_eq!(
+            (frames[0].clone(), stats),
+            imager.capture_with_stats(&scene)
+        );
     }
 
     #[test]
-    #[should_panic(expected = "capture_tiles")]
+    #[should_panic(expected = "capture_tiles_with_stats")]
     fn plain_capture_panics_for_tiled_imagers() {
         let imager = CompressiveImager::builder_for(FrameGeometry::new(32, 32))
             .tiling(TileConfig::new(16))

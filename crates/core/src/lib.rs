@@ -4,16 +4,15 @@
 //! 2018 paper:
 //!
 //! ```text
-//! scene ──► CompressiveImager ──► CompressedFrame ──► wire bytes
-//!              (sensor sim +          (seed + K           │
-//!               CA strategy)         20-bit samples)      ▼
-//!                                                   Decoder (replays
-//!                                                   the CA from the
-//!                                                   seed, mean-split +
-//!                                                   sparse recovery)
-//!                                                        │
-//!                                                        ▼
-//!                                                 reconstructed image
+//! scene ──► CompressiveImager ──► CompressedFrame ──► EncodeSession
+//!             (sensor sim +        (header + K         (TEPS stream:
+//!              CA strategy)        20-bit samples)      seed once, one
+//!                                                       record per tile)
+//!                                                            │ wire bytes
+//!                                                            ▼
+//! reconstructed ◄── Decoder (replays the CA ◄──────── DecodeSession
+//!     image         from the seed, mean-split +       (incremental parse,
+//!                   sparse recovery)                  OperatorCache)
 //! ```
 //!
 //! * [`CompressiveImager`] — captures compressed samples from a scene
@@ -28,13 +27,16 @@
 //!
 //! [`FrameGeometry`]: tepics_imaging::tile::FrameGeometry
 //! [`TileConfig`]: tepics_imaging::tile::TileConfig
-//! * [`stream`] — the versioned stream container those sessions speak:
-//!   stream header once, 5-byte per-frame records after.
+//! * [`stream`] — the versioned `TEPS` stream container those sessions
+//!   speak, and the only wire format: stream header once, 5-byte
+//!   per-frame records after.
 //! * [`cache`] — the [`OperatorCache`] memoizing Φ, dictionaries, and
 //!   FISTA step sizes across frames and batch items sharing a seed.
-//! * [`CompressedFrame`] — the single-frame artifact: a tiny header plus
-//!   bit-packed 20-bit samples; the measurement matrix itself is never
-//!   transmitted (only the seed is), which is the paper's key saving.
+//! * [`CompressedFrame`] — the in-memory frame record: the header the
+//!   decoder needs plus the 20-bit samples, what one capture produces
+//!   and one stream record carries. The measurement matrix itself is
+//!   never transmitted (only the seed is, once per stream), which is
+//!   the paper's key saving.
 //! * [`Decoder`] — the per-frame recovery engine every decode runs
 //!   through: regenerates Φ from the seed (via an [`OperatorCache`],
 //!   private unless shared), estimates the scene mean from the known

@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use crate::cache::OperatorCache;
 use crate::error::CoreError;
-use crate::frame::CompressedFrame;
 use crate::imager::CompressiveImager;
 use crate::params::raw_bits;
 use crate::session::{DecodeSession, EncodeSession};
@@ -26,7 +25,8 @@ pub struct PipelineReport {
     pub psnr_code_db: f64,
     /// SSIM of the reconstruction in the code domain.
     pub ssim_code: f64,
-    /// Bits on the wire (header + packed samples).
+    /// Bits on the wire: the whole one-capture `TEPS` stream (stream
+    /// header, record prefixes and packed samples).
     pub wire_bits: usize,
     /// Bits of the raw (uncompressed) code readout.
     pub raw_bits: u64,
@@ -44,7 +44,7 @@ impl PipelineReport {
     }
 }
 
-/// Captures `scene`, round-trips it through the wire codec, and
+/// Captures `scene`, round-trips it through a `TEPS` stream, and
 /// reconstructs it with `params`, decoding through `cache`: callers
 /// evaluating many scenes with one imager (suites, batches) share one
 /// cache, so the measurement operator, dictionary and FISTA step size
@@ -55,10 +55,10 @@ impl PipelineReport {
 /// evaluation also exercises the wire path end to end — including the
 /// tiled path: a tiled imager captures one record per tile, and the
 /// report scores the stitched full-frame reconstruction against the
-/// full-frame ideal codes. `wire_bits` is reported for the single-frame
-/// codec (header + payload, summed over tile records), keeping the wire
-/// accounting of every experiment comparable across batch shapes, and
-/// `ratio`/`raw_bits` are always *full-frame* quantities.
+/// full-frame ideal codes. `wire_bits` is the size of the stream that
+/// was written and parsed ([`EncodeSession::wire_bits`]): one stream
+/// header plus one record per tile. `ratio`/`raw_bits` are always
+/// *full-frame* quantities.
 ///
 /// # Errors
 ///
@@ -73,7 +73,7 @@ pub fn evaluate(
     params: RecoveryParams,
     scene: &ImageF64,
 ) -> Result<PipelineReport, CoreError> {
-    // Always exercise the wire codec: transmit and re-parse.
+    // Always exercise the wire path: transmit and re-parse.
     let mut enc = EncodeSession::new(imager.clone())?;
     let (frames, event_stats) = enc.capture_with_stats(scene)?;
     let header = *enc.header();
@@ -92,7 +92,7 @@ pub fn evaluate(
         ratio: samples as f64 / geometry.pixels() as f64,
         psnr_code_db: psnr(&truth, recon.code_image(), code_max as f64),
         ssim_code: ssim(&truth, recon.code_image(), code_max as f64),
-        wire_bits: frames.iter().map(CompressedFrame::wire_bits).sum(),
+        wire_bits: enc.wire_bits(),
         raw_bits: raw_bits(
             geometry.height() as u32,
             geometry.width() as u32,

@@ -12,15 +12,9 @@
 //! across every frame of the stream (and, when the cache is shared,
 //! across batch items with the same seed).
 //!
-//! Sessions drive the single-frame entry points, so both give the same
-//! frames:
-//!
-//! | frame API                                   | session API                          |
-//! |---------------------------------------------|--------------------------------------|
-//! | `imager.capture(&scene)` + `to_bytes()`     | `enc.capture(&scene)` + `to_bytes()` |
-//! | `CompressedFrame::from_bytes` + `Decoder`   | `dec.push_bytes(&bytes)`             |
-//! | `Decoder::for_frame(&f)?.reconstruct(&f)`   | `dec.push_frame(&f)`                 |
-//! | `decoder.params(p)`                         | `dec.params(p)`                      |
+//! Sessions decode through the per-frame [`Decoder`], so
+//! `dec.push_frame(&f)` gives the same frame as
+//! `Decoder::for_frame(&f)?.reconstruct(&f)`.
 //!
 //! # One decode path
 //!
@@ -73,11 +67,11 @@
 use std::sync::Arc;
 
 use crate::cache::OperatorCache;
-use crate::decoder::{Decoder, DictionaryKind, Reconstruction};
+use crate::decoder::{Decoder, Reconstruction};
 use crate::error::CoreError;
 use crate::frame::{CompressedFrame, FrameHeader};
 use crate::imager::CompressiveImager;
-use crate::solver::{RecoveryParams, SolverKind};
+use crate::solver::RecoveryParams;
 use crate::stream::{
     StreamEvent, StreamParser, StreamWriter, WireProfile, STREAM_VERSION_RESILIENT,
 };
@@ -403,9 +397,9 @@ fn stitch_group(
 /// allocation inside the solver loop (the cached Φ carries its
 /// precompiled gather structure; the workspace carries the iterate,
 /// greedy, and least-squares buffers). The allocation-free guarantee
-/// covers every [`SolverKind`] — including the greedy pursuits and the
-/// CGLS debias pass — apart from OMP's admissions into its Gram store,
-/// which stop once the store is full.
+/// covers every [`SolverKind`](crate::solver::SolverKind) — including
+/// the greedy pursuits and the CGLS debias pass — apart from OMP's
+/// admissions into its Gram store, which stop once the store is full.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeSession {
     parser: StreamParser,
@@ -462,25 +456,10 @@ impl DecodeSession {
         &self.cache
     }
 
-    /// Selects the sparsifying dictionary for key frames.
-    pub fn dictionary(&mut self, dictionary: DictionaryKind) -> &mut Self {
-        self.params(RecoveryParams {
-            dictionary,
-            ..self.params
-        })
-    }
-
-    /// Selects the recovery algorithm for key frames (any
-    /// [`SolverKind`]).
-    pub fn algorithm(&mut self, solver: SolverKind) -> &mut Self {
-        self.params(RecoveryParams {
-            solver,
-            ..self.params
-        })
-    }
-
     /// Applies a bundled [`RecoveryParams`] (solver + dictionary) for
-    /// key frames, before or after the first frame.
+    /// key frames, before or after the first frame. The one decode
+    /// configuration setter: any [`SolverKind`](crate::solver::SolverKind)
+    /// over any [`DictionaryKind`](crate::decoder::DictionaryKind).
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
         self.params = params;
         if let Some(decoder) = &mut self.decoder {

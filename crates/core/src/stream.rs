@@ -1,10 +1,9 @@
 //! The versioned stream container: many frames, one header.
 //!
-//! The single-frame wire format ([`CompressedFrame::to_bytes`]) repeats
-//! its full 27-byte header on every frame, even though everything but
-//! the sample count — geometry, bit widths, strategy, seed — is
-//! constant for a camera streaming with one seed. The stream container
-//! factors that invariant part out:
+//! This is TEPICS's one wire format. Everything but the sample count —
+//! geometry, bit widths, strategy, seed — is constant for a camera
+//! streaming with one seed, so the stream sends it once and each frame
+//! record carries only its sample count and payload:
 //!
 //! ```text
 //! ┌─────────────────────────────┬──────────────┬──────────────┬───
@@ -16,11 +15,11 @@
 //! └─────────────────────────────┴──────────────┴──────────────┴───
 //! ```
 //!
-//! Per-frame overhead drops from 27 bytes to 5, so a stream of `n`
-//! frames spends `23 + 5n` header bytes against the frame codec's
-//! `27n` — smaller for every `n ≥ 2`, and the gap grows with sequence
-//! length. Frames in one stream share a header but may differ in sample
-//! count (prefix truncation, adaptive budgets).
+//! A stream of `n` frames spends `23 + 5n` bytes besides the payloads,
+//! and each payload packs its `K` samples at exactly `sample_bits` bits
+//! (`⌈K·sample_bits/8⌉` bytes, not byte-padded per sample). Frames in
+//! one stream share a header but may differ in sample count (prefix
+//! truncation, adaptive budgets).
 //!
 //! # Tiled streams (version 2)
 //!
@@ -153,20 +152,6 @@ pub enum WireProfile {
     /// with periodic sync markers. Corruption is detected, skipped, and
     /// reported; decoding resumes at the next intact record.
     Resilient,
-}
-
-/// Validates the header fields the container (and the decoder behind
-/// it) can represent: the decoder's shared checks plus the packer's
-/// sample-width range.
-fn validate_header(h: &FrameHeader) -> Result<(), CoreError> {
-    h.validate()?;
-    if h.sample_bits == 0 || h.sample_bits > 32 {
-        return Err(CoreError::MalformedFrame(format!(
-            "sample width {} outside 1..=32",
-            h.sample_bits
-        )));
-    }
-    Ok(())
 }
 
 /// Blend-mode wire encoding (byte 29 of a tiled header).
@@ -304,7 +289,7 @@ impl StreamWriter {
         layout: Option<&TileLayout>,
         profile: WireProfile,
     ) -> Result<StreamWriter, CoreError> {
-        validate_header(&header)?;
+        header.validate()?;
         let resilient = profile == WireProfile::Resilient;
         let version = match (resilient, layout) {
             (true, _) => STREAM_VERSION_RESILIENT,
@@ -695,7 +680,7 @@ impl StreamParser {
             strategy: StrategyKind::from_wire([b[11], b[12], b[13], b[14]])?,
             seed: u64::from_le_bytes([b[15], b[16], b[17], b[18], b[19], b[20], b[21], b[22]]),
         };
-        validate_header(&header)?;
+        header.validate()?;
         // The tile extension sits right after the base header (v2) or
         // after the flags byte (v3 tiled).
         let ext_at = match version {
@@ -1020,27 +1005,96 @@ mod tests {
         assert_eq!(got, frames);
     }
 
+    /// The exact byte count of a stream, from the container layout alone:
+    /// header (+ flags, tile extension and CRC), then per record its
+    /// prefix, `⌈K·sample_bits/8⌉` payload bytes and (v3) the payload
+    /// CRC, plus one sync word every `SYNC_INTERVAL` records on v3.
+    fn closed_form_bytes(profile: WireProfile, tiled: bool, bits: u8, counts: &[usize]) -> usize {
+        let resilient = profile == WireProfile::Resilient;
+        let header = STREAM_HEADER_BYTES + usize::from(resilient) * 2 + usize::from(tiled) * 7;
+        let (prefix, payload_crc) = if resilient {
+            (RESILIENT_RECORD_PREFIX_BYTES, 1)
+        } else {
+            (FRAME_RECORD_BYTES, 0)
+        };
+        let records: usize = counts
+            .iter()
+            .map(|&k| prefix + (k * usize::from(bits)).div_ceil(8) + payload_crc)
+            .sum();
+        let syncs = if resilient {
+            counts.len().div_ceil(SYNC_INTERVAL) * SYNC_WORD.len()
+        } else {
+            0
+        };
+        header + records + syncs
+    }
+
     #[test]
-    fn stream_overhead_beats_repeated_frame_headers() {
-        let frames = frames(4, 64);
-        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
-        let mut frame_codec_bits = 0usize;
-        for f in &frames {
-            writer.push_frame(f).unwrap();
-            frame_codec_bits += f.wire_bits();
+    fn wire_bits_match_the_closed_form() {
+        let layout = tiled_layout();
+        // An odd sample width, so no record payload ends on a byte.
+        let header = FrameHeader {
+            sample_bits: 13,
+            ..tiled_header()
+        };
+        let counts: Vec<usize> = (0..19).map(|i| 1 + (i * 37) % 256).collect();
+        for profile in [WireProfile::Compact, WireProfile::Resilient] {
+            for tiled in [false, true] {
+                let mut writer =
+                    StreamWriter::new(header, tiled.then_some(&layout), profile).unwrap();
+                for &k in &counts {
+                    writer.push_samples(&vec![0x1ABC; k]).unwrap();
+                }
+                let expected = closed_form_bytes(profile, tiled, 13, &counts);
+                assert_eq!(
+                    writer.wire_bits(),
+                    expected * 8,
+                    "{profile:?}, tiled = {tiled}"
+                );
+            }
         }
-        assert!(
-            writer.wire_bits() < frame_codec_bits,
-            "stream {} bits must beat {} bits of per-frame headers",
-            writer.wire_bits(),
-            frame_codec_bits
-        );
-        // Exact accounting: 23 + n·5 header bytes vs n·27.
-        let payload: usize = frames.iter().map(|f| f.payload_bits().div_ceil(8)).sum();
+    }
+
+    #[test]
+    fn payload_is_bit_packed_not_byte_padded() {
+        let mut header = header();
+        header.sample_bits = 20;
+        let samples: Vec<u32> = (0..100).map(|i| (i * 10_007) % (1 << 20)).collect();
+        let mut writer = StreamWriter::new(header, None, WireProfile::Compact).unwrap();
+        writer.push_samples(&samples).unwrap();
+        // 100 × 20 bits = 2000 bits = 250 payload bytes after the 23-byte
+        // header and the 5-byte record prefix.
         assert_eq!(
-            writer.wire_bits(),
-            (STREAM_HEADER_BYTES + 4 * FRAME_RECORD_BYTES + payload) * 8
+            writer.bytes().len(),
+            STREAM_HEADER_BYTES + FRAME_RECORD_BYTES + 250
         );
+        let mut parser = StreamParser::new();
+        parser.push_bytes(writer.bytes());
+        assert_eq!(parser.next_frame().unwrap().unwrap().samples, samples);
+    }
+
+    #[test]
+    fn degenerate_headers_are_rejected_by_writer_and_parser() {
+        for (sample_bits, code_bits) in [(0, 8), (33, 8), (16, 0), (16, 17)] {
+            let h = FrameHeader {
+                sample_bits,
+                code_bits,
+                ..header()
+            };
+            assert!(matches!(
+                StreamWriter::new(h, None, WireProfile::Compact),
+                Err(CoreError::MalformedFrame(_))
+            ));
+            // The same header smuggled onto the wire by hand.
+            let mut bytes = StreamWriter::new(header(), None, WireProfile::Compact)
+                .unwrap()
+                .into_bytes();
+            bytes[9] = code_bits;
+            bytes[10] = sample_bits;
+            let mut p = StreamParser::new();
+            p.push_bytes(&bytes);
+            assert!(matches!(p.next_frame(), Err(CoreError::MalformedFrame(_))));
+        }
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //! happens past the R = 0.4 break-even where compression stops paying.
 
 use tepics::core::params;
+use tepics::core::stream::{FRAME_RECORD_BYTES, STREAM_HEADER_BYTES};
 use tepics::prelude::*;
 
-/// Pick the largest ratio whose wire bits fit the per-frame budget.
+/// Pick the largest ratio whose wire bits fit the per-frame budget. The
+/// stream header crosses the link once; each frame pays its record
+/// prefix and its packed samples.
 fn ratio_for_budget(side: usize, sample_bits: u32, budget_bits: f64) -> f64 {
     let mn = (side * side) as f64;
-    let header_bits = 27.0 * 8.0;
-    ((budget_bits - header_bits) / sample_bits as f64 / mn).clamp(0.02, 1.0)
+    let record_bits = (FRAME_RECORD_BYTES * 8) as f64;
+    ((budget_bits - record_bits) / sample_bits as f64 / mn).clamp(0.02, 1.0)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let mut encoder = EncodeSession::new(imager)?;
     let mut truths = Vec::new();
-    let mut frame_codec_bits = 0usize;
+    let mut expected_bytes = STREAM_HEADER_BYTES;
     for t in 0..6 {
         let background = Scene::piecewise_smooth(3).render(side, side, 77);
         let mut scene = background;
@@ -69,7 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         let records = encoder.capture(&scene)?;
-        frame_codec_bits += records.iter().map(|f| f.wire_bits()).sum::<usize>();
+        expected_bytes += records
+            .iter()
+            .map(|f| FRAME_RECORD_BYTES + f.payload_bits().div_ceil(8))
+            .sum::<usize>();
         truths.push(encoder.imager().ideal_codes(&scene).to_code_f64());
     }
 
@@ -91,13 +97,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let stats = decoder.cache().stats();
     let per_frame_raw = raw_bits * decoded.len() as f64;
+    // Every bit on the link is accounted for: one stream header, then
+    // per frame a record prefix and the bit-packed samples.
+    assert_eq!(encoder.wire_bits(), expected_bytes * 8);
     println!(
-        "\nstream: {} bits for {} frames ({:.1}% saving vs raw; per-frame \
-         codec would spend {} bits); operator cache {:.0}% hit rate",
+        "\nstream: {} bits for {} frames ({:.1}% saving vs raw; a {}-byte \
+         header once, then {} bytes of record prefix per frame); operator \
+         cache {:.0}% hit rate",
         encoder.wire_bits(),
         decoded.len(),
         (1.0 - encoder.wire_bits() as f64 / per_frame_raw) * 100.0,
-        frame_codec_bits,
+        STREAM_HEADER_BYTES,
+        FRAME_RECORD_BYTES,
         stats.hit_rate() * 100.0
     );
 

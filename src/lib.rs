@@ -67,22 +67,7 @@
 //! assert!(db > 18.0, "PSNR {db} dB unexpectedly low");
 //! ```
 //!
-//! # Migrating from the frame-at-a-time API
-//!
-//! The single-frame entry points still work, but every loop over frames
-//! is simpler and faster as a session (the deprecated `SequenceDecoder`
-//! shim has been removed — use delta mode):
-//!
-//! | frame API                                            | session API                                  |
-//! |------------------------------------------------------|----------------------------------------------|
-//! | `imager.capture(&scene)` then `frame.to_bytes()`     | `enc.capture(&scene)?` then `enc.to_bytes()` |
-//! | `CompressedFrame::from_bytes(&bytes)?`               | `dec.push_bytes(&bytes)?`                    |
-//! | `Decoder::for_frame(&frame)?.reconstruct(&frame)?`   | `dec.push_bytes(..)` / `dec.push_frame(..)`  |
-//! | `decoder.params(..)`                                 | `dec.params(..)` (or `dictionary`/`algorithm`), any time |
-//! | `SequenceDecoder::new(&first, s, n)?` + `push(..)` (removed) | `dec.delta_mode(s, n)` + `push_bytes(..)` |
-//! | `evaluate(&OperatorCache::shared(), ..)` per scene   | `evaluate(&cache, ..)`, one cache for all    |
-//! | N × `Decoder::for_frame` rebuilding Φ per frame      | one `OperatorCache`, Φ built once            |
-//! | `builder(rows, cols)` (one sensor-sized frame)       | `builder_for(FrameGeometry)` + `.tiling(TileConfig)` — stitched tiled decode |
+//! The README maps the frame-at-a-time API onto sessions.
 
 pub use tepics_ca as ca;
 pub use tepics_core as core;

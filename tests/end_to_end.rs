@@ -1,6 +1,26 @@
 //! Integration: the full paper-prototype system, 64×64, end to end.
 
+use tepics::core::stream::StreamParser;
 use tepics::prelude::*;
+use tepics::sensor::EventStats;
+
+/// Captures `scene` into a one-record stream and parses the record back
+/// out of the bytes, as a receiver would. Returns the capture's event
+/// statistics, the stream bytes and the received frame, which must
+/// equal the captured one.
+fn over_the_wire(
+    imager: &CompressiveImager,
+    scene: &ImageF64,
+) -> (EventStats, Vec<u8>, CompressedFrame) {
+    let mut enc = EncodeSession::new(imager.clone()).unwrap();
+    let (mut frames, stats) = enc.capture_with_stats(scene).unwrap();
+    let bytes = enc.into_bytes();
+    let mut parser = StreamParser::new();
+    parser.push_bytes(&bytes);
+    let received = parser.next_frame().unwrap().expect("one complete record");
+    assert_eq!(received, frames.remove(0));
+    (stats, bytes, received)
+}
 
 /// The headline loop at the paper's own scale: 64×64 array, R just
 /// below the 0.4 break-even (Sect. III.B requires R < N_b/N_B strictly —
@@ -15,9 +35,9 @@ fn paper_prototype_end_to_end() {
         .seed(0xDA7E_2018)
         .build()
         .unwrap();
-    let (frame, stats) = imager.capture_with_stats(&scene);
-    assert_eq!(frame.sample_count(), (0.38f64 * 4096.0).ceil() as usize);
-    assert_eq!(frame.header.sample_bits, 20, "Eq. (1): 8 + log2(4096)");
+    let (stats, bytes, received) = over_the_wire(&imager, &scene);
+    assert_eq!(received.sample_count(), (0.38f64 * 4096.0).ceil() as usize);
+    assert_eq!(received.header.sample_bits, 20, "Eq. (1): 8 + log2(4096)");
     // Event protocol must have seen real contention at this scale but
     // never an accumulator overflow (Eq. (1) is exact).
     assert!(stats.total_pulses > 1_000_000);
@@ -25,14 +45,11 @@ fn paper_prototype_end_to_end() {
     assert_eq!(stats.column_overflows, 0);
     assert_eq!(stats.sample_overflows, 0);
 
-    // Wire round-trip.
-    let bytes = frame.to_bytes();
+    // The whole stream, header included, beats the raw readout.
     assert!(
         (bytes.len() * 8) < 4096 * 8,
         "R=0.38 at 20 bits must beat the 8-bit raw readout"
     );
-    let received = CompressedFrame::from_bytes(&bytes).unwrap();
-    assert_eq!(received, frame);
 
     // Reconstruct (iteration budget trimmed for CI runtimes).
     let mut decoder = Decoder::for_frame(&received).unwrap();
@@ -95,8 +112,7 @@ fn all_strategies_roundtrip_through_the_wire() {
             .fidelity(Fidelity::Functional)
             .build()
             .unwrap();
-        let frame = imager.capture(&scene);
-        let received = CompressedFrame::from_bytes(&frame.to_bytes()).unwrap();
+        let (_, _, received) = over_the_wire(&imager, &scene);
         assert_eq!(received.header.strategy, strategy);
         let recon = Decoder::for_frame(&received)
             .unwrap()

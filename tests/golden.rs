@@ -191,7 +191,10 @@ fn compute_table() -> Vec<(String, u64)> {
             rows.push((
                 name,
                 decode_digest(&wire, |d| {
-                    d.algorithm(kind).dictionary(dict);
+                    d.params(RecoveryParams {
+                        solver: kind,
+                        dictionary: dict,
+                    });
                 }),
             ));
         }

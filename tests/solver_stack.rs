@@ -118,7 +118,10 @@ fn shared_cache_does_not_mix_solver_state() {
         .iter()
         .map(|&kind| {
             let mut s = DecodeSession::new();
-            s.algorithm(kind);
+            s.params(RecoveryParams {
+                solver: kind,
+                ..RecoveryParams::default()
+            });
             s.push_frame(&frame).unwrap().reconstruction
         })
         .collect();
@@ -127,7 +130,10 @@ fn shared_cache_does_not_mix_solver_state() {
     for round in 0..2 {
         for (i, &kind) in kinds.iter().enumerate() {
             let mut s = DecodeSession::with_cache(shared.clone());
-            s.algorithm(kind);
+            s.params(RecoveryParams {
+                solver: kind,
+                ..RecoveryParams::default()
+            });
             let got = s.push_frame(&frame).unwrap().reconstruction;
             assert_eq!(
                 got, reference[i],
@@ -166,8 +172,8 @@ fn batch_runs_identical_across_thread_counts_for_all_solvers() {
     }
 }
 
-/// `RecoveryParams` presets drive the same path as setting solver and
-/// dictionary by hand.
+/// `RecoveryParams` presets drive the same path as a solver and
+/// dictionary spelled out by hand, in a session and in a bare decoder.
 #[test]
 fn recovery_params_equal_manual_configuration() {
     let im = imager(16, 5);
@@ -180,9 +186,12 @@ fn recovery_params_equal_manual_configuration() {
         s.push_frame(&frame).unwrap().reconstruction
     };
     let manual = {
-        let mut s = DecodeSession::new();
-        s.algorithm(params.solver).dictionary(params.dictionary);
-        s.push_frame(&frame).unwrap().reconstruction
+        let mut d = Decoder::for_frame(&frame).unwrap();
+        d.params(RecoveryParams {
+            solver: SolverKind::Iht { sparsity: 10 },
+            dictionary: DictionaryKind::Identity,
+        });
+        d.reconstruct(&frame).unwrap()
     };
     assert_eq!(via_params, manual);
 }
@@ -213,12 +222,6 @@ fn params_set_after_the_first_frame_apply_to_the_next() {
         .reconstruction;
     assert_ne!(got, default, "the new params must take effect");
     assert_eq!(late.cache().stats().misses, 1, "Φ is built once");
-
-    // The per-field setters reach the live decoder too.
-    let mut split = DecodeSession::new();
-    split.push_frame(&frames[0]).unwrap();
-    split.algorithm(params.solver).dictionary(params.dictionary);
-    assert_eq!(split.push_frame(&frames[1]).unwrap().reconstruction, want);
 }
 
 /// OMP's result does not depend on the state of the operator's shared

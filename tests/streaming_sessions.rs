@@ -2,7 +2,10 @@
 //! frame API, container overhead, operator-cache behavior, and
 //! batch-engine determinism for whole streams.
 
-use tepics::core::stream::{FRAME_RECORD_BYTES, STREAM_HEADER_BYTES};
+use tepics::core::stream::{
+    StreamParser, StreamWriter, WireProfile, FRAME_RECORD_BYTES, STREAM_HEADER_BYTES,
+    TILED_HEADER_BYTES,
+};
 use tepics::prelude::*;
 
 fn imager(side: usize, seed: u64) -> CompressiveImager {
@@ -24,11 +27,16 @@ fn session_stream_matches_per_frame_capture_reconstruct() {
         .map(|i| Scene::gaussian_blobs(3).render(24, 24, i))
         .collect();
 
-    // Frame API: capture, serialize, parse, cold-reconstruct each frame.
+    // Frame API: capture, send each frame as its own one-record stream,
+    // parse, cold-reconstruct.
     let mut per_frame = Vec::new();
     for scene in &scenes {
         let frame = im.capture(scene);
-        let received = CompressedFrame::from_bytes(&frame.to_bytes()).unwrap();
+        let mut writer = StreamWriter::new(frame.header, None, WireProfile::Compact).unwrap();
+        writer.push_frame(&frame).unwrap();
+        let mut parser = StreamParser::new();
+        parser.push_bytes(writer.bytes());
+        let received = parser.next_frame().unwrap().unwrap();
         let recon = Decoder::for_frame(&received)
             .unwrap()
             .reconstruct(&received)
@@ -54,44 +62,63 @@ fn session_stream_matches_per_frame_capture_reconstruct() {
     }
 }
 
-/// The container's whole point: one stream header + compact per-frame
-/// records must undercut N repeated 27-byte frame headers (wire-bits
-/// accounting, verified arithmetically and against the serialization).
+/// The container's whole point: the stream header is paid once, and
+/// each captured frame adds only a 5-byte record prefix and its
+/// bit-packed samples (wire-bits accounting, verified arithmetically
+/// and against the serialization).
 #[test]
-fn stream_header_overhead_beats_repeated_frame_headers() {
+fn stream_wire_bits_match_the_container_layout() {
     let im = imager(16, 77);
     let scenes: Vec<ImageF64> = (0..6)
         .map(|i| Scene::natural_like().render(16, 16, i))
         .collect();
     let mut enc = EncodeSession::new(im.clone()).unwrap();
-    let mut frame_codec_bits = 0;
     let mut payload_bytes = 0;
     for scene in &scenes {
         let records = enc.capture(scene).unwrap();
         let [frame] = records.as_slice() else {
             panic!("untiled capture yields one record");
         };
-        assert_eq!(
-            frame.wire_bits(),
-            frame.to_bytes().len() * 8,
-            "arithmetic wire_bits must match serialization"
-        );
-        frame_codec_bits += frame.wire_bits();
         payload_bytes += frame.payload_bits().div_ceil(8);
     }
-    // Exact container accounting…
     assert_eq!(
         enc.wire_bits(),
         (STREAM_HEADER_BYTES + scenes.len() * FRAME_RECORD_BYTES + payload_bytes) * 8
     );
     assert_eq!(enc.wire_bits(), enc.to_bytes().len() * 8);
-    // …and the headline inequality.
-    assert!(
-        enc.wire_bits() < frame_codec_bits,
-        "stream {} bits must beat per-frame {} bits",
-        enc.wire_bits(),
-        frame_codec_bits
-    );
+}
+
+/// `pipeline::evaluate` reports the bits of the stream it writes and
+/// parses: exactly what an `EncodeSession` writes for the same capture,
+/// one header and then one record per tile, untiled and tiled.
+#[test]
+fn evaluate_reports_the_bits_of_the_stream_it_writes() {
+    let tiled = CompressiveImager::builder_for(FrameGeometry::new(40, 28))
+        .tiling(TileConfig::new(16).overlap(4))
+        .ratio(0.35)
+        .fidelity(Fidelity::Functional)
+        .build()
+        .unwrap();
+    // 90 samples of 16 bits per 16×16 tile: 180 payload bytes.
+    let record = FRAME_RECORD_BYTES + 180;
+    for (im, expected_bytes) in [
+        (imager(16, 5), STREAM_HEADER_BYTES + record),
+        (tiled, TILED_HEADER_BYTES + 6 * record),
+    ] {
+        let g = im.geometry();
+        let scene = Scene::gaussian_blobs(2).render(g.width(), g.height(), 9);
+        let report = evaluate(
+            &OperatorCache::shared(),
+            &im,
+            RecoveryParams::default(),
+            &scene,
+        )
+        .unwrap();
+        let mut enc = EncodeSession::new(im).unwrap();
+        enc.capture(&scene).unwrap();
+        assert_eq!(report.wire_bits, enc.wire_bits());
+        assert_eq!(report.wire_bits, expected_bytes * 8);
+    }
 }
 
 /// Decoding ≥4 same-seed frames through one session builds Φ once; the
@@ -192,8 +219,7 @@ fn batch_stream_decoding_is_thread_count_invariant() {
 
 /// Delta-mode parity between the two session entry points: parsed
 /// frames pushed one at a time (`push_frame`) reproduce a delta-mode
-/// session fed raw stream bytes (`push_bytes`) bit for bit. (This is
-/// the contract the removed `SequenceDecoder` shim used to bridge.)
+/// session fed raw stream bytes (`push_bytes`) bit for bit.
 #[test]
 fn delta_session_frame_and_byte_entry_points_agree() {
     let im = imager(24, 0x0DD);

@@ -171,7 +171,7 @@ fn corrupted_tiled_headers_error_instead_of_panicking() {
 
 /// A byte-budgeted cache decodes a multi-geometry workload without ever
 /// exceeding its budget, and the evicted-and-rebuilt decodes are
-/// bit-identical to an unbounded cache's.
+/// bit-identical to those of a default-budget cache that never evicted.
 #[test]
 fn bounded_cache_respects_budget_and_stays_bit_identical() {
     let scenes: Vec<(usize, ImageF64)> = [16usize, 32, 16, 32, 16, 32]
@@ -191,16 +191,18 @@ fn bounded_cache_respects_budget_and_stays_bit_identical() {
         })
         .collect();
 
-    // Reference decodes, each geometry through its own unbounded cache
-    // so its full working set can be measured.
+    // Reference decodes, each geometry through its own default-budget
+    // cache, which holds the full working set (no eviction) so it can be
+    // measured.
     let mut working_sets = std::collections::BTreeMap::new();
     let reference: Vec<_> = streams
         .iter()
         .zip(&scenes)
         .map(|(bytes, (side, _))| {
-            let cache = OperatorCache::shared_with(CacheConfig::unbounded());
+            let cache = OperatorCache::shared();
             let mut dec = DecodeSession::with_cache(cache.clone());
             let decoded = dec.push_bytes(bytes).unwrap();
+            assert_eq!(cache.stats().evictions, 0, "reference cache evicted");
             working_sets.insert(*side, cache.resident_bytes());
             decoded
         })

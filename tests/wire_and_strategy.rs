@@ -1,11 +1,15 @@
 //! Integration: wire-format robustness and strategy synchronization
 //! across the encoder/decoder boundary.
 
+use tepics::core::stream::{StreamParser, RESILIENT_HEADER_BYTES, SYNC_WORD};
 use tepics::prelude::*;
 
-/// Every byte of a valid frame flipped one at a time: parsing must
-/// either fail cleanly or produce a *different* frame — never panic,
-/// never silently accept a corrupted header as the original.
+/// Every byte of a valid one-record stream flipped one at a time, on
+/// both wire profiles: parsing must fail cleanly, wait for more bytes,
+/// skip the record, or produce a *different* frame — never panic, never
+/// silently accept a corrupted header or record as the original. (The
+/// resilient stream's leading sync word is the one redundant stretch:
+/// damage there costs nothing, so the record must come through whole.)
 #[test]
 fn single_byte_corruption_never_panics() {
     let scene = Scene::gaussian_blobs(2).render(16, 16, 3);
@@ -15,20 +19,34 @@ fn single_byte_corruption_never_panics() {
         .fidelity(Fidelity::Functional)
         .build()
         .unwrap();
-    let frame = imager.capture(&scene);
-    let bytes = frame.to_bytes();
-    for i in 0..bytes.len() {
-        let mut corrupted = bytes.clone();
-        corrupted[i] ^= 0xFF;
-        // A clean rejection (Err) is fine; silent acceptance is not.
-        if let Ok(parsed) = CompressedFrame::from_bytes(&corrupted) {
-            assert_ne!(parsed, frame, "byte {i}: corruption went unnoticed");
+    for profile in [WireProfile::Compact, WireProfile::Resilient] {
+        let mut enc = EncodeSession::with_profile(imager.clone(), profile).unwrap();
+        let frame = enc.capture(&scene).unwrap().remove(0);
+        let bytes = enc.into_bytes();
+        let sync = RESILIENT_HEADER_BYTES..RESILIENT_HEADER_BYTES + SYNC_WORD.len();
+        for i in 0..bytes.len() {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= 0xFF;
+            let mut parser = StreamParser::new();
+            parser.push_bytes(&corrupted);
+            // A clean rejection (Err) or no frame is fine; silent
+            // acceptance is not.
+            if let Ok(Some(parsed)) = parser.next_frame() {
+                if profile == WireProfile::Resilient && sync.contains(&i) {
+                    assert_eq!(parsed, frame, "byte {i}: sync damage lost the record");
+                } else {
+                    assert_ne!(
+                        parsed, frame,
+                        "{profile:?} byte {i}: corruption went unnoticed"
+                    );
+                }
+            }
         }
     }
 }
 
 /// A frame captured on one "machine" must decode identically on
-/// another: serialize, re-parse, rebuild Φ, reconstruct, and compare
+/// another: stream it, re-parse, rebuild Φ, reconstruct, and compare
 /// against reconstructing from the original in-memory frame.
 #[test]
 fn reconstruction_is_identical_across_the_wire() {
@@ -39,8 +57,12 @@ fn reconstruction_is_identical_across_the_wire() {
         .fidelity(Fidelity::Functional)
         .build()
         .unwrap();
-    let frame = imager.capture(&scene);
-    let received = CompressedFrame::from_bytes(&frame.to_bytes()).unwrap();
+    let mut enc = EncodeSession::new(imager).unwrap();
+    let frame = enc.capture(&scene).unwrap().remove(0);
+    let mut parser = StreamParser::new();
+    parser.push_bytes(&enc.to_bytes());
+    let received = parser.next_frame().unwrap().unwrap();
+    assert_eq!(received, frame);
     let local = Decoder::for_frame(&frame)
         .unwrap()
         .reconstruct(&frame)
