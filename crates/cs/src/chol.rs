@@ -1,10 +1,19 @@
 //! Cholesky factorization, including the growing variant for greedy
 //! pursuit.
 //!
-//! OMP and CoSaMP repeatedly solve least-squares systems whose support
-//! grows by one atom per iteration; [`GrowingCholesky`] updates the
+//! OMP repeatedly solves least-squares systems whose support grows by
+//! one atom per iteration; [`GrowingCholesky`] updates the
 //! factorization in O(k²) per added atom instead of refactoring in
 //! O(k³), which is the standard trick that makes OMP practical.
+//!
+//! The solve is incremental too. When the right-hand side also grows by
+//! one entry per atom (OMP's `α⁰_I`), the forward substitution
+//! `z = L⁻¹b` of the earlier entries never changes: row `i` of `L` and
+//! `b_i` are fixed once pushed. [`GrowingCholesky::solve_into`] keeps
+//! `z` across calls and forward-substitutes only the new rows, with the
+//! same operations in the same order as a full substitution, so results
+//! are bit-identical to solving from scratch. One O(k²) back
+//! substitution per call remains.
 
 use crate::mat::DenseMatrix;
 use std::fmt;
@@ -130,11 +139,14 @@ impl Cholesky {
 /// let x = g.solve(&[8.0, 7.0]);
 /// assert!((x[0] - 1.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct GrowingCholesky {
     cap: usize,
     k: usize,
-    /// Row-major `cap × cap` lower-triangular storage.
+    /// Row-major lower-triangular storage with row stride `cap`. Only
+    /// the triangle of the first `k` rows is meaningful: every read
+    /// touches an entry a push since the last reset wrote, so the rest
+    /// may hold values from an earlier factorization.
     l: Vec<f64>,
 }
 
@@ -161,7 +173,8 @@ impl GrowingCholesky {
     /// Empties the factorization and re-targets it at `cap` atoms,
     /// reusing the existing storage (no reallocation when `cap` fits the
     /// current capacity). Greedy solvers keep one instance in their
-    /// workspace and reset it per solve.
+    /// workspace and reset it per solve. Nothing is zeroed: no read
+    /// reaches an entry before a push has written it.
     ///
     /// # Panics
     ///
@@ -170,8 +183,9 @@ impl GrowingCholesky {
         assert!(cap > 0, "capacity must be positive");
         self.k = 0;
         self.cap = cap;
-        self.l.clear();
-        self.l.resize(cap * cap, 0.0);
+        if self.l.len() < cap * cap {
+            self.l.resize(cap * cap, 0.0);
+        }
     }
 
     /// Appends a new atom: `cross` holds its Gram inner products against
@@ -224,27 +238,33 @@ impl GrowingCholesky {
         x
     }
 
-    /// [`GrowingCholesky::solve`] into caller-owned buffers (`x` gets
-    /// the solution, `z` is forward-substitution scratch); bit-identical
-    /// to the allocating variant and allocation-free once the buffers
+    /// [`GrowingCholesky::solve`] into caller-owned buffers, carrying
+    /// the forward substitution across calls: on entry `z` holds
+    /// `L⁻¹b` for the leading `z.len()` entries of `b`, from an earlier
+    /// call against this factorization with the same leading entries
+    /// (empty for a fresh solve). Only the rows after them are
+    /// forward-substituted, then `x` gets the solution of the current
+    /// system by one back substitution. Bit-identical to
+    /// [`GrowingCholesky::solve`], and allocation-free once the buffers
     /// are warm.
     ///
     /// # Panics
     ///
-    /// Panics if `b.len() != dim()` or the factorization is empty.
+    /// Panics if `b.len() != dim()`, the factorization is empty, or `z`
+    /// is longer than `b`.
+    // tidy:alloc-free
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>, z: &mut Vec<f64>) {
         assert!(self.k > 0, "empty factorization");
         assert_eq!(b.len(), self.k, "rhs length mismatch");
+        assert!(z.len() <= self.k, "forward prefix longer than the rhs");
         let n = self.cap;
         let k = self.k;
-        z.clear();
-        z.resize(k, 0.0);
-        for i in 0..k {
-            let mut sum = b[i];
-            for (j, &zj) in z.iter().enumerate().take(i) {
+        for (i, &bi) in b.iter().enumerate().skip(z.len()) {
+            let mut sum = bi;
+            for (j, &zj) in z.iter().enumerate() {
                 sum -= self.l[i * n + j] * zj;
             }
-            z[i] = sum / self.l[i * n + i];
+            z.push(sum / self.l[i * n + i]);
         }
         x.clear();
         x.resize(k, 0.0);
@@ -324,6 +344,35 @@ mod tests {
         assert_eq!(g.dim(), 1);
         let x = g.solve(&[2.0]);
         assert!((x[0] - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn incremental_solves_equal_fresh_solves_bitwise() {
+        // OMP's pattern: one atom and one rhs entry per step, z carried
+        // across steps. Each step must equal a fresh solve to the bit,
+        // also on storage a larger earlier factorization left dirty.
+        let n = 9;
+        let a = random_spd(n, 31);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+        let mut grow = GrowingCholesky::with_capacity(n + 3);
+        let big = random_spd(n + 3, 4);
+        for k in 0..n + 3 {
+            let cross: Vec<f64> = (0..k).map(|j| big.get(k, j)).collect();
+            grow.push(&cross, big.get(k, k)).unwrap();
+        }
+        for cap in [n + 3, n] {
+            grow.reset(cap);
+            let (mut x, mut z) = (Vec::new(), Vec::new());
+            for k in 0..n {
+                let cross: Vec<f64> = (0..k).map(|j| a.get(k, j)).collect();
+                grow.push(&cross, a.get(k, k)).unwrap();
+                grow.solve_into(&b[..=k], &mut x, &mut z);
+                let fresh = grow.solve(&b[..=k]);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&fresh), "cap {cap}, step {k}");
+                assert_eq!(z.len(), k + 1);
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,14 @@
 //! solvers. Every kernel is deterministic — no thread-count, warmth, or
 //! call-site dependence — so warm≡cold and batch bit-identity are
 //! preserved.
+//!
+//! The kernels inside the blocks may change layout but not arithmetic:
+//! the DCT row pass transposes each block so one Lee recursion runs
+//! over all its rows, and the XOR adjoint reads packed gang-of-four
+//! masks. Each keeps every per-element operation and its order (their
+//! tests compare with the per-row and byte-mask oracles bit for bit),
+//! so results stay independent of the block split and this contract is
+//! unchanged.
 
 use crate::dictionary::Dictionary;
 use crate::op::LinearOperator;
@@ -54,6 +62,13 @@ pub struct FusedScratch {
     pub(crate) tables: Vec<f64>,
     /// Adjoint: indices of the measurement groups with any nonzero `y`.
     pub(crate) active: Vec<u32>,
+    /// Adjoint: per gang of four active groups, each array row's four
+    /// row-selection mask bytes packed into one `u32` (byte `b` from
+    /// the gang's `b`-th group); gang `q` owns `q·M..(q+1)·M`.
+    pub(crate) quad_rows: Vec<u32>,
+    /// Adjoint: the column-selection masks packed like `quad_rows`;
+    /// gang `q` owns `q·N..(q+1)·N`.
+    pub(crate) quad_cols: Vec<u32>,
     /// Adjoint: per-array-row broadcast sums `P_i`.
     pub(crate) p: Vec<f64>,
     /// Adjoint: per-array-column broadcast sums `Q_j`.
@@ -72,6 +87,8 @@ impl FusedScratch {
         FusedScratch {
             tables: Vec::new(),
             active: Vec::new(),
+            quad_rows: Vec::new(),
+            quad_cols: Vec::new(),
             p: Vec::new(),
             q: Vec::new(),
             colsums: Vec::new(),

@@ -26,6 +26,15 @@
 //! the inner gather into one lookup per group. The adjoint uses the
 //! same factorization transposed, with measurements grouped by eight.
 //!
+//! The adjoint sweeps the groups with nonzero `y` in gangs of four
+//! ("quads"), four table lookups per pixel. Its `begin` stage packs each
+//! quad's four row-mask bytes and four column-mask bytes into one `u32`
+//! per array row and per array column, so a pixel reads one packed
+//! column word instead of four mask bytes. The packing is per call, over
+//! the active groups only, so it needs no precompiled buffer; the quads
+//! and each pixel's accumulation order are the same as with byte masks,
+//! and the tests keep the byte-mask sweep as a bit-for-bit oracle.
+//!
 //! The factorized paths reassociate floating-point additions, so
 //! results may differ from the naive selected-pixel sum in the last
 //! bits; the difference stays below 1e-10 (relative) and is pinned down
@@ -353,43 +362,35 @@ impl XorMeasurement {
     pub fn pattern_weights(&self, k: usize) -> (usize, usize) {
         (self.selected_rows(k).len(), self.selected_cols(k).len())
     }
-
-    /// The four row-selection mask bytes of image row `i` for a gang of
-    /// four measurement groups.
-    #[inline]
-    fn row_quad_masks(&self, quad: &[u32], i: usize) -> [u8; 4] {
-        let m = self.rows_m;
-        [
-            self.row_meas_masks[quad[0] as usize * m + i],
-            self.row_meas_masks[quad[1] as usize * m + i],
-            self.row_meas_masks[quad[2] as usize * m + i],
-            self.row_meas_masks[quad[3] as usize * m + i],
-        ]
-    }
 }
 
 /// One image row of the gang-of-four adjoint scatter:
-/// `x_j += Σ_g t_g[r_g & c_g[j]]` over the four ganged groups.
+/// `x_j += (t_0[r_0 & c_0j] + t_1[r_1 & c_1j]) + (t_2[…] + t_3[…])`, with
+/// the four groups' row masks packed into `r` and their column masks
+/// into `cols[j]` (byte `b` from group `b`), and `tables` the gang's
+/// four consecutive 256-entry tables.
 // tidy:alloc-free
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn quad_row_sweep(
-    row: &mut [f64],
-    r: [u8; 4],
-    t0: &[f64],
-    t1: &[f64],
-    t2: &[f64],
-    t3: &[f64],
-    c0: &[u8],
-    c1: &[u8],
-    c2: &[u8],
-    c3: &[u8],
-) {
-    for (j, xv) in row.iter_mut().enumerate() {
-        let a = t0[(r[0] & c0[j]) as usize] + t1[(r[1] & c1[j]) as usize];
-        let b = t2[(r[2] & c2[j]) as usize] + t3[(r[3] & c3[j]) as usize];
+fn quad_row_sweep(row: &mut [f64], r: u32, tables: &[f64], cols: &[u32]) {
+    let (t0, rest) = tables.split_at(256);
+    let (t1, rest) = rest.split_at(256);
+    let (t2, t3) = rest.split_at(256);
+    for (xv, &c) in row.iter_mut().zip(cols) {
+        let s = r & c;
+        let a = t0[(s & 0xff) as usize] + t1[((s >> 8) & 0xff) as usize];
+        let b = t2[((s >> 16) & 0xff) as usize] + t3[(s >> 24) as usize];
         *xv += a + b;
     }
+}
+
+/// Appends a gang's packed masks to `out`: for each of `len` entries,
+/// the mask bytes of the four groups in `quad` as one `u32`, byte `b`
+/// from group `quad[b]`, whose masks are `masks[g·len..(g+1)·len]`.
+// tidy:alloc-free
+fn pack_quad(masks: &[u8], len: usize, quad: &[u32], out: &mut Vec<u32>) {
+    let [m0, m1, m2, m3] = [0, 1, 2, 3].map(|b| &masks[quad[b] as usize * len..][..len]);
+    let bytes = m0.iter().zip(m1).zip(m2).zip(m3);
+    out.extend(bytes.map(|(((&a, &b), &c), &d)| u32::from_le_bytes([a, b, c, d])));
 }
 
 /// Streaming kernels (see [`crate::fused`]): `adjoint_begin` hoists the
@@ -422,29 +423,38 @@ impl RowStreamedOperator for XorMeasurement {
         fs.q.clear();
         fs.q.resize(n, 0.0);
         fs.active.clear();
-        let mut tmp = [0.0f64; 256];
         for (g, ys) in y.chunks(8).enumerate() {
             if ys.iter().all(|&v| v == 0.0) {
                 continue;
             }
-            subset_sums(ys, &mut tmp);
+            // Built in its slot, read unscaled for the broadcast sums,
+            // then scaled by −2 in place (exact), so the block scatter
+            // is a pure lookup-add.
+            let slot = fs.active.len() * 256;
+            let table = &mut fs.tables[slot..slot + 256];
+            subset_sums(ys, table);
             let gammas = &self.col_meas_masks[g * n..(g + 1) * n];
             for (qj, &gm) in fs.q.iter_mut().zip(gammas) {
-                *qj += tmp[gm as usize];
+                *qj += table[gm as usize];
             }
             let rhos = &self.row_meas_masks[g * m..(g + 1) * m];
             for (pi, &rho) in fs.p.iter_mut().zip(rhos) {
                 if rho != 0 {
-                    *pi += tmp[rho as usize];
+                    *pi += table[rho as usize];
                 }
             }
-            // Stored premultiplied by −2 so the block scatter is a pure
-            // lookup-add.
-            let slot = fs.active.len() * 256;
-            for (dst, &v) in fs.tables[slot..slot + 256].iter_mut().zip(tmp.iter()) {
-                *dst = -2.0 * v;
+            for v in table.iter_mut() {
+                *v *= -2.0;
             }
             fs.active.push(g as u32);
+        }
+        // Each gang of four active groups reads its row and column masks
+        // as one packed word per row and per column.
+        fs.quad_rows.clear();
+        fs.quad_cols.clear();
+        for quad in fs.active.chunks_exact(4) {
+            pack_quad(&self.row_meas_masks, m, quad, &mut fs.quad_rows);
+            pack_quad(&self.col_meas_masks, n, quad, &mut fs.quad_cols);
         }
     }
 
@@ -461,31 +471,25 @@ impl RowStreamedOperator for XorMeasurement {
             }
         }
         // Gang of four active measurement groups in the outer loop: the
-        // four 256-entry tables (8 KiB) and their column masks stay
-        // L1-resident across the entire row block, while the four
-        // independent lookups per pixel give the out-of-order core
-        // parallel loads. (Group-major order also makes the per-pixel
-        // accumulation order independent of the block split, so
-        // streamed decodes stay bit-identical to one-shot ones.)
-        let mut quads = fs.active.chunks_exact(4);
-        let mut slot = 0usize;
-        for quad in &mut quads {
-            let (t0, rest) = fs.tables[slot * 256..(slot + 4) * 256].split_at(256);
-            let (t1, rest) = rest.split_at(256);
-            let (t2, t3) = rest.split_at(256);
-            let c0 = &self.col_meas_masks[quad[0] as usize * n..quad[0] as usize * n + n];
-            let c1 = &self.col_meas_masks[quad[1] as usize * n..quad[1] as usize * n + n];
-            let c2 = &self.col_meas_masks[quad[2] as usize * n..quad[2] as usize * n + n];
-            let c3 = &self.col_meas_masks[quad[3] as usize * n..quad[3] as usize * n + n];
-            for (di, row) in block.chunks_exact_mut(n).enumerate() {
-                let r = self.row_quad_masks(quad, i0 + di);
-                if r != [0u8; 4] {
-                    quad_row_sweep(row, r, t0, t1, t2, t3, c0, c1, c2, c3);
+        // four 256-entry tables (8 KiB) and their packed column masks
+        // stay L1-resident across the entire row block, one packed load
+        // per pixel serves all four groups, and the four independent
+        // lookups give the out-of-order core parallel loads. (Group-major
+        // order also makes the per-pixel accumulation order independent
+        // of the block split, so streamed decodes stay bit-identical to
+        // one-shot ones.)
+        let quads = fs.active.len() / 4;
+        let gangs = fs.tables[..quads * 1024].chunks_exact(1024);
+        for (q, tables) in gangs.enumerate() {
+            let cols = &fs.quad_cols[q * n..(q + 1) * n];
+            let rows = &fs.quad_rows[q * m + i0..q * m + i1];
+            for (row, &r) in block.chunks_exact_mut(n).zip(rows) {
+                if r != 0 {
+                    quad_row_sweep(row, r, tables, cols);
                 }
             }
-            slot += 4;
         }
-        for &g in quads.remainder() {
+        for (slot, &g) in fs.active.iter().enumerate().skip(quads * 4) {
             let g = g as usize;
             let t = &fs.tables[slot * 256..slot * 256 + 256];
             let gammas = &self.col_meas_masks[g * n..(g + 1) * n];
@@ -497,7 +501,6 @@ impl RowStreamedOperator for XorMeasurement {
                     }
                 }
             }
-            slot += 1;
         }
     }
 
@@ -825,6 +828,186 @@ mod tests {
             m.apply_finish(&mut fwd, &mut fs);
             assert_eq!(full_fwd, fwd, "forward step {step}");
         }
+    }
+
+    /// The byte-mask gang-of-four adjoint the packed sweep replaced,
+    /// kept as its bit-for-bit oracle: each `−2·subset-sum` table is
+    /// built in a temporary and copied scaled into its slot, and every
+    /// pixel loads its gang's four row and four column mask bytes one
+    /// by one. Runs `begin`, then the blocks of `step` rows.
+    fn oracle_adjoint(m: &XorMeasurement, y: &[f64], step: usize) -> Vec<f64> {
+        let (rows, cols) = (m.rows_m, m.cols_n);
+        let mut tables = Vec::new();
+        let mut active = Vec::new();
+        let mut p = vec![0.0; rows];
+        let mut q = vec![0.0; cols];
+        let mut tmp = [0.0f64; 256];
+        for (g, ys) in y.chunks(8).enumerate() {
+            if ys.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            subset_sums(ys, &mut tmp);
+            for (qj, &gm) in q
+                .iter_mut()
+                .zip(&m.col_meas_masks[g * cols..(g + 1) * cols])
+            {
+                *qj += tmp[gm as usize];
+            }
+            for (pi, &rho) in p
+                .iter_mut()
+                .zip(&m.row_meas_masks[g * rows..(g + 1) * rows])
+            {
+                if rho != 0 {
+                    *pi += tmp[rho as usize];
+                }
+            }
+            tables.extend(tmp.iter().map(|&v| -2.0 * v));
+            active.push(g);
+        }
+        let row_mask = |g: usize, i: usize| m.row_meas_masks[g * rows + i];
+        let col_mask = |g: usize, j: usize| m.col_meas_masks[g * cols + j];
+        let mut x = vec![0.0; rows * cols];
+        for i0 in (0..rows).step_by(step) {
+            let i1 = (i0 + step).min(rows);
+            for i in i0..i1 {
+                for j in 0..cols {
+                    x[i * cols + j] = p[i] + q[j];
+                }
+            }
+            let mut quads = active.chunks_exact(4);
+            let mut slot = 0;
+            for quad in &mut quads {
+                let t = |b: usize, mask: u8| tables[(slot + b) * 256 + mask as usize];
+                for i in i0..i1 {
+                    let r = [0, 1, 2, 3].map(|b| row_mask(quad[b], i));
+                    if r == [0u8; 4] {
+                        continue;
+                    }
+                    for j in 0..cols {
+                        let c = [0, 1, 2, 3].map(|b| col_mask(quad[b], j));
+                        let a = t(0, r[0] & c[0]) + t(1, r[1] & c[1]);
+                        let b = t(2, r[2] & c[2]) + t(3, r[3] & c[3]);
+                        x[i * cols + j] += a + b;
+                    }
+                }
+                slot += 4;
+            }
+            for &g in quads.remainder() {
+                for i in i0..i1 {
+                    let rho = row_mask(g, i);
+                    if rho != 0 {
+                        for j in 0..cols {
+                            x[i * cols + j] += tables[slot * 256 + (rho & col_mask(g, j)) as usize];
+                        }
+                    }
+                }
+                slot += 1;
+            }
+        }
+        x
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Streams the production adjoint in blocks of `step` rows.
+    fn streamed_adjoint(m: &XorMeasurement, y: &[f64], step: usize) -> Vec<f64> {
+        let (rows, cols) = (m.rows_m, m.cols_n);
+        let mut fs = FusedScratch::new();
+        let mut x = vec![0.0; rows * cols];
+        m.adjoint_begin(y, &mut fs);
+        for (b, block) in x.chunks_mut(step * cols).enumerate() {
+            let i0 = b * step;
+            m.adjoint_block(i0, i0 + block.len() / cols, block, &fs);
+        }
+        x
+    }
+
+    #[test]
+    fn packed_adjoint_matches_byte_mask_oracle_bitwise() {
+        // Measurement counts around the group-of-eight and gang-of-four
+        // boundaries up to a 1434-sample decoder key; every y shape
+        // that changes which groups are active; every block split.
+        let mut rng = SplitMix64::new(0x9AC4);
+        for (rows, cols, all_splits) in [(12usize, 20usize, true), (32, 32, false)] {
+            for k in [1usize, 7, 8, 31, 32, 33, 359, 1434] {
+                let mut src = CaSource::new(rows + cols, 7, ElementaryRule::RULE_30, 32, 1);
+                let m = XorMeasurement::from_source(rows, cols, &mut src, k);
+                let dense: Vec<f64> = (0..k).map(|_| rng.next_gaussian()).collect();
+                // All-zero groups inside the first gang (groups 1 and 2,
+                // one of them negative zeros) and further on (group 6).
+                let mut holes = dense.clone();
+                for (t, v) in holes.iter_mut().enumerate() {
+                    match t / 8 {
+                        1 | 6 => *v = 0.0,
+                        2 => *v = -0.0,
+                        _ => {}
+                    }
+                }
+                let zero = vec![0.0; k];
+                let steps: Vec<usize> = if all_splits {
+                    (1..=rows).collect()
+                } else {
+                    vec![1, 5, rows]
+                };
+                for (label, y) in [("dense", &dense), ("holes", &holes), ("zero", &zero)] {
+                    for &step in &steps {
+                        let got = streamed_adjoint(&m, y, step);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&oracle_adjoint(&m, y, step)),
+                            "{rows}×{cols} k={k} y={label} step={step}"
+                        );
+                    }
+                }
+                // A zero y gives positive zeros, never negative ones.
+                assert!(m.apply_adjoint_vec(&zero).iter().all(|v| v.to_bits() == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_is_the_sum_of_every_buffer() {
+        // The exhaustive destructuring fails to compile when a field is
+        // added, so a new precompiled buffer cannot silently fall out of
+        // the cache budget: it must be named here and summed.
+        let m = sample(21);
+        let XorMeasurement {
+            rows_m: _,
+            cols_n: _,
+            patterns,
+            sel_rows,
+            sel_rows_off,
+            sel_cols,
+            sel_cols_off,
+            meas_by_row,
+            meas_by_row_off,
+            col_group_masks,
+            row_meas_masks,
+            col_meas_masks,
+            apply_tables: _,
+        } = &m;
+        let words: usize = patterns
+            .iter()
+            .map(|p| std::mem::size_of_val(p.as_words()))
+            .sum();
+        let indices: usize = [
+            sel_rows,
+            sel_rows_off,
+            sel_cols,
+            sel_cols_off,
+            meas_by_row,
+            meas_by_row_off,
+        ]
+        .iter()
+        .map(|v| std::mem::size_of_val(v.as_slice()))
+        .sum();
+        let masks: usize = [col_group_masks, row_meas_masks, col_meas_masks]
+            .iter()
+            .map(|v| std::mem::size_of_val(v.as_slice()))
+            .sum();
+        assert_eq!(m.bytes(), words + indices + masks);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   (Lee 1984) factorization evaluates the transform in O(n log n)
 //!   with precomputed half-secant twiddle factors. This is the path the
 //!   recovery inner loop hits: the sensor geometries are powers of two,
-//!   and every FISTA iteration runs a 2-D synthesis + analysis pair.
+//!   and every solver iteration runs a 2-D synthesis + analysis pair.
 //! * **Matrix fallback** — for all other lengths, the precomputed
 //!   orthonormal basis-matrix multiply (O(n²) per application, exact).
 //!
@@ -18,6 +18,26 @@
 //! covered by equivalence tests against the matrix path. Both paths are
 //! fully deterministic, so batch results remain bit-identical at any
 //! thread count.
+//!
+//! # One Lee implementation
+//!
+//! The Lee recursion is written once, over *row-vector elements*
+//! (`lee_forward_rows` / `lee_inverse_rows`): each of its `n`
+//! elements is a contiguous run of `w` lanes, and every butterfly is a
+//! `w`-wide vector operation that performs, lane by lane, the scalar
+//! recursion's operations in the same order. Every fast-path caller
+//! goes through it:
+//!
+//! * [`Dct1d`] runs it with one-lane elements (the scalar transform);
+//! * the 2-D column pass ([`Dct2d::cols_pass`]) runs it on the image
+//!   itself, whose rows are already the elements;
+//! * the 2-D row pass ([`Dct2d::rows_pass`]) transposes its row block
+//!   into scratch, runs it with the block's transposed columns as
+//!   elements (one lane per image row), and transposes back.
+//!
+//! So a coefficient is bit-identical whichever pass or block split
+//! computed it: the tests hold the old per-row scalar recursion as the
+//! oracle and compare bit for bit.
 //!
 //! The 2-D transform is the separable product (rows, then columns),
 //! applied through scratch buffers so repeated transforms (the solver
@@ -40,62 +60,14 @@ fn lee_twiddles(n: usize) -> Vec<f64> {
     tw
 }
 
-/// Unnormalized Lee DCT-II: `x_k ← Σ_i x_i cos(π(2i+1)k/2n)`, in place,
-/// with `scratch.len() == x.len()` and the twiddles of [`lee_twiddles`].
-fn lee_forward(x: &mut [f64], scratch: &mut [f64], tw: &[f64]) {
-    let n = x.len();
-    if n == 1 {
-        return;
-    }
-    let half = n / 2;
-    let (t, rest) = tw.split_at(half);
-    {
-        let (a, b) = scratch.split_at_mut(half);
-        tepics_util::simd::butterfly_split(x, t, a, b);
-        let (xa, xb) = x.split_at_mut(half);
-        lee_forward(a, xa, rest);
-        lee_forward(b, xb, rest);
-    }
-    let (a, b) = scratch.split_at(half);
-    for i in 0..half - 1 {
-        x[2 * i] = a[i];
-        x[2 * i + 1] = b[i] + b[i + 1];
-    }
-    x[n - 2] = a[half - 1];
-    x[n - 1] = b[half - 1];
-}
-
-/// Unnormalized Lee DCT-III (inverse of [`lee_forward`]):
-/// `x_i ← v_0 + Σ_{k≥1} v_k cos(π(2i+1)k/2n)`, in place.
-fn lee_inverse(v: &mut [f64], scratch: &mut [f64], tw: &[f64]) {
-    let n = v.len();
-    if n == 1 {
-        return;
-    }
-    let half = n / 2;
-    let (t, rest) = tw.split_at(half);
-    {
-        let (a, b) = scratch.split_at_mut(half);
-        a[0] = v[0];
-        b[0] = v[1];
-        for i in 1..half {
-            a[i] = v[2 * i];
-            b[i] = v[2 * i - 1] + v[2 * i + 1];
-        }
-        let (va, vb) = v.split_at_mut(half);
-        lee_inverse(a, va, rest);
-        lee_inverse(b, vb, rest);
-    }
-    let (a, b) = scratch.split_at(half);
-    tepics_util::simd::butterfly_merge(a, b, t, v);
-}
-
-/// [`lee_forward`] with whole `w`-length rows as elements: the column
-/// pass of a separable 2-D transform on a row-major block, evaluated as
-/// contiguous row-vector operations instead of per-column strided
-/// gathers. Performs, per column, exactly the scalar recursion's
-/// operations in the same order — results are bit-identical to applying
-/// [`lee_forward`] column by column. `scratch.len() >= x.len()`.
+/// Unnormalized Lee DCT-II, `x_k ← Σ_i x_i cos(π(2i+1)k/2n)`, in place
+/// along the `h = x.len() / w` elements of a row-major `h × w` block,
+/// each element a whole `w`-length row: every butterfly is a contiguous
+/// `w`-lane vector operation, and lane `j` performs exactly the scalar
+/// recursion's operations on column `j`, in the same order. `w = 1` is
+/// the scalar transform of one signal; the 2-D passes use whole image
+/// rows (column pass) or transposed image columns (row pass). Uses the
+/// twiddles of [`lee_twiddles`]; `scratch.len() >= x.len()`.
 // tidy:alloc-free
 fn lee_forward_rows(x: &mut [f64], scratch: &mut [f64], w: usize, tw: &[f64]) {
     let h = x.len() / w;
@@ -137,7 +109,9 @@ fn lee_forward_rows(x: &mut [f64], scratch: &mut [f64], w: usize, tw: &[f64]) {
     x[(h - 1) * w..h * w].copy_from_slice(&b[(half - 1) * w..half * w]);
 }
 
-/// Row-vector counterpart of [`lee_inverse`]; see [`lee_forward_rows`].
+/// Unnormalized Lee DCT-III, the inverse of [`lee_forward_rows`]:
+/// `x_i ← v_0 + Σ_{k≥1} v_k cos(π(2i+1)k/2n)`, in place, with the same
+/// element layout and lane-by-lane contract.
 // tidy:alloc-free
 fn lee_inverse_rows(v: &mut [f64], scratch: &mut [f64], w: usize, tw: &[f64]) {
     let h = v.len() / w;
@@ -175,6 +149,17 @@ fn lee_inverse_rows(v: &mut [f64], scratch: &mut [f64], w: usize, tw: &[f64]) {
             let y = br[j] * ti;
             fr[j] = ar[j] + y;
             bk[j] = ar[j] - y;
+        }
+    }
+}
+
+/// Writes the transpose of the row-major `rows × cols` matrix `src`
+/// into `dst` (row-major `cols × rows`).
+// tidy:alloc-free
+fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+    for (c, out) in dst[..rows * cols].chunks_exact_mut(rows).enumerate() {
+        for (o, row) in out.iter_mut().zip(src.chunks_exact(cols)) {
+            *o = row[c];
         }
     }
 }
@@ -269,6 +254,20 @@ impl Dct1d {
         matches!(self.kind, Kind::Fast { .. })
     }
 
+    /// Applies the orthonormal weights to an unnormalized fast-path
+    /// signal whose elements are `w`-lane rows: `√(1/n)` to element 0,
+    /// `√(2/n)` to the rest.
+    // tidy:alloc-free
+    fn normalize(&self, x: &mut [f64], w: usize) {
+        let (dc, ac) = x.split_at_mut(w);
+        for v in dc {
+            *v *= self.norm0;
+        }
+        for v in ac {
+            *v *= self.norm;
+        }
+    }
+
     /// Forward transform (analysis): `X_k = c_k Σ_i cos(π(2i+1)k/2n)·x_i`.
     ///
     /// # Panics
@@ -319,11 +318,8 @@ impl Dct1d {
         assert!(scratch.len() >= self.n, "scratch too small");
         match &self.kind {
             Kind::Fast { twiddles } => {
-                lee_forward(data, &mut scratch[..self.n], twiddles);
-                data[0] *= self.norm0;
-                for v in &mut data[1..] {
-                    *v *= self.norm;
-                }
+                lee_forward_rows(data, &mut scratch[..self.n], 1, twiddles);
+                self.normalize(data, 1);
             }
             Kind::Matrix { basis } => {
                 for (k, o) in scratch[..self.n].iter_mut().enumerate() {
@@ -346,11 +342,8 @@ impl Dct1d {
         assert!(scratch.len() >= self.n, "scratch too small");
         match &self.kind {
             Kind::Fast { twiddles } => {
-                data[0] *= self.norm0;
-                for v in &mut data[1..] {
-                    *v *= self.norm;
-                }
-                lee_inverse(data, &mut scratch[..self.n], twiddles);
+                self.normalize(data, 1);
+                lee_inverse_rows(data, &mut scratch[..self.n], 1, twiddles);
             }
             Kind::Matrix { basis } => {
                 let out = &mut scratch[..self.n];
@@ -453,14 +446,19 @@ impl Dct2d {
         self.cols_pass(out, scratch, forward);
     }
 
-    /// Grows `scratch` to the layout the staged passes expect:
-    /// `[col_buf: height][1-D scratch: max(width, height)]`, or the
-    /// whole-buffer region the row-vector column recursion needs when
-    /// the column transform is on the fast path. Never shrinks, so one
-    /// scratch vector can serve several transform sizes.
+    /// Grows `scratch` to the layout the staged passes expect. The
+    /// matrix paths use `[col_buf: height][1-D scratch: max(width,
+    /// height)]`. A fast-path row transform needs `2·len()`: the
+    /// transposed row block plus the recursion's scratch, for a block of
+    /// up to every row. A fast-path column transform needs `len()` for
+    /// its recursion's scratch. Never shrinks, so one scratch vector can
+    /// serve several transform sizes.
     // tidy:alloc-free
     pub fn ensure_scratch(&self, scratch: &mut Vec<f64>) {
         let mut need = self.height + self.width.max(self.height);
+        if self.row.is_fast() {
+            need = need.max(2 * self.len());
+        }
         if self.col.is_fast() {
             need = need.max(self.len());
         }
@@ -477,6 +475,12 @@ impl Dct2d {
     /// still cache-hot. `scratch` must have been sized by
     /// [`Dct2d::ensure_scratch`].
     ///
+    /// On the fast path the block is transposed into `scratch`, so the
+    /// Lee recursion runs once over the whole block with its columns as
+    /// vector lanes, then transposed back. Each row sees exactly the
+    /// operations of its own 1-D transform, in the same order, so the
+    /// result does not depend on how the rows are split into blocks.
+    ///
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of `width()` or
@@ -485,6 +489,24 @@ impl Dct2d {
     pub fn rows_pass(&self, rows: &mut [f64], scratch: &mut [f64], forward: bool) {
         let w = self.width;
         assert_eq!(rows.len() % w, 0, "row block must hold whole rows");
+        if let Kind::Fast { twiddles } = &self.row.kind {
+            let h = rows.len() / w;
+            if h == 0 {
+                return;
+            }
+            let (t, s) = scratch.split_at_mut(rows.len());
+            let s = &mut s[..rows.len()];
+            transpose(rows, t, h, w);
+            if forward {
+                lee_forward_rows(t, s, h, twiddles);
+                self.row.normalize(t, h);
+            } else {
+                self.row.normalize(t, h);
+                lee_inverse_rows(t, s, h, twiddles);
+            }
+            transpose(t, rows, w, h);
+            return;
+        }
         let s = &mut scratch[self.height..];
         for row in rows.chunks_exact_mut(w) {
             if forward {
@@ -515,19 +537,9 @@ impl Dct2d {
                 let s = &mut scratch[..w * h];
                 if forward {
                     lee_forward_rows(buf, s, w, twiddles);
-                    for v in &mut buf[..w] {
-                        *v *= self.col.norm0;
-                    }
-                    for v in &mut buf[w..] {
-                        *v *= self.col.norm;
-                    }
+                    self.col.normalize(buf, w);
                 } else {
-                    for v in &mut buf[..w] {
-                        *v *= self.col.norm0;
-                    }
-                    for v in &mut buf[w..] {
-                        *v *= self.col.norm;
-                    }
+                    self.col.normalize(buf, w);
                     lee_inverse_rows(buf, s, w, twiddles);
                 }
                 return;
@@ -648,6 +660,184 @@ mod tests {
     fn pseudo_signal(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = tepics_util::SplitMix64::new(seed);
         (0..n).map(|_| rng.next_f64() * 2.0 - 1.0).collect()
+    }
+
+    /// The scalar Lee DCT-II the row-vector recursion replaced, kept as
+    /// the bit-for-bit oracle of every fast path: one signal, a forward
+    /// butterfly split into scratch, two half-length recursions, then
+    /// the even/odd interleave.
+    fn oracle_lee_forward(x: &mut [f64], scratch: &mut [f64], tw: &[f64]) {
+        let n = x.len();
+        if n == 1 {
+            return;
+        }
+        let half = n / 2;
+        let (t, rest) = tw.split_at(half);
+        {
+            let (a, b) = scratch.split_at_mut(half);
+            for i in 0..half {
+                let (p, q) = (x[i], x[n - 1 - i]);
+                a[i] = p + q;
+                b[i] = (p - q) * t[i];
+            }
+            let (xa, xb) = x.split_at_mut(half);
+            oracle_lee_forward(a, xa, rest);
+            oracle_lee_forward(b, xb, rest);
+        }
+        let (a, b) = scratch.split_at(half);
+        for i in 0..half - 1 {
+            x[2 * i] = a[i];
+            x[2 * i + 1] = b[i] + b[i + 1];
+        }
+        x[n - 2] = a[half - 1];
+        x[n - 1] = b[half - 1];
+    }
+
+    /// The scalar Lee DCT-III oracle (inverse of [`oracle_lee_forward`]).
+    fn oracle_lee_inverse(v: &mut [f64], scratch: &mut [f64], tw: &[f64]) {
+        let n = v.len();
+        if n == 1 {
+            return;
+        }
+        let half = n / 2;
+        let (t, rest) = tw.split_at(half);
+        {
+            let (a, b) = scratch.split_at_mut(half);
+            a[0] = v[0];
+            b[0] = v[1];
+            for i in 1..half {
+                a[i] = v[2 * i];
+                b[i] = v[2 * i - 1] + v[2 * i + 1];
+            }
+            let (va, vb) = v.split_at_mut(half);
+            oracle_lee_inverse(a, va, rest);
+            oracle_lee_inverse(b, vb, rest);
+        }
+        let (a, b) = scratch.split_at(half);
+        for i in 0..half {
+            let y = b[i] * t[i];
+            v[i] = a[i] + y;
+            v[n - 1 - i] = a[i] - y;
+        }
+    }
+
+    /// The orthonormal 1-D transform of one power-of-two-length signal
+    /// through the scalar oracle.
+    fn oracle_1d(x: &[f64], forward: bool) -> Vec<f64> {
+        let n = x.len();
+        let tw = lee_twiddles(n);
+        let (norm0, norm) = ((1.0 / n as f64).sqrt(), (2.0 / n as f64).sqrt());
+        let mut v = x.to_vec();
+        let mut scratch = vec![0.0; n];
+        let weigh = |v: &mut [f64]| {
+            v[0] *= norm0;
+            for c in &mut v[1..] {
+                *c *= norm;
+            }
+        };
+        if forward {
+            oracle_lee_forward(&mut v, &mut scratch, &tw);
+            weigh(&mut v);
+        } else {
+            weigh(&mut v);
+            oracle_lee_inverse(&mut v, &mut scratch, &tw);
+        }
+        v
+    }
+
+    /// The oracle row pass: every `w`-length row on its own.
+    fn oracle_rows(buf: &[f64], w: usize, forward: bool) -> Vec<f64> {
+        buf.chunks_exact(w)
+            .flat_map(|row| oracle_1d(row, forward))
+            .collect()
+    }
+
+    /// The oracle 2-D transform: rows, then columns gathered one by one.
+    fn oracle_2d(buf: &[f64], w: usize, h: usize, forward: bool) -> Vec<f64> {
+        let mut out = oracle_rows(buf, w, forward);
+        for x in 0..w {
+            let col: Vec<f64> = (0..h).map(|y| out[y * w + x]).collect();
+            for (y, v) in oracle_1d(&col, forward).into_iter().enumerate() {
+                out[y * w + x] = v;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_d_fast_path_matches_scalar_oracle_bitwise() {
+        for n in (0..=8).map(|e| 1usize << e) {
+            let dct = Dct1d::new(n);
+            for seed in 0..4 {
+                let x = pseudo_signal(n, seed * 131 + n as u64);
+                for forward in [true, false] {
+                    let mut got = x.clone();
+                    let mut scratch = vec![0.0; n];
+                    if forward {
+                        dct.forward_in_place(&mut got, &mut scratch);
+                    } else {
+                        dct.inverse_in_place(&mut got, &mut scratch);
+                    }
+                    assert_eq!(
+                        bits(&got),
+                        bits(&oracle_1d(&x, forward)),
+                        "n={n} seed={seed} forward={forward}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Fast-path geometries: square, rectangular both ways, and the
+    /// 64- and 128-wide images the fused engine splits into blocks.
+    const FAST_GEOMETRIES: [(usize, usize); 6] =
+        [(8, 8), (32, 8), (8, 64), (32, 32), (64, 64), (128, 16)];
+
+    #[test]
+    fn two_d_fast_path_matches_scalar_oracle_bitwise() {
+        for (w, h) in FAST_GEOMETRIES {
+            let dct = Dct2d::new(w, h);
+            let img = pseudo_signal(w * h, (w * 7 + h) as u64);
+            for forward in [true, false] {
+                let got = if forward {
+                    dct.forward(&img)
+                } else {
+                    dct.inverse(&img)
+                };
+                assert_eq!(
+                    bits(&got),
+                    bits(&oracle_2d(&img, w, h, forward)),
+                    "{w}×{h} forward={forward}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_blocks_of_every_height_match_scalar_oracle_bitwise() {
+        // The fused engine hands `rows_pass` blocks of
+        // `fused_block_rows(h, w)` rows and a shorter last block; every
+        // block height from one row to the whole image covers them all.
+        for (w, h) in FAST_GEOMETRIES {
+            let dct = Dct2d::new(w, h);
+            let img = pseudo_signal(w * h, (w + 3 * h) as u64);
+            let mut scratch = Vec::new();
+            dct.ensure_scratch(&mut scratch);
+            for forward in [true, false] {
+                let want = bits(&oracle_rows(&img, w, forward));
+                for step in 1..=h {
+                    let mut got = img.clone();
+                    for block in got.chunks_mut(step * w) {
+                        dct.rows_pass(block, &mut scratch, forward);
+                    }
+                    assert_eq!(bits(&got), want, "{w}×{h} step={step} forward={forward}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! Algorithm using Batch Orthogonal Matching Pursuit", Technion
 //! CS-2008-08.
 //!
+//! The least-squares re-fit is incremental as well: `α⁰_I` and the
+//! Cholesky factor of `G_II` each grow by one row per iteration, so the
+//! forward substitution `L⁻¹α⁰_I` is kept across iterations and only
+//! its new entry is computed, bit-identical to a full substitution. One
+//! back substitution per iteration remains (see
+//! [`GrowingCholesky::solve_into`](tepics_cs::chol::GrowingCholesky::solve_into)).
+//!
 //! Gram columns come from the operator's shared
 //! [`GramStore`](tepics_cs::gram::GramStore) when one is attached
 //! ([`LinearOperator::gram_store`]): a stored column is a hit, a new
@@ -132,7 +139,7 @@ impl Omp {
             gram_cross: cross,
             rhs,
             small: coeffs,
-            small2: chol_tmp,
+            small2: forward,
             chol,
             ..
         } = workspace;
@@ -156,6 +163,7 @@ impl Omp {
         support.clear();
         misses.clear();
         rhs.clear();
+        forward.clear();
         coeffs.clear();
         let mut converged = y_norm == 0.0;
         while support.len() < budget && !converged {
@@ -199,9 +207,9 @@ impl Omp {
             selected[j] = true;
             // Least squares on the support: G_II γ = α⁰_I. The rhs
             // entries never change, so each iteration appends only the
-            // new atom's entry.
+            // new atom's entry and forward-substitutes only its row.
             rhs.push(alpha0[j]);
-            chol.solve_into(rhs, coeffs, chol_tmp);
+            chol.solve_into(rhs, coeffs, forward);
             // α = α⁰ − G[:, I]·γ_I. Selected atoms read their column from
             // the store, or else the next miss in selection order.
             corr.copy_from_slice(alpha0);

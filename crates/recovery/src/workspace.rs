@@ -24,7 +24,7 @@
 //!   thresholding/message-passing loops;
 //! * **greedy buffers** (`selected`…`chol`) — atom bookkeeping, the Gram
 //!   columns OMP computes for a single solve, and the growing Cholesky
-//!   of OMP/CoSaMP;
+//!   of OMP;
 //! * **least-squares buffers** (`lsq_*`, `restrict_*`) — the CGLS
 //!   vectors and the restricted operator's scatter/gather scratch, used
 //!   by [`Cgls`](crate::cg::Cgls), CoSaMP's re-fit, and

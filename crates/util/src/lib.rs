@@ -18,7 +18,7 @@
 //!   slots and the same determinism contract; the streaming decode
 //!   paths run on it so the warm steady state spawns no threads.
 //! * [`simd`] — explicit-width chunked f64 kernels (`dot4`, `axpy4`,
-//!   `sum4`, Lee butterfly pairs) shared by every hot numeric loop.
+//!   `sum4`) shared by every hot numeric loop.
 //!
 //! # Examples
 //!

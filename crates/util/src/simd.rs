@@ -6,8 +6,8 @@
 //! dependence chains are explicit, the trip count is known, and no lane
 //! reads another lane's partial. Every kernel here is written in that
 //! style so the whole workspace shares one audited implementation (and
-//! one reassociation order) for dot products, AXPY updates, horizontal
-//! sums, and the Lee DCT butterfly passes.
+//! one reassociation order) for dot products, AXPY updates and
+//! horizontal sums.
 //!
 //! # Determinism contract
 //!
@@ -119,50 +119,6 @@ pub fn axpy4(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Forward Lee butterfly split: for a length-`2·half` signal `x`, writes
-/// `a[i] = x[i] + x[n-1-i]` and `b[i] = (x[i] - x[n-1-i]) · t[i]`.
-///
-/// The loop walks `x`'s front half forward and its back half backward;
-/// lanes stay independent, so the result is exactly the scalar loop's.
-///
-/// # Panics
-///
-/// Panics if `a`, `b`, or `t` are shorter than `x.len() / 2`.
-// tidy:alloc-free
-#[inline]
-pub fn butterfly_split(x: &[f64], t: &[f64], a: &mut [f64], b: &mut [f64]) {
-    let n = x.len();
-    let half = n / 2;
-    let (front, back) = x.split_at(half);
-    let back = &back[n % 2..];
-    for i in 0..half {
-        let (p, q) = (front[i], back[half - 1 - i]);
-        a[i] = p + q;
-        b[i] = (p - q) * t[i];
-    }
-}
-
-/// Inverse Lee butterfly merge: given even-part `a` and twiddled odd
-/// part `b`, writes `v[i] = a[i] + b[i]·t[i]` and
-/// `v[n-1-i] = a[i] - b[i]·t[i]` for a length-`2·half` output `v`.
-///
-/// # Panics
-///
-/// Panics if `a`, `b`, or `t` are shorter than `v.len() / 2`.
-// tidy:alloc-free
-#[inline]
-pub fn butterfly_merge(a: &[f64], b: &[f64], t: &[f64], v: &mut [f64]) {
-    let n = v.len();
-    let half = n / 2;
-    let (front, back) = v.split_at_mut(half);
-    let back = &mut back[n % 2..];
-    for i in 0..half {
-        let y = b[i] * t[i];
-        front[i] = a[i] + y;
-        back[half - 1 - i] = a[i] - y;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,41 +180,6 @@ mod tests {
                 *yd += 0.37 * xs;
             }
             assert_eq!(fast, slow, "n={n}");
-        }
-    }
-
-    #[test]
-    fn butterflies_round_trip() {
-        for half in [1usize, 2, 4, 8, 16] {
-            let n = 2 * half;
-            let x = pseudo(n, half as u64);
-            let t: Vec<f64> = (0..half).map(|i| 1.0 + 0.1 * i as f64).collect();
-            let mut a = vec![0.0; half];
-            let mut b = vec![0.0; half];
-            butterfly_split(&x, &t, &mut a, &mut b);
-            // Invert the split by hand: b holds (p-q)·t, so q = p - b/t.
-            let inv_t: Vec<f64> = t.iter().map(|v| 1.0 / v).collect();
-            let halved: Vec<f64> = b.iter().zip(&inv_t).map(|(v, it)| v * it * 0.5).collect();
-            let mut v = vec![0.0; n];
-            let ones = vec![1.0; half];
-            let even: Vec<f64> = a.iter().map(|v| v * 0.5).collect();
-            butterfly_merge(&even, &halved, &ones, &mut v);
-            for (i, (orig, got)) in x.iter().zip(&v).enumerate() {
-                assert!((orig - got).abs() < 1e-12, "half={half} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn butterfly_split_matches_direct_formula() {
-        let x = pseudo(12, 3);
-        let t = pseudo(6, 4);
-        let mut a = vec![0.0; 6];
-        let mut b = vec![0.0; 6];
-        butterfly_split(&x, &t, &mut a, &mut b);
-        for i in 0..6 {
-            assert_eq!(a[i], x[i] + x[11 - i]);
-            assert_eq!(b[i], (x[i] - x[11 - i]) * t[i]);
         }
     }
 }

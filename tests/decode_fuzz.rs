@@ -1,15 +1,20 @@
-//! Seeded decoder-config fuzz for OMP: the decoder half of the config
-//! fuzz that `capture_oracle.rs` runs for the encoder.
+//! Seeded decoder-config fuzz: the decoder half of the config fuzz that
+//! `capture_oracle.rs` runs for the encoder.
 //!
-//! Each round draws an imager and an OMP decode configuration — odd and
-//! non-power-of-two geometries (where the generic column path runs),
-//! occasional tiling, ratios near 0 and 1, the DCT, Haar and identity
-//! dictionaries, atom budgets at or beyond the sample count, all-zero
-//! scenes — and drives two captures through `EncodeSession` →
+//! The OMP sweep draws an imager and an OMP decode configuration — odd
+//! and non-power-of-two geometries (where the generic column path
+//! runs), occasional tiling, ratios near 0 and 1, the DCT, Haar and
+//! identity dictionaries, atom budgets at or beyond the sample count,
+//! all-zero scenes. The second sweep gives every other solver, with and
+//! without debias where it has one, the geometries that pick the DCT's
+//! paths: power-of-two tiles (the transposed Lee row pass),
+//! non-power-of-two ones (the basis-matrix path) and 64-wide ones (two
+//! fused row blocks). Both drive two captures through `EncodeSession` →
 //! bytes → `DecodeSession`. Every built configuration must decode
 //! without panicking to finite codes, identically at threads(1) and
 //! threads(2), and identically cold (a fresh cache) and warm (a cache,
-//! and its Gram stores, filled by an earlier decode of the same bytes).
+//! and its Gram stores and norms, filled by an earlier decode of the
+//! same bytes).
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -100,8 +105,8 @@ struct Tally {
     zero_scenes: usize,
 }
 
-/// Decodes `wire` with OMP on `cache` at `threads`, returning every
-/// frame.
+/// Decodes `wire` with `params` on `cache` at `threads`, returning
+/// every frame.
 fn decode(
     wire: &[u8],
     params: RecoveryParams,
@@ -136,32 +141,13 @@ fn run_case(case: &Case, tally: &mut Tally) {
         solver: SolverKind::Omp { atoms },
         dictionary: case.dictionary,
     };
-    let mut enc = EncodeSession::new(imager.clone()).unwrap();
-    for i in 0..2 {
-        let scene = if case.zero_scene {
-            Scene::Uniform(0.0)
-        } else {
-            Scene::natural_like()
-        };
-        enc.capture(&scene.render(case.cols, case.rows, case.seed + i))
-            .unwrap();
-    }
-    let wire = enc.into_bytes();
-
-    let warm_cache = OperatorCache::shared();
-    let cold1 = decode(&wire, params, &warm_cache, 1);
-    assert_eq!(cold1.len(), 2, "both frames decode");
-    for frame in &cold1 {
-        let codes = frame.reconstruction.code_image().as_slice();
-        assert!(codes.iter().all(|v| v.is_finite()), "non-finite code");
-        assert!(frame.reconstruction.stats().residual_norm.is_finite());
-    }
-    let warm2 = decode(&wire, params, &warm_cache, 2);
-    assert_eq!(warm2, cold1, "warm threads(2) != cold threads(1)");
-    let warm1 = decode(&wire, params, &warm_cache, 1);
-    assert_eq!(warm1, cold1, "warm threads(1) != cold threads(1)");
-    let cold2 = decode(&wire, params, &OperatorCache::shared(), 2);
-    assert_eq!(cold2, cold1, "cold threads(2) != cold threads(1)");
+    let scene = if case.zero_scene {
+        Scene::Uniform(0.0)
+    } else {
+        Scene::natural_like()
+    };
+    let wire = encode(&imager, &scene, case.seed);
+    assert_decodes_deterministically(&wire, params);
 
     tally.decoded += 1;
     tally.tiled += usize::from(imager.is_tiled());
@@ -171,6 +157,35 @@ fn run_case(case: &Case, tally: &mut Tally) {
     tally.atoms_beyond_k += usize::from(atoms >= k);
     tally.extreme_ratios += usize::from(case.ratio < 0.05 || case.ratio > 0.95);
     tally.zero_scenes += usize::from(case.zero_scene);
+}
+
+/// Two captures of `scene` (seeded `seed`, `seed + 1`) as one stream.
+fn encode(imager: &CompressiveImager, scene: &Scene, seed: u64) -> Vec<u8> {
+    let (rows, cols) = (imager.geometry().height(), imager.geometry().width());
+    let mut enc = EncodeSession::new(imager.clone()).unwrap();
+    for i in 0..2 {
+        enc.capture(&scene.render(cols, rows, seed + i)).unwrap();
+    }
+    enc.into_bytes()
+}
+
+/// Both frames of `wire` decode to finite codes, identically at
+/// threads(1) and threads(2), cold and warm.
+fn assert_decodes_deterministically(wire: &[u8], params: RecoveryParams) {
+    let warm_cache = OperatorCache::shared();
+    let cold1 = decode(wire, params, &warm_cache, 1);
+    assert_eq!(cold1.len(), 2, "both frames decode");
+    for frame in &cold1 {
+        let codes = frame.reconstruction.code_image().as_slice();
+        assert!(codes.iter().all(|v| v.is_finite()), "non-finite code");
+        assert!(frame.reconstruction.stats().residual_norm.is_finite());
+    }
+    let warm2 = decode(wire, params, &warm_cache, 2);
+    assert_eq!(warm2, cold1, "warm threads(2) != cold threads(1)");
+    let warm1 = decode(wire, params, &warm_cache, 1);
+    assert_eq!(warm1, cold1, "warm threads(1) != cold threads(1)");
+    let cold2 = decode(wire, params, &OperatorCache::shared(), 2);
+    assert_eq!(cold2, cold1, "cold threads(2) != cold threads(1)");
 }
 
 /// Seeded OMP decoder-config fuzz (see the module docs).
@@ -196,6 +211,156 @@ fn fuzzed_omp_decodes_are_finite_and_deterministic() {
             && tally.atoms_beyond_k >= 20
             && tally.extreme_ratios >= 30
             && tally.zero_scenes >= 20,
+        "{tally:?}"
+    );
+}
+
+/// The geometry classes of the other-solver sweep, by the DCT path
+/// their tiles take.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Power-of-two tiles: the transposed Lee row pass, one row block.
+    PowerOfTwo,
+    /// Non-power-of-two tiles: the basis-matrix path.
+    Odd,
+    /// 40×64 frames: the Lee row pass over two fused row blocks
+    /// (32 + 8 rows), the basis-matrix column pass.
+    Wide,
+}
+
+/// What the other-solver sweep exercised, by the tile geometry each
+/// decode ran on.
+#[derive(Debug, Default)]
+struct SolverTally {
+    decoded: usize,
+    tiled: usize,
+    /// Power-of-two tiles in both dimensions.
+    pow2: usize,
+    /// Non-power-of-two tiles in both dimensions.
+    odd: usize,
+    /// 64-wide tiles that stream more than one fused row block.
+    two_blocks: usize,
+    debiased: usize,
+}
+
+/// Every solver but OMP, with and without debias where it has one, at
+/// iteration caps that keep the debug run short.
+fn other_solvers(rng: &mut SplitMix64) -> Vec<SolverKind> {
+    let iters = |rng: &mut SplitMix64| 4 + pick(rng, 20);
+    let mut solvers = Vec::new();
+    for debias in [false, true] {
+        let lambda_ratio = 0.005 + 0.1 * rng.next_f64();
+        solvers.push(SolverKind::Fista {
+            lambda_ratio,
+            max_iter: iters(rng),
+            debias,
+        });
+        solvers.push(SolverKind::Ista {
+            lambda_ratio,
+            max_iter: iters(rng),
+            debias,
+        });
+        solvers.push(SolverKind::Amp {
+            max_iter: iters(rng),
+            debias,
+        });
+    }
+    solvers.push(SolverKind::Iht {
+        sparsity: 1 + pick(rng, 30),
+    });
+    solvers.push(SolverKind::CoSamp {
+        sparsity: 1 + pick(rng, 12),
+    });
+    solvers.push(SolverKind::Cgls {
+        max_iter: iters(rng),
+    });
+    solvers
+}
+
+/// Seeded decoder-config fuzz over every solver but OMP (see the module
+/// docs): each solver meets the power-of-two and non-power-of-two
+/// classes twice and the wide class once.
+#[test]
+fn fuzzed_other_solver_decodes_are_finite_and_deterministic() {
+    let mut rng = SplitMix64::new(0x0501_7E25);
+    let mut tally = SolverTally::default();
+    for round in 0..2 {
+        let shapes: &[Shape] = match round {
+            0 => &[Shape::PowerOfTwo, Shape::Odd, Shape::Wide],
+            _ => &[Shape::PowerOfTwo, Shape::Odd],
+        };
+        for (i, solver) in other_solvers(&mut rng).into_iter().enumerate() {
+            for (s, &shape) in shapes.iter().enumerate() {
+                let side = |rng: &mut SplitMix64| match shape {
+                    Shape::PowerOfTwo => [8, 16, 32][pick(rng, 3)],
+                    _ => [6, 12, 20][pick(rng, 3)],
+                };
+                let tile = (shape != Shape::Wide && pick(&mut rng, 3) == 0).then(|| side(&mut rng));
+                let (rows, cols) = match (shape, tile) {
+                    (Shape::Wide, _) => (40, 64),
+                    (_, Some(t)) => (t + pick(&mut rng, t / 2), t + 1 + pick(&mut rng, t)),
+                    (_, None) => (side(&mut rng), side(&mut rng)),
+                };
+                let dictionary = [
+                    DictionaryKind::Dct2d,
+                    DictionaryKind::Dct2d,
+                    DictionaryKind::Haar2d,
+                    DictionaryKind::Identity,
+                ][pick(&mut rng, 4)];
+                let ratio = match shape {
+                    Shape::Wide => 0.05 + 0.15 * rng.next_f64(),
+                    _ => 0.08 + 0.32 * rng.next_f64(),
+                };
+                let seed = rng.next_u64();
+                let mut builder = CompressiveImager::builder(rows, cols);
+                builder
+                    .ratio(ratio)
+                    .fidelity(Fidelity::Functional)
+                    .seed(seed);
+                if let Some(t) = tile {
+                    builder.tiling(TileConfig::new(t).overlap(pick(&mut rng, t / 2)));
+                }
+                let imager = builder.build().unwrap();
+                let params = RecoveryParams { solver, dictionary };
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let wire = encode(&imager, &Scene::natural_like(), seed);
+                    assert_decodes_deterministically(&wire, params);
+                }));
+                if let Err(payload) = outcome {
+                    eprintln!(
+                        "round {round} solver {i} shape {s}: {rows}×{cols} tile {tile:?} \
+                         ratio {ratio} {params:?}"
+                    );
+                    panic::resume_unwind(payload);
+                }
+                // Tally the tile geometry each decode actually ran on.
+                let (th, tw) = match imager.tile_imager() {
+                    Some(t) => (t.geometry().height(), t.geometry().width()),
+                    None => (rows, cols),
+                };
+                tally.decoded += 1;
+                tally.tiled += usize::from(imager.is_tiled());
+                tally.pow2 += usize::from(th.is_power_of_two() && tw.is_power_of_two());
+                tally.odd += usize::from(!th.is_power_of_two() && !tw.is_power_of_two());
+                tally.two_blocks +=
+                    usize::from(tw == 64 && tepics::cs::fused::fused_block_rows(th, tw) < th);
+                tally.debiased += usize::from(matches!(
+                    solver,
+                    SolverKind::Fista { debias: true, .. }
+                        | SolverKind::Ista { debias: true, .. }
+                        | SolverKind::Amp { debias: true, .. }
+                ));
+            }
+        }
+    }
+    // 9 solver configs × (3 + 2) shapes.
+    assert!(
+        tally.decoded == 45
+            && tally.tiled >= 5
+            && tally.pow2 == 18
+            && tally.odd == 18
+            && tally.two_blocks == 9
+            && tally.debiased == 15,
         "{tally:?}"
     );
 }

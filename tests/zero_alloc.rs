@@ -1,6 +1,7 @@
 //! Dynamic complement to `tepics-tidy`'s static `// tidy:alloc-free`
 //! regions: a counting global allocator proves at runtime that the warm
-//! solver loops, the warm serial tiled-decode path and the per-sample
+//! solver loops, a warm Gram column and a warm two-block composed
+//! adjoint, the warm serial tiled-decode path and the per-sample
 //! capture loop do not touch the heap. OMP is measured without a Gram
 //! store, with one prefilled by an earlier solve, and with one full to
 //! its cap; only admissions into a store allocate, so the differential
@@ -242,6 +243,70 @@ fn full_gram_store_admits_nothing_and_omp_allocates_only_its_result() {
     assert_eq!(
         allocs, 1,
         "OMP on a full store should allocate exactly the returned coefficient vector"
+    );
+}
+
+/// The decoder's composed operator at `side`×`side` with `k` samples.
+fn composed_square(
+    side: usize,
+    k: usize,
+    seed: u64,
+) -> (XorMeasurement, ZeroMeanDictionary<Dct2dDictionary>) {
+    let mut rng = SplitMix64::new(seed);
+    let patterns: Vec<BitVec> = (0..k)
+        .map(|_| BitVec::from_bools((0..2 * side).map(|_| rng.next_bool())))
+        .collect();
+    let phi = XorMeasurement::from_patterns(side, side, patterns);
+    let psi = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
+    (phi, psi)
+}
+
+/// A Gram column — one closed-form atom column and one fused composed
+/// adjoint, whose DCT row pass transposes each row block — allocates
+/// nothing once the operator's scratch is warm: computing one column or
+/// sixty-four costs zero allocations. The same holds for a 64×64
+/// composed adjoint and apply, which stream two row blocks each. So the
+/// transposed block lives in the dictionary scratch the operator keeps,
+/// not in a new or thread-local buffer.
+#[test]
+fn warm_gram_columns_and_two_block_adjoints_allocate_nothing() {
+    let (phi, psi) = composed_square(32, 359, 0x6_7A4);
+    let a = ComposedOperator::new(&phi, &psi)
+        .with_gram_store(Arc::new(GramStore::new(phi.rows(), psi.atoms())));
+    let mut atom = vec![0.0; a.rows()];
+    let mut g = vec![0.0; a.cols()];
+    gram_column_into(&a, 1, &mut atom, &mut g);
+    let (one, ()) = count_allocs(|| gram_column_into(&a, 2, &mut atom, &mut g));
+    let (many, ()) = count_allocs(|| {
+        for j in (0..a.cols()).step_by(16) {
+            gram_column_into(&a, j, &mut atom, &mut g);
+        }
+    });
+    assert_eq!((one, many), (0, 0), "warm Gram columns allocate");
+
+    let (phi, psi) = composed_square(64, 1434, 0x6464);
+    assert_eq!(tepics::cs::fused::fused_block_rows(64, 64), 32);
+    let a = ComposedOperator::new(&phi, &psi);
+    let mut rng = SplitMix64::new(5);
+    let y: Vec<f64> = (0..a.rows()).map(|_| rng.next_gaussian()).collect();
+    let alpha: Vec<f64> = (0..a.cols()).map(|_| rng.next_gaussian()).collect();
+    let (mut out_cols, mut out_rows) = (vec![0.0; a.cols()], vec![0.0; a.rows()]);
+    a.apply_adjoint(&y, &mut out_cols);
+    a.apply(&alpha, &mut out_rows);
+    let (adjoints, ()) = count_allocs(|| {
+        for _ in 0..4 {
+            a.apply_adjoint(&y, &mut out_cols);
+        }
+    });
+    let (applies, ()) = count_allocs(|| {
+        for _ in 0..4 {
+            a.apply(&alpha, &mut out_rows);
+        }
+    });
+    assert_eq!(
+        (adjoints, applies),
+        (0, 0),
+        "warm 64×64 composed adjoint / apply allocate"
     );
 }
 
