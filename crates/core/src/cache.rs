@@ -852,9 +852,17 @@ mod tests {
     }
 
     /// A Gram store counts against the byte budget like any entry: it
-    /// evicts older entries to fit, and is itself evicted whole.
+    /// evicts older entries to fit, and is itself evicted whole. At 40
+    /// rows OMP holds four measurements out, so each of the 40 slots is
+    /// booked at 256 training Gram values plus 4 held-out ones.
     #[test]
     fn gram_stores_count_against_the_byte_budget() {
+        let slot = std::mem::size_of::<std::sync::OnceLock<Option<Box<[f64]>>>>();
+        assert_eq!(GramStore::new(40, 256).column_len(), 256 + 4);
+        assert_eq!(
+            GramStore::new(40, 256).bytes(),
+            40 * (256 + 4) * 8 + 256 * slot
+        );
         let store_bytes = ENTRY_OVERHEAD + GramStore::new(40, 256).bytes();
         let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(store_bytes * 2));
         let first = cache.gram_store(&key(1, 40), DictionaryKind::Dct2d, || {

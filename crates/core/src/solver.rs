@@ -59,7 +59,8 @@ pub enum SolverKind {
         /// Target sparsity.
         sparsity: usize,
     },
-    /// Orthogonal matching pursuit with an atom budget.
+    /// Orthogonal matching pursuit with an atom cap; each solve stops
+    /// at its held-out-residual minimum (see `tepics_recovery::omp`).
     Omp {
         /// Maximum atoms to select.
         atoms: usize,
@@ -318,8 +319,8 @@ impl RecoveryParams {
         }
     }
 
-    /// Exactly-sparse coefficient recovery with a known budget: OMP over
-    /// the DCT.
+    /// Sparse coefficient recovery with an atom cap: OMP over the DCT,
+    /// stopped per tile where its held-out residual is least.
     #[must_use]
     pub fn exact_sparse(atoms: usize) -> Self {
         RecoveryParams {

@@ -10,11 +10,33 @@
 //! [`ComposedOperator`](crate::ComposedOperator) with an attached store
 //! answers [`LinearOperator::gram_store`] with it.
 //!
+//! # Held-out rows and the slot layout
+//!
+//! OMP stops each solve where the residual on a few held-out
+//! measurements is least (see `tepics_recovery::omp`). The held-out
+//! rows are [`held_out_rows`]: every tenth row (`r % 10 == 9`) of an
+//! operator with at least 40 rows, none below. The subset depends on
+//! the row count `K` alone, so every tile of a key and every frame see
+//! the same split and keep sharing one store. Rule-30 rows are already
+//! pseudo-random, so a stride is a fair sample.
+//!
+//! A slot therefore holds [`GramStore::column_len`] `= N + m_cv` values
+//! for a `K × N` operator with `m_cv` held-out rows:
+//!
+//! * the head, `N` values: the training Gram column `Aᵀ(mask ⊙ a_j)`,
+//!   where `mask` zeroes the held-out rows;
+//! * the tail, `m_cv` values: the held-out entries `a_j[cv]` of the
+//!   atom itself.
+//!
+//! [`gram_column_into`] computes both from one `a_j = A e_j`, so the
+//! solve needs no extra operator call. Without held-out rows the slot
+//! is the plain Gram column.
+//!
 //! # The cap
 //!
 //! A full Gram is `N` columns of `N` values (8 MiB in `f64` at 32×32),
 //! more than a decoder can afford per key. The store therefore holds at
-//! most `min(K, N)` columns for a `K × N` operator: exactly the bytes of
+//! most `min(K, N)` columns for a `K × N` operator: about the bytes of
 //! the `K × N` column view the greedy solvers used to materialize, and
 //! a cap derived from the operator alone. Admission is first-come and
 //! single-flight per column: the first request for a column reserves a
@@ -33,12 +55,68 @@ use std::sync::OnceLock;
 
 use crate::op::LinearOperator;
 
+/// Operators with fewer rows than this hold no row out.
+const HOLD_OUT_MIN_ROWS: usize = 40;
+
+/// One row in this many is held out.
+const HOLD_OUT_STRIDE: usize = 10;
+
+/// The held-out rows of a `rows`-row operator, ascending: every tenth
+/// row (`r % 10 == 9`) once `rows ≥ 40`, none below (see the
+/// [module docs](self)).
+///
+/// # Examples
+///
+/// ```
+/// use tepics_cs::gram::held_out_rows;
+///
+/// assert_eq!(held_out_rows(39).count(), 0);
+/// assert_eq!(held_out_rows(45).collect::<Vec<_>>(), [9, 19, 29, 39]);
+/// assert_eq!(held_out_rows(359).count(), 35);
+/// ```
+pub fn held_out_rows(rows: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+    let end = if rows >= HOLD_OUT_MIN_ROWS { rows } else { 0 };
+    (HOLD_OUT_STRIDE - 1..end).step_by(HOLD_OUT_STRIDE)
+}
+
+/// How many rows [`held_out_rows`] holds out of a `rows`-row operator.
+#[must_use]
+pub fn held_out_count(rows: usize) -> usize {
+    if rows >= HOLD_OUT_MIN_ROWS {
+        rows / HOLD_OUT_STRIDE
+    } else {
+        0
+    }
+}
+
+/// Moves the held-out entries of the measurement-length `v` into `held`
+/// (length [`held_out_count`]`(v.len())`) and zeroes them in `v`, which
+/// then holds `mask ⊙ v`. The one definition of the split: Gram slots
+/// and OMP's right-hand side both go through it.
+///
+/// # Panics
+///
+/// Panics if `held.len()` is not the held-out count of `v.len()`.
+// tidy:alloc-free
+pub fn hold_out_in_place(v: &mut [f64], held: &mut [f64]) {
+    assert_eq!(
+        held.len(),
+        held_out_count(v.len()),
+        "held-out length mismatch"
+    );
+    for (h, r) in held.iter_mut().zip(held_out_rows(v.len())) {
+        *h = v[r];
+        v[r] = 0.0;
+    }
+}
+
 /// One column slot: `Some` once admitted, `None` once turned away by a
 /// full store, uninitialized before its first request.
 type Slot = OnceLock<Option<Box<[f64]>>>;
 
-/// Up to `min(rows, cols)` memoized Gram columns `G[:, j] = Aᵀ a_j` of
-/// one `rows × cols` operator (see the [module docs](self)).
+/// Up to `min(rows, cols)` memoized Gram slots of one `rows × cols`
+/// operator: the training Gram column `Aᵀ(mask ⊙ a_j)` followed by the
+/// held-out entries `a_j[cv]` (see the [module docs](self)).
 ///
 /// Shared via `Arc` across the solves and threads decoding one
 /// operator; the core crate's `OperatorCache` keeps one per operator
@@ -53,6 +131,7 @@ type Slot = OnceLock<Option<Box<[f64]>>>;
 /// let a = DenseMatrix::from_rows(&[vec![1.0, 2.0, 0.0], vec![0.0, 1.0, 1.0]]);
 /// let store = GramStore::new(2, 3);
 /// assert_eq!(store.capacity(), 2);
+/// assert_eq!(store.column_len(), 3, "two rows hold nothing out");
 /// let mut atom = vec![0.0; 2];
 /// let g1 = store
 ///     .column_or_admit(1, |out| gram_column_into(&a, 1, &mut atom, out))
@@ -65,6 +144,7 @@ type Slot = OnceLock<Option<Box<[f64]>>>;
 pub struct GramStore {
     rows: usize,
     cols: usize,
+    len: usize,
     cap: usize,
     admitted: AtomicUsize,
     slots: Box<[Slot]>,
@@ -78,6 +158,7 @@ impl GramStore {
         GramStore {
             rows,
             cols,
+            len: cols + held_out_count(rows),
             cap: rows.min(cols),
             admitted: AtomicUsize::new(0),
             slots: (0..cols).map(|_| Slot::new()).collect(),
@@ -90,10 +171,17 @@ impl GramStore {
         self.rows
     }
 
-    /// Columns of the operator, and the length of every Gram column.
+    /// Columns of the operator.
     #[must_use]
     pub fn cols(&self) -> usize {
         self.cols
+    }
+
+    /// The length of every slot: `cols()` training Gram entries plus
+    /// [`held_out_count`]`(rows())` held-out atom entries.
+    #[must_use]
+    pub fn column_len(&self) -> usize {
+        self.len
     }
 
     /// The most columns the store will ever hold, `min(rows, cols)`.
@@ -109,12 +197,12 @@ impl GramStore {
     }
 
     /// The capped footprint in bytes, for cache accounting: a full
-    /// store's columns plus the per-column slots. A cache books it in
+    /// store's `column_len()`-value columns plus the per-column slots. A cache books it in
     /// full when the store is created, so admissions never move the
     /// accounted total.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.cap * self.cols * std::mem::size_of::<f64>() + self.cols * std::mem::size_of::<Slot>()
+        self.cap * self.len * std::mem::size_of::<f64>() + self.cols * std::mem::size_of::<Slot>()
     }
 
     /// Column `j` if it is admitted: the hit path, one atomic load.
@@ -129,7 +217,8 @@ impl GramStore {
     }
 
     /// Column `j`, admitting it on its first request while the store
-    /// has room: `fill` then writes `G[:, j]` into the new column. Other
+    /// has room: `fill` then writes the slot (as [`gram_column_into`]
+    /// does) into the new column. Other
     /// requesters of the same column wait for that one computation.
     /// Returns `None` when the column was turned away because the store
     /// was full at its first request; the caller computes it itself.
@@ -152,7 +241,7 @@ impl GramStore {
                         });
                 ticket.ok().map(|_| {
                     // tidy:allow(alloc: admission, at most `capacity` columns over the store's life)
-                    let mut column = vec![0.0; self.cols].into_boxed_slice();
+                    let mut column = vec![0.0; self.len].into_boxed_slice();
                     fill(&mut column);
                     column
                 })
@@ -161,10 +250,14 @@ impl GramStore {
     }
 }
 
-/// Writes the Gram column `G[:, j] = Aᵀ a_j` into `out`, with `atom`
-/// (length `a.rows()`) as scratch for `a_j`. The one definition of a
-/// Gram column: the store's admissions and the solver's own misses
-/// both call it, so a column is bit-identical wherever it was computed.
+/// Writes the Gram slot of atom `j` into `out` (length `a.cols()` plus
+/// [`held_out_count`]`(a.rows())`): the training Gram column
+/// `Aᵀ(mask ⊙ a_j)` followed by the held-out entries `a_j[cv]`, with
+/// `atom` (length `a.rows()`) as scratch for `a_j`. Without held-out
+/// rows that is the plain Gram column `G[:, j] = Aᵀ a_j`. The one
+/// definition of a slot: the store's admissions and the solver's own
+/// misses both call it, so a slot is bit-identical wherever it was
+/// computed.
 ///
 /// # Panics
 ///
@@ -176,8 +269,10 @@ pub fn gram_column_into<A: LinearOperator + ?Sized>(
     atom: &mut [f64],
     out: &mut [f64],
 ) {
+    let (gram, held) = out.split_at_mut(a.cols());
     a.column_into(j, atom);
-    a.apply_adjoint(atom, out);
+    hold_out_in_place(atom, held);
+    a.apply_adjoint(atom, gram);
 }
 
 #[cfg(test)]
@@ -227,6 +322,59 @@ mod tests {
             .is_none());
         assert!(store.column(7).is_none());
         assert_eq!(store.bytes(), 6 * 10 * 8 + 10 * std::mem::size_of::<Slot>());
+    }
+
+    #[test]
+    fn slots_hold_the_training_gram_then_the_held_out_entries() {
+        // 45 rows hold out rows 9, 19, 29 and 39.
+        let a = DenseMatrix::from_fn(45, 12, |r, c| ((r * 5 + c * 11) % 7) as f64 - 3.0);
+        let held: Vec<usize> = held_out_rows(45).collect();
+        assert_eq!(held, [9, 19, 29, 39]);
+        assert_eq!(held_out_count(45), held.len());
+        let store = GramStore::new(a.rows(), a.cols());
+        assert_eq!(store.column_len(), 12 + 4);
+        assert_eq!(store.capacity(), 12);
+        let mut atom = vec![0.0; a.rows()];
+        for j in [0, 7, 11] {
+            let got = store
+                .column_or_admit(j, |out| gram_column_into(&a, j, &mut atom, out))
+                .unwrap();
+            let mut masked = a.column(j);
+            let tail: Vec<f64> = held.iter().map(|&r| masked[r]).collect();
+            for &r in &held {
+                masked[r] = 0.0;
+            }
+            assert_eq!(
+                &got[..12],
+                a.apply_adjoint_vec(&masked).as_slice(),
+                "head {j}"
+            );
+            assert_eq!(&got[12..], tail.as_slice(), "tail {j}");
+        }
+        // Booked in full: every slot at its held-out length.
+        assert_eq!(
+            store.bytes(),
+            12 * (12 + 4) * 8 + 12 * std::mem::size_of::<Slot>()
+        );
+        // Below 40 rows nothing is held out and a slot is G[:, j].
+        assert_eq!(held_out_rows(39).count(), 0);
+        assert_eq!(GramStore::new(39, 12).column_len(), 12);
+    }
+
+    #[test]
+    fn hold_out_in_place_moves_exactly_the_held_rows() {
+        let mut v: Vec<f64> = (0..40).map(f64::from).collect();
+        let mut held = vec![0.0; 4];
+        hold_out_in_place(&mut v, &mut held);
+        assert_eq!(held, [9.0, 19.0, 29.0, 39.0]);
+        for (r, &x) in v.iter().enumerate() {
+            let want = if r % 10 == 9 { 0.0 } else { r as f64 };
+            assert_eq!(x, want, "row {r}");
+        }
+        let mut short: Vec<f64> = (0..39).map(f64::from).collect();
+        let before = short.clone();
+        hold_out_in_place(&mut short, &mut []);
+        assert_eq!(short, before);
     }
 
     #[test]

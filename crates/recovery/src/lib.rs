@@ -10,7 +10,8 @@
 //! * [`Fista`] / [`Ista`] — proximal-gradient ℓ1 solvers (LASSO), the
 //!   workhorse for full-frame reconstruction.
 //! * [`Omp`] — orthogonal matching pursuit with incremental Cholesky,
-//!   the standard block-based decoder.
+//!   the standard block-based decoder, stopped where the residual on a
+//!   few held-out measurements is least.
 //! * [`CoSaMP`](cosamp::CoSaMp) — compressive sampling matching pursuit.
 //! * [`Iht`] — (normalized) iterative hard thresholding.
 //! * [`Amp`] — approximate message passing with Onsager correction

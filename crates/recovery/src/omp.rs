@@ -36,22 +36,66 @@
 //! of the operator and the atom, so results never depend on what the
 //! store holds, on warmth, or on the thread that filled it.
 //!
-//! The residual norm `‖y‖² − γᵀα⁰_I` comes for free but cancels to
-//! noise once `‖r‖²` falls below about `1e-8·‖y‖²`. A tracked value at
-//! or below the stop threshold (or that floor) is therefore confirmed
-//! with one explicit forward application, and the reported
+//! # Where to stop: the held-out residual
+//!
+//! A fixed atom budget is the wrong stop for real content: past some
+//! support size each new atom fits noise and the tile gets worse, and
+//! that size differs from tile to tile. So the pursuit holds out a few
+//! measurements, runs on the rest, and stops where the residual on the
+//! held-out ones is least (P. Boufounos, M. Duarte and R. Baraniuk,
+//! IEEE SSP 2007; R. Ward, "Compressed sensing with cross validation",
+//! IEEE T-IT 2009, which also shows that this residual estimates the
+//! reconstruction error). `max_atoms` is only the cap.
+//!
+//! * The held-out rows are
+//!   [`held_out_rows`](tepics_cs::gram::held_out_rows): every tenth row
+//!   once `K ≥ 40`, none below, in which case the pursuit runs exactly
+//!   as plain Batch-OMP. They depend on `K` alone, so every tile of a
+//!   key and every frame share one Gram store.
+//! * A Gram slot holds the training column `Aᵀ(mask ⊙ a_j)` and the
+//!   held-out entries `a_j[cv]` (see [`tepics_cs::gram`]). `α⁰` is
+//!   `Aᵀ(mask ⊙ y)` followed by `y_cv`, so the one update
+//!   `α = α⁰ − Σ_I slot_i·γ_i` yields both the training correlations
+//!   and the held-out residual `r_cv = y_cv − A_cv,I·γ_I`, at
+//!   `O(m_cv·|I|)` extra cost.
+//! * The pursuit remembers the support size and `γ` with the least
+//!   `‖r_cv‖` (the empty support included) and stops once `PATIENCE`
+//!   further atoms brought no new minimum, or at the cap; it then
+//!   truncates to the best support.
+//! * The chosen support is re-fitted on all `K` rows from stored values
+//!   only: `(G_train,II + A_cv,Iᵀ A_cv,I) γ = α⁰_I + A_cv,Iᵀ y_cv`, one
+//!   small Cholesky. If that factor fails, the training `γ` stays.
+//!
+//! The training residual norm `‖y_train‖² − γᵀα⁰_I` comes for free but
+//! cancels to noise once it falls below about `1e-8·‖y_train‖²`. A
+//! tracked value at or below the stop threshold (or that floor) is
+//! therefore confirmed with one explicit forward application on all
+//! rows, and the reported
 //! [`residual_norm`](crate::SolveStats::residual_norm) always comes
-//! from one.
+//! from one. A tracked or held-out residual that is not finite, or a
+//! final residual or coefficient that is not, ends the solve with
+//! [`RecoveryError::Breakdown`]: the pursuit never returns non-finite
+//! coefficients.
 
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
 use crate::{check_dims, Recovery, RecoveryError, SolveStats};
-use tepics_cs::gram::gram_column_into;
+use tepics_cs::gram::{gram_column_into, held_out_count, hold_out_in_place};
 use tepics_cs::op::{self, LinearOperator};
 
 /// The relative `‖r‖²/‖y‖²` below which the tracked residual norm is
 /// cancellation noise and must be confirmed explicitly.
 const TRACKED_FLOOR: f64 = 1e-8;
+
+/// Atoms past the held-out residual's last minimum after which the
+/// pursuit stops. Measured with `codecbench` (32×32 tiles, `K = 359`,
+/// cap 100, 2-core x86-64): at 8, `fleet32_cold`'s `psnr_db` fell below
+/// fixed 100-atom OMP (37.46 vs 37.68 dB); at 12 it rose to 38.07 and
+/// `tiled256_lossy` decoded 5.2× as many frames/s. Longer patience
+/// finds the later, lower minima some blob tiles have (20: 38.58 dB)
+/// but cost a third of `tiled256_lossy`'s frames/s, gained nothing on
+/// natural tiles, and grew the peak heap as the Gram store fills.
+const PATIENCE: usize = 12;
 
 /// OMP solver configuration.
 ///
@@ -65,7 +109,9 @@ pub struct Omp {
 }
 
 impl Omp {
-    /// Creates a solver that selects at most `max_atoms` atoms.
+    /// Creates a solver that selects at most `max_atoms` atoms; where
+    /// it stops below that cap is the held-out residual's call (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     ///
@@ -93,7 +139,8 @@ impl Omp {
     /// # Errors
     ///
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator.
+    /// the operator, and [`RecoveryError::Breakdown`] if a residual or
+    /// coefficient stops being finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -103,8 +150,9 @@ impl Omp {
     }
 
     /// Runs the pursuit reusing `workspace` buffers (correlations,
-    /// the selected-flag mask, per-solve Gram columns, the growing
-    /// Cholesky, and the small least-squares vectors); results are
+    /// the selected-flag mask, per-solve Gram slots, the growing
+    /// Cholesky, the best support's coefficients and the re-fit's
+    /// held-out rows, and the small least-squares vectors); results are
     /// bit-identical to [`Omp::solve`], with no allocations inside the
     /// pursuit loop once the workspace is warm, apart from admissions
     /// into an attached Gram store.
@@ -122,9 +170,9 @@ impl Omp {
         check_dims(a.rows(), y)?;
         let n = a.cols();
         let m = a.rows();
-        let y2 = op::dot(y, y);
-        let y_norm = y2.sqrt();
-        let budget = self.max_atoms.min(n).min(m);
+        let held = held_out_count(m);
+        let slot = n + held;
+        let budget = self.max_atoms.min(n).min(m - held);
         let tol = self.residual_tol;
         let store = a.gram_store();
         let SolverWorkspace {
@@ -140,6 +188,8 @@ impl Omp {
             rhs,
             small: coeffs,
             small2: forward,
+            held_best: best,
+            held_atoms: tails,
             chol,
             ..
         } = workspace;
@@ -147,13 +197,18 @@ impl Omp {
             // tidy:allow(alloc: cold-path Cholesky factor; warm workspaces reuse it)
             .get_or_insert_with(|| tepics_cs::chol::GrowingCholesky::with_capacity(budget.max(1)));
         chol.reset(budget.max(1));
+        // α⁰ = [Aᵀ(mask ⊙ y); y_cv], and ‖y‖² over the training rows.
+        atom.clear();
+        atom.extend_from_slice(y);
         alpha0.clear();
-        alpha0.resize(n, 0.0);
-        a.apply_adjoint(y, alpha0);
+        alpha0.resize(slot, 0.0);
+        let (train, held_y) = alpha0.split_at_mut(n);
+        hold_out_in_place(atom, held_y);
+        a.apply_adjoint(atom, train);
+        let y2 = op::dot(atom, atom);
+        let y_norm = op::dot(y, y).sqrt();
         corr.clear();
         corr.extend_from_slice(alpha0);
-        atom.clear();
-        atom.resize(m, 0.0);
         selected.clear();
         selected.resize(n, false);
         residual.clear();
@@ -165,23 +220,29 @@ impl Omp {
         rhs.clear();
         forward.clear();
         coeffs.clear();
+        // The least held-out residual so far; `best` holds γ at it, so
+        // its length is the best support size.
+        let mut best_cv = op::dot(&alpha0[n..], &alpha0[n..]);
+        best.clear();
         let mut converged = y_norm == 0.0;
-        while support.len() < budget && !converged {
-            // Best atom not already selected.
-            let mut best = None;
+        let mut stopped = false;
+        while support.len() < budget && !converged && !stopped {
+            // Best atom not already selected (the zip ends at the N
+            // training correlations).
+            let mut best_atom = None;
             let mut best_mag = 0.0;
             for (j, (&c, &taken)) in corr.iter().zip(selected.iter()).enumerate() {
                 if c.abs() > best_mag && !taken {
                     best_mag = c.abs();
-                    best = Some(j);
+                    best_atom = Some(j);
                 }
             }
-            let Some(j) = best else { break };
+            let Some(j) = best_atom else { break };
             if best_mag < 1e-14 {
                 break; // residual orthogonal to every atom
             }
-            // G[:, j]: a store hit, an admission, or a miss computed into
-            // the workspace for this solve only.
+            // The slot of j: a store hit, an admission, or a miss
+            // computed into the workspace for this solve only.
             let stored =
                 store.and_then(|s| s.column_or_admit(j, |g| gram_column_into(a, j, atom, g)));
             let g = match stored {
@@ -190,8 +251,8 @@ impl Omp {
                     let start = misses.len();
                     // Capacity tracks the most misses a solve on this
                     // workspace has needed, not the atom budget.
-                    misses.reserve_exact(n);
-                    misses.resize(start + n, 0.0);
+                    misses.reserve_exact(slot);
+                    misses.resize(start + slot, 0.0);
                     gram_column_into(a, j, atom, &mut misses[start..]);
                     &misses[start..]
                 }
@@ -210,10 +271,11 @@ impl Omp {
             // new atom's entry and forward-substitutes only its row.
             rhs.push(alpha0[j]);
             chol.solve_into(rhs, coeffs, forward);
-            // α = α⁰ − G[:, I]·γ_I. Selected atoms read their column from
-            // the store, or else the next miss in selection order.
+            // [α; r_cv] = α⁰ − Σ_I slot_i·γ_i. Selected atoms read their
+            // slot from the store, or else the next miss in selection
+            // order.
             corr.copy_from_slice(alpha0);
-            let mut local = misses.chunks_exact(n);
+            let mut local = misses.chunks_exact(slot);
             let mut quad: [(&[f64], f64); 4] = [(&[], 0.0); 4];
             for (t, (&i, &c)) in support.iter().zip(coeffs.iter()).enumerate() {
                 let gi = store
@@ -230,6 +292,19 @@ impl Omp {
             }
             residual_fresh = false;
             let tracked = y2 - op::dot(coeffs, rhs);
+            let cv = op::dot(&corr[n..], &corr[n..]);
+            if !tracked.is_finite() || !cv.is_finite() {
+                return Err(breakdown("a tracked residual is not finite"));
+            }
+            if held > 0 {
+                if cv < best_cv {
+                    best_cv = cv;
+                    best.clear();
+                    best.extend_from_slice(coeffs);
+                } else if support.len() - best.len() >= PATIENCE {
+                    stopped = true;
+                }
+            }
             if tracked <= (tol * tol).max(TRACKED_FLOOR) * y2 {
                 x.clear();
                 x.resize(n, 0.0);
@@ -241,6 +316,52 @@ impl Omp {
                 converged = op::norm2(residual) <= tol * y_norm.max(1e-300);
             }
         }
+        if held > 0 && !support.is_empty() {
+            // A confirmed fit is its own best; otherwise truncate to the
+            // held-out minimum.
+            if !converged && best.len() < support.len() {
+                support.truncate(best.len());
+                coeffs.clear();
+                coeffs.extend_from_slice(best);
+            }
+            if !support.is_empty() {
+                // Re-fit on all K rows from the stored slots alone:
+                // (G_train,II + A_cv,Iᵀ A_cv,I) γ = α⁰_I + A_cv,Iᵀ y_cv,
+                // with `tails` gathering A_cv,I atom by atom. A failed
+                // factor keeps the training γ.
+                let (train, held_y) = alpha0.split_at(n);
+                let mut local = misses.chunks_exact(slot);
+                chol.reset(support.len());
+                rhs.clear();
+                tails.clear();
+                let mut factored = true;
+                for (t, &i) in support.iter().enumerate() {
+                    let g = store
+                        .and_then(|s| s.column(i))
+                        .or_else(|| local.next())
+                        .unwrap_or_default();
+                    let tail = &g[n..];
+                    cross.clear();
+                    cross.extend(
+                        support[..t]
+                            .iter()
+                            .zip(tails.chunks_exact(held))
+                            .map(|(&s, ts)| g[s] + op::dot(tail, ts)),
+                    );
+                    if chol.push(cross, g[i] + op::dot(tail, tail)).is_err() {
+                        factored = false;
+                        break;
+                    }
+                    rhs.push(train[i] + op::dot(tail, held_y));
+                    tails.extend_from_slice(tail);
+                }
+                if factored {
+                    forward.clear();
+                    chol.solve_into(rhs, coeffs, forward);
+                }
+                residual_fresh = false;
+            }
+        }
         // tidy:allow(alloc: the returned coefficient vector, once per solve)
         let mut full = vec![0.0; n];
         for (&j, &c) in support.iter().zip(coeffs.iter()) {
@@ -249,15 +370,26 @@ impl Omp {
         if !residual_fresh {
             residual_into(a, &full, y, residual);
         }
+        let residual_norm = op::norm2(residual);
+        if !residual_norm.is_finite() || !coeffs.iter().all(|c| c.is_finite()) {
+            return Err(breakdown("the fitted residual is not finite"));
+        }
         Ok(Recovery {
             coefficients: full,
             stats: SolveStats {
                 iterations: support.len(),
-                residual_norm: op::norm2(residual),
-                converged,
+                residual_norm,
+                converged: converged || stopped,
             },
         })
     }
+}
+
+/// The error for a solve whose numbers stopped being finite.
+#[cold]
+fn breakdown(what: &str) -> RecoveryError {
+    // tidy:allow(alloc: the error message, once, on the failure path)
+    RecoveryError::Breakdown(format!("OMP: {what}"))
 }
 
 /// `corr −= Σ c·g` over four Gram columns in one pass, so the
@@ -397,33 +529,155 @@ mod tests {
 
     #[test]
     fn gram_store_leaves_results_bit_identical() {
-        // A stored Gram column equals the one a miss computes, so cold,
-        // warm and full stores all reproduce the store-less solve.
-        let (a, _, y) = gaussian_problem(30, 80, 5, 99);
-        let plain = Omp::new(12).solve(&a, &y).unwrap();
-        let stored = Stored {
-            a: &a,
-            store: GramStore::new(30, 80),
-        };
-        let cold = Omp::new(12).solve(&stored, &y).unwrap();
-        let warm = Omp::new(12).solve(&stored, &y).unwrap();
-        assert_eq!(plain, cold);
-        assert_eq!(plain, warm);
-        assert_eq!(stored.store.admitted(), plain.stats.iterations);
-        // A store filled to its cap with the last 30 columns turns the
-        // solve's other atoms away; they become per-solve misses.
-        let full = Stored {
-            a: &a,
-            store: GramStore::new(30, 80),
-        };
-        let mut atom = vec![0.0; 30];
-        for j in 50..80 {
-            full.store
-                .column_or_admit(j, |g| gram_column_into(&a, j, &mut atom, g));
+        // A stored Gram slot equals the one a miss computes, so cold,
+        // warm and full stores all reproduce the store-less solve, with
+        // the hold-out off (30 rows) and on (60 rows, six held out, a
+        // noisy y so the held-out minimum ends the solve).
+        for (rows, atoms, noise) in [(30, 12, 0.0), (60, 30, 0.05)] {
+            let (a, _, mut y) = gaussian_problem(rows, 80, 5, 99);
+            let mut rng = SplitMix64::new(7);
+            y.iter_mut().for_each(|v| *v += noise * rng.next_gaussian());
+            let plain = Omp::new(atoms).solve(&a, &y).unwrap();
+            let stored = Stored {
+                a: &a,
+                store: GramStore::new(rows, 80),
+            };
+            let cold = Omp::new(atoms).solve(&stored, &y).unwrap();
+            let warm = Omp::new(atoms).solve(&stored, &y).unwrap();
+            assert_eq!(plain, cold, "{rows} rows");
+            assert_eq!(plain, warm, "{rows} rows");
+            // Every selected atom was admitted; with the hold-out the
+            // pursuit also selected the atoms it then truncated.
+            let admitted = stored.store.admitted();
+            assert!(admitted >= plain.stats.iterations, "{rows} rows");
+            assert_eq!(
+                admitted == plain.stats.iterations,
+                noise == 0.0,
+                "{rows} rows"
+            );
+            // A store filled to its cap with the last columns turns the
+            // solve's other atoms away; they become per-solve misses.
+            let full = Stored {
+                a: &a,
+                store: GramStore::new(rows, 80),
+            };
+            let mut atom = vec![0.0; rows];
+            for j in 80 - full.store.capacity()..80 {
+                full.store
+                    .column_or_admit(j, |g| gram_column_into(&a, j, &mut atom, g));
+            }
+            assert_eq!(full.store.admitted(), full.store.capacity());
+            assert_eq!(
+                plain,
+                Omp::new(atoms).solve(&full, &y).unwrap(),
+                "{rows} rows"
+            );
+            assert_eq!(full.store.admitted(), full.store.capacity());
         }
-        assert_eq!(full.store.admitted(), full.store.capacity());
-        assert_eq!(plain, Omp::new(12).solve(&full, &y).unwrap());
-        assert_eq!(full.store.admitted(), full.store.capacity());
+    }
+
+    /// FNV-1a over a recovery's coefficient bits, residual bits and
+    /// atom count.
+    fn fingerprint(rec: &Recovery) -> u64 {
+        let words = rec.coefficients.iter().map(|c| c.to_bits());
+        let words = words.chain([
+            rec.stats.residual_norm.to_bits(),
+            rec.stats.iterations as u64,
+        ]);
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn below_the_hold_out_threshold_results_are_plain_batch_omp() {
+        // 39 rows hold nothing out, so the pursuit is the plain
+        // fixed-budget Batch-OMP: these fingerprints were recorded
+        // before the held-out stop rule existed.
+        let (a, _, mut y) = gaussian_problem(39, 90, 8, 21);
+        let mut rng = SplitMix64::new(3);
+        y.iter_mut().for_each(|v| *v += 0.05 * rng.next_gaussian());
+        let got: Vec<u64> = [4, 16, 39]
+            .iter()
+            .map(|&atoms| fingerprint(&Omp::new(atoms).solve(&a, &y).unwrap()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0x768d_5d3e_eb77_d062,
+                0xbe85_2bfd_2af7_6208,
+                0xdf53_ca83_47c8_8fbe
+            ],
+            "fingerprints {got:#x?}"
+        );
+    }
+
+    #[test]
+    fn held_out_residual_stops_noisy_solves_near_the_true_support() {
+        for seed in 1..=4 {
+            let (a, x, mut y) = gaussian_problem(80, 160, 6, seed);
+            let mut rng = SplitMix64::new(seed);
+            y.iter_mut().for_each(|v| *v += 0.01 * rng.next_gaussian());
+            let rec = Omp::new(60).solve(&a, &y).unwrap();
+            let iterations = rec.stats.iterations;
+            assert!(
+                (6..=60 - PATIENCE).contains(&iterations),
+                "seed {seed}: {iterations} atoms"
+            );
+            assert!(rec.stats.converged, "seed {seed}: the stop rule fired");
+            for (i, (&got, &want)) in rec.coefficients.iter().zip(&x).enumerate() {
+                assert!(
+                    (got - want).abs() < 0.05,
+                    "seed {seed}, coef {i}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_empty_support_is_a_held_out_candidate() {
+        // Measurements that vanish on the held-out rows: any atom's fit
+        // spills into them, so no support beats the empty one.
+        let (a, _, _) = gaussian_problem(60, 120, 1, 5);
+        let mut rng = SplitMix64::new(17);
+        let mut y: Vec<f64> = (0..60).map(|_| rng.next_gaussian()).collect();
+        for r in tepics_cs::gram::held_out_rows(60) {
+            y[r] = 0.0;
+        }
+        let rec = Omp::new(30).solve(&a, &y).unwrap();
+        assert_eq!(rec.stats.iterations, 0);
+        assert!(rec.coefficients.iter().all(|&c| c == 0.0));
+        assert!(rec.stats.converged, "the stop rule fired");
+        assert_eq!(rec.stats.residual_norm, op::norm2(&y));
+    }
+
+    #[test]
+    fn non_finite_operators_break_down_instead_of_emitting_garbage() {
+        // A NaN or an inf entry, in a column the pursuit selects and in
+        // one it never does, with and without the hold-out.
+        for rows in [30, 60] {
+            let (a, x, y) = gaussian_problem(rows, 80, 5, 11);
+            let picked = x.iter().position(|&v| v != 0.0).unwrap();
+            let unused = x.iter().position(|&v| v == 0.0).unwrap();
+            for bad in [f64::NAN, f64::INFINITY] {
+                for col in [picked, unused] {
+                    let mut broken = a.clone();
+                    broken.set(rows / 2, col, bad);
+                    match Omp::new(10).solve(&broken, &y) {
+                        Err(RecoveryError::Breakdown(_)) => {}
+                        other => panic!("{rows} rows, {bad} in column {col}: {other:?}"),
+                    }
+                }
+            }
+            let mut nan_y = y.clone();
+            nan_y[1] = f64::NAN;
+            assert!(matches!(
+                Omp::new(10).solve(&a, &nan_y),
+                Err(RecoveryError::Breakdown(_))
+            ));
+        }
     }
 
     #[test]

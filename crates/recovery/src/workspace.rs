@@ -23,8 +23,9 @@
 //! * **iterate buffers** (`alpha`…`rows_tmp2`) — the proximal/
 //!   thresholding/message-passing loops;
 //! * **greedy buffers** (`selected`…`chol`) — atom bookkeeping, the Gram
-//!   columns OMP computes for a single solve, and the growing Cholesky
-//!   of OMP;
+//!   slots OMP computes for a single solve, the coefficients at OMP's
+//!   held-out-residual minimum and the held-out rows of its re-fit, and
+//!   the growing Cholesky of OMP;
 //! * **least-squares buffers** (`lsq_*`, `restrict_*`) — the CGLS
 //!   vectors and the restricted operator's scatter/gather scratch, used
 //!   by [`Cgls`](crate::cg::Cgls), CoSaMP's re-fit, and
@@ -75,6 +76,8 @@ pub struct SolverWorkspace {
     pub(crate) rhs: Vec<f64>,
     pub(crate) small: Vec<f64>,
     pub(crate) small2: Vec<f64>,
+    pub(crate) held_best: Vec<f64>,
+    pub(crate) held_atoms: Vec<f64>,
     pub(crate) chol: Option<GrowingCholesky>,
     // Least-squares buffers (nested CGLS + restricted-operator scratch).
     pub(crate) lsq_x: Vec<f64>,

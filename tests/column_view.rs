@@ -18,25 +18,19 @@
 //!   bit, so OMP returns the same bits either way, and CoSaMP (whose
 //!   restricted least squares reassociates sums) stays within 1e-6.
 //!
-//! The same dense oracle pins production OMP (Batch-OMP over Gram
-//! columns): on real 16×16 and 32×32 tile measurements, mean-split and
-//! with the DC atom pinned, it must pick the same support as a textbook
-//! dense OMP and as the residual-recompute pursuit it replaced, with
-//! coefficients within 1e-10 relative.
+//! Production OMP itself is pinned to a textbook twin in
+//! `tests/omp_oracle.rs`.
 
 use std::f64::consts::PI;
 use std::sync::Arc;
 
-use tepics::cs::chol::GrowingCholesky;
 use tepics::cs::colview::ColumnMatrix;
 use tepics::cs::dictionary::ZeroMeanDictionary;
-use tepics::cs::measurement::SelectionMeasurement;
-use tepics::cs::op::{axpy, dot, norm2};
+use tepics::cs::op::norm2;
 use tepics::cs::{
-    ComposedOperator, Dct2dDictionary, Dictionary, GramStore, Haar2dDictionary, IdentityDictionary,
+    ComposedOperator, Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary,
     LinearOperator, XorMeasurement,
 };
-use tepics::prelude::*;
 use tepics::recovery::{CoSaMp, Omp};
 use tepics::util::{BitVec, SplitMix64};
 
@@ -209,230 +203,6 @@ fn view_equals_extraction_without_view() {
             assert!(
                 worst <= 1e-6 * norm2(&c).max(1.0),
                 "{m}x{n} {name}: CoSaMP through the view drifted {worst:e}"
-            );
-        }
-    }
-}
-
-/// The pursuit's stop threshold, `Omp`'s default `residual_tol`.
-const OMP_TOL: f64 = 1e-9;
-
-/// A sparse code and the order its atoms were selected in.
-struct Pursuit {
-    order: Vec<usize>,
-    coefficients: Vec<f64>,
-}
-
-/// Textbook OMP over dense columns: correlate `Aᵀr`, take the largest
-/// unselected `|c_j|`, solve the normal equations on the support from
-/// scratch, recompute `r = y − A_S x`, stop at `budget` atoms or when
-/// `‖r‖ ≤ tol·‖y‖`.
-fn textbook_omp(columns: &[Vec<f64>], y: &[f64], budget: usize) -> Pursuit {
-    let mut residual = y.to_vec();
-    let mut order: Vec<usize> = Vec::new();
-    let mut x = Vec::new();
-    // The support's Gram matrix, grown by one row and column per atom.
-    let mut gram: Vec<Vec<f64>> = Vec::new();
-    while order.len() < budget && norm2(&residual) > OMP_TOL * norm2(y) {
-        let corr: Vec<f64> = columns.iter().map(|c| dot(c, &residual)).collect();
-        let mut best = None;
-        let mut best_mag = 0.0;
-        for (j, c) in corr.iter().enumerate() {
-            if c.abs() > best_mag && !order.contains(&j) {
-                best_mag = c.abs();
-                best = Some(j);
-            }
-        }
-        let Some(j) = best else { break };
-        if best_mag < 1e-14 {
-            break;
-        }
-        for (row, &i) in gram.iter_mut().zip(&order) {
-            row.push(dot(&columns[i], &columns[j]));
-        }
-        order.push(j);
-        let row: Vec<f64> = order
-            .iter()
-            .map(|&i| dot(&columns[j], &columns[i]))
-            .collect();
-        gram.push(row);
-        let rhs: Vec<f64> = order.iter().map(|&i| dot(&columns[i], y)).collect();
-        x = cholesky_solve(&gram, &rhs);
-        residual = y.to_vec();
-        for (&i, &c) in order.iter().zip(&x) {
-            axpy(-c, &columns[i], &mut residual);
-        }
-    }
-    let mut coefficients = vec![0.0; columns.len()];
-    for (&i, &c) in order.iter().zip(&x) {
-        coefficients[i] = c;
-    }
-    Pursuit {
-        order,
-        coefficients,
-    }
-}
-
-/// Solves the symmetric positive definite system `G x = b` by a dense
-/// Cholesky factorization computed from scratch.
-fn cholesky_solve(g: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
-    let n = b.len();
-    let mut l = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..=i {
-            let sum: f64 = (0..j).map(|k| l[i][k] * l[j][k]).sum();
-            l[i][j] = if i == j {
-                (g[i][i] - sum).sqrt()
-            } else {
-                (g[i][j] - sum) / l[j][j]
-            };
-        }
-    }
-    let mut z = vec![0.0; n];
-    for i in 0..n {
-        z[i] = (b[i] - (0..i).map(|k| l[i][k] * z[k]).sum::<f64>()) / l[i][i];
-    }
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        x[i] = (z[i] - (i + 1..n).map(|k| l[k][i] * x[k]).sum::<f64>()) / l[i][i];
-    }
-    x
-}
-
-/// The residual-recompute pursuit that production OMP replaced: one
-/// adjoint per iteration for the correlations, the selected columns
-/// gathered through `column_into`, cross terms as column dot products,
-/// and the residual recomputed from every selected column.
-fn residual_recompute_omp<A: LinearOperator + ?Sized>(a: &A, y: &[f64], budget: usize) -> Pursuit {
-    let (m, n) = (a.rows(), a.cols());
-    let budget = budget.min(n).min(m);
-    let y_norm = norm2(y);
-    let mut chol = GrowingCholesky::with_capacity(budget.max(1));
-    let mut corr = vec![0.0; n];
-    let mut residual = y.to_vec();
-    let mut order: Vec<usize> = Vec::new();
-    let mut columns = vec![0.0; budget * m];
-    let (mut rhs, mut coeffs, mut tmp) = (Vec::new(), Vec::new(), Vec::new());
-    let mut converged = y_norm == 0.0;
-    while order.len() < budget && !converged {
-        a.apply_adjoint(&residual, &mut corr);
-        let mut best = None;
-        let mut best_mag = 0.0;
-        for (j, &c) in corr.iter().enumerate() {
-            if c.abs() > best_mag && !order.contains(&j) {
-                best_mag = c.abs();
-                best = Some(j);
-            }
-        }
-        let Some(j) = best else { break };
-        if best_mag < 1e-14 {
-            break;
-        }
-        let picked = order.len();
-        a.column_into(j, &mut columns[picked * m..(picked + 1) * m]);
-        let (prior, rest) = columns.split_at(picked * m);
-        let col = &rest[..m];
-        let cross: Vec<f64> = prior.chunks_exact(m).map(|c| dot(c, col)).collect();
-        if chol.push(&cross, dot(col, col)).is_err() {
-            break;
-        }
-        order.push(j);
-        rhs.push(dot(col, y));
-        chol.solve_into(&rhs, &mut coeffs, &mut tmp);
-        residual.copy_from_slice(y);
-        for (c, col) in coeffs.iter().zip(columns.chunks_exact(m)) {
-            axpy(-c, col, &mut residual);
-        }
-        converged = norm2(&residual) <= OMP_TOL * y_norm.max(1e-300);
-    }
-    let mut coefficients = vec![0.0; n];
-    for (&j, &c) in order.iter().zip(&coeffs) {
-        coefficients[j] = c;
-    }
-    Pursuit {
-        order,
-        coefficients,
-    }
-}
-
-/// Asserts `got` has exactly `want`'s support and its coefficients
-/// within 1e-10 of `want`'s largest magnitude.
-fn assert_same_pursuit(got: &[f64], want: &Pursuit, label: &str) {
-    let mut support: Vec<usize> = (0..got.len()).filter(|&j| got[j] != 0.0).collect();
-    let mut want_support = want.order.clone();
-    want_support.sort_unstable();
-    support.sort_unstable();
-    assert_eq!(support, want_support, "{label}: supports differ");
-    let scale = want
-        .coefficients
-        .iter()
-        .fold(0.0f64, |acc, &c| acc.max(c.abs()));
-    let worst = got
-        .iter()
-        .zip(&want.coefficients)
-        .fold(0.0f64, |acc, (g, w)| acc.max((g - w).abs()));
-    assert!(
-        worst <= 1e-10 * scale,
-        "{label}: coefficients deviate by {worst:e} (scale {scale:e})"
-    );
-}
-
-/// Production OMP — Batch-OMP over Gram columns, with and without a
-/// shared Gram store — picks the same support as textbook dense OMP and
-/// as the residual-recompute pursuit, with coefficients within 1e-10
-/// relative, on real tile measurements: mean split from the selection
-/// counts and the DC atom pinned, as the decoder runs it.
-#[test]
-fn production_omp_matches_dense_and_residual_recompute_oracles() {
-    for &(side, scenes, budget) in &[(16usize, 3u64, 30usize), (32, 2, 100)] {
-        let imager = CompressiveImager::builder(side, side)
-            .seed(0x0_4AC1E + side as u64)
-            .fidelity(Fidelity::Functional)
-            .build()
-            .unwrap();
-        let frames: Vec<CompressedFrame> = (0..scenes)
-            .map(|i| imager.capture(&Scene::natural_like().render(side, side, 40 + i)))
-            .collect();
-        let k = frames[0].samples.len();
-        let phi = Decoder::for_frame(&frames[0])
-            .unwrap()
-            .rebuild_measurement(k)
-            .unwrap();
-        let counts = phi.selection_counts();
-        let mut dense = dense_oracle(&phi);
-        dense[0].fill(0.0); // the pinned DC atom
-        let pinned = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
-        let store = Arc::new(GramStore::new(k, side * side));
-        for (f, frame) in frames.iter().enumerate() {
-            let y: Vec<f64> = frame.samples.iter().map(|&s| f64::from(s)).collect();
-            let mean = (dot(&counts, &y) / dot(&counts, &counts)).clamp(0.0, 255.0);
-            let resid: Vec<f64> = y.iter().zip(&counts).map(|(v, c)| v - mean * c).collect();
-            let plain = ComposedOperator::new(&phi, &pinned);
-            let stored = ComposedOperator::new(&phi, &pinned).with_gram_store(store.clone());
-            let omp = Omp::new(budget);
-            let got = omp.solve(&plain, &resid).unwrap();
-            assert_eq!(
-                got,
-                omp.solve(&stored, &resid).unwrap(),
-                "{side}x{side} frame {f}: the Gram store changed the result"
-            );
-            assert_eq!(got.stats.iterations, budget.min(k));
-            let label = format!("{side}x{side} frame {f}");
-            let textbook = textbook_omp(&dense, &resid, budget);
-            assert_same_pursuit(
-                &got.coefficients,
-                &textbook,
-                &format!("{label} vs textbook"),
-            );
-            let previous = residual_recompute_omp(&plain, &resid, budget);
-            assert_eq!(
-                textbook.order, previous.order,
-                "{label}: the oracles disagree"
-            );
-            assert_same_pursuit(
-                &got.coefficients,
-                &previous,
-                &format!("{label} vs recompute"),
             );
         }
     }

@@ -5,7 +5,9 @@
 //! and non-power-of-two geometries (where the generic column path
 //! runs), occasional tiling, ratios near 0 and 1, the DCT, Haar and
 //! identity dictionaries, atom budgets at or beyond the sample count,
-//! all-zero scenes. The second sweep gives every other solver, with and
+//! all-zero scenes, and tile sample counts on both sides of the 40 rows
+//! at which OMP starts holding measurements out. No decode may report
+//! more atoms than its budget allows. The second sweep gives every other solver, with and
 //! without debias where it has one, the geometries that pick the DCT's
 //! paths: power-of-two tiles (the transposed Lee row pass),
 //! non-power-of-two ones (the basis-matrix path) and 64-wide ones (two
@@ -103,6 +105,10 @@ struct Tally {
     atoms_beyond_k: usize,
     extreme_ratios: usize,
     zero_scenes: usize,
+    /// Tiles with `K ≥ 40`: OMP holds measurements out.
+    held_out: usize,
+    /// Tiles with `K < 40`: plain fixed-budget OMP.
+    below_hold_out: usize,
 }
 
 /// Decodes `wire` with `params` on `cache` at `threads`, returning
@@ -147,7 +153,16 @@ fn run_case(case: &Case, tally: &mut Tally) {
         Scene::natural_like()
     };
     let wire = encode(&imager, &scene, case.seed);
-    assert_decodes_deterministically(&wire, params);
+    let frames = assert_decodes_deterministically(&wire, params);
+    // A tiled frame's stats sum over its tiles.
+    let tiles = imager.tile_layout().map_or(1, |layout| layout.tiles());
+    for frame in &frames {
+        let iterations = frame.reconstruction.stats().iterations;
+        assert!(
+            iterations <= atoms * tiles,
+            "{iterations} atoms over {tiles} tiles at budget {atoms}"
+        );
+    }
 
     tally.decoded += 1;
     tally.tiled += usize::from(imager.is_tiled());
@@ -157,6 +172,8 @@ fn run_case(case: &Case, tally: &mut Tally) {
     tally.atoms_beyond_k += usize::from(atoms >= k);
     tally.extreme_ratios += usize::from(case.ratio < 0.05 || case.ratio > 0.95);
     tally.zero_scenes += usize::from(case.zero_scene);
+    tally.held_out += usize::from(k >= 40);
+    tally.below_hold_out += usize::from(k < 40);
 }
 
 /// Two captures of `scene` (seeded `seed`, `seed + 1`) as one stream.
@@ -170,8 +187,8 @@ fn encode(imager: &CompressiveImager, scene: &Scene, seed: u64) -> Vec<u8> {
 }
 
 /// Both frames of `wire` decode to finite codes, identically at
-/// threads(1) and threads(2), cold and warm.
-fn assert_decodes_deterministically(wire: &[u8], params: RecoveryParams) {
+/// threads(1) and threads(2), cold and warm; returns them.
+fn assert_decodes_deterministically(wire: &[u8], params: RecoveryParams) -> Vec<DecodedFrame> {
     let warm_cache = OperatorCache::shared();
     let cold1 = decode(wire, params, &warm_cache, 1);
     assert_eq!(cold1.len(), 2, "both frames decode");
@@ -186,6 +203,7 @@ fn assert_decodes_deterministically(wire: &[u8], params: RecoveryParams) {
     assert_eq!(warm1, cold1, "warm threads(1) != cold threads(1)");
     let cold2 = decode(wire, params, &OperatorCache::shared(), 2);
     assert_eq!(cold2, cold1, "cold threads(2) != cold threads(1)");
+    cold1
 }
 
 /// Seeded OMP decoder-config fuzz (see the module docs).
@@ -210,7 +228,9 @@ fn fuzzed_omp_decodes_are_finite_and_deterministic() {
             && tally.identity >= 20
             && tally.atoms_beyond_k >= 20
             && tally.extreme_ratios >= 30
-            && tally.zero_scenes >= 20,
+            && tally.zero_scenes >= 20
+            && tally.held_out >= 30
+            && tally.below_hold_out >= 30,
         "{tally:?}"
     );
 }

@@ -303,9 +303,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("solver/iht/debias=false/Dct2d", 0xbb8a8757cf75046f),
     ("solver/iht/debias=false/Haar2d", 0x381bf5fea30242d4),
     ("solver/iht/debias=false/Identity", 0x1f2fe6715f4488d0),
-    ("solver/omp/debias=false/Dct2d", 0xaa0ccab8b22fb0b1),
-    ("solver/omp/debias=false/Haar2d", 0xf8a8a10f4d9a50b0),
-    ("solver/omp/debias=false/Identity", 0xe3c7bf07d3bbdadb),
+    ("solver/omp/debias=false/Dct2d", 0xd42c6d7e6e34604d),
+    ("solver/omp/debias=false/Haar2d", 0x9368d128d7cf202e),
+    ("solver/omp/debias=false/Identity", 0x454fb00bc249bf03),
     ("solver/cosamp/debias=false/Dct2d", 0x0d3eb57d492de277),
     ("solver/cosamp/debias=false/Haar2d", 0xaf2541783fd9a092),
     ("solver/cosamp/debias=false/Identity", 0x4e4103629a8c21ed),

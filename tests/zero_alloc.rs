@@ -5,7 +5,8 @@
 //! capture loop do not touch the heap. OMP is measured without a Gram
 //! store, with one prefilled by an earlier solve, and with one full to
 //! its cap; only admissions into a store allocate, so the differential
-//! budgets run on a prefilled store.
+//! budgets run on a prefilled store. Its held-out stop rule and all-rows
+//! re-fit are measured on the decoder's 32×32, K = 359 operator.
 //!
 //! The method is differential: run the same warm solve at two different
 //! iteration budgets (or capture at two sample counts) and assert the
@@ -24,7 +25,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use tepics::cs::dictionary::ZeroMeanDictionary;
-use tepics::cs::gram::gram_column_into;
+use tepics::cs::gram::{gram_column_into, held_out_count};
 use tepics::cs::{
     ComposedOperator, Dct2dDictionary, DenseMatrix, Dictionary, GramStore, LinearOperator,
     XorMeasurement,
@@ -74,12 +75,16 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// A dense Gaussian sensing problem with a `k`-sparse ground truth.
+/// Its magnitudes halve from atom to atom, so every true atom OMP adds
+/// also lowers its held-out residual and budgets below `k` run out.
 fn sparse_problem(m: usize, n: usize, k: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
     let mut rng = SplitMix64::new(seed);
     let a = DenseMatrix::from_fn(m, n, |_, _| rng.next_gaussian() / (m as f64).sqrt());
     let mut x = vec![0.0; n];
+    let mut magnitude = 64.0;
     for i in 0..k {
-        x[(i * 97) % n] = if i % 2 == 0 { 2.0 } else { -1.5 };
+        x[(i * 97) % n] = if i % 2 == 0 { magnitude } else { -magnitude };
+        magnitude *= 0.5;
     }
     let y = a.apply_vec(&x);
     (a, y)
@@ -151,7 +156,9 @@ fn warm_omp_iterations_allocate_nothing() {
 }
 
 /// The decoder's composed operator — XOR measurement × DC-pinned DCT —
-/// on a 16×16 grid with 96 samples, and a measurement of a random scene.
+/// on a 16×16 grid with 96 samples, and a measurement of a scene made of
+/// 24 low-frequency atoms whose magnitudes decay, so OMP budgets below
+/// 24 run out before the held-out residual stops the pursuit.
 fn composed_problem() -> (
     XorMeasurement,
     ZeroMeanDictionary<Dct2dDictionary>,
@@ -164,8 +171,11 @@ fn composed_problem() -> (
         .collect();
     let phi = XorMeasurement::from_patterns(m, n, patterns);
     let psi = ZeroMeanDictionary::new(Dct2dDictionary::new(n, m), 0);
-    let x: Vec<f64> = (0..m * n).map(|_| rng.next_f64() * 255.0).collect();
-    let y = phi.apply_vec(&x);
+    let mut c = vec![0.0; m * n];
+    for (i, ci) in c.iter_mut().enumerate().skip(1).take(24) {
+        *ci = 400.0 * 0.8f64.powi(i as i32) * if rng.next_bool() { 1.0 } else { -1.0 };
+    }
+    let y = ComposedOperator::new(&phi, &psi).apply_vec(&c);
     (phi, psi, y)
 }
 
@@ -246,6 +256,47 @@ fn full_gram_store_admits_nothing_and_omp_allocates_only_its_result() {
     );
 }
 
+/// A warm OMP solve on the decoder's 32×32, K = 359 operator, with the
+/// hold-out active, allocates only its returned coefficient vector: the
+/// held-out residual, the best-support snapshot and the all-rows re-fit
+/// all run in workspace buffers. Two natural scenes warm the workspace
+/// and the Gram store; solving them again admits nothing and allocates
+/// once each.
+#[test]
+fn warm_held_out_omp_allocates_only_its_result() {
+    let (phi, psi) = composed_square(32, 359, 0xC5_0F);
+    assert_eq!(
+        held_out_count(phi.rows()),
+        35,
+        "the hold-out must be active"
+    );
+    let store = Arc::new(GramStore::new(phi.rows(), psi.atoms()));
+    let a = ComposedOperator::new(&phi, &psi).with_gram_store(store.clone());
+    let scenes: Vec<Vec<f64>> = (0..2)
+        .map(|i| phi.apply_vec(Scene::natural_like().render(32, 32, 60 + i).as_slice()))
+        .collect();
+    let omp = Omp::new(100);
+    let mut ws = SolverWorkspace::new();
+    let warm: Vec<_> = scenes
+        .iter()
+        .map(|y| omp.solve_with(&a, y, &mut ws).unwrap())
+        .collect();
+    let admitted = store.admitted();
+    for (i, y) in scenes.iter().enumerate() {
+        let (allocs, got) = count_allocs(|| omp.solve_with(&a, y, &mut ws).unwrap());
+        assert_eq!(got, warm[i], "scene {i}: warm result changed");
+        assert!(
+            got.stats.iterations < 100,
+            "scene {i}: the held-out residual must stop the pursuit"
+        );
+        assert_eq!(
+            allocs, 1,
+            "scene {i}: a warm held-out OMP solve should allocate exactly its result"
+        );
+    }
+    assert_eq!(store.admitted(), admitted, "warm solves admit nothing");
+}
+
 /// The decoder's composed operator at `side`×`side` with `k` samples.
 fn composed_square(
     side: usize,
@@ -274,7 +325,7 @@ fn warm_gram_columns_and_two_block_adjoints_allocate_nothing() {
     let a = ComposedOperator::new(&phi, &psi)
         .with_gram_store(Arc::new(GramStore::new(phi.rows(), psi.atoms())));
     let mut atom = vec![0.0; a.rows()];
-    let mut g = vec![0.0; a.cols()];
+    let mut g = vec![0.0; a.cols() + held_out_count(a.rows())];
     gram_column_into(&a, 1, &mut atom, &mut g);
     let (one, ()) = count_allocs(|| gram_column_into(&a, 2, &mut atom, &mut g));
     let (many, ()) = count_allocs(|| {
