@@ -102,7 +102,7 @@ impl BatchRunner {
     /// Runs the standard pipeline ([`evaluate`] through the runner's
     /// shared cache) over `scenes` with a shared imager, decoding every
     /// item with `params`. The per-solver cache entries (operator norms,
-    /// column views, Gram stores) are shared across items exactly like
+    /// Gram stores) are shared across items exactly like
     /// the operator itself, and results stay bit-identical at any thread
     /// count.
     ///

@@ -3,15 +3,15 @@
 //! Rebuilding the measurement operator is pure function of the frame
 //! header: `(rows, cols, strategy, seed, k)` fully determines the CA
 //! replay, the selection patterns, and therefore Φ. The same goes for
-//! the sparsifying dictionary (`(kind, rows, cols)`), for the
-//! column-materialized `Φ·Ψ` view CoSaMP consumes, for the Gram
-//! columns `(Φ·Ψ)ᵀ(Φ·Ψ)e_j` Batch-OMP consumes, and for every solver's
+//! the sparsifying dictionary (`(kind, rows, cols)`), for the Gram
+//! columns `(Φ·Ψ)ᵀ(Φ·Ψ)e_j` the greedy solvers (Batch-OMP, CoSaMP)
+//! consume, and for every solver's
 //! operator-norm estimate `‖ΦΨ‖` (a *seeded* power iteration, so it
 //! too is deterministic). A decoder that processes a stream of
 //! same-seed frames — the paper's video deployment — or a batch of
 //! same-seed items therefore rebuilds identical state over and over.
 //!
-//! [`OperatorCache`] memoizes all five families. It is `Sync`: one
+//! [`OperatorCache`] memoizes all four families. It is `Sync`: one
 //! cache can be shared across the worker threads of a [`BatchRunner`]
 //! run, and because every cached value is bit-identical to what a cold
 //! build would produce, warm and cold decodes yield *exactly* the same
@@ -21,8 +21,7 @@
 //! # Size bounding
 //!
 //! Every entry family is byte-accounted (via [`XorMeasurement::bytes`],
-//! [`ColumnMatrix::bytes`], [`GramStore::bytes`], and a dictionary size
-//! estimate) against a configurable budget ([`CacheConfig`], default
+//! [`GramStore::bytes`], and a dictionary size estimate) against a configurable budget ([`CacheConfig`], default
 //! [`DEFAULT_CACHE_BYTES`]). When a newly built entry would push the
 //! resident total past the budget, least-recently-used entries are
 //! evicted until it fits; an entry larger than the whole budget is
@@ -41,9 +40,8 @@
 //!
 //! * operators: [`OperatorKey`] `(rows, cols, strategy, seed, k)`;
 //! * dictionaries: `(DictionaryKind, rows, cols)`;
-//! * column views: `(OperatorKey, DictionaryKind)` — the view
-//!   materializes `Φ·Ψ`, so both factors key it;
-//! * Gram stores: `(OperatorKey, DictionaryKind)`, for the same reason;
+//! * Gram stores: `(OperatorKey, DictionaryKind)` — a Gram column is a
+//!   column of `(Φ·Ψ)ᵀ(Φ·Ψ)`, so both factors key it;
 //! * norm estimates: `(OperatorKey, DictionaryKind, norm_seed)` — the
 //!   **per-solver** power-iteration seed is part of the key because
 //!   every solver runs its estimate with its own seed
@@ -53,10 +51,10 @@
 //!
 //! # Gram stores and their cap
 //!
-//! A Gram store is created empty and fills column by column as OMP
-//! solves select atoms (see [`tepics_cs::gram`]). It is capped at
-//! `min(K, N)` columns for a `K`-sample, `N`-atom key — the bytes of
-//! the `K × N` column view OMP no longer needs — and that capped size
+//! A Gram store is created empty and fills column by column as OMP and
+//! CoSaMP solves select atoms (see [`tepics_cs::gram`]). It is capped at
+//! `min(K, N)` columns for a `K`-sample, `N`-atom key — about the bytes
+//! of a dense `K × N` `Φ·Ψ` — and that capped size
 //! is booked against the budget when the store is created, so the
 //! resident total never moves as columns are admitted. Inside a store
 //! nothing is evicted; the cache evicts a store only as a whole, like
@@ -80,7 +78,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use crate::decoder::{build_dictionary, DictImpl, DictionaryKind};
 use crate::error::CoreError;
 use crate::strategy::StrategyKind;
-use tepics_cs::colview::ColumnMatrix;
 use tepics_cs::gram::GramStore;
 use tepics_cs::measurement::SelectionMeasurement;
 use tepics_cs::XorMeasurement;
@@ -197,7 +194,7 @@ pub(crate) struct CachedOperator {
 
 type DictKey = (DictionaryKind, u16, u16);
 type NormKey = (OperatorKey, DictionaryKind, u64);
-type ColumnKey = (OperatorKey, DictionaryKind);
+type GramKey = (OperatorKey, DictionaryKind);
 
 /// A lazily initialized entry: the value builds behind its own
 /// [`OnceLock`] (outside the cache lock); `bytes` stays `0` until the
@@ -210,7 +207,7 @@ struct Slot<V> {
     tick: u64,
 }
 
-/// Identifies one entry across the five families (eviction
+/// Identifies one entry across the four families (eviction
 /// bookkeeping). The derived total order is the deterministic
 /// tie-break of [`Inner::lru_victim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -218,11 +215,10 @@ enum AnyKey {
     Op(OperatorKey),
     Dict(DictKey),
     Norm(NormKey),
-    Column(ColumnKey),
-    Gram(ColumnKey),
+    Gram(GramKey),
 }
 
-/// Everything behind the cache lock: the five entry maps, the LRU
+/// Everything behind the cache lock: the four entry maps, the LRU
 /// clock, and the byte accounting.
 ///
 /// The maps are `HashMap`s for O(1) keyed lookup; the only place that
@@ -239,9 +235,7 @@ struct Inner {
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
     norms: HashMap<NormKey, Slot<f64>>,
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    columns: HashMap<ColumnKey, Slot<Arc<ColumnMatrix>>>,
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    grams: HashMap<ColumnKey, Slot<Arc<GramStore>>>,
+    grams: HashMap<GramKey, Slot<Arc<GramStore>>>,
     tick: u64,
     resident: usize,
     evictions: u64,
@@ -254,7 +248,7 @@ struct Inner {
 /// pure belt-and-suspenders).
 #[allow(clippy::disallowed_types)] // see clippy.toml
 fn touch<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the five keyed slot maps; never iterated here)
+    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
     map: &mut HashMap<K, Slot<V>>,
     tick: &mut u64,
     key: K,
@@ -275,7 +269,7 @@ fn touch<K: Eq + Hash + Copy, V>(
 /// budget needs enforcing).
 #[allow(clippy::disallowed_types)] // see clippy.toml
 fn commit<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the five keyed slot maps; never iterated here)
+    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
     map: &mut HashMap<K, Slot<V>>,
     resident: &mut usize,
     key: K,
@@ -299,7 +293,6 @@ impl Inner {
             AnyKey::Op(k) => self.ops.get(&k)?.bytes,
             AnyKey::Dict(k) => self.dicts.get(&k)?.bytes,
             AnyKey::Norm(k) => self.norms.get(&k)?.bytes,
-            AnyKey::Column(k) => self.columns.get(&k)?.bytes,
             AnyKey::Gram(k) => self.grams.get(&k)?.bytes,
         };
         (b > 0).then_some(b)
@@ -311,7 +304,6 @@ impl Inner {
             AnyKey::Op(k) => self.ops.remove(&k).map(|s| s.bytes),
             AnyKey::Dict(k) => self.dicts.remove(&k).map(|s| s.bytes),
             AnyKey::Norm(k) => self.norms.remove(&k).map(|s| s.bytes),
-            AnyKey::Column(k) => self.columns.remove(&k).map(|s| s.bytes),
             AnyKey::Gram(k) => self.grams.remove(&k).map(|s| s.bytes),
         };
         if let Some(bytes) = bytes {
@@ -346,9 +338,6 @@ impl Inner {
         for (k, s) in &self.norms {
             consider(s.tick, s.bytes, AnyKey::Norm(*k));
         }
-        for (k, s) in &self.columns {
-            consider(s.tick, s.bytes, AnyKey::Column(*k));
-        }
         for (k, s) in &self.grams {
             consider(s.tick, s.bytes, AnyKey::Gram(*k));
         }
@@ -376,8 +365,8 @@ impl Inner {
     }
 }
 
-/// Memoizes measurement operators, dictionaries, column-materialized
-/// views, Gram stores, and per-solver operator-norm estimates across
+/// Memoizes measurement operators, dictionaries, Gram stores, and
+/// per-solver operator-norm estimates across
 /// frames, streams, and batch items — within a configurable byte budget
 /// ([`CacheConfig`], LRU eviction; see the module docs).
 ///
@@ -385,8 +374,7 @@ impl Inner {
 /// and clone the handle into every decoder/session that should reuse
 /// the same state.
 /// The inner `Mutex` guards only entry lookup and byte accounting; the
-/// expensive builds (CA replay, power iteration, column
-/// materialization) run outside it behind per-key [`OnceLock`]s, so
+/// expensive builds (CA replay, power iteration) run outside it behind per-key [`OnceLock`]s, so
 /// distinct-key work in a parallel batch stays parallel while same-key
 /// racers still converge on one value.
 #[derive(Debug)]
@@ -589,44 +577,9 @@ impl OperatorCache {
         (norm > 0.0).then_some(norm)
     }
 
-    /// The memoized column-materialized `Φ·Ψ` view for `(key, kind)`,
-    /// building it with `build` on first use. Greedy decodes attach the
-    /// returned view to their composed operator; the build is
-    /// deterministic, so warm views equal a cold materialization bit for
-    /// bit.
-    pub(crate) fn column_view(
-        &self,
-        key: &OperatorKey,
-        kind: DictionaryKind,
-        build: impl FnOnce() -> ColumnMatrix,
-    ) -> Arc<ColumnMatrix> {
-        let ckey = (*key, kind);
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.columns, &mut inner.tick, ckey)
-        };
-        if let Some(view) = cell.get() {
-            return view.clone();
-        }
-        // Materialization runs outside the map lock (closed form for
-        // the XOR × DCT/identity compositions, one synthesis plus one
-        // forward apply per column for Haar); the OnceLock keeps one
-        // view per key.
-        let view = cell.get_or_init(|| Arc::new(build())).clone();
-        let bytes = ENTRY_OVERHEAD + view.bytes();
-        let committed = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            commit(&mut inner.columns, &mut inner.resident, ckey, &cell, bytes)
-        };
-        self.retain(committed, AnyKey::Column(ckey));
-        view
-    }
-
     /// The shared Gram store for `(key, kind)`, created empty by
-    /// `create` on first use. OMP decodes attach it to their composed
-    /// operator and fill it as they select atoms. The store's capped
+    /// `create` on first use. OMP and CoSaMP decodes attach it to their
+    /// composed operator and fill it as they select atoms. The store's capped
     /// bytes are booked when it is created (see the module docs).
     pub(crate) fn gram_store(
         &self,
@@ -813,23 +766,6 @@ mod tests {
             panic!("must be memoized")
         });
         assert_eq!(again, Some(1.25));
-    }
-
-    #[test]
-    fn column_views_are_memoized_per_operator_and_dictionary() {
-        use tepics_cs::colview::ColumnMatrix;
-        use tepics_cs::DenseMatrix;
-        let cache = OperatorCache::new();
-        let k1 = key(1, 6);
-        let build = || ColumnMatrix::from_operator(&DenseMatrix::identity(4));
-        let a = cache.column_view(&k1, DictionaryKind::Dct2d, build);
-        let b = cache.column_view(&k1, DictionaryKind::Dct2d, || panic!("must be memoized"));
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must be warm");
-        // A different dictionary (or operator key) is a different view.
-        let c = cache.column_view(&k1, DictionaryKind::Identity, build);
-        assert!(!Arc::ptr_eq(&a, &c));
-        let d = cache.column_view(&key(2, 6), DictionaryKind::Dct2d, build);
-        assert!(!Arc::ptr_eq(&a, &d));
     }
 
     #[test]

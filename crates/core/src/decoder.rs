@@ -24,7 +24,6 @@ use crate::cache::{OperatorCache, OperatorKey};
 use crate::error::CoreError;
 use crate::frame::{CompressedFrame, FrameHeader};
 use crate::solver::RecoveryParams;
-use tepics_cs::colview::ColumnMatrix;
 use tepics_cs::dictionary::{
     Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, SeparableFactors,
     ZeroMeanDictionary,
@@ -198,7 +197,7 @@ fn intensity_from_crossing(config: &SensorConfig, t: f64) -> f64 {
 /// through: [`DecodeSession`](crate::session::DecodeSession) drives it
 /// per tile, and a one-shot `Decoder::for_frame(&f)?.reconstruct(&f)`
 /// uses it directly. Φ, the selection counts, the dictionary, the
-/// solver's step size, CoSaMP's column view and OMP's Gram store always
+/// solver's step size and the greedy solvers' Gram store always
 /// come from an [`OperatorCache`] — a private one by default, or a
 /// shared one attached with [`Decoder::use_cache`] so they are built
 /// once across frames and streams.
@@ -350,14 +349,9 @@ impl Decoder {
         // solver lives on this stack frame).
         let a = ComposedOperator::new(phi.as_ref(), dict.as_ref())
             .with_scratch(workspace.take_composed());
-        // CoSaMP gets the materialized Φ·Ψ view, built once per key;
-        // OMP gets the key's shared Gram store, filled as it selects.
-        let a = if kind.column_hungry() {
-            let view = self
-                .cache
-                .column_view(&key, dictionary, || ColumnMatrix::from_operator(&a));
-            a.with_column_view(view)
-        } else if kind.reads_gram() {
+        // The greedy solvers get the key's shared Gram store, filled as
+        // they select atoms.
+        let a = if kind.reads_gram() {
             let store = self
                 .cache
                 .gram_store(&key, dictionary, || GramStore::new(a.rows(), a.cols()));

@@ -389,17 +389,18 @@ fn stitch_group(
 /// Bytes may arrive in arbitrary chunks; each [`DecodeSession::push_bytes`]
 /// call returns the frames completed by that chunk. All decoding state —
 /// the rebuilt measurement operator, the dictionary, the per-solver
-/// operator-norm estimate, the column-materialized view (CoSaMP) or
-/// the Gram store (OMP), the solver workspace, and (in delta mode) the
-/// previous reconstruction — lives in the session, keyed by the stream
+/// operator-norm estimate, the Gram store (OMP, CoSaMP), the solver
+/// workspace, and (in delta mode) the previous reconstruction — lives
+/// in the session, keyed by the stream
 /// header, so a long same-seed sequence pays the operator construction cost
 /// exactly once and, once warm, decodes frames with zero heap
 /// allocation inside the solver loop (the cached Φ carries its
 /// precompiled gather structure; the workspace carries the iterate,
 /// greedy, and least-squares buffers). The allocation-free guarantee
 /// covers every [`SolverKind`](crate::solver::SolverKind) — including
-/// the greedy pursuits and the CGLS debias pass — apart from OMP's
-/// admissions into its Gram store, which stop once the store is full.
+/// the greedy pursuits and the CGLS debias pass — apart from the greedy
+/// pursuits' admissions into their Gram store, which stop once the
+/// store is full.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeSession {
     parser: StreamParser,

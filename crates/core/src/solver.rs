@@ -127,16 +127,10 @@ impl SolverKind {
         }
     }
 
-    /// Whether the solver works column-wise and should be served a
-    /// column-materialized operator view.
-    pub(crate) fn column_hungry(&self) -> bool {
-        matches!(self, SolverKind::CoSamp { .. })
-    }
-
-    /// Whether the solver runs on Gram columns (Batch-OMP) and should be
-    /// served the operator's shared Gram store.
+    /// Whether the solver runs on Gram slots (Batch-OMP, CoSaMP) and
+    /// should be served the operator's shared Gram store.
     pub(crate) fn reads_gram(&self) -> bool {
-        matches!(self, SolverKind::Omp { .. })
+        matches!(self, SolverKind::Omp { .. } | SolverKind::CoSamp { .. })
     }
 
     /// One default configuration per algorithm, sized for a
@@ -359,17 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn only_cosamp_is_column_hungry_and_only_omp_reads_gram() {
+    fn only_the_greedy_pursuits_read_gram() {
         for kind in all_kinds(64) {
             assert_eq!(
-                kind.column_hungry(),
-                matches!(kind, SolverKind::CoSamp { .. }),
-                "{}",
-                kind.name()
-            );
-            assert_eq!(
                 kind.reads_gram(),
-                matches!(kind, SolverKind::Omp { .. }),
+                matches!(kind, SolverKind::Omp { .. } | SolverKind::CoSamp { .. }),
                 "{}",
                 kind.name()
             );
@@ -383,7 +371,6 @@ mod tests {
             let caps = built.as_solver().caps();
             assert_eq!(caps.name, kind.name());
             assert_eq!(caps.norm_seed, kind.norm_seed(), "{}", kind.name());
-            assert_eq!(caps.column_hungry, kind.column_hungry(), "{}", kind.name());
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! Batch-OMP (`Omp` in `tepics-recovery`) never forms a residual: it
 //! runs on the correlations `α = Aᵀy − G_I·γ_I`, which need the Gram
-//! columns `G[:, j] = Aᵀ a_j` of the selected atoms. A column depends
-//! only on the operator and `j`, so every solve against one operator
-//! — all the shifted tiles of a frame and every later frame of the same
-//! key — can share it. [`GramStore`] is that sharing point. It plugs
-//! into the operator stack like a column view: a
+//! columns `G[:, j] = Aᵀ a_j` of the selected atoms. CoSaMP builds its
+//! least squares on each merged support from the same columns. A column
+//! depends only on the operator and `j`, so every solve against one
+//! operator — all the shifted tiles of a frame and every later frame of
+//! the same key, whichever of the two solvers runs — can share it.
+//! [`GramStore`] is that sharing point. A
 //! [`ComposedOperator`](crate::ComposedOperator) with an attached store
 //! answers [`LinearOperator::gram_store`] with it.
 //!
@@ -30,21 +31,24 @@
 //!
 //! [`gram_column_into`] computes both from one `a_j = A e_j`, so the
 //! solve needs no extra operator call. Without held-out rows the slot
-//! is the plain Gram column.
+//! is the plain Gram column. Head and tail together give the normal
+//! equations on any support over all `K` rows, which is how OMP's
+//! final re-fit and every CoSaMP least squares are built.
 //!
 //! # The cap
 //!
 //! A full Gram is `N` columns of `N` values (8 MiB in `f64` at 32×32),
 //! more than a decoder can afford per key. The store therefore holds at
 //! most `min(K, N)` columns for a `K × N` operator: about the bytes of
-//! the `K × N` column view the greedy solvers used to materialize, and
-//! a cap derived from the operator alone. Admission is first-come and
+//! the operator itself as a dense `K × N` matrix, and a cap derived from
+//! the operator alone. Admission is first-come and
 //! single-flight per column: the first request for a column reserves a
 //! ticket and computes it while racers on the same column wait, and
 //! racers on other columns proceed in parallel. Nothing is ever evicted
 //! from a store, so a column admitted once is served for the store's
 //! whole life, and a column turned away by a full store is turned away
-//! for good — its requester computes it into its own scratch.
+//! for good — its requester computes it into its own scratch, once per
+//! solve.
 //!
 //! A column is a pure function of `(operator, j)` whoever computes it,
 //! so what a store holds can change which thread pays for a column,
@@ -92,7 +96,7 @@ pub fn held_out_count(rows: usize) -> usize {
 /// Moves the held-out entries of the measurement-length `v` into `held`
 /// (length [`held_out_count`]`(v.len())`) and zeroes them in `v`, which
 /// then holds `mask ⊙ v`. The one definition of the split: Gram slots
-/// and OMP's right-hand side both go through it.
+/// and the greedy solvers' right-hand side both go through it.
 ///
 /// # Panics
 ///

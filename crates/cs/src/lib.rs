@@ -26,7 +26,10 @@
 //!   never round-trips through memory. [`ComposedOperator`] dispatches
 //!   to them automatically when both sides qualify.
 //! * [`gram`] — the capped, shared store of Gram columns `Aᵀ a_j`
-//!   that Batch-OMP reads instead of running an adjoint per iteration.
+//!   that the greedy solvers (Batch-OMP, CoSaMP) read instead of
+//!   running an adjoint or a nested least-squares solve per iteration.
+//! * [`colview`] — the closed-form columns of the XOR measurement
+//!   composed with a separable dictionary, behind every Gram column.
 //! * [`coherence`] — mutual coherence and empirical RIP-constant
 //!   estimation, used by the `matrices` experiment to compare the CA
 //!   strategy against Bernoulli/LFSR/Hadamard.

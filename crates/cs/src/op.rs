@@ -59,8 +59,8 @@ pub trait LinearOperator {
 
     /// Writes column `j` (`A e_j`) into `out` without allocating the
     /// result. The default builds a unit vector per call; operators with
-    /// cheaper column access (dense storage, attached
-    /// [`ColumnMatrix`](crate::colview::ColumnMatrix) views) override it.
+    /// cheaper column access (dense storage, the closed-form XOR columns
+    /// of a [`ComposedOperator`](crate::ComposedOperator)) override it.
     ///
     /// # Panics
     ///
@@ -73,33 +73,11 @@ pub trait LinearOperator {
         self.apply(&e, out);
     }
 
-    /// Writes every column into the column-major `out`: column `j`
-    /// (`A e_j`) lands at `out[j·rows..(j+1)·rows]`. The default extracts
-    /// the columns one by one through
-    /// [`column_into`](LinearOperator::column_into);
-    /// [`ComposedOperator`](crate::ComposedOperator) overrides it with
-    /// the closed-form XOR kernel where that applies. This is the build
-    /// behind [`ColumnMatrix::from_operator`](crate::colview::ColumnMatrix::from_operator).
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `out.len() != rows()·cols()`.
-    fn columns_into(&self, out: &mut [f64]) {
-        columns_by_extraction(self, out);
-    }
-
-    /// The column-materialized view of this operator, when one is
-    /// attached or intrinsic. Consumers that work column-wise (greedy
-    /// pursuit, restricted least squares) switch to the materialized
-    /// path when this returns `Some`; the default is `None`.
-    fn column_view(&self) -> Option<&crate::colview::ColumnMatrix> {
-        None
-    }
-
     /// The shared Gram-column store of this operator, when one is
-    /// attached (see [`crate::gram`]). Batch-OMP reads admitted columns
-    /// from it and offers it the ones it computes; without a store every
-    /// column is computed per solve. The default is `None`.
+    /// attached (see [`crate::gram`]). The greedy solvers (Batch-OMP,
+    /// CoSaMP) read admitted columns from it and offer it the ones they
+    /// compute; without a store every column is computed per solve. The
+    /// default is `None`.
     fn gram_store(&self) -> Option<&crate::gram::GramStore> {
         None
     }
@@ -122,23 +100,6 @@ pub trait LinearOperator {
     /// returns itself.
     fn xor_structure(&self) -> Option<&crate::XorMeasurement> {
         None
-    }
-}
-
-/// The default [`LinearOperator::columns_into`]: one
-/// [`column_into`](LinearOperator::column_into) per column.
-///
-/// # Panics
-///
-/// Panics if `out.len() != a.rows()·a.cols()`.
-pub(crate) fn columns_by_extraction<A: LinearOperator + ?Sized>(a: &A, out: &mut [f64]) {
-    let rows = a.rows();
-    assert_eq!(out.len(), rows * a.cols(), "output length mismatch");
-    if rows == 0 {
-        return;
-    }
-    for (j, col) in out.chunks_exact_mut(rows).enumerate() {
-        a.column_into(j, col);
     }
 }
 

@@ -9,11 +9,11 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::colview::{ColumnMatrix, XorColumns};
+use crate::colview::XorColumns;
 use crate::dictionary::Dictionary;
 use crate::fused::{self, FusedScratch};
 use crate::gram::GramStore;
-use crate::op::{self, LinearOperator};
+use crate::op::LinearOperator;
 
 /// Reusable intermediate buffers of a [`ComposedOperator`]: the pixel
 /// vector between Ψ and Φ, the dictionary's own transform scratch, a
@@ -72,8 +72,6 @@ pub struct ComposedOperator<'a, M: ?Sized, D: ?Sized> {
     phi: &'a M,
     psi: &'a D,
     scratch: RefCell<ComposedScratch>,
-    /// Optional materialized `Φ·Ψ` columns (see [`ColumnMatrix`]).
-    columns: Option<Arc<ColumnMatrix>>,
     /// Optional shared Gram columns (see [`GramStore`]).
     gram: Option<Arc<GramStore>>,
 }
@@ -100,39 +98,17 @@ where
             phi,
             psi,
             scratch: RefCell::new(ComposedScratch::default()),
-            columns: None,
             gram: None,
         }
     }
 
-    /// Attaches a materialized column view (typically built once by
-    /// [`ColumnMatrix::from_operator`] and memoized by a cache).
-    /// Afterwards [`LinearOperator::column_view`] returns it and
-    /// [`LinearOperator::column_into`] serves columns by copy instead of
-    /// computing them — consumers on the column path (greedy solvers,
-    /// restricted least squares) pick it up automatically.
-    ///
-    /// `apply`/`apply_adjoint` are unaffected: they keep the matrix-free
-    /// fast paths, so attaching a view never changes forward/adjoint
-    /// results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view's shape does not match this operator.
-    #[must_use]
-    pub fn with_column_view(mut self, view: Arc<ColumnMatrix>) -> Self {
-        assert_eq!(view.rows(), self.phi.rows(), "view row mismatch");
-        assert_eq!(view.cols(), self.psi.atoms(), "view column mismatch");
-        self.columns = Some(view);
-        self
-    }
-
     /// Attaches a shared Gram-column store (typically memoized per
     /// operator and dictionary by a cache). Afterwards
-    /// [`LinearOperator::gram_store`] returns it, and Batch-OMP reads
-    /// and admits its Gram columns there. Every other application is
-    /// unaffected, and so are OMP's results: a stored column equals the
-    /// one the solver would compute itself, bit for bit.
+    /// [`LinearOperator::gram_store`] returns it, and the greedy solvers
+    /// (Batch-OMP, CoSaMP) read and admit their Gram slots there. Every
+    /// other application is unaffected, and so are the solvers'
+    /// results: a stored slot equals the one a solver would compute
+    /// itself, bit for bit.
     ///
     /// # Panics
     ///
@@ -237,10 +213,6 @@ where
     fn column_into(&self, j: usize, out: &mut [f64]) {
         assert!(j < self.cols(), "column {j} out of range");
         assert_eq!(out.len(), self.rows(), "output length mismatch");
-        if let Some(view) = &self.columns {
-            out.copy_from_slice(view.column(j));
-            return;
-        }
         if let Some(xor) = self.closed_form() {
             xor.column_into(j, out);
             return;
@@ -255,17 +227,6 @@ where
         pixels.resize(self.psi.dim(), 0.0);
         self.psi.synthesize_with(unit, pixels, dict);
         self.phi.apply(pixels, out);
-    }
-
-    fn columns_into(&self, out: &mut [f64]) {
-        match (&self.columns, self.closed_form()) {
-            (None, Some(xor)) => xor.columns_into(out),
-            _ => op::columns_by_extraction(self, out),
-        }
-    }
-
-    fn column_view(&self) -> Option<&ColumnMatrix> {
-        self.columns.as_deref()
     }
 
     fn gram_store(&self) -> Option<&GramStore> {

@@ -209,7 +209,6 @@ impl Solver for Amp {
         SolverCaps {
             name: "amp",
             norm_seed: Some(norm_seeds::AMP),
-            column_hungry: false,
         }
     }
 

@@ -1,14 +1,9 @@
 //! CGLS — conjugate gradient on the normal equations.
 //!
-//! Solves `min_x ‖A x − b‖₂` matrix-free. Used directly for
-//! least-squares subproblems (CoSaMP, debiasing) through
-//! [`RestrictedOperator`], which confines an operator to a column
-//! support without materializing anything — unless the inner operator
-//! carries a column-materialized view
-//! ([`LinearOperator::column_view`]), in which case the restricted
-//! applications become small dense gathers over the support columns
-//! (the fast path for greedy recovery; results agree with the scatter
-//! path to ≤1e-10 relative, the workspace-wide fast-path contract).
+//! Solves `min_x ‖A x − b‖₂` matrix-free. Besides solving whole
+//! problems, it is the engine of the [`debias`](crate::debias) re-fit,
+//! which runs it on a [`RestrictedOperator`]: the operator confined to
+//! a column support without materializing anything.
 
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
@@ -18,35 +13,28 @@ use tepics_cs::op::{self, LinearOperator};
 
 /// A view of an operator restricted to a subset of its columns.
 ///
-/// Without a column view on the inner operator, `apply` scatters the
-/// small coefficient vector into the full domain and `apply_adjoint`
-/// gathers only the supported entries; both run through internal
-/// full-width scratch buffers, so repeated applications (the CGLS loop)
-/// allocate nothing after the first call. When the inner operator
-/// exposes a column view, both applications instead run directly over
-/// the materialized support columns — `O(rows · |support|)` per
-/// application with no full-width traffic at all.
+/// `apply` scatters the small coefficient vector into the full domain
+/// and applies the inner operator; `apply_adjoint` applies the inner
+/// adjoint and gathers the supported entries. Both run through
+/// internal full-width scratch buffers, so repeated applications (the
+/// CGLS loop) allocate nothing after the first call.
 ///
 /// The scratch buffers make this type `!Sync`; it is a per-solve view,
-/// never shared across threads. Callers that solve repeatedly (CoSaMP's
-/// outer loop, per-frame debiasing) construct it via
-/// [`RestrictedOperator::with_scratch`] from workspace-owned buffers and
-/// recover them with [`RestrictedOperator::into_parts`], keeping warm
-/// solves allocation-free.
+/// never shared across threads. The per-frame debias pass constructs it
+/// via [`RestrictedOperator::with_scratch`] from workspace-owned
+/// buffers and recovers them with [`RestrictedOperator::into_parts`],
+/// keeping warm solves allocation-free.
 #[derive(Debug, Clone)]
 pub struct RestrictedOperator<'a, A: ?Sized> {
     inner: &'a A,
     support: Vec<usize>,
     /// Full-width scatter buffer for `apply`. Off-support entries are
     /// zeroed once and stay zero: `apply` only ever writes the same
-    /// support positions. Unused (kept empty) on the column-view path.
+    /// support positions.
     full_in: RefCell<Vec<f64>>,
     /// Full-width gather buffer for `apply_adjoint` (separate from
     /// `full_in` so the adjoint cannot disturb its zero invariant).
-    /// Unused (kept empty) on the column-view path.
     full_out: RefCell<Vec<f64>>,
-    /// Whether the inner operator exposed a column view at construction.
-    use_columns: bool,
 }
 
 impl<'a, A: LinearOperator + ?Sized> RestrictedOperator<'a, A> {
@@ -76,23 +64,15 @@ impl<'a, A: LinearOperator + ?Sized> RestrictedOperator<'a, A> {
         for &j in &support {
             assert!(j < inner.cols(), "support index {j} out of range");
         }
-        let use_columns = inner.column_view().is_some();
-        if use_columns {
-            // The dense path never touches the full domain.
-            full_in.clear();
-            full_out.clear();
-        } else {
-            full_in.clear();
-            full_in.resize(inner.cols(), 0.0);
-            full_out.clear();
-            full_out.resize(inner.cols(), 0.0);
-        }
+        full_in.clear();
+        full_in.resize(inner.cols(), 0.0);
+        full_out.clear();
+        full_out.resize(inner.cols(), 0.0);
         RestrictedOperator {
             inner,
             support,
             full_in: RefCell::new(full_in),
             full_out: RefCell::new(full_out),
-            use_columns,
         }
     }
 
@@ -104,25 +84,6 @@ impl<'a, A: LinearOperator + ?Sized> RestrictedOperator<'a, A> {
             self.full_in.into_inner(),
             self.full_out.into_inner(),
         )
-    }
-
-    /// The support column indices.
-    pub fn support(&self) -> &[usize] {
-        &self.support
-    }
-
-    /// Scatters restricted coefficients back into a full-length vector.
-    pub fn embed(&self, coeffs: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            coeffs.len(),
-            self.support.len(),
-            "coefficient length mismatch"
-        );
-        let mut full = vec![0.0; self.inner.cols()];
-        for (&j, &v) in self.support.iter().zip(coeffs) {
-            full[j] = v;
-        }
-        full
     }
 }
 
@@ -137,15 +98,6 @@ impl<'a, A: LinearOperator + ?Sized> LinearOperator for RestrictedOperator<'a, A
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.support.len(), "input length mismatch");
-        if let (true, Some(view)) = (self.use_columns, self.inner.column_view()) {
-            y.fill(0.0);
-            for (&j, &v) in self.support.iter().zip(x) {
-                if v != 0.0 {
-                    op::axpy(v, view.column(j), y);
-                }
-            }
-            return;
-        }
         let mut full = self.full_in.borrow_mut();
         for (&j, &v) in self.support.iter().zip(x) {
             full[j] = v;
@@ -155,12 +107,6 @@ impl<'a, A: LinearOperator + ?Sized> LinearOperator for RestrictedOperator<'a, A
 
     fn apply_adjoint(&self, y: &[f64], x: &mut [f64]) {
         assert_eq!(x.len(), self.support.len(), "output length mismatch");
-        if let (true, Some(view)) = (self.use_columns, self.inner.column_view()) {
-            for (o, &j) in x.iter_mut().zip(&self.support) {
-                *o = op::dot(view.column(j), y);
-            }
-            return;
-        }
         let mut full = self.full_out.borrow_mut();
         self.inner.apply_adjoint(y, &mut full);
         for (o, &j) in x.iter_mut().zip(&self.support) {
@@ -203,8 +149,8 @@ impl Cgls {
     }
 
     /// Like [`Cgls::solve`], reusing `workspace` buffers (the dedicated
-    /// `lsq_*` set, so CGLS can run *nested inside* another solver that
-    /// holds the iterate buffers — CoSaMP's re-fit, the debias pass);
+    /// `lsq_*` set, so CGLS can run *nested inside* the debias pass
+    /// while it holds the inner solver's buffers);
     /// results are bit-identical to [`Cgls::solve`].
     ///
     /// # Errors
@@ -226,8 +172,8 @@ impl Cgls {
     }
 
     /// [`Cgls::solve_with`] without the final coefficient clone: the
-    /// solution is left in `workspace.lsq_x` for callers (CoSaMP,
-    /// debias) that consume it in place.
+    /// solution is left in `workspace.lsq_x` for the debias pass, which
+    /// consumes it in place.
     pub(crate) fn solve_into<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -311,7 +257,6 @@ impl Solver for Cgls {
         SolverCaps {
             name: "cgls",
             norm_seed: None,
-            column_hungry: false,
         }
     }
 
@@ -328,7 +273,6 @@ impl Solver for Cgls {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tepics_cs::colview::ColumnMatrix;
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
 
@@ -372,37 +316,12 @@ mod tests {
         for (p, q) in rec.coefficients.iter().zip(&coeffs) {
             assert!((p - q).abs() < 1e-7);
         }
-        // Embedding scatters correctly.
-        let full = restricted.embed(&rec.coefficients);
-        assert!((full[17] + 2.0).abs() < 1e-7);
-        assert_eq!(full.iter().filter(|&&v| v != 0.0).count(), 3);
-    }
-
-    #[test]
-    fn column_view_path_matches_scatter_path() {
-        // The same restriction through a column-materialized inner
-        // operator must agree with the scatter/gather path to the
-        // fast-path tolerance.
-        let mut rng = SplitMix64::new(11);
-        let a = DenseMatrix::from_fn(18, 40, |_, _| rng.next_gaussian());
-        let view = ColumnMatrix::from_operator(&a);
-        let support = vec![1usize, 8, 19, 33];
-        let scatter = RestrictedOperator::new(&a, support.clone());
-        let dense = RestrictedOperator::new(&view, support.clone());
-        let x: Vec<f64> = (0..4).map(|_| rng.next_gaussian()).collect();
-        let y: Vec<f64> = (0..18).map(|_| rng.next_gaussian()).collect();
-        for (got, want) in dense.apply_vec(&x).iter().zip(scatter.apply_vec(&x)) {
-            assert!((got - want).abs() <= 1e-10 * want.abs().max(1.0));
-        }
-        for (got, want) in dense
-            .apply_adjoint_vec(&y)
-            .iter()
-            .zip(scatter.apply_adjoint_vec(&y))
-        {
-            assert!((got - want).abs() <= 1e-10 * want.abs().max(1.0));
-        }
-        // Restricted columns forward to the inner columns.
-        assert_eq!(dense.column(2), a.column(19));
+        // The restricted adjoint gathers the inner adjoint's entries,
+        // and restricted columns forward to the inner columns.
+        let full = a.apply_adjoint_vec(&b);
+        let gathered: Vec<f64> = support.iter().map(|&j| full[j]).collect();
+        assert_eq!(restricted.apply_adjoint_vec(&b), gathered);
+        assert_eq!(restricted.column(1), a.column(17));
     }
 
     #[test]

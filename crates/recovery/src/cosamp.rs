@@ -1,12 +1,32 @@
 //! CoSaMP — compressive sampling matching pursuit (Needell & Tropp
 //! 2009).
 //!
-//! Per iteration: identify the 2k strongest gradient atoms, merge with
-//! the current support, least-squares on the merged support (CGLS),
-//! prune back to k. More robust than OMP when atoms are correlated, at
-//! the price of larger least-squares subproblems.
+//! Per iteration: identify the 2k atoms most correlated with the
+//! residual, merge them with the current support, solve least squares
+//! on the merged support `Ω`, prune back to the k largest coefficients.
+//! More robust than OMP when atoms are correlated, at the price of
+//! larger least-squares subproblems.
+//!
+//! # On Gram slots
+//!
+//! CoSaMP runs on the same Gram slots as [`Omp`](crate::Omp) (see
+//! [`tepics_cs::gram`]), read through the operator's shared
+//! [`GramStore`](tepics_cs::gram::GramStore) when one is attached. The
+//! least squares on `Ω` is one Cholesky solve on all `K` rows built
+//! from slots alone, `(G_train,ΩΩ + A_cv,Ωᵀ A_cv,Ω) γ = α⁰_Ω + A_cv,Ωᵀ y_cv`
+//! with `α⁰ = [Aᵀ(mask ⊙ y); y_cv]` computed once per solve: OMP's
+//! final re-fit, run every iteration. An atom whose pivot fails — the
+//! DC-pinned atom, whose column is exactly zero, or one dependent on
+//! the atoms before it — is left out of `Ω`.
+//!
+//! The proxy stays one adjoint of the residual per iteration: a slot
+//! holds the *training* Gram column, so `α⁰ − G[:, T]·x_T` built from
+//! slots would miss the held-out rows, and restoring them costs about
+//! an adjoint anyway. One forward application per iteration then
+//! updates the residual. A residual norm or coefficient that is not
+//! finite ends the solve with [`RecoveryError::Breakdown`].
 
-use crate::cg::{Cgls, RestrictedOperator};
+use crate::greedy::{breakdown, correlations_into, fit_all_rows, residual_into, GramSlots};
 use crate::shrink::top_k_indices_into;
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
@@ -53,7 +73,8 @@ impl CoSaMp {
     /// # Errors
     ///
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator.
+    /// the operator, and [`RecoveryError::Breakdown`] if the residual or
+    /// a coefficient stops being finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -62,11 +83,11 @@ impl CoSaMp {
         self.solve_with(a, y, &mut SolverWorkspace::new())
     }
 
-    /// Runs the pursuit reusing `workspace` buffers — the iterate set
-    /// for the outer loop and the `lsq_*`/restrict set for the nested
-    /// CGLS re-fit, so the whole pursuit allocates nothing once the
-    /// workspace is warm. Results are bit-identical to
-    /// [`CoSaMp::solve`].
+    /// Runs the pursuit reusing `workspace` buffers (the iterate, the
+    /// merged support, per-solve Gram slots and the small
+    /// least-squares set), so the whole pursuit allocates nothing once
+    /// the workspace is warm, apart from admissions into an attached
+    /// Gram store. Results are bit-identical to [`CoSaMp::solve`].
     ///
     /// # Errors
     ///
@@ -83,72 +104,53 @@ impl CoSaMp {
         let k = self.sparsity.min(n);
         let y_norm = op::norm2(y);
         workspace.prepare(a.rows(), n);
+        let SolverWorkspace {
+            alpha: x,
+            z: alpha0,
+            grad,
+            resid,
+            rows_tmp: atom,
+            candidate: omega,
+            keep,
+            gram_misses,
+            gram_starts,
+            normal: ne,
+            ..
+        } = workspace;
+        correlations_into(a, y, atom, alpha0);
+        let mut slots = GramSlots::new(a, gram_misses, gram_starts);
         let mut iterations = 0;
         let mut converged = y_norm == 0.0;
         let mut last_resid = f64::INFINITY;
-        workspace.resid.copy_from_slice(y);
+        resid.copy_from_slice(y);
         for it in 0..self.max_iter {
             if converged {
                 break;
             }
             iterations = it + 1;
-            {
-                let SolverWorkspace {
-                    alpha,
-                    grad,
-                    resid,
-                    candidate,
-                    ..
-                } = &mut *workspace;
-                a.apply_adjoint(resid, grad);
-                // Candidate support: 2k strongest gradient atoms ∪ current.
-                top_k_indices_into(grad, 2 * k, candidate);
-                for (j, &v) in alpha.iter().enumerate() {
-                    if v != 0.0 {
-                        candidate.push(j);
-                    }
-                }
-                candidate.sort_unstable();
-                candidate.dedup();
+            // Ω: the 2k atoms most correlated with the residual ∪ the
+            // current support.
+            a.apply_adjoint(resid, grad);
+            top_k_indices_into(grad, 2 * k, omega);
+            omega.extend((0..n).filter(|&j| x[j] != 0.0));
+            omega.sort_unstable();
+            omega.dedup();
+            // Least squares on Ω over all rows, from Gram slots.
+            for &j in omega.iter() {
+                slots.fetch(a, j, atom);
             }
-            // Least squares on the candidate support, through the
-            // workspace-owned support/scratch buffers (returned below).
-            let mut support = std::mem::take(&mut workspace.support);
-            support.clear();
-            support.extend_from_slice(&workspace.candidate);
-            let restricted = RestrictedOperator::with_scratch(
-                a,
-                support,
-                std::mem::take(&mut workspace.restrict_in),
-                std::mem::take(&mut workspace.restrict_out),
-            );
-            let ls = Cgls::new(200, 1e-12).solve_into(&restricted, y, workspace);
-            let (support, full_in, full_out) = restricted.into_parts();
-            workspace.support = support;
-            workspace.restrict_in = full_in;
-            workspace.restrict_out = full_out;
-            ls?;
-            let SolverWorkspace {
-                alpha,
-                resid,
-                rows_tmp: fit,
-                candidate,
-                keep,
-                lsq_x: ls_coeffs,
-                ..
-            } = &mut *workspace;
+            fit_all_rows(&slots, alpha0, omega, ne);
             // Prune to the k largest coefficients.
-            top_k_indices_into(ls_coeffs, k, keep);
-            alpha.fill(0.0);
-            for &local in keep.iter() {
-                alpha[candidate[local]] = ls_coeffs[local];
+            top_k_indices_into(&ne.gamma, k, keep);
+            x.fill(0.0);
+            for &t in keep.iter() {
+                x[omega[t]] = ne.gamma[t];
             }
-            // Update residual.
-            a.apply(alpha, fit);
-            for (r, (&yi, &fi)) in resid.iter_mut().zip(y.iter().zip(fit.iter())) {
-                *r = yi - fi;
-            }
+            residual_into(a, x, y, resid);
             let rn = op::norm2(resid);
+            if !rn.is_finite() {
+                return Err(breakdown("CoSaMP", "the residual is not finite"));
+            }
             if rn <= self.residual_tol * y_norm.max(1e-300) {
                 converged = true;
             }
@@ -158,12 +160,15 @@ impl CoSaMp {
             }
             last_resid = rn;
         }
+        if !x.iter().all(|c| c.is_finite()) {
+            return Err(breakdown("CoSaMP", "a coefficient is not finite"));
+        }
         Ok(Recovery {
             // tidy:allow(alloc: the returned coefficient vector, once per solve)
-            coefficients: workspace.alpha.clone(),
+            coefficients: x.clone(),
             stats: SolveStats {
                 iterations,
-                residual_norm: op::norm2(&workspace.resid),
+                residual_norm: op::norm2(resid),
                 converged,
             },
         })
@@ -175,7 +180,6 @@ impl Solver for CoSaMp {
         SolverCaps {
             name: "cosamp",
             norm_seed: None,
-            column_hungry: true,
         }
     }
 
@@ -238,6 +242,33 @@ mod tests {
         let (a, _, y) = gaussian_problem(40, 100, 5, 12);
         let rec = CoSaMp::new(5).solve(&a, &y).unwrap();
         assert!(rec.coefficients.iter().filter(|&&v| v != 0.0).count() <= 5);
+    }
+
+    #[test]
+    fn non_finite_operators_break_down_instead_of_emitting_garbage() {
+        // A NaN or an inf entry, in a column of the true support and in
+        // one outside it, with and without the hold-out, and a NaN in y.
+        for rows in [30, 60] {
+            let (a, x, y) = gaussian_problem(rows, 80, 5, 11);
+            let picked = x.iter().position(|&v| v != 0.0).unwrap();
+            let unused = x.iter().position(|&v| v == 0.0).unwrap();
+            for bad in [f64::NAN, f64::INFINITY] {
+                for col in [picked, unused] {
+                    let mut broken = a.clone();
+                    broken.set(rows / 2, col, bad);
+                    match CoSaMp::new(5).solve(&broken, &y) {
+                        Err(RecoveryError::Breakdown(_)) => {}
+                        other => panic!("{rows} rows, {bad} in column {col}: {other:?}"),
+                    }
+                }
+            }
+            let mut nan_y = y.clone();
+            nan_y[1] = f64::NAN;
+            assert!(matches!(
+                CoSaMp::new(5).solve(&a, &nan_y),
+                Err(RecoveryError::Breakdown(_))
+            ));
+        }
     }
 
     #[test]

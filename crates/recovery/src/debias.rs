@@ -144,11 +144,8 @@ impl<'a> Debias<'a> {
 
 impl Solver for Debias<'_> {
     fn caps(&self) -> SolverCaps {
-        // `column_hungry` is inherited deliberately: the wrapper's own
-        // column work is one support-restricted CGLS re-fit, which does
-        // not amortize a full materialization (see the field docs) —
-        // though the re-fit does run through a view when the operator
-        // already carries one.
+        // The norm seed is the inner solver's: the wrapper's own re-fit
+        // is a CGLS pass, which estimates no norm.
         SolverCaps {
             name: "debias",
             ..self.inner.caps()

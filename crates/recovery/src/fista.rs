@@ -239,7 +239,6 @@ impl Solver for Fista {
         SolverCaps {
             name: "fista",
             norm_seed: Some(norm_seeds::FISTA),
-            column_hungry: false,
         }
     }
 

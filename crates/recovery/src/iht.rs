@@ -199,7 +199,6 @@ impl Solver for Iht {
         SolverCaps {
             name: "iht",
             norm_seed: Some(norm_seeds::IHT),
-            column_hungry: false,
         }
     }
 

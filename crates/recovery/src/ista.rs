@@ -199,7 +199,6 @@ impl Solver for Ista {
         SolverCaps {
             name: "ista",
             norm_seed: Some(norm_seeds::ISTA),
-            column_hungry: false,
         }
     }
 

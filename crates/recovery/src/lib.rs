@@ -12,12 +12,13 @@
 //! * [`Omp`] — orthogonal matching pursuit with incremental Cholesky,
 //!   the standard block-based decoder, stopped where the residual on a
 //!   few held-out measurements is least.
-//! * [`CoSaMP`](cosamp::CoSaMp) — compressive sampling matching pursuit.
+//! * [`CoSaMP`](cosamp::CoSaMp) — compressive sampling matching pursuit,
+//!   on the same Gram slots and all-rows least squares as OMP.
 //! * [`Iht`] — (normalized) iterative hard thresholding.
 //! * [`Amp`] — approximate message passing with Onsager correction
 //!   (fast on i.i.d.-like ensembles; heuristic on structured ones).
-//! * [`Cgls`] — CGLS least squares, also the engine behind
-//!   restricted re-fits.
+//! * [`Cgls`] — CGLS least squares, also the engine behind the debias
+//!   re-fit.
 //! * [`Debias`] — any solver above, wrapped with the
 //!   CGLS support re-fit of [`debias`] as one composite algorithm.
 //!
@@ -35,16 +36,15 @@
 //!    state a fresh allocation would have, so warm solves are
 //!    bit-identical to cold ones — and allocate nothing inside the
 //!    solver loop once warm. This covers the greedy pursuits (Gram
-//!    columns, growing Cholesky) and the nested CGLS of CoSaMP and the
-//!    debias pass, which run on a dedicated `lsq_*` buffer set so
-//!    nesting never clobbers the outer solver's state.
+//!    slots, growing Cholesky) and the nested CGLS of the debias pass,
+//!    which runs on a dedicated `lsq_*` buffer set so nesting never
+//!    clobbers the outer solver's state.
 //! 3. **Capability metadata.** [`Solver::caps`] tells a host what the
 //!    solver needs to run fast: the seed of its internal operator-norm
 //!    power iteration (memoize it per solver — seeds differ, and mixing
-//!    estimates across solvers would change results) and whether it is
-//!    column-hungry (attach a
-//!    [`ColumnMatrix`](tepics_cs::colview::ColumnMatrix) view so column
-//!    extraction and restricted least squares stop re-deriving columns).
+//!    estimates across solvers would change results). The greedy
+//!    pursuits need no flag: they read the Gram store an operator
+//!    carries ([`LinearOperator::gram_store`](tepics_cs::LinearOperator::gram_store)).
 //!
 //! # Examples
 //!
@@ -78,6 +78,7 @@ pub mod cg;
 pub mod cosamp;
 pub mod debias;
 pub mod fista;
+mod greedy;
 pub mod iht;
 pub mod ista;
 pub mod omp;

@@ -31,8 +31,8 @@
 //! [`GramStore`](tepics_cs::gram::GramStore) when one is attached
 //! ([`LinearOperator::gram_store`]): a stored column is a hit, a new
 //! one is admitted while the store has room, and one a full store turns
-//! away is computed into the workspace for this solve only. Without a
-//! store every column is such a miss. A Gram column is a pure function
+//! away is computed into the workspace, once per solve. Without a store
+//! every column is such a miss. A Gram column is a pure function
 //! of the operator and the atom, so results never depend on what the
 //! store holds, on warmth, or on the thread that filled it.
 //!
@@ -64,7 +64,10 @@
 //!   truncates to the best support.
 //! * The chosen support is re-fitted on all `K` rows from stored values
 //!   only: `(G_train,II + A_cv,Iᵀ A_cv,I) γ = α⁰_I + A_cv,Iᵀ y_cv`, one
-//!   small Cholesky. If that factor fails, the training `γ` stays.
+//!   small Cholesky (the least squares [`CoSaMp`](crate::CoSaMp) runs
+//!   every iteration). The held-out rows only add to the training
+//!   Gram, so its pivots pass wherever the training factor's did; an
+//!   atom whose pivot still fails to rounding is left out.
 //!
 //! The training residual norm `‖y_train‖² − γᵀα⁰_I` comes for free but
 //! cancels to noise once it falls below about `1e-8·‖y_train‖²`. A
@@ -77,10 +80,11 @@
 //! [`RecoveryError::Breakdown`]: the pursuit never returns non-finite
 //! coefficients.
 
+use crate::greedy::{breakdown, correlations_into, factor, fit_all_rows, residual_into, GramSlots};
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
 use crate::{check_dims, Recovery, RecoveryError, SolveStats};
-use tepics_cs::gram::{gram_column_into, held_out_count, hold_out_in_place};
+use tepics_cs::gram::held_out_count;
 use tepics_cs::op::{self, LinearOperator};
 
 /// The relative `‖r‖²/‖y‖²` below which the tracked residual norm is
@@ -151,11 +155,10 @@ impl Omp {
 
     /// Runs the pursuit reusing `workspace` buffers (correlations,
     /// the selected-flag mask, per-solve Gram slots, the growing
-    /// Cholesky, the best support's coefficients and the re-fit's
-    /// held-out rows, and the small least-squares vectors); results are
-    /// bit-identical to [`Omp::solve`], with no allocations inside the
-    /// pursuit loop once the workspace is warm, apart from admissions
-    /// into an attached Gram store.
+    /// Cholesky, the re-fit's held-out rows and the small least-squares
+    /// vectors); results are bit-identical to [`Omp::solve`], with no
+    /// allocations inside the pursuit loop once the workspace is warm,
+    /// apart from admissions into an attached Gram store.
     ///
     /// # Errors
     ///
@@ -171,10 +174,8 @@ impl Omp {
         let n = a.cols();
         let m = a.rows();
         let held = held_out_count(m);
-        let slot = n + held;
         let budget = self.max_atoms.min(n).min(m - held);
         let tol = self.residual_tol;
-        let store = a.gram_store();
         let SolverWorkspace {
             alpha: alpha0,
             grad: corr,
@@ -183,28 +184,14 @@ impl Omp {
             rows_tmp: atom,
             selected,
             support,
-            gram_misses: misses,
-            gram_cross: cross,
-            rhs,
-            small: coeffs,
-            small2: forward,
-            held_best: best,
-            held_atoms: tails,
-            chol,
+            gram_misses,
+            gram_starts,
+            normal: ne,
             ..
         } = workspace;
-        let chol = chol
-            // tidy:allow(alloc: cold-path Cholesky factor; warm workspaces reuse it)
-            .get_or_insert_with(|| tepics_cs::chol::GrowingCholesky::with_capacity(budget.max(1)));
-        chol.reset(budget.max(1));
+        let chol = factor(&mut ne.chol, budget.max(1));
         // α⁰ = [Aᵀ(mask ⊙ y); y_cv], and ‖y‖² over the training rows.
-        atom.clear();
-        atom.extend_from_slice(y);
-        alpha0.clear();
-        alpha0.resize(slot, 0.0);
-        let (train, held_y) = alpha0.split_at_mut(n);
-        hold_out_in_place(atom, held_y);
-        a.apply_adjoint(atom, train);
+        correlations_into(a, y, atom, alpha0);
         let y2 = op::dot(atom, atom);
         let y_norm = op::dot(y, y).sqrt();
         corr.clear();
@@ -216,14 +203,13 @@ impl Omp {
         // Whether `residual` holds y − A·x for the current support.
         let mut residual_fresh = true;
         support.clear();
-        misses.clear();
-        rhs.clear();
-        forward.clear();
-        coeffs.clear();
-        // The least held-out residual so far; `best` holds γ at it, so
-        // its length is the best support size.
+        let mut slots = GramSlots::new(a, gram_misses, gram_starts);
+        ne.rhs.clear();
+        ne.forward.clear();
+        ne.gamma.clear();
+        // The least held-out residual so far, and the support size at it.
         let mut best_cv = op::dot(&alpha0[n..], &alpha0[n..]);
-        best.clear();
+        let mut best_len = 0;
         let mut converged = y_norm == 0.0;
         let mut stopped = false;
         while support.len() < budget && !converged && !stopped {
@@ -241,25 +227,10 @@ impl Omp {
             if best_mag < 1e-14 {
                 break; // residual orthogonal to every atom
             }
-            // The slot of j: a store hit, an admission, or a miss
-            // computed into the workspace for this solve only.
-            let stored =
-                store.and_then(|s| s.column_or_admit(j, |g| gram_column_into(a, j, atom, g)));
-            let g = match stored {
-                Some(g) => g,
-                None => {
-                    let start = misses.len();
-                    // Capacity tracks the most misses a solve on this
-                    // workspace has needed, not the atom budget.
-                    misses.reserve_exact(slot);
-                    misses.resize(start + slot, 0.0);
-                    gram_column_into(a, j, atom, &mut misses[start..]);
-                    &misses[start..]
-                }
-            };
-            cross.clear();
-            cross.extend(support.iter().map(|&i| g[i]));
-            if chol.push(cross, g[j]).is_err() {
+            let g = slots.fetch(a, j, atom);
+            ne.cross.clear();
+            ne.cross.extend(support.iter().map(|&i| g[i]));
+            if chol.push(&ne.cross, g[j]).is_err() {
                 // Dependent atom: skip it by pretending correlation is
                 // exhausted (no further progress possible on this atom).
                 break;
@@ -269,20 +240,13 @@ impl Omp {
             // Least squares on the support: G_II γ = α⁰_I. The rhs
             // entries never change, so each iteration appends only the
             // new atom's entry and forward-substitutes only its row.
-            rhs.push(alpha0[j]);
-            chol.solve_into(rhs, coeffs, forward);
-            // [α; r_cv] = α⁰ − Σ_I slot_i·γ_i. Selected atoms read their
-            // slot from the store, or else the next miss in selection
-            // order.
+            ne.rhs.push(alpha0[j]);
+            chol.solve_into(&ne.rhs, &mut ne.gamma, &mut ne.forward);
+            // [α; r_cv] = α⁰ − Σ_I slot_i·γ_i.
             corr.copy_from_slice(alpha0);
-            let mut local = misses.chunks_exact(slot);
             let mut quad: [(&[f64], f64); 4] = [(&[], 0.0); 4];
-            for (t, (&i, &c)) in support.iter().zip(coeffs.iter()).enumerate() {
-                let gi = store
-                    .and_then(|s| s.column(i))
-                    .or_else(|| local.next())
-                    .unwrap_or_default();
-                quad[t % 4] = (gi, c);
+            for (t, (&i, &c)) in support.iter().zip(ne.gamma.iter()).enumerate() {
+                quad[t % 4] = (slots.get(i), c);
                 if t % 4 == 3 {
                     subtract_quad(corr, &quad);
                 }
@@ -291,24 +255,23 @@ impl Omp {
                 op::axpy(-c, gi, corr);
             }
             residual_fresh = false;
-            let tracked = y2 - op::dot(coeffs, rhs);
+            let tracked = y2 - op::dot(&ne.gamma, &ne.rhs);
             let cv = op::dot(&corr[n..], &corr[n..]);
             if !tracked.is_finite() || !cv.is_finite() {
-                return Err(breakdown("a tracked residual is not finite"));
+                return Err(breakdown("OMP", "a tracked residual is not finite"));
             }
             if held > 0 {
                 if cv < best_cv {
                     best_cv = cv;
-                    best.clear();
-                    best.extend_from_slice(coeffs);
-                } else if support.len() - best.len() >= PATIENCE {
+                    best_len = support.len();
+                } else if support.len() - best_len >= PATIENCE {
                     stopped = true;
                 }
             }
             if tracked <= (tol * tol).max(TRACKED_FLOOR) * y2 {
                 x.clear();
                 x.resize(n, 0.0);
-                for (&i, &c) in support.iter().zip(coeffs.iter()) {
+                for (&i, &c) in support.iter().zip(ne.gamma.iter()) {
                     x[i] = c;
                 }
                 residual_into(a, x, y, residual);
@@ -318,61 +281,24 @@ impl Omp {
         }
         if held > 0 && !support.is_empty() {
             // A confirmed fit is its own best; otherwise truncate to the
-            // held-out minimum.
-            if !converged && best.len() < support.len() {
-                support.truncate(best.len());
-                coeffs.clear();
-                coeffs.extend_from_slice(best);
+            // held-out minimum. Then re-fit on all K rows.
+            if !converged {
+                support.truncate(best_len);
             }
-            if !support.is_empty() {
-                // Re-fit on all K rows from the stored slots alone:
-                // (G_train,II + A_cv,Iᵀ A_cv,I) γ = α⁰_I + A_cv,Iᵀ y_cv,
-                // with `tails` gathering A_cv,I atom by atom. A failed
-                // factor keeps the training γ.
-                let (train, held_y) = alpha0.split_at(n);
-                let mut local = misses.chunks_exact(slot);
-                chol.reset(support.len());
-                rhs.clear();
-                tails.clear();
-                let mut factored = true;
-                for (t, &i) in support.iter().enumerate() {
-                    let g = store
-                        .and_then(|s| s.column(i))
-                        .or_else(|| local.next())
-                        .unwrap_or_default();
-                    let tail = &g[n..];
-                    cross.clear();
-                    cross.extend(
-                        support[..t]
-                            .iter()
-                            .zip(tails.chunks_exact(held))
-                            .map(|(&s, ts)| g[s] + op::dot(tail, ts)),
-                    );
-                    if chol.push(cross, g[i] + op::dot(tail, tail)).is_err() {
-                        factored = false;
-                        break;
-                    }
-                    rhs.push(train[i] + op::dot(tail, held_y));
-                    tails.extend_from_slice(tail);
-                }
-                if factored {
-                    forward.clear();
-                    chol.solve_into(rhs, coeffs, forward);
-                }
-                residual_fresh = false;
-            }
+            fit_all_rows(&slots, alpha0, support, ne);
+            residual_fresh = false;
         }
         // tidy:allow(alloc: the returned coefficient vector, once per solve)
         let mut full = vec![0.0; n];
-        for (&j, &c) in support.iter().zip(coeffs.iter()) {
+        for (&j, &c) in support.iter().zip(ne.gamma.iter()) {
             full[j] = c;
         }
         if !residual_fresh {
             residual_into(a, &full, y, residual);
         }
         let residual_norm = op::norm2(residual);
-        if !residual_norm.is_finite() || !coeffs.iter().all(|c| c.is_finite()) {
-            return Err(breakdown("the fitted residual is not finite"));
+        if !residual_norm.is_finite() || !ne.gamma.iter().all(|c| c.is_finite()) {
+            return Err(breakdown("OMP", "the fitted residual is not finite"));
         }
         Ok(Recovery {
             coefficients: full,
@@ -383,13 +309,6 @@ impl Omp {
             },
         })
     }
-}
-
-/// The error for a solve whose numbers stopped being finite.
-#[cold]
-fn breakdown(what: &str) -> RecoveryError {
-    // tidy:allow(alloc: the error message, once, on the failure path)
-    RecoveryError::Breakdown(format!("OMP: {what}"))
 }
 
 /// `corr −= Σ c·g` over four Gram columns in one pass, so the
@@ -404,21 +323,11 @@ fn subtract_quad(corr: &mut [f64], quad: &[(&[f64], f64); 4]) {
     }
 }
 
-/// `residual = y − A x`, by one explicit forward application.
-// tidy:alloc-free
-fn residual_into<A: LinearOperator + ?Sized>(a: &A, x: &[f64], y: &[f64], residual: &mut [f64]) {
-    a.apply(x, residual);
-    for (r, &yk) in residual.iter_mut().zip(y) {
-        *r = yk - *r;
-    }
-}
-
 impl Solver for Omp {
     fn caps(&self) -> SolverCaps {
         SolverCaps {
             name: "omp",
             norm_seed: None,
-            column_hungry: false,
         }
     }
 
@@ -435,7 +344,7 @@ impl Solver for Omp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tepics_cs::gram::GramStore;
+    use tepics_cs::gram::{gram_column_into, GramStore};
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
 
@@ -480,19 +389,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn column_view_leaves_results_bit_identical() {
-        // A view materialized from a dense matrix serves the same
-        // columns and rounds its applications exactly like it, so
-        // results must be equal bit for bit.
-        use tepics_cs::colview::ColumnMatrix;
-        let (a, _, y) = gaussian_problem(30, 80, 5, 99);
-        let view = ColumnMatrix::from_operator(&a);
-        let plain = Omp::new(8).solve(&a, &y).unwrap();
-        let through_view = Omp::new(8).solve(&view, &y).unwrap();
-        assert_eq!(plain, through_view);
     }
 
     /// A dense operator with an attached Gram store.

@@ -19,9 +19,7 @@
 //! a solver well without knowing its type: the seed of its internal
 //! operator-norm estimate (so a cache can memoize the power iteration
 //! per solver — different solvers use different seeds, and mixing them
-//! would silently change results) and whether the solver touches the
-//! operator column-wise (so a host knows to attach a
-//! [`ColumnMatrix`](tepics_cs::colview::ColumnMatrix) view).
+//! would silently change results).
 
 use crate::workspace::SolverWorkspace;
 use crate::{Recovery, RecoveryError};
@@ -57,17 +55,6 @@ pub struct SolverCaps {
     /// ([`norm_seeds`] lists the values). `None` for solvers that never
     /// estimate a norm (the greedy pursuits, CGLS).
     pub norm_seed: Option<u64>,
-    /// `true` if the solver touches operator columns heavily enough —
-    /// repeated restricted least squares over growing supports — to
-    /// justify materializing *all* columns up front (CoSaMP). OMP is not
-    /// column-hungry: it reads one column per selected atom, to build
-    /// that atom's Gram column. Solvers whose column work is one
-    /// support-restricted re-fit (the [`Debias`](crate::Debias)
-    /// wrapper's CGLS pass) inherit their inner solver's appetite: a
-    /// full materialization would cost more than the single re-fit it
-    /// accelerates, though they do use a view when one is already
-    /// attached.
-    pub column_hungry: bool,
 }
 
 /// A sparse-recovery algorithm behind one object-safe interface.
@@ -96,7 +83,7 @@ pub struct SolverCaps {
 /// }
 /// ```
 pub trait Solver {
-    /// Capability metadata (stable name, norm seed, column appetite).
+    /// Capability metadata (stable name, norm seed).
     fn caps(&self) -> SolverCaps;
 
     /// Runs the solver reusing `workspace` buffers; bit-identical to
@@ -182,7 +169,6 @@ mod tests {
         assert_eq!(Iht::new(1).caps().norm_seed, Some(norm_seeds::IHT));
         assert_eq!(Amp::new().caps().norm_seed, Some(norm_seeds::AMP));
         assert_eq!(Omp::new(1).caps().norm_seed, None);
-        assert!(!Omp::new(1).caps().column_hungry);
-        assert!(CoSaMp::new(1).caps().column_hungry);
+        assert_eq!(CoSaMp::new(1).caps().norm_seed, None);
     }
 }

@@ -17,21 +17,21 @@
 //! cold one.
 //!
 //! The buffers fall into three groups, sized independently so nesting
-//! works (CoSaMP's outer loop keeps its iterate buffers live while the
-//! inner CGLS runs on the `lsq_*` set):
+//! works (the debias pass keeps its support in the greedy buffers while
+//! its CGLS runs on the `lsq_*` set):
 //!
 //! * **iterate buffers** (`alpha`…`rows_tmp2`) — the proximal/
-//!   thresholding/message-passing loops;
-//! * **greedy buffers** (`selected`…`chol`) — atom bookkeeping, the Gram
-//!   slots OMP computes for a single solve, the coefficients at OMP's
-//!   held-out-residual minimum and the held-out rows of its re-fit, and
-//!   the growing Cholesky of OMP;
+//!   thresholding/message-passing loops, and the iterate, correlations
+//!   and residual of the greedy pursuits;
+//! * **greedy buffers** (`selected`…`normal`) — atom bookkeeping, the
+//!   Gram slots OMP and CoSaMP compute for a single solve, and their
+//!   normal equations: the growing Cholesky, its right-hand side and
+//!   the held-out rows of the all-rows least squares;
 //! * **least-squares buffers** (`lsq_*`, `restrict_*`) — the CGLS
-//!   vectors and the restricted operator's scatter/gather scratch, used
-//!   by [`Cgls`](crate::cg::Cgls), CoSaMP's re-fit, and
-//!   [`debias`](crate::debias).
+//!   vectors and the restricted operator's scatter scratch, used by
+//!   [`Cgls`](crate::cg::Cgls) and [`debias`](crate::debias).
 
-use tepics_cs::chol::GrowingCholesky;
+use crate::greedy::NormalEquations;
 use tepics_cs::ComposedScratch;
 
 /// Reusable buffers shared by every solver in the crate (see the module
@@ -72,13 +72,8 @@ pub struct SolverWorkspace {
     pub(crate) candidate: Vec<usize>,
     pub(crate) keep: Vec<usize>,
     pub(crate) gram_misses: Vec<f64>,
-    pub(crate) gram_cross: Vec<f64>,
-    pub(crate) rhs: Vec<f64>,
-    pub(crate) small: Vec<f64>,
-    pub(crate) small2: Vec<f64>,
-    pub(crate) held_best: Vec<f64>,
-    pub(crate) held_atoms: Vec<f64>,
-    pub(crate) chol: Option<GrowingCholesky>,
+    pub(crate) gram_starts: Vec<usize>,
+    pub(crate) normal: NormalEquations,
     // Least-squares buffers (nested CGLS + restricted-operator scratch).
     pub(crate) lsq_x: Vec<f64>,
     pub(crate) lsq_r: Vec<f64>,
@@ -142,6 +137,7 @@ impl SolverWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tepics_cs::chol::GrowingCholesky;
 
     #[test]
     fn prepare_resets_to_fresh_state() {
@@ -173,6 +169,7 @@ mod tests {
     fn chol_is_reused_across_resets() {
         let mut ws = SolverWorkspace::new();
         let chol = ws
+            .normal
             .chol
             .get_or_insert_with(|| GrowingCholesky::with_capacity(8));
         chol.push(&[], 4.0).unwrap();

@@ -29,7 +29,7 @@
 //! reconstructing each frame as it completes. The decoder receives only
 //! samples plus a 64-bit seed, never Φ; the session rebuilds Φ once and
 //! reuses it (with the dictionary, the per-solver step sizes, and the
-//! column-materialized views) for every frame of the stream.
+//! greedy solvers' Gram stores) for every frame of the stream.
 //!
 //! Recovery is solver-pluggable: every algorithm in [`recovery`]
 //! (FISTA, ISTA, IHT, AMP, OMP, CoSaMP, CGLS, and the CGLS debias

@@ -306,9 +306,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("solver/omp/debias=false/Dct2d", 0xd42c6d7e6e34604d),
     ("solver/omp/debias=false/Haar2d", 0x9368d128d7cf202e),
     ("solver/omp/debias=false/Identity", 0x454fb00bc249bf03),
-    ("solver/cosamp/debias=false/Dct2d", 0x0d3eb57d492de277),
-    ("solver/cosamp/debias=false/Haar2d", 0xaf2541783fd9a092),
-    ("solver/cosamp/debias=false/Identity", 0x4e4103629a8c21ed),
+    ("solver/cosamp/debias=false/Dct2d", 0x70be48dd6dfc2b23),
+    ("solver/cosamp/debias=false/Haar2d", 0xe1dfe7b9382198b0),
+    ("solver/cosamp/debias=false/Identity", 0xd921e06458764c99),
     ("solver/cgls/debias=false/Dct2d", 0xf6d2c320c4b0868e),
     ("solver/cgls/debias=false/Haar2d", 0x05eae8ac5357c725),
     ("solver/cgls/debias=false/Identity", 0xa7edcc3b404ba241),

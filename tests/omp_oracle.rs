@@ -1,4 +1,5 @@
-//! Textbook twin of production OMP and its held-out stop rule.
+//! Textbook twins of production OMP, with its held-out stop rule, and
+//! of production CoSaMP.
 //!
 //! Production OMP is Batch-OMP over Gram slots: it never forms a
 //! residual, reads the held-out residual out of its correlation update,
@@ -25,6 +26,17 @@
 //! `Decoder` must return the twin's atom count and its code image
 //! within 1e-9. A 16×16 capture
 //! below the hold-out threshold pins the plain pursuit the same way.
+//!
+//! Production CoSaMP solves each least squares from the same Gram slots.
+//! Its twin does every step the naive way over the same dense `A`: the
+//! proxy `Aᵀr` on all rows, the 2k largest `|c_j|` merged with the
+//! current support, least squares on the merged support by the dense
+//! normal equations on all rows (the all-zero DC column left out),
+//! pruning to the k largest coefficients, the explicit residual, and
+//! the same stop and stall rules. On 16×16 and 32×32 captures,
+//! mean-split with DC pinned, production CoSaMP on a Gram store must
+//! pick the twin's support in the twin's iteration count, with
+//! coefficients within 1e-10 relative.
 
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -35,10 +47,14 @@ use tepics::cs::measurement::SelectionMeasurement;
 use tepics::cs::op::{dot, norm2};
 use tepics::cs::{ComposedOperator, Dct2dDictionary, GramStore, LinearOperator, XorMeasurement};
 use tepics::prelude::*;
-use tepics::recovery::Omp;
+use tepics::recovery::{CoSaMp, Omp};
 
-/// The pursuit's stop threshold, `Omp`'s default `residual_tol`.
+/// The pursuit's stop threshold, `Omp`'s and `CoSaMp`'s default
+/// `residual_tol`.
 const OMP_TOL: f64 = 1e-9;
+
+/// `CoSaMp`'s default iteration cap.
+const COSAMP_ITERATIONS: usize = 50;
 
 /// Atoms past the held-out minimum after which the pursuit stops.
 const PATIENCE: usize = 12;
@@ -237,6 +253,56 @@ fn textbook_cv_omp(columns: &[Vec<f64>], y: &[f64], atoms: usize) -> Pursuit {
     }
 }
 
+/// Textbook CoSaMP (see the module docs); returns the pursuit and its
+/// iteration count.
+fn textbook_cosamp(columns: &[Vec<f64>], y: &[f64], sparsity: usize) -> (Pursuit, usize) {
+    let all: Vec<usize> = (0..y.len()).collect();
+    let y_norm = norm2(y);
+    let mut coefficients = vec![0.0; columns.len()];
+    let mut r = y.to_vec();
+    let mut last = f64::INFINITY;
+    let mut iterations = 0;
+    let mut converged = y_norm == 0.0;
+    while iterations < COSAMP_ITERATIONS && !converged {
+        iterations += 1;
+        let proxy: Vec<f64> = columns.iter().map(|col| dot(col, &r)).collect();
+        let mut order: Vec<usize> = (0..columns.len()).collect();
+        order.sort_by(|&i, &j| proxy[j].abs().total_cmp(&proxy[i].abs()));
+        let mut merged: Vec<usize> = order[..2 * sparsity].to_vec();
+        merged.extend((0..columns.len()).filter(|&j| coefficients[j] != 0.0));
+        merged.sort_unstable();
+        merged.dedup();
+        merged.retain(|&j| columns[j].iter().any(|&v| v != 0.0));
+        let fit = least_squares(columns, y, &merged, &all);
+        let mut by_size: Vec<usize> = (0..merged.len()).collect();
+        by_size.sort_by(|&i, &j| fit[j].abs().total_cmp(&fit[i].abs()));
+        coefficients.fill(0.0);
+        for &t in by_size.iter().take(sparsity) {
+            coefficients[merged[t]] = fit[t];
+        }
+        let support: Vec<usize> = (0..columns.len())
+            .filter(|&j| coefficients[j] != 0.0)
+            .collect();
+        let x: Vec<f64> = support.iter().map(|&j| coefficients[j]).collect();
+        r = residual(columns, y, &support, &x);
+        let rn = norm2(&r);
+        converged = rn <= OMP_TOL * y_norm.max(1e-300);
+        if (last - rn).abs() <= 1e-12 * y_norm.max(1e-300) {
+            break;
+        }
+        last = rn;
+    }
+    let support = (0..columns.len())
+        .filter(|&j| coefficients[j] != 0.0)
+        .collect();
+    let pursuit = Pursuit {
+        support,
+        coefficients,
+        selected: 0,
+    };
+    (pursuit, iterations)
+}
+
 /// Asserts `got` has exactly `want`'s support and its coefficients
 /// within 1e-10 of `want`'s largest magnitude.
 fn assert_same_pursuit(got: &[f64], want: &Pursuit, label: &str) {
@@ -333,4 +399,53 @@ fn production_omp_matches_the_cross_validated_textbook_twin() {
         }
     }
     assert_eq!(held_out_cases, 2, "both hold-out sizes must be exercised");
+}
+
+/// Production CoSaMP on a Gram store, as the decoder runs it, equals the
+/// textbook twin on 16×16 and 32×32 captures, mean-split with the DC
+/// atom pinned (see the module docs).
+#[test]
+fn production_cosamp_matches_the_textbook_twin() {
+    for &(side, scenes) in &[(16usize, 3u64), (32, 2)] {
+        let imager = CompressiveImager::builder(side, side)
+            .ratio(0.35)
+            .seed(0xC05A + side as u64)
+            .fidelity(Fidelity::Functional)
+            .build()
+            .unwrap();
+        let frames: Vec<CompressedFrame> = (0..scenes)
+            .map(|i| imager.capture(&Scene::natural_like().render(side, side, 70 + i)))
+            .collect();
+        let k = frames[0].samples.len();
+        let sparsity = k / 8;
+        let mut decoder = Decoder::for_frame(&frames[0]).unwrap();
+        decoder.params(RecoveryParams {
+            solver: SolverKind::CoSamp { sparsity },
+            dictionary: DictionaryKind::Dct2d,
+        });
+        let phi = decoder.rebuild_measurement(k).unwrap();
+        let counts = phi.selection_counts();
+        let (columns, _) = dense_a(&phi);
+        let pinned = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
+        let store = Arc::new(GramStore::new(k, side * side));
+        for (f, frame) in frames.iter().enumerate() {
+            let label = format!("{side}x{side} K={k} frame {f}");
+            let y: Vec<f64> = frame.samples.iter().map(|&s| f64::from(s)).collect();
+            let mean = (dot(&counts, &y) / dot(&counts, &counts)).clamp(0.0, 255.0);
+            let resid: Vec<f64> = y.iter().zip(&counts).map(|(v, c)| v - mean * c).collect();
+            let (twin, iterations) = textbook_cosamp(&columns, &resid, sparsity);
+            assert!(twin.support.len() <= sparsity, "{label}: over the sparsity");
+
+            let a = ComposedOperator::new(&phi, &pinned).with_gram_store(store.clone());
+            let got = CoSaMp::new(sparsity).solve(&a, &resid).unwrap();
+            assert_eq!(got.stats.iterations, iterations, "{label}: iterations");
+            assert_same_pursuit(&got.coefficients, &twin, &label);
+            let recon = decoder.reconstruct(frame).unwrap();
+            assert_eq!(
+                recon.stats().iterations,
+                iterations,
+                "{label}: decoder iterations"
+            );
+        }
+    }
 }

@@ -486,35 +486,3 @@ fn solver_trait_dispatch_is_bit_identical_to_direct_calls() {
         assert_eq!(via_trait, manual, "case {case}: debias");
     }
 }
-
-/// A column-materialized view never changes what the columns *are*:
-/// extraction through `column_into` (and OMP, which only reads
-/// columns) is bit-identical with and without a view attached.
-#[test]
-fn column_view_extraction_is_bit_identical() {
-    use tepics::cs::colview::ColumnMatrix;
-    use tepics::cs::{DenseMatrix, LinearOperator};
-    use tepics::recovery::Omp;
-    let mut rng = SplitMix64::new(0xC01_BEEF);
-    for case in 0..CASES / 4 {
-        let rows = 8 + rng.next_below(16) as usize;
-        let cols = rows + rng.next_below(24) as usize;
-        let a = DenseMatrix::from_fn(rows, cols, |_, _| {
-            rng.next_gaussian() / (rows as f64).sqrt()
-        });
-        let view = ColumnMatrix::from_operator(&a);
-        for j in 0..cols {
-            assert_eq!(
-                view.column(j),
-                a.column(j).as_slice(),
-                "case {case} col {j}"
-            );
-        }
-        let mut x = vec![0.0; cols];
-        x[rng.next_below(cols as u64) as usize] = 1.0;
-        let y = a.apply_vec(&x);
-        let plain = Omp::new(3).solve(&a, &y).unwrap();
-        let viewed = Omp::new(3).solve(&view, &y).unwrap();
-        assert_eq!(plain, viewed, "case {case}: OMP through view diverged");
-    }
-}

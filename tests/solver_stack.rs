@@ -5,7 +5,7 @@
 //! cache evicts, and the parallel batch engine all produce bit-identical
 //! reconstructions, because every decode runs the same path through an
 //! operator cache, every cached value (operator, dictionary, per-solver
-//! norm estimate, column view, Gram column) is built deterministically,
+//! norm estimate, Gram column) is built deterministically,
 //! and every workspace reset is value-transparent.
 
 use std::sync::Arc;
@@ -17,11 +17,10 @@ use tepics::cs::measurement::SelectionMeasurement;
 use tepics::cs::op::dot;
 use tepics::cs::{ComposedOperator, Dct2dDictionary, GramStore};
 use tepics::prelude::*;
-use tepics::recovery::Omp;
+use tepics::recovery::{CoSaMp, Omp, Solver};
 
-/// A cache budget below one 16×16 Gram store or column view: such
-/// entries are served but never retained, so every decode starts a
-/// fresh one.
+/// A cache budget below one 16×16 Gram store: such entries are served
+/// but never retained, so every decode starts a fresh one.
 const EVICTING_BUDGET: usize = 64 << 10;
 
 fn imager(side: usize, seed: u64) -> CompressiveImager {
@@ -37,7 +36,7 @@ fn imager(side: usize, seed: u64) -> CompressiveImager {
 /// one-shot decoder on its own private cache) decodes for every solver
 /// kind over every dictionary — the cache and workspace layers are
 /// value-transparent across the whole roster — and so are decodes
-/// through a cache that evicts its Gram stores and column views. Every
+/// through a cache that evicts its Gram stores. Every
 /// cold decode scores a finite PSNR against the ideal codes.
 #[test]
 fn warm_session_equals_cold_decoder_for_every_solver_kind() {
@@ -104,8 +103,8 @@ fn warm_session_equals_cold_decoder_for_every_solver_kind() {
 
 /// A shared cache serves many sessions without cross-talk: two sessions
 /// with different solvers on one cache reproduce their private-cache
-/// results exactly (per-solver norm entries and column views are keyed
-/// per solver, so they can never mix).
+/// results exactly (per-solver norm entries are keyed per solver, and a
+/// Gram store holds only operator columns, so they can never mix).
 #[test]
 fn shared_cache_does_not_mix_solver_state() {
     let im = imager(16, 0x7EA);
@@ -224,14 +223,15 @@ fn params_set_after_the_first_frame_apply_to_the_next() {
     assert_eq!(late.cache().stats().misses, 1, "Φ is built once");
 }
 
-/// OMP's result does not depend on the state of the operator's shared
-/// Gram store or on who filled it: on real 32×32 measurements (mean
-/// split, DC pinned) a solve without a store, through a cold store,
-/// through the same store warm, through a store filled to its cap by
-/// other columns (so most atoms are turned away), and through one store
-/// filled by 1, 2 and 4 racing threads all give the same bits. The
-/// decoder's own OMP decodes are identical cold, warm and through an
-/// evicting cache, and their stores never exceed the cap.
+/// A greedy solve (OMP and CoSaMP) does not depend on the state of the
+/// operator's shared Gram store or on who filled it: on real 32×32
+/// measurements (mean split, DC pinned) a solve without a store,
+/// through a cold store, through the same store warm, through a store
+/// filled to its cap by other columns (so most atoms are turned away),
+/// and through one store filled by 1, 2 and 4 racing threads all give
+/// the same bits. The decoder's own greedy decodes are identical cold,
+/// warm and through an evicting cache, and their stores never exceed
+/// the cap.
 #[test]
 fn omp_ignores_gram_store_state_and_thread_count() {
     let side = 32;
@@ -254,93 +254,109 @@ fn omp_ignores_gram_store_state_and_thread_count() {
             y.iter().zip(&counts).map(|(v, c)| v - mean * c).collect()
         })
         .collect();
-    let omp = Omp::new(60);
-    let solve = |y: &[f64], store: Option<&Arc<GramStore>>| {
-        let a = ComposedOperator::new(&phi, &psi);
-        let a = match store {
-            Some(store) => a.with_gram_store(store.clone()),
-            None => a,
-        };
-        omp.solve(&a, y).unwrap()
+    let (omp, cosamp) = (Omp::new(60), CoSaMp::new(k / 8));
+    let cosamp_params = RecoveryParams {
+        solver: SolverKind::CoSamp { sparsity: k / 8 },
+        dictionary: DictionaryKind::Dct2d,
     };
-    let reference: Vec<_> = ys.iter().map(|y| solve(y, None)).collect();
+    for (solver, params) in [
+        (
+            &omp as &(dyn Solver + Sync),
+            RecoveryParams::exact_sparse(60),
+        ),
+        (&cosamp, cosamp_params),
+    ] {
+        let name = solver.caps().name;
+        let solve = |y: &[f64], store: Option<&Arc<GramStore>>| {
+            let a = ComposedOperator::new(&phi, &psi);
+            let a = match store {
+                Some(store) => a.with_gram_store(store.clone()),
+                None => a,
+            };
+            solver.solve(&a, y).unwrap()
+        };
+        let reference: Vec<_> = ys.iter().map(|y| solve(y, None)).collect();
 
-    let store = Arc::new(GramStore::new(k, side * side));
-    for round in ["cold", "warm"] {
+        let store = Arc::new(GramStore::new(k, side * side));
+        for round in ["cold", "warm"] {
+            for (f, y) in ys.iter().enumerate() {
+                assert_eq!(
+                    solve(y, Some(&store)),
+                    reference[f],
+                    "{name}: {round} store, frame {f}"
+                );
+            }
+        }
+        assert!(store.admitted() <= store.capacity());
+
+        // Filled to the cap from the highest-frequency atoms down.
+        let full = Arc::new(GramStore::new(k, side * side));
+        let plain = ComposedOperator::new(&phi, &psi);
+        let mut atom = vec![0.0; k];
+        for j in (0..side * side).rev().take(full.capacity()) {
+            full.column_or_admit(j, |g| gram_column_into(&plain, j, &mut atom, g));
+        }
+        assert_eq!(full.admitted(), full.capacity());
         for (f, y) in ys.iter().enumerate() {
             assert_eq!(
-                solve(y, Some(&store)),
+                solve(y, Some(&full)),
                 reference[f],
-                "{round} store, frame {f}"
+                "{name}: full store, frame {f}"
             );
         }
-    }
-    assert!(store.admitted() <= store.capacity());
+        assert_eq!(
+            full.admitted(),
+            full.capacity(),
+            "{name}: a full store admits nothing"
+        );
 
-    // Filled to the cap from the highest-frequency atoms down.
-    let full = Arc::new(GramStore::new(k, side * side));
-    let plain = ComposedOperator::new(&phi, &psi);
-    let mut atom = vec![0.0; k];
-    for j in (0..side * side).rev().take(full.capacity()) {
-        full.column_or_admit(j, |g| gram_column_into(&plain, j, &mut atom, g));
-    }
-    assert_eq!(full.admitted(), full.capacity());
-    for (f, y) in ys.iter().enumerate() {
-        assert_eq!(solve(y, Some(&full)), reference[f], "full store, frame {f}");
-    }
-    assert_eq!(
-        full.admitted(),
-        full.capacity(),
-        "a full store admits nothing"
-    );
+        for threads in [1, 2, 4] {
+            let shared = Arc::new(GramStore::new(k, side * side));
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (shared, solve, ys, reference) = (&shared, &solve, &ys, &reference);
+                    scope.spawn(move || {
+                        // Each racer walks the frames from its own offset.
+                        for i in 0..ys.len() {
+                            let f = (i + t) % ys.len();
+                            assert_eq!(
+                                solve(&ys[f], Some(shared)),
+                                reference[f],
+                                "{name}: {threads} racing threads, frame {f}"
+                            );
+                        }
+                    });
+                }
+            });
+            assert!(shared.admitted() <= shared.capacity());
+        }
 
-    for threads in [1, 2, 4] {
-        let shared = Arc::new(GramStore::new(k, side * side));
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let (shared, solve, ys, reference) = (&shared, &solve, &ys, &reference);
-                scope.spawn(move || {
-                    // Each racer walks the frames from its own offset.
-                    for i in 0..ys.len() {
-                        let f = (i + t) % ys.len();
-                        assert_eq!(
-                            solve(&ys[f], Some(shared)),
-                            reference[f],
-                            "{threads} racing threads, frame {f}"
-                        );
-                    }
-                });
-            }
-        });
-        assert!(shared.admitted() <= shared.capacity());
-    }
-
-    // The same invariance through the decoder's own cache.
-    let params = RecoveryParams::exact_sparse(60);
-    let cold: Vec<Reconstruction> = frames
-        .iter()
-        .map(|f| {
-            let mut d = Decoder::for_frame(f).unwrap();
-            d.params(params);
-            d.reconstruct(f).unwrap()
-        })
-        .collect();
-    for (label, cache) in [
-        ("shared", OperatorCache::shared()),
-        (
-            "evicting",
-            OperatorCache::shared_with(CacheConfig::new().byte_budget(EVICTING_BUDGET)),
-        ),
-    ] {
-        for round in 0..2 {
-            for (f, frame) in frames.iter().enumerate() {
-                let mut d = Decoder::for_frame(frame).unwrap();
-                d.params(params).use_cache(cache.clone());
-                assert_eq!(
-                    d.reconstruct(frame).unwrap(),
-                    cold[f],
-                    "{label} cache, round {round}, frame {f}"
-                );
+        // The same invariance through the decoder's own cache.
+        let cold: Vec<Reconstruction> = frames
+            .iter()
+            .map(|f| {
+                let mut d = Decoder::for_frame(f).unwrap();
+                d.params(params);
+                d.reconstruct(f).unwrap()
+            })
+            .collect();
+        for (label, cache) in [
+            ("shared", OperatorCache::shared()),
+            (
+                "evicting",
+                OperatorCache::shared_with(CacheConfig::new().byte_budget(EVICTING_BUDGET)),
+            ),
+        ] {
+            for round in 0..2 {
+                for (f, frame) in frames.iter().enumerate() {
+                    let mut d = Decoder::for_frame(frame).unwrap();
+                    d.params(params).use_cache(cache.clone());
+                    assert_eq!(
+                        d.reconstruct(frame).unwrap(),
+                        cold[f],
+                        "{name}: {label} cache, round {round}, frame {f}"
+                    );
+                }
             }
         }
     }

@@ -5,7 +5,8 @@
 //! capture loop do not touch the heap. OMP is measured without a Gram
 //! store, with one prefilled by an earlier solve, and with one full to
 //! its cap; only admissions into a store allocate, so the differential
-//! budgets run on a prefilled store. Its held-out stop rule and all-rows
+//! budgets run on a prefilled store. CoSaMP, on the same Gram slots, is
+//! measured on a prefilled store and a full one. Its held-out stop rule and all-rows
 //! re-fit are measured on the decoder's 32×32, K = 359 operator.
 //!
 //! The method is differential: run the same warm solve at two different
@@ -31,7 +32,7 @@ use tepics::cs::{
     XorMeasurement,
 };
 use tepics::prelude::*;
-use tepics::recovery::{Fista, Omp, SolverWorkspace};
+use tepics::recovery::{CoSaMp, Fista, Omp, SolverWorkspace};
 use tepics::util::{BitVec, SplitMix64};
 
 struct CountingAllocator;
@@ -188,7 +189,6 @@ fn composed_problem() -> (
 fn warm_composed_omp_without_view_allocates_nothing() {
     let (phi, psi, y) = composed_problem();
     let plain = ComposedOperator::new(&phi, &psi);
-    assert!(plain.column_view().is_none());
     let store = Arc::new(GramStore::new(phi.rows(), psi.atoms()));
     let stored = ComposedOperator::new(&phi, &psi).with_gram_store(store.clone());
     for (label, a) in [("no store", &plain), ("prefilled store", &stored)] {
@@ -253,6 +253,62 @@ fn full_gram_store_admits_nothing_and_omp_allocates_only_its_result() {
     assert_eq!(
         allocs, 1,
         "OMP on a full store should allocate exactly the returned coefficient vector"
+    );
+}
+
+/// Warm CoSaMP on the decoder's composed operator allocates only its
+/// returned coefficient vector: its least squares run on Gram slots in
+/// workspace buffers. Measured on a store prefilled by a first solve
+/// (every slot a hit) and on a store filled to its cap with other atoms
+/// (the solve's slots are per-solve misses, each computed once), whose
+/// result equals the store-less solve and which admits nothing.
+#[test]
+fn warm_cosamp_on_a_gram_store_allocates_only_its_result() {
+    let (phi, psi, y) = composed_problem();
+    let cosamp = CoSaMp::new(8);
+
+    let store = Arc::new(GramStore::new(phi.rows(), psi.atoms()));
+    let prefilled = ComposedOperator::new(&phi, &psi).with_gram_store(store.clone());
+    let mut ws = SolverWorkspace::new();
+    let first = cosamp.solve_with(&prefilled, &y, &mut ws).unwrap();
+    assert!(first.stats.iterations > 1, "the pursuit must iterate");
+    let admitted = store.admitted();
+    let (allocs, again) = count_allocs(|| cosamp.solve_with(&prefilled, &y, &mut ws).unwrap());
+    assert_eq!(again, first, "prefilled store: warm result changed");
+    assert_eq!(store.admitted(), admitted, "a warm solve admits nothing");
+    assert_eq!(
+        allocs, 1,
+        "prefilled store: a warm CoSaMP solve should allocate exactly its result"
+    );
+
+    let plain = ComposedOperator::new(&phi, &psi);
+    let full = Arc::new(GramStore::new(phi.rows(), psi.atoms()));
+    let mut atom = vec![0.0; phi.rows()];
+    for j in (0..psi.atoms()).rev().take(full.capacity()) {
+        full.column_or_admit(j, |g| gram_column_into(&plain, j, &mut atom, g));
+    }
+    // A store-less solve warms the workspace for a solve of all misses,
+    // and the operator's scratch, which the stored operator takes over.
+    let mut ws = SolverWorkspace::new();
+    let want = cosamp.solve_with(&plain, &y, &mut ws).unwrap();
+    assert_eq!(want, first, "a store must not change the result");
+    let stored = ComposedOperator::new(&phi, &psi)
+        .with_scratch(plain.into_scratch())
+        .with_gram_store(full.clone());
+    let (allocs, got) = count_allocs(|| cosamp.solve_with(&stored, &y, &mut ws).unwrap());
+    assert_eq!(got, want, "a full store must not change the result");
+    assert!(
+        (0..psi.atoms()).any(|j| got.coefficients[j] != 0.0 && full.column(j).is_none()),
+        "the solve must select atoms the full store turned away"
+    );
+    assert_eq!(
+        full.admitted(),
+        full.capacity(),
+        "a full store admits nothing"
+    );
+    assert_eq!(
+        allocs, 1,
+        "full store: a warm CoSaMP solve should allocate exactly its result"
     );
 }
 
