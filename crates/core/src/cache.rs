@@ -75,7 +75,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::decoder::{build_dictionary, DictImpl, DictionaryKind};
+use crate::decoder::{build_dictionary, DictionaryKind, SharedDictionary};
 use crate::error::CoreError;
 use crate::strategy::StrategyKind;
 use tepics_cs::gram::GramStore;
@@ -231,7 +231,7 @@ struct Inner {
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
     ops: HashMap<OperatorKey, Slot<CachedOperator>>,
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    dicts: HashMap<DictKey, Slot<Arc<DictImpl>>>,
+    dicts: HashMap<DictKey, Slot<SharedDictionary>>,
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
     norms: HashMap<NormKey, Slot<f64>>,
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
@@ -517,7 +517,12 @@ impl OperatorCache {
     }
 
     /// The dictionary for `(kind, rows, cols)`, built on first use.
-    pub(crate) fn dictionary(&self, kind: DictionaryKind, rows: u16, cols: u16) -> Arc<DictImpl> {
+    pub(crate) fn dictionary(
+        &self,
+        kind: DictionaryKind,
+        rows: u16,
+        cols: u16,
+    ) -> SharedDictionary {
         let key = (kind, rows, cols);
         let cell = {
             let mut guard = self.locked();
@@ -528,7 +533,7 @@ impl OperatorCache {
             return dict.clone();
         }
         let dict = cell
-            .get_or_init(|| Arc::new(build_dictionary(kind, rows as usize, cols as usize)))
+            .get_or_init(|| build_dictionary(kind, rows as usize, cols as usize))
             .clone();
         let bytes = ENTRY_OVERHEAD + dict_bytes_estimate(kind, rows as usize, cols as usize);
         let committed = {

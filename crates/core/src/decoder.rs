@@ -25,13 +25,13 @@ use crate::error::CoreError;
 use crate::frame::{CompressedFrame, FrameHeader};
 use crate::solver::RecoveryParams;
 use tepics_cs::dictionary::{
-    Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, SeparableFactors,
-    ZeroMeanDictionary,
+    Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, ZeroMeanDictionary,
 };
 use tepics_cs::gram::GramStore;
 use tepics_cs::op;
-use tepics_cs::{ComposedOperator, LinearOperator, StagedDictionary, XorMeasurement};
+use tepics_cs::{ComposedOperator, LinearOperator, XorMeasurement};
 use tepics_imaging::ImageF64;
+use tepics_recovery::solver::norm_seeds;
 use tepics_recovery::{Debias, SolveStats, Solver, SolverWorkspace};
 use tepics_sensor::{CodeTransfer, SensorConfig};
 
@@ -47,91 +47,21 @@ pub enum DictionaryKind {
     Identity,
 }
 
-/// Dispatch-friendly dictionary wrapper (DC pinned where meaningful).
-#[derive(Debug, Clone)]
-pub(crate) enum DictImpl {
-    Dct(ZeroMeanDictionary<Dct2dDictionary>),
-    Haar(ZeroMeanDictionary<Haar2dDictionary>),
-    Id(IdentityDictionary),
-}
+/// A dictionary shared across threads through the operator cache.
+pub(crate) type SharedDictionary = Arc<dyn Dictionary + Send + Sync>;
 
-/// Builds the dictionary for one geometry (row-major `rows × cols`).
-pub(crate) fn build_dictionary(kind: DictionaryKind, rows: usize, cols: usize) -> DictImpl {
+/// Builds the dictionary for one geometry (row-major `rows × cols`),
+/// with the DC atom pinned where the mean split removes it.
+pub(crate) fn build_dictionary(kind: DictionaryKind, rows: usize, cols: usize) -> SharedDictionary {
     match kind {
         DictionaryKind::Dct2d => {
-            DictImpl::Dct(ZeroMeanDictionary::new(Dct2dDictionary::new(cols, rows), 0))
+            Arc::new(ZeroMeanDictionary::new(Dct2dDictionary::new(cols, rows), 0))
         }
-        DictionaryKind::Haar2d => DictImpl::Haar(ZeroMeanDictionary::new(
+        DictionaryKind::Haar2d => Arc::new(ZeroMeanDictionary::new(
             Haar2dDictionary::new(cols, rows),
             0,
         )),
-        DictionaryKind::Identity => DictImpl::Id(IdentityDictionary::new(rows * cols)),
-    }
-}
-
-impl Dictionary for DictImpl {
-    fn dim(&self) -> usize {
-        match self {
-            DictImpl::Dct(d) => d.dim(),
-            DictImpl::Haar(d) => d.dim(),
-            DictImpl::Id(d) => d.dim(),
-        }
-    }
-
-    fn atoms(&self) -> usize {
-        match self {
-            DictImpl::Dct(d) => d.atoms(),
-            DictImpl::Haar(d) => d.atoms(),
-            DictImpl::Id(d) => d.atoms(),
-        }
-    }
-
-    fn synthesize(&self, alpha: &[f64], x: &mut [f64]) {
-        match self {
-            DictImpl::Dct(d) => d.synthesize(alpha, x),
-            DictImpl::Haar(d) => d.synthesize(alpha, x),
-            DictImpl::Id(d) => d.synthesize(alpha, x),
-        }
-    }
-
-    fn analyze(&self, x: &[f64], alpha: &mut [f64]) {
-        match self {
-            DictImpl::Dct(d) => d.analyze(x, alpha),
-            DictImpl::Haar(d) => d.analyze(x, alpha),
-            DictImpl::Id(d) => d.analyze(x, alpha),
-        }
-    }
-
-    fn synthesize_with(&self, alpha: &[f64], x: &mut [f64], scratch: &mut Vec<f64>) {
-        match self {
-            DictImpl::Dct(d) => d.synthesize_with(alpha, x, scratch),
-            DictImpl::Haar(d) => d.synthesize_with(alpha, x, scratch),
-            DictImpl::Id(d) => d.synthesize_with(alpha, x, scratch),
-        }
-    }
-
-    fn analyze_with(&self, x: &[f64], alpha: &mut [f64], scratch: &mut Vec<f64>) {
-        match self {
-            DictImpl::Dct(d) => d.analyze_with(x, alpha, scratch),
-            DictImpl::Haar(d) => d.analyze_with(x, alpha, scratch),
-            DictImpl::Id(d) => d.analyze_with(x, alpha, scratch),
-        }
-    }
-
-    fn row_staged(&self) -> Option<StagedDictionary<'_>> {
-        match self {
-            DictImpl::Dct(d) => d.row_staged(),
-            DictImpl::Haar(d) => d.row_staged(),
-            DictImpl::Id(d) => d.row_staged(),
-        }
-    }
-
-    fn separable(&self, width: usize, height: usize) -> Option<SeparableFactors<'_>> {
-        match self {
-            DictImpl::Dct(d) => d.separable(width, height),
-            DictImpl::Haar(d) => d.separable(width, height),
-            DictImpl::Id(d) => d.separable(width, height),
-        }
+        DictionaryKind::Identity => Arc::new(IdentityDictionary::new(rows * cols)),
     }
 }
 
@@ -361,12 +291,11 @@ impl Decoder {
         };
         // Solvers that estimate ‖ΦΨ‖ internally get the estimate
         // precomputed and memoized per (operator, dictionary, solver
-        // seed). The value mirrors each solver's own seeded derivation
-        // exactly, so the override is bit-transparent.
+        // seed). It is the estimate the solver would compute itself, so
+        // the override is bit-transparent.
         let norm = kind.norm_seed().and_then(|seed| {
-            self.cache.operator_norm(&key, dictionary, seed, || {
-                op::operator_norm_est(&a, 30, seed)
-            })
+            self.cache
+                .operator_norm(&key, dictionary, seed, || norm_seeds::estimate(&a, seed))
         });
         let built = kind.instantiate(norm);
         let base = built.as_solver();

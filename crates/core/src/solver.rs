@@ -90,18 +90,10 @@ impl Default for SolverKind {
 }
 
 impl SolverKind {
-    /// Short stable name (matches the underlying solver's
-    /// [`caps().name`](tepics_recovery::SolverCaps)), for reports.
+    /// Short stable name, the underlying solver's
+    /// [`caps().name`](tepics_recovery::SolverCaps), for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            SolverKind::Fista { .. } => "fista",
-            SolverKind::Ista { .. } => "ista",
-            SolverKind::Amp { .. } => "amp",
-            SolverKind::Iht { .. } => "iht",
-            SolverKind::Omp { .. } => "omp",
-            SolverKind::CoSamp { .. } => "cosamp",
-            SolverKind::Cgls { .. } => "cgls",
-        }
+        self.instantiate(None).as_solver().caps().name
     }
 
     /// Whether the CGLS debias pass wraps this solver.
@@ -116,15 +108,10 @@ impl SolverKind {
 
     /// Seed of the solver's internal operator-norm power iteration, when
     /// it runs one (the cache memoizes the estimate per seed so solvers
-    /// never see each other's step sizes).
+    /// never see each other's step sizes); read from the solver's
+    /// [`caps()`](tepics_recovery::SolverCaps).
     pub(crate) fn norm_seed(&self) -> Option<u64> {
-        match self {
-            SolverKind::Fista { .. } => Some(norm_seeds::FISTA),
-            SolverKind::Ista { .. } => Some(norm_seeds::ISTA),
-            SolverKind::Iht { .. } => Some(norm_seeds::IHT),
-            SolverKind::Amp { .. } => Some(norm_seeds::AMP),
-            _ => None,
-        }
+        self.instantiate(None).as_solver().caps().norm_seed
     }
 
     /// Whether the solver runs on Gram slots (Batch-OMP, CoSaMP) and
@@ -174,11 +161,16 @@ impl SolverKind {
     /// storage keeps the concrete solver on the caller's stack so
     /// dynamic dispatch needs no heap allocation.
     pub(crate) fn instantiate(&self, norm: Option<f64>) -> BuiltSolver {
-        // Each solver derives its step exactly as it would internally
-        // (1/L with L = ‖A‖²·1.05), so overriding is bit-transparent.
-        let step = norm.map(|n| 1.0 / (n * n * 1.05));
+        // Each solver derives its step exactly as it would internally,
+        // so overriding is bit-transparent.
+        let step = norm.map(norm_seeds::step);
         match *self {
             SolverKind::Fista {
+                lambda_ratio,
+                max_iter,
+                ..
+            }
+            | SolverKind::Ista {
                 lambda_ratio,
                 max_iter,
                 ..
@@ -188,19 +180,11 @@ impl SolverKind {
                 if let Some(step) = step {
                     s.step(step);
                 }
-                BuiltSolver::Fista(s)
-            }
-            SolverKind::Ista {
-                lambda_ratio,
-                max_iter,
-                ..
-            } => {
-                let mut s = Ista::new();
-                s.lambda_ratio(lambda_ratio).max_iter(max_iter);
-                if let Some(step) = step {
-                    s.step(step);
+                if matches!(self, SolverKind::Ista { .. }) {
+                    BuiltSolver::Ista(s.into())
+                } else {
+                    BuiltSolver::Fista(s)
                 }
-                BuiltSolver::Ista(s)
             }
             SolverKind::Amp { max_iter, .. } => {
                 let mut s = Amp::new();
@@ -361,16 +345,6 @@ mod tests {
                 "{}",
                 kind.name()
             );
-        }
-    }
-
-    #[test]
-    fn instantiate_matches_trait_caps() {
-        for kind in all_kinds(64) {
-            let built = kind.instantiate(None);
-            let caps = built.as_solver().caps();
-            assert_eq!(caps.name, kind.name());
-            assert_eq!(caps.norm_seed, kind.norm_seed(), "{}", kind.name());
         }
     }
 

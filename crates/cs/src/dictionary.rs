@@ -88,6 +88,12 @@ pub trait Dictionary {
     }
 }
 
+impl std::fmt::Debug for dyn Dictionary + Send + Sync + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "dyn Dictionary({} atoms)", self.atoms())
+    }
+}
+
 /// The atoms of one axis of a separable dictionary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum AtomFactors<'a> {

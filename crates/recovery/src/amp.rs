@@ -4,37 +4,40 @@
 //! soft thresholding with an *Onsager correction* term that keeps the
 //! effective noise Gaussian, converging in tens of iterations where
 //! ISTA needs hundreds. The threshold is set adaptively from the
-//! residual's estimated noise level (`τ = κ·median(|Aᵀr|)/0.6745`-style;
-//! we use the common `τ = κ·‖r‖/√m` rule).
+//! residual's estimated noise level by the common `τ = κ·‖z‖/√m` rule,
+//! with `κ = 2.5`.
 //!
 //! AMP's state-evolution guarantees assume i.i.d. sub-Gaussian matrices;
 //! on the XOR-structured CA ensemble it is a heuristic — the solver
 //! comparison in the experiments treats it accordingly.
 
+use crate::iterative::{finish, iterate, resolve_scale, zero_solution};
 use crate::shrink::soft_threshold;
 use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError, SolveStats};
+use crate::{check_dims, Recovery, RecoveryError};
 use tepics_cs::op::{self, LinearOperator};
+
+/// AMP's name in its capabilities and errors.
+const NAME: &str = "amp";
+
+/// Threshold multiplier κ of `τ = κ·‖z‖/√m` (≈2–3 for noiseless CS).
+const KAPPA: f64 = 2.5;
 
 /// AMP solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Amp {
     max_iter: usize,
     tol: f64,
-    /// Threshold multiplier κ (≈2–3 for noiseless CS).
-    kappa: f64,
     norm: Option<f64>,
 }
 
 impl Amp {
-    /// Creates a solver with defaults: 60 iterations, κ = 2.5,
-    /// tolerance 1e-8.
+    /// Creates a solver with defaults: 60 iterations, tolerance 1e-8.
     pub fn new() -> Self {
         Amp {
             max_iter: 60,
             tol: 1e-8,
-            kappa: 2.5,
             norm: None,
         }
     }
@@ -43,7 +46,7 @@ impl Amp {
     /// rescaling (skips the seeded power iteration — callers that
     /// memoize it pass its result back through here). A non-positive
     /// value is rejected at solve time, like the sibling `step`
-    /// overrides on ISTA/IHT.
+    /// overrides on FISTA/ISTA/IHT.
     pub fn operator_norm(&mut self, norm: f64) -> &mut Self {
         self.norm = Some(norm);
         self
@@ -61,17 +64,6 @@ impl Amp {
         self
     }
 
-    /// Threshold multiplier κ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kappa <= 0`.
-    pub fn kappa(&mut self, kappa: f64) -> &mut Self {
-        assert!(kappa > 0.0, "kappa must be positive");
-        self.kappa = kappa;
-        self
-    }
-
     /// Runs the solver with freshly allocated buffers. The operator is
     /// internally rescaled by `1/‖A‖` so AMP's unit-column-variance
     /// assumption approximately holds.
@@ -79,7 +71,9 @@ impl Amp {
     /// # Errors
     ///
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not
-    /// match the operator.
+    /// match the operator, [`RecoveryError::InvalidParameter`] for a
+    /// non-positive norm override, or [`RecoveryError::Breakdown`] once
+    /// an iterate is not finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -106,28 +100,18 @@ impl Amp {
         let m = a.rows();
         let n = a.cols();
         // Normalize the operator so columns have ~unit norm in the
-        // aggregate: scale = ‖A‖₂ / sqrt(n/m) heuristic — for an i.i.d.
-        // matrix with unit columns ‖A‖ ≈ 1 + sqrt(n/m).
-        let norm = match self.norm {
-            Some(v) if v > 0.0 => v,
-            Some(_) => {
-                return Err(RecoveryError::InvalidParameter(
-                    "operator norm override must be positive".into(),
-                ))
-            }
-            None => op::operator_norm_est(a, 30, norm_seeds::AMP),
+        // aggregate: scale = ‖A‖₂ / (1 + sqrt(n/m)), since for an
+        // i.i.d. matrix with unit columns ‖A‖ ≈ 1 + sqrt(n/m).
+        let Some(norm) = resolve_scale(
+            a,
+            self.norm,
+            norm_seeds::AMP,
+            |norm| norm,
+            "operator norm override",
+        )?
+        else {
+            return Ok(zero_solution(n, y));
         };
-        if norm == 0.0 {
-            return Ok(Recovery {
-                // tidy:allow(alloc: zero-operator early exit, before the iteration loop)
-                coefficients: vec![0.0; n],
-                stats: SolveStats {
-                    iterations: 0,
-                    residual_norm: op::norm2(y),
-                    converged: true,
-                },
-            });
-        }
         let scale = norm / (1.0 + (n as f64 / m as f64).sqrt());
         workspace.prepare(m, n);
         let SolverWorkspace {
@@ -143,58 +127,28 @@ impl Amp {
             *s = v / scale;
         }
         z.copy_from_slice(y_s); // corrected residual starts at y_s
-
-        let mut iterations = 0;
-        let mut converged = false;
         let mut nnz_prev = 0usize;
-        for it in 0..self.max_iter {
-            iterations = it + 1;
+        let progress = iterate(NAME, self.max_iter, self.tol, x, prev, |x, _| {
             // Pseudo-data: x + Aᵀz (A scaled by 1/scale on the fly).
             a.apply_adjoint(z, grad);
-            prev.copy_from_slice(x);
-            for i in 0..n {
-                x[i] += grad[i] / scale;
+            for (v, &g) in x.iter_mut().zip(grad.iter()) {
+                *v += g / scale;
             }
             // Adaptive threshold from the residual noise level.
-            let tau = self.kappa * op::norm2(z) / (m as f64).sqrt();
+            let tau = KAPPA * op::norm2(z) / (m as f64).sqrt();
             soft_threshold(x, tau);
             let nnz = x.iter().filter(|&&v| v != 0.0).count();
             // Residual with Onsager term: z ← y − Ax + z·(nnz/m).
             a.apply(x, ax);
             let onsager = nnz_prev as f64 / m as f64;
-            for k in 0..m {
-                z[k] = y_s[k] - ax[k] / scale + z[k] * onsager;
+            for ((zk, &ys), &axk) in z.iter_mut().zip(y_s.iter()).zip(ax.iter()) {
+                *zk = ys - axk / scale + *zk * onsager;
             }
             nnz_prev = nnz;
-            let mut diff = 0.0;
-            let mut nrm = 0.0;
-            for i in 0..n {
-                let d = x[i] - prev[i];
-                diff += d * d;
-                nrm += x[i] * x[i];
-            }
-            if diff.sqrt() <= self.tol * nrm.sqrt().max(1e-12) {
-                converged = true;
-                break;
-            }
-        }
-        // Undo the scaling: the model was (A/scale)(x_s) = y/scale with
-        // x_s = x, so the original-coordinates solution is x itself…
-        // except A was applied unscaled inside the loop; verify residual
-        // in original coordinates.
-        a.apply(x, ax);
-        for (r, &yi) in ax.iter_mut().zip(y) {
-            *r -= yi;
-        }
-        Ok(Recovery {
-            // tidy:allow(alloc: the returned coefficient vector, once per solve)
-            coefficients: x.clone(),
-            stats: SolveStats {
-                iterations,
-                residual_norm: op::norm2(ax),
-                converged,
-            },
-        })
+        })?;
+        // The model was (A/scale)·x = y/scale, so x is already the
+        // solution in the original coordinates.
+        Ok(finish(a, y, x, ax, progress))
     }
 }
 
@@ -207,7 +161,7 @@ impl Default for Amp {
 impl Solver for Amp {
     fn caps(&self) -> SolverCaps {
         SolverCaps {
-            name: "amp",
+            name: NAME,
             norm_seed: Some(norm_seeds::AMP),
         }
     }
@@ -318,8 +272,7 @@ mod tests {
     #[test]
     fn norm_override_matches_internal_estimate() {
         let (a, _, y) = gaussian_problem(40, 80, 4, 6);
-        use tepics_cs::op::operator_norm_est;
-        let norm = operator_norm_est(&a, 30, crate::solver::norm_seeds::AMP);
+        let norm = crate::solver::norm_seeds::estimate(&a, crate::solver::norm_seeds::AMP);
         let auto = Amp::new().solve(&a, &y).unwrap();
         let overridden = Amp::new().operator_norm(norm).solve(&a, &y).unwrap();
         assert_eq!(auto, overridden, "override must be bit-transparent");

@@ -26,11 +26,11 @@
 //! updates the residual. A residual norm or coefficient that is not
 //! finite ends the solve with [`RecoveryError::Breakdown`].
 
-use crate::greedy::{breakdown, correlations_into, fit_all_rows, residual_into, GramSlots};
+use crate::greedy::{correlations_into, fit_all_rows, residual_into, GramSlots};
 use crate::shrink::top_k_indices_into;
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError, SolveStats};
+use crate::{breakdown, check_dims, Recovery, RecoveryError, SolveStats};
 use tepics_cs::op::{self, LinearOperator};
 
 /// CoSaMP solver configuration.

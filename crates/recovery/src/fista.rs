@@ -3,13 +3,15 @@
 //! Solves the LASSO `min_α ½‖Aα − y‖² + λ‖α‖₁` with Nesterov momentum.
 //! This is the default full-frame decoder: at the sensor's native size
 //! the operator is matrix-free and each iteration costs two operator
-//! applications.
+//! applications. [`Ista`](crate::Ista) runs this same loop with the
+//! momentum off.
 
+use crate::iterative::{finish, iterate, resolve_scale, zero_solution};
 use crate::shrink::soft_threshold;
 use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError, SolveStats};
-use tepics_cs::op::{self, LinearOperator};
+use crate::{check_dims, Recovery, RecoveryError};
+use tepics_cs::op::LinearOperator;
 
 /// How the regularization weight λ is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,6 +21,56 @@ pub enum LambdaRule {
     /// `λ = ratio · ‖Aᵀy‖∞` — scale-free; `ratio = 1` yields the zero
     /// solution, typical values are 0.01–0.1.
     RatioOfMax(f64),
+}
+
+impl LambdaRule {
+    /// λ for a problem whose correlations are `aty = Aᵀy`.
+    fn resolve(self, aty: &[f64]) -> Result<f64, RecoveryError> {
+        let lambda = match self {
+            LambdaRule::Absolute(l) => l,
+            LambdaRule::RatioOfMax(r) => {
+                if r <= 0.0 {
+                    return Err(RecoveryError::InvalidParameter(
+                        "lambda ratio must be positive".into(),
+                    ));
+                }
+                r * aty.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+            }
+        };
+        if lambda < 0.0 {
+            return Err(RecoveryError::InvalidParameter(
+                "lambda must be non-negative".into(),
+            ));
+        }
+        Ok(lambda)
+    }
+}
+
+/// Whether FISTA's loop extrapolates: Nesterov momentum for
+/// [`Fista`], none for [`Ista`](crate::Ista).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Momentum {
+    Nesterov,
+    Off,
+}
+
+impl Momentum {
+    /// The solver this loop is: its name and its norm seed.
+    fn identity(self) -> (&'static str, u64) {
+        match self {
+            Momentum::Nesterov => ("fista", norm_seeds::FISTA),
+            Momentum::Off => ("ista", norm_seeds::ISTA),
+        }
+    }
+
+    /// The capability metadata of the solver this loop is.
+    pub(crate) fn caps(self) -> SolverCaps {
+        let (name, seed) = self.identity();
+        SolverCaps {
+            name,
+            norm_seed: Some(seed),
+        }
+    }
 }
 
 /// FISTA solver configuration (non-consuming builder).
@@ -44,7 +96,6 @@ pub struct Fista {
     max_iter: usize,
     tol: f64,
     step: Option<f64>,
-    norm_est_iters: usize,
 }
 
 impl Fista {
@@ -56,7 +107,6 @@ impl Fista {
             max_iter: 400,
             tol: 1e-6,
             step: None,
-            norm_est_iters: 30,
         }
     }
 
@@ -84,7 +134,9 @@ impl Fista {
         self
     }
 
-    /// Overrides the gradient step `1/L` (skips norm estimation).
+    /// Overrides the gradient step `1/L` (skips the internal norm
+    /// estimation — callers that memoize the seeded power iteration
+    /// pass its result back through here).
     pub fn step(&mut self, step: f64) -> &mut Self {
         self.step = Some(step);
         self
@@ -95,8 +147,9 @@ impl Fista {
     /// # Errors
     ///
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator, or [`RecoveryError::InvalidParameter`] for
-    /// non-positive λ/step configurations.
+    /// the operator, [`RecoveryError::InvalidParameter`] for
+    /// non-positive λ/step configurations, or
+    /// [`RecoveryError::Breakdown`] once an iterate is not finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -112,15 +165,29 @@ impl Fista {
     /// # Errors
     ///
     /// Same as [`Fista::solve`].
-    // tidy:alloc-free
     pub fn solve_with<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
         y: &[f64],
         workspace: &mut SolverWorkspace,
     ) -> Result<Recovery, RecoveryError> {
+        self.descend(a, y, workspace, Momentum::Nesterov)
+    }
+
+    /// The proximal-gradient loop `α ← soft(z − (1/L)Aᵀ(Az − y), λ/L)`,
+    /// with `z` extrapolated from the last two iterates under
+    /// [`Momentum::Nesterov`] and `z = α` under [`Momentum::Off`].
+    // tidy:alloc-free
+    pub(crate) fn descend<A: LinearOperator + ?Sized>(
+        &self,
+        a: &A,
+        y: &[f64],
+        workspace: &mut SolverWorkspace,
+        momentum: Momentum,
+    ) -> Result<Recovery, RecoveryError> {
         check_dims(a.rows(), y)?;
         let n = a.cols();
+        let (name, seed) = momentum.identity();
         workspace.prepare(a.rows(), n);
         let SolverWorkspace {
             alpha,
@@ -131,100 +198,45 @@ impl Fista {
             ..
         } = workspace;
         // λ resolution (grad doubles as the Aᵀy buffer here; the loop
-        // below overwrites it before reading it again).
+        // overwrites it before reading it again).
         a.apply_adjoint(y, grad);
-        let lambda = match self.lambda {
-            LambdaRule::Absolute(l) => l,
-            LambdaRule::RatioOfMax(r) => {
-                if r <= 0.0 {
-                    return Err(RecoveryError::InvalidParameter(
-                        "lambda ratio must be positive".into(),
-                    ));
-                }
-                r * grad.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-            }
+        let lambda = self.lambda.resolve(grad)?;
+        let Some(step) = resolve_scale(a, self.step, seed, norm_seeds::step, "step")? else {
+            return Ok(zero_solution(n, y));
         };
-        if lambda < 0.0 {
-            return Err(RecoveryError::InvalidParameter(
-                "lambda must be non-negative".into(),
-            ));
-        }
-        // Step size 1/L with L = ‖A‖² (5% safety margin).
-        let step = match self.step {
-            Some(s) if s > 0.0 => s,
-            Some(_) => {
-                return Err(RecoveryError::InvalidParameter(
-                    "step must be positive".into(),
-                ))
-            }
-            None => {
-                let norm = op::operator_norm_est(a, self.norm_est_iters, norm_seeds::FISTA);
-                if norm == 0.0 {
-                    // Zero operator: solution is zero.
-                    return Ok(Recovery {
-                        // tidy:allow(alloc: zero-operator early exit, before the iteration loop)
-                        coefficients: vec![0.0; n],
-                        stats: SolveStats {
-                            iterations: 0,
-                            residual_norm: op::norm2(y),
-                            converged: true,
-                        },
-                    });
-                }
-                1.0 / (norm * norm * 1.05)
-            }
-        };
-
         let mut t = 1.0f64;
-        let mut iterations = 0;
-        let mut converged = false;
-        for it in 0..self.max_iter {
-            iterations = it + 1;
-            // grad = Aᵀ(Az − y)
-            a.apply(z, resid);
-            for (r, &yi) in resid.iter_mut().zip(y) {
-                *r -= yi;
-            }
-            a.apply_adjoint(resid, grad);
-            // Proximal step from z.
-            alpha_prev.copy_from_slice(alpha);
-            for i in 0..n {
-                alpha[i] = z[i] - step * grad[i];
-            }
-            soft_threshold(alpha, lambda * step);
-            // Momentum.
-            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-            let beta = (t - 1.0) / t_next;
-            for i in 0..n {
-                z[i] = alpha[i] + beta * (alpha[i] - alpha_prev[i]);
-            }
-            t = t_next;
-            // Relative-change stopping rule.
-            let mut diff = 0.0;
-            let mut norm = 0.0;
-            for i in 0..n {
-                let d = alpha[i] - alpha_prev[i];
-                diff += d * d;
-                norm += alpha[i] * alpha[i];
-            }
-            if diff.sqrt() <= self.tol * norm.sqrt().max(1e-12) {
-                converged = true;
-                break;
-            }
-        }
-        a.apply(alpha, resid);
-        for (r, &yi) in resid.iter_mut().zip(y) {
-            *r -= yi;
-        }
-        Ok(Recovery {
-            // tidy:allow(alloc: the returned coefficient vector, once per solve)
-            coefficients: alpha.clone(),
-            stats: SolveStats {
-                iterations,
-                residual_norm: op::norm2(resid),
-                converged,
+        let progress = iterate(
+            name,
+            self.max_iter,
+            self.tol,
+            alpha,
+            alpha_prev,
+            |alpha, prev| {
+                // grad = Aᵀ(Az − y)
+                a.apply(z, resid);
+                for (r, &yi) in resid.iter_mut().zip(y) {
+                    *r -= yi;
+                }
+                a.apply_adjoint(resid, grad);
+                // Proximal step from z.
+                for ((v, &zi), &g) in alpha.iter_mut().zip(z.iter()).zip(grad.iter()) {
+                    *v = zi - step * g;
+                }
+                soft_threshold(alpha, lambda * step);
+                match momentum {
+                    Momentum::Nesterov => {
+                        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
+                        let beta = (t - 1.0) / t_next;
+                        for ((zi, &v), &p) in z.iter_mut().zip(alpha.iter()).zip(prev) {
+                            *zi = v + beta * (v - p);
+                        }
+                        t = t_next;
+                    }
+                    Momentum::Off => z.copy_from_slice(alpha),
+                }
             },
-        })
+        )?;
+        Ok(finish(a, y, alpha, resid, progress))
     }
 }
 
@@ -236,10 +248,7 @@ impl Default for Fista {
 
 impl Solver for Fista {
     fn caps(&self) -> SolverCaps {
-        SolverCaps {
-            name: "fista",
-            norm_seed: Some(norm_seeds::FISTA),
-        }
+        Momentum::Nesterov.caps()
     }
 
     fn solve_with(

@@ -10,7 +10,6 @@
 //! the operator again ([`fit_all_rows`]). [`GramSlots`] is the one slot
 //! lookup both solvers read through.
 
-use crate::RecoveryError;
 use tepics_cs::chol::GrowingCholesky;
 use tepics_cs::gram::{gram_column_into, held_out_count, hold_out_in_place, GramStore};
 use tepics_cs::op::{self, LinearOperator};
@@ -213,11 +212,4 @@ pub(crate) fn residual_into<A: LinearOperator + ?Sized>(
     for (r, &yk) in residual.iter_mut().zip(y) {
         *r = yk - *r;
     }
-}
-
-/// The error for a `solver`'s solve whose numbers stopped being finite.
-#[cold]
-pub(crate) fn breakdown(solver: &str, what: &str) -> RecoveryError {
-    // tidy:allow(alloc: the error message, once, on the failure path)
-    RecoveryError::Breakdown(format!("{solver}: {what}"))
 }

@@ -1,15 +1,21 @@
-//! (Normalized) iterative hard thresholding.
+//! Normalized iterative hard thresholding (NIHT).
 //!
 //! `α ← H_k(α + μ Aᵀ(y − Aα))` with the adaptive step of Blumensath &
 //! Davies' NIHT: `μ = ‖g_S‖² / ‖A g_S‖²` computed on the current
-//! support. Cheap per iteration and the natural solver when the target
-//! sparsity is known (e.g. star fields with a known source count).
+//! support, falling back to the gradient step `1/L` when that ratio is
+//! undefined.
+//! Cheap per iteration and the natural solver when the target sparsity
+//! is known (e.g. star fields with a known source count).
 
+use crate::iterative::{finish, iterate, resolve_scale, zero_solution};
 use crate::shrink::hard_threshold_top_k;
 use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError, SolveStats};
+use crate::{check_dims, Recovery, RecoveryError};
 use tepics_cs::op::{self, LinearOperator};
+
+/// IHT's name in its capabilities and errors.
+const NAME: &str = "iht";
 
 /// IHT solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,7 +23,6 @@ pub struct Iht {
     sparsity: usize,
     max_iter: usize,
     tol: f64,
-    normalized: bool,
     step: Option<f64>,
 }
 
@@ -33,7 +38,6 @@ impl Iht {
             sparsity,
             max_iter: 300,
             tol: 1e-7,
-            normalized: true,
             step: None,
         }
     }
@@ -59,18 +63,14 @@ impl Iht {
         self
     }
 
-    /// Disables the adaptive NIHT step (uses `μ = 1/‖A‖²` instead).
-    pub fn fixed_step(&mut self) -> &mut Self {
-        self.normalized = false;
-        self
-    }
-
     /// Runs the solver with freshly allocated buffers.
     ///
     /// # Errors
     ///
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator.
+    /// the operator, [`RecoveryError::InvalidParameter`] for a
+    /// non-positive step, or [`RecoveryError::Breakdown`] once an
+    /// iterate is not finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -80,7 +80,8 @@ impl Iht {
     }
 
     /// Runs the solver reusing `workspace` buffers; results are
-    /// bit-identical to [`Iht::solve`].
+    /// bit-identical to [`Iht::solve`], with no allocations inside the
+    /// iteration loop once the workspace is warm.
     ///
     /// # Errors
     ///
@@ -94,51 +95,35 @@ impl Iht {
     ) -> Result<Recovery, RecoveryError> {
         check_dims(a.rows(), y)?;
         let n = a.cols();
-        let fallback_step = match self.step {
-            Some(s) if s > 0.0 => s,
-            Some(_) => {
-                return Err(RecoveryError::InvalidParameter(
-                    "step must be positive".into(),
-                ))
-            }
-            None => {
-                let norm = op::operator_norm_est(a, 30, norm_seeds::IHT);
-                if norm == 0.0 {
-                    return Ok(Recovery {
-                        // tidy:allow(alloc: zero-operator early exit, before the iteration loop)
-                        coefficients: vec![0.0; n],
-                        stats: SolveStats {
-                            iterations: 0,
-                            residual_norm: op::norm2(y),
-                            converged: true,
-                        },
-                    });
-                }
-                1.0 / (norm * norm * 1.05)
-            }
+        let Some(fallback_step) =
+            resolve_scale(a, self.step, norm_seeds::IHT, norm_seeds::step, "step")?
+        else {
+            return Ok(zero_solution(n, y));
         };
         workspace.prepare(a.rows(), n);
         let SolverWorkspace {
             alpha,
-            alpha_prev: prev,
+            alpha_prev,
             z: g_s,
             grad,
             resid,
             rows_tmp: ag,
+            keep: order,
             ..
         } = workspace;
         resid.copy_from_slice(y); // r = y − Aα, starts at y
-        let mut iterations = 0;
-        let mut converged = false;
-        for it in 0..self.max_iter {
-            iterations = it + 1;
-            a.apply_adjoint(resid, grad);
-            // NIHT step: restrict gradient to the current support (or the
-            // full gradient on the first pass when support is empty).
-            let mu = if self.normalized {
+        let progress = iterate(
+            NAME,
+            self.max_iter,
+            self.tol,
+            alpha,
+            alpha_prev,
+            |alpha, _| {
+                a.apply_adjoint(resid, grad);
+                // NIHT step: restrict gradient to the current support (or the
+                // full gradient on the first pass when support is empty).
                 g_s.copy_from_slice(grad);
-                let has_support = alpha.iter().any(|&v| v != 0.0);
-                if has_support {
+                if alpha.iter().any(|&v| v != 0.0) {
                     for (g, &v) in g_s.iter_mut().zip(alpha.iter()) {
                         if v == 0.0 {
                             *g = 0.0;
@@ -146,7 +131,7 @@ impl Iht {
                     }
                 }
                 let g_norm2 = op::dot(g_s, g_s);
-                if g_norm2 == 0.0 {
+                let mu = if g_norm2 == 0.0 {
                     fallback_step
                 } else {
                     a.apply(g_s, ag);
@@ -156,48 +141,26 @@ impl Iht {
                     } else {
                         g_norm2 / denom
                     }
+                };
+                for (v, &g) in alpha.iter_mut().zip(grad.iter()) {
+                    *v += mu * g;
                 }
-            } else {
-                fallback_step
-            };
-            prev.copy_from_slice(alpha);
-            for i in 0..n {
-                alpha[i] += mu * grad[i];
-            }
-            hard_threshold_top_k(alpha, self.sparsity);
-            // Refresh residual.
-            a.apply(alpha, ag);
-            for (r, (&yi, &av)) in resid.iter_mut().zip(y.iter().zip(ag.iter())) {
-                *r = yi - av;
-            }
-            let mut diff = 0.0;
-            let mut nrm = 0.0;
-            for i in 0..n {
-                let d = alpha[i] - prev[i];
-                diff += d * d;
-                nrm += alpha[i] * alpha[i];
-            }
-            if diff.sqrt() <= self.tol * nrm.sqrt().max(1e-12) {
-                converged = true;
-                break;
-            }
-        }
-        Ok(Recovery {
-            // tidy:allow(alloc: the returned coefficient vector, once per solve)
-            coefficients: alpha.clone(),
-            stats: SolveStats {
-                iterations,
-                residual_norm: op::norm2(resid),
-                converged,
+                hard_threshold_top_k(alpha, self.sparsity, order);
+                // Refresh residual.
+                a.apply(alpha, ag);
+                for (r, (&yi, &av)) in resid.iter_mut().zip(y.iter().zip(ag.iter())) {
+                    *r = yi - av;
+                }
             },
-        })
+        )?;
+        Ok(finish(a, y, alpha, resid, progress))
     }
 }
 
 impl Solver for Iht {
     fn caps(&self) -> SolverCaps {
         SolverCaps {
-            name: "iht",
+            name: NAME,
             norm_seed: Some(norm_seeds::IHT),
         }
     }
@@ -261,24 +224,6 @@ mod tests {
         let rec = Iht::new(4).solve(&a, &y).unwrap();
         let nnz = rec.coefficients.iter().filter(|&&v| v != 0.0).count();
         assert!(nnz <= 4);
-    }
-
-    #[test]
-    fn normalized_step_converges_faster_than_fixed() {
-        let (a, _, y) = gaussian_problem(60, 120, 6, 31);
-        let fast = Iht::new(6).tol(1e-9).max_iter(2000).solve(&a, &y).unwrap();
-        let slow = Iht::new(6)
-            .fixed_step()
-            .tol(1e-9)
-            .max_iter(2000)
-            .solve(&a, &y)
-            .unwrap();
-        assert!(
-            fast.stats.iterations <= slow.stats.iterations,
-            "NIHT {} vs fixed {}",
-            fast.stats.iterations,
-            slow.stats.iterations
-        );
     }
 
     #[test]

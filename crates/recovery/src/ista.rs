@@ -1,68 +1,60 @@
-//! ISTA — plain proximal gradient, kept as the ablation baseline for
-//! FISTA's momentum (the `warmup`/solver experiments report both).
+//! ISTA — FISTA's loop without momentum, kept as the ablation baseline
+//! for FISTA's momentum (the `warmup`/solver experiments report both).
+//!
+//! `Ista` holds a [`Fista`] configuration and runs its loop with `z`
+//! copied from `α` each iteration:
+//! `α ← soft(α − (1/L)Aᵀ(Aα − y), λ/L)`. Only its name and its norm
+//! seed ([`norm_seeds::ISTA`](crate::solver::norm_seeds::ISTA)) are its
+//! own.
 
-use crate::shrink::soft_threshold;
-use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
+use crate::fista::{Fista, Momentum};
+use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError, SolveStats};
-use tepics_cs::op::{self, LinearOperator};
+use crate::{Recovery, RecoveryError};
+use tepics_cs::op::LinearOperator;
 
 /// ISTA solver configuration (non-consuming builder).
 ///
-/// Same objective and parameters as [`crate::Fista`], without momentum:
-/// `α ← soft(α − (1/L)Aᵀ(Aα − y), λ/L)`.
-#[derive(Debug, Clone, PartialEq)]
+/// Same objective, parameters and defaults as [`Fista`], without
+/// momentum.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Ista {
-    lambda_ratio: Option<f64>,
-    lambda_abs: Option<f64>,
-    max_iter: usize,
-    tol: f64,
-    step: Option<f64>,
+    fista: Fista,
 }
 
 impl Ista {
-    /// Creates a solver with defaults matching [`crate::Fista::new`].
+    /// Creates a solver with [`Fista::new`]'s defaults.
     pub fn new() -> Self {
-        Ista {
-            lambda_ratio: Some(0.02),
-            lambda_abs: None,
-            max_iter: 400,
-            tol: 1e-6,
-            step: None,
-        }
+        Ista::default()
     }
 
-    /// Overrides the gradient step `1/L` (skips the internal norm
-    /// estimation — callers that memoize the seeded power iteration pass
-    /// its result back through here).
+    /// Overrides the gradient step `1/L` (see [`Fista::step`]).
     pub fn step(&mut self, step: f64) -> &mut Self {
-        self.step = Some(step);
+        self.fista.step(step);
         self
     }
 
     /// Sets an absolute λ.
     pub fn lambda(&mut self, lambda: f64) -> &mut Self {
-        self.lambda_abs = Some(lambda);
-        self.lambda_ratio = None;
+        self.fista.lambda(lambda);
         self
     }
 
     /// Sets λ as a fraction of `‖Aᵀy‖∞`.
     pub fn lambda_ratio(&mut self, ratio: f64) -> &mut Self {
-        self.lambda_ratio = Some(ratio);
-        self.lambda_abs = None;
+        self.fista.lambda_ratio(ratio);
         self
     }
 
     /// Iteration cap.
     pub fn max_iter(&mut self, n: usize) -> &mut Self {
-        self.max_iter = n;
+        self.fista.max_iter(n);
         self
     }
 
     /// Relative-change stopping tolerance.
     pub fn tol(&mut self, tol: f64) -> &mut Self {
-        self.tol = tol;
+        self.fista.tol(tol);
         self
     }
 
@@ -70,8 +62,7 @@ impl Ista {
     ///
     /// # Errors
     ///
-    /// Returns [`RecoveryError::DimensionMismatch`] on length mismatch or
-    /// [`RecoveryError::InvalidParameter`] for non-positive λ settings.
+    /// Same as [`Fista::solve`].
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -85,121 +76,28 @@ impl Ista {
     ///
     /// # Errors
     ///
-    /// Same as [`Ista::solve`].
-    // tidy:alloc-free
+    /// Same as [`Fista::solve`].
     pub fn solve_with<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
         y: &[f64],
         workspace: &mut SolverWorkspace,
     ) -> Result<Recovery, RecoveryError> {
-        check_dims(a.rows(), y)?;
-        let n = a.cols();
-        workspace.prepare(a.rows(), n);
-        let SolverWorkspace {
-            alpha,
-            alpha_prev: prev,
-            grad,
-            resid,
-            ..
-        } = workspace;
-        // λ resolution (grad doubles as the Aᵀy buffer; the loop
-        // overwrites it before reading it again).
-        a.apply_adjoint(y, grad);
-        let aty = &*grad;
-        let lambda = if let Some(l) = self.lambda_abs {
-            if l < 0.0 {
-                return Err(RecoveryError::InvalidParameter(
-                    "lambda must be non-negative".into(),
-                ));
-            }
-            l
-        } else {
-            let r = self.lambda_ratio.unwrap_or(0.02);
-            if r <= 0.0 {
-                return Err(RecoveryError::InvalidParameter(
-                    "lambda ratio must be positive".into(),
-                ));
-            }
-            r * aty.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-        };
-        let step = match self.step {
-            Some(s) if s > 0.0 => s,
-            Some(_) => {
-                return Err(RecoveryError::InvalidParameter(
-                    "step must be positive".into(),
-                ))
-            }
-            None => {
-                let norm = op::operator_norm_est(a, 30, norm_seeds::ISTA);
-                if norm == 0.0 {
-                    return Ok(Recovery {
-                        // tidy:allow(alloc: zero-operator early exit, before the iteration loop)
-                        coefficients: vec![0.0; n],
-                        stats: SolveStats {
-                            iterations: 0,
-                            residual_norm: op::norm2(y),
-                            converged: true,
-                        },
-                    });
-                }
-                1.0 / (norm * norm * 1.05)
-            }
-        };
-        let mut iterations = 0;
-        let mut converged = false;
-        for it in 0..self.max_iter {
-            iterations = it + 1;
-            a.apply(alpha, resid);
-            for (r, &yi) in resid.iter_mut().zip(y) {
-                *r -= yi;
-            }
-            a.apply_adjoint(resid, grad);
-            prev.copy_from_slice(alpha);
-            for i in 0..n {
-                alpha[i] -= step * grad[i];
-            }
-            soft_threshold(alpha, lambda * step);
-            let mut diff = 0.0;
-            let mut nrm = 0.0;
-            for i in 0..n {
-                let d = alpha[i] - prev[i];
-                diff += d * d;
-                nrm += alpha[i] * alpha[i];
-            }
-            if diff.sqrt() <= self.tol * nrm.sqrt().max(1e-12) {
-                converged = true;
-                break;
-            }
-        }
-        a.apply(alpha, resid);
-        for (r, &yi) in resid.iter_mut().zip(y) {
-            *r -= yi;
-        }
-        Ok(Recovery {
-            // tidy:allow(alloc: the returned coefficient vector, once per solve)
-            coefficients: alpha.clone(),
-            stats: SolveStats {
-                iterations,
-                residual_norm: op::norm2(resid),
-                converged,
-            },
-        })
+        self.fista.descend(a, y, workspace, Momentum::Off)
     }
 }
 
-impl Default for Ista {
-    fn default() -> Self {
-        Ista::new()
+/// ISTA on a FISTA configuration: the same λ rule, step, iteration cap
+/// and tolerance, with the momentum off.
+impl From<Fista> for Ista {
+    fn from(fista: Fista) -> Self {
+        Ista { fista }
     }
 }
 
 impl Solver for Ista {
     fn caps(&self) -> SolverCaps {
-        SolverCaps {
-            name: "ista",
-            norm_seed: Some(norm_seeds::ISTA),
-        }
+        Momentum::Off.caps()
     }
 
     fn solve_with(

@@ -8,19 +8,28 @@
 //! workload behind `&dyn Solver` without touching its pipeline:
 //!
 //! * [`Fista`] / [`Ista`] — proximal-gradient ℓ1 solvers (LASSO), the
-//!   workhorse for full-frame reconstruction.
+//!   workhorse for full-frame reconstruction; ISTA is FISTA's loop
+//!   with the momentum off.
 //! * [`Omp`] — orthogonal matching pursuit with incremental Cholesky,
 //!   the standard block-based decoder, stopped where the residual on a
 //!   few held-out measurements is least.
 //! * [`CoSaMP`](cosamp::CoSaMp) — compressive sampling matching pursuit,
 //!   on the same Gram slots and all-rows least squares as OMP.
-//! * [`Iht`] — (normalized) iterative hard thresholding.
+//! * [`Iht`] — normalized iterative hard thresholding.
 //! * [`Amp`] — approximate message passing with Onsager correction
 //!   (fast on i.i.d.-like ensembles; heuristic on structured ones).
 //! * [`Cgls`] — CGLS least squares, also the engine behind the debias
 //!   re-fit.
 //! * [`Debias`] — any solver above, wrapped with the
 //!   CGLS support re-fit of [`debias`] as one composite algorithm.
+//!
+//! FISTA, ISTA, IHT and AMP run on one iterative engine: it resolves
+//! the step (or AMP's norm) from an override or the solver's seeded
+//! `‖A‖` estimate, answers a zero operator with `α = 0`, stops once
+//! `‖α − α_prev‖ ≤ tol·max(‖α‖, 1e-12)`, and reports `‖Aα − y‖`; each
+//! solver brings only its iteration body. An iterate whose change or
+//! norm is not finite ends the solve with [`RecoveryError::Breakdown`].
+//! OMP and CoSaMP share the Gram-slot engine of the greedy pursuits.
 //!
 //! # The trait + workspace contract
 //!
@@ -81,6 +90,7 @@ pub mod fista;
 mod greedy;
 pub mod iht;
 pub mod ista;
+mod iterative;
 pub mod omp;
 pub mod shrink;
 pub mod solver;
@@ -162,4 +172,11 @@ pub(crate) fn check_dims(rows: usize, y: &[f64]) -> Result<(), RecoveryError> {
     } else {
         Ok(())
     }
+}
+
+/// The error for a `solver`'s solve whose numbers stopped being finite.
+#[cold]
+pub(crate) fn breakdown(solver: &str, what: &str) -> RecoveryError {
+    // tidy:allow(alloc: the error message, once, on the failure path)
+    RecoveryError::Breakdown(format!("{solver}: {what}"))
 }

@@ -80,10 +80,10 @@
 //! [`RecoveryError::Breakdown`]: the pursuit never returns non-finite
 //! coefficients.
 
-use crate::greedy::{breakdown, correlations_into, factor, fit_all_rows, residual_into, GramSlots};
+use crate::greedy::{correlations_into, factor, fit_all_rows, residual_into, GramSlots};
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError, SolveStats};
+use crate::{breakdown, check_dims, Recovery, RecoveryError, SolveStats};
 use tepics_cs::gram::held_out_count;
 use tepics_cs::op::{self, LinearOperator};
 

@@ -21,8 +21,11 @@ pub fn soft_threshold(v: &mut [f64], t: f64) {
 }
 
 /// Keeps only the `k` largest-magnitude entries, zeroing the rest
-/// (the projection onto the ℓ0 ball), in place.
-pub fn hard_threshold_top_k(v: &mut [f64], k: usize) {
+/// (the projection onto the ℓ0 ball), in place. `order` is scratch for
+/// the index partition (cleared first), so a warm buffer makes the
+/// projection allocation-free.
+// tidy:alloc-free
+pub fn hard_threshold_top_k(v: &mut [f64], k: usize, order: &mut Vec<usize>) {
     if k >= v.len() {
         return;
     }
@@ -30,10 +33,11 @@ pub fn hard_threshold_top_k(v: &mut [f64], k: usize) {
         v.fill(0.0);
         return;
     }
-    let mut idx: Vec<usize> = (0..v.len()).collect();
-    idx.select_nth_unstable_by(k - 1, |&a, &b| v[b].abs().total_cmp(&v[a].abs()));
-    // idx[k..] now holds the indices of the smaller magnitudes.
-    for &i in &idx[k..] {
+    order.clear();
+    order.extend(0..v.len());
+    order.select_nth_unstable_by(k - 1, |&a, &b| v[b].abs().total_cmp(&v[a].abs()));
+    // order[k..] now holds the indices of the smaller magnitudes.
+    for &i in &order[k..] {
         v[i] = 0.0;
     }
 }
@@ -96,16 +100,16 @@ mod tests {
     #[test]
     fn hard_threshold_keeps_k_largest() {
         let mut v = vec![0.1, -5.0, 3.0, 0.2, -4.0];
-        hard_threshold_top_k(&mut v, 2);
+        hard_threshold_top_k(&mut v, 2, &mut Vec::new());
         assert_eq!(v, vec![0.0, -5.0, 0.0, 0.0, -4.0]);
     }
 
     #[test]
     fn hard_threshold_edge_cases() {
         let mut v = vec![1.0, 2.0];
-        hard_threshold_top_k(&mut v, 5);
+        hard_threshold_top_k(&mut v, 5, &mut Vec::new());
         assert_eq!(v, vec![1.0, 2.0]);
-        hard_threshold_top_k(&mut v, 0);
+        hard_threshold_top_k(&mut v, 0, &mut Vec::new());
         assert_eq!(v, vec![0.0, 0.0]);
     }
 

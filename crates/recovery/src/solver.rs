@@ -16,10 +16,12 @@
 //! workspace root.
 //!
 //! [`SolverCaps`] carries the capability metadata a host needs to serve
-//! a solver well without knowing its type: the seed of its internal
-//! operator-norm estimate (so a cache can memoize the power iteration
-//! per solver — different solvers use different seeds, and mixing them
-//! would silently change results).
+//! a solver well without knowing its type: its name and the seed of its
+//! internal operator-norm estimate (so a cache can memoize the power
+//! iteration per solver — different solvers use different seeds, and
+//! mixing them would silently change results). Each solver's module is
+//! the one place that states both; ISTA, which runs FISTA's loop
+//! without momentum, keeps a name and a seed of its own.
 
 use crate::workspace::SolverWorkspace;
 use crate::{Recovery, RecoveryError};
@@ -30,18 +32,35 @@ pub type SolveResult = Result<Recovery, RecoveryError>;
 
 /// Deterministic power-iteration seeds of the solvers' internal
 /// operator-norm estimates. A host that memoizes norms (to skip the
-/// power iteration on warm paths) must key them by this seed: each
-/// solver derives its step/scale from *its own* seeded estimate, and
-/// serving one solver another's estimate would change results.
+/// power iteration on warm paths) must key them by this seed and
+/// compute them with [`estimate`](norm_seeds::estimate): each solver
+/// derives its step/scale from *its own* seeded estimate, and serving
+/// one solver another's estimate would change results.
 pub mod norm_seeds {
+    use tepics_cs::op::{operator_norm_est, LinearOperator};
+
     /// [`Fista`](crate::Fista)'s step-size estimate.
     pub const FISTA: u64 = 0x0F1A57A;
-    /// [`Ista`](crate::Ista)'s step-size estimate.
+    /// [`Ista`](crate::Ista)'s step-size estimate (FISTA's loop without
+    /// momentum, on a seed of its own).
     pub const ISTA: u64 = 0x157A;
     /// [`Iht`](crate::Iht)'s fallback-step estimate.
     pub const IHT: u64 = 0x1147;
     /// [`Amp`](crate::Amp)'s operator-scale estimate.
     pub const AMP: u64 = 0xA3B;
+
+    /// The `‖A‖` estimate a solver with norm seed `seed` computes: 30
+    /// steps of the power iteration started from `seed`. A step or norm
+    /// override derived from it leaves results bit-identical.
+    pub fn estimate<A: LinearOperator + ?Sized>(a: &A, seed: u64) -> f64 {
+        operator_norm_est(a, 30, seed)
+    }
+
+    /// The gradient step `1/L`, with `L = ‖A‖²` and a 5% safety margin,
+    /// that FISTA, ISTA and IHT derive from the estimate `norm`.
+    pub fn step(norm: f64) -> f64 {
+        1.0 / (norm * norm * 1.05)
+    }
 }
 
 /// Capability metadata of a [`Solver`] (see the module docs).
@@ -51,9 +70,11 @@ pub struct SolverCaps {
     /// diagnostics.
     pub name: &'static str,
     /// Seed of the solver's internal `‖A‖` power-iteration estimate,
-    /// when it runs one and accepts a precomputed override
-    /// ([`norm_seeds`] lists the values). `None` for solvers that never
-    /// estimate a norm (the greedy pursuits, CGLS).
+    /// when it runs one and accepts a precomputed override: a step
+    /// ([`norm_seeds::step`]) for FISTA, ISTA and IHT, the norm itself
+    /// for AMP ([`norm_seeds`] lists the seeds, [`norm_seeds::estimate`]
+    /// computes the estimate). `None` for solvers that never estimate a
+    /// norm (the greedy pursuits, CGLS).
     pub norm_seed: Option<u64>,
 }
 

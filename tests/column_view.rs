@@ -18,13 +18,14 @@
 //! Production OMP and CoSaMP themselves are pinned to textbook twins in
 //! `tests/omp_oracle.rs`.
 
-use std::f64::consts::PI;
-
 use tepics::cs::dictionary::ZeroMeanDictionary;
 use tepics::cs::{
     ComposedOperator, Dct2dDictionary, IdentityDictionary, LinearOperator, XorMeasurement,
 };
 use tepics::util::{BitVec, SplitMix64};
+
+mod dense;
+use dense::dense_columns;
 
 /// A random XOR measurement on an `m×n` image (row-major, `m` rows).
 fn xor_phi(m: usize, n: usize, k: usize, rng: &mut SplitMix64) -> XorMeasurement {
@@ -32,56 +33,6 @@ fn xor_phi(m: usize, n: usize, k: usize, rng: &mut SplitMix64) -> XorMeasurement
         .map(|_| BitVec::from_bools((0..m + n).map(|_| rng.next_bool())))
         .collect();
     XorMeasurement::from_patterns(m, n, patterns)
-}
-
-/// The orthonormal DCT-II basis of length `n` from the cosine formula:
-/// atom `a` at `[a·n..(a+1)·n]`.
-fn cosine_basis(n: usize) -> Vec<f64> {
-    let mut basis = vec![0.0; n * n];
-    for a in 0..n {
-        let c = if a == 0 {
-            1.0 / n as f64
-        } else {
-            2.0 / n as f64
-        }
-        .sqrt();
-        for i in 0..n {
-            basis[a * n + i] = c * (PI * (2 * i + 1) as f64 * a as f64 / (2 * n) as f64).cos();
-        }
-    }
-    basis
-}
-
-/// The dense oracle: column `(v, u)` (index `v·n + u`) of `Φ·Ψ`, with
-/// Φ's rows the explicit 0/1 selection matrices `S_k` and Ψ's atoms
-/// `h_v ⊗ w_u`, i.e. entry `k` is `h_vᵀ S_k w_u`.
-fn dense_oracle(phi: &XorMeasurement) -> Vec<Vec<f64>> {
-    let (m, n) = (phi.array_rows(), phi.array_cols());
-    let (h, w) = (cosine_basis(m), cosine_basis(n));
-    let rows: Vec<Vec<f64>> = (0..phi.rows())
-        .map(|k| {
-            // S_k W: row i, horizontal frequency u.
-            let mut sw = vec![0.0; m * n];
-            for i in 0..m {
-                for u in 0..n {
-                    sw[i * n + u] = (0..n)
-                        .filter(|&j| phi.selected(k, i, j))
-                        .map(|j| w[u * n + j])
-                        .sum();
-                }
-            }
-            let mut row = vec![0.0; m * n];
-            for v in 0..m {
-                for u in 0..n {
-                    row[v * n + u] = (0..m).map(|i| h[v * m + i] * sw[i * n + u]).sum();
-                }
-            }
-            row
-        })
-        .collect();
-    (0..m * n)
-        .map(|j| rows.iter().map(|row| row[j]).collect())
-        .collect()
 }
 
 fn rel_dev(got: &[f64], want: &[f64]) -> f64 {
@@ -98,7 +49,7 @@ fn closed_form_columns_match_dense_oracle() {
     // (rows, cols): square pow2 sizes and both non-square orientations.
     for &(m, n) in &[(16, 16), (32, 32), (16, 24), (24, 16)] {
         let phi = xor_phi(m, n, (m * n * 2) / 5, &mut rng);
-        let oracle = dense_oracle(&phi);
+        let oracle = dense_columns(&phi);
         let full = Dct2dDictionary::new(n, m);
         let a = ComposedOperator::new(&phi, &full);
         for (j, want) in oracle.iter().enumerate() {

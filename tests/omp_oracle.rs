@@ -4,9 +4,10 @@
 //! Production OMP is Batch-OMP over Gram slots: it never forms a
 //! residual, reads the held-out residual out of its correlation update,
 //! and re-fits the chosen support from stored values only. The twin here
-//! does every step the naive way, over a dense `A = Φ·Ψ` built from
-//! `XorMeasurement::selected` and the cosine-formula DCT basis matrix
-//! (DC atom pinned to zero, as the decoder pins it):
+//! does every step the naive way, over the dense `A = Φ·Ψ` of
+//! `tests/dense`, built from `XorMeasurement::selected` and the
+//! cosine-formula DCT basis matrix (DC atom pinned to zero, as the
+//! decoder pins it):
 //!
 //! * hold out every tenth measurement (`r % 10 == 9`) once `K ≥ 40`;
 //! * per iteration, correlate the explicit training residual with every
@@ -38,16 +39,18 @@
 //! pick the twin's support in the twin's iteration count, with
 //! coefficients within 1e-10 relative.
 
-use std::f64::consts::PI;
 use std::sync::Arc;
 
 use tepics::cs::dictionary::ZeroMeanDictionary;
 use tepics::cs::gram::held_out_rows;
 use tepics::cs::measurement::SelectionMeasurement;
 use tepics::cs::op::{dot, norm2};
-use tepics::cs::{ComposedOperator, Dct2dDictionary, GramStore, LinearOperator, XorMeasurement};
+use tepics::cs::{ComposedOperator, Dct2dDictionary, GramStore};
 use tepics::prelude::*;
 use tepics::recovery::{CoSaMp, Omp};
+
+mod dense;
+use dense::{atom_images, pinned_columns};
 
 /// The pursuit's stop threshold, `Omp`'s and `CoSaMp`'s default
 /// `residual_tol`.
@@ -65,70 +68,6 @@ fn held_rows(k: usize) -> Vec<usize> {
         return Vec::new();
     }
     (0..k).filter(|r| r % 10 == 9).collect()
-}
-
-/// The orthonormal DCT-II basis of length `n` from the cosine formula:
-/// atom `a` at `[a·n..(a+1)·n]`.
-fn cosine_basis(n: usize) -> Vec<f64> {
-    let mut basis = vec![0.0; n * n];
-    for a in 0..n {
-        let c = if a == 0 {
-            1.0 / n as f64
-        } else {
-            2.0 / n as f64
-        }
-        .sqrt();
-        for i in 0..n {
-            basis[a * n + i] = c * (PI * (2 * i + 1) as f64 * a as f64 / (2 * n) as f64).cos();
-        }
-    }
-    basis
-}
-
-/// The dense sensing matrix, column by column: column `(v, u)` has
-/// entry `k = Σ_{(i, j) selected by k} h_v(i)·w_u(j)`; the DC column
-/// is zero. Also returns the atoms as images, for synthesis.
-fn dense_a(phi: &XorMeasurement) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let (m, n) = (phi.array_rows(), phi.array_cols());
-    let (h, w) = (cosine_basis(m), cosine_basis(n));
-    let rows: Vec<Vec<f64>> = (0..phi.rows())
-        .map(|k| {
-            // S_k W: row i, horizontal frequency u.
-            let mut sw = vec![0.0; m * n];
-            for i in 0..m {
-                for u in 0..n {
-                    sw[i * n + u] = (0..n)
-                        .filter(|&j| phi.selected(k, i, j))
-                        .map(|j| w[u * n + j])
-                        .sum();
-                }
-            }
-            let mut row = vec![0.0; m * n];
-            for v in 0..m {
-                for u in 0..n {
-                    row[v * n + u] = (0..m).map(|i| h[v * m + i] * sw[i * n + u]).sum();
-                }
-            }
-            row
-        })
-        .collect();
-    let mut columns: Vec<Vec<f64>> = (0..m * n)
-        .map(|j| rows.iter().map(|row| row[j]).collect())
-        .collect();
-    columns[0].fill(0.0); // the pinned DC atom
-    let mut atoms = Vec::with_capacity(m * n);
-    for v in 0..m {
-        for u in 0..n {
-            let mut img = vec![0.0; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    img[i * n + j] = h[v * m + i] * w[u * n + j];
-                }
-            }
-            atoms.push(img);
-        }
-    }
-    (columns, atoms)
 }
 
 /// Solves the symmetric positive definite system `G x = b` by a dense
@@ -357,7 +296,8 @@ fn production_omp_matches_the_cross_validated_textbook_twin() {
         decoder.params(RecoveryParams::exact_sparse(atoms));
         let phi = decoder.rebuild_measurement(k).unwrap();
         let counts = phi.selection_counts();
-        let (columns, atom_images) = dense_a(&phi);
+        let columns = pinned_columns(&phi);
+        let images = atom_images(side, side);
         let pinned = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
         for (f, frame) in frames.iter().enumerate() {
             let label = format!("{side}x{side} K={k} frame {f}");
@@ -384,7 +324,7 @@ fn production_omp_matches_the_cross_validated_textbook_twin() {
             );
             let mut pixels = vec![mean; side * side];
             for &j in &twin.support {
-                for (p, v) in pixels.iter_mut().zip(&atom_images[j]) {
+                for (p, v) in pixels.iter_mut().zip(&images[j]) {
                     *p += twin.coefficients[j] * v;
                 }
             }
@@ -425,7 +365,7 @@ fn production_cosamp_matches_the_textbook_twin() {
         });
         let phi = decoder.rebuild_measurement(k).unwrap();
         let counts = phi.selection_counts();
-        let (columns, _) = dense_a(&phi);
+        let columns = pinned_columns(&phi);
         let pinned = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
         let store = Arc::new(GramStore::new(k, side * side));
         for (f, frame) in frames.iter().enumerate() {

@@ -1,6 +1,7 @@
 //! Dynamic complement to `tepics-tidy`'s static `// tidy:alloc-free`
 //! regions: a counting global allocator proves at runtime that the warm
-//! solver loops, a warm Gram column and a warm two-block composed
+//! solver loops (FISTA, ISTA, IHT and AMP on the shared iterative
+//! engine, OMP, CoSaMP), a warm Gram column and a warm two-block composed
 //! adjoint, the warm serial tiled-decode path and the per-sample
 //! capture loop do not touch the heap. OMP is measured without a Gram
 //! store, with one prefilled by an earlier solve, and with one full to
@@ -32,7 +33,7 @@ use tepics::cs::{
     XorMeasurement,
 };
 use tepics::prelude::*;
-use tepics::recovery::{CoSaMp, Fista, Omp, SolverWorkspace};
+use tepics::recovery::{Amp, CoSaMp, Fista, Iht, Ista, Omp, Solver, SolverWorkspace};
 use tepics::util::{BitVec, SplitMix64};
 
 struct CountingAllocator;
@@ -91,40 +92,66 @@ fn sparse_problem(m: usize, n: usize, k: usize, seed: u64) -> (DenseMatrix, Vec<
     (a, y)
 }
 
-/// Warm FISTA iterations allocate nothing: doubling `max_iter` leaves
-/// the allocation count unchanged, and that count is exactly the one
-/// documented allocation (the returned coefficient vector).
+/// A solver of the shared iterative engine, configured for an
+/// iteration budget.
+type Budgeted = fn(usize) -> Box<dyn Solver>;
+
+/// Warm iterations of every solver on the shared iterative engine —
+/// FISTA, ISTA (FISTA's loop without momentum), IHT and AMP — allocate
+/// nothing: doubling `max_iter` leaves the allocation count unchanged,
+/// and that count is exactly the one documented allocation (the
+/// returned coefficient vector). Explicit steps (a norm, for AMP) skip
+/// the power iteration, which allocates and is cached elsewhere; a
+/// negative tolerance keeps every loop running to its full budget.
 #[test]
 fn warm_fista_iterations_allocate_nothing() {
     let (a, y) = sparse_problem(64, 128, 8, 0xA110C);
-    let mut ws = SolverWorkspace::new();
-    let solver_at = |iters: usize| {
-        let mut f = Fista::new();
-        // Explicit step skips the (allocating, cached-elsewhere) power
-        // iteration; tol 0 keeps the loop running to the full budget.
-        f.lambda_ratio(0.05).max_iter(iters).tol(0.0).step(0.05);
-        f
-    };
-    // Warm the workspace, then measure.
-    solver_at(10).solve_with(&a, &y, &mut ws).unwrap();
-    let (short, rec_short) = count_allocs(|| solver_at(50).solve_with(&a, &y, &mut ws).unwrap());
-    let (long, rec_long) = count_allocs(|| solver_at(100).solve_with(&a, &y, &mut ws).unwrap());
-    assert_eq!(
-        rec_short.stats.iterations, 50,
-        "short run must not stop early"
-    );
-    assert_eq!(
-        rec_long.stats.iterations, 100,
-        "long run must not stop early"
-    );
-    assert_eq!(
-        short, long,
-        "FISTA loop allocates: 50 iters cost {short} allocations, 100 iters cost {long}"
-    );
-    assert_eq!(
-        short, 1,
-        "warm FISTA solve should allocate exactly the returned coefficient vector"
-    );
+    let solvers: [(&str, Budgeted); 4] = [
+        ("FISTA", |iters| {
+            let mut s = Fista::new();
+            s.lambda_ratio(0.05).max_iter(iters).tol(-1.0).step(0.05);
+            Box::new(s)
+        }),
+        ("ISTA", |iters| {
+            let mut s = Ista::new();
+            s.lambda_ratio(0.05).max_iter(iters).tol(-1.0).step(0.05);
+            Box::new(s)
+        }),
+        ("IHT", |iters| {
+            let mut s = Iht::new(8);
+            s.max_iter(iters).tol(-1.0).step(0.05);
+            Box::new(s)
+        }),
+        ("AMP", |iters| {
+            let mut s = Amp::new();
+            s.max_iter(iters).tol(-1.0).operator_norm(2.5);
+            Box::new(s)
+        }),
+    ];
+    for (label, solver_at) in solvers {
+        let mut ws = SolverWorkspace::new();
+        // Warm the workspace, then measure.
+        solver_at(10).solve_with(&a, &y, &mut ws).unwrap();
+        let (short_solver, long_solver) = (solver_at(50), solver_at(100));
+        let (short, rec_short) = count_allocs(|| short_solver.solve_with(&a, &y, &mut ws).unwrap());
+        let (long, rec_long) = count_allocs(|| long_solver.solve_with(&a, &y, &mut ws).unwrap());
+        assert_eq!(
+            rec_short.stats.iterations, 50,
+            "{label}: short run must not stop early"
+        );
+        assert_eq!(
+            rec_long.stats.iterations, 100,
+            "{label}: long run must not stop early"
+        );
+        assert_eq!(
+            short, long,
+            "{label} loop allocates: 50 iters cost {short} allocations, 100 iters cost {long}"
+        );
+        assert_eq!(
+            short, 1,
+            "warm {label} solve should allocate exactly the returned coefficient vector"
+        );
+    }
 }
 
 /// Warm OMP pursuit allocates nothing: doubling the atom budget leaves
