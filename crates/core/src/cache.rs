@@ -18,10 +18,22 @@
 //! reconstructions — the batch engine's determinism guarantee survives
 //! caching.
 //!
+//! # One map, one memo path
+//!
+//! All four families live in one ordered map from a tagged key to a
+//! slot, and every lookup takes the same path: touch the slot (stamping
+//! it with a fresh LRU tick), build the value inside the slot's
+//! [`OnceLock`] outside the cache lock, and let the one caller whose
+//! build ran commit its bytes and enforce the budget. The typed lookups
+//! only say what to build for their family. The map is a `BTreeMap`, so
+//! nothing in the cache iterates a hash map: eviction scans in key
+//! order and picks the minimum `(tick, key)`.
+//!
 //! # Size bounding
 //!
-//! Every entry family is byte-accounted (via [`XorMeasurement::bytes`],
-//! [`GramStore::bytes`], and a dictionary size estimate) against a configurable budget ([`CacheConfig`], default
+//! Every entry is byte-accounted (via [`XorMeasurement::bytes`],
+//! [`GramStore::bytes`], and a dictionary size estimate) against a byte
+//! budget ([`OperatorCache::with_budget`], default
 //! [`DEFAULT_CACHE_BYTES`]). When a newly built entry would push the
 //! resident total past the budget, least-recently-used entries are
 //! evicted until it fits; an entry larger than the whole budget is
@@ -69,9 +81,7 @@
 //!
 //! [`BatchRunner`]: crate::batch::BatchRunner
 
-#[allow(clippy::disallowed_types)] // see clippy.toml: keyed lookup only
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -88,55 +98,6 @@ pub const DEFAULT_CACHE_BYTES: usize = 512 << 20;
 /// Fixed per-entry accounting overhead (key, slot bookkeeping, map
 /// slack) added to every entry's payload bytes.
 const ENTRY_OVERHEAD: usize = 64;
-
-/// Size policy of an [`OperatorCache`].
-///
-/// Every cache is bounded: the default is a budget of
-/// [`DEFAULT_CACHE_BYTES`] with LRU eviction, and
-/// [`CacheConfig::byte_budget`] tightens or widens it.
-///
-/// # Examples
-///
-/// ```
-/// use tepics_core::cache::{CacheConfig, OperatorCache, DEFAULT_CACHE_BYTES};
-///
-/// let small = OperatorCache::with_config(CacheConfig::new().byte_budget(1 << 20));
-/// assert_eq!(small.byte_budget(), 1 << 20);
-/// assert_eq!(OperatorCache::new().byte_budget(), DEFAULT_CACHE_BYTES);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    budget: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            budget: DEFAULT_CACHE_BYTES,
-        }
-    }
-}
-
-impl CacheConfig {
-    /// The default policy: bounded at [`DEFAULT_CACHE_BYTES`].
-    #[must_use]
-    pub fn new() -> CacheConfig {
-        CacheConfig::default()
-    }
-
-    /// Sets the byte budget.
-    #[must_use]
-    pub fn byte_budget(mut self, bytes: usize) -> CacheConfig {
-        self.budget = bytes;
-        self
-    }
-
-    /// The configured byte budget.
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-}
 
 /// Everything that determines a measurement operator — the cache key.
 ///
@@ -185,163 +146,98 @@ impl CacheStats {
     }
 }
 
-/// A cached measurement operator plus its precomputed selection counts.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedOperator {
-    pub(crate) phi: Arc<XorMeasurement>,
-    pub(crate) counts: Arc<Vec<f64>>,
+/// The key of one entry: its family and that family's inputs. The
+/// derived total order is the deterministic tie-break of
+/// [`Inner::lru_victim`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum AnyKey {
+    Op(OperatorKey),
+    Dict(DictionaryKind, u16, u16),
+    Norm(OperatorKey, DictionaryKind, u64),
+    Gram(OperatorKey, DictionaryKind),
 }
 
-type DictKey = (DictionaryKind, u16, u16);
-type NormKey = (OperatorKey, DictionaryKind, u64);
-type GramKey = (OperatorKey, DictionaryKind);
+/// One memoized value, of the family its [`AnyKey`] names: Φ with its
+/// selection counts, a dictionary, a norm estimate, or a Gram store.
+#[derive(Debug, Clone)]
+enum Entry {
+    Op(Arc<XorMeasurement>, Arc<Vec<f64>>),
+    Dict(SharedDictionary),
+    Norm(f64),
+    Gram(Arc<GramStore>),
+}
 
 /// A lazily initialized entry: the value builds behind its own
 /// [`OnceLock`] (outside the cache lock); `bytes` stays `0` until the
 /// builder commits the entry's accounted size, and uncommitted entries
 /// are never evicted.
 #[derive(Debug)]
-struct Slot<V> {
-    cell: Arc<OnceLock<V>>,
+struct Slot {
+    cell: Arc<OnceLock<Entry>>,
     bytes: usize,
     tick: u64,
 }
 
-/// Identifies one entry across the four families (eviction
-/// bookkeeping). The derived total order is the deterministic
-/// tie-break of [`Inner::lru_victim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum AnyKey {
-    Op(OperatorKey),
-    Dict(DictKey),
-    Norm(NormKey),
-    Gram(GramKey),
-}
-
-/// Everything behind the cache lock: the four entry maps, the LRU
-/// clock, and the byte accounting.
-///
-/// The maps are `HashMap`s for O(1) keyed lookup; the only place that
-/// *iterates* them is [`Inner::lru_victim`], which reduces to a
-/// min-by-`(tick, key)` — a total order independent of iteration
-/// order — so hash randomization can never reach a result.
+/// Everything behind the cache lock: the slot map, the LRU clock, and
+/// the byte accounting.
 #[derive(Debug, Default)]
-#[allow(clippy::disallowed_types)] // see clippy.toml + the hash-iter markers below
 struct Inner {
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    ops: HashMap<OperatorKey, Slot<CachedOperator>>,
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    dicts: HashMap<DictKey, Slot<SharedDictionary>>,
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    norms: HashMap<NormKey, Slot<f64>>,
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    grams: HashMap<GramKey, Slot<Arc<GramStore>>>,
+    slots: BTreeMap<AnyKey, Slot>,
     tick: u64,
     resident: usize,
     evictions: u64,
 }
 
-/// Bumps the LRU clock, touches (or creates) `key`'s slot, and returns
-/// its build cell. Ticks are unique: every touch increments the shared
-/// clock and stamps the slot with the fresh value, so no two slots ever
-/// carry the same tick (the key tie-break in [`Inner::lru_victim`] is
-/// pure belt-and-suspenders).
-#[allow(clippy::disallowed_types)] // see clippy.toml
-fn touch<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
-    map: &mut HashMap<K, Slot<V>>,
-    tick: &mut u64,
-    key: K,
-) -> Arc<OnceLock<V>> {
-    *tick += 1;
-    let slot = map.entry(key).or_insert_with(|| Slot {
-        cell: Arc::new(OnceLock::new()),
-        bytes: 0,
-        tick: 0,
-    });
-    slot.tick = *tick;
-    slot.cell.clone()
-}
-
-/// Records `bytes` for the entry the caller just initialized, provided
-/// its slot still holds the same cell and no racer committed first.
-/// Returns whether this call committed (and therefore whether the
-/// budget needs enforcing).
-#[allow(clippy::disallowed_types)] // see clippy.toml
-fn commit<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
-    map: &mut HashMap<K, Slot<V>>,
-    resident: &mut usize,
-    key: K,
-    cell: &Arc<OnceLock<V>>,
-    bytes: usize,
-) -> bool {
-    match map.get_mut(&key) {
-        Some(slot) if Arc::ptr_eq(&slot.cell, cell) && slot.bytes == 0 => {
-            slot.bytes = bytes;
-            *resident += bytes;
-            true
-        }
-        _ => false,
-    }
-}
-
 impl Inner {
-    /// The committed byte size of `key`, if the entry is resident.
-    fn bytes_of(&self, key: AnyKey) -> Option<usize> {
-        let b = match key {
-            AnyKey::Op(k) => self.ops.get(&k)?.bytes,
-            AnyKey::Dict(k) => self.dicts.get(&k)?.bytes,
-            AnyKey::Norm(k) => self.norms.get(&k)?.bytes,
-            AnyKey::Gram(k) => self.grams.get(&k)?.bytes,
-        };
-        (b > 0).then_some(b)
+    /// Bumps the LRU clock, touches (or creates) `key`'s slot, and
+    /// returns its build cell. Ticks are unique: every touch increments
+    /// the clock and stamps the slot with the fresh value, so no two
+    /// slots ever carry the same tick (the key tie-break in
+    /// [`Inner::lru_victim`] is pure belt-and-suspenders).
+    fn touch(&mut self, key: AnyKey) -> Arc<OnceLock<Entry>> {
+        self.tick += 1;
+        let slot = self.slots.entry(key).or_insert_with(|| Slot {
+            cell: Arc::new(OnceLock::new()),
+            bytes: 0,
+            tick: 0,
+        });
+        slot.tick = self.tick;
+        slot.cell.clone()
+    }
+
+    /// Records `bytes` for the entry whose build just ran, provided its
+    /// slot still holds the same cell and nothing committed it first,
+    /// then evicts to fit `budget`.
+    fn commit(&mut self, key: AnyKey, cell: &Arc<OnceLock<Entry>>, bytes: usize, budget: usize) {
+        match self.slots.get_mut(&key) {
+            Some(slot) if Arc::ptr_eq(&slot.cell, cell) && slot.bytes == 0 => {
+                slot.bytes = bytes;
+                self.resident += bytes;
+            }
+            _ => return,
+        }
+        self.enforce(budget, key);
     }
 
     /// Removes a committed entry, releasing its bytes.
     fn remove(&mut self, key: AnyKey) {
-        let bytes = match key {
-            AnyKey::Op(k) => self.ops.remove(&k).map(|s| s.bytes),
-            AnyKey::Dict(k) => self.dicts.remove(&k).map(|s| s.bytes),
-            AnyKey::Norm(k) => self.norms.remove(&k).map(|s| s.bytes),
-            AnyKey::Gram(k) => self.grams.remove(&k).map(|s| s.bytes),
-        };
-        if let Some(bytes) = bytes {
-            self.resident -= bytes;
+        if let Some(slot) = self.slots.remove(&key) {
+            self.resident -= slot.bytes;
             self.evictions += 1;
         }
     }
 
-    /// The least-recently-touched committed entry other than `protect`.
-    ///
-    /// Selection is min-by-`(tick, key)`. Ticks are unique by
-    /// construction (see [`touch`]), but the key tie-break makes the
-    /// choice *provably* independent of `HashMap` iteration order, so
-    /// the eviction sequence is deterministic even if tick uniqueness
-    /// were ever broken by a future refactor.
+    /// The least-recently-touched committed entry other than `protect`:
+    /// the minimum by `(tick, key)`. Ticks are unique by construction
+    /// (see [`Inner::touch`]); the key tie-break would keep the
+    /// eviction sequence deterministic even if they were not.
     fn lru_victim(&self, protect: AnyKey) -> Option<AnyKey> {
-        let mut best: Option<(u64, AnyKey)> = None;
-        let mut consider = |tick: u64, bytes: usize, key: AnyKey| {
-            if bytes == 0 || key == protect {
-                return;
-            }
-            if best.is_none_or(|(t, k)| (tick, key) < (t, k)) {
-                best = Some((tick, key));
-            }
-        };
-        for (k, s) in &self.ops {
-            consider(s.tick, s.bytes, AnyKey::Op(*k));
-        }
-        for (k, s) in &self.dicts {
-            consider(s.tick, s.bytes, AnyKey::Dict(*k));
-        }
-        for (k, s) in &self.norms {
-            consider(s.tick, s.bytes, AnyKey::Norm(*k));
-        }
-        for (k, s) in &self.grams {
-            consider(s.tick, s.bytes, AnyKey::Gram(*k));
-        }
-        best.map(|(_, k)| k)
+        self.slots
+            .iter()
+            .filter(|&(&key, slot)| slot.bytes > 0 && key != protect)
+            .map(|(&key, slot)| (slot.tick, key))
+            .min()
+            .map(|(_, key)| key)
     }
 
     /// Evicts LRU entries until the resident total fits `budget`,
@@ -350,7 +246,7 @@ impl Inner {
     /// value was already handed to the caller; it is just not
     /// retained).
     fn enforce(&mut self, budget: usize, protect: AnyKey) {
-        if self.bytes_of(protect).is_some_and(|b| b > budget) {
+        if self.slots.get(&protect).is_some_and(|s| s.bytes > budget) {
             self.remove(protect);
             return;
         }
@@ -367,8 +263,8 @@ impl Inner {
 
 /// Memoizes measurement operators, dictionaries, Gram stores, and
 /// per-solver operator-norm estimates across
-/// frames, streams, and batch items — within a configurable byte budget
-/// ([`CacheConfig`], LRU eviction; see the module docs).
+/// frames, streams, and batch items — within a byte budget
+/// ([`OperatorCache::with_budget`], LRU eviction; see the module docs).
 ///
 /// Cheap to share: wrap in an [`Arc`] (or use [`OperatorCache::shared`])
 /// and clone the handle into every decoder/session that should reuse
@@ -377,6 +273,16 @@ impl Inner {
 /// expensive builds (CA replay, power iteration) run outside it behind per-key [`OnceLock`]s, so
 /// distinct-key work in a parallel batch stays parallel while same-key
 /// racers still converge on one value.
+///
+/// # Examples
+///
+/// ```
+/// use tepics_core::cache::{OperatorCache, DEFAULT_CACHE_BYTES};
+///
+/// let small = OperatorCache::with_budget(1 << 20);
+/// assert_eq!(small.byte_budget(), 1 << 20);
+/// assert_eq!(OperatorCache::new().byte_budget(), DEFAULT_CACHE_BYTES);
+/// ```
 #[derive(Debug)]
 pub struct OperatorCache {
     inner: Mutex<Inner>,
@@ -392,34 +298,27 @@ impl Default for OperatorCache {
 }
 
 impl OperatorCache {
-    /// An empty cache with the default size policy
-    /// ([`DEFAULT_CACHE_BYTES`] budget, LRU eviction).
+    /// An empty cache bounded at [`DEFAULT_CACHE_BYTES`] (LRU eviction).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_config(CacheConfig::default())
+        Self::with_budget(DEFAULT_CACHE_BYTES)
     }
 
-    /// An empty cache with an explicit size policy.
+    /// An empty cache bounded at `bytes` (LRU eviction).
     #[must_use]
-    pub fn with_config(config: CacheConfig) -> Self {
+    pub fn with_budget(bytes: usize) -> Self {
         OperatorCache {
             inner: Mutex::new(Inner::default()),
-            budget: config.budget(),
+            budget: bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// An empty default-policy cache behind an [`Arc`], ready to share.
+    /// An empty default-budget cache behind an [`Arc`], ready to share.
     #[must_use]
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
-    }
-
-    /// An empty cache with an explicit size policy, behind an [`Arc`].
-    #[must_use]
-    pub fn shared_with(config: CacheConfig) -> Arc<Self> {
-        Arc::new(Self::with_config(config))
     }
 
     /// The byte budget this cache enforces.
@@ -456,12 +355,28 @@ impl OperatorCache {
         }
     }
 
-    /// Runs `commit` + budget enforcement for a just-built entry.
-    fn retain(&self, committed: bool, protect: AnyKey) {
-        if !committed {
-            return;
+    /// The memoized entry for `key`, and whether this call built it.
+    ///
+    /// The slot is touched under the lock; `build` (returning the entry
+    /// and its payload bytes) runs inside the slot's [`OnceLock`]
+    /// outside it, so same-key racers wait for one build while distinct
+    /// keys build in parallel. The caller whose build ran commits the
+    /// bytes and enforces the budget.
+    fn memo(&self, key: AnyKey, build: impl FnOnce() -> (Entry, usize)) -> (Entry, bool) {
+        let cell = self.locked().touch(key);
+        let mut built = None;
+        let entry = cell
+            .get_or_init(|| {
+                let (entry, bytes) = build();
+                built = Some(bytes);
+                entry
+            })
+            .clone();
+        if let Some(bytes) = built {
+            self.locked()
+                .commit(key, &cell, ENTRY_OVERHEAD + bytes, self.budget);
         }
-        self.locked().enforce(self.budget, protect);
+        (entry, built.is_some())
     }
 
     /// The measurement operator and selection counts for `key`,
@@ -470,50 +385,31 @@ impl OperatorCache {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if the strategy parameters
-    /// in `key` are invalid.
+    /// in `key` are invalid; such a key caches nothing.
     pub(crate) fn operator(
         &self,
         key: &OperatorKey,
     ) -> Result<(Arc<XorMeasurement>, Arc<Vec<f64>>), CoreError> {
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.ops, &mut inner.tick, *key)
-        };
-        if let Some(cached) = cell.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((cached.phi.clone(), cached.counts.clone()));
-        }
-        // The strategy is validated first, so an invalid one caches
-        // nothing and errors on every call. The CA replay then runs
-        // inside the OnceLock, outside every lock: distinct keys build in
-        // parallel, and same-key racers wait for the one builder.
-        let (rows, cols) = (key.rows as usize, key.cols as usize);
-        let mut source = key.strategy.build_source(rows + cols, key.seed)?;
-        let mut built = false;
-        let cached = cell.get_or_init(|| {
-            built = true;
+        key.strategy.validate()?;
+        // The CA replay, warm-up included, runs only inside the memo.
+        let build = || {
+            let (rows, cols) = (usize::from(key.rows), usize::from(key.cols));
+            let mut source = key.strategy.source(rows + cols, key.seed);
             let phi = XorMeasurement::from_source(rows, cols, source.as_mut(), key.k);
-            let counts = Arc::new(phi.selection_counts());
-            CachedOperator {
-                phi: Arc::new(phi),
-                counts,
-            }
-        });
-        let result = (cached.phi.clone(), cached.counts.clone());
-        if !built {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(result);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let bytes = ENTRY_OVERHEAD + result.0.bytes() + result.1.len() * std::mem::size_of::<f64>();
-        let committed = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            commit(&mut inner.ops, &mut inner.resident, *key, &cell, bytes)
+            let counts = phi.selection_counts();
+            (Arc::new(phi), Arc::new(counts))
         };
-        self.retain(committed, AnyKey::Op(*key));
-        Ok(result)
+        let (entry, built) = self.memo(AnyKey::Op(*key), || {
+            let (phi, counts) = build();
+            let bytes = phi.bytes() + counts.len() * std::mem::size_of::<f64>();
+            (Entry::Op(phi, counts), bytes)
+        });
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(match entry {
+            Entry::Op(phi, counts) => (phi, counts),
+            _ => build(),
+        })
     }
 
     /// The dictionary for `(kind, rows, cols)`, built on first use.
@@ -523,26 +419,15 @@ impl OperatorCache {
         rows: u16,
         cols: u16,
     ) -> SharedDictionary {
-        let key = (kind, rows, cols);
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.dicts, &mut inner.tick, key)
-        };
-        if let Some(dict) = cell.get() {
-            return dict.clone();
+        let (r, c) = (usize::from(rows), usize::from(cols));
+        let build = || build_dictionary(kind, r, c);
+        let (entry, _) = self.memo(AnyKey::Dict(kind, rows, cols), || {
+            (Entry::Dict(build()), dict_bytes_estimate(kind, r, c))
+        });
+        match entry {
+            Entry::Dict(dict) => dict,
+            _ => build(),
         }
-        let dict = cell
-            .get_or_init(|| build_dictionary(kind, rows as usize, cols as usize))
-            .clone();
-        let bytes = ENTRY_OVERHEAD + dict_bytes_estimate(kind, rows as usize, cols as usize);
-        let committed = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            commit(&mut inner.dicts, &mut inner.resident, key, &cell, bytes)
-        };
-        self.retain(committed, AnyKey::Dict(key));
-        dict
     }
 
     /// The memoized operator-norm estimate `‖ΦΨ‖` for
@@ -557,59 +442,36 @@ impl OperatorCache {
         key: &OperatorKey,
         kind: DictionaryKind,
         norm_seed: u64,
-        compute: impl FnOnce() -> f64,
+        compute: impl Fn() -> f64,
     ) -> Option<f64> {
-        let nkey = (*key, kind, norm_seed);
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.norms, &mut inner.tick, nkey)
+        let (entry, _) = self.memo(AnyKey::Norm(*key, kind, norm_seed), || {
+            (Entry::Norm(compute()), std::mem::size_of::<f64>())
+        });
+        let norm = match entry {
+            Entry::Norm(norm) => norm,
+            _ => compute(),
         };
-        // The power iteration runs outside the map lock (it is the
-        // expensive part); the OnceLock still guarantees one stored
-        // value per key.
-        let warm = cell.get().is_some();
-        let norm = *cell.get_or_init(compute);
-        if !warm {
-            let bytes = ENTRY_OVERHEAD + std::mem::size_of::<f64>();
-            let committed = {
-                let mut guard = self.locked();
-                let inner = &mut *guard;
-                commit(&mut inner.norms, &mut inner.resident, nkey, &cell, bytes)
-            };
-            self.retain(committed, AnyKey::Norm(nkey));
-        }
         (norm > 0.0).then_some(norm)
     }
 
-    /// The shared Gram store for `(key, kind)`, created empty by
-    /// `create` on first use. OMP and CoSaMP decodes attach it to their
-    /// composed operator and fill it as they select atoms. The store's capped
-    /// bytes are booked when it is created (see the module docs).
-    pub(crate) fn gram_store(
-        &self,
-        key: &OperatorKey,
-        kind: DictionaryKind,
-        create: impl FnOnce() -> GramStore,
-    ) -> Arc<GramStore> {
-        let gkey = (*key, kind);
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.grams, &mut inner.tick, gkey)
+    /// The shared Gram store for `(key, kind)`: created empty for the
+    /// key's `K × rows·cols` composed operator on first use. OMP and
+    /// CoSaMP decodes attach it to their composed operator and fill it
+    /// as they select atoms. The store's capped bytes are booked when it
+    /// is created (see the module docs).
+    pub(crate) fn gram_store(&self, key: &OperatorKey, kind: DictionaryKind) -> Arc<GramStore> {
+        let build = || {
+            let atoms = usize::from(key.rows) * usize::from(key.cols);
+            Arc::new(GramStore::new(key.k, atoms))
         };
-        if let Some(store) = cell.get() {
-            return store.clone();
+        let (entry, _) = self.memo(AnyKey::Gram(*key, kind), || {
+            let store = build();
+            (Entry::Gram(store.clone()), store.bytes())
+        });
+        match entry {
+            Entry::Gram(store) => store,
+            _ => build(),
         }
-        let store = cell.get_or_init(|| Arc::new(create())).clone();
-        let bytes = ENTRY_OVERHEAD + store.bytes();
-        let committed = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            commit(&mut inner.grams, &mut inner.resident, gkey, &cell, bytes)
-        };
-        self.retain(committed, AnyKey::Gram(gkey));
-        store
     }
 }
 
@@ -777,10 +639,10 @@ mod tests {
     fn gram_stores_are_memoized_per_operator_and_dictionary() {
         let cache = OperatorCache::new();
         let k1 = key(1, 6);
-        let a = cache.gram_store(&k1, DictionaryKind::Dct2d, || GramStore::new(6, 256));
-        let b = cache.gram_store(&k1, DictionaryKind::Dct2d, || panic!("must be memoized"));
+        let a = cache.gram_store(&k1, DictionaryKind::Dct2d);
+        let b = cache.gram_store(&k1, DictionaryKind::Dct2d);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be warm");
-        let c = cache.gram_store(&k1, DictionaryKind::Identity, || GramStore::new(6, 256));
+        let c = cache.gram_store(&k1, DictionaryKind::Identity);
         assert!(!Arc::ptr_eq(&a, &c));
         // The capped bytes are booked at creation, before any admission.
         assert_eq!(a.admitted(), 0);
@@ -805,29 +667,19 @@ mod tests {
             40 * (256 + 4) * 8 + 256 * slot
         );
         let store_bytes = ENTRY_OVERHEAD + GramStore::new(40, 256).bytes();
-        let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(store_bytes * 2));
-        let first = cache.gram_store(&key(1, 40), DictionaryKind::Dct2d, || {
-            GramStore::new(40, 256)
-        });
-        cache.gram_store(&key(2, 40), DictionaryKind::Dct2d, || {
-            GramStore::new(40, 256)
-        });
+        let cache = OperatorCache::with_budget(store_bytes * 2);
+        let first = cache.gram_store(&key(1, 40), DictionaryKind::Dct2d);
+        cache.gram_store(&key(2, 40), DictionaryKind::Dct2d);
         assert_eq!(cache.resident_bytes(), 2 * store_bytes);
-        cache.gram_store(&key(3, 40), DictionaryKind::Dct2d, || {
-            GramStore::new(40, 256)
-        });
+        cache.gram_store(&key(3, 40), DictionaryKind::Dct2d);
         assert_eq!(cache.resident_bytes(), 2 * store_bytes);
         assert_eq!(cache.stats().evictions, 1);
         // The oldest store went; a later lookup starts a fresh one.
-        let again = cache.gram_store(&key(1, 40), DictionaryKind::Dct2d, || {
-            GramStore::new(40, 256)
-        });
+        let again = cache.gram_store(&key(1, 40), DictionaryKind::Dct2d);
         assert!(!Arc::ptr_eq(&first, &again));
         // A budget too small for one store serves it but keeps nothing.
-        let tiny = OperatorCache::with_config(CacheConfig::new().byte_budget(store_bytes - 1));
-        tiny.gram_store(&key(1, 40), DictionaryKind::Dct2d, || {
-            GramStore::new(40, 256)
-        });
+        let tiny = OperatorCache::with_budget(store_bytes - 1);
+        tiny.gram_store(&key(1, 40), DictionaryKind::Dct2d);
         assert_eq!(tiny.resident_bytes(), 0);
     }
 
@@ -852,7 +704,7 @@ mod tests {
         assert!(one > 0);
 
         let budget = one * 3 + one / 2; // room for ~3 operators
-        let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(budget));
+        let cache = OperatorCache::with_budget(budget);
         for seed in 0..12 {
             cache.operator(&key(seed, 40)).unwrap();
             assert!(
@@ -878,7 +730,7 @@ mod tests {
         probe.operator(&key(0, 40)).unwrap();
         let one = probe.resident_bytes();
 
-        let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(one * 2 + one / 2));
+        let cache = OperatorCache::with_budget(one * 2 + one / 2);
         cache.operator(&key(1, 40)).unwrap(); // A
         cache.operator(&key(2, 40)).unwrap(); // B
         cache.operator(&key(1, 40)).unwrap(); // touch A → B is LRU
@@ -893,8 +745,8 @@ mod tests {
     /// Pins the full eviction *sequence*: victims fall strictly in
     /// touch order, run after run, machine after machine. Ticks are
     /// unique (every touch stamps a fresh clock value), and the
-    /// `(tick, key)` tie-break keeps the choice independent of
-    /// `HashMap` iteration order even in principle.
+    /// `(tick, key)` tie-break keeps the choice independent of the
+    /// scan order even in principle.
     #[test]
     fn eviction_sequence_is_deterministic() {
         let probe = OperatorCache::new();
@@ -902,7 +754,7 @@ mod tests {
         let one = probe.resident_bytes();
 
         // Room for exactly three same-size entries.
-        let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(3 * one + one / 2));
+        let cache = OperatorCache::with_budget(3 * one + one / 2);
         cache.operator(&key(1, 40)).unwrap(); // A
         cache.operator(&key(2, 40)).unwrap(); // B
         cache.operator(&key(3, 40)).unwrap(); // C
@@ -930,13 +782,13 @@ mod tests {
 
     /// Exercises the tie-break directly: with ticks forced equal, the
     /// victim is the smallest key in the derived total order — a choice
-    /// no `HashMap` iteration order can influence.
+    /// no insertion or scan order can influence.
     #[test]
     fn lru_tie_break_is_key_ordered() {
         let mut inner = Inner::default();
         for seed in [9u64, 3, 7, 1, 5] {
-            inner.ops.insert(
-                key(seed, 8),
+            inner.slots.insert(
+                AnyKey::Op(key(seed, 8)),
                 Slot {
                     cell: Arc::new(OnceLock::new()),
                     bytes: 1,
@@ -954,11 +806,65 @@ mod tests {
         );
     }
 
+    /// Recency alone picks victims across families: an operator, a
+    /// dictionary, a norm and a Gram store, touched in an order that is
+    /// neither their creation order nor their key order, are evicted in
+    /// exactly that touch order as newer entries arrive.
+    #[test]
+    fn eviction_crosses_families_in_touch_order() {
+        let k = key(1, 40);
+        let op = AnyKey::Op(k);
+        let dict = AnyKey::Dict(DictionaryKind::Dct2d, 16, 16);
+        let norm = AnyKey::Norm(k, DictionaryKind::Dct2d, 7);
+        let gram = AnyKey::Gram(k, DictionaryKind::Dct2d);
+        let lookup = |cache: &OperatorCache, which: AnyKey| match which {
+            AnyKey::Op(_) => drop(cache.operator(&k).unwrap()),
+            AnyKey::Dict(..) => drop(cache.dictionary(DictionaryKind::Dct2d, 16, 16)),
+            AnyKey::Norm(..) => drop(cache.operator_norm(&k, DictionaryKind::Dct2d, 7, || 1.0)),
+            AnyKey::Gram(..) => drop(cache.gram_store(&k, DictionaryKind::Dct2d)),
+        };
+        let probe = OperatorCache::new();
+        for which in [op, dict, norm, gram] {
+            lookup(&probe, which);
+        }
+        // The four fill the budget exactly; any newer entry evicts.
+        let cache = OperatorCache::with_budget(probe.resident_bytes());
+        for which in [op, dict, norm, gram] {
+            lookup(&cache, which);
+        }
+        assert_eq!(cache.stats().evictions, 0);
+        let touch_order = [gram, op, norm, dict];
+        for which in touch_order {
+            lookup(&cache, which);
+        }
+        // Newer norm entries push the four out one at a time; once the
+        // fillers alone would fill the budget, none of the four is left.
+        let filler = ENTRY_OVERHEAD + std::mem::size_of::<f64>();
+        let mut victims = Vec::new();
+        for seed in 0..=(cache.byte_budget() / filler) as u64 {
+            cache.operator_norm(&key(2, 40), DictionaryKind::Dct2d, seed, || 1.0);
+            let inner = cache.locked();
+            let before = victims.len();
+            for which in touch_order {
+                if !victims.contains(&which) && !inner.slots.contains_key(&which) {
+                    victims.push(which);
+                }
+            }
+            assert!(victims.len() <= before + 1, "one victim per filler");
+            assert!(inner.resident <= cache.byte_budget());
+            if victims.len() == touch_order.len() {
+                break;
+            }
+        }
+        assert_eq!(victims, touch_order);
+        assert_eq!(cache.stats().evictions, 4);
+    }
+
     /// An entry larger than the whole budget is served but not
     /// retained — the bound holds even then.
     #[test]
     fn oversized_entries_are_served_but_not_retained() {
-        let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(64));
+        let cache = OperatorCache::with_budget(64);
         let (phi, _) = cache.operator(&key(5, 40)).unwrap();
         assert_eq!(phi.array_rows(), 16);
         assert_eq!(cache.resident_bytes(), 0, "oversized entry must not stay");
@@ -993,7 +899,7 @@ mod tests {
         let (cold_phi, cold_counts) = probe.operator(&k).unwrap();
         let one = probe.resident_bytes();
 
-        let cache = OperatorCache::with_config(CacheConfig::new().byte_budget(one + one / 2));
+        let cache = OperatorCache::with_budget(one + one / 2);
         cache.operator(&k).unwrap();
         cache.operator(&key(10, 40)).unwrap(); // evicts k
         let (again_phi, again_counts) = cache.operator(&k).unwrap();

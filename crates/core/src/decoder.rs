@@ -27,9 +27,8 @@ use crate::solver::RecoveryParams;
 use tepics_cs::dictionary::{
     Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary, ZeroMeanDictionary,
 };
-use tepics_cs::gram::GramStore;
 use tepics_cs::op;
-use tepics_cs::{ComposedOperator, LinearOperator, XorMeasurement};
+use tepics_cs::{ComposedOperator, XorMeasurement};
 use tepics_imaging::ImageF64;
 use tepics_recovery::solver::norm_seeds;
 use tepics_recovery::{Debias, SolveStats, Solver, SolverWorkspace};
@@ -282,10 +281,7 @@ impl Decoder {
         // The greedy solvers get the key's shared Gram store, filled as
         // they select atoms.
         let a = if kind.reads_gram() {
-            let store = self
-                .cache
-                .gram_store(&key, dictionary, || GramStore::new(a.rows(), a.cols()));
-            a.with_gram_store(store)
+            a.with_gram_store(self.cache.gram_store(&key, dictionary))
         } else {
             a
         };

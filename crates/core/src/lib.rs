@@ -98,7 +98,7 @@ pub mod stream;
 
 pub use baseline::BlockCs;
 pub use batch::{BatchOutcome, BatchRunner, BatchSummary, StreamBatchOutcome, StreamOutcome};
-pub use cache::{CacheConfig, CacheStats, OperatorCache, OperatorKey, DEFAULT_CACHE_BYTES};
+pub use cache::{CacheStats, OperatorCache, OperatorKey, DEFAULT_CACHE_BYTES};
 pub use decoder::{Decoder, DictionaryKind, Reconstruction};
 pub use error::CoreError;
 pub use faults::FaultInjector;
@@ -115,7 +115,7 @@ pub mod prelude {
     pub use crate::batch::{
         BatchOutcome, BatchRunner, BatchSummary, StreamBatchOutcome, StreamOutcome,
     };
-    pub use crate::cache::{CacheConfig, CacheStats, OperatorCache};
+    pub use crate::cache::{CacheStats, OperatorCache};
     pub use crate::decoder::{Decoder, DictionaryKind, Reconstruction};
     pub use crate::faults::FaultInjector;
     pub use crate::frame::CompressedFrame;

@@ -8,9 +8,10 @@
 //! [`DecodeSession`] is the receiver — it consumes bytes incrementally
 //! ([`DecodeSession::push_bytes`] returns zero or more decoded frames as
 //! records complete) and owns an [`OperatorCache`], so the measurement
-//! operator, dictionary, and FISTA step size are built once and reused
-//! across every frame of the stream (and, when the cache is shared,
-//! across batch items with the same seed).
+//! operator, the dictionary, each solver's operator-norm estimate and
+//! the greedy solvers' Gram store are built once and reused across
+//! every frame of the stream (and, when the cache is shared, across
+//! batch items with the same seed).
 //!
 //! Sessions decode through the per-frame [`Decoder`], so
 //! `dec.push_frame(&f)` gives the same frame as

@@ -66,35 +66,52 @@ impl StrategyKind {
         pattern_len: usize,
         seed: u64,
     ) -> Result<Box<dyn BitPatternSource>, CoreError> {
+        self.validate()?;
+        Ok(self.source(pattern_len, seed))
+    }
+
+    /// Checks the parameters [`StrategyKind::source`] needs, without
+    /// building anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for a zero CA step or an
+    /// LFSR width outside `2..=32`.
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
+        match *self {
+            StrategyKind::CellularAutomaton {
+                steps_per_sample: 0,
+                ..
+            } => Err(CoreError::InvalidConfig(
+                "steps_per_sample must be positive".into(),
+            )),
+            StrategyKind::Lfsr { width } if !(2..=32).contains(&width) => Err(
+                CoreError::InvalidConfig(format!("LFSR width {width} outside 2..=32")),
+            ),
+            _ => Ok(()),
+        }
+    }
+
+    /// The pattern source of a strategy that passed
+    /// [`StrategyKind::validate`]; the CA warm-up runs here.
+    pub(crate) fn source(&self, pattern_len: usize, seed: u64) -> Box<dyn BitPatternSource> {
         match *self {
             StrategyKind::CellularAutomaton {
                 rule,
                 warmup,
                 steps_per_sample,
-            } => {
-                if steps_per_sample == 0 {
-                    return Err(CoreError::InvalidConfig(
-                        "steps_per_sample must be positive".into(),
-                    ));
-                }
-                Ok(Box::new(CaSource::new(
-                    pattern_len,
-                    seed,
-                    ElementaryRule::new(rule),
-                    warmup as usize,
-                    steps_per_sample as usize,
-                )))
-            }
+            } => Box::new(CaSource::new(
+                pattern_len,
+                seed,
+                ElementaryRule::new(rule),
+                warmup as usize,
+                steps_per_sample as usize,
+            )),
             StrategyKind::Lfsr { width } => {
-                if !(2..=32).contains(&width) {
-                    return Err(CoreError::InvalidConfig(format!(
-                        "LFSR width {width} outside 2..=32"
-                    )));
-                }
-                Ok(Box::new(LfsrSource::new(pattern_len, width as u32, seed)))
+                Box::new(LfsrSource::new(pattern_len, width as u32, seed))
             }
-            StrategyKind::Hadamard => Ok(Box::new(HadamardSource::new(pattern_len, seed))),
-            StrategyKind::Bernoulli => Ok(Box::new(BernoulliSource::balanced(pattern_len, seed))),
+            StrategyKind::Hadamard => Box::new(HadamardSource::new(pattern_len, seed)),
+            StrategyKind::Bernoulli => Box::new(BernoulliSource::balanced(pattern_len, seed)),
         }
     }
 

@@ -17,11 +17,11 @@
 //!   shares one measurement-operator geometry — a single operator-cache
 //!   key serves the whole frame — while still covering dimensions that
 //!   are not a multiple of the tile size.
-//! * [`split_tiles`] / [`merge_tiles`] — extraction and
-//!   overlap-weighted stitching. The merge is a deterministic
-//!   sequential accumulation, so stitched results are bit-identical
-//!   regardless of how (or on how many threads) the tiles were
-//!   produced.
+//! * [`split_tiles`] / [`merge_tiles_sparse`] — extraction and
+//!   overlap-weighted stitching of a full or partial tile set. The
+//!   merge is a deterministic sequential accumulation, so stitched
+//!   results are bit-identical regardless of how (or on how many
+//!   threads) the tiles were produced.
 //!
 //! # Examples
 //!
@@ -421,51 +421,16 @@ pub fn split_tiles(img: &ImageF64, layout: &TileLayout) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Stitches tiles back into a frame, blending overlapped regions by the
-/// layout's weight map (weighted mean per pixel).
+/// Stitches a frame from its tiles, blending overlapped regions by the
+/// layout's weight map: a pixel takes the weighted mean of the tiles
+/// that cover it. Erased tiles are `None`, and pixels covered by no
+/// surviving tile come back flagged in the returned mask (`true` =
+/// uncovered, value 0.0) for the caller to fill (see
+/// [`fill_uncovered`]); a full tile set leaves the mask all `false`.
 ///
 /// The accumulation is sequential in tile order, so the stitched result
 /// is a pure function of the tile values — bit-identical no matter how
 /// the tiles were computed or scheduled.
-///
-/// # Panics
-///
-/// Panics if the tile count or a tile's length disagrees with `layout`.
-#[must_use]
-pub fn merge_tiles(tiles: &[Vec<f64>], layout: &TileLayout) -> ImageF64 {
-    assert_eq!(tiles.len(), layout.tiles(), "tile count mismatch");
-    let frame = layout.frame();
-    let weights = layout.tile_weights();
-    let mut acc = vec![0.0f64; frame.pixels()];
-    let mut wsum = vec![0.0f64; frame.pixels()];
-    for (tile, r) in tiles.iter().zip(layout.rects()) {
-        assert_eq!(tile.len(), layout.pixels_per_tile(), "tile size mismatch");
-        for dy in 0..r.h {
-            let row = (r.y + dy) * frame.width() + r.x;
-            let trow = dy * r.w;
-            for dx in 0..r.w {
-                let w = weights[trow + dx];
-                acc[row + dx] += w * tile[trow + dx];
-                wsum[row + dx] += w;
-            }
-        }
-    }
-    for (a, &w) in acc.iter_mut().zip(&wsum) {
-        debug_assert!(w > 0.0, "layout tiles must cover the frame");
-        *a /= w;
-    }
-    ImageF64::from_vec(frame.width(), frame.height(), acc)
-}
-
-/// Stitches a frame from a *partial* tile set: erased tiles are `None`,
-/// and pixels covered by no surviving tile come back flagged in the
-/// returned mask (`true` = uncovered, value 0.0) for the caller to fill
-/// (see [`fill_uncovered`]).
-///
-/// Surviving tiles blend exactly as in [`merge_tiles`]: a fully present
-/// tile set stitches bit-identical to `merge_tiles`, and a pixel inside
-/// any surviving tile takes the weighted mean of the tiles that do
-/// cover it.
 ///
 /// # Panics
 ///
@@ -579,6 +544,17 @@ mod tests {
     use super::*;
     use crate::scenes::Scene;
 
+    /// Stitches a full tile set, which must leave no pixel uncovered.
+    fn merge_all(tiles: Vec<Vec<f64>>, layout: &TileLayout) -> ImageF64 {
+        let tiles: Vec<Option<Vec<f64>>> = tiles.into_iter().map(Some).collect();
+        let (img, uncovered) = merge_tiles_sparse(&tiles, layout);
+        assert!(
+            uncovered.iter().all(|&u| !u),
+            "a full tile set covers every pixel"
+        );
+        img
+    }
+
     #[test]
     fn geometry_accessors() {
         let g = FrameGeometry::new(40, 28);
@@ -634,8 +610,7 @@ mod tests {
     fn split_merge_roundtrip_without_overlap_is_exact() {
         let img = Scene::natural_like().render(37, 23, 5);
         let layout = TileLayout::new(FrameGeometry::new(37, 23), &TileConfig::new(10)).unwrap();
-        let tiles = split_tiles(&img, &layout);
-        let back = merge_tiles(&tiles, &layout);
+        let back = merge_all(split_tiles(&img, &layout), &layout);
         // Shifted tiles overlap on non-multiple dims, but identical
         // values blend back to themselves up to one rounding step.
         for (a, b) in img.as_slice().iter().zip(back.as_slice()) {
@@ -652,7 +627,7 @@ mod tests {
                 &TileConfig::new(16).overlap(4).blend(blend),
             )
             .unwrap();
-            let back = merge_tiles(&split_tiles(&img, &layout), &layout);
+            let back = merge_all(split_tiles(&img, &layout), &layout);
             for (a, b) in img.as_slice().iter().zip(back.as_slice()) {
                 assert!((a - b).abs() < 1e-12, "{blend:?}: {a} vs {b}");
             }
@@ -688,8 +663,8 @@ mod tests {
         let layout =
             TileLayout::new(FrameGeometry::new(40, 28), &TileConfig::new(16).overlap(4)).unwrap();
         let tiles = split_tiles(&img, &layout);
-        let a = merge_tiles(&tiles, &layout);
-        let b = merge_tiles(&tiles, &layout);
+        let a = merge_all(tiles.clone(), &layout);
+        let b = merge_all(tiles, &layout);
         assert_eq!(a, b);
     }
 
@@ -697,20 +672,7 @@ mod tests {
     #[should_panic(expected = "tile count mismatch")]
     fn merge_rejects_wrong_tile_count() {
         let layout = TileLayout::new(FrameGeometry::new(32, 32), &TileConfig::new(16)).unwrap();
-        let _ = merge_tiles(&[vec![0.0; 256]], &layout);
-    }
-
-    #[test]
-    fn sparse_merge_with_all_tiles_matches_dense_merge() {
-        let img = Scene::gaussian_blobs(3).render(40, 28, 9);
-        let layout =
-            TileLayout::new(FrameGeometry::new(40, 28), &TileConfig::new(16).overlap(4)).unwrap();
-        let tiles = split_tiles(&img, &layout);
-        let dense = merge_tiles(&tiles, &layout);
-        let some: Vec<Option<Vec<f64>>> = tiles.into_iter().map(Some).collect();
-        let (sparse, uncovered) = merge_tiles_sparse(&some, &layout);
-        assert_eq!(sparse, dense, "full tile set must stitch identically");
-        assert!(uncovered.iter().all(|&u| !u));
+        let _ = merge_tiles_sparse(&[Some(vec![0.0; 256])], &layout);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl Amp {
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not
     /// match the operator, [`RecoveryError::InvalidParameter`] for a
     /// non-positive norm override, or [`RecoveryError::Breakdown`] once
-    /// an iterate is not finite.
+    /// an iterate or the final residual is not finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -148,7 +148,7 @@ impl Amp {
         })?;
         // The model was (A/scale)·x = y/scale, so x is already the
         // solution in the original coordinates.
-        Ok(finish(a, y, x, ax, progress))
+        finish(NAME, a, y, x, ax, progress)
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError, SolveStats};
+use crate::{breakdown, check_dims, Recovery, RecoveryError, SolveStats};
 use std::cell::RefCell;
 use tepics_cs::op::{self, LinearOperator};
 
@@ -139,7 +139,8 @@ impl Cgls {
     /// # Errors
     ///
     /// Returns [`RecoveryError::DimensionMismatch`] if `b` does not match
-    /// the operator rows.
+    /// the operator rows, or [`RecoveryError::Breakdown`] if the final
+    /// residual is not finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -238,9 +239,13 @@ impl Cgls {
             let d = qi - bi;
             rr += d * d;
         }
+        let residual_norm = rr.sqrt();
+        if !residual_norm.is_finite() {
+            return Err(breakdown("cgls", "the residual is not finite"));
+        }
         Ok(SolveStats {
             iterations,
-            residual_norm: rr.sqrt(),
+            residual_norm,
             converged,
         })
     }

@@ -149,7 +149,8 @@ impl Fista {
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
     /// the operator, [`RecoveryError::InvalidParameter`] for
     /// non-positive λ/step configurations, or
-    /// [`RecoveryError::Breakdown`] once an iterate is not finite.
+    /// [`RecoveryError::Breakdown`] once an iterate or the final
+    /// residual is not finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -236,7 +237,7 @@ impl Fista {
                 }
             },
         )?;
-        Ok(finish(a, y, alpha, resid, progress))
+        finish(name, a, y, alpha, resid, progress)
     }
 }
 

@@ -70,7 +70,7 @@ impl Iht {
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
     /// the operator, [`RecoveryError::InvalidParameter`] for a
     /// non-positive step, or [`RecoveryError::Breakdown`] once an
-    /// iterate is not finite.
+    /// iterate or the final residual is not finite.
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -153,7 +153,7 @@ impl Iht {
                 }
             },
         )?;
-        Ok(finish(a, y, alpha, resid, progress))
+        finish(NAME, a, y, alpha, resid, progress)
     }
 }
 

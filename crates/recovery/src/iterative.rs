@@ -13,7 +13,9 @@
 //!   [`RecoveryError::Breakdown`] once that change or norm is not
 //!   finite;
 //! * [`finish`] computes the last iterate's residual `Aα − y` and
-//!   assembles the [`Recovery`].
+//!   assembles the [`Recovery`], or stops with
+//!   [`RecoveryError::Breakdown`] when the residual's norm is not
+//!   finite (a non-finite measurement).
 
 use crate::solver::norm_seeds;
 use crate::{breakdown, Recovery, RecoveryError, SolveStats};
@@ -111,27 +113,37 @@ pub(crate) fn iterate(
 
 /// The [`Recovery`] of a finished loop: `α`, with the residual `Aα − y`
 /// computed into `resid` for its norm.
+///
+/// # Errors
+///
+/// [`RecoveryError::Breakdown`], naming `solver`, when that norm is not
+/// finite, as it is for a non-finite measurement.
 // tidy:alloc-free
 pub(crate) fn finish<A: LinearOperator + ?Sized>(
+    solver: &str,
     a: &A,
     y: &[f64],
     alpha: &[f64],
     resid: &mut [f64],
     progress: Progress,
-) -> Recovery {
+) -> Result<Recovery, RecoveryError> {
     a.apply(alpha, resid);
     for (r, &yi) in resid.iter_mut().zip(y) {
         *r -= yi;
     }
-    Recovery {
+    let residual_norm = op::norm2(resid);
+    if !residual_norm.is_finite() {
+        return Err(breakdown(solver, "the residual is not finite"));
+    }
+    Ok(Recovery {
         // tidy:allow(alloc: the returned coefficient vector, once per solve)
         coefficients: alpha.to_vec(),
         stats: SolveStats {
             iterations: progress.iterations,
-            residual_norm: op::norm2(resid),
+            residual_norm,
             converged: progress.converged,
         },
-    }
+    })
 }
 
 #[cfg(test)]

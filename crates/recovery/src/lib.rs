@@ -29,7 +29,10 @@
 //! `‖α − α_prev‖ ≤ tol·max(‖α‖, 1e-12)`, and reports `‖Aα − y‖`; each
 //! solver brings only its iteration body. An iterate whose change or
 //! norm is not finite ends the solve with [`RecoveryError::Breakdown`].
-//! OMP and CoSaMP share the Gram-slot engine of the greedy pursuits.
+//! So does a final residual that is not finite, in every solver here:
+//! a non-finite measurement is a breakdown, never an `Ok` with a NaN
+//! residual. OMP and CoSaMP share the Gram-slot engine of the greedy
+//! pursuits.
 //!
 //! # The trait + workspace contract
 //!

@@ -141,7 +141,7 @@ impl std::fmt::Debug for dyn Solver + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Amp, CoSaMp, Fista, Iht, Ista, Omp};
+    use crate::{Amp, CoSaMp, Fista, Iht, Ista, Omp, RecoveryError};
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
 
@@ -181,6 +181,34 @@ mod tests {
         let direct = fista.solve(&a, &y).unwrap();
         let dynamic = Solver::solve(&fista as &dyn Solver, &a, &y).unwrap();
         assert_eq!(direct, dynamic);
+    }
+
+    /// A NaN in `y` ends every solver in a breakdown that names it:
+    /// never an `Ok` with a NaN residual, never a panic.
+    #[test]
+    fn a_non_finite_measurement_is_a_breakdown_for_every_solver() {
+        let mut rng = SplitMix64::new(0xB0_0C);
+        let a = DenseMatrix::from_fn(20, 40, |_, _| rng.next_gaussian() / 20f64.sqrt());
+        let mut y: Vec<f64> = (0..20).map(|k| f64::from(k) - 9.5).collect();
+        y[3] = f64::NAN;
+        let fista = Fista::new();
+        let ista = Ista::new();
+        let iht = Iht::new(3);
+        let amp = Amp::new();
+        let omp = Omp::new(5);
+        let cosamp = CoSaMp::new(3);
+        let cgls = crate::cg::Cgls::default();
+        let solvers: [&dyn Solver; 7] = [&fista, &ista, &iht, &amp, &omp, &cosamp, &cgls];
+        for solver in solvers {
+            let name = solver.caps().name;
+            match solver.solve(&a, &y) {
+                Err(RecoveryError::Breakdown(msg)) => assert!(
+                    msg.to_lowercase().starts_with(name),
+                    "{name}: message {msg:?}"
+                ),
+                other => panic!("{name}: expected a breakdown, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -86,9 +86,8 @@ fn warm_session_equals_cold_decoder_for_every_solver_kind() {
             );
             // Evicting: the Gram store (OMP) or view (CoSaMP) is rebuilt
             // for every frame.
-            let mut evicting = DecodeSession::with_cache(OperatorCache::shared_with(
-                CacheConfig::new().byte_budget(EVICTING_BUDGET),
-            ));
+            let mut evicting =
+                DecodeSession::with_cache(Arc::new(OperatorCache::with_budget(EVICTING_BUDGET)));
             evicting.params(params);
             for (i, f) in frames.iter().enumerate() {
                 let got = evicting.push_frame(f).unwrap();
@@ -344,7 +343,7 @@ fn omp_ignores_gram_store_state_and_thread_count() {
             ("shared", OperatorCache::shared()),
             (
                 "evicting",
-                OperatorCache::shared_with(CacheConfig::new().byte_budget(EVICTING_BUDGET)),
+                Arc::new(OperatorCache::with_budget(EVICTING_BUDGET)),
             ),
         ] {
             for round in 0..2 {

@@ -3,6 +3,8 @@
 //! sizes and thread counts, v1 backward compatibility, hostile-header
 //! robustness, and operator-cache byte budgets under tiled load.
 
+use std::sync::Arc;
+
 use tepics::core::stream::{StreamParser, STREAM_VERSION, STREAM_VERSION_TILED};
 use tepics::prelude::*;
 use tepics::util::SplitMix64;
@@ -215,7 +217,7 @@ fn bounded_cache_respects_budget_and_stays_bit_identical() {
         budget < working_sets.values().sum::<usize>(),
         "geometries too small to overflow the budget: {working_sets:?}"
     );
-    let bounded = OperatorCache::shared_with(CacheConfig::new().byte_budget(budget));
+    let bounded = Arc::new(OperatorCache::with_budget(budget));
     for (bytes, expected) in streams.iter().zip(&reference) {
         let mut dec = DecodeSession::with_cache(bounded.clone());
         let decoded = dec.push_bytes(bytes).unwrap();
