@@ -87,7 +87,7 @@
 //! [`DecodeSession`](crate::session::DecodeSession)).
 
 use crate::error::CoreError;
-use crate::frame::{crc8, BitReader, BitWriter, CompressedFrame, FrameHeader};
+use crate::frame::{crc8, pack_samples, unpack_samples, CompressedFrame, FrameHeader};
 use crate::strategy::StrategyKind;
 use tepics_imaging::tile::{BlendMode, FrameGeometry, TileLayout};
 
@@ -128,7 +128,7 @@ pub const SYNC_INTERVAL: usize = 8;
 
 /// Marker byte opening each frame record (cheap resynchronization /
 /// corruption check).
-const FRAME_MARKER: u8 = 0xF5;
+pub(crate) const FRAME_MARKER: u8 = 0xF5;
 
 /// Header flag bit: the resilient stream is tiled (tile extension
 /// present).
@@ -395,22 +395,15 @@ impl StreamWriter {
                 .extend_from_slice(&(samples.len() as u32).to_le_bytes());
             let prefix_crc = crc8(&self.buf[prefix_start..]);
             self.buf.push(prefix_crc);
-            let mut writer = BitWriter::new();
-            for &s in samples {
-                writer.write(s, bits);
-            }
-            let payload = writer.finish();
-            self.buf.extend_from_slice(&payload);
-            self.buf.push(crc8(&payload));
+            let payload_start = self.buf.len();
+            pack_samples(&mut self.buf, samples, bits);
+            let payload_crc = crc8(&self.buf[payload_start..]);
+            self.buf.push(payload_crc);
         } else {
             self.buf.push(FRAME_MARKER);
             self.buf
                 .extend_from_slice(&(samples.len() as u32).to_le_bytes());
-            let mut writer = BitWriter::new();
-            for &s in samples {
-                writer.write(s, bits);
-            }
-            self.buf.extend_from_slice(&writer.finish());
+            pack_samples(&mut self.buf, samples, bits);
         }
         self.frames += 1;
         Ok(())
@@ -755,10 +748,7 @@ impl StreamParser {
             return Ok(None);
         }
         let payload = &b[FRAME_RECORD_BYTES..FRAME_RECORD_BYTES + payload_len];
-        let mut reader = BitReader::new(payload);
-        let samples = (0..count)
-            .map(|_| reader.read(header.sample_bits as u32))
-            .collect();
+        let samples = unpack_samples(payload, count as usize, header.sample_bits as u32);
         self.pos += FRAME_RECORD_BYTES + payload_len;
         self.frames += 1;
         Ok(Some(CompressedFrame { header, samples }))
@@ -836,10 +826,8 @@ impl StreamParser {
                             bytes_skipped: record_len,
                         });
                     }
-                    let mut reader = BitReader::new(payload);
-                    let samples = (0..count)
-                        .map(|_| reader.read(u32::from(header.sample_bits)))
-                        .collect();
+                    let samples =
+                        unpack_samples(payload, count as usize, u32::from(header.sample_bits));
                     self.pos += record_len;
                     self.frames += 1;
                     self.seq_floor = self.seq_floor.max(seq.wrapping_add(1));

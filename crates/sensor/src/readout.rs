@@ -22,14 +22,21 @@
 //! computes: each sample is one concurrent event, not a sequence of
 //! pulses. Every pixel's flip time is converted once per scene, by the
 //! same helper [`FrameReadout::code_image`] uses. A sample adds the code
-//! rows of its selected rows `R` into one accumulator per column,
-//! `S_c = Σ_{r∈R} code[r,c]`. A pixel fires when its row bit differs
-//! from its column bit, so column `c`'s Sample & Add word is `S_c` when
-//! the column bit is 0 and `colsum_c − S_c` when it is 1. Codes are
-//! non-negative, so one saturating add of that word clips and flags
-//! exactly as the pulse-by-pulse adds would. Missed pulses are counted
-//! the same way, in the high half of each packed per-pixel cell, and
-//! `total_pulses` follows from `|R|` and the column bits.
+//! rows of its selected rows `R` into one `u32` lane per column,
+//! `S_c = Σ_{r∈R} code[r,c]`. Codes have at most 16 bits and the path
+//! takes at most `2^16` rows, so a lane (and the column total
+//! `colsum_c`) stays below `2^32`: the sums are exact. A pixel fires
+//! when its row bit differs from its column bit, so column `c`'s
+//! Sample & Add word is `S_c` when the column bit is 0 and
+//! `colsum_c − S_c` when it is 1. The column bits are read from the
+//! pattern as whole `u64` words and each word is selected without a
+//! branch. Codes are non-negative, so clipping that word once at the
+//! column width, and the sum of the clipped words once at the sample
+//! width, gives the values and overflow flags that pulse-by-pulse
+//! saturating adds give. A missed pixel adds code 0; misses are
+//! counted only where a row holds one, by a popcount of its miss mask
+//! against the column word (or its complement, when the row bit is
+//! set). `total_pulses` follows from `|R|` and the column bits.
 //!
 //! The per-pulse loop still runs where it is needed: with temporal
 //! jitter (every sample redraws every flip time) and at
@@ -43,15 +50,12 @@ use crate::noise::NoiseModel;
 use crate::tdc::{Conversion, GlobalCounter, SampleAdd, SampleWord};
 use tepics_ca::BitPatternSource;
 use tepics_imaging::{ImageF64, ImageU8};
+use tepics_util::fixed::max_value;
 use tepics_util::BitVec;
 
-/// Bit offset of the miss count in a packed per-pixel cell of the
-/// column-sum path; the code sits below it.
-const MISS_SHIFT: u32 = 32;
-
-/// Most rows the column-sum path packs: a column then sums to less than
-/// `2^16 · 2^16` in either half of a cell (codes have at most 16 bits).
-const MAX_PACKED_ROWS: usize = 1 << 16;
+/// Most rows the column-sum path sums: a column of codes (at most 16
+/// bits each) then sums to less than `2^16 · 2^16`, inside a `u32` lane.
+const MAX_LANE_ROWS: usize = 1 << 16;
 
 /// Simulation fidelity of the readout path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,7 +275,7 @@ impl FrameReadout {
         );
         let column_sums = self.fidelity == Fidelity::Functional
             && self.config.jitter_sigma() == 0.0
-            && m <= MAX_PACKED_ROWS;
+            && m <= MAX_LANE_ROWS;
         if column_sums {
             self.capture_column_sums(scene, patterns)
         } else {
@@ -284,21 +288,29 @@ impl FrameReadout {
     fn capture_column_sums(&self, scene: &ImageF64, patterns: &[BitVec]) -> CapturedFrame {
         let (m, n) = (self.config.rows(), self.config.cols());
         let counter = GlobalCounter::new(&self.config);
-        // One cell per pixel, row-major: its code, or one miss.
-        let cells: Vec<u64> = (0..m * n)
-            .map(
-                |px| match self.ideal_conversion(&counter, scene, px / n, px % n) {
-                    Conversion::Code(c) => u64::from(c),
-                    Conversion::Missed => 1 << MISS_SHIFT,
+        let (column_bits, sample_bits) = SampleAdd::widths(&self.config);
+        let (column_max, sample_max) = (max_value(column_bits), max_value(sample_bits));
+        // Row-major codes (a missed pixel reads 0), and one
+        // `(row, column word, mask)` entry per column word of a row that
+        // holds a missed pixel.
+        let mut codes = vec![0u32; m * n];
+        let mut misses: Vec<(usize, usize, u64)> = Vec::new();
+        for (px, code) in codes.iter_mut().enumerate() {
+            let (row, col) = (px / n, px % n);
+            match self.ideal_conversion(&counter, scene, row, col) {
+                Conversion::Code(c) => *code = c,
+                Conversion::Missed => match misses.last_mut() {
+                    Some((r, w, mask)) if (*r, *w) == (row, col / 64) => *mask |= 1 << (col % 64),
+                    _ => misses.push((row, col / 64, 1 << (col % 64))),
                 },
-            )
-            .collect();
-        let mut column_totals = vec![0u64; n];
-        for row in cells.chunks_exact(n) {
+            }
+        }
+        let mut column_totals = vec![0u32; n];
+        for row in codes.chunks_exact(n) {
             add_row(&mut column_totals, row);
         }
-        let mut sums = vec![0u64; n];
-        let mut sample_add = SampleAdd::for_config(&self.config);
+        let mut sums = vec![0u32; n];
+        let mut column_words = vec![0u64; n.div_ceil(64)];
         let mut stats = EventStats::new();
         let mut samples = Vec::with_capacity(patterns.len());
         // tidy:alloc-free
@@ -306,22 +318,29 @@ impl FrameReadout {
             sums.fill(0);
             let mut rows_set = 0;
             for row in pattern.iter_ones().take_while(|&r| r < m) {
-                add_row(&mut sums, &cells[row * n..(row + 1) * n]);
+                add_row(&mut sums, &codes[row * n..(row + 1) * n]);
                 rows_set += 1;
             }
-            let mut cols_set = 0;
-            for (col, (&sum, &total)) in sums.iter().zip(&column_totals).enumerate() {
-                let word = if pattern.get(m + col) {
-                    cols_set += 1;
-                    total - sum
-                } else {
-                    sum
-                };
-                stats.missed_pulses += word >> MISS_SHIFT;
-                sample_add.add_word(col, word & ((1 << MISS_SHIFT) - 1));
+            column_bits_into(pattern.as_words(), m, &mut column_words);
+            let cols_set: usize = column_words.iter().map(|w| w.count_ones() as usize).sum();
+            // Column c's word is S_c when its bit is 0 and colsum_c − S_c
+            // when it is 1; every word is clipped once.
+            let mut total = 0u64;
+            let mut column_overflow = false;
+            for (col, (&sum, &colsum)) in sums.iter().zip(&column_totals).enumerate() {
+                let flip = ((column_words[col / 64] >> (col % 64)) as u32 & 1).wrapping_neg();
+                let word = u64::from(sum ^ ((sum ^ (colsum - sum)) & flip));
+                column_overflow |= word > column_max;
+                total += word.min(column_max);
+            }
+            for &(row, w, mask) in &misses {
+                let flip = u64::from(pattern.get(row)).wrapping_neg();
+                stats.missed_pulses += u64::from((mask & (column_words[w] ^ flip)).count_ones());
             }
             stats.total_pulses += (rows_set * (n - cols_set) + (m - rows_set) * cols_set) as u64;
-            record_sample(sample_add.finish(), &mut stats, &mut samples);
+            stats.column_overflows += u64::from(column_overflow);
+            stats.sample_overflows += u64::from(total > sample_max);
+            samples.push(total.min(sample_max) as u32);
         }
         CapturedFrame { samples, stats }
     }
@@ -411,10 +430,25 @@ impl FrameReadout {
     }
 }
 
-/// Adds one row of packed cells into per-column accumulators.
-fn add_row(acc: &mut [u64], row: &[u64]) {
-    for (a, &cell) in acc.iter_mut().zip(row) {
-        *a += cell;
+/// Adds one row of codes into per-column `u32` lanes.
+fn add_row(acc: &mut [u32], row: &[u32]) {
+    for (a, &code) in acc.iter_mut().zip(row) {
+        *a += code;
+    }
+}
+
+/// Copies the column bits of a selection pattern, which start at bit
+/// `m` of its words, into `out` as whole words. A `BitVec` keeps its
+/// bits past `len` (here `M+N`) zero, so the last word needs no mask.
+fn column_bits_into(pattern: &[u64], m: usize, out: &mut [u64]) {
+    let (first, shift) = (m / 64, m % 64);
+    for (i, word) in out.iter_mut().enumerate() {
+        let low = pattern[first + i] >> shift;
+        let high = match pattern.get(first + i + 1) {
+            Some(&next) if shift > 0 => next << (64 - shift),
+            _ => 0,
+        };
+        *word = low | high;
     }
 }
 

@@ -88,13 +88,7 @@ impl SampleAdd {
     /// Eq. (1): column width = `pixel_bits + ⌈log2 rows⌉`, sample width
     /// = `pixel_bits + ⌈log2 (rows·cols)⌉`.
     pub fn for_config(config: &SensorConfig) -> Self {
-        let column_bits =
-            tepics_util::fixed::sum_bits(config.counter_bits(), config.rows() as u32, 1);
-        let sample_bits = tepics_util::fixed::sum_bits(
-            config.counter_bits(),
-            config.rows() as u32,
-            config.cols() as u32,
-        );
+        let (column_bits, sample_bits) = Self::widths(config);
         SampleAdd {
             columns: (0..config.cols())
                 .map(|_| SaturatingAccumulator::new(column_bits))
@@ -102,6 +96,16 @@ impl SampleAdd {
             column_bits,
             sample_bits,
         }
+    }
+
+    /// The Eq. (1) `(column, sample)` widths of a configuration.
+    pub(crate) fn widths(config: &SensorConfig) -> (u32, u32) {
+        let bits = config.counter_bits();
+        let rows = config.rows() as u32;
+        (
+            tepics_util::fixed::sum_bits(bits, rows, 1),
+            tepics_util::fixed::sum_bits(bits, rows, config.cols() as u32),
+        )
     }
 
     /// Column accumulator width (14 bits for the prototype).
@@ -125,19 +129,8 @@ impl SampleAdd {
             Conversion::Code(code) => u64::from(code),
             Conversion::Missed => 0,
         };
-        self.add_word(col, code);
-    }
-
-    /// Accumulates `word`, a sum of codes, into its column in one
-    /// saturating add. Codes are non-negative, so this clips and flags
-    /// exactly as adding them one at a time would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn add_word(&mut self, col: usize, word: u64) {
         assert!(col < self.columns.len(), "column {col} out of range");
-        self.columns[col].add(word);
+        self.columns[col].add(code);
     }
 
     /// Sums the column words into the final sample and resets for the

@@ -114,7 +114,17 @@ fn draw(source: &mut dyn BitPatternSource, k: usize) -> Vec<BitVec> {
 /// the dark case with pulses that miss the 6-bit window.
 #[test]
 fn column_sums_match_the_per_pulse_loop() {
-    let geometries = [(8, 8), (16, 24), (24, 16), (31, 17), (32, 32), (64, 64)];
+    let geometries = [
+        (8, 8),
+        (16, 24),
+        (24, 16),
+        (31, 17),
+        (32, 32),
+        (40, 40),
+        (17, 70),
+        (70, 17),
+        (64, 64),
+    ];
     let transfers = [CodeTransfer::Reciprocal, CodeTransfer::Linearized];
     let mut rng = SplitMix64::new(0xC0FFEE);
     let mut missed = 0;

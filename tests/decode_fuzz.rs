@@ -384,3 +384,67 @@ fn fuzzed_other_solver_decodes_are_finite_and_deterministic() {
         "{tally:?}"
     );
 }
+
+/// `EventAccurate` captures decode end to end next to `Functional`
+/// captures of the same configurations, with OMP and with FISTA: no
+/// panic, finite codes, threads(1) ≡ threads(2), warm ≡ cold. The
+/// column buses queue pulses on these scenes, so the event-accurate
+/// samples carry arbitration error the decoder never modelled.
+#[test]
+fn event_accurate_captures_decode_like_functional_ones() {
+    let mut rng = SplitMix64::new(0x0E7E_47AC);
+    let mut queued = 0;
+    let shapes = [
+        (16, 16, None),
+        (8, 8, None),
+        (12, 16, None),
+        (16, 14, Some(8)),
+    ];
+    for (round, &(rows, cols, tile)) in shapes.iter().enumerate() {
+        let ratio = 0.2 + 0.3 * rng.next_f64();
+        let seed = rng.next_u64();
+        let scene = if round % 2 == 0 {
+            Scene::natural_like()
+        } else {
+            Scene::Uniform(0.5)
+        };
+        let solvers = [
+            SolverKind::Omp {
+                atoms: 8 + pick(&mut rng, 24),
+            },
+            SolverKind::Fista {
+                lambda_ratio: 0.005 + 0.05 * rng.next_f64(),
+                max_iter: 10 + pick(&mut rng, 20),
+                debias: false,
+            },
+        ];
+        for fidelity in [Fidelity::Functional, Fidelity::EventAccurate] {
+            let mut builder = CompressiveImager::builder(rows, cols);
+            builder.ratio(ratio).fidelity(fidelity).seed(seed);
+            if let Some(t) = tile {
+                builder.tiling(TileConfig::new(t).overlap(2));
+            }
+            let imager = builder.build().unwrap();
+            let (_, stats) = imager.capture_tiles_with_stats(&scene.render(cols, rows, seed));
+            queued += stats.queued_pulses;
+            for solver in solvers {
+                let params = RecoveryParams {
+                    solver,
+                    dictionary: DictionaryKind::Dct2d,
+                };
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let wire = encode(&imager, &scene, seed);
+                    assert_decodes_deterministically(&wire, params);
+                }));
+                if let Err(payload) = outcome {
+                    eprintln!(
+                        "round {round}: {rows}×{cols} tile {tile:?} {fidelity:?} \
+                         ratio {ratio} seed {seed:#x} {params:?}"
+                    );
+                    panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+    assert!(queued > 0, "no event-accurate capture queued a pulse");
+}
