@@ -43,14 +43,15 @@ pub fn run() -> String {
         // grades against the same ideal codes; the wire round-trip it
         // adds is lossless).
         let runner = BatchRunner::new();
+        let cache = runner.cache().clone();
         let full = runner
-            .run_jobs(&ratios, |&r| {
+            .run_jobs(ratios.to_vec(), move |r| {
                 let imager = CompressiveImager::builder(side, side)
                     .ratio(r)
                     .seed(0xFFB)
                     .fidelity(Fidelity::Functional)
                     .build()?;
-                evaluate(runner.cache(), &imager, RecoveryParams::default(), &scene)
+                evaluate(&cache, &imager, RecoveryParams::default(), &scene)
             })
             .expect("full-frame sweep pipeline");
         // Block baseline on the same code images, fanned across the

@@ -129,8 +129,9 @@ pub fn run() -> String {
         .ideal_codes(&scene)
         .to_code_f64();
     let runner = BatchRunner::new();
+    let cache = runner.cache().clone();
     let outcome = runner
-        .run_jobs(&jobs, |j| run_job(j, &scene, &truth, runner.cache()))
+        .run_jobs(jobs, move |j| run_job(&j, &scene, &truth, &cache))
         .expect("noise sweep pipeline");
     let db: Vec<f64> = outcome.reports.iter().map(|r| r.psnr_code_db).collect();
     // Slice the input-ordered results back into their sections.

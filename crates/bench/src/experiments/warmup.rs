@@ -53,8 +53,9 @@ pub fn run() -> String {
         .flat_map(|warmup| [1u8, 2].map(|steps| (warmup, steps)))
         .collect();
     let runner = BatchRunner::new();
+    let cache = runner.cache().clone();
     let outcome = runner
-        .run_jobs(&grid, |&(warmup, steps)| {
+        .run_jobs(grid.clone(), move |(warmup, steps)| {
             let strategy = StrategyKind::CellularAutomaton {
                 rule: 30,
                 warmup,
@@ -68,7 +69,7 @@ pub fn run() -> String {
                 .build()?;
             // Each grid point is its own cache key (the strategy is the
             // knob under test); the shared cache still dedups dictionaries.
-            evaluate(runner.cache(), &imager, RecoveryParams::default(), &scene)
+            evaluate(&cache, &imager, RecoveryParams::default(), &scene)
         })
         .expect("warmup sweep pipeline");
     let mut t = Table::new(&["warmup", "steps/sample", "PSNR (dB)", "SSIM"]);

@@ -4,10 +4,11 @@
 //! loop hundreds of times: capture a scene, round-trip it through a
 //! wire stream, reconstruct, grade. The loops are
 //! embarrassingly parallel — each item owns its imager state and scene
-//! — so [`BatchRunner`] fans them across worker threads (via
-//! [`tepics_util::parallel::par_map`]) and aggregates the per-item
-//! [`PipelineReport`]s into batch statistics: mean/percentile PSNR and
-//! total bits on the wire.
+//! — so [`BatchRunner`] fans them across the process-wide persistent
+//! [`WorkerPool`], the executor decode sessions use too, and aggregates
+//! the per-item [`PipelineReport`]s into batch statistics:
+//! mean/percentile PSNR and total bits on the wire. A warm runner spawns
+//! no thread: repeated batches reuse the pool's parked workers.
 //!
 //! Determinism: results are collected in input order and every per-item
 //! computation is seeded, so a batch produces **bit-identical reports
@@ -45,11 +46,11 @@ use crate::pipeline::{evaluate, PipelineReport};
 use crate::session::{DecodeReport, DecodeSession, DecodedFrame};
 use crate::solver::RecoveryParams;
 use tepics_imaging::ImageF64;
-use tepics_util::parallel::{default_threads, par_map};
+use tepics_util::parallel::default_threads;
 use tepics_util::pool::WorkerPool;
 
-/// Fans independent capture→wire→reconstruct jobs across worker
-/// threads and aggregates their [`PipelineReport`]s.
+/// Fans independent capture→wire→reconstruct jobs across the persistent
+/// [`WorkerPool`] and aggregates their [`PipelineReport`]s.
 ///
 /// Every runner owns a shared [`OperatorCache`]: items of a
 /// [`BatchRunner::run`] batch share one imager (one seed), so the
@@ -106,6 +107,9 @@ impl BatchRunner {
     /// the operator itself, and results stay bit-identical at any thread
     /// count.
     ///
+    /// The pool wants `'static` jobs, so the imager (an `Arc`-shared
+    /// capture engine) and the scenes are cloned once up front.
+    ///
     /// # Errors
     ///
     /// Returns the first per-item error in input order; all items are
@@ -116,7 +120,11 @@ impl BatchRunner {
         scenes: &[ImageF64],
         params: RecoveryParams,
     ) -> Result<BatchOutcome, CoreError> {
-        self.run_jobs(scenes, |scene| evaluate(&self.cache, imager, params, scene))
+        let cache = self.cache.clone();
+        let imager = imager.clone();
+        self.run_jobs(scenes.to_vec(), move |scene| {
+            evaluate(&cache, &imager, params, &scene)
+        })
     }
 
     /// Decodes many wire streams in parallel, one [`DecodeSession`] per
@@ -179,18 +187,21 @@ impl BatchRunner {
     /// This is the generic entry point for sweeps where each item needs
     /// its own imager or sensor configuration (e.g. the noise and
     /// warm-up experiments): `f` receives one job and returns its
-    /// [`PipelineReport`].
+    /// [`PipelineReport`]. Jobs run on the persistent [`WorkerPool`]
+    /// (the caller plus up to `threads − 1` workers), so they are owned
+    /// and `f` holds owned or `Arc`-shared captures.
     ///
     /// # Errors
     ///
     /// Returns the first per-item error in input order; all items are
     /// still executed.
-    pub fn run_jobs<T, F>(&self, jobs: &[T], f: F) -> Result<BatchOutcome, CoreError>
+    pub fn run_jobs<T, F>(&self, jobs: Vec<T>, f: F) -> Result<BatchOutcome, CoreError>
     where
-        T: Sync,
-        F: Fn(&T) -> Result<PipelineReport, CoreError> + Sync,
+        T: Send + 'static,
+        F: Fn(T) -> Result<PipelineReport, CoreError> + Send + Sync + 'static,
     {
-        let reports = par_map(self.threads, jobs, |_, job| f(job))
+        let reports = WorkerPool::global()
+            .map(self.threads, jobs, move |_, job, _| f(job))
             .into_iter()
             .collect::<Result<_, _>>()?;
         Ok(BatchOutcome { reports })
@@ -581,22 +592,23 @@ mod tests {
         // Each job builds its own imager (different seeds); the batch
         // must preserve job order in its reports.
         let scene = Scene::gaussian_blobs(2).render(16, 16, 9);
-        let seeds = [1u64, 2, 3, 4];
+        let seeds = vec![1u64, 2, 3, 4];
+        let job = move |seed| {
+            let im = CompressiveImager::builder(16, 16)
+                .ratio(0.3)
+                .seed(seed)
+                .fidelity(Fidelity::Functional)
+                .build()
+                .unwrap();
+            evaluate(
+                &OperatorCache::shared(),
+                &im,
+                RecoveryParams::default(),
+                &scene,
+            )
+        };
         let outcome = BatchRunner::with_threads(4)
-            .run_jobs(&seeds, |&seed| {
-                let im = CompressiveImager::builder(16, 16)
-                    .ratio(0.3)
-                    .seed(seed)
-                    .fidelity(Fidelity::Functional)
-                    .build()
-                    .unwrap();
-                evaluate(
-                    &OperatorCache::shared(),
-                    &im,
-                    RecoveryParams::default(),
-                    &scene,
-                )
-            })
+            .run_jobs(seeds.clone(), job.clone())
             .unwrap();
         assert_eq!(outcome.reports.len(), seeds.len());
         // Different seeds select different pixels; reports must differ,
@@ -609,22 +621,7 @@ mod tests {
         distinct.dedup();
         assert_eq!(distinct.len(), seeds.len());
         // And re-running yields the identical sequence.
-        let again = BatchRunner::with_threads(2)
-            .run_jobs(&seeds, |&seed| {
-                let im = CompressiveImager::builder(16, 16)
-                    .ratio(0.3)
-                    .seed(seed)
-                    .fidelity(Fidelity::Functional)
-                    .build()
-                    .unwrap();
-                evaluate(
-                    &OperatorCache::shared(),
-                    &im,
-                    RecoveryParams::default(),
-                    &scene,
-                )
-            })
-            .unwrap();
+        let again = BatchRunner::with_threads(2).run_jobs(seeds, job).unwrap();
         assert_eq!(outcome.reports, again.reports);
     }
 
@@ -632,9 +629,9 @@ mod tests {
     fn errors_surface_but_do_not_poison_order() {
         // Items after a failing one still run; the first error (in
         // input order) is the one returned.
-        let jobs = [1usize, 0, 2];
+        let jobs = vec![1usize, 0, 2];
         let err = BatchRunner::with_threads(3)
-            .run_jobs(&jobs, |&j| {
+            .run_jobs(jobs, |j| {
                 if j == 0 {
                     Err(CoreError::MalformedFrame(format!("job {j} failed")))
                 } else {

@@ -13,6 +13,9 @@ pub enum CoreError {
     FrameMismatch(String),
     /// Sparse recovery failed.
     Recovery(String),
+    /// The solver broke down numerically (a non-finite iterate or
+    /// residual). A decode session loses only the tile or frame it hit.
+    Breakdown(String),
 }
 
 impl fmt::Display for CoreError {
@@ -21,7 +24,9 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::MalformedFrame(msg) => write!(f, "malformed frame: {msg}"),
             CoreError::FrameMismatch(msg) => write!(f, "frame mismatch: {msg}"),
-            CoreError::Recovery(msg) => write!(f, "recovery failed: {msg}"),
+            CoreError::Recovery(msg) | CoreError::Breakdown(msg) => {
+                write!(f, "recovery failed: {msg}")
+            }
         }
     }
 }
@@ -30,7 +35,10 @@ impl std::error::Error for CoreError {}
 
 impl From<tepics_recovery::RecoveryError> for CoreError {
     fn from(e: tepics_recovery::RecoveryError) -> Self {
-        CoreError::Recovery(e.to_string())
+        match e {
+            tepics_recovery::RecoveryError::Breakdown(_) => CoreError::Breakdown(e.to_string()),
+            _ => CoreError::Recovery(e.to_string()),
+        }
     }
 }
 

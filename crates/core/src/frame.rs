@@ -31,7 +31,8 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// Validates the fields the decoder and the sample packer depend on
+    /// Validates the fields the decoder, the sample packer and the
+    /// pattern source depend on, the strategy's parameters included
     /// (shared by [`Decoder::for_header`](crate::decoder::Decoder::for_header),
     /// [`StreamWriter::new`](crate::stream::StreamWriter::new) and the
     /// stream parser, so none of them can diverge on what a degenerate
@@ -52,7 +53,10 @@ impl FrameHeader {
                 self.sample_bits
             )));
         }
-        Ok(())
+        match self.strategy.validate() {
+            Err(CoreError::InvalidConfig(msg)) => Err(CoreError::MalformedFrame(msg)),
+            checked => checked,
+        }
     }
 }
 

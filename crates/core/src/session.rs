@@ -231,11 +231,14 @@ struct DeltaMode {
     keyframe_interval: usize,
 }
 
-/// How a [`DecodeSession`] treats a tile group with erased
-/// (missing/corrupt) tiles on a resilient (version-3) tiled stream.
+/// How a [`DecodeSession`] treats a tile group with erased tiles on a
+/// tiled stream: tiles missing or corrupt on a resilient (version-3)
+/// wire, and on any wire version tiles whose solve broke down
+/// numerically.
 ///
-/// Versions 1 and 2 never reach this policy: their parser is sticky
-/// and a corrupt stream errors out instead of degrading.
+/// Versions 1 and 2 reach this policy only through breakdowns: their
+/// parser is sticky and a corrupt stream errors out instead of
+/// degrading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErasurePolicy {
     /// Drop any frame missing at least one tile (counted in
@@ -267,8 +270,8 @@ pub struct DecodeReport {
     /// [`ErasurePolicy::NeighborBlend`]).
     pub frames_degraded: usize,
     /// Frame positions known to exist (from sequence numbers) that were
-    /// never emitted: every record lost, or dropped by
-    /// [`ErasurePolicy::Strict`].
+    /// never emitted: every record lost, every tile broken down, or
+    /// dropped by [`ErasurePolicy::Strict`].
     pub frames_lost: usize,
     /// Tiles decoded into emitted frames, on every stream: an untiled
     /// frame is one tile, so an untiled stream counts one per frame.
@@ -285,6 +288,10 @@ pub struct DecodeReport {
     /// Duplicate/stale records discarded (replayed or re-ordered
     /// sequence numbers).
     pub stale_records: usize,
+    /// Tile solves that broke down numerically. Each one erased its
+    /// tile, so its frame degraded per the [`ErasurePolicy`] or, with
+    /// no tile left, was lost (an untiled or delta-mode frame).
+    pub breakdowns: usize,
 }
 
 impl DecodeReport {
@@ -324,8 +331,8 @@ pub struct DecodedFrame {
     /// recovery against the previous reconstruction (`false`). Always
     /// `true` outside delta mode.
     pub is_key: bool,
-    /// Number of tiles erased (missing or corrupt) from this frame;
-    /// 0 for a fully intact frame.
+    /// Number of tiles erased (missing, corrupt, or broken down) from
+    /// this frame; 0 for a fully intact frame.
     pub erased_tiles: usize,
     /// The reconstruction.
     pub reconstruction: Reconstruction,
@@ -434,6 +441,14 @@ pub struct DecodeSession {
     /// [`DecodeSession::push_bytes`] call; surfaced (sticky) on the
     /// next call so those frames are not discarded.
     deferred: Option<CoreError>,
+    /// A breakdown lost the frame the next delta would chain from: the
+    /// next delta-mode frame re-anchors.
+    chain_broken: bool,
+    /// Test seam: the `(frame index, tile slot)` solves to replace with
+    /// a numerical breakdown. Samples on the wire are integers, so no
+    /// byte stream can force a non-finite solve.
+    #[cfg(test)]
+    inject_breakdowns: Vec<(usize, usize)>,
 }
 
 impl DecodeSession {
@@ -727,8 +742,9 @@ impl DecodeSession {
         };
         let mut out = Vec::with_capacity(1);
         self.decode_groups(vec![group], None, &mut out)?;
-        out.pop()
-            .ok_or_else(|| CoreError::InvalidConfig("frame produced no decode".into()))
+        out.pop().ok_or_else(|| {
+            CoreError::Breakdown("the frame's solve broke down; it is counted lost".into())
+        })
     }
 
     /// Whether closed groups decode on the pool: more than one executor
@@ -743,9 +759,13 @@ impl DecodeSession {
     /// on `layout` when the stream is tiled. A one-tile untiled group
     /// emits its tile's reconstruction untouched.
     ///
-    /// On a tile decode error the frames emitted before it stay in
-    /// `out` (the caller defers the error per the push contract) and
-    /// later groups are dropped with the session's sticky error.
+    /// A tile whose solve breaks down numerically is erased like a
+    /// missing one ([`DecodeSession::settle`]): a tiled frame degrades
+    /// per the [`ErasurePolicy`], and a frame left with no tile (an
+    /// untiled one) is lost. On any other tile decode error the frames
+    /// emitted before it stay in `out` (the caller defers the error per
+    /// the push contract) and later groups are dropped with the
+    /// session's sticky error.
     fn decode_groups(
         &mut self,
         groups: Vec<Group>,
@@ -763,15 +783,12 @@ impl DecodeSession {
         let decoder = self.decoder_for(&header)?;
         if let Some(delta) = self.delta {
             for group in groups {
-                out.push(self.decode_delta_group(group, &decoder, delta)?);
+                out.extend(self.decode_delta_group(group, &decoder, delta)?);
             }
             return Ok(());
         }
         let tiles = layout.map_or(1, TileLayout::tiles);
-        let heads: Vec<(usize, usize)> = groups
-            .iter()
-            .map(|g| (g.index, g.slots.iter().filter(|s| s.is_none()).count()))
-            .collect();
+        let indices: Vec<usize> = groups.iter().map(|g| g.index).collect();
         // Every slot of every group, erased ones included, in stream
         // order: the map hands results back in input order.
         let slots: Vec<Option<CompressedFrame>> =
@@ -791,22 +808,73 @@ impl DecodeSession {
                 .map(|slot| slot.map(|frame| decoder.reconstruct_with(&frame, workspace)))
                 .collect()
         };
+        #[cfg(test)]
+        let solved: Vec<_> = solved
+            .into_iter()
+            .enumerate()
+            .map(|(i, tile)| self.inject(indices[i / tiles], i % tiles, tile))
+            .collect();
         let mut solved = solved.into_iter();
-        for (index, erased) in heads {
-            let group = solved
+        for index in indices {
+            let mut group = solved
                 .by_ref()
                 .take(tiles)
-                .map(Option::transpose)
+                .map(|tile| self.settle(tile))
                 .collect::<Result<Vec<_>, _>>()?;
+            let erased = group.iter().filter(|tile| tile.is_none()).count();
             let reconstruction = match layout {
-                Some(layout) => stitch_group(&group, layout, self.policy),
-                None => group.into_iter().flatten().next().ok_or_else(|| {
-                    CoreError::InvalidConfig("tile group has no surviving tile".into())
-                })?,
+                Some(layout)
+                    if erased < tiles && (erased == 0 || self.policy != ErasurePolicy::Strict) =>
+                {
+                    Some(stitch_group(&group, layout, self.policy))
+                }
+                Some(_) => None,
+                None => group.pop().flatten(),
             };
-            out.push(self.emit(index, true, erased, tiles, reconstruction));
+            match reconstruction {
+                Some(reconstruction) => {
+                    out.push(self.emit(index, true, erased, tiles, reconstruction))
+                }
+                // No tile survived, or the strict policy refuses a
+                // partial frame.
+                None => self.report.frames_lost += 1,
+            }
         }
         Ok(())
+    }
+
+    /// Settles one tile's solve (`None` = erased): a numerical
+    /// breakdown erases the tile, counted in
+    /// [`DecodeReport::breakdowns`], instead of failing the session.
+    /// Any other error stays fatal.
+    fn settle(
+        &mut self,
+        tile: Option<Result<Reconstruction, CoreError>>,
+    ) -> Result<Option<Reconstruction>, CoreError> {
+        match tile {
+            Some(Err(CoreError::Breakdown(_))) => {
+                self.report.breakdowns += 1;
+                Ok(None)
+            }
+            tile => tile.transpose(),
+        }
+    }
+
+    /// Test seam: replaces the solve of tile `slot` of frame `index`
+    /// with a breakdown when the pair is listed in `inject_breakdowns`.
+    #[cfg(test)]
+    fn inject(
+        &self,
+        index: usize,
+        slot: usize,
+        tile: Option<Result<Reconstruction, CoreError>>,
+    ) -> Option<Result<Reconstruction, CoreError>> {
+        match tile {
+            Some(_) if self.inject_breakdowns.contains(&(index, slot)) => {
+                Some(Err(CoreError::Breakdown("injected".into())))
+            }
+            tile => tile,
+        }
     }
 
     /// Books one decoded frame in the report.
@@ -869,21 +937,24 @@ impl DecodeSession {
 
     /// Decodes a one-tile group in delta mode, on the caller: a key
     /// frame runs full recovery, any other frame recovers the change
-    /// from the previous one.
+    /// from the previous one. A breakdown loses the frame (`None`) and
+    /// makes the next frame re-anchor.
     fn decode_delta_group(
         &mut self,
         group: Group,
         decoder: &Decoder,
         delta: DeltaMode,
-    ) -> Result<DecodedFrame, CoreError> {
+    ) -> Result<Option<DecodedFrame>, CoreError> {
         let Some(frame) = group.slots.into_iter().flatten().next() else {
             return Err(CoreError::InvalidConfig(
                 "tile group has no surviving tile".into(),
             ));
         };
-        if group.reanchor {
-            // A gap swallowed the frame the next delta would chain
-            // from: drop the chain and re-anchor with full recovery.
+        if group.reanchor || self.chain_broken {
+            // A gap or a breakdown swallowed the frame the next delta
+            // would chain from: drop the chain and re-anchor with full
+            // recovery.
+            self.chain_broken = false;
             self.prev_samples = None;
             self.prev_codes = None;
             self.frames_since_key = 0;
@@ -900,19 +971,27 @@ impl DecodeSession {
             }
             None => true,
         };
-        let reconstruction = if is_key {
-            let recon = decoder.reconstruct_with(&frame, &mut self.workspace)?;
-            self.frames_since_key = 0;
-            self.last_mean = recon.mean_code();
-            recon
+        let solved = Some(if is_key {
+            decoder.reconstruct_with(&frame, &mut self.workspace)
         } else {
-            let recon = self.decode_delta(&frame, decoder, delta)?;
-            self.frames_since_key += 1;
-            recon
+            self.decode_delta(&frame, decoder, delta)
+        });
+        #[cfg(test)]
+        let solved = self.inject(group.index, 0, solved);
+        let Some(reconstruction) = self.settle(solved)? else {
+            self.report.frames_lost += 1;
+            self.chain_broken = true;
+            return Ok(None);
         };
+        if is_key {
+            self.frames_since_key = 0;
+            self.last_mean = reconstruction.mean_code();
+        } else {
+            self.frames_since_key += 1;
+        }
         self.prev_codes = Some(reconstruction.code_image().clone());
         self.prev_samples = Some(frame.samples);
-        Ok(self.emit(group.index, is_key, 0, 1, reconstruction))
+        Ok(Some(self.emit(group.index, is_key, 0, 1, reconstruction)))
     }
 
     /// Delta recovery: `y_t − y_{t−1} = Φ(x_t − x_{t−1})`, solved
@@ -1401,5 +1480,126 @@ mod tests {
             out[2].reconstruction, fresh.reconstruction,
             "re-anchor must not chain across the gap"
         );
+    }
+
+    /// Decodes `bytes` in one push plus `finish`, with the solves of
+    /// `breakdowns` (frame index, tile slot) replaced by numerical
+    /// breakdowns; a breakdown must never become the session's error.
+    fn decode_with_breakdowns(
+        bytes: &[u8],
+        breakdowns: &[(usize, usize)],
+        configure: impl FnOnce(&mut DecodeSession),
+    ) -> (Vec<DecodedFrame>, DecodeReport) {
+        let mut dec = DecodeSession::new();
+        configure(&mut dec);
+        dec.inject_breakdowns = breakdowns.to_vec();
+        let mut out = dec.push_bytes(bytes).unwrap();
+        out.extend(dec.finish().unwrap());
+        assert_eq!(dec.error(), None);
+        (out, dec.report())
+    }
+
+    #[test]
+    fn tile_breakdown_degrades_like_a_crc_erased_tile() {
+        let im = tiled_imager(77);
+        let mut enc = EncodeSession::with_profile(im, WireProfile::Resilient).unwrap();
+        let frames = enc
+            .capture(&Scene::gaussian_blobs(3).render(40, 28, 5))
+            .unwrap();
+        enc.capture(&Scene::gaussian_blobs(3).render(40, 28, 6))
+            .unwrap();
+        let bytes = enc.into_bytes();
+        // The reference: tile 2 of frame 0 fails its CRC on the wire.
+        let rec_len = resilient_record_len(
+            frames[0].samples.len(),
+            frames[0].header.sample_bits as usize,
+        );
+        let (start, _) = record_span(crate::stream::RESILIENT_TILED_HEADER_BYTES, rec_len, 2);
+        let mut dirty = bytes.clone();
+        dirty[start + 15] ^= 0x10;
+
+        let policies = [
+            ErasurePolicy::NeighborBlend,
+            ErasurePolicy::FlaggedZero,
+            ErasurePolicy::Strict,
+        ];
+        for policy in policies {
+            for threads in [1, 2] {
+                let configure = |dec: &mut DecodeSession| {
+                    dec.erasure_policy(policy).threads(threads);
+                };
+                let (erased, _) = decode_with_breakdowns(&dirty, &[], configure);
+                let (broken, report) = decode_with_breakdowns(&bytes, &[(0, 2)], configure);
+                assert_eq!(broken, erased, "{policy:?}, threads={threads}");
+                assert_eq!(report.breakdowns, 1);
+                if policy == ErasurePolicy::Strict {
+                    assert_eq!(broken.len(), 1);
+                    assert_eq!(report.frames_lost, 1);
+                } else {
+                    assert_eq!(broken.len(), 2, "the next frame decodes clean");
+                    assert_eq!(broken[0].erased_tiles, 1);
+                    assert_eq!(report.frames_degraded, 1);
+                    assert_eq!(report.tiles_erased, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn untiled_breakdown_loses_only_its_frame() {
+        let mut enc = EncodeSession::new(imager(16, 9)).unwrap();
+        for i in 0..3 {
+            enc.capture(&Scene::gaussian_blobs(2).render(16, 16, i))
+                .unwrap();
+        }
+        let bytes = enc.into_bytes();
+        let (clean, _) = decode_with_breakdowns(&bytes, &[], |_| {});
+        for threads in [1, 2] {
+            let (out, report) = decode_with_breakdowns(&bytes, &[(1, 0)], |dec| {
+                dec.threads(threads);
+            });
+            assert_eq!(out, vec![clean[0].clone(), clean[2].clone()]);
+            assert_eq!(report.breakdowns, 1);
+            assert_eq!(report.frames_lost, 1);
+            assert_eq!(report.frames_recovered, 2);
+        }
+    }
+
+    #[test]
+    fn delta_breakdown_loses_its_frame_and_reanchors_the_next() {
+        let im = imager(24, 0xD17A);
+        let mut enc = EncodeSession::with_profile(im, WireProfile::Resilient).unwrap();
+        let mut captured = Vec::new();
+        for i in 0..5 {
+            captured.extend(
+                enc.capture(&Scene::gaussian_blobs(2).render(24, 24, 40 + i))
+                    .unwrap(),
+            );
+        }
+        let bytes = enc.into_bytes();
+        // The reference: record 2 is lost on the wire.
+        let rec_len = resilient_record_len(
+            captured[0].samples.len(),
+            captured[0].header.sample_bits as usize,
+        );
+        let (start, end) = record_span(crate::stream::RESILIENT_HEADER_BYTES, rec_len, 2);
+        let mut gapped = bytes[..start].to_vec();
+        gapped.extend_from_slice(&bytes[end..]);
+
+        let delta = |dec: &mut DecodeSession| {
+            dec.delta_mode(30, 0);
+        };
+        let (lost, lost_report) = decode_with_breakdowns(&gapped, &[], delta);
+        let (broken, report) = decode_with_breakdowns(&bytes, &[(2, 0)], delta);
+        assert_eq!(
+            broken.iter().map(|d| d.index).collect::<Vec<_>>(),
+            vec![0, 1, 3, 4]
+        );
+        assert!(broken[2].is_key, "the frame after the breakdown re-anchors");
+        assert_eq!(broken, lost);
+        assert_eq!(report.breakdowns, 1);
+        assert_eq!(report.frames_lost, 1);
+        assert_eq!(report.reanchors, 1);
+        assert_eq!(lost_report.reanchors, 1);
     }
 }

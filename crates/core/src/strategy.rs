@@ -60,7 +60,7 @@ impl StrategyKind {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for out-of-range parameters
-    /// (zero CA step, unsupported LFSR width).
+    /// (a CA step outside `1..=15`, an unsupported LFSR width).
     pub fn build_source(
         &self,
         pattern_len: usize,
@@ -75,16 +75,16 @@ impl StrategyKind {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for a zero CA step or an
-    /// LFSR width outside `2..=32`.
+    /// Returns [`CoreError::InvalidConfig`] for a CA step outside
+    /// `1..=15` (the wire carries it in 4 bits) or an LFSR width outside
+    /// `2..=32`.
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
         match *self {
             StrategyKind::CellularAutomaton {
-                steps_per_sample: 0,
-                ..
-            } => Err(CoreError::InvalidConfig(
-                "steps_per_sample must be positive".into(),
-            )),
+                steps_per_sample, ..
+            } if !(1..=15).contains(&steps_per_sample) => Err(CoreError::InvalidConfig(format!(
+                "steps_per_sample {steps_per_sample} outside 1..=15"
+            ))),
             StrategyKind::Lfsr { width } if !(2..=32).contains(&width) => Err(
                 CoreError::InvalidConfig(format!("LFSR width {width} outside 2..=32")),
             ),
@@ -115,7 +115,9 @@ impl StrategyKind {
         }
     }
 
-    /// Wire encoding: `(tag, p0, p1, p2)`.
+    /// Wire encoding: `(tag, p0, p1, p2)`, for a strategy that passed
+    /// [`StrategyKind::validate`] (the CA step fills the tag's low
+    /// nibble).
     pub(crate) fn to_wire(self) -> [u8; 4] {
         match self {
             StrategyKind::CellularAutomaton {
@@ -124,7 +126,7 @@ impl StrategyKind {
                 steps_per_sample,
             } => {
                 let w = warmup.to_le_bytes();
-                [0x10 | (steps_per_sample.min(15)), rule, w[0], w[1]]
+                [0x10 | steps_per_sample, rule, w[0], w[1]]
             }
             StrategyKind::Lfsr { width } => [0x20, width, 0, 0],
             StrategyKind::Hadamard => [0x30, 0, 0, 0],
@@ -206,6 +208,66 @@ mod tests {
         assert!(StrategyKind::Lfsr { width: 64 }
             .build_source(16, 1)
             .is_err());
+    }
+
+    /// The CA step travels in the tag's low nibble, so 16 must be
+    /// refused everywhere a strategy enters, not written as 15.
+    #[test]
+    fn ca_steps_must_fit_the_wire_nibble() {
+        use crate::frame::{CompressedFrame, FrameHeader};
+        use crate::imager::CompressiveImager;
+        use crate::stream::{StreamParser, StreamWriter, WireProfile};
+
+        let ca = |steps_per_sample| StrategyKind::CellularAutomaton {
+            rule: 30,
+            warmup: 64,
+            steps_per_sample,
+        };
+        let header = |steps| FrameHeader {
+            rows: 16,
+            cols: 16,
+            code_bits: 8,
+            sample_bits: 20,
+            strategy: ca(steps),
+            seed: 3,
+        };
+        let build = |steps| {
+            CompressiveImager::builder(16, 16)
+                .ratio(0.35)
+                .seed(3)
+                .strategy(ca(steps))
+                .build()
+        };
+        assert!(matches!(build(16), Err(CoreError::InvalidConfig(_))));
+        assert!(matches!(
+            StreamWriter::new(header(16), None, WireProfile::Compact),
+            Err(CoreError::MalformedFrame(msg)) if msg.contains("steps_per_sample 16")
+        ));
+
+        // 15, the largest step the nibble holds, round-trips.
+        assert!(build(15).is_ok());
+        let mut writer = StreamWriter::new(header(15), None, WireProfile::Compact).unwrap();
+        writer
+            .push_frame(&CompressedFrame {
+                header: header(15),
+                samples: vec![7; 90],
+            })
+            .unwrap();
+        let mut parser = StreamParser::new();
+        parser.push_bytes(writer.bytes());
+        let frame = parser.next_frame().unwrap().unwrap();
+        assert_eq!(frame.header.strategy, ca(15));
+
+        // The nibble cannot carry 16; the out-of-range step it can
+        // carry, 0, fails the parser's header check.
+        let mut bytes = writer.bytes().to_vec();
+        bytes[11] &= 0xF0;
+        let mut parser = StreamParser::new();
+        parser.push_bytes(&bytes);
+        assert!(matches!(
+            parser.next_frame(),
+            Err(CoreError::MalformedFrame(msg)) if msg.contains("steps_per_sample 0")
+        ));
     }
 
     #[test]

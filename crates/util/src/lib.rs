@@ -12,11 +12,12 @@
 //!   experiment harness.
 //! * [`fixed`] — fixed-width integer helpers that model the saturating
 //!   hardware accumulators of the sensor's Sample & Add stage.
-//! * [`parallel`] — a scoped-thread parallel map with deterministic,
-//!   input-ordered results, used by the batch capture engine.
-//! * [`pool`] — a persistent worker pool with sticky per-worker scratch
-//!   slots and the same determinism contract; the streaming decode
-//!   paths run on it so the warm steady state spawns no threads.
+//! * [`pool`] — the persistent worker pool, the workspace's one
+//!   executor: deterministic, input-ordered maps with sticky per-worker
+//!   scratch slots. Decode sessions and batch runs both fan out on it,
+//!   so the warm steady state spawns no threads.
+//! * [`parallel`] — the default thread count and the process-wide
+//!   counter of pool worker spawns.
 //! * [`simd`] — explicit-width chunked f64 kernels (`dot4`, `axpy4`,
 //!   `sum4`) shared by every hot numeric loop.
 //!

@@ -1,26 +1,26 @@
 //! Persistent worker pool with sticky per-worker scratch and
-//! deterministic, input-ordered results.
+//! deterministic, input-ordered results — the one executor of the
+//! workspace.
 //!
-//! [`parallel::par_map`] spawns fresh OS
-//! threads on every call, which is fine for one-shot sweeps but wasteful
-//! for streaming decodes that fan out per *frame*: a long stream pays a
-//! spawn (and a cold scratch build) per frame per worker. [`WorkerPool`]
-//! amortizes both. Workers are spawned once — on first demand, up to the
-//! pool's cap — then park on a condvar work queue; each worker keeps a
-//! [`WorkerScratch`] of sticky, type-keyed slots (e.g. a warm solver
-//! workspace keyed by tile geometry) that survives across tasks, maps,
-//! and frames, so the steady state allocates nothing and spawns nothing.
+//! Every parallel decode and batch path runs here: a session's tiles,
+//! a batch's streams and a batch's capture→recover jobs. Workers are
+//! spawned once — on first demand, up to the pool's cap — then park on a
+//! condvar work queue, so a long stream or a repeated batch pays no
+//! spawn per call. Each worker keeps a [`WorkerScratch`] of sticky,
+//! type-keyed slots (e.g. a warm solver workspace keyed by tile
+//! geometry) that survives across tasks, maps, and frames, so the
+//! steady state allocates nothing and spawns nothing.
 //!
-//! The determinism contract matches `par_map`: results are assembled by
-//! input index, so [`WorkerPool::map`] output is **bit-identical at any
-//! thread count** whenever the task function is itself deterministic.
-//! Panics inside tasks are caught on the worker, re-raised on the
-//! caller after the map drains, and never kill pool workers.
+//! Results are assembled by input index, so [`WorkerPool::map`] output
+//! is **bit-identical at any thread count** whenever the task function
+//! is itself deterministic. Panics inside tasks are caught on the
+//! worker, re-raised on the caller after the map drains, and never kill
+//! pool workers. `map` and [`WorkerPool::broadcast`] share one
+//! completion path: queue the helper tickets, run a ticket on the
+//! caller, wait for every unit, re-raise the first panic.
 //!
 //! Because workers are long-lived, tasks must be `'static`: callers
 //! hand the pool owned items and owned (or `Arc`-shared) captures.
-//! Borrowed-closure sweeps stay on `par_map`, which remains the scoped
-//! fallback.
 //!
 //! Nesting is safe by construction: a `map` issued *from a pool worker*
 //! runs inline on that worker (no new tickets, no oversubscription, no
@@ -206,97 +206,122 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// One `map` call's shared task state: an index-enumerated item queue,
-/// an input-ordered result table, and completion/panic plumbing.
-struct TaskSet<T, R, F> {
+/// The shared state of one `map` or `broadcast` call: its `work`, plus
+/// the completion plumbing both share — the units still running, the
+/// condvar the caller waits on, and the first panic.
+struct TaskSet<W> {
+    work: W,
+    remaining: Mutex<usize>,
+    done: Condvar,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<W> TaskSet<W> {
+    fn new(work: W, units: usize) -> Arc<TaskSet<W>> {
+        Arc::new(TaskSet {
+            work,
+            remaining: Mutex::new(units),
+            done: Condvar::new(),
+            panic: Mutex::new(None),
+        })
+    }
+
+    /// Runs one unit, recording its panic (first payload wins), and
+    /// counts it done.
+    fn complete(&self, unit: impl FnOnce()) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(unit)) {
+            let mut first = lock(&self.panic);
+            if first.is_none() {
+                *first = Some(payload);
+            }
+        }
+        let mut remaining = lock(&self.remaining);
+        *remaining -= 1;
+        if *remaining == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    /// Blocks until every unit is done, then re-raises the first panic.
+    fn wait(&self) {
+        let mut remaining = lock(&self.remaining);
+        while *remaining > 0 {
+            remaining = self
+                .done
+                .wait(remaining)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(remaining);
+        let panicked = lock(&self.panic).take();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// A `map`'s work: an index-enumerated item queue and an input-ordered
+/// result table. Each item is one completion unit.
+struct MapWork<T, R, F> {
     f: F,
     items: Mutex<std::iter::Enumerate<std::vec::IntoIter<T>>>,
     results: Mutex<Vec<Option<R>>>,
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// Claims and runs items from `set` until the queue is empty. Runs on
-/// every participating executor — the root caller and each ticketed
+/// A map ticket: claims and runs items until the queue is empty. Runs
+/// on every participating executor — the root caller and each ticketed
 /// worker — with that executor's sticky scratch. Results land at their
 /// input index, so *which* executor ran an item never shows in the
-/// output. A panicking item is recorded (first payload wins) and the
-/// claim loop continues, matching the batch engine's
-/// "every item still executes" contract.
+/// output. A panicking item is recorded and the claim loop continues,
+/// so every item still executes.
 // tidy:alloc-free
-fn run_tasks<T, R, F>(set: &TaskSet<T, R, F>)
+fn run_tasks<T, R, F>(set: &TaskSet<MapWork<T, R, F>>)
 where
     F: Fn(usize, T, &mut WorkerScratch) -> R,
 {
+    let work = &set.work;
     with_scratch(|scratch| loop {
-        let claimed = lock(&set.items).next();
+        let claimed = lock(&work.items).next();
         let Some((index, item)) = claimed else {
             break;
         };
-        match catch_unwind(AssertUnwindSafe(|| (set.f)(index, item, scratch))) {
-            Ok(result) => {
-                if let Some(slot) = lock(&set.results).get_mut(index) {
-                    *slot = Some(result);
-                }
+        set.complete(|| {
+            let result = (work.f)(index, item, scratch);
+            if let Some(slot) = lock(&work.results).get_mut(index) {
+                *slot = Some(result);
             }
-            Err(payload) => {
-                let mut first = lock(&set.panic);
-                if first.is_none() {
-                    *first = Some(payload);
-                }
-            }
-        }
-        let mut remaining = lock(&set.remaining);
-        *remaining -= 1;
-        if *remaining == 0 {
-            set.done.notify_all();
-        }
+        });
     });
 }
 
-/// One `broadcast` call's shared state: a rendezvous barrier that pins
-/// each ticket to a distinct worker, plus completion/panic plumbing.
-struct BroadcastSet<F> {
+/// A `broadcast`'s work: `f` and a rendezvous barrier that holds every
+/// ticket until all `needed` executors have arrived, which pins each
+/// worker ticket to a distinct worker. Each executor is one completion
+/// unit.
+struct BroadcastWork<F> {
     f: F,
-    /// Tickets that must all be claimed before any runs (forces
-    /// distinct workers).
     needed: usize,
     arrived: Mutex<usize>,
     all_arrived: Condvar,
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// Runs one broadcast ticket: rendezvous with the other tickets (so
-/// `needed` *distinct* workers hold one each), then run `f` on this
-/// worker's sticky scratch.
-fn run_broadcast<F: Fn(&mut WorkerScratch)>(set: &BroadcastSet<F>) {
+/// A broadcast ticket: rendezvous with the other executors, then run
+/// `f` on this executor's sticky scratch.
+fn run_broadcast<F: Fn(&mut WorkerScratch)>(set: &TaskSet<BroadcastWork<F>>) {
+    let work = &set.work;
     {
-        let mut arrived = lock(&set.arrived);
+        let mut arrived = lock(&work.arrived);
         *arrived += 1;
-        if *arrived == set.needed {
-            set.all_arrived.notify_all();
+        if *arrived == work.needed {
+            work.all_arrived.notify_all();
         }
-        while *arrived < set.needed {
-            arrived = set
+        while *arrived < work.needed {
+            arrived = work
                 .all_arrived
                 .wait(arrived)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| with_scratch(|s| (set.f)(s)))) {
-        let mut first = lock(&set.panic);
-        if first.is_none() {
-            *first = Some(payload);
-        }
-    }
-    let mut remaining = lock(&set.remaining);
-    *remaining -= 1;
-    if *remaining == 0 {
-        set.done.notify_all();
-    }
+    set.complete(|| with_scratch(|s| (work.f)(s)));
 }
 
 /// A worker's life: claim a job or park on the condvar; exit only at
@@ -394,6 +419,30 @@ impl WorkerPool {
         state.workers
     }
 
+    /// The one fan-out path of [`WorkerPool::map`] and
+    /// [`WorkerPool::broadcast`]: queues `helpers` tickets that run
+    /// `ticket` on pool workers, runs `ticket` on the caller too, then
+    /// waits for every unit of `set` and re-raises its first panic. The
+    /// caller is executor #0, so a map completes even with zero live
+    /// workers.
+    fn run_set<W: Send + Sync + 'static>(
+        &self,
+        set: &Arc<TaskSet<W>>,
+        helpers: usize,
+        ticket: fn(&TaskSet<W>),
+    ) {
+        {
+            let mut state = lock(&self.inner.state);
+            for _ in 0..helpers {
+                let set = Arc::clone(set);
+                state.jobs.push_back(Box::new(move || ticket(&set)));
+            }
+        }
+        self.inner.work_ready.notify_all();
+        ticket(set);
+        set.wait();
+    }
+
     /// Maps `f` over `items` on up to `threads` executors (this thread
     /// plus up to `threads − 1` pool workers), returning results in
     /// input order — bit-identical at any thread count for a
@@ -407,9 +456,8 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic observed among the items (after every
-    /// item has executed), matching
-    /// [`par_map`](crate::parallel::par_map). Workers survive.
+    /// Re-raises the first panic observed among the items, after every
+    /// item has executed. Workers survive.
     pub fn map<T, R, F>(&self, threads: usize, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
@@ -432,39 +480,15 @@ impl WorkerPool {
         }
         let mut results = Vec::with_capacity(n);
         results.resize_with(n, || None);
-        let set = Arc::new(TaskSet {
+        let work = MapWork {
             f,
             items: Mutex::new(items.into_iter().enumerate()),
             results: Mutex::new(results),
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        });
+        };
+        let set = TaskSet::new(work, n);
         let helpers = self.ensure_workers(want - 1).min(want - 1);
-        {
-            let mut state = lock(&self.inner.state);
-            for _ in 0..helpers {
-                let ticket = Arc::clone(&set);
-                state.jobs.push_back(Box::new(move || run_tasks(&ticket)));
-            }
-        }
-        self.inner.work_ready.notify_all();
-        // The caller is executor #0: it works the same queue instead of
-        // blocking, so the map completes even with zero live workers.
-        run_tasks(&set);
-        let mut remaining = lock(&set.remaining);
-        while *remaining > 0 {
-            remaining = set
-                .done
-                .wait(remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(remaining);
-        let panicked = lock(&set.panic).take();
-        if let Some(payload) = panicked {
-            resume_unwind(payload);
-        }
-        let results = std::mem::take(&mut *lock(&set.results));
+        self.run_set(&set, helpers, run_tasks);
+        let results = std::mem::take(&mut *lock(&set.work.results));
         results
             .into_iter()
             // tidy:allow(panic: the enumerate queue hands every index to exactly one executor)
@@ -497,44 +521,15 @@ impl WorkerPool {
         // each capture half the workers and wait forever.
         let _gate = lock(&self.inner.broadcast_gate);
         let workers = self.ensure_workers(executors - 1).min(executors - 1);
-        let set = Arc::new(BroadcastSet {
+        // The caller meets the workers at the barrier and runs `f`
+        // like each of them: `workers + 1` executors, one unit each.
+        let work = BroadcastWork {
             f,
-            needed: workers,
+            needed: workers + 1,
             arrived: Mutex::new(0),
             all_arrived: Condvar::new(),
-            remaining: Mutex::new(workers),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-        {
-            let mut state = lock(&self.inner.state);
-            for _ in 0..workers {
-                let ticket = Arc::clone(&set);
-                state
-                    .jobs
-                    .push_back(Box::new(move || run_broadcast(&ticket)));
-            }
-        }
-        self.inner.work_ready.notify_all();
-        // The caller warms its own scratch while the workers rendezvous.
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| with_scratch(|s| (set.f)(s)))) {
-            let mut first = lock(&set.panic);
-            if first.is_none() {
-                *first = Some(payload);
-            }
-        }
-        let mut remaining = lock(&set.remaining);
-        while *remaining > 0 {
-            remaining = set
-                .done
-                .wait(remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(remaining);
-        let panicked = lock(&set.panic).take();
-        if let Some(payload) = panicked {
-            resume_unwind(payload);
-        }
+        };
+        self.run_set(&TaskSet::new(work, workers + 1), workers, run_broadcast);
     }
 }
 

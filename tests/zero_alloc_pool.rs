@@ -2,17 +2,19 @@
 //! allocator proves that the warm **pooled** tiled-decode path — tiles
 //! fanned across the persistent worker pool — reaches an allocation
 //! steady state, extending the serial zero-alloc guarantee to the
-//! threaded path. The same warm pushes must spawn no thread.
+//! threaded path. The same warm pushes must spawn no thread, and so
+//! must a warm batch run: batches fan out on the same pool.
 //!
 //! Differences from `zero_alloc.rs` are deliberate:
 //!
 //! * The counter is a global `AtomicU64`, not a thread-local: pool
 //!   workers allocate on *their* threads, and a thread-local counter on
 //!   the test thread would be blind to them.
-//! * One `#[test]` only. The harness runs sibling tests on other
-//!   threads concurrently, and any of their allocations would land in
-//!   this global counter; a single test keeps the process quiet during
-//!   the measured window.
+//! * The tests are serialized by one lock. The harness runs sibling
+//!   tests on other threads concurrently, and their allocations and
+//!   spawns would land in the process-wide counters; holding the lock
+//!   for a whole test keeps the process quiet during its measured
+//!   window.
 //!
 //! The method is the same differential one: after priming (operator
 //! cache, parser buffer, executor workspaces via
@@ -23,6 +25,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tepics::prelude::*;
 use tepics::util::parallel::thread_spawn_count;
@@ -57,6 +60,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Held for the whole of each test: both read process-wide counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `f` and returns (process-wide allocations during `f`, result).
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -71,6 +81,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// allocations, spawn no thread, and stay bit-identical.
 #[test]
 fn warm_pooled_tiled_decode_reaches_allocation_steady_state() {
+    let _serial = serial();
     let imager = CompressiveImager::builder_for(FrameGeometry::new(40, 28))
         .tiling(TileConfig::new(16).overlap(4))
         .ratio(0.35)
@@ -125,4 +136,35 @@ fn warm_pooled_tiled_decode_reaches_allocation_steady_state() {
         seventh, eighth,
         "warm pooled tiled decode drifts: {seventh} then {eighth} allocations"
     );
+}
+
+/// A warm batch spawns no thread: `BatchRunner` runs its jobs on the
+/// persistent pool, so a second two-thread batch on the same geometry
+/// reuses the workers the first one left parked — and reports the
+/// same results.
+#[test]
+fn warm_batch_run_spawns_no_thread() {
+    let _serial = serial();
+    let imager = CompressiveImager::builder(16, 16)
+        .ratio(0.35)
+        .seed(42)
+        .fidelity(Fidelity::Functional)
+        .build()
+        .unwrap();
+    let scenes: Vec<ImageF64> = (0..4)
+        .map(|i| Scene::gaussian_blobs(3).render(16, 16, i))
+        .collect();
+    let first = BatchRunner::with_threads(2)
+        .run(&imager, &scenes, RecoveryParams::default())
+        .unwrap();
+    let spawns = thread_spawn_count();
+    let second = BatchRunner::with_threads(2)
+        .run(&imager, &scenes, RecoveryParams::default())
+        .unwrap();
+    assert_eq!(
+        thread_spawn_count() - spawns,
+        0,
+        "a warm batch run must not spawn threads"
+    );
+    assert_eq!(first.reports, second.reports);
 }
