@@ -27,6 +27,10 @@ use std::collections::BTreeMap;
 use crate::report::{section, Table};
 use tepics_core::prelude::*;
 
+/// The machine-readable numbers' file, named relative to the workspace
+/// root, where `JSON_PATH` puts it.
+const JSON_NAME: &str = "BENCH_resilience.json";
+
 /// Where the machine-readable numbers land (workspace root).
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
 
@@ -138,13 +142,16 @@ fn measure(side: usize, n_frames: usize) -> (Vec<RatePoint>, usize, usize) {
     (points, clean.len(), header_len)
 }
 
-/// Runs the sweep and updates `BENCH_resilience.json`.
-pub fn run() -> String {
-    let side = 48;
-    let n_frames = 12;
-    let (points, stream_bytes, header_len) = measure(side, n_frames);
-
-    // Machine-readable trail.
+/// The `BENCH_resilience.json` document for a sweep of `points`. A
+/// non-finite mean PSNR (a bit-identical decode scores ∞) is written as
+/// `null`: JSON has no infinity or NaN.
+fn to_json(
+    side: usize,
+    n_frames: usize,
+    stream_bytes: usize,
+    header_len: usize,
+    points: &[RatePoint],
+) -> String {
     let mut json = String::from("{\n  \"schema\": 1,\n");
     json.push_str(&format!(
         "  \"setup\": {{\"side\": {side}, \"tile\": 16, \"overlap\": 4, \"frames\": {n_frames}, \
@@ -152,14 +159,18 @@ pub fn run() -> String {
          \"policy\": \"NeighborBlend\", \"fault_seed\": {FAULT_SEED}}},\n  \"points\": [\n"
     ));
     for (i, p) in points.iter().enumerate() {
+        let mean_psnr_db = if p.mean_psnr_db.is_finite() {
+            format!("{:.3}", p.mean_psnr_db)
+        } else {
+            "null".to_string()
+        };
         json.push_str(&format!(
             "    {{\"bit_rate\": {}, \"bits_flipped\": {}, \"recovered_fraction\": {:.4}, \
-             \"mean_psnr_db\": {:.3}, \"frames_degraded\": {}, \"tiles_erased\": {}, \
+             \"mean_psnr_db\": {mean_psnr_db}, \"frames_degraded\": {}, \"tiles_erased\": {}, \
              \"corrupt_events\": {}, \"bytes_skipped\": {}}}{}\n",
             p.bit_rate,
             p.bits_flipped,
             p.recovered_fraction,
-            p.mean_psnr_db,
             p.frames_degraded,
             p.tiles_erased,
             p.corrupt_events,
@@ -168,6 +179,16 @@ pub fn run() -> String {
         ));
     }
     json.push_str("  ]\n}\n");
+    json
+}
+
+/// Runs the sweep and updates `BENCH_resilience.json`.
+pub fn run() -> String {
+    let side = 48;
+    let n_frames = 12;
+    let (points, stream_bytes, header_len) = measure(side, n_frames);
+
+    let json = to_json(side, n_frames, stream_bytes, header_len, &points);
     let json_written = std::fs::write(JSON_PATH, &json).is_ok();
 
     let mut out = String::from("# Resilient wire v3 — corruption rate vs recovered quality\n");
@@ -208,7 +229,7 @@ pub fn run() -> String {
          never costs quality on a clean link)\n",
     );
     out.push_str(&format!(
-        "\n{} {JSON_PATH}\n",
+        "\n{} {JSON_NAME}\n",
         if json_written {
             "machine-readable numbers written to"
         } else {
@@ -310,5 +331,41 @@ pub fn smoke() -> Result<String, Vec<String>> {
         ))
     } else {
         Err(failures)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(mean_psnr_db: f64) -> RatePoint {
+        RatePoint {
+            bit_rate: 0.0,
+            bits_flipped: 0,
+            recovered_fraction: 1.0,
+            frames_degraded: 0,
+            tiles_erased: 0,
+            corrupt_events: 0,
+            bytes_skipped: 0,
+            mean_psnr_db,
+        }
+    }
+
+    #[test]
+    fn non_finite_means_are_written_as_null() {
+        let points = [point(f64::INFINITY), point(f64::NAN), point(26.75)];
+        let json = to_json(48, 12, 36800, 32, &points);
+        let tokens: Vec<&str> = json
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|t| !t.is_empty())
+            .collect();
+        for bad in ["inf", "NaN"] {
+            assert!(
+                !tokens.iter().any(|t| t.eq_ignore_ascii_case(bad)),
+                "{bad} token in {json}"
+            );
+        }
+        assert_eq!(json.matches("\"mean_psnr_db\": null").count(), 2, "{json}");
+        assert!(json.contains("\"mean_psnr_db\": 26.750"), "{json}");
     }
 }

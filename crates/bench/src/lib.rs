@@ -148,7 +148,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "solvers",
             tier: Tier::Full,
-            artifact: "(infrastructure) solver shootout — every SolverKind, PSNR + iterations",
+            artifact: "(infrastructure) solver sweep — every SolverKind over four content classes",
             run: experiments::solvers::run,
         },
         Experiment {

@@ -621,13 +621,13 @@ mod tests {
         let cache = OperatorCache::new();
         let k = key(7, 12);
         let fista = cache.operator_norm(&k, DictionaryKind::Dct2d, norm_seeds::FISTA, || 1.25);
-        let ista = cache.operator_norm(&k, DictionaryKind::Dct2d, norm_seeds::ISTA, || 1.50);
+        let seed_157a = cache.operator_norm(&k, DictionaryKind::Dct2d, 0x157A, || 1.50);
         let iht = cache.operator_norm(&k, DictionaryKind::Dct2d, norm_seeds::IHT, || 1.75);
-        let amp = cache.operator_norm(&k, DictionaryKind::Dct2d, norm_seeds::AMP, || 2.00);
+        let seed_a3b = cache.operator_norm(&k, DictionaryKind::Dct2d, 0xA3B, || 2.00);
         assert_eq!(fista, Some(1.25));
-        assert_eq!(ista, Some(1.50));
+        assert_eq!(seed_157a, Some(1.50));
         assert_eq!(iht, Some(1.75));
-        assert_eq!(amp, Some(2.00));
+        assert_eq!(seed_a3b, Some(2.00));
         // And each stays what its own solver computed.
         let again = cache.operator_norm(&k, DictionaryKind::Dct2d, norm_seeds::FISTA, || {
             panic!("must be memoized")

@@ -41,8 +41,8 @@
 //!   through: regenerates Φ from the seed (via an [`OperatorCache`],
 //!   private unless shared), estimates the scene mean from the known
 //!   per-row selection counts, and runs sparse recovery
-//!   (FISTA/OMP/CoSaMP/IHT over DCT/Haar/identity). Sessions drive it
-//!   per tile.
+//!   (FISTA/IHT/OMP/CoSaMP/CGLS over DCT/Haar/identity). Sessions
+//!   drive it per tile.
 //! * [`RecoveryParams`] — the one typed recovery configuration (solver
 //!   and dictionary) that the decoder, sessions, [`pipeline::evaluate`]
 //!   and [`BatchRunner::run`] all take.

@@ -2,9 +2,9 @@
 //!
 //! The paper's recovery step is solver-agnostic — any sparse-recovery
 //! algorithm can consume the XOR/selection measurements. [`SolverKind`]
-//! makes that a first-class decoder knob: all eight algorithms of
-//! `tepics-recovery` (FISTA, ISTA, AMP, IHT, OMP, CoSaMP, CGLS, and the
-//! CGLS debias wrapper around the ℓ1 family) are selectable through
+//! makes that a first-class decoder knob: all six algorithms of
+//! `tepics-recovery` (FISTA, IHT, OMP, CoSaMP, CGLS, and the CGLS
+//! debias wrapper around FISTA) are selectable through
 //! [`Decoder`](crate::Decoder), [`DecodeSession`](crate::DecodeSession),
 //! the [`pipeline`](crate::pipeline) helpers, and
 //! [`BatchRunner`](crate::batch::BatchRunner), all dispatching
@@ -16,12 +16,12 @@
 
 use crate::decoder::DictionaryKind;
 use tepics_recovery::solver::norm_seeds;
-use tepics_recovery::{Amp, Cgls, CoSaMp, Fista, Iht, Ista, Omp, Solver};
+use tepics_recovery::{Cgls, CoSaMp, Fista, Iht, Omp, Solver};
 
 /// Recovery algorithms available to the decoder — every solver of
 /// `tepics-recovery` behind one configuration enum.
 ///
-/// The ℓ1/AMP variants carry a `debias` flag: when set, the solver is
+/// The FISTA variant carries a `debias` flag: when set, the solver is
 /// wrapped in the CGLS support re-fit
 /// ([`Debias`](tepics_recovery::Debias)), the paper pipeline's default
 /// final step. `SolverKind` is pure configuration (`Copy`, comparable);
@@ -32,23 +32,6 @@ pub enum SolverKind {
     Fista {
         /// λ as a fraction of `‖Aᵀỹ‖∞`.
         lambda_ratio: f64,
-        /// Iteration cap.
-        max_iter: usize,
-        /// Debias the support by least squares afterwards.
-        debias: bool,
-    },
-    /// ISTA — FISTA without momentum (the ablation baseline).
-    Ista {
-        /// λ as a fraction of `‖Aᵀỹ‖∞`.
-        lambda_ratio: f64,
-        /// Iteration cap.
-        max_iter: usize,
-        /// Debias the support by least squares afterwards.
-        debias: bool,
-    },
-    /// Approximate message passing (heuristic on the structured CA
-    /// ensemble; fast when it works).
-    Amp {
         /// Iteration cap.
         max_iter: usize,
         /// Debias the support by least squares afterwards.
@@ -98,12 +81,7 @@ impl SolverKind {
 
     /// Whether the CGLS debias pass wraps this solver.
     pub fn debias(&self) -> bool {
-        matches!(
-            self,
-            SolverKind::Fista { debias: true, .. }
-                | SolverKind::Ista { debias: true, .. }
-                | SolverKind::Amp { debias: true, .. }
-        )
+        matches!(self, SolverKind::Fista { debias: true, .. })
     }
 
     /// Seed of the solver's internal operator-norm power iteration, when
@@ -121,10 +99,10 @@ impl SolverKind {
     }
 
     /// One default configuration per algorithm, sized for a
-    /// `k`-measurement frame — the set the solver shootout (bench
+    /// `k`-measurement frame — the set the solver sweep (bench
     /// `solvers` experiment) and the identity tests iterate. Order is
-    /// stable: debiased FISTA first, then the plain ℓ1/AMP family, then
-    /// the sparsity-targeted and least-squares solvers.
+    /// stable: debiased FISTA first, then plain FISTA, then the
+    /// sparsity-targeted and least-squares solvers.
     #[must_use]
     pub fn shootout_set(k: usize) -> Vec<SolverKind> {
         vec![
@@ -132,15 +110,6 @@ impl SolverKind {
             SolverKind::Fista {
                 lambda_ratio: 0.02,
                 max_iter: 400,
-                debias: false,
-            },
-            SolverKind::Ista {
-                lambda_ratio: 0.02,
-                max_iter: 400,
-                debias: false,
-            },
-            SolverKind::Amp {
-                max_iter: 60,
                 debias: false,
             },
             SolverKind::Iht {
@@ -169,30 +138,13 @@ impl SolverKind {
                 lambda_ratio,
                 max_iter,
                 ..
-            }
-            | SolverKind::Ista {
-                lambda_ratio,
-                max_iter,
-                ..
             } => {
                 let mut s = Fista::new();
                 s.lambda_ratio(lambda_ratio).max_iter(max_iter);
                 if let Some(step) = step {
                     s.step(step);
                 }
-                if matches!(self, SolverKind::Ista { .. }) {
-                    BuiltSolver::Ista(s.into())
-                } else {
-                    BuiltSolver::Fista(s)
-                }
-            }
-            SolverKind::Amp { max_iter, .. } => {
-                let mut s = Amp::new();
-                s.max_iter(max_iter);
-                if let Some(norm) = norm {
-                    s.operator_norm(norm);
-                }
-                BuiltSolver::Amp(s)
+                BuiltSolver::Fista(s)
             }
             SolverKind::Iht { sparsity } => {
                 let mut s = Iht::new(sparsity.max(1));
@@ -213,8 +165,6 @@ impl SolverKind {
 #[derive(Debug, Clone)]
 pub(crate) enum BuiltSolver {
     Fista(Fista),
-    Ista(Ista),
-    Amp(Amp),
     Iht(Iht),
     Omp(Omp),
     CoSamp(CoSaMp),
@@ -225,8 +175,6 @@ impl BuiltSolver {
     pub(crate) fn as_solver(&self) -> &dyn Solver {
         match self {
             BuiltSolver::Fista(s) => s,
-            BuiltSolver::Ista(s) => s,
-            BuiltSolver::Amp(s) => s,
             BuiltSolver::Iht(s) => s,
             BuiltSolver::Omp(s) => s,
             BuiltSolver::CoSamp(s) => s,
@@ -284,19 +232,6 @@ impl RecoveryParams {
         }
     }
 
-    /// Latency-critical decoding: AMP (tens of iterations) over the DCT,
-    /// no debias pass.
-    #[must_use]
-    pub fn low_latency() -> Self {
-        RecoveryParams {
-            solver: SolverKind::Amp {
-                max_iter: 60,
-                debias: false,
-            },
-            dictionary: DictionaryKind::Dct2d,
-        }
-    }
-
     /// Sparse coefficient recovery with an atom cap: OMP over the DCT,
     /// stopped per tile where its held-out residual is least.
     #[must_use]
@@ -319,13 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn names_cover_all_seven_kinds() {
+    fn names_cover_all_five_kinds() {
         let mut names: Vec<&str> = all_kinds(64).iter().map(|k| k.name()).collect();
         names.dedup();
-        assert_eq!(
-            names,
-            vec!["fista", "ista", "amp", "iht", "omp", "cosamp", "cgls"]
-        );
+        assert_eq!(names, vec!["fista", "iht", "omp", "cosamp", "cgls"]);
     }
 
     #[test]
@@ -359,7 +291,6 @@ mod tests {
             RecoveryParams::star_field(0).solver,
             SolverKind::Iht { sparsity: 1 }
         );
-        assert!(!RecoveryParams::low_latency().solver.debias());
         assert_eq!(RecoveryParams::exact_sparse(9).solver.name(), "omp");
     }
 }

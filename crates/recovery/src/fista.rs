@@ -3,10 +3,9 @@
 //! Solves the LASSO `min_α ½‖Aα − y‖² + λ‖α‖₁` with Nesterov momentum.
 //! This is the default full-frame decoder: at the sensor's native size
 //! the operator is matrix-free and each iteration costs two operator
-//! applications. [`Ista`](crate::Ista) runs this same loop with the
-//! momentum off.
+//! applications.
 
-use crate::iterative::{finish, iterate, resolve_scale, zero_solution};
+use crate::iterative::{finish, iterate, resolve_step, zero_solution};
 use crate::shrink::soft_threshold;
 use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
@@ -46,32 +45,8 @@ impl LambdaRule {
     }
 }
 
-/// Whether FISTA's loop extrapolates: Nesterov momentum for
-/// [`Fista`], none for [`Ista`](crate::Ista).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Momentum {
-    Nesterov,
-    Off,
-}
-
-impl Momentum {
-    /// The solver this loop is: its name and its norm seed.
-    fn identity(self) -> (&'static str, u64) {
-        match self {
-            Momentum::Nesterov => ("fista", norm_seeds::FISTA),
-            Momentum::Off => ("ista", norm_seeds::ISTA),
-        }
-    }
-
-    /// The capability metadata of the solver this loop is.
-    pub(crate) fn caps(self) -> SolverCaps {
-        let (name, seed) = self.identity();
-        SolverCaps {
-            name,
-            norm_seed: Some(seed),
-        }
-    }
-}
+/// FISTA's name in its capabilities and errors.
+const NAME: &str = "fista";
 
 /// FISTA solver configuration (non-consuming builder).
 ///
@@ -163,32 +138,21 @@ impl Fista {
     /// bit-identical to [`Fista::solve`], with no allocations inside the
     /// iteration loop once the workspace is warm.
     ///
+    /// The proximal-gradient loop `α ← soft(z − (1/L)Aᵀ(Az − y), λ/L)`,
+    /// with `z` extrapolated from the last two iterates.
+    ///
     /// # Errors
     ///
     /// Same as [`Fista::solve`].
+    // tidy:alloc-free
     pub fn solve_with<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
         y: &[f64],
         workspace: &mut SolverWorkspace,
     ) -> Result<Recovery, RecoveryError> {
-        self.descend(a, y, workspace, Momentum::Nesterov)
-    }
-
-    /// The proximal-gradient loop `α ← soft(z − (1/L)Aᵀ(Az − y), λ/L)`,
-    /// with `z` extrapolated from the last two iterates under
-    /// [`Momentum::Nesterov`] and `z = α` under [`Momentum::Off`].
-    // tidy:alloc-free
-    pub(crate) fn descend<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        y: &[f64],
-        workspace: &mut SolverWorkspace,
-        momentum: Momentum,
-    ) -> Result<Recovery, RecoveryError> {
         check_dims(a.rows(), y)?;
         let n = a.cols();
-        let (name, seed) = momentum.identity();
         workspace.prepare(a.rows(), n);
         let SolverWorkspace {
             alpha,
@@ -202,12 +166,12 @@ impl Fista {
         // overwrites it before reading it again).
         a.apply_adjoint(y, grad);
         let lambda = self.lambda.resolve(grad)?;
-        let Some(step) = resolve_scale(a, self.step, seed, norm_seeds::step, "step")? else {
+        let Some(step) = resolve_step(a, self.step, norm_seeds::FISTA)? else {
             return Ok(zero_solution(n, y));
         };
         let mut t = 1.0f64;
         let progress = iterate(
-            name,
+            NAME,
             self.max_iter,
             self.tol,
             alpha,
@@ -224,20 +188,15 @@ impl Fista {
                     *v = zi - step * g;
                 }
                 soft_threshold(alpha, lambda * step);
-                match momentum {
-                    Momentum::Nesterov => {
-                        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-                        let beta = (t - 1.0) / t_next;
-                        for ((zi, &v), &p) in z.iter_mut().zip(alpha.iter()).zip(prev) {
-                            *zi = v + beta * (v - p);
-                        }
-                        t = t_next;
-                    }
-                    Momentum::Off => z.copy_from_slice(alpha),
+                let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
+                let beta = (t - 1.0) / t_next;
+                for ((zi, &v), &p) in z.iter_mut().zip(alpha.iter()).zip(prev) {
+                    *zi = v + beta * (v - p);
                 }
+                t = t_next;
             },
         )?;
-        finish(name, a, y, alpha, resid, progress)
+        finish(NAME, a, y, alpha, resid, progress)
     }
 }
 
@@ -249,7 +208,10 @@ impl Default for Fista {
 
 impl Solver for Fista {
     fn caps(&self) -> SolverCaps {
-        Momentum::Nesterov.caps()
+        SolverCaps {
+            name: NAME,
+            norm_seed: Some(norm_seeds::FISTA),
+        }
     }
 
     fn solve_with(
@@ -334,48 +296,6 @@ mod tests {
         let rec = Fista::new().solve(&a, &[0.0; 20]).unwrap();
         assert!(rec.coefficients.iter().all(|&v| v == 0.0));
         assert!(rec.stats.converged);
-    }
-
-    #[test]
-    fn fista_reaches_lower_objective_than_ista_at_equal_budget() {
-        use crate::ista::Ista;
-        // Ill-conditioned problem (correlated columns) where momentum
-        // matters; compare objective after a fixed iteration budget.
-        let mut rng = SplitMix64::new(13);
-        let common: Vec<f64> = (0..40).map(|_| rng.next_gaussian()).collect();
-        let a = DenseMatrix::from_fn(40, 80, |r, _| {
-            (rng.next_gaussian() + 2.0 * common[r]) / 40f64.sqrt()
-        });
-        let mut x = vec![0.0; 80];
-        x[9] = 1.0;
-        x[33] = -1.0;
-        x[71] = 0.7;
-        let y = a.apply_vec(&x);
-        let aty = a.apply_adjoint_vec(&y);
-        let lambda = 0.02 * aty.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        let objective = |alpha: &[f64]| {
-            let r = tepics_cs::op::sub(&a.apply_vec(alpha), &y);
-            0.5 * tepics_cs::op::dot(&r, &r) + lambda * alpha.iter().map(|v| v.abs()).sum::<f64>()
-        };
-        let budget = 80;
-        let f = Fista::new()
-            .lambda(lambda)
-            .tol(0.0)
-            .max_iter(budget)
-            .solve(&a, &y)
-            .unwrap();
-        let i = Ista::new()
-            .lambda(lambda)
-            .tol(0.0)
-            .max_iter(budget)
-            .solve(&a, &y)
-            .unwrap();
-        let fo = objective(&f.coefficients);
-        let io = objective(&i.coefficients);
-        assert!(
-            fo < io,
-            "FISTA objective {fo:.6e} should beat ISTA {io:.6e} at {budget} iterations"
-        );
     }
 
     #[test]

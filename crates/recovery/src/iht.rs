@@ -7,7 +7,7 @@
 //! Cheap per iteration and the natural solver when the target sparsity
 //! is known (e.g. star fields with a known source count).
 
-use crate::iterative::{finish, iterate, resolve_scale, zero_solution};
+use crate::iterative::{finish, iterate, resolve_step, zero_solution};
 use crate::shrink::hard_threshold_top_k;
 use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
@@ -95,9 +95,7 @@ impl Iht {
     ) -> Result<Recovery, RecoveryError> {
         check_dims(a.rows(), y)?;
         let n = a.cols();
-        let Some(fallback_step) =
-            resolve_scale(a, self.step, norm_seeds::IHT, norm_seeds::step, "step")?
-        else {
+        let Some(fallback_step) = resolve_step(a, self.step, norm_seeds::IHT)? else {
             return Ok(zero_solution(n, y));
         };
         workspace.prepare(a.rows(), n);

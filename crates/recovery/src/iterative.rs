@@ -1,13 +1,12 @@
-//! What the iterative thresholding solvers share: their scale, their
+//! What the iterative thresholding solvers share: their step, their
 //! stop rule and their result.
 //!
-//! [`Fista`](crate::Fista) (and [`Ista`](crate::Ista), which runs
-//! FISTA's loop without momentum), [`Iht`](crate::Iht) and
-//! [`Amp`](crate::Amp) are one skeleton with four iteration bodies:
+//! [`Fista`](crate::Fista) and [`Iht`](crate::Iht) are one skeleton
+//! with two iteration bodies:
 //!
-//! * [`resolve_scale`] takes the caller's step (or norm) override, or
-//!   derives it from the solver's seeded `‖A‖` estimate, and finds a
-//!   zero operator, whose solve ends at [`zero_solution`];
+//! * [`resolve_step`] takes the caller's step override, or derives it
+//!   from the solver's seeded `‖A‖` estimate, and finds a zero
+//!   operator, whose solve ends at [`zero_solution`];
 //! * [`iterate`] runs the body until
 //!   `‖α − α_prev‖ ≤ tol·max(‖α‖, 1e-12)`, and stops with
 //!   [`RecoveryError::Breakdown`] once that change or norm is not
@@ -21,28 +20,26 @@ use crate::solver::norm_seeds;
 use crate::{breakdown, Recovery, RecoveryError, SolveStats};
 use tepics_cs::op::{self, LinearOperator};
 
-/// A solver's operator-derived scale: `given` when the caller set it
-/// (it must be positive; `what` names it in the error), else `derive`
-/// of the `‖A‖` estimate seeded with `seed`. `None` means `A` is zero.
+/// A solver's gradient step: `given` when the caller set it (it must be
+/// positive), else [`norm_seeds::step`] of the `‖A‖` estimate seeded
+/// with `seed`. `None` means `A` is zero.
 ///
 /// # Errors
 ///
 /// [`RecoveryError::InvalidParameter`] for a non-positive `given`.
-pub(crate) fn resolve_scale<A: LinearOperator + ?Sized>(
+pub(crate) fn resolve_step<A: LinearOperator + ?Sized>(
     a: &A,
     given: Option<f64>,
     seed: u64,
-    derive: fn(f64) -> f64,
-    what: &str,
 ) -> Result<Option<f64>, RecoveryError> {
     match given {
         Some(v) if v > 0.0 => Ok(Some(v)),
-        Some(_) => Err(RecoveryError::InvalidParameter(format!(
-            "{what} must be positive"
-        ))),
+        Some(_) => Err(RecoveryError::InvalidParameter(
+            "step must be positive".into(),
+        )),
         None => {
             let norm = norm_seeds::estimate(a, seed);
-            Ok((norm != 0.0).then(|| derive(norm)))
+            Ok((norm != 0.0).then(|| norm_seeds::step(norm)))
         }
     }
 }
@@ -148,7 +145,7 @@ pub(crate) fn finish<A: LinearOperator + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Amp, Fista, Iht, Ista, RecoveryError, Solver};
+    use crate::{Fista, Iht, RecoveryError, Solver};
     use tepics_cs::{DenseMatrix, LinearOperator};
     use tepics_util::SplitMix64;
 
@@ -182,17 +179,13 @@ mod tests {
             rng.next_gaussian() / 20f64.sqrt()
         }));
         let y: Vec<f64> = (0..20).map(|k| f64::from(k) - 9.5).collect();
-        // Explicit λ and step (norm, for AMP) overrides: a ratio λ and
-        // the power iteration would both read the overflow themselves.
+        // Explicit λ and step overrides: a ratio λ and the power
+        // iteration would both read the overflow themselves.
         let mut fista = Fista::new();
         fista.lambda(0.01).step(0.1);
-        let mut ista = Ista::new();
-        ista.lambda(0.01).step(0.1);
         let mut iht = Iht::new(3);
         iht.step(0.1);
-        let mut amp = Amp::new();
-        amp.operator_norm(2.0);
-        let solvers: [&dyn Solver; 4] = [&fista, &ista, &iht, &amp];
+        let solvers: [&dyn Solver; 2] = [&fista, &iht];
         for solver in solvers {
             let name = solver.caps().name;
             match solver.solve(&a, &y) {

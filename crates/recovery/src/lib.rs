@@ -7,25 +7,21 @@
 //! the object-safe [`Solver`] trait, so a host can swap algorithms per
 //! workload behind `&dyn Solver` without touching its pipeline:
 //!
-//! * [`Fista`] / [`Ista`] — proximal-gradient ℓ1 solvers (LASSO), the
-//!   workhorse for full-frame reconstruction; ISTA is FISTA's loop
-//!   with the momentum off.
+//! * [`Fista`] — the proximal-gradient ℓ1 solver (LASSO), the
+//!   workhorse for full-frame reconstruction.
 //! * [`Omp`] — orthogonal matching pursuit with incremental Cholesky,
 //!   the standard block-based decoder, stopped where the residual on a
 //!   few held-out measurements is least.
 //! * [`CoSaMP`](cosamp::CoSaMp) — compressive sampling matching pursuit,
 //!   on the same Gram slots and all-rows least squares as OMP.
 //! * [`Iht`] — normalized iterative hard thresholding.
-//! * [`Amp`] — approximate message passing with Onsager correction
-//!   (fast on i.i.d.-like ensembles; heuristic on structured ones).
 //! * [`Cgls`] — CGLS least squares, also the engine behind the debias
 //!   re-fit.
 //! * [`Debias`] — any solver above, wrapped with the
 //!   CGLS support re-fit of [`debias`] as one composite algorithm.
 //!
-//! FISTA, ISTA, IHT and AMP run on one iterative engine: it resolves
-//! the step (or AMP's norm) from an override or the solver's seeded
-//! `‖A‖` estimate, answers a zero operator with `α = 0`, stops once
+//! FISTA and IHT run on one iterative engine: it resolves the step
+//! from an override or the solver's seeded `‖A‖` estimate, answers a zero operator with `α = 0`, stops once
 //! `‖α − α_prev‖ ≤ tol·max(‖α‖, 1e-12)`, and reports `‖Aα − y‖`; each
 //! solver brings only its iteration body. An iterate whose change or
 //! norm is not finite ends the solve with [`RecoveryError::Breakdown`].
@@ -85,27 +81,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod amp;
 pub mod cg;
 pub mod cosamp;
 pub mod debias;
 pub mod fista;
 mod greedy;
 pub mod iht;
-pub mod ista;
 mod iterative;
 pub mod omp;
 pub mod shrink;
 pub mod solver;
 pub mod workspace;
 
-pub use amp::Amp;
 pub use cg::Cgls;
 pub use cosamp::CoSaMp;
 pub use debias::Debias;
 pub use fista::Fista;
 pub use iht::Iht;
-pub use ista::Ista;
 pub use omp::Omp;
 pub use solver::{SolveResult, Solver, SolverCaps};
 pub use workspace::SolverWorkspace;

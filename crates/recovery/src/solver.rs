@@ -1,7 +1,7 @@
 //! The unified [`Solver`] trait.
 //!
-//! Every recovery algorithm in this crate — FISTA, ISTA, IHT, AMP,
-//! CoSaMP, OMP, CGLS, and the [`Debias`](crate::debias::Debias)
+//! Every recovery algorithm in this crate — FISTA, IHT, CoSaMP, OMP,
+//! CGLS, and the [`Debias`](crate::debias::Debias)
 //! wrapper — implements one object-safe interface:
 //! `solve_with(&self, op, y, workspace)` over a `&dyn LinearOperator`,
 //! returning a [`Recovery`] and reusing a [`SolverWorkspace`]. A decoder
@@ -20,8 +20,7 @@
 //! internal operator-norm estimate (so a cache can memoize the power
 //! iteration per solver — different solvers use different seeds, and
 //! mixing them would silently change results). Each solver's module is
-//! the one place that states both; ISTA, which runs FISTA's loop
-//! without momentum, keeps a name and a seed of its own.
+//! the one place that states both.
 
 use crate::workspace::SolverWorkspace;
 use crate::{Recovery, RecoveryError};
@@ -41,23 +40,18 @@ pub mod norm_seeds {
 
     /// [`Fista`](crate::Fista)'s step-size estimate.
     pub const FISTA: u64 = 0x0F1A57A;
-    /// [`Ista`](crate::Ista)'s step-size estimate (FISTA's loop without
-    /// momentum, on a seed of its own).
-    pub const ISTA: u64 = 0x157A;
     /// [`Iht`](crate::Iht)'s fallback-step estimate.
     pub const IHT: u64 = 0x1147;
-    /// [`Amp`](crate::Amp)'s operator-scale estimate.
-    pub const AMP: u64 = 0xA3B;
 
     /// The `‖A‖` estimate a solver with norm seed `seed` computes: 30
-    /// steps of the power iteration started from `seed`. A step or norm
-    /// override derived from it leaves results bit-identical.
+    /// steps of the power iteration started from `seed`. A step override
+    /// derived from it leaves results bit-identical.
     pub fn estimate<A: LinearOperator + ?Sized>(a: &A, seed: u64) -> f64 {
         operator_norm_est(a, 30, seed)
     }
 
     /// The gradient step `1/L`, with `L = ‖A‖²` and a 5% safety margin,
-    /// that FISTA, ISTA and IHT derive from the estimate `norm`.
+    /// that FISTA and IHT derive from the estimate `norm`.
     pub fn step(norm: f64) -> f64 {
         1.0 / (norm * norm * 1.05)
     }
@@ -70,11 +64,10 @@ pub struct SolverCaps {
     /// diagnostics.
     pub name: &'static str,
     /// Seed of the solver's internal `‖A‖` power-iteration estimate,
-    /// when it runs one and accepts a precomputed override: a step
-    /// ([`norm_seeds::step`]) for FISTA, ISTA and IHT, the norm itself
-    /// for AMP ([`norm_seeds`] lists the seeds, [`norm_seeds::estimate`]
-    /// computes the estimate). `None` for solvers that never estimate a
-    /// norm (the greedy pursuits, CGLS).
+    /// when it runs one and accepts a precomputed step override
+    /// ([`norm_seeds::step`] of [`norm_seeds::estimate`]) — FISTA and
+    /// IHT. `None` for solvers that never estimate a norm (the greedy
+    /// pursuits, CGLS).
     pub norm_seed: Option<u64>,
 }
 
@@ -141,7 +134,7 @@ impl std::fmt::Debug for dyn Solver + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Amp, CoSaMp, Fista, Iht, Ista, Omp, RecoveryError};
+    use crate::{CoSaMp, Fista, Iht, Omp, RecoveryError};
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
 
@@ -157,21 +150,16 @@ mod tests {
     #[test]
     fn caps_names_are_unique_and_stable() {
         let fista = Fista::new();
-        let ista = Ista::new();
         let iht = Iht::new(2);
-        let amp = Amp::new();
         let omp = Omp::new(2);
         let cosamp = CoSaMp::new(2);
         let cgls = crate::cg::Cgls::default();
-        let solvers: [&dyn Solver; 7] = [&fista, &ista, &iht, &amp, &omp, &cosamp, &cgls];
+        let solvers: [&dyn Solver; 5] = [&fista, &iht, &omp, &cosamp, &cgls];
         let mut names: Vec<&str> = solvers.iter().map(|s| s.caps().name).collect();
-        assert_eq!(
-            names,
-            vec!["fista", "ista", "iht", "amp", "omp", "cosamp", "cgls"]
-        );
+        assert_eq!(names, vec!["fista", "iht", "omp", "cosamp", "cgls"]);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 7, "duplicate solver names");
+        assert_eq!(names.len(), 5, "duplicate solver names");
     }
 
     #[test]
@@ -192,13 +180,11 @@ mod tests {
         let mut y: Vec<f64> = (0..20).map(|k| f64::from(k) - 9.5).collect();
         y[3] = f64::NAN;
         let fista = Fista::new();
-        let ista = Ista::new();
         let iht = Iht::new(3);
-        let amp = Amp::new();
         let omp = Omp::new(5);
         let cosamp = CoSaMp::new(3);
         let cgls = crate::cg::Cgls::default();
-        let solvers: [&dyn Solver; 7] = [&fista, &ista, &iht, &amp, &omp, &cosamp, &cgls];
+        let solvers: [&dyn Solver; 5] = [&fista, &iht, &omp, &cosamp, &cgls];
         for solver in solvers {
             let name = solver.caps().name;
             match solver.solve(&a, &y) {
@@ -214,9 +200,7 @@ mod tests {
     #[test]
     fn norm_seeds_match_caps() {
         assert_eq!(Fista::new().caps().norm_seed, Some(norm_seeds::FISTA));
-        assert_eq!(Ista::new().caps().norm_seed, Some(norm_seeds::ISTA));
         assert_eq!(Iht::new(1).caps().norm_seed, Some(norm_seeds::IHT));
-        assert_eq!(Amp::new().caps().norm_seed, Some(norm_seeds::AMP));
         assert_eq!(Omp::new(1).caps().norm_seed, None);
         assert_eq!(CoSaMp::new(1).caps().norm_seed, None);
     }

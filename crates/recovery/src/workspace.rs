@@ -20,9 +20,9 @@
 //! works (the debias pass keeps its support in the greedy buffers while
 //! its CGLS runs on the `lsq_*` set):
 //!
-//! * **iterate buffers** (`alpha`…`rows_tmp2`) — the proximal/
-//!   thresholding/message-passing loops, and the iterate, correlations
-//!   and residual of the greedy pursuits;
+//! * **iterate buffers** (`alpha`…`rows_tmp`) — the proximal and
+//!   thresholding loops, and the iterate, correlations and residual of
+//!   the greedy pursuits;
 //! * **greedy buffers** (`selected`…`normal`) — atom bookkeeping, the
 //!   Gram slots OMP and CoSaMP compute for a single solve, and their
 //!   normal equations: the growing Cholesky, its right-hand side and
@@ -65,7 +65,6 @@ pub struct SolverWorkspace {
     // Iterate buffers (measurement dimension).
     pub(crate) resid: Vec<f64>,
     pub(crate) rows_tmp: Vec<f64>,
-    pub(crate) rows_tmp2: Vec<f64>,
     // Greedy buffers.
     pub(crate) selected: Vec<bool>,
     pub(crate) support: Vec<usize>,
@@ -108,7 +107,7 @@ impl SolverWorkspace {
             buf.clear();
             buf.resize(cols, 0.0);
         }
-        for buf in [&mut self.resid, &mut self.rows_tmp, &mut self.rows_tmp2] {
+        for buf in [&mut self.resid, &mut self.rows_tmp] {
             buf.clear();
             buf.resize(rows, 0.0);
         }
@@ -152,7 +151,6 @@ mod tests {
         assert_eq!(ws.grad, vec![0.0; 6]);
         assert_eq!(ws.resid, vec![0.0; 4]);
         assert_eq!(ws.rows_tmp, vec![0.0; 4]);
-        assert_eq!(ws.rows_tmp2, vec![0.0; 4]);
     }
 
     #[test]

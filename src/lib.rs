@@ -14,7 +14,7 @@
 //! * [`ca`] — cellular automata, LFSR, Hadamard pattern generators.
 //! * [`imaging`] — images, synthetic scenes, metrics, transforms.
 //! * [`cs`] — measurement operators, dictionaries, matrix analysis.
-//! * [`recovery`] — FISTA/ISTA/OMP/CoSaMP/IHT sparse recovery.
+//! * [`recovery`] — FISTA/IHT/OMP/CoSaMP/CGLS sparse recovery.
 //! * [`sensor`] — the event-accurate chip simulator.
 //! * [`core`] — the end-to-end imager/decoder pipeline.
 //! * [`util`] — bit vectors, deterministic RNG, statistics.
@@ -32,8 +32,8 @@
 //! greedy solvers' Gram stores) for every frame of the stream.
 //!
 //! Recovery is solver-pluggable: every algorithm in [`recovery`]
-//! (FISTA, ISTA, IHT, AMP, OMP, CoSaMP, CGLS, and the CGLS debias
-//! wrapper) implements one `Solver` trait and is selectable per
+//! (FISTA, IHT, OMP, CoSaMP, CGLS, and the CGLS debias wrapper)
+//! implements one `Solver` trait and is selectable per
 //! session via [`SolverKind`](core::SolverKind) /
 //! [`RecoveryParams`](core::RecoveryParams) — see the README's
 //! "Choosing a solver" table for guidance.

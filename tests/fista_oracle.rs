@@ -1,20 +1,19 @@
-//! Textbook twins of production FISTA and ISTA.
+//! A textbook twin of production FISTA.
 //!
-//! Production FISTA runs matrix-free over the fused `Φ·Ψ` kernels, and
-//! ISTA is the same loop with the momentum off. The twin here is the
-//! naive proximal-gradient loop over the dense `A = Φ·Ψ` of
+//! Production FISTA runs matrix-free over the fused `Φ·Ψ` kernels. The
+//! twin here is the naive proximal-gradient loop over the dense
+//! `A = Φ·Ψ` of
 //! `tests/dense` (`XorMeasurement::selected` times the cosine-formula
 //! DCT atoms, DC atom pinned to zero, as the decoder pins it):
 //!
 //! * `g = Aᵀ(A z − y)` by two dense passes, `x ← soft(z − s·g, λ·s)`;
-//! * FISTA: `t' = (1 + √(1 + 4t²))/2`, `z ← x + ((t − 1)/t')(x − x_prev)`;
-//!   ISTA: `z ← x`;
+//! * `t' = (1 + √(1 + 4t²))/2`, `z ← x + ((t − 1)/t')(x − x_prev)`;
 //! * stop once `‖x − x_prev‖ ≤ tol·max(‖x‖, 1e-12)`, or at the cap.
 //!
 //! On real 16×16 and 32×32 tile measurements, mean-split from the
 //! selection counts, twin and production run with equal λ, step `s`
-//! and iteration cap: production `Fista` and `Ista` with the twin's λ
-//! and the step of their own seeded norm estimate, and the production
+//! and iteration cap: production `Fista` with the twin's λ and the step
+//! of its own seeded norm estimate, and the production
 //! `Decoder` with non-debiased FISTA, which derives both itself. Each
 //! must stop at the twin's iteration with the twin's convergence flag,
 //! with coefficients within [`COEFFICIENT_TOL`] of the twin's largest
@@ -34,7 +33,7 @@ use tepics::cs::op::{dot, norm2};
 use tepics::cs::{ComposedOperator, Dct2dDictionary};
 use tepics::prelude::*;
 use tepics::recovery::solver::norm_seeds;
-use tepics::recovery::{Fista, Ista, Recovery};
+use tepics::recovery::{Fista, Recovery};
 
 mod dense;
 use dense::{atom_images, pinned_columns};
@@ -90,7 +89,6 @@ fn textbook_descent(
     y: &[f64],
     lambda: f64,
     step: f64,
-    momentum: bool,
     max_iter: usize,
 ) -> Descent {
     let n = columns.len();
@@ -118,18 +116,14 @@ fn textbook_descent(
                 }
             })
             .collect();
-        if momentum {
-            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-            let beta = (t - 1.0) / t_next;
-            z = x
-                .iter()
-                .zip(&x_prev)
-                .map(|(&v, &p)| v + beta * (v - p))
-                .collect();
-            t = t_next;
-        } else {
-            z = x.clone();
-        }
+        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
+        let beta = (t - 1.0) / t_next;
+        z = x
+            .iter()
+            .zip(&x_prev)
+            .map(|(&v, &p)| v + beta * (v - p))
+            .collect();
+        t = t_next;
         let change: Vec<f64> = x.iter().zip(&x_prev).map(|(a, b)| a - b).collect();
         if norm2(&change) <= TOL * norm2(&x).max(1e-12) {
             return Descent {
@@ -168,15 +162,15 @@ fn assert_same_descent(got: &Recovery, want: &Descent, label: &str) {
     );
 }
 
-/// Production `Fista`, `Ista` and the non-debiased FISTA `Decoder`
-/// equal the textbook twin on 16×16 and 32×32 captures, mean-split with
-/// the DC atom pinned (see the module docs).
+/// Production `Fista` and the non-debiased FISTA `Decoder` equal the
+/// textbook twin on 16×16 and 32×32 captures, mean-split with the DC
+/// atom pinned (see the module docs).
 #[test]
-fn production_fista_and_ista_match_the_textbook_twin() {
+fn production_fista_matches_the_textbook_twin() {
     let mut stopped_by_rule = 0;
-    // (side, scenes, FISTA cap, ISTA cap): at 16×16 every run ends at
-    // its cap; at 32×32 FISTA stops by the relative-change rule.
-    for &(side, scenes, fista_cap, ista_cap) in &[(16usize, 3u64, 300, 300), (32, 1, 1500, 300)] {
+    // (side, scenes, cap): at 16×16 every run ends at its cap; at 32×32
+    // FISTA stops by the relative-change rule.
+    for &(side, scenes, fista_cap) in &[(16usize, 3u64, 300), (32, 1, 1500)] {
         let imager = CompressiveImager::builder(side, side)
             .ratio(0.35)
             .seed(0xF157A + side as u64)
@@ -202,8 +196,7 @@ fn production_fista_and_ista_match_the_textbook_twin() {
         let atoms = atom_images(side, side);
         let pinned = ZeroMeanDictionary::new(Dct2dDictionary::new(side, side), 0);
         let a = ComposedOperator::new(&phi, &pinned);
-        let step_of = |seed| norm_seeds::step(norm_seeds::estimate(&a, seed));
-        let (fista_step, ista_step) = (step_of(norm_seeds::FISTA), step_of(norm_seeds::ISTA));
+        let fista_step = norm_seeds::step(norm_seeds::estimate(&a, norm_seeds::FISTA));
         for (f, frame) in frames.iter().enumerate() {
             let label = format!("{side}x{side} K={k} frame {f}");
             let y: Vec<f64> = frame.samples.iter().map(|&s| f64::from(s)).collect();
@@ -211,7 +204,7 @@ fn production_fista_and_ista_match_the_textbook_twin() {
             let resid: Vec<f64> = y.iter().zip(&counts).map(|(v, c)| v - mean * c).collect();
             let lambda = ratio_lambda(&columns, &resid, LAMBDA_RATIO);
 
-            let twin = textbook_descent(&columns, &resid, lambda, fista_step, true, fista_cap);
+            let twin = textbook_descent(&columns, &resid, lambda, fista_step, fista_cap);
             stopped_by_rule += usize::from(twin.converged);
             let got = Fista::new()
                 .lambda(lambda)
@@ -244,15 +237,6 @@ fn production_fista_and_ista_match_the_textbook_twin() {
                 worst <= CODE_TOL,
                 "{label}: decoded codes deviate by {worst:e}"
             );
-
-            let twin = textbook_descent(&columns, &resid, lambda, ista_step, false, ista_cap);
-            let got = Ista::new()
-                .lambda(lambda)
-                .step(ista_step)
-                .max_iter(ista_cap)
-                .solve(&a, &resid)
-                .unwrap();
-            assert_same_descent(&got, &twin, &format!("{label} ISTA"));
         }
     }
     assert!(stopped_by_rule > 0, "no FISTA run stopped by the rule");

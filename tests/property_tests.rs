@@ -361,15 +361,14 @@ fn fast_phi_matches_bruteforce_at_random_geometries() {
 }
 
 /// Solver-workspace reuse is value-transparent: a warm workspace solve
-/// equals a cold solve bit for bit, across *all eight* solver
-/// algorithms (FISTA, ISTA, IHT, AMP, OMP, CoSaMP, CGLS, debias) and
-/// problem sizes. Extends the PR 3 test, which covered only the
-/// proximal/thresholding family.
+/// equals a cold solve bit for bit, across *all six* solver
+/// algorithms (FISTA, IHT, OMP, CoSaMP, CGLS, debias) and problem
+/// sizes.
 #[test]
 fn workspace_reuse_is_bit_identical_for_all_solvers() {
     use tepics::cs::{DenseMatrix, LinearOperator};
     use tepics::recovery::cg::Cgls;
-    use tepics::recovery::{Amp, CoSaMp, Debias, Fista, Iht, Ista, Omp, Solver, SolverWorkspace};
+    use tepics::recovery::{CoSaMp, Debias, Fista, Iht, Omp, Solver, SolverWorkspace};
     let mut rng = SplitMix64::new(0x5073);
     let mut ws = SolverWorkspace::new();
     for case in 0..8 {
@@ -383,18 +382,14 @@ fn workspace_reuse_is_bit_identical_for_all_solvers() {
         let y = a.apply_vec(&x);
         let mut fista = Fista::new();
         fista.max_iter(60);
-        let mut ista = Ista::new();
-        ista.max_iter(60);
         let mut iht = Iht::new(2);
         iht.max_iter(60);
-        let mut amp = Amp::new();
-        amp.max_iter(40);
         let omp = Omp::new(3);
         let mut cosamp = CoSaMp::new(2);
         cosamp.max_iter(10);
         let cgls = Cgls::new(40, 1e-10);
         let debias = Debias::new(&fista, 6);
-        let solvers: [&dyn Solver; 8] = [&fista, &ista, &iht, &amp, &omp, &cosamp, &cgls, &debias];
+        let solvers: [&dyn Solver; 6] = [&fista, &iht, &omp, &cosamp, &cgls, &debias];
         for solver in solvers {
             let name = solver.caps().name;
             let cold = solver.solve(&a, &y).unwrap();
@@ -415,7 +410,7 @@ fn solver_trait_dispatch_is_bit_identical_to_direct_calls() {
     use tepics::cs::{DenseMatrix, LinearOperator};
     use tepics::recovery::cg::Cgls;
     use tepics::recovery::debias::debias;
-    use tepics::recovery::{Amp, CoSaMp, Debias, Fista, Iht, Ista, Omp, Solver, SolverWorkspace};
+    use tepics::recovery::{CoSaMp, Debias, Fista, Iht, Omp, Solver, SolverWorkspace};
     let mut rng = SplitMix64::new(0xD15_7A7C);
     for case in 0..8 {
         let rows = 12 + rng.next_below(18) as usize;
@@ -436,26 +431,12 @@ fn solver_trait_dispatch_is_bit_identical_to_direct_calls() {
             fista.solve_with(&a, &y, &mut ws).unwrap(),
             "case {case}: fista"
         );
-        let mut ista = Ista::new();
-        ista.max_iter(50);
-        assert_eq!(
-            Solver::solve_with(&ista, &a, &y, &mut ws).unwrap(),
-            ista.solve_with(&a, &y, &mut ws).unwrap(),
-            "case {case}: ista"
-        );
         let mut iht = Iht::new(2);
         iht.max_iter(50);
         assert_eq!(
             Solver::solve_with(&iht, &a, &y, &mut ws).unwrap(),
             iht.solve_with(&a, &y, &mut ws).unwrap(),
             "case {case}: iht"
-        );
-        let mut amp = Amp::new();
-        amp.max_iter(30);
-        assert_eq!(
-            Solver::solve_with(&amp, &a, &y, &mut ws).unwrap(),
-            amp.solve_with(&a, &y, &mut ws).unwrap(),
-            "case {case}: amp"
         );
         let omp = Omp::new(3);
         assert_eq!(

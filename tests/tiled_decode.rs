@@ -1,7 +1,8 @@
 //! Integration: the tiled decode path — geometry-first capture through
 //! v2 wire streams, stitched reconstruction invariance across tile
-//! sizes and thread counts, v1 backward compatibility, hostile-header
-//! robustness, and operator-cache byte budgets under tiled load.
+//! sizes and thread counts, a composed stitching oracle, v1 backward
+//! compatibility, hostile-header robustness, and operator-cache byte
+//! budgets under tiled load.
 
 use std::sync::Arc;
 
@@ -88,6 +89,114 @@ fn stitched_decode_is_thread_count_invariant() {
                 decoded, reference,
                 "seed {seed:#x}: threads = {threads} diverged"
             );
+        }
+    }
+}
+
+/// A naive stitch of per-tile code images following `layout`: each
+/// pixel is the weighted mean of the tiles that cover it, weighted 1
+/// under `Average` and, under `Feather`, by the product over both axes
+/// of the distance to the tile's nearer edge (counting the edge pixel
+/// as 1), capped at `overlap + 1`.
+fn naive_stitch(tiles: &[ImageF64], layout: &TileLayout) -> Vec<f64> {
+    let frame = layout.frame();
+    let ramp = |d: usize, extent: usize| match layout.blend() {
+        BlendMode::Average => 1.0,
+        BlendMode::Feather => (d + 1).min(extent - d).min(layout.overlap() + 1) as f64,
+    };
+    let mut out = Vec::with_capacity(frame.pixels());
+    for y in 0..frame.height() {
+        for x in 0..frame.width() {
+            let (mut sum, mut weight) = (0.0, 0.0);
+            for (tile, r) in tiles.iter().zip(layout.rects()) {
+                if (r.x..r.x + r.w).contains(&x) && (r.y..r.y + r.h).contains(&y) {
+                    let (dx, dy) = (x - r.x, y - r.y);
+                    let w = ramp(dx, r.w) * ramp(dy, r.h);
+                    sum += w * tile.get(dx, dy);
+                    weight += w;
+                }
+            }
+            out.push(sum / weight);
+        }
+    }
+    out
+}
+
+/// Composed stitching oracle: a tiled session decode equals, within
+/// 1e-10 per code, the untiled `Decoder` run on each tile record of the
+/// stream (the decoder the OMP and FISTA oracles pin to textbook twins)
+/// and stitched naively here. The 44×30 frame in 16-px tiles with
+/// overlap 4 shifts the last tile column and row back to the frame
+/// edge, so those tiles overlap their neighbors by more than 4 px.
+#[test]
+fn tiled_decode_equals_a_naive_stitch_of_untiled_tile_decodes() {
+    let solvers = [
+        RecoveryParams::exact_sparse(30),
+        RecoveryParams {
+            solver: SolverKind::Fista {
+                lambda_ratio: 0.02,
+                max_iter: 150,
+                debias: false,
+            },
+            dictionary: DictionaryKind::Dct2d,
+        },
+    ];
+    for blend in [BlendMode::Average, BlendMode::Feather] {
+        let imager = CompressiveImager::builder_for(FrameGeometry::new(44, 30))
+            .tiling(TileConfig::new(16).overlap(4).blend(blend))
+            .ratio(0.35)
+            .seed(0x5717C)
+            .fidelity(Fidelity::Functional)
+            .build()
+            .unwrap();
+        let mut enc = EncodeSession::new(imager).unwrap();
+        for i in 0..2 {
+            enc.capture(&Scene::natural_like().render(44, 30, 60 + i))
+                .unwrap();
+        }
+        let bytes = enc.into_bytes();
+        let mut parser = StreamParser::new();
+        parser.push_bytes(&bytes);
+        let mut records = Vec::new();
+        while let Some(record) = parser.next_frame().unwrap() {
+            records.push(record);
+        }
+        let layout = parser.tile_layout().unwrap().clone();
+        assert_eq!(layout.blend(), blend);
+        assert_eq!((layout.tiles_x(), layout.tiles_y()), (4, 3));
+        assert_eq!(records.len(), 2 * layout.tiles());
+        for params in solvers {
+            let label = format!("{blend:?} {}", params.solver.name());
+            let tiles: Vec<ImageF64> = records
+                .iter()
+                .map(|record| {
+                    let mut decoder = Decoder::for_frame(record).unwrap();
+                    decoder.params(params);
+                    decoder.reconstruct(record).unwrap().code_image().clone()
+                })
+                .collect();
+            for threads in [1, 2] {
+                let mut dec = DecodeSession::new();
+                dec.params(params).threads(threads);
+                let frames = dec.push_bytes(&bytes).unwrap();
+                assert_eq!(frames.len(), 2, "{label}: two stitched frames");
+                for (frame, group) in frames.iter().zip(tiles.chunks(layout.tiles())) {
+                    let want = naive_stitch(group, &layout);
+                    let worst = frame
+                        .reconstruction
+                        .code_image()
+                        .as_slice()
+                        .iter()
+                        .zip(&want)
+                        .map(|(got, want)| (got - want).abs())
+                        .fold(0.0f64, f64::max);
+                    assert!(
+                        worst <= 1e-10,
+                        "{label} threads {threads} frame {}: codes deviate by {worst:e}",
+                        frame.index
+                    );
+                }
+            }
         }
     }
 }

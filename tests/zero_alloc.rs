@@ -1,7 +1,7 @@
 //! Dynamic complement to `tepics-tidy`'s static `// tidy:alloc-free`
 //! regions: a counting global allocator proves at runtime that the warm
-//! solver loops (FISTA, ISTA, IHT and AMP on the shared iterative
-//! engine, OMP, CoSaMP), a warm Gram column and a warm two-block composed
+//! solver loops (FISTA and IHT on the shared iterative engine, OMP,
+//! CoSaMP), a warm Gram column and a warm two-block composed
 //! adjoint, the warm serial tiled-decode path and the per-sample
 //! capture loop do not touch the heap. OMP is measured without a Gram
 //! store, with one prefilled by an earlier solve, and with one full to
@@ -33,7 +33,7 @@ use tepics::cs::{
     XorMeasurement,
 };
 use tepics::prelude::*;
-use tepics::recovery::{Amp, CoSaMp, Fista, Iht, Ista, Omp, Solver, SolverWorkspace};
+use tepics::recovery::{CoSaMp, Fista, Iht, Omp, Solver, SolverWorkspace};
 use tepics::util::{BitVec, SplitMix64};
 
 struct CountingAllocator;
@@ -97,34 +97,24 @@ fn sparse_problem(m: usize, n: usize, k: usize, seed: u64) -> (DenseMatrix, Vec<
 type Budgeted = fn(usize) -> Box<dyn Solver>;
 
 /// Warm iterations of every solver on the shared iterative engine —
-/// FISTA, ISTA (FISTA's loop without momentum), IHT and AMP — allocate
-/// nothing: doubling `max_iter` leaves the allocation count unchanged,
-/// and that count is exactly the one documented allocation (the
-/// returned coefficient vector). Explicit steps (a norm, for AMP) skip
-/// the power iteration, which allocates and is cached elsewhere; a
-/// negative tolerance keeps every loop running to its full budget.
+/// FISTA and IHT — allocate nothing: doubling `max_iter` leaves the
+/// allocation count unchanged, and that count is exactly the one
+/// documented allocation (the returned coefficient vector). Explicit
+/// steps skip the power iteration, which allocates and is cached
+/// elsewhere; a negative tolerance keeps every loop running to its full
+/// budget.
 #[test]
 fn warm_fista_iterations_allocate_nothing() {
     let (a, y) = sparse_problem(64, 128, 8, 0xA110C);
-    let solvers: [(&str, Budgeted); 4] = [
+    let solvers: [(&str, Budgeted); 2] = [
         ("FISTA", |iters| {
             let mut s = Fista::new();
-            s.lambda_ratio(0.05).max_iter(iters).tol(-1.0).step(0.05);
-            Box::new(s)
-        }),
-        ("ISTA", |iters| {
-            let mut s = Ista::new();
             s.lambda_ratio(0.05).max_iter(iters).tol(-1.0).step(0.05);
             Box::new(s)
         }),
         ("IHT", |iters| {
             let mut s = Iht::new(8);
             s.max_iter(iters).tol(-1.0).step(0.05);
-            Box::new(s)
-        }),
-        ("AMP", |iters| {
-            let mut s = Amp::new();
-            s.max_iter(iters).tol(-1.0).operator_norm(2.5);
             Box::new(s)
         }),
     ];
