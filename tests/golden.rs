@@ -5,8 +5,10 @@
 //! field of every `DecodedFrame` (index, key flag, erased tiles, the
 //! code image's `f64` bits, `mean_code` bits, and the `SolveStats`),
 //! then the `DecodeReport` counters that do not depend on how frames
-//! are assembled. A refactor proves it kept behaviour bit for bit by
-//! leaving the table unchanged.
+//! are assembled. The last row pins the block-based CS baseline
+//! (`BlockCs`): its block samples and its reconstruction's `f64` bits.
+//! A refactor proves it kept behaviour bit for bit by leaving the table
+//! unchanged.
 //!
 //! The hash is FNV-1a 64, written out below so it never changes with
 //! the toolchain (`DefaultHasher` makes no such promise). When a row
@@ -268,7 +270,39 @@ fn compute_table() -> Vec<(String, u64)> {
         digest(&gapped, &frames, &dec.report()),
     ));
 
+    rows.push(("baseline/block8/32x32".into(), block_baseline_digest()));
+
     rows
+}
+
+/// The block-based CS baseline (`BlockCs`, 8-px blocks) on 32×32 ideal
+/// code images at a generous and a starved ratio: hashes every block
+/// sample and the reconstruction's `f64` bits.
+fn block_baseline_digest() -> u64 {
+    let imager = CompressiveImager::builder(32, 32)
+        .ratio(0.35)
+        .seed(0xB10C)
+        .fidelity(Fidelity::Functional)
+        .build()
+        .unwrap();
+    let mut h = Fnv::new();
+    for ratio in [0.25, 0.06] {
+        let bcs = BlockCs::new(32, 32, 8, ratio, 0xB10C).unwrap();
+        for scene in [Scene::natural_like(), Scene::gaussian_blobs(3)] {
+            let codes = imager.ideal_codes(&scene.render(32, 32, 50));
+            let frame = bcs.capture_codes(&codes);
+            h.usize(frame.k_per_block);
+            h.usize(frame.samples.len());
+            for &s in &frame.samples {
+                h.u64(u64::from(s));
+            }
+            let recon = bcs.reconstruct(&frame).unwrap();
+            for &v in recon.as_slice() {
+                h.f64(v);
+            }
+        }
+    }
+    h.0
 }
 
 /// The recorded behaviour, one `(config, hash)` row per configuration.
@@ -304,6 +338,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("erasure/NeighborBlend", 0x2dbebadb18d0d1b5),
     ("delta/compact", 0xc5e62a7317395643),
     ("delta/resilient-reanchor", 0xc34da1193c288b76),
+    ("baseline/block8/32x32", 0x0bb50500acc01185),
 ];
 
 #[test]
