@@ -9,15 +9,18 @@
 //!
 //! The baseline shares the sensor front-end: it operates on the same
 //! ideal code image the full-frame pipeline measures, so the comparison
-//! isolates the measurement *organization*.
+//! isolates the measurement *organization*. It also shares the codec's
+//! machinery: the block grid is a zero-overlap [`TileLayout`] (the
+//! tiled decode's splitter and stitcher), and each block's mean comes
+//! from the decoder's mean split.
 
+use crate::decoder::mean_split;
 use crate::error::CoreError;
 use tepics_cs::dictionary::{Dct2dDictionary, Dictionary, ZeroMeanDictionary};
 use tepics_cs::measurement::{DenseBinaryMeasurement, SelectionMeasurement};
-use tepics_cs::op;
-use tepics_cs::ComposedOperator;
-use tepics_imaging::block::{merge_blocks, split_blocks};
-use tepics_imaging::{ImageF64, ImageU8};
+use tepics_cs::{ComposedOperator, LinearOperator};
+use tepics_imaging::tile::{merge_tiles_sparse, split_tiles, TileLayout};
+use tepics_imaging::{FrameGeometry, ImageF64, ImageU8, TileConfig};
 use tepics_recovery::{debias::debias, Fista};
 
 /// A captured block-based frame.
@@ -68,8 +71,7 @@ impl BlockFrame {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockCs {
-    width: usize,
-    height: usize,
+    layout: TileLayout,
     block: usize,
     ratio: f64,
     seed: u64,
@@ -111,9 +113,12 @@ impl BlockCs {
                 "ratio {ratio} outside (0,1]"
             )));
         }
+        // The divisibility check above keeps every block in place: no
+        // edge tile is shifted back over its neighbour.
+        let layout = TileLayout::new(FrameGeometry::new(width, height), &TileConfig::new(block))
+            .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
         Ok(BlockCs {
-            width,
-            height,
+            layout,
             block,
             ratio,
             seed,
@@ -144,27 +149,24 @@ impl BlockCs {
     ///
     /// Panics if the image size does not match the pipeline.
     pub fn capture(&self, codes: &ImageF64) -> BlockFrame {
+        let geometry = self.layout.frame();
         assert_eq!(
             (codes.width(), codes.height()),
-            (self.width, self.height),
+            (geometry.width(), geometry.height()),
             "code image size mismatch"
         );
-        let tiles = split_blocks(codes, self.block);
+        let tiles = split_tiles(codes, &self.layout);
         let mut samples = Vec::with_capacity(tiles.len() * self.k_per_block());
         let mut y = vec![0.0; self.k_per_block()];
         for (b, tile) in tiles.iter().enumerate() {
-            let phi = self.block_measurement(b);
-            {
-                use tepics_cs::LinearOperator;
-                phi.apply(tile, &mut y);
-            }
+            self.block_measurement(b).apply(tile, &mut y);
             samples.extend(y.iter().map(|&v| v.round().max(0.0) as u32));
         }
         BlockFrame {
             block: self.block,
             k_per_block: self.k_per_block(),
-            width: self.width,
-            height: self.height,
+            width: geometry.width(),
+            height: geometry.height(),
             seed: self.seed,
             samples,
         }
@@ -183,9 +185,10 @@ impl BlockCs {
     /// Returns [`CoreError::FrameMismatch`] if the frame does not match
     /// this pipeline, or recovery errors from the per-block solver.
     pub fn reconstruct(&self, frame: &BlockFrame) -> Result<ImageF64, CoreError> {
+        let geometry = self.layout.frame();
         if frame.block != self.block
-            || frame.width != self.width
-            || frame.height != self.height
+            || frame.width != geometry.width()
+            || frame.height != geometry.height()
             || frame.seed != self.seed
             || frame.k_per_block != self.k_per_block()
         {
@@ -193,7 +196,7 @@ impl BlockCs {
                 "block frame does not match pipeline configuration".into(),
             ));
         }
-        let n_blocks = (self.width / self.block) * (self.height / self.block);
+        let n_blocks = self.layout.tiles();
         if frame.samples.len() != n_blocks * frame.k_per_block {
             return Err(CoreError::MalformedFrame(format!(
                 "expected {} samples, got {}",
@@ -211,19 +214,7 @@ impl BlockCs {
                 .iter()
                 .map(|&v| v as f64)
                 .collect();
-            // Per-block mean split.
-            let counts = phi.selection_counts();
-            let cc = op::dot(&counts, &counts);
-            let mu = if cc > 0.0 {
-                op::dot(&counts, &y) / cc
-            } else {
-                0.0
-            };
-            let resid: Vec<f64> = y
-                .iter()
-                .zip(&counts)
-                .map(|(&yi, &ci)| yi - mu * ci)
-                .collect();
+            let (mu, resid) = mean_split(&phi.selection_counts(), &y, 255.0);
             let a = ComposedOperator::new(&phi, &dict);
             let rec = Fista::new()
                 .lambda_ratio(0.02)
@@ -231,14 +222,16 @@ impl BlockCs {
                 .solve(&a, &resid)?;
             let rec = debias(&a, &resid, &rec, frame.k_per_block / 2)?;
             dict.synthesize_with(&rec.coefficients, &mut pixels, &mut dict_scratch);
-            tiles.push(
+            tiles.push(Some(
                 pixels
                     .iter()
                     .map(|&vi| (mu + vi).clamp(0.0, 255.0))
                     .collect(),
-            );
+            ));
         }
-        Ok(merge_blocks(&tiles, self.width, self.height, self.block))
+        // Zero overlap: every blend weight is 1, so the stitch copies
+        // each block's values unchanged.
+        Ok(merge_tiles_sparse(&tiles, &self.layout).0)
     }
 }
 

@@ -32,6 +32,7 @@ use tepics_cs::{ComposedOperator, XorMeasurement};
 use tepics_imaging::ImageF64;
 use tepics_recovery::solver::norm_seeds;
 use tepics_recovery::{Debias, SolveStats, Solver, SolverWorkspace};
+use tepics_sensor::photodiode::intensity_from_crossing;
 use tepics_sensor::{CodeTransfer, SensorConfig};
 
 /// Sparsifying dictionary families available to the decoder.
@@ -108,16 +109,29 @@ impl Reconstruction {
             CodeTransfer::Reciprocal => self.codes.map(|c| {
                 let t_arrival = config.initial_delay() + (c + 0.5) * config.t_clk();
                 let t_cross = (t_arrival - config.comparator_delay()).max(1e-12);
-                crate::decoder::intensity_from_crossing(config, t_cross)
+                intensity_from_crossing(config, t_cross)
             }),
         }
     }
 }
 
-/// Re-export of the photodiode inversion used by
-/// [`Reconstruction::to_intensity`].
-fn intensity_from_crossing(config: &SensorConfig, t: f64) -> f64 {
-    tepics_sensor::photodiode::intensity_from_crossing(config, t)
+/// Stage 1 of every decode: the least-squares scene mean
+/// `μ̂ = ⟨c, y⟩ / ⟨c, c⟩` from the selection counts `c`, clamped to
+/// `[0, code_max]` (0 when every count is zero), and the zero-mean
+/// residual `y − μ̂·c` that stage 2 recovers.
+pub(crate) fn mean_split(counts: &[f64], samples: &[f64], code_max: f64) -> (f64, Vec<f64>) {
+    let cc = op::dot(counts, counts);
+    let mean = if cc > 0.0 {
+        (op::dot(counts, samples) / cc).clamp(0.0, code_max)
+    } else {
+        0.0
+    };
+    let resid = samples
+        .iter()
+        .zip(counts)
+        .map(|(&yi, &ci)| yi - mean * ci)
+        .collect();
+    (mean, resid)
 }
 
 /// Receiver-side decoder bound to a frame's header.
@@ -262,17 +276,7 @@ impl Decoder {
         let code_max = f64::from((1u32 << self.header.code_bits) - 1);
         let y: Vec<f64> = frame.samples.iter().map(|&s| s as f64).collect();
         // Stage 1: mean split from the known selection counts.
-        let cc = op::dot(&counts, &counts);
-        let mean_code = if cc > 0.0 {
-            (op::dot(&counts, &y) / cc).clamp(0.0, code_max)
-        } else {
-            0.0
-        };
-        let resid: Vec<f64> = y
-            .iter()
-            .zip(counts.iter())
-            .map(|(&yi, &ci)| yi - mean_code * ci)
-            .collect();
+        let (mean_code, resid) = mean_split(&counts, &y, code_max);
         // Stage 2: sparse recovery of the zero-mean component, through
         // the unified Solver trait (dynamic dispatch; the concrete
         // solver lives on this stack frame).

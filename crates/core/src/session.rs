@@ -265,9 +265,10 @@ pub enum ErasurePolicy {
 pub struct DecodeReport {
     /// Frames decoded from fully intact records.
     pub frames_recovered: usize,
-    /// Frames emitted with at least one erased tile (resilient tiled
-    /// streams under [`ErasurePolicy::FlaggedZero`] /
-    /// [`ErasurePolicy::NeighborBlend`]).
+    /// Frames emitted with at least one erased tile (tiled streams
+    /// under [`ErasurePolicy::FlaggedZero`] /
+    /// [`ErasurePolicy::NeighborBlend`]: a tile missing or corrupt on a
+    /// resilient wire, or broken down on any wire version).
     pub frames_degraded: usize,
     /// Frame positions known to exist (from sequence numbers) that were
     /// never emitted: every record lost, every tile broken down, or
@@ -428,7 +429,8 @@ pub struct DecodeSession {
     /// Reused solver buffers of the inline executor: one allocation for
     /// the whole stream.
     workspace: SolverWorkspace,
-    /// Erased-tile handling for resilient tiled streams.
+    /// Erased-tile handling on tiled streams: tiles lost on a resilient
+    /// wire, or broken down on any wire version.
     policy: ErasurePolicy,
     /// Cumulative degradation accounting.
     report: DecodeReport,
@@ -503,9 +505,10 @@ impl DecodeSession {
         self.parser.tile_layout()
     }
 
-    /// Sets how tile groups with erased tiles are handled on resilient
-    /// (version-3) tiled streams (default
-    /// [`ErasurePolicy::NeighborBlend`]).
+    /// Sets how tile groups with erased tiles are handled on tiled
+    /// streams (default [`ErasurePolicy::NeighborBlend`]): tiles missing
+    /// or corrupt on a resilient (version-3) wire, and on any wire
+    /// version tiles whose solve broke down numerically.
     pub fn erasure_policy(&mut self, policy: ErasurePolicy) -> &mut Self {
         self.policy = policy;
         self

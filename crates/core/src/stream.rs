@@ -330,8 +330,8 @@ impl StreamWriter {
         self.version
     }
 
-    /// The tile layout of a tiled (version-2) stream, `None` for
-    /// version 1.
+    /// The tile layout of a tiled stream (version 2, or version 3 with
+    /// the tiled flag); `None` for an untiled stream.
     pub fn tile_layout(&self) -> Option<&TileLayout> {
         self.layout.as_ref()
     }
@@ -516,9 +516,9 @@ impl StreamParser {
         self.header.as_ref()
     }
 
-    /// The tile layout of a tiled (version-2) stream, once its header
-    /// has been parsed; `None` for version-1 streams (and before the
-    /// header arrives).
+    /// The tile layout of a tiled stream (version 2, or version 3 with
+    /// the tiled flag), once its header has been parsed; `None` for an
+    /// untiled stream (and before the header arrives).
     pub fn tile_layout(&self) -> Option<&TileLayout> {
         self.layout.as_ref()
     }

@@ -13,8 +13,8 @@
 //! * [`measurement`] — the measurement ensembles: the paper's
 //!   XOR-structured CA strategy ([`XorMeasurement`]), dense binary
 //!   ensembles (Bernoulli / thresholded Gaussian / LFSR / Hadamard via
-//!   any [`tepics_ca::BitPatternSource`]), and the block-diagonal
-//!   ensemble of block-based CS.
+//!   any [`tepics_ca::BitPatternSource`]); the block-based CS baseline
+//!   measures each block with its own dense ensemble.
 //! * [`dictionary`] — sparsifying dictionaries Ψ (2-D DCT, Haar,
 //!   identity) plus the zero-mean wrapper used by the mean-split
 //!   decoder.
@@ -68,6 +68,6 @@ pub use dictionary::{Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDict
 pub use fused::{FusedScratch, RowStagedDictionary, RowStreamedOperator, StagedDictionary};
 pub use gram::GramStore;
 pub use mat::DenseMatrix;
-pub use measurement::{BlockDiagonalMeasurement, DenseBinaryMeasurement, XorMeasurement};
+pub use measurement::{DenseBinaryMeasurement, XorMeasurement};
 pub use op::LinearOperator;
 pub use operator::{ComposedOperator, ComposedScratch, SignedMeasurementOp};

@@ -1,7 +1,7 @@
 //! Binary measurement ensembles.
 //!
 //! The sensor's compressed samples are sums of *selected* pixels:
-//! `y_k = Σ_{i ∈ mask_k} x_i`, i.e. Φ is a 0/1 matrix. Three physical
+//! `y_k = Σ_{i ∈ mask_k} x_i`, i.e. Φ is a 0/1 matrix. Two physical
 //! layouts are modeled:
 //!
 //! * [`XorMeasurement`] — the paper's full-frame strategy: pixel `(i,j)`
@@ -12,20 +12,16 @@
 //! * [`DenseBinaryMeasurement`] — explicit per-row masks, used for the
 //!   idealized Bernoulli/thresholded-Gaussian baselines and for LFSR /
 //!   Hadamard strategies (any [`BitPatternSource`](tepics_ca::BitPatternSource) of full pixel-count
-//!   patterns).
-//! * [`BlockDiagonalMeasurement`] — the block-based CS baseline
-//!   (refs. \[6–8\], \[11\]): independent small dense ensembles per image
-//!   block.
+//!   patterns). The block-based CS baseline (refs. \[6–8\], \[11\])
+//!   measures each image block with one of these.
 //!
 //! All ensembles implement [`LinearOperator`] (0/1 arithmetic in `f64`)
 //! and [`SelectionMeasurement`] (mask access + per-row selection counts,
 //! which the mean-split decoder needs).
 
-mod block;
 mod dense;
 mod xor;
 
-pub use block::BlockDiagonalMeasurement;
 pub use dense::DenseBinaryMeasurement;
 pub use xor::XorMeasurement;
 
@@ -114,12 +110,6 @@ mod tests {
     fn dense_measurement_consistency() {
         let m = DenseBinaryMeasurement::bernoulli(15, 64, 5, 0.5);
         check_operator_matches_masks(&m, 2);
-    }
-
-    #[test]
-    fn block_measurement_consistency() {
-        let m = BlockDiagonalMeasurement::bernoulli(4, 16, 6, 9, 0.5);
-        check_operator_matches_masks(&m, 3);
     }
 
     #[test]

@@ -13,13 +13,11 @@
 //! * [`metrics`] — MSE / MAE / PSNR / SSIM.
 //! * [`transforms`] — orthonormal 2-D DCT and Haar wavelet transforms,
 //!   the sparsifying dictionaries Ψ of the decoder.
-//! * [`block`] — 8×8-style block split/merge for block-based CS
-//!   baselines (paper refs. \[6–8\], \[11\]).
 //! * [`tile`] — frame geometry and overlapped tile decomposition for
 //!   block-parallel decoding of large frames ([`FrameGeometry`],
-//!   [`TileConfig`], [`tile::TileLayout`]).
-//! * [`sparsity`] — compressibility measurements (top-k energy, k-term
-//!   approximation error, Gini index).
+//!   [`TileConfig`], [`tile::TileLayout`]); at zero overlap it is also
+//!   the block grid of the block-based CS baseline (paper refs.
+//!   \[6–8\], \[11\]).
 //!
 //! # Examples
 //!
@@ -35,12 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod image;
 pub mod io;
 pub mod metrics;
 pub mod scenes;
-pub mod sparsity;
 pub mod tile;
 pub mod transforms;
 

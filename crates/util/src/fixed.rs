@@ -125,45 +125,6 @@ impl SaturatingAccumulator {
     }
 }
 
-/// A free-running wrap-around counter of `bits` width, modeling the
-/// sensor's global time counter sampled by the TDC.
-///
-/// # Examples
-///
-/// ```
-/// use tepics_util::fixed::WrappingCounter;
-///
-/// let c = WrappingCounter::new(8);
-/// assert_eq!(c.value_at(255), 255);
-/// assert_eq!(c.value_at(256), 0); // 8-bit wrap
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WrappingCounter {
-    bits: u32,
-}
-
-impl WrappingCounter {
-    /// Creates a counter of the given width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits == 0` or `bits > 63`.
-    pub fn new(bits: u32) -> Self {
-        assert!(bits > 0 && bits <= 63, "unsupported counter width {bits}");
-        WrappingCounter { bits }
-    }
-
-    /// Counter value after `ticks` clock edges since reset.
-    pub fn value_at(&self, ticks: u64) -> u64 {
-        ticks & max_value(self.bits)
-    }
-
-    /// Number of representable states (`2^bits`).
-    pub fn states(&self) -> u64 {
-        1u64 << self.bits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,14 +176,6 @@ mod tests {
             "Eq. (1) guarantees no clipping at 20 bits"
         );
         assert_eq!(acc.value(), 4096 * 255);
-    }
-
-    #[test]
-    fn wrapping_counter_wraps() {
-        let c = WrappingCounter::new(8);
-        assert_eq!(c.states(), 256);
-        assert_eq!(c.value_at(0), 0);
-        assert_eq!(c.value_at(257), 1);
     }
 
     #[test]

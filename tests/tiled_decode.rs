@@ -1,12 +1,17 @@
 //! Integration: the tiled decode path — geometry-first capture through
 //! v2 wire streams, stitched reconstruction invariance across tile
-//! sizes and thread counts, a composed stitching oracle, v1 backward
-//! compatibility, hostile-header robustness, and operator-cache byte
-//! budgets under tiled load.
+//! sizes and thread counts, a composed stitching oracle (with and
+//! without erased tiles), v1 backward compatibility, hostile-header
+//! robustness, and operator-cache byte budgets under tiled load.
 
 use std::sync::Arc;
 
-use tepics::core::stream::{StreamParser, STREAM_VERSION, STREAM_VERSION_TILED};
+use std::collections::VecDeque;
+
+use tepics::core::stream::{
+    StreamParser, RESILIENT_RECORD_PREFIX_BYTES, RESILIENT_TILED_HEADER_BYTES, STREAM_VERSION,
+    STREAM_VERSION_TILED, SYNC_INTERVAL,
+};
 use tepics::prelude::*;
 use tepics::util::SplitMix64;
 
@@ -94,11 +99,12 @@ fn stitched_decode_is_thread_count_invariant() {
 }
 
 /// A naive stitch of per-tile code images following `layout`: each
-/// pixel is the weighted mean of the tiles that cover it, weighted 1
-/// under `Average` and, under `Feather`, by the product over both axes
-/// of the distance to the tile's nearer edge (counting the edge pixel
-/// as 1), capped at `overlap + 1`.
-fn naive_stitch(tiles: &[ImageF64], layout: &TileLayout) -> Vec<f64> {
+/// pixel is the weighted mean of the surviving (`Some`) tiles that
+/// cover it, weighted 1 under `Average` and, under `Feather`, by the
+/// product over both axes of the distance to the tile's nearer edge
+/// (counting the edge pixel as 1), capped at `overlap + 1`. A pixel no
+/// surviving tile covers is 0.0 and `None` in the returned mask.
+fn naive_stitch(tiles: &[Option<ImageF64>], layout: &TileLayout) -> Vec<Option<f64>> {
     let frame = layout.frame();
     let ramp = |d: usize, extent: usize| match layout.blend() {
         BlendMode::Average => 1.0,
@@ -109,6 +115,7 @@ fn naive_stitch(tiles: &[ImageF64], layout: &TileLayout) -> Vec<f64> {
         for x in 0..frame.width() {
             let (mut sum, mut weight) = (0.0, 0.0);
             for (tile, r) in tiles.iter().zip(layout.rects()) {
+                let Some(tile) = tile else { continue };
                 if (r.x..r.x + r.w).contains(&x) && (r.y..r.y + r.h).contains(&y) {
                     let (dx, dy) = (x - r.x, y - r.y);
                     let w = ramp(dx, r.w) * ramp(dy, r.h);
@@ -116,10 +123,69 @@ fn naive_stitch(tiles: &[ImageF64], layout: &TileLayout) -> Vec<f64> {
                     weight += w;
                 }
             }
-            out.push(sum / weight);
+            out.push((weight > 0.0).then(|| sum / weight));
         }
     }
     out
+}
+
+/// Fills the uncovered (`None`) pixels of a naive stitch by inward
+/// diffusion, written independently of the library: a BFS over
+/// 4-neighbours gives each pixel its distance to the covered set, and
+/// then, in order of distance, each uncovered pixel takes the mean of
+/// its 4-neighbours one step closer to that set.
+fn diffuse(stitched: &[Option<f64>], width: usize) -> Vec<f64> {
+    let height = stitched.len() / width;
+    let neighbours = |i: usize| {
+        let (x, y) = (i % width, i / width);
+        [
+            (x > 0).then(|| i - 1),
+            (x + 1 < width).then(|| i + 1),
+            (y > 0).then(|| i - width),
+            (y + 1 < height).then(|| i + width),
+        ]
+        .into_iter()
+        .flatten()
+    };
+    let mut dist = vec![usize::MAX; stitched.len()];
+    let mut queue = VecDeque::new();
+    for (i, v) in stitched.iter().enumerate() {
+        if v.is_some() {
+            dist[i] = 0;
+            queue.push_back(i);
+        }
+    }
+    let mut order = Vec::new();
+    while let Some(i) = queue.pop_front() {
+        for j in neighbours(i) {
+            if dist[j] == usize::MAX {
+                dist[j] = dist[i] + 1;
+                queue.push_back(j);
+                order.push(j);
+            }
+        }
+    }
+    let mut out: Vec<f64> = stitched.iter().map(|v| v.unwrap_or(0.0)).collect();
+    for i in order {
+        let closer: Vec<f64> = neighbours(i)
+            .filter(|&j| dist[j] + 1 == dist[i])
+            .map(|j| out[j])
+            .collect();
+        out[i] = closer.iter().sum::<f64>() / closer.len() as f64;
+    }
+    out
+}
+
+/// The largest per-code deviation between a decoded frame and `want`.
+fn worst_deviation(frame: &DecodedFrame, want: &[f64]) -> f64 {
+    frame
+        .reconstruction
+        .code_image()
+        .as_slice()
+        .iter()
+        .zip(want)
+        .map(|(got, want)| (got - want).abs())
+        .fold(0.0f64, f64::max)
 }
 
 /// Composed stitching oracle: a tiled session decode equals, within
@@ -181,21 +247,100 @@ fn tiled_decode_equals_a_naive_stitch_of_untiled_tile_decodes() {
                 let frames = dec.push_bytes(&bytes).unwrap();
                 assert_eq!(frames.len(), 2, "{label}: two stitched frames");
                 for (frame, group) in frames.iter().zip(tiles.chunks(layout.tiles())) {
-                    let want = naive_stitch(group, &layout);
-                    let worst = frame
-                        .reconstruction
-                        .code_image()
-                        .as_slice()
-                        .iter()
-                        .zip(&want)
-                        .map(|(got, want)| (got - want).abs())
-                        .fold(0.0f64, f64::max);
+                    let group: Vec<Option<ImageF64>> = group.iter().cloned().map(Some).collect();
+                    let want: Vec<f64> = naive_stitch(&group, &layout)
+                        .into_iter()
+                        .map(|v| v.expect("a full tile set covers every pixel"))
+                        .collect();
+                    let worst = worst_deviation(frame, &want);
                     assert!(
                         worst <= 1e-10,
                         "{label} threads {threads} frame {}: codes deviate by {worst:e}",
                         frame.index
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Erasure-fill oracle: a resilient tiled stream whose damaged tile
+/// records fail their payload CRC decodes, under `FlaggedZero` and
+/// `NeighborBlend` at threads 1 and 2, to within 1e-10 of the untiled
+/// `Decoder` run on each surviving record, stitched naively with the
+/// erased tiles left out, and — for `NeighborBlend` — the uncovered
+/// pixels filled by this file's own diffusion. Frame 0 loses its
+/// top-left tile (a corner hole); frame 1 loses its whole middle tile
+/// column (a strip filled from both sides); frame 2 is clean.
+#[test]
+fn erased_tiles_fill_like_a_naive_stitch_plus_diffusion() {
+    let params = RecoveryParams::exact_sparse(30);
+    let imager = tiled_imager(16, 4, 0xF111);
+    let layout = imager.tile_layout().unwrap().clone();
+    assert_eq!((layout.tiles_x(), layout.tiles_y()), (3, 2));
+    let mut enc = EncodeSession::with_profile(imager, WireProfile::Resilient).unwrap();
+    for i in 0..3 {
+        enc.capture(&Scene::natural_like().render(40, 28, 70 + i))
+            .unwrap();
+    }
+    let mut bytes = enc.into_bytes();
+    let mut parser = StreamParser::new();
+    parser.push_bytes(&bytes);
+    let mut records = Vec::new();
+    while let Some(record) = parser.next_frame().unwrap() {
+        records.push(record);
+    }
+    assert_eq!(records.len(), 3 * layout.tiles());
+
+    // Every record has the same length; a sync word precedes every
+    // `SYNC_INTERVAL`-th one. Flip one payload byte of each erased
+    // record so its payload CRC fails.
+    let record_len = RESILIENT_RECORD_PREFIX_BYTES
+        + (records[0].sample_count() * records[0].header.sample_bits as usize).div_ceil(8)
+        + 1;
+    let erased = [0, layout.tiles() + 1, layout.tiles() + 4];
+    for &seq in &erased {
+        let start = RESILIENT_TILED_HEADER_BYTES + 4 * (seq / SYNC_INTERVAL + 1) + seq * record_len;
+        bytes[start + RESILIENT_RECORD_PREFIX_BYTES + 1] ^= 0xFF;
+    }
+
+    let tiles: Vec<Option<ImageF64>> = records
+        .iter()
+        .enumerate()
+        .map(|(seq, record)| {
+            (!erased.contains(&seq)).then(|| {
+                let mut decoder = Decoder::for_frame(record).unwrap();
+                decoder.params(params);
+                decoder.reconstruct(record).unwrap().code_image().clone()
+            })
+        })
+        .collect();
+    let width = layout.frame().width();
+    for policy in [ErasurePolicy::FlaggedZero, ErasurePolicy::NeighborBlend] {
+        for threads in [1, 2] {
+            let label = format!("{policy:?} threads {threads}");
+            let mut dec = DecodeSession::new();
+            dec.params(params).threads(threads).erasure_policy(policy);
+            let mut frames = dec.push_bytes(&bytes).unwrap();
+            frames.extend(dec.finish().unwrap());
+            assert_eq!(frames.len(), 3, "{label}: every frame is emitted");
+            let report = dec.report();
+            assert_eq!(report.tiles_erased, erased.len(), "{label}");
+            assert_eq!(report.frames_degraded, 2, "{label}");
+            for (frame, group) in frames.iter().zip(tiles.chunks(layout.tiles())) {
+                let missing = group.iter().filter(|t| t.is_none()).count();
+                assert_eq!(frame.erased_tiles, missing, "{label} frame {}", frame.index);
+                let stitched = naive_stitch(group, &layout);
+                let want = match policy {
+                    ErasurePolicy::NeighborBlend => diffuse(&stitched, width),
+                    _ => stitched.iter().map(|v| v.unwrap_or(0.0)).collect(),
+                };
+                let worst = worst_deviation(frame, &want);
+                assert!(
+                    worst <= 1e-10,
+                    "{label} frame {}: codes deviate by {worst:e}",
+                    frame.index
+                );
             }
         }
     }
