@@ -5,8 +5,10 @@
 //! field of every `DecodedFrame` (index, key flag, erased tiles, the
 //! code image's `f64` bits, `mean_code` bits, and the `SolveStats`),
 //! then the `DecodeReport` counters that do not depend on how frames
-//! are assembled. The last row pins the block-based CS baseline
-//! (`BlockCs`): its block samples and its reconstruction's `f64` bits.
+//! are assembled. The last two rows pin the block-based CS baseline
+//! (`BlockCs`): its block samples and its reconstruction's `f64` bits,
+//! and an `EventAccurate` capture: its samples and every `EventStats`
+//! field, so the column-bus arbitration is pinned too.
 //! A refactor proves it kept behaviour bit for bit by leaving the table
 //! unchanged.
 //!
@@ -271,6 +273,10 @@ fn compute_table() -> Vec<(String, u64)> {
     ));
 
     rows.push(("baseline/block8/32x32".into(), block_baseline_digest()));
+    rows.push((
+        "capture/event-accurate/32x32".into(),
+        event_capture_digest(),
+    ));
 
     rows
 }
@@ -300,6 +306,43 @@ fn block_baseline_digest() -> u64 {
             for &v in recon.as_slice() {
                 h.f64(v);
             }
+        }
+    }
+    h.0
+}
+
+/// Two seeded `EventAccurate` captures at the default event timing
+/// (5 ns events, 1 ns release), where pixels contend for their column
+/// bus: hashes every sample and every `EventStats` field, `max_delay`
+/// by its bits and the whole `code_error_lsb` histogram.
+fn event_capture_digest() -> u64 {
+    let imager = CompressiveImager::builder(32, 32)
+        .ratio(0.4)
+        .seed(0xE7E7)
+        .fidelity(Fidelity::EventAccurate)
+        .build()
+        .unwrap();
+    let mut h = Fnv::new();
+    for scene in [Scene::natural_like(), Scene::Uniform(0.45)] {
+        let (frame, stats) = imager.capture_with_stats(&scene.render(32, 32, 60));
+        assert!(stats.queued_pulses > 0, "the capture must contend");
+        h.usize(frame.samples.len());
+        for &s in &frame.samples {
+            h.u64(u64::from(s));
+        }
+        for count in [
+            stats.total_pulses,
+            stats.queued_pulses,
+            stats.missed_pulses,
+            stats.column_overflows,
+            stats.sample_overflows,
+        ] {
+            h.u64(count);
+        }
+        h.f64(stats.max_delay);
+        h.usize(stats.code_error_lsb.len());
+        for &bin in &stats.code_error_lsb {
+            h.u64(bin);
         }
     }
     h.0
@@ -339,6 +382,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("delta/compact", 0xc5e62a7317395643),
     ("delta/resilient-reanchor", 0xc34da1193c288b76),
     ("baseline/block8/32x32", 0x0bb50500acc01185),
+    ("capture/event-accurate/32x32", 0xc14aae5613b8f9b2),
 ];
 
 #[test]
