@@ -1,4 +1,4 @@
-//! Cholesky factorization, including the growing variant for greedy
+//! Cholesky factorization grown one atom at a time, for greedy
 //! pursuit.
 //!
 //! OMP repeatedly solves least-squares systems whose support grows by
@@ -15,7 +15,6 @@
 //! are bit-identical to solving from scratch. One O(k²) back
 //! substitution per call remains.
 
-use crate::mat::DenseMatrix;
 use std::fmt;
 
 /// Error returned when a matrix is not (numerically) symmetric positive
@@ -33,95 +32,6 @@ impl fmt::Display for NotSpdError {
 }
 
 impl std::error::Error for NotSpdError {}
-
-/// Lower-triangular Cholesky factor `L` with `L Lᵀ = A`.
-///
-/// # Examples
-///
-/// ```
-/// use tepics_cs::chol::Cholesky;
-/// use tepics_cs::DenseMatrix;
-///
-/// let a = DenseMatrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
-/// let chol = Cholesky::factor(&a).unwrap();
-/// let x = chol.solve(&[8.0, 7.0]);
-/// assert!((x[0] - 1.25).abs() < 1e-12);
-/// assert!((x[1] - 1.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cholesky {
-    n: usize,
-    /// Row-major lower triangle (full n×n storage for simplicity).
-    l: Vec<f64>,
-}
-
-impl Cholesky {
-    /// Factors a symmetric positive definite matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotSpdError`] if a pivot is not strictly positive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn factor(a: &DenseMatrix) -> Result<Cholesky, NotSpdError> {
-        assert_eq!(a.row_count(), a.col_count(), "matrix must be square");
-        let n = a.row_count();
-        let mut l = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a.get(i, j);
-                for k in 0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(NotSpdError { pivot: i });
-                    }
-                    l[i * n + i] = sum.sqrt();
-                } else {
-                    l[i * n + j] = sum / l[j * n + j];
-                }
-            }
-        }
-        Ok(Cholesky { n, l })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A x = b` via forward/backward substitution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let n = self.n;
-        // Forward: L z = b.
-        let mut z = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for (k, &zk) in z.iter().enumerate().take(i) {
-                sum -= self.l[i * n + k] * zk;
-            }
-            z[i] = sum / self.l[i * n + i];
-        }
-        // Backward: Lᵀ x = z.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = z[i];
-            for (k, &xk) in x.iter().enumerate().skip(i + 1) {
-                sum -= self.l[k * n + i] * xk;
-            }
-            x[i] = sum / self.l[i * n + i];
-        }
-        x
-    }
-}
 
 /// Incrementally grown Cholesky factorization of a Gram matrix.
 ///
@@ -281,6 +191,65 @@ impl GrowingCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mat::DenseMatrix;
+
+    /// The dense factorization `L Lᵀ = A`, refactored from scratch:
+    /// the oracle for [`GrowingCholesky`].
+    struct Cholesky {
+        n: usize,
+        /// Row-major lower triangle (full n×n storage for simplicity).
+        l: Vec<f64>,
+    }
+
+    impl Cholesky {
+        fn factor(a: &DenseMatrix) -> Result<Cholesky, NotSpdError> {
+            assert_eq!(a.row_count(), a.col_count(), "matrix must be square");
+            let n = a.row_count();
+            let mut l = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = a.get(i, j);
+                    for k in 0..j {
+                        sum -= l[i * n + k] * l[j * n + k];
+                    }
+                    if i == j {
+                        if sum <= 0.0 {
+                            return Err(NotSpdError { pivot: i });
+                        }
+                        l[i * n + i] = sum.sqrt();
+                    } else {
+                        l[i * n + j] = sum / l[j * n + j];
+                    }
+                }
+            }
+            Ok(Cholesky { n, l })
+        }
+
+        /// Solves `A x = b` via forward/backward substitution.
+        fn solve(&self, b: &[f64]) -> Vec<f64> {
+            assert_eq!(b.len(), self.n, "rhs length mismatch");
+            let n = self.n;
+            // Forward: L z = b.
+            let mut z = vec![0.0; n];
+            for i in 0..n {
+                let mut sum = b[i];
+                for (k, &zk) in z.iter().enumerate().take(i) {
+                    sum -= self.l[i * n + k] * zk;
+                }
+                z[i] = sum / self.l[i * n + i];
+            }
+            // Backward: Lᵀ x = z.
+            let mut x = vec![0.0; n];
+            for i in (0..n).rev() {
+                let mut sum = z[i];
+                for (k, &xk) in x.iter().enumerate().skip(i + 1) {
+                    sum -= self.l[k * n + i] * xk;
+                }
+                x[i] = sum / self.l[i * n + i];
+            }
+            x
+        }
+    }
 
     fn random_spd(n: usize, seed: u64) -> DenseMatrix {
         let mut rng = tepics_util::SplitMix64::new(seed);

@@ -8,7 +8,7 @@
 //!   `tepics-recovery` consumes; includes power-iteration norm
 //!   estimation.
 //! * [`DenseMatrix`] / [`chol`] / [`eig`] — the small dense kernel:
-//!   explicit matrices, (incremental) Cholesky for greedy solvers, and
+//!   explicit matrices, incremental Cholesky for greedy solvers, and
 //!   Jacobi eigenvalues for RIP estimation.
 //! * [`measurement`] — the measurement ensembles: the paper's
 //!   XOR-structured CA strategy ([`XorMeasurement`]), dense binary

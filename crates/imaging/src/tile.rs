@@ -474,11 +474,12 @@ pub fn merge_tiles_sparse(
 }
 
 /// Fills the `uncovered` pixels of `img` (the mask of
-/// [`merge_tiles_sparse`]) by deterministic inward diffusion: each pass
-/// assigns every still-unfilled pixel with at least one filled
-/// 4-neighbor the mean of those neighbors' *previous-pass* values
-/// (Jacobi sweeps, so the result is independent of traversal order).
-/// Passes repeat until every reachable pixel is filled.
+/// [`merge_tiles_sparse`]) by deterministic inward diffusion: each
+/// uncovered pixel takes the mean of its 4-neighbors one step closer to
+/// the covered pixels, summed left, right, up, down. That is one Jacobi
+/// sweep per distance from the covered pixels, so the result does not
+/// depend on traversal order; one breadth-first pass fills the layers
+/// in turn.
 ///
 /// A frame with no covered pixels at all has nothing to diffuse from
 /// and is left untouched (all zeros from the sparse stitch).
@@ -492,50 +493,50 @@ pub fn fill_uncovered(img: &mut ImageF64, uncovered: &[bool]) {
         return;
     }
     let (w, h) = (img.width(), img.height());
-    let mut filled: Vec<bool> = uncovered.iter().map(|&u| !u).collect();
-    let mut remaining: usize = uncovered.iter().filter(|&&u| u).count();
-    while remaining > 0 {
-        let snapshot = img.as_slice().to_vec();
-        let frozen = filled.clone();
-        let mut progressed = false;
-        for y in 0..h {
-            for x in 0..w {
-                let i = y * w + x;
-                if frozen[i] {
-                    continue;
-                }
-                let mut sum = 0.0;
-                let mut n = 0usize;
-                let mut visit = |j: usize| {
-                    if frozen[j] {
-                        sum += snapshot[j];
-                        n += 1;
-                    }
-                };
-                if x > 0 {
-                    visit(i - 1);
-                }
-                if x + 1 < w {
-                    visit(i + 1);
-                }
-                if y > 0 {
-                    visit(i - w);
-                }
-                if y + 1 < h {
-                    visit(i + w);
-                }
-                if n > 0 {
-                    img.set(x, y, sum / n as f64);
-                    filled[i] = true;
-                    remaining -= 1;
-                    progressed = true;
+    let neighbors = |i: usize| {
+        let (x, y) = (i % w, i / w);
+        [
+            (x > 0).then(|| i - 1),
+            (x + 1 < w).then(|| i + 1),
+            (y > 0).then(|| i - w),
+            (y + 1 < h).then(|| i + w),
+        ]
+        .into_iter()
+        .flatten()
+    };
+    // Distance to the nearest covered pixel. The grid is connected and
+    // holds a covered pixel, so the layers reach every uncovered one.
+    let mut layer: Vec<usize> = uncovered
+        .iter()
+        .map(|&u| if u { usize::MAX } else { 0 })
+        .collect();
+    let mut frontier: Vec<usize> = (0..layer.len())
+        .filter(|&i| uncovered[i] && neighbors(i).any(|j| !uncovered[j]))
+        .collect();
+    for &i in &frontier {
+        layer[i] = 1;
+    }
+    let pixels = img.as_mut_slice();
+    let mut d = 1;
+    while !frontier.is_empty() {
+        let mut next = Vec::new();
+        for &i in &frontier {
+            let mut sum = 0.0;
+            let mut n = 0usize;
+            for j in neighbors(i).filter(|&j| layer[j] < d) {
+                sum += pixels[j];
+                n += 1;
+            }
+            pixels[i] = sum / n as f64;
+            for j in neighbors(i) {
+                if layer[j] == usize::MAX {
+                    layer[j] = d + 1;
+                    next.push(j);
                 }
             }
         }
-        debug_assert!(progressed, "diffusion must reach every pixel");
-        if !progressed {
-            return;
-        }
+        frontier = next;
+        d += 1;
     }
 }
 
@@ -722,6 +723,60 @@ mod tests {
         let (mut b, mask2) = merge_tiles_sparse(&tiles, &layout);
         fill_uncovered(&mut b, &mask2);
         assert_eq!(a, b);
+    }
+
+    /// The fill as whole-frame Jacobi passes: each pass gives every
+    /// unfilled pixel with a filled 4-neighbor the mean of those
+    /// neighbors' previous-pass values.
+    fn jacobi_fill(img: &mut ImageF64, uncovered: &[bool]) {
+        let (w, h) = (img.width(), img.height());
+        let mut filled: Vec<bool> = uncovered.iter().map(|&u| !u).collect();
+        while filled.iter().any(|&f| !f) {
+            let (snapshot, frozen) = (img.clone(), filled.clone());
+            for (x, y) in (0..h).flat_map(|y| (0..w).map(move |x| (x, y))) {
+                if frozen[y * w + x] {
+                    continue;
+                }
+                let near = [
+                    (x > 0).then(|| (x - 1, y)),
+                    (x + 1 < w).then(|| (x + 1, y)),
+                    (y > 0).then(|| (x, y - 1)),
+                    (y + 1 < h).then(|| (x, y + 1)),
+                ];
+                let (mut sum, mut n) = (0.0, 0);
+                for (nx, ny) in near.into_iter().flatten() {
+                    if frozen[ny * w + nx] {
+                        sum += snapshot.get(nx, ny);
+                        n += 1;
+                    }
+                }
+                if n > 0 {
+                    img.set(x, y, sum / n as f64);
+                    filled[y * w + x] = true;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_uncovered_equals_jacobi_passes_bit_for_bit() {
+        let mut rng = tepics_util::SplitMix64::new(0xF111);
+        for case in 0..40 {
+            let (w, h) = (
+                1 + rng.next_below(24) as usize,
+                1 + rng.next_below(24) as usize,
+            );
+            let img = Scene::natural_like().render(w, h, case);
+            // Sparse to dense coverage, with at least one covered pixel.
+            let covered = 0.02 + 0.6 * rng.next_f64();
+            let mut mask: Vec<bool> = (0..w * h).map(|_| rng.next_f64() >= covered).collect();
+            mask[rng.next_below((w * h) as u64) as usize] = false;
+            let (mut got, mut want) = (img.clone(), img);
+            fill_uncovered(&mut got, &mask);
+            jacobi_fill(&mut want, &mask);
+            let bits = |i: &ImageF64| i.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "case {case}: {w}x{h}");
+        }
     }
 
     #[test]

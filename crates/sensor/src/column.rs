@@ -13,10 +13,18 @@
 //! 3. **Sequential top-down release** — when the bus frees, the
 //!    `C_out` chain releases waiting pixels from the top; the *topmost*
 //!    waiting pixel fires next regardless of who flipped first.
+//!
+//! [`ColumnArbiter::arbitrate`] applies them in one walk over the
+//! pulses sorted by `(flip time, row)`, so simultaneous flips resolve
+//! top-down as the token chain does. Each grant is either the topmost
+//! waiting pixel, at `bus_free + release_delay` (rule 3), or, when
+//! nobody waits, the next flip at its own flip time. The grant holds
+//! the bus for `event_duration` (rule 2), and every flip earlier than
+//! the new `bus_free` joins the waiting set (rule 1).
 
 use crate::config::SensorConfig;
-use crate::desim::EventQueue;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The lifecycle of one pixel pulse through the column bus.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,67 +111,45 @@ impl ColumnArbiter {
     ///
     /// Panics if two pulses share a row or any flip time is negative/NaN.
     pub fn arbitrate(&self, pulses: &[(usize, f64)]) -> ColumnOutcome {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut flips: EventQueue<usize> = EventQueue::new();
-        let mut flip_time: BTreeMap<usize, f64> = BTreeMap::new();
-        for &(row, t) in pulses {
-            assert!(
-                t >= 0.0 && !t.is_nan(),
-                "flip time must be a non-negative number"
-            );
-            assert!(seen.insert(row), "duplicate pulse for row {row}");
-            // Priority = row: simultaneous flips resolve top-down, as the
-            // token chain does.
-            flips.push(t, row as u32, row);
-            flip_time.insert(row, t);
+        for &(_, t) in pulses {
+            // NaN fails the comparison too.
+            assert!(t >= 0.0, "flip time must be a non-negative number");
         }
-        let mut events = Vec::with_capacity(pulses.len());
-        let mut waiting: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut flips = pulses.to_vec();
+        flips.sort_unstable_by_key(|&(row, _)| row);
+        for pair in flips.windows(2) {
+            assert!(
+                pair[0].0 != pair[1].0,
+                "duplicate pulse for row {}",
+                pair[0].0
+            );
+        }
+        flips.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let mut events = Vec::with_capacity(flips.len());
+        // Waiting pixels as `(row, index into flips)`, topmost first.
+        let mut waiting = BinaryHeap::new();
+        let mut next = 0;
+        let mut bus_free = 0.0f64;
         let mut max_queue_depth = 0usize;
-        let mut bus_free_at = 0.0f64;
-        let mut bus_ever_used = false;
-        while !flips.is_empty() || !waiting.is_empty() {
-            let (row, t_flip, queued, t_grant);
-            if let Some((&w_row, &w_flip)) = waiting.iter().next() {
-                // Topmost waiting pixel fires right after release.
-                waiting.remove(&w_row);
-                row = w_row;
-                t_flip = w_flip;
-                queued = true;
-                t_grant = bus_free_at + self.release_delay;
-            } else {
-                let Some((t, _, f_row)) = flips.pop() else {
-                    // Loop guard: with `waiting` empty, `flips` is not.
-                    break;
-                };
-                row = f_row;
-                t_flip = t;
-                // The bus may still be busy if this flip lands inside an
-                // earlier pulse (can only happen via the absorb loop
-                // below, so here the bus is free).
-                queued = bus_ever_used && t < bus_free_at;
-                t_grant = if queued {
-                    bus_free_at + self.release_delay
-                } else {
-                    t
-                };
-            }
-            let t_end = t_grant + self.event_duration;
+        while next < flips.len() || !waiting.is_empty() {
+            let (i, queued, t_grant) = match waiting.pop() {
+                Some(Reverse((_, i))) => (i, true, bus_free + self.release_delay),
+                None => {
+                    next += 1;
+                    (next - 1, false, flips[next - 1].1)
+                }
+            };
+            let (row, t_flip) = flips[i];
             events.push(PixelEvent {
                 row,
                 t_flip,
                 t_grant,
                 queued,
             });
-            bus_free_at = t_end;
-            bus_ever_used = true;
-            // Every pixel flipping during this pulse joins the waiting
-            // set (parallel blocking).
-            while flips.peek_time().is_some_and(|t| t < t_end) {
-                let Some((t, _, f_row)) = flips.pop() else {
-                    break; // peek above guarantees a head
-                };
-                waiting.insert(f_row, t);
+            bus_free = t_grant + self.event_duration;
+            while next < flips.len() && flips[next].1 < bus_free {
+                waiting.push(Reverse((flips[next].0, next)));
+                next += 1;
             }
             max_queue_depth = max_queue_depth.max(waiting.len());
         }
@@ -279,5 +265,17 @@ mod tests {
     #[should_panic(expected = "duplicate pulse")]
     fn duplicate_rows_panic() {
         arbiter().arbitrate(&[(1, 1e-9), (1, 2e-9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative number")]
+    fn nan_flip_time_panics() {
+        arbiter().arbitrate(&[(0, 1e-9), (1, f64::NAN)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative number")]
+    fn negative_flip_time_panics() {
+        arbiter().arbitrate(&[(0, -1e-9)]);
     }
 }

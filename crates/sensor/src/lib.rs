@@ -13,7 +13,6 @@
 //!   event termination, `C_in`/`C_out` token gates) as pure functions.
 //! * [`column`](mod@crate::column) — the asynchronous column bus: parallel blocking,
 //!   sequential top-down release, bounded event duration.
-//! * [`desim`] — the small deterministic event queue driving it.
 //! * [`tdc`] — global counter + per-column Sample & Add with the 14-bit
 //!   and 20-bit widths of Eq. (1) enforced.
 //! * [`readout`] — whole-frame capture in `Functional` (ideal codes) or
@@ -44,7 +43,6 @@ pub mod chip;
 pub mod column;
 pub mod comparator;
 pub mod config;
-pub mod desim;
 pub mod noise;
 pub mod photodiode;
 pub mod pixel;
