@@ -146,28 +146,6 @@ impl Automaton1D {
         }
     }
 
-    /// Per-cell reference step used to validate the word-parallel path.
-    /// Exposed for tests and for the gate-level cross-check experiment.
-    pub fn step_reference(&mut self) {
-        let len = self.state.len();
-        let get = |i: isize| -> bool {
-            if i < 0 || i as usize >= len {
-                match self.boundary {
-                    Boundary::Periodic => self.state.get(((i + len as isize) as usize) % len),
-                    Boundary::Fixed(v) => v,
-                }
-            } else {
-                self.state.get(i as usize)
-            }
-        };
-        let next = BitVec::from_bools((0..len).map(|i| {
-            let i = i as isize;
-            self.rule.next(get(i - 1), get(i), get(i + 1))
-        }));
-        self.state = next;
-        self.generation += 1;
-    }
-
     /// Vector `L` with `L[i] = state[i-1]` under the boundary condition.
     fn neighbor_left(&self) -> BitVec {
         let len = self.state.len();
@@ -226,16 +204,35 @@ impl Automaton1D {
 mod tests {
     use super::*;
 
+    /// The per-cell reference step: the next generation of `state`
+    /// under `rule` and `boundary`, computed one cell at a time.
+    fn step_reference(state: &BitVec, rule: ElementaryRule, boundary: Boundary) -> BitVec {
+        let len = state.len();
+        let get = |i: isize| -> bool {
+            if i < 0 || i as usize >= len {
+                match boundary {
+                    Boundary::Periodic => state.get(((i + len as isize) as usize) % len),
+                    Boundary::Fixed(v) => v,
+                }
+            } else {
+                state.get(i as usize)
+            }
+        };
+        BitVec::from_bools((0..len).map(|i| {
+            let i = i as isize;
+            rule.next(get(i - 1), get(i), get(i + 1))
+        }))
+    }
+
     fn run_both(cells: usize, rule: u8, boundary: Boundary, steps: usize, seed: u64) {
-        let init = Automaton1D::from_seed(cells, seed, ElementaryRule::new(rule), boundary);
-        let mut fast = init.clone();
-        let mut slow = init;
+        let mut fast = Automaton1D::from_seed(cells, seed, ElementaryRule::new(rule), boundary);
+        let mut slow = fast.state().clone();
         for step in 0..steps {
             fast.step();
-            slow.step_reference();
+            slow = step_reference(&slow, fast.rule(), fast.boundary());
             assert_eq!(
                 fast.state(),
-                slow.state(),
+                &slow,
                 "rule {rule}, {cells} cells, boundary {boundary:?}, diverged at step {step}"
             );
         }

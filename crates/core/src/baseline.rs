@@ -21,7 +21,7 @@ use tepics_cs::measurement::{DenseBinaryMeasurement, SelectionMeasurement};
 use tepics_cs::{ComposedOperator, LinearOperator};
 use tepics_imaging::tile::{merge_tiles_sparse, split_tiles, TileLayout};
 use tepics_imaging::{FrameGeometry, ImageF64, ImageU8, TileConfig};
-use tepics_recovery::{debias::debias, Fista};
+use tepics_recovery::{Debias, Fista, Solver};
 
 /// A captured block-based frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,6 +208,9 @@ impl BlockCs {
         let mut tiles = Vec::with_capacity(n_blocks);
         let mut pixels = vec![0.0; self.block * self.block];
         let mut dict_scratch = Vec::new();
+        let mut fista = Fista::new();
+        fista.lambda_ratio(0.02).max_iter(300);
+        let solver = Debias::new(&fista, frame.k_per_block / 2);
         for b in 0..n_blocks {
             let phi = self.block_measurement(b);
             let y: Vec<f64> = frame.samples[b * frame.k_per_block..(b + 1) * frame.k_per_block]
@@ -216,11 +219,7 @@ impl BlockCs {
                 .collect();
             let (mu, resid) = mean_split(&phi.selection_counts(), &y, 255.0);
             let a = ComposedOperator::new(&phi, &dict);
-            let rec = Fista::new()
-                .lambda_ratio(0.02)
-                .max_iter(300)
-                .solve(&a, &resid)?;
-            let rec = debias(&a, &resid, &rec, frame.k_per_block / 2)?;
+            let rec = solver.solve(&a, &resid)?;
             dict.synthesize_with(&rec.coefficients, &mut pixels, &mut dict_scratch);
             tiles.push(Some(
                 pixels

@@ -80,7 +80,7 @@ use tepics_cs::dictionary::IdentityDictionary;
 use tepics_cs::ComposedOperator;
 use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse, TileLayout};
 use tepics_imaging::ImageF64;
-use tepics_recovery::{Iht, SolveStats, SolverWorkspace};
+use tepics_recovery::{Iht, SolveStats, Solver, SolverWorkspace};
 use tepics_sensor::EventStats;
 use tepics_util::pool::{self, WorkerPool};
 

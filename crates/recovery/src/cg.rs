@@ -134,47 +134,11 @@ impl Cgls {
         Cgls { max_iter, tol }
     }
 
-    /// Solves `min ‖Ax − b‖` from a zero start.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::DimensionMismatch`] if `b` does not match
-    /// the operator rows, or [`RecoveryError::Breakdown`] if the final
-    /// residual is not finite.
-    pub fn solve<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        b: &[f64],
-    ) -> Result<Recovery, RecoveryError> {
-        self.solve_with(a, b, &mut SolverWorkspace::new())
-    }
-
-    /// Like [`Cgls::solve`], reusing `workspace` buffers (the dedicated
-    /// `lsq_*` set, so CGLS can run *nested inside* the debias pass
-    /// while it holds the inner solver's buffers);
-    /// results are bit-identical to [`Cgls::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cgls::solve`].
-    // tidy:alloc-free
-    pub fn solve_with<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        b: &[f64],
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Recovery, RecoveryError> {
-        let stats = self.solve_into(a, b, workspace)?;
-        Ok(Recovery {
-            // tidy:allow(alloc: the returned coefficient vector, once per solve)
-            coefficients: workspace.lsq_x.clone(),
-            stats,
-        })
-    }
-
-    /// [`Cgls::solve_with`] without the final coefficient clone: the
+    /// CGLS from a zero start, without the final coefficient clone: the
     /// solution is left in `workspace.lsq_x` for the debias pass, which
-    /// consumes it in place.
+    /// consumes it in place. It runs on the dedicated `lsq_*` buffers,
+    /// so it can run nested inside the debias pass while that holds the
+    /// inner solver's buffers.
     pub(crate) fn solve_into<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -265,13 +229,27 @@ impl Solver for Cgls {
         }
     }
 
+    /// Solves `min ‖Ax − y‖` from a zero start.
+    ///
+    /// # Errors
+    ///
+    /// A [`DimensionMismatch`](crate::RecoveryError::DimensionMismatch)
+    /// if `y` does not match the operator rows, or a
+    /// [`Breakdown`](crate::RecoveryError::Breakdown) if the final
+    /// residual is not finite.
+    // tidy:alloc-free
     fn solve_with(
         &self,
         a: &dyn LinearOperator,
         y: &[f64],
         workspace: &mut SolverWorkspace,
     ) -> SolveResult {
-        Cgls::solve_with(self, a, y, workspace)
+        let stats = self.solve_into(a, y, workspace)?;
+        Ok(Recovery {
+            // tidy:allow(alloc: the returned coefficient vector, once per solve)
+            coefficients: workspace.lsq_x.clone(),
+            stats,
+        })
     }
 }
 

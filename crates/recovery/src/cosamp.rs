@@ -24,21 +24,26 @@
 //! slots would miss the held-out rows, and restoring them costs about
 //! an adjoint anyway. One forward application per iteration then
 //! updates the residual. A residual norm or coefficient that is not
-//! finite ends the solve with [`RecoveryError::Breakdown`].
+//! finite ends the solve with
+//! [`RecoveryError::Breakdown`](crate::RecoveryError::Breakdown).
 
 use crate::greedy::{correlations_into, fit_all_rows, residual_into, GramSlots};
 use crate::shrink::top_k_indices_into;
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{breakdown, check_dims, Recovery, RecoveryError, SolveStats};
+use crate::{breakdown, check_dims, Recovery, SolveStats};
 use tepics_cs::op::{self, LinearOperator};
+
+/// Iteration cap.
+const MAX_ITER: usize = 50;
+
+/// The pursuit stops once `‖r‖ ≤ RESIDUAL_TOL · ‖y‖`.
+const RESIDUAL_TOL: f64 = 1e-9;
 
 /// CoSaMP solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoSaMp {
     sparsity: usize,
-    max_iter: usize,
-    residual_tol: f64,
 }
 
 impl CoSaMp {
@@ -49,56 +54,36 @@ impl CoSaMp {
     /// Panics if `sparsity == 0`.
     pub fn new(sparsity: usize) -> Self {
         assert!(sparsity > 0, "sparsity must be positive");
-        CoSaMp {
-            sparsity,
-            max_iter: 50,
-            residual_tol: 1e-9,
+        CoSaMp { sparsity }
+    }
+}
+
+impl Solver for CoSaMp {
+    fn caps(&self) -> SolverCaps {
+        SolverCaps {
+            name: "cosamp",
+            norm_seed: None,
         }
     }
 
-    /// Iteration cap.
-    pub fn max_iter(&mut self, n: usize) -> &mut Self {
-        self.max_iter = n;
-        self
-    }
-
-    /// Stops once `‖r‖ ≤ tol · ‖y‖`.
-    pub fn residual_tol(&mut self, tol: f64) -> &mut Self {
-        self.residual_tol = tol;
-        self
-    }
-
-    /// Runs the pursuit with freshly allocated buffers.
+    /// Runs the pursuit on `workspace` buffers (the iterate, the merged
+    /// support, per-solve Gram slots and the small least-squares set),
+    /// so the whole pursuit allocates nothing once the workspace is
+    /// warm, apart from admissions into an attached Gram store.
     ///
     /// # Errors
     ///
-    /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator, and [`RecoveryError::Breakdown`] if the residual or
+    /// A [`DimensionMismatch`](crate::RecoveryError::DimensionMismatch)
+    /// if `y` does not match the operator, and a
+    /// [`Breakdown`](crate::RecoveryError::Breakdown) if the residual or
     /// a coefficient stops being finite.
-    pub fn solve<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        y: &[f64],
-    ) -> Result<Recovery, RecoveryError> {
-        self.solve_with(a, y, &mut SolverWorkspace::new())
-    }
-
-    /// Runs the pursuit reusing `workspace` buffers (the iterate, the
-    /// merged support, per-solve Gram slots and the small
-    /// least-squares set), so the whole pursuit allocates nothing once
-    /// the workspace is warm, apart from admissions into an attached
-    /// Gram store. Results are bit-identical to [`CoSaMp::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CoSaMp::solve`].
     // tidy:alloc-free
-    pub fn solve_with<A: LinearOperator + ?Sized>(
+    fn solve_with(
         &self,
-        a: &A,
+        a: &dyn LinearOperator,
         y: &[f64],
         workspace: &mut SolverWorkspace,
-    ) -> Result<Recovery, RecoveryError> {
+    ) -> SolveResult {
         check_dims(a.rows(), y)?;
         let n = a.cols();
         let k = self.sparsity.min(n);
@@ -123,7 +108,7 @@ impl CoSaMp {
         let mut converged = y_norm == 0.0;
         let mut last_resid = f64::INFINITY;
         resid.copy_from_slice(y);
-        for it in 0..self.max_iter {
+        for it in 0..MAX_ITER {
             if converged {
                 break;
             }
@@ -151,7 +136,7 @@ impl CoSaMp {
             if !rn.is_finite() {
                 return Err(breakdown("CoSaMP", "the residual is not finite"));
             }
-            if rn <= self.residual_tol * y_norm.max(1e-300) {
+            if rn <= RESIDUAL_TOL * y_norm.max(1e-300) {
                 converged = true;
             }
             // Stall detection: no meaningful progress.
@@ -175,27 +160,10 @@ impl CoSaMp {
     }
 }
 
-impl Solver for CoSaMp {
-    fn caps(&self) -> SolverCaps {
-        SolverCaps {
-            name: "cosamp",
-            norm_seed: None,
-        }
-    }
-
-    fn solve_with(
-        &self,
-        a: &dyn LinearOperator,
-        y: &[f64],
-        workspace: &mut SolverWorkspace,
-    ) -> SolveResult {
-        CoSaMp::solve_with(self, a, y, workspace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveryError;
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
 

@@ -9,7 +9,7 @@ use crate::iterative::{finish, iterate, resolve_step, zero_solution};
 use crate::shrink::soft_threshold;
 use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError};
+use crate::{check_dims, RecoveryError};
 use tepics_cs::op::LinearOperator;
 
 /// How the regularization weight λ is chosen.
@@ -54,7 +54,7 @@ const NAME: &str = "fista";
 ///
 /// ```
 /// use tepics_cs::{DenseMatrix, LinearOperator};
-/// use tepics_recovery::Fista;
+/// use tepics_recovery::{Fista, Solver};
 /// use tepics_util::SplitMix64;
 ///
 /// let mut rng = SplitMix64::new(1);
@@ -116,41 +116,40 @@ impl Fista {
         self.step = Some(step);
         self
     }
+}
 
-    /// Runs the solver with freshly allocated buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator, [`RecoveryError::InvalidParameter`] for
-    /// non-positive λ/step configurations, or
-    /// [`RecoveryError::Breakdown`] once an iterate or the final
-    /// residual is not finite.
-    pub fn solve<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        y: &[f64],
-    ) -> Result<Recovery, RecoveryError> {
-        self.solve_with(a, y, &mut SolverWorkspace::new())
+impl Default for Fista {
+    fn default() -> Self {
+        Fista::new()
+    }
+}
+
+impl Solver for Fista {
+    fn caps(&self) -> SolverCaps {
+        SolverCaps {
+            name: NAME,
+            norm_seed: Some(norm_seeds::FISTA),
+        }
     }
 
-    /// Runs the solver reusing `workspace` buffers; results are
-    /// bit-identical to [`Fista::solve`], with no allocations inside the
-    /// iteration loop once the workspace is warm.
-    ///
     /// The proximal-gradient loop `α ← soft(z − (1/L)Aᵀ(Az − y), λ/L)`,
     /// with `z` extrapolated from the last two iterates.
     ///
     /// # Errors
     ///
-    /// Same as [`Fista::solve`].
+    /// A [`DimensionMismatch`](crate::RecoveryError::DimensionMismatch)
+    /// if `y` does not match the operator, an
+    /// [`InvalidParameter`](crate::RecoveryError::InvalidParameter) for
+    /// non-positive λ/step configurations, or a
+    /// [`Breakdown`](crate::RecoveryError::Breakdown) once an iterate or
+    /// the final residual is not finite.
     // tidy:alloc-free
-    pub fn solve_with<A: LinearOperator + ?Sized>(
+    fn solve_with(
         &self,
-        a: &A,
+        a: &dyn LinearOperator,
         y: &[f64],
         workspace: &mut SolverWorkspace,
-    ) -> Result<Recovery, RecoveryError> {
+    ) -> SolveResult {
         check_dims(a.rows(), y)?;
         let n = a.cols();
         workspace.prepare(a.rows(), n);
@@ -197,30 +196,6 @@ impl Fista {
             },
         )?;
         finish(NAME, a, y, alpha, resid, progress)
-    }
-}
-
-impl Default for Fista {
-    fn default() -> Self {
-        Fista::new()
-    }
-}
-
-impl Solver for Fista {
-    fn caps(&self) -> SolverCaps {
-        SolverCaps {
-            name: NAME,
-            norm_seed: Some(norm_seeds::FISTA),
-        }
-    }
-
-    fn solve_with(
-        &self,
-        a: &dyn LinearOperator,
-        y: &[f64],
-        workspace: &mut SolverWorkspace,
-    ) -> SolveResult {
-        Fista::solve_with(self, a, y, workspace)
     }
 }
 

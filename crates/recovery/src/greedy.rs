@@ -37,8 +37,8 @@ impl<'w> GramSlots<'w> {
     /// The slots of `a` for one solve, over workspace buffers that are
     /// reset here.
     // tidy:alloc-free
-    pub(crate) fn new<A: LinearOperator + ?Sized>(
-        a: &'w A,
+    pub(crate) fn new(
+        a: &'w dyn LinearOperator,
         misses: &'w mut Vec<f64>,
         starts: &'w mut Vec<usize>,
     ) -> Self {
@@ -56,12 +56,7 @@ impl<'w> GramSlots<'w> {
     /// The slot of atom `j`, computed with `atom` (length `a.rows()`) as
     /// scratch unless the store or this solve already holds it.
     // tidy:alloc-free
-    pub(crate) fn fetch<A: LinearOperator + ?Sized>(
-        &mut self,
-        a: &A,
-        j: usize,
-        atom: &mut [f64],
-    ) -> &[f64] {
+    pub(crate) fn fetch(&mut self, a: &dyn LinearOperator, j: usize, atom: &mut [f64]) -> &[f64] {
         let store = self.store;
         if let Some(g) =
             store.and_then(|s| s.column_or_admit(j, |g| gram_column_into(a, j, atom, g)))
@@ -129,8 +124,8 @@ pub(crate) fn factor(chol: &mut Option<GrowingCholesky>, cap: usize) -> &mut Gro
 /// plus the held-out count) and `mask ⊙ y` into `masked`: the
 /// correlations every Gram-slot least squares starts from.
 // tidy:alloc-free
-pub(crate) fn correlations_into<A: LinearOperator + ?Sized>(
-    a: &A,
+pub(crate) fn correlations_into(
+    a: &dyn LinearOperator,
     y: &[f64],
     masked: &mut Vec<f64>,
     alpha0: &mut Vec<f64>,
@@ -202,12 +197,7 @@ pub(crate) fn fit_all_rows(
 
 /// `residual = y − A x`, by one explicit forward application.
 // tidy:alloc-free
-pub(crate) fn residual_into<A: LinearOperator + ?Sized>(
-    a: &A,
-    x: &[f64],
-    y: &[f64],
-    residual: &mut [f64],
-) {
+pub(crate) fn residual_into(a: &dyn LinearOperator, x: &[f64], y: &[f64], residual: &mut [f64]) {
     a.apply(x, residual);
     for (r, &yk) in residual.iter_mut().zip(y) {
         *r = yk - *r;

@@ -7,11 +7,11 @@
 //! Cheap per iteration and the natural solver when the target sparsity
 //! is known (e.g. star fields with a known source count).
 
+use crate::check_dims;
 use crate::iterative::{finish, iterate, resolve_step, zero_solution};
 use crate::shrink::hard_threshold_top_k;
 use crate::solver::{norm_seeds, SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{check_dims, Recovery, RecoveryError};
 use tepics_cs::op::{self, LinearOperator};
 
 /// IHT's name in its capabilities and errors.
@@ -62,37 +62,31 @@ impl Iht {
         self.tol = tol;
         self
     }
+}
 
-    /// Runs the solver with freshly allocated buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator, [`RecoveryError::InvalidParameter`] for a
-    /// non-positive step, or [`RecoveryError::Breakdown`] once an
-    /// iterate or the final residual is not finite.
-    pub fn solve<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        y: &[f64],
-    ) -> Result<Recovery, RecoveryError> {
-        self.solve_with(a, y, &mut SolverWorkspace::new())
+impl Solver for Iht {
+    fn caps(&self) -> SolverCaps {
+        SolverCaps {
+            name: NAME,
+            norm_seed: Some(norm_seeds::IHT),
+        }
     }
 
-    /// Runs the solver reusing `workspace` buffers; results are
-    /// bit-identical to [`Iht::solve`], with no allocations inside the
-    /// iteration loop once the workspace is warm.
-    ///
     /// # Errors
     ///
-    /// Same as [`Iht::solve`].
+    /// A [`DimensionMismatch`](crate::RecoveryError::DimensionMismatch)
+    /// if `y` does not match the operator, an
+    /// [`InvalidParameter`](crate::RecoveryError::InvalidParameter) for a
+    /// non-positive step, or a
+    /// [`Breakdown`](crate::RecoveryError::Breakdown) once an iterate or
+    /// the final residual is not finite.
     // tidy:alloc-free
-    pub fn solve_with<A: LinearOperator + ?Sized>(
+    fn solve_with(
         &self,
-        a: &A,
+        a: &dyn LinearOperator,
         y: &[f64],
         workspace: &mut SolverWorkspace,
-    ) -> Result<Recovery, RecoveryError> {
+    ) -> SolveResult {
         check_dims(a.rows(), y)?;
         let n = a.cols();
         let Some(fallback_step) = resolve_step(a, self.step, norm_seeds::IHT)? else {
@@ -152,24 +146,6 @@ impl Iht {
             },
         )?;
         finish(NAME, a, y, alpha, resid, progress)
-    }
-}
-
-impl Solver for Iht {
-    fn caps(&self) -> SolverCaps {
-        SolverCaps {
-            name: NAME,
-            norm_seed: Some(norm_seeds::IHT),
-        }
-    }
-
-    fn solve_with(
-        &self,
-        a: &dyn LinearOperator,
-        y: &[f64],
-        workspace: &mut SolverWorkspace,
-    ) -> SolveResult {
-        Iht::solve_with(self, a, y, workspace)
     }
 }
 

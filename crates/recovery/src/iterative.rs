@@ -27,8 +27,8 @@ use tepics_cs::op::{self, LinearOperator};
 /// # Errors
 ///
 /// [`RecoveryError::InvalidParameter`] for a non-positive `given`.
-pub(crate) fn resolve_step<A: LinearOperator + ?Sized>(
-    a: &A,
+pub(crate) fn resolve_step(
+    a: &dyn LinearOperator,
     given: Option<f64>,
     seed: u64,
 ) -> Result<Option<f64>, RecoveryError> {
@@ -116,9 +116,9 @@ pub(crate) fn iterate(
 /// [`RecoveryError::Breakdown`], naming `solver`, when that norm is not
 /// finite, as it is for a non-finite measurement.
 // tidy:alloc-free
-pub(crate) fn finish<A: LinearOperator + ?Sized>(
+pub(crate) fn finish(
     solver: &str,
-    a: &A,
+    a: &dyn LinearOperator,
     y: &[f64],
     alpha: &[f64],
     resid: &mut [f64],

@@ -17,8 +17,8 @@
 //! * [`Iht`] — normalized iterative hard thresholding.
 //! * [`Cgls`] — CGLS least squares, also the engine behind the debias
 //!   re-fit.
-//! * [`Debias`] — any solver above, wrapped with the
-//!   CGLS support re-fit of [`debias`] as one composite algorithm.
+//! * [`Debias`] — any solver above, wrapped with a CGLS support
+//!   re-fit as one composite algorithm.
 //!
 //! FISTA and IHT run on one iterative engine: it resolves the step
 //! from an override or the solver's seeded `‖A‖` estimate, answers a zero operator with `α = 0`, stops once
@@ -33,13 +33,10 @@
 //! # The trait + workspace contract
 //!
 //! Every solver returns a [`Recovery`] with convergence diagnostics and
-//! is deterministic given its inputs. Three guarantees hold across the
+//! is deterministic given its inputs. Two guarantees hold across the
 //! whole roster and are pinned down by property tests:
 //!
-//! 1. **Trait transparency.** `Solver::solve_with` through a
-//!    `&dyn Solver` is bit-identical to the concrete type's inherent
-//!    `solve`/`solve_with`.
-//! 2. **Workspace transparency.** Every solver takes a
+//! 1. **Workspace transparency.** Every solver takes a
 //!    [`SolverWorkspace`] and resets the buffers it uses to the exact
 //!    state a fresh allocation would have, so warm solves are
 //!    bit-identical to cold ones — and allocate nothing inside the
@@ -47,7 +44,7 @@
 //!    slots, growing Cholesky) and the nested CGLS of the debias pass,
 //!    which runs on a dedicated `lsq_*` buffer set so nesting never
 //!    clobbers the outer solver's state.
-//! 3. **Capability metadata.** [`Solver::caps`] tells a host what the
+//! 2. **Capability metadata.** [`Solver::caps`] tells a host what the
 //!    solver needs to run fast: the seed of its internal operator-norm
 //!    power iteration (memoize it per solver — seeds differ, and mixing
 //!    estimates across solvers would change results). The greedy

@@ -77,19 +77,22 @@
 //! [`residual_norm`](crate::SolveStats::residual_norm) always comes
 //! from one. A tracked or held-out residual that is not finite, or a
 //! final residual or coefficient that is not, ends the solve with
-//! [`RecoveryError::Breakdown`]: the pursuit never returns non-finite
-//! coefficients.
+//! [`RecoveryError::Breakdown`](crate::RecoveryError::Breakdown): the
+//! pursuit never returns non-finite coefficients.
 
 use crate::greedy::{correlations_into, factor, fit_all_rows, residual_into, GramSlots};
 use crate::solver::{SolveResult, Solver, SolverCaps};
 use crate::workspace::SolverWorkspace;
-use crate::{breakdown, check_dims, Recovery, RecoveryError, SolveStats};
+use crate::{breakdown, check_dims, Recovery, SolveStats};
 use tepics_cs::gram::held_out_count;
 use tepics_cs::op::{self, LinearOperator};
 
 /// The relative `‖r‖²/‖y‖²` below which the tracked residual norm is
 /// cancellation noise and must be confirmed explicitly.
 const TRACKED_FLOOR: f64 = 1e-8;
+
+/// The pursuit stops early once `‖r‖ ≤ RESIDUAL_TOL · ‖y‖`.
+const RESIDUAL_TOL: f64 = 1e-9;
 
 /// Atoms past the held-out residual's last minimum after which the
 /// pursuit stops. Measured with `codecbench` (32×32 tiles, `K = 359`,
@@ -109,7 +112,6 @@ const PATIENCE: usize = 12;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Omp {
     max_atoms: usize,
-    residual_tol: f64,
 }
 
 impl Omp {
@@ -122,19 +124,35 @@ impl Omp {
     /// Panics if `max_atoms == 0`.
     pub fn new(max_atoms: usize) -> Self {
         assert!(max_atoms > 0, "need at least one atom");
-        Omp {
-            max_atoms,
-            residual_tol: 1e-9,
+        Omp { max_atoms }
+    }
+}
+
+/// `corr −= Σ c·g` over four Gram columns in one pass, so the
+/// correlations are loaded and stored once per four columns.
+// tidy:alloc-free
+#[inline]
+fn subtract_quad(corr: &mut [f64], quad: &[(&[f64], f64); 4]) {
+    let [(g0, c0), (g1, c1), (g2, c2), (g3, c3)] = *quad;
+    let columns = g0.iter().zip(g1).zip(g2).zip(g3);
+    for (o, (((&a, &b), &c), &d)) in corr.iter_mut().zip(columns) {
+        *o -= (c0 * a + c1 * b) + (c2 * c + c3 * d);
+    }
+}
+
+impl Solver for Omp {
+    fn caps(&self) -> SolverCaps {
+        SolverCaps {
+            name: "omp",
+            norm_seed: None,
         }
     }
 
-    /// Stops early once `‖r‖ ≤ tol · ‖y‖`.
-    pub fn residual_tol(&mut self, tol: f64) -> &mut Self {
-        self.residual_tol = tol;
-        self
-    }
-
-    /// Runs the pursuit with freshly allocated buffers.
+    /// Runs the pursuit on `workspace` buffers (correlations, the
+    /// selected-flag mask, per-solve Gram slots, the growing Cholesky,
+    /// the re-fit's held-out rows and the small least-squares vectors),
+    /// with no allocations inside the pursuit loop once the workspace is
+    /// warm, apart from admissions into an attached Gram store.
     ///
     /// Atom selection maximizes `|⟨a_j, r⟩|` (unnormalized); for the
     /// ensembles in this workspace columns have near-equal norms, and
@@ -142,40 +160,22 @@ impl Omp {
     ///
     /// # Errors
     ///
-    /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not match
-    /// the operator, and [`RecoveryError::Breakdown`] if a residual or
+    /// A [`DimensionMismatch`](crate::RecoveryError::DimensionMismatch)
+    /// if `y` does not match the operator, and a
+    /// [`Breakdown`](crate::RecoveryError::Breakdown) if a residual or
     /// coefficient stops being finite.
-    pub fn solve<A: LinearOperator + ?Sized>(
-        &self,
-        a: &A,
-        y: &[f64],
-    ) -> Result<Recovery, RecoveryError> {
-        self.solve_with(a, y, &mut SolverWorkspace::new())
-    }
-
-    /// Runs the pursuit reusing `workspace` buffers (correlations,
-    /// the selected-flag mask, per-solve Gram slots, the growing
-    /// Cholesky, the re-fit's held-out rows and the small least-squares
-    /// vectors); results are bit-identical to [`Omp::solve`], with no
-    /// allocations inside the pursuit loop once the workspace is warm,
-    /// apart from admissions into an attached Gram store.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Omp::solve`].
     // tidy:alloc-free
-    pub fn solve_with<A: LinearOperator + ?Sized>(
+    fn solve_with(
         &self,
-        a: &A,
+        a: &dyn LinearOperator,
         y: &[f64],
         workspace: &mut SolverWorkspace,
-    ) -> Result<Recovery, RecoveryError> {
+    ) -> SolveResult {
         check_dims(a.rows(), y)?;
         let n = a.cols();
         let m = a.rows();
         let held = held_out_count(m);
         let budget = self.max_atoms.min(n).min(m - held);
-        let tol = self.residual_tol;
         let SolverWorkspace {
             alpha: alpha0,
             grad: corr,
@@ -268,7 +268,7 @@ impl Omp {
                     stopped = true;
                 }
             }
-            if tracked <= (tol * tol).max(TRACKED_FLOOR) * y2 {
+            if tracked <= (RESIDUAL_TOL * RESIDUAL_TOL).max(TRACKED_FLOOR) * y2 {
                 x.clear();
                 x.resize(n, 0.0);
                 for (&i, &c) in support.iter().zip(ne.gamma.iter()) {
@@ -276,7 +276,7 @@ impl Omp {
                 }
                 residual_into(a, x, y, residual);
                 residual_fresh = true;
-                converged = op::norm2(residual) <= tol * y_norm.max(1e-300);
+                converged = op::norm2(residual) <= RESIDUAL_TOL * y_norm.max(1e-300);
             }
         }
         if held > 0 && !support.is_empty() {
@@ -311,39 +311,10 @@ impl Omp {
     }
 }
 
-/// `corr −= Σ c·g` over four Gram columns in one pass, so the
-/// correlations are loaded and stored once per four columns.
-// tidy:alloc-free
-#[inline]
-fn subtract_quad(corr: &mut [f64], quad: &[(&[f64], f64); 4]) {
-    let [(g0, c0), (g1, c1), (g2, c2), (g3, c3)] = *quad;
-    let columns = g0.iter().zip(g1).zip(g2).zip(g3);
-    for (o, (((&a, &b), &c), &d)) in corr.iter_mut().zip(columns) {
-        *o -= (c0 * a + c1 * b) + (c2 * c + c3 * d);
-    }
-}
-
-impl Solver for Omp {
-    fn caps(&self) -> SolverCaps {
-        SolverCaps {
-            name: "omp",
-            norm_seed: None,
-        }
-    }
-
-    fn solve_with(
-        &self,
-        a: &dyn LinearOperator,
-        y: &[f64],
-        workspace: &mut SolverWorkspace,
-    ) -> SolveResult {
-        Omp::solve_with(self, a, y, workspace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveryError;
     use tepics_cs::gram::{gram_column_into, GramStore};
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
@@ -378,7 +349,7 @@ mod tests {
         // residual to zero and convergence stops the pursuit.
         for seed in 1..=5 {
             let (a, x, y) = gaussian_problem(40, 120, 6, seed);
-            let rec = Omp::new(10).residual_tol(1e-10).solve(&a, &y).unwrap();
+            let rec = Omp::new(10).solve(&a, &y).unwrap();
             assert!(rec.stats.converged, "seed {seed} did not converge");
             for (i, &xi) in x.iter().enumerate() {
                 assert!(

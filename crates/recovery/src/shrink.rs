@@ -44,15 +44,9 @@ pub fn hard_threshold_top_k(v: &mut [f64], k: usize, order: &mut Vec<usize>) {
     }
 }
 
-/// Indices of the `k` largest-magnitude entries (unsorted).
-pub fn top_k_indices(v: &[f64], k: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    top_k_indices_into(v, k, &mut out);
-    out
-}
-
-/// [`top_k_indices`] into a caller-owned buffer (cleared first);
-/// identical result, allocation-free once the buffer is warm.
+/// Indices of the `k` largest-magnitude entries (unsorted), into a
+/// caller-owned buffer (cleared first), so a warm buffer makes the
+/// selection allocation-free.
 pub fn top_k_indices_into(v: &[f64], k: usize, out: &mut Vec<usize>) {
     let k = k.min(v.len());
     out.clear();
@@ -63,15 +57,8 @@ pub fn top_k_indices_into(v: &[f64], k: usize, out: &mut Vec<usize>) {
     out.truncate(k);
 }
 
-/// Indices of all nonzero entries.
-pub fn support(v: &[f64]) -> Vec<usize> {
-    let mut out = Vec::new();
-    support_into(v, &mut out);
-    out
-}
-
-/// [`support`] into a caller-owned buffer (cleared first); identical
-/// result, allocation-free once the buffer is warm.
+/// Indices of all nonzero entries, into a caller-owned buffer (cleared
+/// first), so a warm buffer makes the scan allocation-free.
 pub fn support_into(v: &[f64], out: &mut Vec<usize>) {
     out.clear();
     out.extend(
@@ -118,14 +105,18 @@ mod tests {
     #[test]
     fn top_k_indices_match_hard_threshold() {
         let v = vec![0.1, -5.0, 3.0, 0.2, -4.0];
-        let mut idx = top_k_indices(&v, 3);
+        let mut idx = vec![7];
+        top_k_indices_into(&v, 3, &mut idx);
         idx.sort_unstable();
         assert_eq!(idx, vec![1, 2, 4]);
     }
 
     #[test]
     fn support_finds_nonzeros() {
-        assert_eq!(support(&[0.0, 1.0, 0.0, -2.0]), vec![1, 3]);
-        assert!(support(&[0.0; 4]).is_empty());
+        let mut out = vec![7];
+        support_into(&[0.0, 1.0, 0.0, -2.0], &mut out);
+        assert_eq!(out, vec![1, 3]);
+        support_into(&[0.0; 4], &mut out);
+        assert!(out.is_empty());
     }
 }

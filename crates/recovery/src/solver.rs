@@ -8,12 +8,9 @@
 //! can therefore hold *any* solver behind `&dyn Solver`/`Box<dyn
 //! Solver>` and swap algorithms per workload without touching its
 //! pipeline, and every solver — not just the proximal family — runs
-//! allocation-free once its workspace is warm.
-//!
-//! Results through the trait are **bit-identical** to the inherent
-//! `solve`/`solve_with` methods on the concrete types: the trait impls
-//! are one-line delegations, pinned down by property tests at the
-//! workspace root.
+//! allocation-free once its workspace is warm. Each algorithm lives in
+//! its `solve_with`; the trait's default [`Solver::solve`] is the one
+//! allocating convenience.
 //!
 //! [`SolverCaps`] carries the capability metadata a host needs to serve
 //! a solver well without knowing its type: its name and the seed of its
@@ -138,15 +135,6 @@ mod tests {
     use tepics_cs::DenseMatrix;
     use tepics_util::SplitMix64;
 
-    fn problem() -> (DenseMatrix, Vec<f64>) {
-        let mut rng = SplitMix64::new(77);
-        let a = DenseMatrix::from_fn(30, 60, |_, _| rng.next_gaussian() / 30f64.sqrt());
-        let mut x = vec![0.0; 60];
-        x[11] = 2.0;
-        x[42] = -1.0;
-        (a.clone(), a.apply_vec(&x))
-    }
-
     #[test]
     fn caps_names_are_unique_and_stable() {
         let fista = Fista::new();
@@ -160,15 +148,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 5, "duplicate solver names");
-    }
-
-    #[test]
-    fn trait_dispatch_equals_direct_call() {
-        let (a, y) = problem();
-        let fista = Fista::new();
-        let direct = fista.solve(&a, &y).unwrap();
-        let dynamic = Solver::solve(&fista as &dyn Solver, &a, &y).unwrap();
-        assert_eq!(direct, dynamic);
     }
 
     /// A NaN in `y` ends every solver in a breakdown that names it:

@@ -41,7 +41,7 @@ use tepics_cs::ComposedScratch;
 ///
 /// ```
 /// use tepics_cs::{DenseMatrix, LinearOperator};
-/// use tepics_recovery::{Fista, SolverWorkspace};
+/// use tepics_recovery::{Fista, Solver, SolverWorkspace};
 /// use tepics_util::SplitMix64;
 ///
 /// let mut rng = SplitMix64::new(1);

@@ -17,7 +17,7 @@
 use tepics::cs::dictionary::IdentityDictionary;
 use tepics::cs::ComposedOperator;
 use tepics::prelude::*;
-use tepics::recovery::Iht;
+use tepics::recovery::{Iht, Solver};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let side = 32;

@@ -17,11 +17,19 @@
 //! threads(2), and identically cold (a fresh cache) and warm (a cache,
 //! and its Gram stores and norms, filled by an earlier decode of the
 //! same bytes).
+//!
+//! The delta-mode sweep draws `delta_mode(sparsity, keyframe_interval)`
+//! sessions: intervals 0, 1 and larger, one to six frames of static,
+//! sparsely changing or wholly new scenes, on compact and resilient
+//! wires, some damaged past their header by a [`FaultInjector`]. Each
+//! stream decodes in one shot and again re-chunked, cold and warm; the
+//! frames, the sticky error and the report must agree bit for bit.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use tepics::core::CoreError;
+use tepics::core::stream::{RESILIENT_HEADER_BYTES, STREAM_HEADER_BYTES};
+use tepics::core::{CoreError, FaultInjector};
 use tepics::prelude::*;
 use tepics::util::SplitMix64;
 
@@ -444,4 +452,256 @@ fn event_accurate_captures_decode_like_functional_ones() {
         }
     }
     assert!(queued > 0, "no event-accurate capture queued a pulse");
+}
+
+/// How the scene changes from one delta-mode frame to the next.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Motion {
+    /// The same scene every frame: every delta is zero.
+    Static,
+    /// A few pixels change per frame: the pixel-sparse delta IHT models.
+    Sparse,
+    /// A new scene every frame: a dense delta.
+    Dense,
+}
+
+/// One fuzzed delta-mode configuration.
+#[derive(Debug, Clone)]
+struct DeltaCase {
+    rows: usize,
+    cols: usize,
+    ratio: f64,
+    /// Key-frame recovery; deltas always run IHT.
+    solver: SolverKind,
+    /// As passed to `delta_mode`; 0 is clamped to 1 there.
+    sparsity: usize,
+    keyframe_interval: usize,
+    frames: usize,
+    motion: Motion,
+    profile: WireProfile,
+    /// Damages the wire past its header with a fault of this kind.
+    fault: Option<u64>,
+    seed: u64,
+}
+
+impl DeltaCase {
+    fn draw(rng: &mut SplitMix64) -> DeltaCase {
+        let (rows, cols) = (4 + pick(rng, 17), 4 + pick(rng, 17));
+        let solver = match pick(rng, 2) {
+            0 => SolverKind::Omp {
+                atoms: 1 + pick(rng, 30),
+            },
+            _ => SolverKind::Fista {
+                lambda_ratio: 0.005 + 0.05 * rng.next_f64(),
+                max_iter: 10 + pick(rng, 30),
+                debias: rng.next_bool(),
+            },
+        };
+        let keyframe_interval = match pick(rng, 4) {
+            0 => 0,
+            1 => 1,
+            _ => 2 + pick(rng, 4),
+        };
+        DeltaCase {
+            rows,
+            cols,
+            ratio: 0.02 + 0.6 * rng.next_f64(),
+            solver,
+            sparsity: pick(rng, rows * cols + 8),
+            keyframe_interval,
+            frames: 1 + pick(rng, 6),
+            motion: [Motion::Static, Motion::Sparse, Motion::Dense][pick(rng, 3)],
+            profile: [WireProfile::Compact, WireProfile::Resilient][pick(rng, 2)],
+            fault: (pick(rng, 3) == 0).then(|| rng.next_u64()),
+            seed: rng.next_u64(),
+        }
+    }
+
+    /// The case's stream: `frames` captures of its scene sequence.
+    fn wire(&self, imager: &CompressiveImager) -> Vec<u8> {
+        let mut enc = EncodeSession::with_profile(imager.clone(), self.profile).unwrap();
+        let mut rng = SplitMix64::new(self.seed);
+        let mut scene = Scene::natural_like().render(self.cols, self.rows, self.seed);
+        for i in 0..self.frames {
+            match self.motion {
+                Motion::Static => {}
+                Motion::Sparse => {
+                    for _ in 0..1 + pick(&mut rng, 3) {
+                        let (x, y) = (pick(&mut rng, self.cols), pick(&mut rng, self.rows));
+                        scene.set(x, y, rng.next_f64());
+                    }
+                }
+                Motion::Dense => {
+                    scene = Scene::natural_like().render(self.cols, self.rows, self.seed + i as u64)
+                }
+            }
+            enc.capture(&scene).unwrap();
+        }
+        let mut wire = enc.into_bytes();
+        if let Some(fault_seed) = self.fault {
+            let header = match self.profile {
+                WireProfile::Compact => STREAM_HEADER_BYTES,
+                WireProfile::Resilient => RESILIENT_HEADER_BYTES,
+            };
+            let mut f = FaultInjector::new(fault_seed);
+            match fault_seed % 4 {
+                0 => {
+                    f.flip_bits(&mut wire[header..], 0.003);
+                }
+                1 => {
+                    f.burst_erase(&mut wire[header..], 24);
+                }
+                2 => {
+                    f.truncate(&mut wire, header);
+                }
+                _ => {
+                    f.duplicate_range(&mut wire, 32);
+                }
+            }
+        }
+        wire
+    }
+}
+
+/// What a delta-mode session made of a stream delivered as `chunks`:
+/// its frames, its sticky error and its report.
+type DeltaOutcome = (Vec<DecodedFrame>, Option<CoreError>, DecodeReport);
+
+fn decode_delta<'a>(
+    case: &DeltaCase,
+    chunks: impl IntoIterator<Item = &'a [u8]>,
+    cache: &Arc<OperatorCache>,
+) -> DeltaOutcome {
+    let mut session = DecodeSession::with_cache(Arc::clone(cache));
+    session
+        .params(RecoveryParams {
+            solver: case.solver,
+            dictionary: DictionaryKind::Dct2d,
+        })
+        .delta_mode(case.sparsity, case.keyframe_interval);
+    let mut frames = Vec::new();
+    for chunk in chunks {
+        match session.push_bytes(chunk) {
+            Ok(out) => frames.extend(out),
+            Err(_) => break,
+        }
+    }
+    if session.error().is_none() {
+        frames.extend(session.finish().unwrap());
+    }
+    (frames, session.error().cloned(), session.report())
+}
+
+/// What the delta-mode sweep exercised.
+#[derive(Debug, Default)]
+struct DeltaTally {
+    rejected: usize,
+    decoded: usize,
+    never_rekey: usize,
+    every_other: usize,
+    interval_beyond_one: usize,
+    clean_compact: usize,
+    clean_resilient: usize,
+    damaged: usize,
+    single_frame: usize,
+    sparsity_beyond_pixels: usize,
+    key_frames: usize,
+    delta_frames: usize,
+    lost_frames: usize,
+    errors: usize,
+}
+
+fn run_delta_case(case: &DeltaCase, tally: &mut DeltaTally) {
+    let mut builder = CompressiveImager::builder(case.rows, case.cols);
+    builder
+        .ratio(case.ratio)
+        .fidelity(Fidelity::Functional)
+        .seed(case.seed);
+    let imager = match builder.build() {
+        Ok(imager) => imager,
+        Err(CoreError::InvalidConfig(_)) => {
+            tally.rejected += 1;
+            return;
+        }
+        Err(e) => panic!("build must fail only with InvalidConfig, got {e:?}"),
+    };
+    let wire = case.wire(&imager);
+    let cache = OperatorCache::shared();
+    let cold = decode_delta(case, [wire.as_slice()], &cache);
+    let warm = decode_delta(case, [wire.as_slice()], &cache);
+    assert_eq!(warm, cold, "warm one-shot != cold one-shot");
+    let chunks = FaultInjector::new(case.seed ^ 0xC4C4)
+        .rechunk(&wire, 1 + pick(&mut SplitMix64::new(case.seed), 97));
+    let rechunked = decode_delta(
+        case,
+        chunks.iter().map(Vec::as_slice),
+        &OperatorCache::shared(),
+    );
+    assert_eq!(rechunked, cold, "re-chunked != one-shot");
+
+    let (frames, error, report) = cold;
+    for frame in &frames {
+        let codes = frame.reconstruction.code_image().as_slice();
+        assert!(codes.iter().all(|v| v.is_finite()), "non-finite code");
+        assert!(frame.reconstruction.stats().residual_norm.is_finite());
+    }
+    if case.fault.is_none() {
+        assert_eq!(error, None, "a clean wire decodes without error");
+        assert_eq!(report.frames_seen(), case.frames, "{report:?}");
+        // A key frame, then `interval` deltas before the next; 0 never
+        // re-keys.
+        let n = case.keyframe_interval;
+        let keys: Vec<bool> = frames.iter().map(|f| f.is_key).collect();
+        let want: Vec<bool> = (0..case.frames)
+            .map(|i| i == 0 || (n > 0 && i % (n + 1) == 0))
+            .collect();
+        assert_eq!(keys, want, "key frames of interval {n}");
+    }
+
+    tally.decoded += 1;
+    tally.never_rekey += usize::from(case.keyframe_interval == 0);
+    tally.every_other += usize::from(case.keyframe_interval == 1);
+    tally.interval_beyond_one += usize::from(case.keyframe_interval > 1);
+    let clean = case.fault.is_none();
+    tally.clean_compact += usize::from(clean && case.profile == WireProfile::Compact);
+    tally.clean_resilient += usize::from(clean && case.profile == WireProfile::Resilient);
+    tally.damaged += usize::from(!clean);
+    tally.single_frame += usize::from(case.frames == 1);
+    tally.sparsity_beyond_pixels += usize::from(case.sparsity >= case.rows * case.cols);
+    tally.key_frames += frames.iter().filter(|f| f.is_key).count();
+    tally.delta_frames += frames.iter().filter(|f| !f.is_key).count();
+    tally.lost_frames += report.frames_lost;
+    tally.errors += usize::from(error.is_some());
+}
+
+/// Seeded delta-mode config fuzz (see the module docs).
+#[test]
+fn fuzzed_delta_mode_decodes_are_finite_and_deterministic() {
+    let mut rng = SplitMix64::new(0xDE17_A5EE);
+    let mut tally = DeltaTally::default();
+    for round in 0..60 {
+        let case = DeltaCase::draw(&mut rng);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_delta_case(&case, &mut tally)));
+        if let Err(payload) = outcome {
+            eprintln!("delta fuzz round {round} failed: {case:?}");
+            panic::resume_unwind(payload);
+        }
+    }
+    // The sweep must reach every branch it claims to cover.
+    assert!(
+        tally.decoded >= 55
+            && tally.never_rekey >= 10
+            && tally.every_other >= 10
+            && tally.interval_beyond_one >= 15
+            && tally.clean_compact >= 10
+            && tally.clean_resilient >= 10
+            && tally.damaged >= 10
+            && tally.single_frame >= 5
+            && tally.sparsity_beyond_pixels >= 3
+            && tally.key_frames >= 50
+            && tally.delta_frames >= 50
+            && tally.lost_frames >= 1
+            && tally.errors >= 1,
+        "{tally:?}"
+    );
 }

@@ -33,7 +33,7 @@ use tepics::cs::op::{dot, norm2};
 use tepics::cs::{ComposedOperator, Dct2dDictionary};
 use tepics::prelude::*;
 use tepics::recovery::solver::norm_seeds;
-use tepics::recovery::{Fista, Recovery};
+use tepics::recovery::{Fista, Recovery, Solver};
 
 mod dense;
 use dense::{atom_images, pinned_columns};

@@ -47,7 +47,7 @@ use tepics::cs::measurement::SelectionMeasurement;
 use tepics::cs::op::{dot, norm2};
 use tepics::cs::{ComposedOperator, Dct2dDictionary, GramStore};
 use tepics::prelude::*;
-use tepics::recovery::{CoSaMp, Omp};
+use tepics::recovery::{CoSaMp, Omp, Solver};
 
 mod dense;
 use dense::{atom_images, pinned_columns};
