@@ -65,9 +65,11 @@
 //!
 //! A Gram store is created empty and fills column by column as OMP and
 //! CoSaMP solves select atoms (see [`tepics_cs::gram`]). It is capped at
-//! `min(K, N)` columns for a `K`-sample, `N`-atom key — about the bytes
-//! of a dense `K × N` `Φ·Ψ` — and that capped size
-//! is booked against the budget when the store is created, so the
+//! `min(N, max(K, N/2))` columns for a `K`-sample, `N`-atom key: half
+//! the full Gram, or about the bytes of a dense `K × N` `Φ·Ψ` if that is
+//! more. The cap is sized by measured reuse (at 32×32 tiles, `K = 359`,
+//! it cuts the columns a tile recomputes from 4.7 to 2.7). That capped
+//! size is booked against the budget when the store is created, so the
 //! resident total never moves as columns are admitted. Inside a store
 //! nothing is evicted; the cache evicts a store only as a whole, like
 //! any other entry, and a later lookup starts a fresh one. Results never
@@ -656,15 +658,16 @@ mod tests {
 
     /// A Gram store counts against the byte budget like any entry: it
     /// evicts older entries to fit, and is itself evicted whole. At 40
-    /// rows OMP holds four measurements out, so each of the 40 slots is
-    /// booked at 256 training Gram values plus 4 held-out ones.
+    /// rows OMP holds four measurements out, so each of the 128 slots
+    /// (half the 256-column Gram) is booked at 256 training Gram values
+    /// plus 4 held-out ones.
     #[test]
     fn gram_stores_count_against_the_byte_budget() {
         let slot = std::mem::size_of::<std::sync::OnceLock<Option<Box<[f64]>>>>();
         assert_eq!(GramStore::new(40, 256).column_len(), 256 + 4);
         assert_eq!(
             GramStore::new(40, 256).bytes(),
-            40 * (256 + 4) * 8 + 256 * slot
+            128 * (256 + 4) * 8 + 256 * slot
         );
         let store_bytes = ENTRY_OVERHEAD + GramStore::new(40, 256).bytes();
         let cache = OperatorCache::with_budget(store_bytes * 2);

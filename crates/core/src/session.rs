@@ -68,7 +68,7 @@
 use std::sync::Arc;
 
 use crate::cache::OperatorCache;
-use crate::decoder::{Decoder, Reconstruction};
+use crate::decoder::{Decoder, DictionaryKind, Reconstruction};
 use crate::error::CoreError;
 use crate::frame::{CompressedFrame, FrameHeader};
 use crate::imager::CompressiveImager;
@@ -80,6 +80,7 @@ use tepics_cs::dictionary::IdentityDictionary;
 use tepics_cs::ComposedOperator;
 use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse, TileLayout};
 use tepics_imaging::ImageF64;
+use tepics_recovery::solver::norm_seeds;
 use tepics_recovery::{Iht, SolveStats, Solver, SolverWorkspace};
 use tepics_sensor::EventStats;
 use tepics_util::pool::{self, WorkerPool};
@@ -478,7 +479,7 @@ impl DecodeSession {
     /// Applies a bundled [`RecoveryParams`] (solver + dictionary) for
     /// key frames, before or after the first frame. The one decode
     /// configuration setter: any [`SolverKind`](crate::solver::SolverKind)
-    /// over any [`DictionaryKind`](crate::decoder::DictionaryKind).
+    /// over any [`DictionaryKind`].
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
         self.params = params;
         if let Some(decoder) = &mut self.decoder {
@@ -914,7 +915,9 @@ impl DecodeSession {
     /// threads and allocate nothing in the solver loops — except that an
     /// OMP decode admits each new atom's Gram column into the key's
     /// shared store, one allocation per column, until the store reaches
-    /// its cap of `min(K, N)` columns.
+    /// its cap of `min(N, max(K, N/2))` columns: half the full Gram, or
+    /// `K` columns if that is more (see [`tepics_cs::gram`] for the
+    /// reuse measurement that sizes it).
     ///
     /// Inline configurations warm the session's own workspace instead.
     /// Solve failures while warming are ignored — warming is
@@ -1020,16 +1023,26 @@ impl DecodeSession {
             .zip(prev_samples)
             .map(|(&a, &b)| a as f64 - b as f64)
             .collect();
-        let (phi, _) = self
-            .cache
-            .operator(&decoder.operator_key(frame.samples.len()))?;
+        let key = decoder.operator_key(frame.samples.len());
+        let (phi, _) = self.cache.operator(&key)?;
         let dict = IdentityDictionary::new(prev_codes.len());
         let a =
             ComposedOperator::new(phi.as_ref(), &dict).with_scratch(self.workspace.take_composed());
-        let rec =
-            Iht::new(delta.sparsity)
-                .max_iter(200)
-                .solve_with(&a, &dy, &mut self.workspace)?;
+        // IHT's fallback step comes from the key's memoized norm: the
+        // estimate IHT would compute itself, so the override is
+        // bit-transparent, and the power iteration runs once per key
+        // instead of once per delta frame.
+        let mut iht = Iht::new(delta.sparsity);
+        iht.max_iter(200);
+        if let Some(norm) =
+            self.cache
+                .operator_norm(&key, DictionaryKind::Identity, norm_seeds::IHT, || {
+                    norm_seeds::estimate(&a, norm_seeds::IHT)
+                })
+        {
+            iht.step(norm_seeds::step(norm));
+        }
+        let rec = iht.solve_with(&a, &dy, &mut self.workspace)?;
         self.workspace.store_composed(a.into_scratch());
         let code_max = ((1u32 << frame.header.code_bits) - 1) as f64;
         let codes = ImageF64::from_vec(
@@ -1221,6 +1234,59 @@ mod tests {
             let db = psnr(truth, d.reconstruction.code_image(), 255.0);
             assert!(db > 22.0, "frame {}: {db:.1} dB", d.index);
         }
+    }
+
+    /// A delta frame takes IHT's norm from the cache: the first one
+    /// memoizes the key's estimate, equal bit for bit to the one IHT
+    /// would compute itself, and a second decode of the stream on the
+    /// warm cache gives the same frames.
+    #[test]
+    fn delta_frames_memoize_the_iht_norm_per_key() {
+        use std::cell::Cell;
+        let im = imager(16, 0xD1);
+        let frames: Vec<CompressedFrame> = (0..3)
+            .map(|t| {
+                let mut scene = Scene::gaussian_blobs(2).render(16, 16, 3);
+                scene.set(2 + t, 7, 0.9);
+                im.capture(&scene)
+            })
+            .collect();
+        let decoder = Decoder::for_header(&frames[0].header).unwrap();
+        let key = decoder.operator_key(frames[0].samples.len());
+        let probe = |cache: &OperatorCache| {
+            let computed = Cell::new(false);
+            let norm = cache.operator_norm(&key, DictionaryKind::Identity, norm_seeds::IHT, || {
+                computed.set(true);
+                1.0
+            });
+            (norm, computed.get())
+        };
+        let decode = |cache: &Arc<OperatorCache>, n: usize| {
+            let mut session = DecodeSession::with_cache(Arc::clone(cache));
+            session.delta_mode(20, 0);
+            frames[..n]
+                .iter()
+                .map(|f| session.push_frame(f).unwrap())
+                .collect::<Vec<_>>()
+        };
+        // A key frame alone leaves no IHT norm behind.
+        let key_only = Arc::new(OperatorCache::new());
+        assert!(decode(&key_only, 1)[0].is_key);
+        assert!(probe(&key_only).1, "no delta frame ran yet");
+        // One delta frame memoizes it.
+        let cache = Arc::new(OperatorCache::new());
+        assert!(!decode(&cache, 2)[1].is_key);
+        let (norm, computed) = probe(&cache);
+        assert!(!computed, "the delta frame memoized the norm");
+        let (phi, _) = cache.operator(&key).unwrap();
+        let dict = IdentityDictionary::new(16 * 16);
+        let want =
+            norm_seeds::estimate(&ComposedOperator::new(phi.as_ref(), &dict), norm_seeds::IHT);
+        assert_eq!(norm.map(f64::to_bits), Some(want.to_bits()));
+        // Cold and warm decodes of the whole stream agree bit for bit.
+        let cold = decode(&Arc::new(OperatorCache::new()), frames.len());
+        assert_eq!(decode(&cache, frames.len()), cold);
+        assert_eq!(cold.iter().filter(|f| f.is_key).count(), 1);
     }
 
     fn tiled_imager(seed: u64) -> CompressiveImager {

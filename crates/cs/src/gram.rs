@@ -37,14 +37,25 @@
 //!
 //! # The cap
 //!
-//! A full Gram is `N` columns of `N` values (8 MiB in `f64` at 32×32),
-//! more than a decoder can afford per key. The store therefore holds at
-//! most `min(K, N)` columns for a `K × N` operator: about the bytes of
-//! the operator itself as a dense `K × N` matrix, and a cap derived from
-//! the operator alone. Admission is first-come and
-//! single-flight per column: the first request for a column reserves a
-//! ticket and computes it while racers on the same column wait, and
-//! racers on other columns proceed in parallel. Nothing is ever evicted
+//! A full Gram is `N` columns of `N` values (8 MiB in `f64` at 32×32).
+//! The store holds at most `min(N, max(K, N/2))` columns for a `K × N`
+//! operator: half the full Gram, or `K` columns (about the bytes of the
+//! operator itself as a dense `K × N` matrix) if that is more. The rule
+//! depends on the geometry alone. It is sized by measured reuse: every
+//! tile of a 256×256 frame of 32×32 tiles (`K = 359`) solves against one
+//! key's store, which fills within the first frame. Replaying one
+//! stream's recorded requests through first-come stores gives 4.73
+//! misses per tile at 359 columns, 2.72 at 512, 1.47 at 640 and none at
+//! 1024, and every miss recomputes its column once per solve. Each
+//! further column also costs heap, twice over when a process keeps a
+//! second cache of the same key alive. Half the Gram gains about 18%
+//! frames/s on that stream over `K` columns for about 8% more peak
+//! heap; a full Gram gains 50% for 30%.
+//!
+//! Admission is first-come and single-flight per column: the first
+//! request for a column reserves a ticket and computes it while racers
+//! on the same column wait, and racers on other columns proceed in
+//! parallel. Nothing is ever evicted
 //! from a store, so a column admitted once is served for the store's
 //! whole life, and a column turned away by a full store is turned away
 //! for good — its requester computes it into its own scratch, once per
@@ -118,9 +129,10 @@ pub fn hold_out_in_place(v: &mut [f64], held: &mut [f64]) {
 /// full store, uninitialized before its first request.
 type Slot = OnceLock<Option<Box<[f64]>>>;
 
-/// Up to `min(rows, cols)` memoized Gram slots of one `rows × cols`
-/// operator: the training Gram column `Aᵀ(mask ⊙ a_j)` followed by the
-/// held-out entries `a_j[cv]` (see the [module docs](self)).
+/// Up to [`capacity`](GramStore::capacity) memoized Gram slots of one
+/// `rows × cols` operator: the training Gram column `Aᵀ(mask ⊙ a_j)`
+/// followed by the held-out entries `a_j[cv]` (see the
+/// [module docs](self)).
 ///
 /// Shared via `Arc` across the solves and threads decoding one
 /// operator; the core crate's `OperatorCache` keeps one per operator
@@ -156,14 +168,15 @@ pub struct GramStore {
 
 impl GramStore {
     /// An empty store for a `rows × cols` operator, capped at
-    /// `min(rows, cols)` columns.
+    /// `min(cols, max(rows, cols / 2))` columns (see the
+    /// [module docs](self)).
     #[must_use]
     pub fn new(rows: usize, cols: usize) -> Self {
         GramStore {
             rows,
             cols,
             len: cols + held_out_count(rows),
-            cap: rows.min(cols),
+            cap: cols.min(rows.max(cols / 2)),
             admitted: AtomicUsize::new(0),
             slots: (0..cols).map(|_| Slot::new()).collect(),
         }
@@ -188,7 +201,9 @@ impl GramStore {
         self.len
     }
 
-    /// The most columns the store will ever hold, `min(rows, cols)`.
+    /// The most columns the store will ever hold,
+    /// `min(cols, max(rows, cols / 2))`: half the full Gram, or `rows`
+    /// columns if that is more.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.cap
@@ -201,8 +216,9 @@ impl GramStore {
     }
 
     /// The capped footprint in bytes, for cache accounting: a full
-    /// store's `column_len()`-value columns plus the per-column slots. A cache books it in
-    /// full when the store is created, so admissions never move the
+    /// store's [`capacity`](GramStore::capacity) columns of
+    /// `column_len()` values plus the per-column slots. A cache books it
+    /// in full when the store is created, so admissions never move the
     /// accounted total.
     #[must_use]
     pub fn bytes(&self) -> usize {
@@ -307,6 +323,24 @@ mod tests {
         }
         assert_eq!(store.admitted(), 3);
         assert!(store.column(1).is_none(), "never requested");
+    }
+
+    /// The cap is half the Gram or `rows` columns, whichever is more,
+    /// and never more than the Gram: pinned at the geometries decoders
+    /// use (16×16, 32×32 and 64×64 tiles at ratio 0.35, 32×32 at 0.7)
+    /// and at this module's small test operators.
+    #[test]
+    fn the_cap_is_half_the_gram_or_the_row_count() {
+        for ((rows, cols), cap) in [
+            ((89, 256), 128),
+            ((359, 1024), 512),
+            ((717, 1024), 717),
+            ((1434, 4096), 2048),
+            ((6, 10), 6),
+            ((2, 3), 2),
+        ] {
+            assert_eq!(GramStore::new(rows, cols).capacity(), cap, "{rows}×{cols}");
+        }
     }
 
     #[test]
