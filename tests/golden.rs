@@ -272,6 +272,41 @@ fn compute_table() -> Vec<(String, u64)> {
         digest(&gapped, &frames, &dec.report()),
     ));
 
+    // Delta mode on a resilient stream of eight frames whose first
+    // record is cut and whose record 3 fails its payload CRC: the
+    // stream opens on a re-anchor, re-anchors again mid-stream, and the
+    // key-frame cadence restarts from each re-anchor.
+    let (mut damaged, captures) = encode(untiled_imager(0xDA3A), WireProfile::Resilient, 8, 50);
+    let record = &captures[0][0];
+    let rec_len = RESILIENT_RECORD_PREFIX_BYTES
+        + (record.sample_count() * record.header.sample_bits as usize).div_ceil(8)
+        + 1;
+    let span = |i: usize| RESILIENT_HEADER_BYTES + 4 * (i / SYNC_INTERVAL + 1) + i * rec_len;
+    damaged[span(3) + RESILIENT_RECORD_PREFIX_BYTES + 1] ^= 0x5A;
+    damaged.drain(span(0)..span(0) + rec_len);
+    let mut dec = DecodeSession::new();
+    dec.delta_mode(30, 2);
+    let mut frames = dec.push_bytes(&damaged).unwrap();
+    frames.extend(dec.finish().unwrap());
+    let keys: Vec<(usize, bool)> = frames.iter().map(|f| (f.index, f.is_key)).collect();
+    assert_eq!(
+        keys,
+        [
+            (1, true),
+            (2, false),
+            (4, true),
+            (5, false),
+            (6, false),
+            (7, true)
+        ],
+        "the damage must re-anchor twice and the cadence restart"
+    );
+    assert_eq!((dec.report().reanchors, dec.report().frames_lost), (2, 2));
+    rows.push((
+        "delta/resilient-damaged".into(),
+        digest(&damaged, &frames, &dec.report()),
+    ));
+
     rows.push(("baseline/block8/32x32".into(), block_baseline_digest()));
     rows.push((
         "capture/event-accurate/32x32".into(),
@@ -381,6 +416,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("erasure/NeighborBlend", 0x2dbebadb18d0d1b5),
     ("delta/compact", 0xc5e62a7317395643),
     ("delta/resilient-reanchor", 0xc34da1193c288b76),
+    ("delta/resilient-damaged", 0x8fe9a8f49f631a4e),
     ("baseline/block8/32x32", 0x0bb50500acc01185),
     ("capture/event-accurate/32x32", 0xc14aae5613b8f9b2),
 ];
