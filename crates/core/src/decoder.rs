@@ -31,7 +31,7 @@ use tepics_cs::op;
 use tepics_cs::{ComposedOperator, XorMeasurement};
 use tepics_imaging::ImageF64;
 use tepics_recovery::solver::norm_seeds;
-use tepics_recovery::{Debias, SolveStats, Solver, SolverWorkspace};
+use tepics_recovery::{Debias, Iht, SolveStats, Solver, SolverWorkspace};
 use tepics_sensor::photodiode::intensity_from_crossing;
 use tepics_sensor::{CodeTransfer, SensorConfig};
 
@@ -74,8 +74,8 @@ pub struct Reconstruction {
 }
 
 impl Reconstruction {
-    /// Assembles a reconstruction from parts (used by the session layer
-    /// for delta-decoded frames).
+    /// Assembles a reconstruction from parts (frames stitched from tiles,
+    /// and delta-decoded ones).
     pub(crate) fn from_parts(codes: ImageF64, mean_code: f64, stats: SolveStats) -> Reconstruction {
         Reconstruction {
             codes,
@@ -329,6 +329,53 @@ impl Decoder {
             mean_code,
             stats,
         })
+    }
+
+    /// Delta recovery against the previous frame of a chain:
+    /// `y_t − y_{t−1} = Φ(x_t − x_{t−1})`, solved pixel-sparse (IHT over
+    /// the identity dictionary, `sparsity` pixels) and added to
+    /// `prev_codes`, reporting `mean_code` (the chain's key mean). The
+    /// caller checks that `frame` matches the chain's header and length.
+    pub(crate) fn recover_delta(
+        &self,
+        frame: &CompressedFrame,
+        prev_samples: &[u32],
+        prev_codes: &ImageF64,
+        mean_code: f64,
+        sparsity: usize,
+        workspace: &mut SolverWorkspace,
+    ) -> Result<Reconstruction, CoreError> {
+        let dy: Vec<f64> = frame
+            .samples
+            .iter()
+            .zip(prev_samples)
+            .map(|(&a, &b)| a as f64 - b as f64)
+            .collect();
+        let key = self.operator_key(frame.samples.len());
+        let (phi, _) = self.cache.operator(&key)?;
+        let dict = IdentityDictionary::new(prev_codes.len());
+        let a = ComposedOperator::new(phi.as_ref(), &dict).with_scratch(workspace.take_composed());
+        // IHT's step comes from the key's memoized norm, the estimate it
+        // would compute itself: bit-transparent, and once per key.
+        let seed = norm_seeds::IHT;
+        let norm = self
+            .cache
+            .operator_norm(&key, DictionaryKind::Identity, seed, || {
+                norm_seeds::estimate(&a, seed)
+            });
+        let mut iht = Iht::new(sparsity);
+        iht.max_iter(200);
+        if let Some(norm) = norm {
+            iht.step(norm_seeds::step(norm));
+        }
+        let rec = iht.solve_with(&a, &dy, workspace)?;
+        workspace.store_composed(a.into_scratch());
+        let code_max = ((1u32 << frame.header.code_bits) - 1) as f64;
+        let mut codes = prev_codes.clone();
+        for (p, &d) in codes.as_mut_slice().iter_mut().zip(&rec.coefficients) {
+            *p = (*p + d).clamp(0.0, code_max);
+        }
+        Ok(Reconstruction::from_parts(codes, mean_code, rec.stats))
     }
 }
 

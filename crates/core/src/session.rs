@@ -29,14 +29,16 @@
 //! number on the wire — so one assembler accounts for stale, lost and
 //! re-anchored frames on every container.
 //!
-//! Closed groups decode through one executor: inline on the session's
-//! workspace at [`DecodeSession::threads`] ≤ 1 (or when the session
-//! itself runs on a pool worker), otherwise every tile of every group a
-//! push completed fans out across the process-wide persistent
-//! [`WorkerPool`] in one map, so frames of one stream *pipeline*
-//! instead of decoding strictly one after another. Tiled groups are
-//! stitched with overlap blending in a deterministic order, so decoded
-//! frames are bit-identical at every thread count.
+//! Each tile is a job — a key solve or, in
+//! [delta mode](DecodeSession::delta_mode), a delta solve against its
+//! slot's previous frame — and jobs run through one executor: inline
+//! on the session's workspace at [`DecodeSession::threads`] ≤ 1 (or
+//! when the session itself runs on a pool worker), otherwise every tile
+//! of every group a push completed fans out across the process-wide
+//! persistent [`WorkerPool`] in one map, so frames of one stream
+//! *pipeline*; in delta mode one frame's tiles at a time. Tiled groups
+//! are stitched with overlap blending in a deterministic order, so
+//! decoded frames are bit-identical at every thread count.
 //! [`DecodeSession::prewarm`] primes every executor up front so the
 //! steady state spawns no threads and allocates nothing.
 //!
@@ -68,7 +70,7 @@
 use std::sync::Arc;
 
 use crate::cache::OperatorCache;
-use crate::decoder::{Decoder, DictionaryKind, Reconstruction};
+use crate::decoder::{Decoder, Reconstruction};
 use crate::error::CoreError;
 use crate::frame::{CompressedFrame, FrameHeader};
 use crate::imager::CompressiveImager;
@@ -76,12 +78,9 @@ use crate::solver::RecoveryParams;
 use crate::stream::{
     StreamEvent, StreamParser, StreamWriter, WireProfile, STREAM_VERSION_RESILIENT,
 };
-use tepics_cs::dictionary::IdentityDictionary;
-use tepics_cs::ComposedOperator;
 use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse, TileLayout};
 use tepics_imaging::ImageF64;
-use tepics_recovery::solver::norm_seeds;
-use tepics_recovery::{Iht, SolveStats, Solver, SolverWorkspace};
+use tepics_recovery::{SolveStats, SolverWorkspace};
 use tepics_sensor::EventStats;
 use tepics_util::pool::{self, WorkerPool};
 
@@ -284,15 +283,18 @@ pub struct DecodeReport {
     pub corrupt_events: usize,
     /// Total bytes the parser skipped as corrupt.
     pub bytes_skipped: usize,
-    /// Times delta-mode decoding re-anchored (full recovery) after a
-    /// gap instead of chaining a delta across it.
+    /// Tile slots that delta-mode decoding re-anchored (full recovery)
+    /// instead of chaining a delta across a gap: lost frames, or the
+    /// slot's tile lost or broken down in the previous frame. An untiled
+    /// stream counts one per re-anchored frame.
     pub reanchors: usize,
     /// Duplicate/stale records discarded (replayed or re-ordered
     /// sequence numbers).
     pub stale_records: usize,
     /// Tile solves that broke down numerically. Each one erased its
     /// tile, so its frame degraded per the [`ErasurePolicy`] or, with
-    /// no tile left, was lost (an untiled or delta-mode frame).
+    /// no tile left, was lost (an untiled frame); in delta mode its slot
+    /// re-anchors next frame.
     pub breakdowns: usize,
 }
 
@@ -329,9 +331,8 @@ pub struct DecodedFrame {
     /// stream this is derived from wire sequence numbers, so it stays
     /// the *true* capture position even when earlier frames were lost.
     pub index: usize,
-    /// Whether this frame ran full sparse recovery (`true`) or delta
-    /// recovery against the previous reconstruction (`false`). Always
-    /// `true` outside delta mode.
+    /// `true` when no tile of this frame ran delta recovery against its
+    /// slot's previous frame. Always `true` outside delta mode.
     pub is_key: bool,
     /// Number of tiles erased (missing, corrupt, or broken down) from
     /// this frame; 0 for a fully intact frame.
@@ -340,8 +341,8 @@ pub struct DecodedFrame {
     pub reconstruction: Reconstruction,
 }
 
-/// The records of one frame, by tile slot (row-major; an untiled frame
-/// is a one-slot group). `None` marks a tile not (yet) received.
+/// The tile jobs of one frame, by tile slot (row-major; an untiled
+/// frame is a one-slot group). `None` marks a tile not (yet) received.
 #[derive(Debug, Clone)]
 struct Group {
     /// Stream position of the frame.
@@ -349,7 +350,47 @@ struct Group {
     /// Frames were lost right before this one: delta mode must
     /// re-anchor here instead of chaining across the gap.
     reanchor: bool,
-    slots: Vec<Option<CompressedFrame>>,
+    slots: Vec<Option<Job>>,
+}
+
+/// One tile's solve: a key solve of its record or, with its slot's
+/// chain attached (delta mode), a delta solve against that chain.
+#[derive(Debug, Clone)]
+struct Job {
+    frame: CompressedFrame,
+    chain: Option<Chain>,
+    /// The outcome, once the job has run.
+    result: Option<Result<Reconstruction, CoreError>>,
+}
+
+impl Job {
+    fn key(frame: CompressedFrame) -> Job {
+        Job {
+            frame,
+            chain: None,
+            result: None,
+        }
+    }
+
+    fn run(&mut self, decoder: &Decoder, sparsity: usize, ws: &mut SolverWorkspace) {
+        let frame = &self.frame;
+        self.result = Some(match &self.chain {
+            None => decoder.reconstruct_with(frame, ws),
+            Some(c) => decoder.recover_delta(frame, &c.samples, &c.codes, c.mean, sparsity, ws),
+        });
+    }
+}
+
+/// A tile slot's delta chain: the slot's samples and code image in
+/// frame `index`, the mean code of the key solve the chain started
+/// from, and the delta solves since that key.
+#[derive(Debug, Clone)]
+struct Chain {
+    index: usize,
+    samples: Vec<u32>,
+    codes: ImageF64,
+    mean: f64,
+    deltas: usize,
 }
 
 /// Sticky-scratch slot key for a tile geometry: pool workers keep one
@@ -400,7 +441,7 @@ fn stitch_group(
 /// call returns the frames completed by that chunk. All decoding state —
 /// the rebuilt measurement operator, the dictionary, the per-solver
 /// operator-norm estimate, the Gram store (OMP, CoSaMP), the solver
-/// workspace, and (in delta mode) the previous reconstruction — lives
+/// workspace, and (in delta mode) each tile slot's previous frame — lives
 /// in the session, keyed by the stream
 /// header, so a long same-seed sequence pays the operator construction cost
 /// exactly once and, once warm, decodes frames with zero heap
@@ -420,11 +461,9 @@ pub struct DecodeSession {
     /// Solver and dictionary for key frames.
     params: RecoveryParams,
     delta: Option<DeltaMode>,
-    prev_samples: Option<Vec<u32>>,
-    prev_codes: Option<ImageF64>,
-    last_mean: f64,
-    frames_since_key: usize,
-    decoded: usize,
+    /// Delta mode: each tile slot's chain (row-major; one slot
+    /// untiled), `None` until the slot's first successful solve.
+    chains: Vec<Option<Chain>>,
     /// Executors for decoding (0 and 1 both mean inline).
     threads: usize,
     /// Reused solver buffers of the inline executor: one allocation for
@@ -444,9 +483,6 @@ pub struct DecodeSession {
     /// [`DecodeSession::push_bytes`] call; surfaced (sticky) on the
     /// next call so those frames are not discarded.
     deferred: Option<CoreError>,
-    /// A breakdown lost the frame the next delta would chain from: the
-    /// next delta-mode frame re-anchors.
-    chain_broken: bool,
     /// Test seam: the `(frame index, tile slot)` solves to replace with
     /// a numerical breakdown. Samples on the wire are integers, so no
     /// byte stream can force a non-finite solve.
@@ -479,7 +515,7 @@ impl DecodeSession {
     /// Applies a bundled [`RecoveryParams`] (solver + dictionary) for
     /// key frames, before or after the first frame. The one decode
     /// configuration setter: any [`SolverKind`](crate::solver::SolverKind)
-    /// over any [`DictionaryKind`].
+    /// over any [`DictionaryKind`](crate::decoder::DictionaryKind).
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
         self.params = params;
         if let Some(decoder) = &mut self.decoder {
@@ -492,9 +528,9 @@ impl DecodeSession {
     /// every frame a push completes are recovered concurrently on the
     /// calling thread plus up to `threads − 1` persistent
     /// [`WorkerPool`] workers and stitched in a deterministic order, so
-    /// the result is **bit-identical for every thread count**. A session
-    /// running on a pool worker, and delta mode (each frame chains from
-    /// the previous one), decode inline regardless.
+    /// the result is **bit-identical for every thread count**. Delta
+    /// mode fans out one frame's tiles at a time. A session running on
+    /// a pool worker decodes inline regardless.
     pub fn threads(&mut self, threads: usize) -> &mut Self {
         self.threads = threads;
         self
@@ -544,8 +580,8 @@ impl DecodeSession {
     /// runs full recovery, intermediate frames recover only the
     /// pixel-sparse delta `Φ⁻¹(y_t − y_{t−1})` with an IHT budget of
     /// `sparsity` pixels. Frames must then share header *and* sample
-    /// count. Untiled streams only: a tiled stream errors with
-    /// [`CoreError::InvalidConfig`].
+    /// count. Each tile slot chains on its own: a tile lost or broken
+    /// down re-anchors only its slot.
     pub fn delta_mode(&mut self, sparsity: usize, keyframe_interval: usize) -> &mut Self {
         self.delta = Some(DeltaMode {
             sparsity: sparsity.max(1),
@@ -561,7 +597,7 @@ impl DecodeSession {
 
     /// Number of frames decoded so far.
     pub fn frames_decoded(&self) -> usize {
-        self.decoded
+        self.report.frames_emitted()
     }
 
     /// Bytes received but not yet consumed by a complete frame.
@@ -631,9 +667,7 @@ impl DecodeSession {
                 // record loss shows up as sequence gaps.
                 Ok(Some(StreamEvent::Corrupt { .. })) => {}
                 Ok(Some(StreamEvent::Frame { seq, frame })) => {
-                    if let Err(e) = self.assemble(seq, frame, &mut groups) {
-                        break Some(e);
-                    }
+                    self.assemble(seq, frame, &mut groups)
                 }
             }
         };
@@ -658,29 +692,14 @@ impl DecodeSession {
 
     /// The assembler: files record `seq` into frame `seq / tiles`, slot
     /// `seq % tiles`, and appends groups to `done` as they complete or
-    /// as the stream moves past them. Every stale, lost and re-anchor
-    /// count is made here.
-    fn assemble(
-        &mut self,
-        seq: u64,
-        frame: CompressedFrame,
-        done: &mut Vec<Group>,
-    ) -> Result<(), CoreError> {
-        let tiles = match self.parser.tile_layout() {
-            Some(_) if self.delta.is_some() => {
-                return Err(CoreError::InvalidConfig(
-                    "delta mode is not supported for tiled streams (tiles are \
-                     recovered independently)"
-                        .into(),
-                ));
-            }
-            Some(layout) => layout.tiles(),
-            None => 1,
-        };
+    /// as the stream moves past them. Every stale and lost count is made
+    /// here, and the gap flag that re-anchors delta mode is set here.
+    fn assemble(&mut self, seq: u64, frame: CompressedFrame, done: &mut Vec<Group>) {
+        let tiles = self.parser.tile_layout().map_or(1, TileLayout::tiles);
         let (index, slot) = (seq as usize / tiles, seq as usize % tiles);
         if index < self.floor || self.group.as_ref().is_some_and(|g| index < g.index) {
             self.report.stale_records += 1;
-            return Ok(());
+            return;
         }
         if self.group.as_ref().is_some_and(|g| index > g.index) {
             // The stream moved on: stitch what we have.
@@ -704,7 +723,7 @@ impl DecodeSession {
         if group.slots[slot].is_some() {
             self.report.stale_records += 1;
         } else {
-            group.slots[slot] = Some(frame);
+            group.slots[slot] = Some(Job::key(frame));
         }
         if group.slots.iter().all(Option::is_some) {
             self.floor = index + 1;
@@ -712,7 +731,6 @@ impl DecodeSession {
         } else {
             self.group = Some(group);
         }
-        Ok(())
     }
 
     /// Closes the group in progress, moving the floor past it. A partial
@@ -740,9 +758,9 @@ impl DecodeSession {
     /// the session, plus any recovery error.
     pub fn push_frame(&mut self, frame: &CompressedFrame) -> Result<DecodedFrame, CoreError> {
         let group = Group {
-            index: self.decoded,
+            index: self.report.frames_seen(),
             reanchor: false,
-            slots: vec![Some(frame.clone())],
+            slots: vec![Some(Job::key(frame.clone()))],
         };
         let mut out = Vec::with_capacity(1);
         self.decode_groups(vec![group], None, &mut out)?;
@@ -752,145 +770,132 @@ impl DecodeSession {
     }
 
     /// Whether closed groups decode on the pool: more than one executor
-    /// asked for, outside delta mode, and not already on a pool worker
-    /// (a nested map would run inline anyway, on a colder workspace).
+    /// asked for, and not already on a pool worker (a nested map would
+    /// run inline anyway, on a colder workspace).
     fn pooled(&self) -> bool {
-        self.threads > 1 && self.delta.is_none() && !pool::is_worker_thread()
+        self.threads > 1 && !pool::is_worker_thread()
     }
 
-    /// The group decoder: solves every tile of `groups` — inline, or in
-    /// one pool map — then emits the frames in stream order, stitched
-    /// on `layout` when the stream is tiled. A one-tile untiled group
-    /// emits its tile's reconstruction untouched.
-    ///
-    /// A tile whose solve breaks down numerically is erased like a
-    /// missing one ([`DecodeSession::settle`]): a tiled frame degrades
-    /// per the [`ErasurePolicy`], and a frame left with no tile (an
-    /// untiled one) is lost. On any other tile decode error the frames
-    /// emitted before it stay in `out` (the caller defers the error per
-    /// the push contract) and later groups are dropped with the
-    /// session's sticky error.
+    /// The group decoder, one loop for every frame. Outside delta mode
+    /// all `groups` run as one batch; in delta mode slot `s` of frame
+    /// `t + 1` chains from frame `t`, so each group runs alone. On a
+    /// tile decode error other than a breakdown the frames emitted
+    /// before it stay in `out` (the caller defers the error per the
+    /// push contract) and later groups are dropped.
     fn decode_groups(
         &mut self,
-        groups: Vec<Group>,
+        mut groups: Vec<Group>,
         layout: Option<&TileLayout>,
         out: &mut Vec<DecodedFrame>,
     ) -> Result<(), CoreError> {
-        let Some(header) = groups
-            .iter()
-            .flat_map(|g| g.slots.iter().flatten())
-            .map(|frame| frame.header)
-            .next()
-        else {
+        let Some(job) = groups.iter().find_map(|g| g.slots.iter().flatten().next()) else {
             return Ok(());
         };
-        let decoder = self.decoder_for(&header)?;
-        if let Some(delta) = self.delta {
-            for group in groups {
-                out.extend(self.decode_delta_group(group, &decoder, delta)?);
+        let decoder = self.decoder_for(&job.frame.header)?;
+        let per_batch = self.delta.map_or(groups.len(), |_| 1);
+        for batch in groups.chunks_mut(per_batch) {
+            if let Some(delta) = self.delta {
+                self.chain_jobs(&mut batch[0], delta, decoder.header())?;
             }
-            return Ok(());
-        }
-        let tiles = layout.map_or(1, TileLayout::tiles);
-        let indices: Vec<usize> = groups.iter().map(|g| g.index).collect();
-        // Every slot of every group, erased ones included, in stream
-        // order: the map hands results back in input order.
-        let slots: Vec<Option<CompressedFrame>> =
-            groups.into_iter().flat_map(|g| g.slots).collect();
-        let solved: Vec<Option<Result<Reconstruction, CoreError>>> = if self.pooled() {
-            let key = scratch_key(&header);
-            WorkerPool::global().map(self.threads, slots, move |_, slot, s| {
-                let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
-                slot.map(|frame| decoder.reconstruct_with(&frame, workspace))
-            })
-        } else {
-            // Inline: the session workspace serves every tile (the
-            // workspace never changes results, only allocations).
-            let workspace = &mut self.workspace;
-            slots
-                .into_iter()
-                .map(|slot| slot.map(|frame| decoder.reconstruct_with(&frame, workspace)))
-                .collect()
-        };
-        #[cfg(test)]
-        let solved: Vec<_> = solved
-            .into_iter()
-            .enumerate()
-            .map(|(i, tile)| self.inject(indices[i / tiles], i % tiles, tile))
-            .collect();
-        let mut solved = solved.into_iter();
-        for index in indices {
-            let mut group = solved
-                .by_ref()
-                .take(tiles)
-                .map(|tile| self.settle(tile))
-                .collect::<Result<Vec<_>, _>>()?;
-            let erased = group.iter().filter(|tile| tile.is_none()).count();
-            let reconstruction = match layout {
-                Some(layout)
-                    if erased < tiles && (erased == 0 || self.policy != ErasurePolicy::Strict) =>
-                {
-                    Some(stitch_group(&group, layout, self.policy))
-                }
-                Some(_) => None,
-                None => group.pop().flatten(),
-            };
-            match reconstruction {
-                Some(reconstruction) => {
-                    out.push(self.emit(index, true, erased, tiles, reconstruction))
-                }
-                // No tile survived, or the strict policy refuses a
-                // partial frame.
-                None => self.report.frames_lost += 1,
+            self.run(&decoder, batch);
+            for group in batch {
+                self.emit(group, layout, out)?;
             }
         }
         Ok(())
     }
 
-    /// Settles one tile's solve (`None` = erased): a numerical
-    /// breakdown erases the tile, counted in
-    /// [`DecodeReport::breakdowns`], instead of failing the session.
-    /// Any other error stays fatal.
-    fn settle(
+    /// Delta mode: a slot of `group` runs a delta job if its chain is
+    /// from the previous frame, no gap precedes the group and the
+    /// cadence allows; else a key solve, counted as a re-anchor after a
+    /// gap or a chain from an earlier frame. Errors with
+    /// [`CoreError::FrameMismatch`] if a chained tile's header or length
+    /// differs.
+    fn chain_jobs(
         &mut self,
-        tile: Option<Result<Reconstruction, CoreError>>,
-    ) -> Result<Option<Reconstruction>, CoreError> {
-        match tile {
-            Some(Err(CoreError::Breakdown(_))) => {
-                self.report.breakdowns += 1;
-                Ok(None)
+        group: &mut Group,
+        delta: DeltaMode,
+        header: &FrameHeader,
+    ) -> Result<(), CoreError> {
+        self.chains.resize_with(group.slots.len(), || None);
+        for (job, chain) in group.slots.iter_mut().zip(&mut self.chains) {
+            let Some(job) = job else { continue };
+            let Some(prev) = chain
+                .as_ref()
+                .filter(|c| !group.reanchor && c.index + 1 == group.index)
+            else {
+                self.report.reanchors += usize::from(group.reanchor || chain.is_some());
+                continue;
+            };
+            if &job.frame.header != header || prev.samples.len() != job.frame.samples.len() {
+                return Err(CoreError::FrameMismatch(
+                    "sequence frames must share header and sample count".into(),
+                ));
             }
-            tile => tile.transpose(),
+            if delta.keyframe_interval == 0 || prev.deltas < delta.keyframe_interval {
+                job.chain = chain.take();
+            }
+        }
+        Ok(())
+    }
+
+    /// The executor: runs every job of `groups` inline or in one pool
+    /// map, leaving each outcome in its job.
+    fn run(&mut self, decoder: &Arc<Decoder>, groups: &mut [Group]) {
+        let sparsity = self.delta.map_or(0, |delta| delta.sparsity);
+        let slots = groups.iter_mut().flat_map(|g| g.slots.iter_mut());
+        if !self.pooled() {
+            // A workspace never changes results, only allocations.
+            for job in slots.flatten() {
+                job.run(decoder, sparsity, &mut self.workspace);
+            }
+            return;
+        }
+        let key = scratch_key(decoder.header());
+        let decoder = Arc::clone(decoder);
+        // Erased slots ride along: the map hands jobs back in order.
+        let jobs: Vec<Option<Job>> = slots.map(Option::take).collect();
+        let jobs = WorkerPool::global().map(self.threads, jobs, move |_, mut job, s| {
+            if let Some(job) = &mut job {
+                let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
+                job.run(&decoder, sparsity, workspace);
+            }
+            job
+        });
+        for (slot, job) in groups.iter_mut().flat_map(|g| g.slots.iter_mut()).zip(jobs) {
+            *slot = job;
         }
     }
 
-    /// Test seam: replaces the solve of tile `slot` of frame `index`
-    /// with a breakdown when the pair is listed in `inject_breakdowns`.
-    #[cfg(test)]
-    fn inject(
-        &self,
-        index: usize,
-        slot: usize,
-        tile: Option<Result<Reconstruction, CoreError>>,
-    ) -> Option<Result<Reconstruction, CoreError>> {
-        match tile {
-            Some(_) if self.inject_breakdowns.contains(&(index, slot)) => {
-                Some(Err(CoreError::Breakdown("injected".into())))
-            }
-            tile => tile,
-        }
-    }
-
-    /// Books one decoded frame in the report.
+    /// The emit path: settles the tiles of `group` and books its frame,
+    /// stitched on `layout` when tiled; an untiled group emits its tile.
     fn emit(
         &mut self,
-        index: usize,
-        is_key: bool,
-        erased: usize,
-        tiles: usize,
-        reconstruction: Reconstruction,
-    ) -> DecodedFrame {
-        self.decoded += 1;
+        group: &mut Group,
+        layout: Option<&TileLayout>,
+        out: &mut Vec<DecodedFrame>,
+    ) -> Result<(), CoreError> {
+        let (index, tiles) = (group.index, group.slots.len());
+        let mut chained = false;
+        let mut recons = Vec::with_capacity(tiles);
+        for (slot, job) in group.slots.iter_mut().enumerate() {
+            #[cfg(test)]
+            self.inject(index, slot, job);
+            chained |= job.as_ref().is_some_and(|job| job.chain.is_some());
+            recons.push(self.settle(index, slot, job.take())?);
+        }
+        let erased = recons.iter().filter(|tile| tile.is_none()).count();
+        // No tile survived, or the strict policy refuses a partial frame.
+        let lost = erased == tiles || (erased > 0 && self.policy == ErasurePolicy::Strict);
+        let reconstruction = match layout {
+            _ if lost => None,
+            Some(layout) => Some(stitch_group(&recons, layout, self.policy)),
+            None => recons.pop().flatten(),
+        };
+        let Some(reconstruction) = reconstruction else {
+            self.report.frames_lost += 1;
+            return Ok(());
+        };
         self.report.tiles_recovered += tiles - erased;
         self.report.tiles_erased += erased;
         if erased == 0 {
@@ -898,11 +903,66 @@ impl DecodeSession {
         } else {
             self.report.frames_degraded += 1;
         }
-        DecodedFrame {
+        out.push(DecodedFrame {
             index,
-            is_key,
+            is_key: !chained,
             erased_tiles: erased,
             reconstruction,
+        });
+        Ok(())
+    }
+
+    /// Settles tile `slot` of frame `index` (`None` = erased): a
+    /// breakdown erases the tile, counted in [`DecodeReport::breakdowns`];
+    /// other errors are fatal. In delta mode a solved tile becomes its
+    /// slot's chain, in the old chain's buffer; a failed job hands its
+    /// chain back, so the slot's next job re-anchors.
+    fn settle(
+        &mut self,
+        index: usize,
+        slot: usize,
+        job: Option<Job>,
+    ) -> Result<Option<Reconstruction>, CoreError> {
+        let Some(job) = job else { return Ok(None) };
+        let recon = match job.result {
+            Some(Ok(recon)) => recon,
+            Some(Err(e)) => {
+                if job.chain.is_some() {
+                    self.chains[slot] = job.chain;
+                }
+                let CoreError::Breakdown(_) = e else {
+                    return Err(e);
+                };
+                self.report.breakdowns += 1;
+                return Ok(None);
+            }
+            None => return Ok(None),
+        };
+        if self.delta.is_some() {
+            let deltas = job.chain.as_ref().map_or(0, |c| c.deltas + 1);
+            let image = recon.code_image();
+            let prev = job.chain.or_else(|| self.chains[slot].take());
+            let mut codes = prev.map_or_else(|| image.clone(), |prev| prev.codes);
+            codes.as_mut_slice().copy_from_slice(image.as_slice());
+            self.chains[slot] = Some(Chain {
+                index,
+                samples: job.frame.samples,
+                codes,
+                mean: recon.mean_code(),
+                deltas,
+            });
+        }
+        Ok(Some(recon))
+    }
+
+    /// Test seam: replaces the solve of tile `slot` of frame `index`
+    /// with a breakdown when the pair is listed in `inject_breakdowns`.
+    #[cfg(test)]
+    fn inject(&self, index: usize, slot: usize, job: &mut Option<Job>) {
+        if let Some(job) = job.as_mut() {
+            if self.inject_breakdowns.contains(&(index, slot)) {
+                job.result = Some(Err(CoreError::Breakdown("injected".into())));
+            }
         }
     }
 
@@ -940,129 +1000,16 @@ impl DecodeSession {
         }
         Ok(())
     }
-
-    /// Decodes a one-tile group in delta mode, on the caller: a key
-    /// frame runs full recovery, any other frame recovers the change
-    /// from the previous one. A breakdown loses the frame (`None`) and
-    /// makes the next frame re-anchor.
-    fn decode_delta_group(
-        &mut self,
-        group: Group,
-        decoder: &Decoder,
-        delta: DeltaMode,
-    ) -> Result<Option<DecodedFrame>, CoreError> {
-        let Some(frame) = group.slots.into_iter().flatten().next() else {
-            return Err(CoreError::InvalidConfig(
-                "tile group has no surviving tile".into(),
-            ));
-        };
-        if group.reanchor || self.chain_broken {
-            // A gap or a breakdown swallowed the frame the next delta
-            // would chain from: drop the chain and re-anchor with full
-            // recovery.
-            self.chain_broken = false;
-            self.prev_samples = None;
-            self.prev_codes = None;
-            self.frames_since_key = 0;
-            self.report.reanchors += 1;
-        }
-        let is_key = match &self.prev_samples {
-            Some(prev) => {
-                if decoder.header() != &frame.header || prev.len() != frame.samples.len() {
-                    return Err(CoreError::FrameMismatch(
-                        "sequence frames must share header and sample count".into(),
-                    ));
-                }
-                delta.keyframe_interval > 0 && self.frames_since_key >= delta.keyframe_interval
-            }
-            None => true,
-        };
-        let solved = Some(if is_key {
-            decoder.reconstruct_with(&frame, &mut self.workspace)
-        } else {
-            self.decode_delta(&frame, decoder, delta)
-        });
-        #[cfg(test)]
-        let solved = self.inject(group.index, 0, solved);
-        let Some(reconstruction) = self.settle(solved)? else {
-            self.report.frames_lost += 1;
-            self.chain_broken = true;
-            return Ok(None);
-        };
-        if is_key {
-            self.frames_since_key = 0;
-            self.last_mean = reconstruction.mean_code();
-        } else {
-            self.frames_since_key += 1;
-        }
-        self.prev_codes = Some(reconstruction.code_image().clone());
-        self.prev_samples = Some(frame.samples);
-        Ok(Some(self.emit(group.index, is_key, 0, 1, reconstruction)))
-    }
-
-    /// Delta recovery: `y_t − y_{t−1} = Φ(x_t − x_{t−1})`, solved
-    /// pixel-sparse (IHT, identity dictionary) against the previous
-    /// reconstruction. Same seed ⇒ same Φ, so the operator comes warm
-    /// from the cache.
-    fn decode_delta(
-        &mut self,
-        frame: &CompressedFrame,
-        decoder: &Decoder,
-        delta: DeltaMode,
-    ) -> Result<Reconstruction, CoreError> {
-        let (Some(prev_samples), Some(prev_codes)) =
-            (self.prev_samples.as_ref(), self.prev_codes.as_ref())
-        else {
-            return Err(CoreError::InvalidConfig(
-                "delta decode needs a previous frame".into(),
-            ));
-        };
-        let dy: Vec<f64> = frame
-            .samples
-            .iter()
-            .zip(prev_samples)
-            .map(|(&a, &b)| a as f64 - b as f64)
-            .collect();
-        let key = decoder.operator_key(frame.samples.len());
-        let (phi, _) = self.cache.operator(&key)?;
-        let dict = IdentityDictionary::new(prev_codes.len());
-        let a =
-            ComposedOperator::new(phi.as_ref(), &dict).with_scratch(self.workspace.take_composed());
-        // IHT's fallback step comes from the key's memoized norm: the
-        // estimate IHT would compute itself, so the override is
-        // bit-transparent, and the power iteration runs once per key
-        // instead of once per delta frame.
-        let mut iht = Iht::new(delta.sparsity);
-        iht.max_iter(200);
-        if let Some(norm) =
-            self.cache
-                .operator_norm(&key, DictionaryKind::Identity, norm_seeds::IHT, || {
-                    norm_seeds::estimate(&a, norm_seeds::IHT)
-                })
-        {
-            iht.step(norm_seeds::step(norm));
-        }
-        let rec = iht.solve_with(&a, &dy, &mut self.workspace)?;
-        self.workspace.store_composed(a.into_scratch());
-        let code_max = ((1u32 << frame.header.code_bits) - 1) as f64;
-        let codes = ImageF64::from_vec(
-            prev_codes.width(),
-            prev_codes.height(),
-            prev_codes
-                .as_slice()
-                .iter()
-                .zip(&rec.coefficients)
-                .map(|(&p, &d)| (p + d).clamp(0.0, code_max))
-                .collect(),
-        );
-        Ok(Reconstruction::from_parts(codes, self.last_mean, rec.stats))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::DictionaryKind;
+    use tepics_cs::dictionary::IdentityDictionary;
+    use tepics_cs::ComposedOperator;
     use tepics_imaging::{psnr, Scene};
+    use tepics_recovery::solver::norm_seeds;
     use tepics_sensor::Fidelity;
 
     fn imager(side: usize, seed: u64) -> CompressiveImager {
@@ -1371,19 +1318,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_mode_conflicts_with_tiled_streams() {
-        let im = tiled_imager(5);
-        let mut enc = EncodeSession::new(im).unwrap();
-        enc.capture(&Scene::Uniform(0.4).render(40, 28, 0)).unwrap();
-        let mut dec = DecodeSession::new();
-        dec.delta_mode(10, 0);
-        assert!(matches!(
-            dec.push_bytes(&enc.to_bytes()),
-            Err(CoreError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
     fn partial_tile_groups_wait_for_the_rest() {
         let im = tiled_imager(8);
         let layout = im.tile_layout().unwrap().clone();
@@ -1670,5 +1604,89 @@ mod tests {
         assert_eq!(report.frames_lost, 1);
         assert_eq!(report.reanchors, 1);
         assert_eq!(lost_report.reanchors, 1);
+    }
+
+    /// A frame lost to a breakdown still takes its place in the
+    /// numbering, so the next `push_frame` does not chain across it.
+    #[test]
+    fn push_frame_numbers_frames_past_a_breakdown() {
+        let im = imager(16, 0xB4);
+        let frames: Vec<CompressedFrame> = (0..3)
+            .map(|t| {
+                let mut scene = Scene::gaussian_blobs(2).render(16, 16, 3);
+                scene.set(2 + t, 7, 0.9);
+                im.capture(&scene)
+            })
+            .collect();
+        let mut dec = DecodeSession::new();
+        dec.delta_mode(20, 0);
+        dec.inject_breakdowns = vec![(1, 0)];
+        assert!(dec.push_frame(&frames[0]).unwrap().is_key);
+        assert!(matches!(
+            dec.push_frame(&frames[1]),
+            Err(CoreError::Breakdown(_))
+        ));
+        let third = dec.push_frame(&frames[2]).unwrap();
+        assert_eq!(third.index, 2);
+        assert!(third.is_key, "the frame after the breakdown re-anchors");
+        assert_eq!(dec.report().reanchors, 1);
+        assert_eq!(dec.frames_decoded(), 2);
+    }
+
+    /// On a tiled delta stream a tile lost on the wire re-anchors only
+    /// its own slot: the next frame re-keys that slot and chains every
+    /// other one.
+    #[test]
+    fn a_crc_lost_tile_reanchors_only_its_slot() {
+        let im = tiled_imager(0x5107);
+        let tiles = im.tile_layout().unwrap().tiles();
+        let mut enc = EncodeSession::with_profile(im, WireProfile::Resilient).unwrap();
+        let mut records = Vec::new();
+        for t in 0..3 {
+            let mut scene = Scene::gaussian_blobs(3).render(40, 28, 5);
+            scene.set(6 + 4 * t, 12, 0.9);
+            records.extend(enc.capture(&scene).unwrap());
+        }
+        let mut bytes = enc.into_bytes();
+        let rec_len = resilient_record_len(
+            records[0].samples.len(),
+            records[0].header.sample_bits as usize,
+        );
+        // Tile 2 of frame 1 fails its payload CRC.
+        let (start, _) = record_span(
+            crate::stream::RESILIENT_TILED_HEADER_BYTES,
+            rec_len,
+            tiles + 2,
+        );
+        bytes[start + 15] ^= 0x10;
+
+        for threads in [1, 2] {
+            let mut dec = DecodeSession::new();
+            dec.delta_mode(30, 0).threads(threads);
+            let mut out = dec.push_bytes(&bytes).unwrap();
+            out.extend(dec.finish().unwrap());
+            let shape: Vec<(usize, bool, usize)> = out
+                .iter()
+                .map(|d| (d.index, d.is_key, d.erased_tiles))
+                .collect();
+            assert_eq!(
+                shape,
+                vec![(0, true, 0), (1, false, 1), (2, false, 0)],
+                "threads={threads}"
+            );
+            let report = dec.report();
+            assert_eq!(report.reanchors, 1, "threads={threads}");
+            assert_eq!(report.frames_degraded, 1);
+            // After frame 2, slot 2 is one key solve old; every other
+            // slot has chained two deltas.
+            let deltas: Vec<(usize, usize)> = dec
+                .chains
+                .iter()
+                .map(|c| c.as_ref().map(|c| (c.index, c.deltas)).unwrap())
+                .collect();
+            let mut want = vec![(2, 2); tiles];
+            want[2] = (2, 0);
+            assert_eq!(deltas, want, "threads={threads}");
+        }
     }
 }

@@ -21,9 +21,13 @@
 //! The delta-mode sweep draws `delta_mode(sparsity, keyframe_interval)`
 //! sessions: intervals 0, 1 and larger, one to six frames of static,
 //! sparsely changing or wholly new scenes, on compact and resilient
-//! wires, some damaged past their header by a [`FaultInjector`]. Each
-//! stream decodes in one shot and again re-chunked, cold and warm; the
-//! frames, the sticky error and the report must agree bit for bit.
+//! wires, some damaged past their header by a [`FaultInjector`]. A
+//! share of its cases is tiled: frames of 17 to 36 px in 16-px tiles,
+//! decoded at threads 1 or 2, where every tile slot keeps a delta
+//! chain of its own. Each stream decodes in one shot and again
+//! re-chunked (a tiled case at the other thread count), cold and warm;
+//! the frames, the sticky error and the report must agree bit for
+//! bit.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -470,6 +474,11 @@ enum Motion {
 struct DeltaCase {
     rows: usize,
     cols: usize,
+    /// Overlap of the 16-px tiles of a tiled case.
+    tiling: Option<usize>,
+    /// Executors of the one-shot decodes; the re-chunked decode of a
+    /// tiled case runs at the other count of 1 and 2.
+    threads: usize,
     ratio: f64,
     /// Key-frame recovery; deltas always run IHT.
     solver: SolverKind,
@@ -505,6 +514,8 @@ impl DeltaCase {
         DeltaCase {
             rows,
             cols,
+            tiling: None,
+            threads: 1,
             ratio: 0.02 + 0.6 * rng.next_f64(),
             solver,
             sparsity: pick(rng, rows * cols + 8),
@@ -515,6 +526,26 @@ impl DeltaCase {
             fault: (pick(rng, 3) == 0).then(|| rng.next_u64()),
             seed: rng.next_u64(),
         }
+    }
+
+    /// A tiled case: the draws of [`DeltaCase::draw`], then a frame of
+    /// 17 to 36 px a side in 16-px tiles, a sparsity up to the tile's
+    /// pixel count and beyond, threads 1 or 2, and two to six frames,
+    /// mostly on a resilient wire and damaged half the time, so tiles
+    /// get lost between frames that chain.
+    fn draw_tiled(rng: &mut SplitMix64) -> DeltaCase {
+        let mut case = DeltaCase::draw(rng);
+        case.rows = 17 + pick(rng, 20);
+        case.cols = 17 + pick(rng, 20);
+        case.tiling = Some(pick(rng, 5));
+        case.threads = 1 + pick(rng, 2);
+        case.sparsity = pick(rng, 16 * 16 + 8);
+        case.frames = 2 + pick(rng, 5);
+        if pick(rng, 4) != 0 {
+            case.profile = WireProfile::Resilient;
+        }
+        case.fault = (pick(rng, 2) == 0).then(|| rng.next_u64());
+        case
     }
 
     /// The case's stream: `frames` captures of its scene sequence.
@@ -571,6 +602,7 @@ fn decode_delta<'a>(
     case: &DeltaCase,
     chunks: impl IntoIterator<Item = &'a [u8]>,
     cache: &Arc<OperatorCache>,
+    threads: usize,
 ) -> DeltaOutcome {
     let mut session = DecodeSession::with_cache(Arc::clone(cache));
     session
@@ -578,7 +610,8 @@ fn decode_delta<'a>(
             solver: case.solver,
             dictionary: DictionaryKind::Dct2d,
         })
-        .delta_mode(case.sparsity, case.keyframe_interval);
+        .delta_mode(case.sparsity, case.keyframe_interval)
+        .threads(threads);
     let mut frames = Vec::new();
     for chunk in chunks {
         match session.push_bytes(chunk) {
@@ -609,6 +642,14 @@ struct DeltaTally {
     delta_frames: usize,
     lost_frames: usize,
     errors: usize,
+    tiled: usize,
+    tiled_threads2: usize,
+    tiled_damaged_resilient: usize,
+    tiled_delta_frames: usize,
+    /// Tiled frames that chained deltas with a tile erased.
+    tiled_degraded_deltas: usize,
+    /// Tile slots re-keyed on tiled streams.
+    tiled_reanchors: usize,
 }
 
 fn run_delta_case(case: &DeltaCase, tally: &mut DeltaTally) {
@@ -617,6 +658,9 @@ fn run_delta_case(case: &DeltaCase, tally: &mut DeltaTally) {
         .ratio(case.ratio)
         .fidelity(Fidelity::Functional)
         .seed(case.seed);
+    if let Some(overlap) = case.tiling {
+        builder.tiling(TileConfig::new(16).overlap(overlap));
+    }
     let imager = match builder.build() {
         Ok(imager) => imager,
         Err(CoreError::InvalidConfig(_)) => {
@@ -627,15 +671,21 @@ fn run_delta_case(case: &DeltaCase, tally: &mut DeltaTally) {
     };
     let wire = case.wire(&imager);
     let cache = OperatorCache::shared();
-    let cold = decode_delta(case, [wire.as_slice()], &cache);
-    let warm = decode_delta(case, [wire.as_slice()], &cache);
+    let cold = decode_delta(case, [wire.as_slice()], &cache, case.threads);
+    let warm = decode_delta(case, [wire.as_slice()], &cache, case.threads);
     assert_eq!(warm, cold, "warm one-shot != cold one-shot");
     let chunks = FaultInjector::new(case.seed ^ 0xC4C4)
         .rechunk(&wire, 1 + pick(&mut SplitMix64::new(case.seed), 97));
+    let rechunk_threads = if case.tiling.is_some() {
+        3 - case.threads
+    } else {
+        case.threads
+    };
     let rechunked = decode_delta(
         case,
         chunks.iter().map(Vec::as_slice),
         &OperatorCache::shared(),
+        rechunk_threads,
     );
     assert_eq!(rechunked, cold, "re-chunked != one-shot");
 
@@ -672,6 +722,18 @@ fn run_delta_case(case: &DeltaCase, tally: &mut DeltaTally) {
     tally.delta_frames += frames.iter().filter(|f| !f.is_key).count();
     tally.lost_frames += report.frames_lost;
     tally.errors += usize::from(error.is_some());
+    if imager.is_tiled() {
+        tally.tiled += 1;
+        tally.tiled_threads2 += usize::from(case.threads == 2);
+        tally.tiled_damaged_resilient +=
+            usize::from(!clean && case.profile == WireProfile::Resilient);
+        tally.tiled_delta_frames += frames.iter().filter(|f| !f.is_key).count();
+        tally.tiled_degraded_deltas += frames
+            .iter()
+            .filter(|f| !f.is_key && f.erased_tiles > 0)
+            .count();
+        tally.tiled_reanchors += report.reanchors;
+    }
 }
 
 /// Seeded delta-mode config fuzz (see the module docs).
@@ -679,8 +741,13 @@ fn run_delta_case(case: &DeltaCase, tally: &mut DeltaTally) {
 fn fuzzed_delta_mode_decodes_are_finite_and_deterministic() {
     let mut rng = SplitMix64::new(0xDE17_A5EE);
     let mut tally = DeltaTally::default();
-    for round in 0..60 {
-        let case = DeltaCase::draw(&mut rng);
+    let mut tiled_rng = SplitMix64::new(0x711E_DE17);
+    for round in 0..80 {
+        let case = if round < 60 {
+            DeltaCase::draw(&mut rng)
+        } else {
+            DeltaCase::draw_tiled(&mut tiled_rng)
+        };
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_delta_case(&case, &mut tally)));
         if let Err(payload) = outcome {
             eprintln!("delta fuzz round {round} failed: {case:?}");
@@ -689,7 +756,7 @@ fn fuzzed_delta_mode_decodes_are_finite_and_deterministic() {
     }
     // The sweep must reach every branch it claims to cover.
     assert!(
-        tally.decoded >= 55
+        tally.decoded >= 75
             && tally.never_rekey >= 10
             && tally.every_other >= 10
             && tally.interval_beyond_one >= 15
@@ -701,7 +768,13 @@ fn fuzzed_delta_mode_decodes_are_finite_and_deterministic() {
             && tally.key_frames >= 50
             && tally.delta_frames >= 50
             && tally.lost_frames >= 1
-            && tally.errors >= 1,
+            && tally.errors >= 1
+            && tally.tiled >= 18
+            && tally.tiled_threads2 >= 5
+            && tally.tiled_damaged_resilient >= 5
+            && tally.tiled_delta_frames >= 30
+            && tally.tiled_degraded_deltas >= 2
+            && tally.tiled_reanchors >= 2,
         "{tally:?}"
     );
 }

@@ -191,9 +191,12 @@ fn worst_deviation(frame: &DecodedFrame, want: &[f64]) -> f64 {
 /// Composed stitching oracle: a tiled session decode equals, within
 /// 1e-10 per code, the untiled `Decoder` run on each tile record of the
 /// stream (the decoder the OMP and FISTA oracles pin to textbook twins)
-/// and stitched naively here. The 44×30 frame in 16-px tiles with
-/// overlap 4 shifts the last tile column and row back to the frame
-/// edge, so those tiles overlap their neighbors by more than 4 px.
+/// and stitched naively here. In delta mode the per-tile reference is
+/// an untiled delta session fed only that tile slot's records, so
+/// every slot keeps a chain of its own. The 44×30 frame in 16-px tiles
+/// with overlap 4 shifts the last tile column and row back to the
+/// frame edge, so those tiles overlap their neighbors by more than
+/// 4 px.
 #[test]
 fn tiled_decode_equals_a_naive_stitch_of_untiled_tile_decodes() {
     let solvers = [
@@ -216,7 +219,7 @@ fn tiled_decode_equals_a_naive_stitch_of_untiled_tile_decodes() {
             .build()
             .unwrap();
         let mut enc = EncodeSession::new(imager).unwrap();
-        for i in 0..2 {
+        for i in 0..3 {
             enc.capture(&Scene::natural_like().render(44, 30, 60 + i))
                 .unwrap();
         }
@@ -230,23 +233,54 @@ fn tiled_decode_equals_a_naive_stitch_of_untiled_tile_decodes() {
         let layout = parser.tile_layout().unwrap().clone();
         assert_eq!(layout.blend(), blend);
         assert_eq!((layout.tiles_x(), layout.tiles_y()), (4, 3));
-        assert_eq!(records.len(), 2 * layout.tiles());
-        for params in solvers {
-            let label = format!("{blend:?} {}", params.solver.name());
-            let tiles: Vec<ImageF64> = records
-                .iter()
-                .map(|record| {
-                    let mut decoder = Decoder::for_frame(record).unwrap();
-                    decoder.params(params);
-                    decoder.reconstruct(record).unwrap().code_image().clone()
-                })
-                .collect();
+        assert_eq!(records.len(), 3 * layout.tiles());
+        // Delta frames always run IHT, so one key solver covers them.
+        let configs = [
+            (solvers[0], None),
+            (solvers[1], None),
+            (solvers[0], Some((30, 0))),
+        ];
+        for (params, delta) in configs {
+            let label = format!("{blend:?} {} delta={delta:?}", params.solver.name());
+            let tiles: Vec<ImageF64> = match delta {
+                None => records
+                    .iter()
+                    .map(|record| {
+                        let mut decoder = Decoder::for_frame(record).unwrap();
+                        decoder.params(params);
+                        decoder.reconstruct(record).unwrap().code_image().clone()
+                    })
+                    .collect(),
+                Some((sparsity, interval)) => {
+                    let mut slots: Vec<DecodeSession> = (0..layout.tiles())
+                        .map(|_| {
+                            let mut slot = DecodeSession::new();
+                            slot.params(params).delta_mode(sparsity, interval);
+                            slot
+                        })
+                        .collect();
+                    records
+                        .iter()
+                        .enumerate()
+                        .map(|(seq, record)| {
+                            let slot = &mut slots[seq % layout.tiles()];
+                            let frame = slot.push_frame(record).unwrap();
+                            assert_eq!(frame.is_key, seq < layout.tiles(), "{label}");
+                            frame.reconstruction.code_image().clone()
+                        })
+                        .collect()
+                }
+            };
             for threads in [1, 2] {
                 let mut dec = DecodeSession::new();
                 dec.params(params).threads(threads);
+                if let Some((sparsity, interval)) = delta {
+                    dec.delta_mode(sparsity, interval);
+                }
                 let frames = dec.push_bytes(&bytes).unwrap();
-                assert_eq!(frames.len(), 2, "{label}: two stitched frames");
+                assert_eq!(frames.len(), 3, "{label}: three stitched frames");
                 for (frame, group) in frames.iter().zip(tiles.chunks(layout.tiles())) {
+                    assert_eq!(frame.is_key, delta.is_none() || frame.index == 0);
                     let group: Vec<Option<ImageF64>> = group.iter().cloned().map(Some).collect();
                     let want: Vec<f64> = naive_stitch(&group, &layout)
                         .into_iter()

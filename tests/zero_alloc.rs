@@ -2,8 +2,9 @@
 //! regions: a counting global allocator proves at runtime that the warm
 //! solver loops (FISTA and IHT on the shared iterative engine, OMP,
 //! CoSaMP), a warm Gram column and a warm two-block composed
-//! adjoint, the warm serial tiled-decode path and the per-sample
-//! capture loop do not touch the heap. OMP is measured without a Gram
+//! adjoint, the warm serial decode path (tiled, and in delta mode
+//! untiled and tiled) and the per-sample capture loop do not touch the
+//! heap. OMP is measured without a Gram
 //! store, with one prefilled by an earlier solve, and with one full to
 //! its cap; only admissions into a store allocate, so the differential
 //! budgets run on a prefilled store. CoSaMP, on the same Gram slots, is
@@ -484,54 +485,75 @@ fn warm_fused_decode_iterations_allocate_nothing() {
     );
 }
 
-/// The warm serial tiled-decode path reaches an allocation steady
-/// state: once the session's operator cache and workspaces are warm,
+/// The warm serial decode path reaches an allocation steady state:
+/// once the session's operator cache and workspaces are warm,
 /// consecutive decodes of the same stream cost the identical number of
 /// allocations (the per-frame outputs — reconstruction image, stats —
-/// and nothing that grows with session age).
+/// and nothing that grows with session age). It holds for a tiled
+/// stream and, in delta mode, for an untiled and a tiled one whose
+/// delta frames recover one moved pixel each.
 #[test]
 fn warm_serial_tiled_decode_reaches_allocation_steady_state() {
-    let imager = CompressiveImager::builder_for(FrameGeometry::new(40, 28))
-        .tiling(TileConfig::new(16).overlap(4))
-        .ratio(0.35)
-        .seed(0x71D3)
-        .fidelity(Fidelity::Functional)
-        .build()
-        .unwrap();
-    // One stream, five frames of the same scene, snapshotted after each
-    // capture so the byte ranges of individual frames are known — the
-    // decode session can then be fed frame-aligned chunks, the way a
-    // receiver drains a live stream.
-    let scene = Scene::gaussian_blobs(3).render(40, 28, 7);
-    let mut enc = EncodeSession::new(imager).unwrap();
-    let mut cuts = vec![0usize];
-    for _ in 0..8 {
-        enc.capture(&scene).unwrap();
-        cuts.push(enc.to_bytes().len());
-    }
-    let bytes = enc.into_bytes();
-    let chunk = |i: usize| &bytes[cuts[i]..cuts[i + 1]];
+    for (tiled, delta) in [(true, false), (false, true), (true, true)] {
+        let label = format!("tiled={tiled} delta={delta}");
+        let mut builder = CompressiveImager::builder_for(FrameGeometry::new(40, 28));
+        if tiled {
+            builder.tiling(TileConfig::new(16).overlap(4));
+        }
+        let imager = builder
+            .ratio(0.35)
+            .seed(0x71D3)
+            .fidelity(Fidelity::Functional)
+            .build()
+            .unwrap();
+        // One stream of eight frames, snapshotted after each capture so
+        // the byte ranges of individual frames are known — the decode
+        // session can then be fed frame-aligned chunks, the way a
+        // receiver drains a live stream.
+        let mut scene = Scene::gaussian_blobs(3).render(40, 28, 7);
+        let mut enc = EncodeSession::new(imager).unwrap();
+        let mut cuts = vec![0usize];
+        for i in 0..8 {
+            if delta {
+                scene.set(4 + 3 * i, 10, 0.9);
+            }
+            enc.capture(&scene).unwrap();
+            cuts.push(enc.to_bytes().len());
+        }
+        let bytes = enc.into_bytes();
+        let chunk = |i: usize| &bytes[cuts[i]..cuts[i + 1]];
 
-    let mut session = DecodeSession::new();
-    // Serial: the whole decode runs on this thread, under this
-    // thread's counter.
-    session.threads(1);
-    // Six priming frames: the first populates the operator cache and
-    // solver workspaces; the rest settle the stream parser's buffer,
-    // whose capacity grows amortized until its compaction threshold.
-    for i in 0..6 {
-        assert_eq!(session.push_bytes(chunk(i)).unwrap().len(), 1);
+        let mut session = DecodeSession::new();
+        // Serial: the whole decode runs on this thread, under this
+        // thread's counter.
+        session.threads(1);
+        if delta {
+            session.delta_mode(20, 0);
+        }
+        // Six priming frames: the first populates the operator cache and
+        // solver workspaces; the rest settle the stream parser's buffer,
+        // whose capacity grows amortized until its compaction threshold.
+        for i in 0..6 {
+            assert_eq!(session.push_bytes(chunk(i)).unwrap().len(), 1, "{label}");
+        }
+        let (seventh, out_a) = count_allocs(|| session.push_bytes(chunk(6)).unwrap());
+        let (eighth, out_b) = count_allocs(|| session.push_bytes(chunk(7)).unwrap());
+        if delta {
+            assert!(
+                !out_a[0].is_key && !out_b[0].is_key,
+                "{label}: delta frames"
+            );
+        } else {
+            assert_eq!(
+                out_a[0].reconstruction, out_b[0].reconstruction,
+                "warm decodes of the same frame must stay bit-identical"
+            );
+        }
+        assert_eq!(
+            seventh, eighth,
+            "{label}: warm serial decode drifts: {seventh} then {eighth} allocations"
+        );
     }
-    let (seventh, out_a) = count_allocs(|| session.push_bytes(chunk(6)).unwrap());
-    let (eighth, out_b) = count_allocs(|| session.push_bytes(chunk(7)).unwrap());
-    assert_eq!(
-        out_a[0].reconstruction, out_b[0].reconstruction,
-        "warm decodes of the same frame must stay bit-identical"
-    );
-    assert_eq!(
-        seventh, eighth,
-        "warm serial tiled decode drifts: {seventh} then {eighth} allocations"
-    );
 }
 
 /// A warm capture's allocations do not grow with the sample count: an
