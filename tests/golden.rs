@@ -5,10 +5,12 @@
 //! field of every `DecodedFrame` (index, key flag, erased tiles, the
 //! code image's `f64` bits, `mean_code` bits, and the `SolveStats`),
 //! then the `DecodeReport` counters that do not depend on how frames
-//! are assembled. The last two rows pin the block-based CS baseline
+//! are assembled. The last three rows pin the block-based CS baseline
 //! (`BlockCs`): its block samples and its reconstruction's `f64` bits,
-//! and an `EventAccurate` capture: its samples and every `EventStats`
-//! field, so the column-bus arbitration is pinned too.
+//! an `EventAccurate` capture: its samples and every `EventStats`
+//! field, so the column-bus arbitration is pinned too, and a
+//! `Functional` capture the same way, so the column-sum path is pinned
+//! past 64 rows.
 //! A refactor proves it kept behaviour bit for bit by leaving the table
 //! unchanged.
 //!
@@ -23,6 +25,7 @@ use tepics::core::stream::{
 };
 use tepics::core::FaultInjector;
 use tepics::prelude::*;
+use tepics::sensor::EventStats;
 
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -312,6 +315,10 @@ fn compute_table() -> Vec<(String, u64)> {
         "capture/event-accurate/32x32".into(),
         event_capture_digest(),
     ));
+    rows.push((
+        "capture/functional/40x75".into(),
+        functional_capture_digest(),
+    ));
 
     rows
 }
@@ -361,26 +368,65 @@ fn event_capture_digest() -> u64 {
     for scene in [Scene::natural_like(), Scene::Uniform(0.45)] {
         let (frame, stats) = imager.capture_with_stats(&scene.render(32, 32, 60));
         assert!(stats.queued_pulses > 0, "the capture must contend");
-        h.usize(frame.samples.len());
-        for &s in &frame.samples {
-            h.u64(u64::from(s));
-        }
-        for count in [
-            stats.total_pulses,
-            stats.queued_pulses,
-            stats.missed_pulses,
-            stats.column_overflows,
-            stats.sample_overflows,
-        ] {
-            h.u64(count);
-        }
-        h.f64(stats.max_delay);
-        h.usize(stats.code_error_lsb.len());
-        for &bin in &stats.code_error_lsb {
-            h.u64(bin);
-        }
+        hash_capture(&mut h, &frame, &stats);
     }
     h.0
+}
+
+/// An untiled `Functional` capture of a 40-wide, 75-high array (more
+/// than 64 rows, a multiple of neither 6 nor 8, so the column-sum
+/// capture's last row group is short) with fixed-pattern noise on and a
+/// 6-bit window that the scene's dark side overruns: hashes every
+/// sample and every `EventStats` field.
+fn functional_capture_digest() -> u64 {
+    let (rows, cols) = (75, 40);
+    let imager = CompressiveImager::builder(rows, cols)
+        .ratio(0.3)
+        .seed(0xF00D)
+        .fidelity(Fidelity::Functional)
+        .sensor_config(
+            SensorConfig::builder(rows, cols)
+                .counter_bits(6)
+                .offset_sigma_volts(4e-3)
+                .fpn_gain_sigma(0.03)
+                .noise_seed(0xF9A)
+                .build()
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let scene = Scene::LinearGradient { angle: 0.4 }.render(cols, rows, 70);
+    let (frame, stats) = imager.capture_with_stats(&scene);
+    assert!(
+        0 < stats.missed_pulses && stats.missed_pulses < stats.total_pulses,
+        "some pulses, not all, must miss the window"
+    );
+    let mut h = Fnv::new();
+    hash_capture(&mut h, &frame, &stats);
+    h.0
+}
+
+/// Hashes a capture's samples and every `EventStats` field, `max_delay`
+/// by its bits and the whole `code_error_lsb` histogram.
+fn hash_capture(h: &mut Fnv, frame: &CompressedFrame, stats: &EventStats) {
+    h.usize(frame.samples.len());
+    for &s in &frame.samples {
+        h.u64(u64::from(s));
+    }
+    for count in [
+        stats.total_pulses,
+        stats.queued_pulses,
+        stats.missed_pulses,
+        stats.column_overflows,
+        stats.sample_overflows,
+    ] {
+        h.u64(count);
+    }
+    h.f64(stats.max_delay);
+    h.usize(stats.code_error_lsb.len());
+    for &bin in &stats.code_error_lsb {
+        h.u64(bin);
+    }
 }
 
 /// The recorded behaviour, one `(config, hash)` row per configuration.
@@ -419,6 +465,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("delta/resilient-damaged", 0x8fe9a8f49f631a4e),
     ("baseline/block8/32x32", 0x0bb50500acc01185),
     ("capture/event-accurate/32x32", 0xc14aae5613b8f9b2),
+    ("capture/functional/40x75", 0xeb2792d8cea37c4f),
 ];
 
 #[test]
