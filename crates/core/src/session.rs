@@ -347,8 +347,8 @@ pub struct DecodedFrame {
 struct Group {
     /// Stream position of the frame.
     index: usize,
-    /// Frames were lost right before this one: delta mode must
-    /// re-anchor here instead of chaining across the gap.
+    /// Frames were lost right before this one: delta mode counts every
+    /// slot's key solve here as a re-anchor, chain or no chain.
     reanchor: bool,
     slots: Vec<Option<Job>>,
 }
@@ -806,9 +806,11 @@ impl DecodeSession {
     }
 
     /// Delta mode: a slot of `group` runs a delta job if its chain is
-    /// from the previous frame, no gap precedes the group and the
-    /// cadence allows; else a key solve, counted as a re-anchor after a
-    /// gap or a chain from an earlier frame. Errors with
+    /// from the previous frame and the cadence allows; else a key solve,
+    /// counted as a re-anchor after a gap or a chain from an earlier
+    /// frame. A gap means the previous frame was never solved, so no
+    /// chain is from it; the gap flag only counts the re-anchors of
+    /// slots that have no chain yet. Errors with
     /// [`CoreError::FrameMismatch`] if a chained tile's header or length
     /// differs.
     fn chain_jobs(
@@ -820,10 +822,7 @@ impl DecodeSession {
         self.chains.resize_with(group.slots.len(), || None);
         for (job, chain) in group.slots.iter_mut().zip(&mut self.chains) {
             let Some(job) = job else { continue };
-            let Some(prev) = chain
-                .as_ref()
-                .filter(|c| !group.reanchor && c.index + 1 == group.index)
-            else {
+            let Some(prev) = chain.as_ref().filter(|c| c.index + 1 == group.index) else {
                 self.report.reanchors += usize::from(group.reanchor || chain.is_some());
                 continue;
             };
@@ -1631,6 +1630,75 @@ mod tests {
         assert!(third.is_key, "the frame after the breakdown re-anchors");
         assert_eq!(dec.report().reanchors, 1);
         assert_eq!(dec.frames_decoded(), 2);
+    }
+
+    /// On a tiled delta stream that loses every record of one frame,
+    /// every slot re-anchors on the next frame, and the decode from
+    /// there on equals a fresh session's decode of those frames.
+    #[test]
+    fn a_lost_tiled_frame_reanchors_every_slot() {
+        let im = tiled_imager(0x10F7);
+        let tiles = im.tile_layout().unwrap().tiles();
+        let scenes: Vec<ImageF64> = (0..4)
+            .map(|t| {
+                let mut scene = Scene::gaussian_blobs(3).render(40, 28, 8);
+                scene.set(6 + 4 * t, 12, 0.9);
+                scene
+            })
+            .collect();
+        let encode = |scenes: &[ImageF64]| {
+            let mut enc = EncodeSession::with_profile(im.clone(), WireProfile::Resilient).unwrap();
+            let mut records = Vec::new();
+            for scene in scenes {
+                records.extend(enc.capture(scene).unwrap());
+            }
+            (enc.into_bytes(), records)
+        };
+        let (bytes, records) = encode(&scenes);
+        let rec_len = resilient_record_len(
+            records[0].samples.len(),
+            records[0].header.sample_bits as usize,
+        );
+        // Cut frame 1's records, tiles..2·tiles, and the sync words among
+        // them.
+        let header = crate::stream::RESILIENT_TILED_HEADER_BYTES;
+        let (start, _) = record_span(header, rec_len, tiles);
+        let (_, end) = record_span(header, rec_len, 2 * tiles - 1);
+        let mut gapped = bytes[..start].to_vec();
+        gapped.extend_from_slice(&bytes[end..]);
+        let (fresh_bytes, _) = encode(&scenes[2..]);
+        let decode = |bytes: &[u8], threads: usize| {
+            let mut dec = DecodeSession::new();
+            dec.delta_mode(30, 0).threads(threads);
+            let mut out = dec.push_bytes(bytes).unwrap();
+            out.extend(dec.finish().unwrap());
+            (out, dec.report())
+        };
+        for threads in [1, 2] {
+            let (out, report) = decode(&gapped, threads);
+            let shape: Vec<(usize, bool)> = out.iter().map(|d| (d.index, d.is_key)).collect();
+            assert_eq!(
+                shape,
+                vec![(0, true), (2, true), (3, false)],
+                "threads={threads}"
+            );
+            assert_eq!(report.frames_lost, 1, "threads={threads}");
+            assert_eq!(report.reanchors, tiles, "threads={threads}");
+            let (fresh, fresh_report) = decode(&fresh_bytes, threads);
+            assert_eq!(fresh_report.reanchors, 0);
+            assert_eq!(out.len(), 1 + fresh.len());
+            for (got, want) in out[1..].iter().zip(&fresh) {
+                assert_eq!(
+                    (got.is_key, got.erased_tiles),
+                    (want.is_key, want.erased_tiles)
+                );
+                assert_eq!(
+                    got.reconstruction, want.reconstruction,
+                    "threads={threads}: frame {}",
+                    got.index
+                );
+            }
+        }
     }
 
     /// On a tiled delta stream a tile lost on the wire re-anchors only

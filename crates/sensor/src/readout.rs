@@ -21,22 +21,43 @@
 //! A jitter-free functional capture computes what the hardware
 //! computes: each sample is one concurrent event, not a sequence of
 //! pulses. Every pixel's flip time is converted once per scene, by the
-//! same helper [`FrameReadout::code_image`] uses. A sample adds the code
-//! rows of its selected rows `R` into one `u32` lane per column,
-//! `S_c = Σ_{r∈R} code[r,c]`. Codes have at most 16 bits and the path
-//! takes at most `2^16` rows, so a lane (and the column total
-//! `colsum_c`) stays below `2^32`: the sums are exact. A pixel fires
-//! when its row bit differs from its column bit, so column `c`'s
-//! Sample & Add word is `S_c` when the column bit is 0 and
-//! `colsum_c − S_c` when it is 1. The column bits are read from the
-//! pattern as whole `u64` words and each word is selected without a
-//! branch. Codes are non-negative, so clipping that word once at the
-//! column width, and the sum of the clipped words once at the sample
-//! width, gives the values and overflow flags that pulse-by-pulse
-//! saturating adds give. A missed pixel adds code 0; misses are
-//! counted only where a row holds one, by a popcount of its miss mask
-//! against the column word (or its complement, when the row bit is
-//! set). `total_pulses` follows from `|R|` and the column bits.
+//! same helper [`FrameReadout::code_image`] uses; a missed pixel reads
+//! code 0. A sample with selected rows `R` and columns `C` fires pixel
+//! `(r, c)` when its row bit differs from its column bit, so column
+//! `c`'s Sample & Add word is `S_c = Σ_{r∈R} code[r,c]` when `c ∉ C`
+//! and `colsum_c − S_c` when `c ∈ C`, and the sample is
+//! `ΣS + Σ_{c∈C} colsum_c − 2·Σ_{c∈C} S_c` — the `r + c − 2rc` identity
+//! of the XOR pattern. Nothing of it is summed row by row per sample:
+//!
+//! * **Row tables, once per scene.** The code rows are grouped six at
+//!   a time. For each group, a table holds the per-column sums (one
+//!   `u32` lane per column) and the scalar total of every subset of its
+//!   rows, built by doubling: the subsets that hold row `b` are those
+//!   without it plus row `b`. Tables hold about `2^6/6 ≈ 11` times the
+//!   `u32` code image (more when a short last group or the padding of
+//!   columns to sixteen lanes adds to it), so they stay `O(m·n)` at
+//!   every size.
+//! * **Column tables, once per scene.** Subset sums of the column totals
+//!   `colsum_c`, eight columns per 256-entry table.
+//! * **Each sample** reads each row group's six pattern bits (from one
+//!   or two `u64` words) and adds the selected table entries into
+//!   sixteen lanes at a time, which gives `S`; `ΣS` and `Σ_C colsum`
+//!   are table lookups. `Σ_C S` masks each lane with its column bit,
+//!   without a branch.
+//!
+//! Codes have at most 16 bits and the path takes at most `2^16` rows,
+//! so every lane (and `colsum_c`) stays below `2^32`: the sums are
+//! exact. The hardware's column and sample adders cannot clip on this
+//! path. Every code is at most `code_max`, so a column word is at most
+//! `colsum_c ≤ rows·code_max` and a sample at most
+//! `Σ colsum ≤ rows·cols·code_max`, and the Eq. (1) widths
+//! (`sum_bits(bits, rows, 1)` and `sum_bits(bits, rows, cols)`) hold
+//! both. One check per capture, that the largest `colsum_c` fits the
+//! column width and their sum the sample width, fails loudly instead
+//! of clipping. Misses are counted only where a row holds one, by a
+//! popcount of its miss mask against the column word (or its
+//! complement, when the row bit is set). `total_pulses` follows from
+//! `|R|` and `|C|`.
 //!
 //! The per-pulse loop still runs where it is needed: with temporal
 //! jitter (every sample redraws every flip time) and at
@@ -288,8 +309,6 @@ impl FrameReadout {
     fn capture_column_sums(&self, scene: &ImageF64, patterns: &[BitVec]) -> CapturedFrame {
         let (m, n) = (self.config.rows(), self.config.cols());
         let counter = GlobalCounter::new(&self.config);
-        let (column_bits, sample_bits) = SampleAdd::widths(&self.config);
-        let (column_max, sample_max) = (max_value(column_bits), max_value(sample_bits));
         // Row-major codes (a missed pixel reads 0), and one
         // `(row, column word, mask)` entry per column word of a row that
         // holds a missed pixel.
@@ -309,38 +328,65 @@ impl FrameReadout {
         for row in codes.chunks_exact(n) {
             add_row(&mut column_totals, row);
         }
-        let mut sums = vec![0u32; n];
+        let (column_bits, sample_bits) = SampleAdd::widths(&self.config);
+        let largest = column_totals.iter().copied().max().map_or(0, u64::from);
+        let grand: u64 = column_totals.iter().map(|&t| u64::from(t)).sum();
+        // tidy:allow(panic: codes are at most code_max, and the Eq. (1) widths hold rows·code_max per column and rows·cols·code_max per sample)
+        assert!(
+            largest <= max_value(column_bits) && grand <= max_value(sample_bits),
+            "codes overrun the Eq. (1) widths"
+        );
+        let (row_lanes, row_totals) = row_tables(&codes, n);
+        let column_table = column_tables(&column_totals);
+        let stride = lane_stride(n);
+        let mut entries = vec![0usize; m.div_ceil(ROW_GROUP)];
         let mut column_words = vec![0u64; n.div_ceil(64)];
         let mut stats = EventStats::new();
         let mut samples = Vec::with_capacity(patterns.len());
         // tidy:alloc-free
         for pattern in patterns {
-            sums.fill(0);
-            let mut rows_set = 0;
-            for row in pattern.iter_ones().take_while(|&r| r < m) {
-                add_row(&mut sums, &codes[row * n..(row + 1) * n]);
-                rows_set += 1;
+            let words = pattern.as_words();
+            // One table entry per row group: S = Σ_g T_g[rowmask_g], and
+            // ΣS from the same entries.
+            let (mut row_sum, mut rows_set) = (0u64, 0);
+            for (g, entry) in entries.iter_mut().enumerate() {
+                let first = g * ROW_GROUP;
+                let width = ROW_GROUP.min(m - first);
+                let pair = u128::from(words[first / 64])
+                    | u128::from(words.get(first / 64 + 1).copied().unwrap_or(0)) << 64;
+                let mask = (pair >> (first % 64)) as usize & ((1 << width) - 1);
+                row_sum += row_totals[g * ROW_TABLE + mask];
+                rows_set += mask.count_ones() as usize;
+                *entry = (g * ROW_TABLE + mask) * stride;
             }
-            column_bits_into(pattern.as_words(), m, &mut column_words);
+            column_bits_into(words, m, &mut column_words);
             let cols_set: usize = column_words.iter().map(|w| w.count_ones() as usize).sum();
             // Column c's word is S_c when its bit is 0 and colsum_c − S_c
-            // when it is 1; every word is clipped once.
-            let mut total = 0u64;
-            let mut column_overflow = false;
-            for (col, (&sum, &colsum)) in sums.iter().zip(&column_totals).enumerate() {
-                let flip = ((column_words[col / 64] >> (col % 64)) as u32 & 1).wrapping_neg();
-                let word = u64::from(sum ^ ((sum ^ (colsum - sum)) & flip));
-                column_overflow |= word > column_max;
-                total += word.min(column_max);
+            // when it is 1: total = ΣS + Σ_C colsum − 2·Σ_C S.
+            let column_sum: u64 = column_words
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .zip(column_table.chunks_exact(256))
+                .map(|(byte, table)| table[usize::from(byte)])
+                .sum();
+            let mut selected = 0u64;
+            for c0 in (0..stride).step_by(LANES) {
+                let mut lanes = [0u32; LANES];
+                for &entry in &entries {
+                    let at = entry + c0;
+                    for (lane, &code_sum) in lanes.iter_mut().zip(&row_lanes[at..at + LANES]) {
+                        *lane += code_sum;
+                    }
+                }
+                let bits = (column_words[c0 / 64] >> (c0 % 64)) as u32;
+                selected += masked_sum(&lanes, bits);
             }
             for &(row, w, mask) in &misses {
                 let flip = u64::from(pattern.get(row)).wrapping_neg();
                 stats.missed_pulses += u64::from((mask & (column_words[w] ^ flip)).count_ones());
             }
             stats.total_pulses += (rows_set * (n - cols_set) + (m - rows_set) * cols_set) as u64;
-            stats.column_overflows += u64::from(column_overflow);
-            stats.sample_overflows += u64::from(total > sample_max);
-            samples.push(total.min(sample_max) as u32);
+            samples.push((row_sum + column_sum - 2 * selected) as u32);
         }
         CapturedFrame { samples, stats }
     }
@@ -430,6 +476,84 @@ impl FrameReadout {
     }
 }
 
+/// Rows per row table of the column-sum capture. Chosen by timing
+/// captures of 32×32 (`K = 359`) and 64×64 (`K = 1434`) arrays: four,
+/// six and eight rows tie at 32×32; at 64×64 four rows take about 20%
+/// longer than six, and eight save about 10% but need three times the
+/// table memory.
+const ROW_GROUP: usize = 6;
+
+/// Entries per row table: every subset of a group's rows.
+const ROW_TABLE: usize = 1 << ROW_GROUP;
+
+/// Columns summed per pass of the column-sum capture.
+const LANES: usize = 16;
+
+/// Lanes per row-table entry: `n` padded with zero lanes to whole
+/// passes.
+fn lane_stride(n: usize) -> usize {
+    n.next_multiple_of(LANES)
+}
+
+/// The row tables of a row-major `codes` image `n` columns wide: for
+/// row group `g` (rows `g·ROW_GROUP..`) and each subset `mask` of its
+/// rows, entry `g·ROW_TABLE + mask` holds the subset's per-column sums
+/// (`lane_stride(n)` lanes) and their total. Each table is built by
+/// doubling: the subsets holding row `b` are those without it plus row
+/// `b`. The last group may hold fewer rows; its entries past its
+/// subsets stay zero.
+fn row_tables(codes: &[u32], n: usize) -> (Vec<u32>, Vec<u64>) {
+    let (groups, stride) = ((codes.len() / n).div_ceil(ROW_GROUP), lane_stride(n));
+    let mut lanes = vec![0u32; groups * ROW_TABLE * stride];
+    let mut totals = vec![0u64; groups * ROW_TABLE];
+    let tables = lanes
+        .chunks_exact_mut(ROW_TABLE * stride)
+        .zip(totals.chunks_exact_mut(ROW_TABLE));
+    for ((table, total), rows) in tables.zip(codes.chunks(ROW_GROUP * n)) {
+        for (b, row) in rows.chunks_exact(n).enumerate() {
+            let (lo, hi) = table.split_at_mut((1 << b) * stride);
+            for (dst, src) in hi.chunks_exact_mut(stride).zip(lo.chunks_exact(stride)) {
+                for ((d, &s), &code) in dst.iter_mut().zip(src).zip(row) {
+                    *d = s + code;
+                }
+            }
+            let row_total: u64 = row.iter().map(|&c| u64::from(c)).sum();
+            let (lo, hi) = total.split_at_mut(1 << b);
+            for (d, &s) in hi.iter_mut().zip(lo.iter()) {
+                *d = s + row_total;
+            }
+        }
+    }
+    (lanes, totals)
+}
+
+/// Subset sums of the column totals, eight columns per 256-entry
+/// table: entry `g·256 + byte` sums the totals of columns `8g + i` for
+/// each set bit `i` of `byte`.
+fn column_tables(column_totals: &[u32]) -> Vec<u64> {
+    let mut tables = vec![0u64; column_totals.len().div_ceil(8) * 256];
+    for (table, totals) in tables.chunks_exact_mut(256).zip(column_totals.chunks(8)) {
+        for (b, &t) in totals.iter().enumerate() {
+            let (lo, hi) = table.split_at_mut(1 << b);
+            for (d, &s) in hi.iter_mut().zip(lo.iter()) {
+                *d = s + u64::from(t);
+            }
+        }
+    }
+    tables
+}
+
+/// The sum of the lanes whose bit is set in the low `LANES` bits of
+/// `bits`, without a branch.
+fn masked_sum(lanes: &[u32; LANES], bits: u32) -> u64 {
+    let mut sum = 0u64;
+    for (i, &lane) in lanes.iter().enumerate() {
+        let keep = u32::from(bits & (1 << i) != 0).wrapping_neg();
+        sum += u64::from(lane & keep);
+    }
+    sum
+}
+
 /// Adds one row of codes into per-column `u32` lanes.
 fn add_row(acc: &mut [u32], row: &[u32]) {
     for (a, &code) in acc.iter_mut().zip(row) {
@@ -499,6 +623,42 @@ mod tests {
                 }
             }
             assert_eq!(frame.samples[k], expected, "sample {k}");
+        }
+    }
+
+    #[test]
+    fn full_scale_codes_never_clip_on_the_column_sum_path() {
+        // Every code at code_max, and patterns that fire every pixel of
+        // the array: the largest column and sample sums there are.
+        for (rows, cols) in [(1, 1), (5, 3), (16, 16), (70, 17), (64, 64)] {
+            let config = SensorConfig::builder(rows, cols)
+                .transfer(CodeTransfer::Linearized)
+                .build()
+                .unwrap();
+            let readout = FrameReadout::new(config.clone(), Fidelity::Functional);
+            let scene = Scene::Uniform(1.0).render(cols, rows, 0);
+            let codes = readout.code_image(&scene);
+            assert!(codes
+                .as_slice()
+                .iter()
+                .all(|&c| u32::from(c) == config.code_max()));
+            let mut all_rows = BitVec::zeros(rows + cols);
+            (0..rows).for_each(|r| all_rows.set(r, true));
+            let mut all_cols = BitVec::ones(rows + cols);
+            (0..rows).for_each(|r| all_cols.set(r, false));
+            let mut src = source(&config, 13);
+            let mut patterns: Vec<BitVec> = (0..30).map(|_| src.next_pattern()).collect();
+            patterns.extend([all_rows, all_cols]);
+            let frame = readout.capture_patterns(&scene, &patterns);
+            let full = (rows * cols) as u32 * config.code_max();
+            assert_eq!(frame.samples[30..], [full, full], "{rows}×{cols}");
+            assert_eq!(frame.stats.column_overflows, 0, "{rows}×{cols}");
+            assert_eq!(frame.stats.sample_overflows, 0, "{rows}×{cols}");
+            assert_eq!(
+                frame,
+                readout.capture_pulses(&scene, &patterns),
+                "{rows}×{cols}"
+            );
         }
     }
 

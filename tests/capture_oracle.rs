@@ -111,7 +111,10 @@ fn draw(source: &mut dyn BitPatternSource, k: usize) -> Vec<BitVec> {
 
 /// The functional capture equals the per-pulse loop on every geometry,
 /// scene and transfer of the sweep, with fixed-pattern noise on, and in
-/// the dark case with pulses that miss the 6-bit window.
+/// the dark case with pulses that miss the 6-bit window. The geometries
+/// cover one-row and one-column arrays, every remainder of the row
+/// groups the capture tabulates, row bits in one, two and three `u64`
+/// words, and column bits in one and two.
 #[test]
 fn column_sums_match_the_per_pulse_loop() {
     let geometries = [
@@ -124,6 +127,11 @@ fn column_sums_match_the_per_pulse_loop() {
         (17, 70),
         (70, 17),
         (64, 64),
+        (1, 40),
+        (40, 1),
+        (63, 9),
+        (65, 9),
+        (129, 5),
     ];
     let transfers = [CodeTransfer::Reciprocal, CodeTransfer::Linearized];
     let mut rng = SplitMix64::new(0xC0FFEE);
